@@ -29,7 +29,7 @@ from .corpus import (
     save_model,
     synth_corpus,
 )
-from .errors import SceneCheckError
+from .errors import NotEnoughObjectsError, SceneCheckError
 from .labelgrid import DEFAULT_MIN_AREA, extract_objects, load_label_grid
 from .relations import relations_for_objects
 from .seeds import derive_seed
@@ -229,10 +229,13 @@ def cmd_evaluate(args) -> int:
         record = table.record(image_id)
         context = record.get(context_attribute, PLACEHOLDER) if context_attribute else None
         variants = [(grid, False)]
-        if len(extract_objects(grid, registry.min_area)) >= 2:
+        try:
             twin, _ = generate_contradiction(
                 grid, derive_seed(args.seed, EVAL_TAG, idx), min_area=registry.min_area
             )
+        except NotEnoughObjectsError:
+            pass
+        else:
             variants.append((twin, True))
         for variant_grid, expected in variants:
             dispatched = verify(variant_grid, registry, record)

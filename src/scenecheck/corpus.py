@@ -480,16 +480,10 @@ def generate_contradiction(
         )
     rng = np.random.default_rng(seed)
     removed = objects[int(rng.integers(len(objects)))]
-    cells = list(grid.cells)
-    for r, c in removed.pixels:
-        cells[r * grid.width + c] = 0
-    modified = LabelGrid(
-        image_id=grid.image_id,
-        height=grid.height,
-        width=grid.width,
-        cells=tuple(cells),
-        class_map=dict(grid.class_map),
-    )
+    cells = grid.to_array().copy()
+    rows, cols = np.array(removed.pixels).T
+    cells[rows, cols] = 0
+    modified = grid_from_array(cells, grid.class_map, image_id=grid.image_id)
     return modified, removed.class_id
 
 

@@ -1,9 +1,16 @@
 """Label-map parsing and scene-object extraction.
 
 A label grid is a per-pixel assignment of semantic class ids (0 denotes
-background).  Scene objects are 8-connected same-class components with
-geometric summaries: pixel count, centroid, bounding box and a traced
-outer boundary.
+background), held as a read-only row-major `int32` array.  Scene objects
+are 8-connected same-class components with geometric summaries: pixel
+count, centroid, bounding box and a traced outer boundary.
+
+Components are labelled run by run, in the run-based two-scan family
+(He, Chao & Suzuki, IEEE TIP 2008): maximal same-class horizontal runs
+are found with numpy, runs of one class that are 8-adjacent across two
+consecutive rows are merged in a small union-find, and each component is
+rebuilt from its runs.  Outer boundaries are Moore-traced over a padded
+mask of the component's bounding box.
 
 All functions here are pure; LabelGrid and SceneObject are immutable
 after construction and safe to share across threads.
@@ -14,9 +21,10 @@ rightward, so "above" always means a smaller row index.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -24,52 +32,112 @@ from .errors import FormatError, UnknownClassError
 
 DEFAULT_MIN_AREA = 25
 
+_INT32 = np.iinfo(np.int32)
+
 # Moore neighbourhood in clockwise order starting at West.  Consecutive
 # entries are 4-adjacent to each other, which guarantees that the cell
 # scanned just before a hit is 4-adjacent to that hit.
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+# After a move in direction d, the backtrack cell (the one scanned just
+# before the hit) seen from the new pixel lies in direction _BACK[d].
+_BACK = tuple(
+    _MOORE.index((_MOORE[d - 1][0] - _MOORE[d][0], _MOORE[d - 1][1] - _MOORE[d][1]))
+    for d in range(8)
+)
 
-_NEIGHBORS_8 = _MOORE
-_NEIGHBORS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+_INT_TOKEN = re.compile(r"[+-]?[0-9]+")
+# Powers of ten that start a new decimal digit count: 10, 100, ...
+_DIGIT_STEPS = 10 ** np.arange(1, 10, dtype=np.int64)
 
 
-@dataclass(frozen=True)
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; `np.unique` without its fixed overhead."""
+    s = np.sort(values)
+    return s[np.concatenate(([True], s[1:] != s[:-1]))]
+
+
+def _read_only_int32(values) -> np.ndarray:
+    """`values` as a flat read-only int32 array, sharing memory when it already is one."""
+    arr = np.asarray(values)
+    if arr.dtype != np.int32 or arr.flags.writeable:
+        if arr.size and arr.dtype.kind not in "biu":
+            raise FormatError(f"cell values must be integers, got dtype {arr.dtype}")
+        if arr.size and (arr.min() < _INT32.min or arr.max() > _INT32.max):
+            raise UnknownClassError("class id outside int32 missing from class map")
+        arr = arr.astype(np.int32)
+        arr.flags.writeable = False
+    return arr.reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
 class LabelGrid:
-    """A 2-D grid of class ids plus the id -> name map for the scene."""
+    """A 2-D grid of class ids plus the id -> name map for the scene.
+
+    `cells` is a read-only 1-D int32 array in row-major order; any
+    integer sequence passed in is converted (and copied unless it is
+    already a read-only int32 array).
+    """
 
     image_id: str
     height: int
     width: int
-    cells: tuple[int, ...]
+    cells: np.ndarray
     class_map: Mapping[int, str]
 
     def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:
             raise FormatError(f"grid must be at least 1x1, got {self.height}x{self.width}")
-        if len(self.cells) != self.height * self.width:
-            raise FormatError(
-                f"cell count {len(self.cells)} != {self.height}x{self.width}"
-            )
-        for v in self.cells:
+        cells = _read_only_int32(self.cells)
+        if cells.size != self.height * self.width:
+            raise FormatError(f"cell count {cells.size} != {self.height}x{self.width}")
+        for v in _distinct(cells).tolist():
             if v != 0 and v not in self.class_map:
                 raise UnknownClassError(f"class id {v} missing from class map")
+        object.__setattr__(self, "cells", cells)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabelGrid):
+            return NotImplemented
+        return (
+            self.image_id == other.image_id
+            and self.height == other.height
+            and self.width == other.width
+            and self.class_map == other.class_map
+            and bool(np.array_equal(self.cells, other.cells))
+        )
+
+    __hash__ = None  # class_map is a dict, so grids were never hashable
 
     def at(self, row: int, col: int) -> int:
-        return self.cells[row * self.width + col]
+        return int(self.cells[row * self.width + col])
 
     def to_array(self) -> np.ndarray:
-        return np.asarray(self.cells, dtype=np.int32).reshape(self.height, self.width)
+        """The cells as a read-only (height, width) view (no copy)."""
+        return self.cells.reshape(self.height, self.width)
 
     def diagonal(self) -> float:
         return float(np.hypot(self.height, self.width))
 
     def to_text(self) -> str:
-        """Render back to the `.lgrid` text format."""
-        lines = [f"{self.height} {self.width}"]
-        for r in range(self.height):
-            row = self.cells[r * self.width : (r + 1) * self.width]
-            lines.append(" ".join(str(v) for v in row))
-        return "\n".join(lines) + "\n"
+        """Render back to the `.lgrid` text format.
+
+        The body is assembled as ASCII bytes with numpy: each cell's
+        decimal digits are written right to left into its slot, followed
+        by a space or, at the end of a row, a newline.
+        """
+        values = self.cells.astype(np.int64)
+        negative = values < 0
+        magnitude = np.abs(values)
+        n_digits = 1 + np.searchsorted(_DIGIT_STEPS, magnitude, side="right")
+        ends = np.cumsum(n_digits + negative + 1)  # one past each cell's separator
+        buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+        buf[ends[self.width - 1 :: self.width] - 1] = ord("\n")
+        last_digit = ends - 2
+        for k in range(int(n_digits.max())):
+            sel = n_digits > k
+            buf[last_digit[sel] - k] = ord("0") + (magnitude[sel] // 10**k) % 10
+        buf[(last_digit - n_digits)[negative]] = ord("-")
+        return f"{self.height} {self.width}\n" + buf.tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -90,13 +158,50 @@ class SceneObject:
     pixels: tuple[tuple[int, int], ...] = field(repr=False)
 
 
+def _digits_and_spaces(s: str) -> bool:
+    return s.isascii() and not s.encode().translate(None, b"0123456789 ")
+
+
+def _parse_cells(rows: list[str], width: int) -> np.ndarray:
+    """Convert the cell rows to one int64 array in a single numpy call.
+
+    Plain rows (ASCII digits and spaces) take a fast path: a row holds at
+    most its space count + 1 tokens, so when every row has `width - 1`
+    spaces and numpy reads `rows * width` values back, every row holds
+    exactly `width` tokens.  Other text is split on whitespace first and,
+    when it holds anything but digits, checked token by token, because
+    `np.fromstring` reads a lone sign as 0.
+    """
+    flat = " ".join(rows)
+    if _digits_and_spaces(flat) and all(ln.count(" ") == width - 1 for ln in rows):
+        values = np.fromstring(flat, dtype=np.int64, sep=" ")
+        if values.size == len(rows) * width:
+            return values
+    tokens: list[str] = []
+    for ln in rows:
+        row = ln.split()
+        if len(row) != width:
+            raise FormatError(f"ragged row: expected {width} tokens, got {len(row)}")
+        tokens += row
+    flat = " ".join(tokens)
+    if not _digits_and_spaces(flat):
+        bad = next((t for t in tokens if not _INT_TOKEN.fullmatch(t)), None)
+        if bad is not None:
+            raise FormatError(f"non-integer cell token {bad!r}")
+    values = np.fromstring(flat, dtype=np.int64, sep=" ")
+    if values.min() < 0:
+        raise FormatError(f"negative cell value {values.min()}")
+    return values
+
+
 def parse_label_grid(
     text: str, class_map: Mapping[int, str], image_id: str = ""
 ) -> LabelGrid:
     """Parse the `.lgrid` text format.
 
     First line is "height width"; each of the following `height` lines
-    holds `width` space-separated non-negative integers.
+    holds `width` whitespace-separated non-negative integers, each an
+    optional sign followed by ASCII digits.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -112,20 +217,8 @@ def parse_label_grid(
         raise FormatError(f"grid must be at least 1x1, got {height}x{width}")
     if len(lines) - 1 != height:
         raise FormatError(f"expected {height} rows, got {len(lines) - 1}")
-    cells: list[int] = []
-    for ln in lines[1:]:
-        tokens = ln.split()
-        if len(tokens) != width:
-            raise FormatError(f"ragged row: expected {width} tokens, got {len(tokens)}")
-        for tok in tokens:
-            try:
-                v = int(tok)
-            except ValueError:
-                raise FormatError(f"non-integer cell token {tok!r}") from None
-            if v < 0:
-                raise FormatError(f"negative cell value {v}")
-            cells.append(v)
-    return LabelGrid(image_id, height, width, tuple(cells), dict(class_map))
+    cells = _parse_cells(lines[1:], width)
+    return LabelGrid(image_id, height, width, cells, dict(class_map))
 
 
 def load_label_grid(path: str | Path, class_map: Mapping[int, str]) -> LabelGrid:
@@ -141,13 +234,58 @@ def grid_from_array(
     arr: np.ndarray, class_map: Mapping[int, str], image_id: str = ""
 ) -> LabelGrid:
     arr = np.asarray(arr)
-    return LabelGrid(
-        image_id,
-        int(arr.shape[0]),
-        int(arr.shape[1]),
-        tuple(int(v) for v in arr.ravel()),
-        dict(class_map),
-    )
+    return LabelGrid(image_id, int(arr.shape[0]), int(arr.shape[1]), arr, dict(class_map))
+
+
+def _runs(cells: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal same-class horizontal runs of non-background cells.
+
+    Returns flat start indices, flat stop indices (exclusive) and class
+    ids, in raster order of the runs' first cells.
+    """
+    n = cells.size
+    breaks = np.empty(n, dtype=bool)
+    breaks[0] = True
+    np.not_equal(cells[1:], cells[:-1], out=breaks[1:])
+    breaks[::width] = True
+    starts = np.flatnonzero(breaks)
+    stops = np.append(starts[1:], n)
+    classes = cells[starts]
+    keep = classes != 0
+    return starts[keep], stops[keep], classes[keep]
+
+
+def _run_roots(starts: np.ndarray, stops: np.ndarray, classes: np.ndarray, width: int) -> list[int]:
+    """Index of each run's component root: the component's first run.
+
+    A run touches a same-class run in the row above when their column
+    spans overlap after widening by one column on each side (within the
+    grid), which is 8-adjacency.  The candidate runs above form one
+    contiguous index range, found by binary search over the run bounds.
+    """
+    cols = starts % width
+    last = stops - 1
+    lo = starts - width - (cols > 0)
+    hi = last - width + (last % width < width - 1)
+    first = np.searchsorted(stops, lo, side="right")
+    count = np.maximum(np.searchsorted(starts, hi, side="right") - first, 0)
+    below = np.repeat(np.arange(len(starts)), count)
+    above = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(below))
+    same = classes[above] == classes[below]
+    parent = list(range(len(starts)))
+    for a, b in zip(above[same].tolist(), below[same].tolist()):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        # The smaller index wins, so every root is its component's first run.
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for i, p in enumerate(parent):
+        parent[i] = parent[p]  # p < i is already final
+    return parent
 
 
 def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[SceneObject]:
@@ -159,41 +297,58 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
-    arr = grid.to_array()
-    h, w = arr.shape
-    visited = np.zeros((h, w), dtype=bool)
+    w = grid.width
+    starts, stops, classes = _runs(grid.cells, w)
+    if not len(starts):
+        return []
+    roots = np.array(_run_roots(starts, stops, classes, w))
+    lengths = stops - starts
+    area = np.bincount(roots, weights=lengths, minlength=len(starts))
+    # Kept runs grouped by component, components in raster order of their
+    # first run, runs in raster order within each component.
+    order = np.argsort(roots, kind="stable")
+    order = order[area[roots[order]] >= min_area]
+    if not len(order):
+        return []
+    sorted_roots = roots[order]
+    is_first = np.append(True, sorted_roots[1:] != sorted_roots[:-1])
+    first_run = np.flatnonzero(is_first)
+    comp_roots = sorted_roots[first_run]
+    run_starts, run_lengths = starts[order], lengths[order]
+    pix = np.repeat(run_starts - np.cumsum(run_lengths) + run_lengths, run_lengths)
+    pix += np.arange(len(pix))
+    rows, cols = np.divmod(pix, w)
+    pixels = list(zip(rows.tolist(), cols.tolist()))
+    run_rows, run_cols = np.divmod(run_starts, w)
+    bbox_c0 = np.minimum.reduceat(run_cols, first_run).tolist()
+    bbox_c1 = np.maximum.reduceat(run_cols + run_lengths - 1, first_run).tolist()
+    bbox_r1 = run_rows[np.append(first_run[1:], len(order)) - 1].tolist()
+    # Integer sums are exact in float64, so sum / n equals the mean numpy
+    # computes over the sorted pixel coordinates, bit for bit.
+    comp_index = np.cumsum(is_first) - 1
+    row_sums = np.bincount(comp_index, weights=run_rows * run_lengths).tolist()
+    col_sums = np.bincount(
+        comp_index, weights=(2 * run_cols + run_lengths - 1) * run_lengths / 2
+    ).tolist()
+    counts = area[comp_roots].astype(np.int64).tolist()
     objects: list[SceneObject] = []
-    for r0 in range(h):
-        for c0 in range(w):
-            if visited[r0, c0] or arr[r0, c0] == 0:
-                continue
-            class_id = int(arr[r0, c0])
-            stack = [(r0, c0)]
-            visited[r0, c0] = True
-            pixels: list[tuple[int, int]] = []
-            while stack:
-                r, c = stack.pop()
-                pixels.append((r, c))
-                for dr, dc in _NEIGHBORS_8:
-                    nr, nc = r + dr, c + dc
-                    if 0 <= nr < h and 0 <= nc < w and not visited[nr, nc] and arr[nr, nc] == class_id:
-                        visited[nr, nc] = True
-                        stack.append((nr, nc))
-            if len(pixels) < min_area:
-                continue
-            pixels.sort()
-            rows = np.array([p[0] for p in pixels], dtype=np.float64)
-            cols = np.array([p[1] for p in pixels], dtype=np.float64)
-            obj = SceneObject(
-                object_id=len(objects),
-                class_id=class_id,
-                pixel_count=len(pixels),
-                centroid=(float(rows.mean()), float(cols.mean())),
-                bbox=(int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max())),
-                boundary=_trace(frozenset(pixels)),
-                pixels=tuple(pixels),
+    at = 0
+    for k, root in enumerate(comp_roots.tolist()):
+        n = counts[k]
+        r0 = int(run_rows[first_run[k]])
+        bbox = (r0, bbox_c0[k], bbox_r1[k], bbox_c1[k])
+        objects.append(
+            SceneObject(
+                object_id=k,
+                class_id=int(classes[root]),
+                pixel_count=n,
+                centroid=(row_sums[k] / n, col_sums[k] / n),
+                bbox=bbox,
+                boundary=_trace(rows[at : at + n], cols[at : at + n], bbox),
+                pixels=tuple(pixels[at : at + n]),
             )
-            objects.append(obj)
+        )
+        at += n
     return objects
 
 
@@ -205,48 +360,46 @@ def trace_boundary(grid: LabelGrid, obj: SceneObject) -> tuple[tuple[int, int], 
     entries (including the wrap-around) are 8-adjacent, and every entry
     has at least one 4-neighbour outside the component or off the grid.
     """
-    return _trace(frozenset(obj.pixels))
+    rows, cols = np.array(obj.pixels, dtype=np.int64).reshape(-1, 2).T
+    return _trace(rows, cols, obj.bbox)
 
 
-def _step(
-    state: tuple[tuple[int, int], tuple[int, int]],
-    pixels: frozenset[tuple[int, int]],
-) -> tuple[tuple[int, int], tuple[int, int]]:
-    """One Moore-tracing move: (pixel, backtrack cell) -> next such state."""
-    cur, back = state
-    d0 = _MOORE.index((back[0] - cur[0], back[1] - cur[1]))
-    for k in range(1, 9):
-        d = (d0 + k) % 8
-        cand = (cur[0] + _MOORE[d][0], cur[1] + _MOORE[d][1])
-        if cand in pixels:
-            prev = (d0 + k - 1) % 8
-            return cand, (cur[0] + _MOORE[prev][0], cur[1] + _MOORE[prev][1])
-    raise AssertionError("no neighbour found")  # pragma: no cover
-
-
-def _trace(pixels: frozenset[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    start = min(pixels)
-    if len(pixels) == 1:
+def _trace(
+    rows: np.ndarray, cols: np.ndarray, bbox: tuple[int, int, int, int]
+) -> tuple[tuple[int, int], ...]:
+    """Moore-trace the component with pixels (rows, cols), sorted in raster order."""
+    r0, c0, r1, c1 = bbox
+    start = (int(rows[0]), int(cols[0]))
+    if len(rows) == 1:
         return (start,)
-    # Walk (pixel, backtrack) states until one repeats; the repeated
-    # segment is the full clockwise outer contour.  The artificial
-    # initial state (backtrack = West of the raster-first pixel, which
-    # cannot belong to the component) may itself lie off that cycle.
-    state = (start, (start[0], start[1] - 1))
-    seen: dict = {}
-    walk: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    # Membership mask over the bbox with a one-cell background margin, so
+    # every neighbour index stays inside it.
+    stride = c1 - c0 + 3
+    mask = np.zeros((r1 - r0 + 3) * stride, dtype=np.uint8)
+    mask[(rows - r0 + 1) * stride + (cols - c0 + 1)] = 1
+    inside = mask.tobytes()
+    offsets = [dr * stride + dc for dr, dc in _MOORE]
+    # Walk (pixel, backtrack direction) states until one repeats; the
+    # repeated segment is the full clockwise outer contour.  The
+    # artificial initial state (backtrack = West of the raster-first
+    # pixel, which cannot belong to the component) may itself lie off
+    # that cycle.
+    origin = stride + start[1] - c0 + 1  # start lies in the bbox's top row
+    cur, back = origin, 0
+    seen: dict[int, int] = {}
+    walk: list[int] = []
+    state = cur * 8
     while state not in seen:
         seen[state] = len(walk)
-        walk.append(state)
-        state = _step(state, pixels)
-    cycle = [s[0] for s in walk[seen[state] :]]
-    j = cycle.index(start)  # the top-left-most pixel is on the outer contour
-    return tuple(cycle[j:] + cycle[:j])
-
-
-def pixel_accounting(grid: LabelGrid, objects: Iterable[SceneObject]) -> tuple[int, int, int]:
-    """Split the grid's pixels into (object, small-component, background) counts."""
-    object_px = sum(o.pixel_count for o in objects)
-    background = sum(1 for v in grid.cells if v == 0)
-    ignored = grid.height * grid.width - object_px - background
-    return object_px, ignored, background
+        walk.append(cur)
+        for k in range(1, 9):
+            d = (back + k) & 7
+            if inside[cur + offsets[d]]:
+                break
+        cur += offsets[d]
+        back = _BACK[d]
+        state = cur * 8 + back
+    cycle = walk[seen[state] :]
+    j = cycle.index(origin)  # the top-left-most pixel is on the outer contour
+    r, c = np.divmod(np.array(cycle[j:] + cycle[:j]), stride)
+    return tuple(zip((r + (r0 - 1)).tolist(), (c + (c0 - 1)).tolist()))

@@ -28,6 +28,7 @@ K_DIST = 5
 ROW_EPS_FRACTION = 0.05
 SHAPE_SAMPLES = 64
 SHAPE_BINS = 16
+_DIAGONAL = math.hypot(1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -155,42 +156,46 @@ def shape_histogram(
 
     All geometry is computed in bbox-relative coordinates, which are
     invariant under integer translation, so translated copies of an
-    object produce bit-identical histograms.
+    object produce bit-identical histograms.  The centroid is read from
+    `obj.centroid`, which must be the mean pixel position, as
+    `extract_objects` sets it.
     """
     r0, c0 = obj.bbox[0], obj.bbox[1]
-    pts = [(float(r - r0), float(c - c0)) for r, c in obj.boundary]
-    cy = float(np.mean([r - r0 for r, _ in obj.pixels]))
-    cx = float(np.mean([c - c0 for _, c in obj.pixels]))
-    if len(pts) == 1:
+    # The centroid is an integer coordinate sum over n, so rounding it
+    # times n recovers that sum exactly (for sums below 2**51).  The
+    # exact bbox-relative sum over n equals the float64 mean of the
+    # bbox-relative coordinates bit for bit.
+    n = obj.pixel_count
+    cy = (round(obj.centroid[0] * n) - n * r0) / n
+    cx = (round(obj.centroid[1] * n) - n * c0) / n
+    if len(obj.boundary) == 1:
         samples = np.zeros(n_samples)
     else:
-        closed = pts + [pts[0]]
-        seg = np.array(
-            [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(closed, closed[1:])]
-        )
+        closed = np.array(obj.boundary + obj.boundary[:1], dtype=np.float64)
+        closed -= (r0, c0)
+        # Consecutive boundary points are 8-adjacent: a step is 1 or a diagonal.
+        step = closed[1:] - closed[:-1]
+        seg = np.where((step[:, 0] != 0) & (step[:, 1] != 0), _DIAGONAL, 1.0)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         total = cum[-1]
         targets = np.arange(n_samples) * (total / n_samples)
         idx = np.searchsorted(cum, targets, side="right") - 1
-        idx = np.clip(idx, 0, len(seg) - 1)
-        dist_samples = []
-        for t, i in zip(targets, idx):
-            frac = 0.0 if seg[i] == 0 else (t - cum[i]) / seg[i]
-            p, q = closed[i], closed[i + 1]
-            r = p[0] + frac * (q[0] - p[0])
-            c = p[1] + frac * (q[1] - p[1])
-            dist_samples.append(math.hypot(r - cy, c - cx))
-        samples = np.array(dist_samples)
+        idx = np.minimum(np.maximum(idx, 0), len(seg) - 1)
+        frac = (targets - cum[idx]) / seg[idx]
+        p, q = closed[idx], closed[idx + 1]
+        r = p[:, 0] + frac * (q[:, 0] - p[:, 0])
+        c = p[:, 1] + frac * (q[:, 1] - p[:, 1])
+        # math.hypot, not np.hypot: a last-bit difference can move a
+        # sample across a bin edge.
+        samples = np.array(list(map(math.hypot, (r - cy).tolist(), (c - cx).tolist())))
     max_d = samples.max() if len(samples) else 0.0
     if max_d <= 0.0:
         normalized = np.ones(n_samples)
     else:
         normalized = samples / max_d
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for v in normalized:
-        counts[min(int(v * n_bins), n_bins - 1)] += 1
-    freqs = counts / float(n_samples)
-    return ShapeHistogram(tuple(float(f) for f in freqs))
+    bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
+    freqs = np.bincount(bins, minlength=n_bins) / float(n_samples)
+    return ShapeHistogram(tuple(freqs.tolist()))
 
 
 def pair_relation(grid: LabelGrid, a: SceneObject, b: SceneObject) -> PairRelation:

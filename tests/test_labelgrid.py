@@ -1,19 +1,26 @@
 """Parsing, connected-component extraction, and boundary tracing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import scenecheck
 from scenecheck import (
     FormatError,
+    LabelGrid,
     UnknownClassError,
     extract_objects,
     grid_from_array,
     parse_label_grid,
     trace_boundary,
 )
-from scenecheck.labelgrid import pixel_accounting
 
 from conftest import blob_grid
 
@@ -22,7 +29,7 @@ class TestParse:
     def test_basic_grid(self):
         grid = parse_label_grid("2 3\n0 1 1\n0 0 2", {1: "cat", 2: "sofa"})
         assert (grid.height, grid.width) == (2, 3)
-        assert grid.cells == (0, 1, 1, 0, 0, 2)
+        assert tuple(grid.cells) == (0, 1, 1, 0, 0, 2)
 
     def test_all_background_single_cell(self):
         grid = parse_label_grid("1 1\n0", {})
@@ -49,6 +56,133 @@ class TestParse:
         text = "2 3\n0 1 1\n0 0 2\n"
         grid = parse_label_grid(text, {1: "cat", 2: "sofa"})
         assert grid.to_text() == text
+
+    def test_whitespace_variants_parse_alike(self):
+        canonical = parse_label_grid("2 3\n0 1 1\n0 0 2\n", {1: "a", 2: "b"})
+        for text in (
+            "2 3\r\n0\t1  1\r\n 0 0 +2 \r\n",
+            "2 3\n\n0 1 1\n\n0 -0 2",
+        ):
+            assert parse_label_grid(text, {1: "a", 2: "b"}) == canonical
+
+
+def _canonical_text(arr):
+    rows = [" ".join(str(v) for v in row) for row in arr.tolist()]
+    return f"{arr.shape[0]} {arr.shape[1]}\n" + "\n".join(rows) + "\n"
+
+
+_SHAPES = st.tuples(st.integers(1, 6), st.integers(1, 6))
+_CLASS_IDS = st.integers(0, 2**31 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.int64, _SHAPES, elements=st.integers(0, 12)))
+def test_canonical_text_round_trips(arr):
+    text = _canonical_text(arr)
+    grid = parse_label_grid(text, {i: str(i) for i in range(1, 13)})
+    assert grid.to_text() == text
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.int64, _SHAPES, elements=_CLASS_IDS))
+def test_array_text_parses_back_to_equal_cells(arr):
+    class_map = {int(v): "c" for v in np.unique(arr) if v}
+    grid = grid_from_array(arr, class_map)
+    back = parse_label_grid(grid.to_text(), class_map)
+    assert back == grid
+    assert np.array_equal(back.to_array(), arr)
+
+
+def _with_token(arr, position, token):
+    tokens = [str(v) for v in arr.ravel().tolist()]
+    tokens[position % len(tokens)] = token
+    w = arr.shape[1]
+    rows = [" ".join(tokens[i : i + w]) for i in range(0, len(tokens), w)]
+    return f"{arr.shape[0]} {w}\n" + "\n".join(rows) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(0, 3)),
+    st.integers(0, 10**6),
+    st.sampled_from(["1.5", "x", "1e3", "0x1", "1_0", "-", "+", "--1", "1-", "-1", "-7"]),
+)
+def test_bad_token_is_a_format_error(arr, position, token):
+    with pytest.raises(FormatError):
+        parse_label_grid(_with_token(arr, position, token), {1: "a", 2: "b", 3: "c"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(0, 3)),
+    st.integers(0, 10**6),
+    st.sampled_from(["9", str(2**31 - 1), str(2**31), str(2**63), "9" * 30]),
+)
+def test_unknown_or_oversized_id_is_an_unknown_class_error(arr, position, token):
+    with pytest.raises(UnknownClassError):
+        parse_label_grid(_with_token(arr, position, token), {1: "a", 2: "b", 3: "c"})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hnp.arrays(np.int64, st.tuples(st.integers(2, 6), st.integers(2, 6)), elements=st.integers(0, 3)),
+    st.integers(0, 10**6),
+    st.booleans(),
+)
+def test_ragged_row_is_a_format_error(arr, row, longer):
+    lines = _canonical_text(arr).splitlines()
+    k = 1 + row % arr.shape[0]
+    lines[k] = lines[k] + " 0" if longer else lines[k].rsplit(" ", 1)[0]
+    with pytest.raises(FormatError):
+        parse_label_grid("\n".join(lines), {1: "a", 2: "b", 3: "c"})
+
+
+class TestLabelGrid:
+    def test_cells_are_a_read_only_int32_row_major_array(self):
+        arr = np.arange(6).reshape(2, 3) % 3
+        grid = grid_from_array(arr, {1: "a", 2: "b"})
+        assert grid.cells.dtype == np.int32 and grid.cells.shape == (6,)
+        assert list(grid.cells) == arr.ravel().tolist()
+        assert grid.at(1, 2) == arr[1, 2]
+        with pytest.raises(ValueError):
+            grid.cells[0] = 1
+        arr[0, 0] = 2  # the grid holds its own copy
+        assert grid.at(0, 0) == 0
+
+    def test_to_array_is_a_read_only_view(self):
+        grid = grid_from_array(np.eye(3, dtype=int), {1: "a"})
+        view = grid.to_array()
+        assert view.shape == (3, 3) and np.shares_memory(view, grid.cells)
+        assert not view.flags.writeable
+
+    def test_equality_compares_cell_values(self):
+        arr = np.array([[0, 1], [1, 0]])
+        a = grid_from_array(arr, {1: "a"}, image_id="g")
+        assert a == LabelGrid("g", 2, 2, (0, 1, 1, 0), {1: "a"})
+        assert a != grid_from_array(arr.T[::-1], {1: "a"}, image_id="g")
+        assert a != grid_from_array(arr, {1: "a"}, image_id="h")
+
+    def test_constructor_rejects_unknown_and_non_integer_cells(self):
+        with pytest.raises(UnknownClassError):
+            LabelGrid("g", 1, 2, (0, 7), {1: "a"})
+        with pytest.raises(UnknownClassError):
+            LabelGrid("g", 1, 2, (0, 2**40), {1: "a"})
+        with pytest.raises(FormatError):
+            LabelGrid("g", 1, 2, (0.5, 1.0), {1: "a"})
+        with pytest.raises(FormatError):
+            LabelGrid("g", 2, 2, (0, 1), {1: "a"})
+
+
+def test_import_pulls_in_no_scipy():
+    src = str(Path(scenecheck.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    subprocess.run(
+        [sys.executable, "-c", "import scenecheck, sys; assert 'scipy' not in sys.modules"],
+        env=env,
+        check=True,
+        timeout=60,
+    )
 
 
 class TestExtract:
@@ -96,6 +230,26 @@ class TestExtract:
         assert firsts == sorted(firsts)
         assert [o.object_id for o in objects] == list(range(len(objects)))
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # Upper and lower runs end in the same column; the next run in
+            # each row touches the other row's run diagonally.
+            ["1 1 2 2", "2 2 1 1"],
+            ["1 1 0 0", "0 0 1 1"],  # a run starts one column after another ends
+            ["0 0 1 1", "1 1 0 0"],
+            ["1 0 0 1", "0 1 1 0"],
+            ["1 1 0 0 0", "0 0 0 1 1"],  # two columns apart: no contact
+            ["1 2 1 2", "2 1 2 1", "1 2 1 2"],
+            ["1 1 1 1 1", "1 0 0 0 1", "1 0 1 0 1", "1 0 0 0 1", "1 1 1 1 1"],
+        ],
+    )
+    def test_diagonal_contacts_match_oracle(self, rows):
+        text = f"{len(rows)} {len(rows[0].split())}\n" + "\n".join(rows)
+        grid = parse_label_grid(text, {1: "a", 2: "b"})
+        got = {(o.class_id, o.pixels) for o in extract_objects(grid, min_area=1)}
+        assert got == _component_oracle(grid.to_array(), 1)
+
     def test_reparse_is_byte_stable(self, rng):
         arr = rng.integers(0, 3, size=(20, 20)).astype(np.int32)
         grid = grid_from_array(arr, {1: "a", 2: "b"})
@@ -116,10 +270,37 @@ class TestExtract:
         for _ in range(10):
             arr = rng.integers(0, 4, size=(24, 24)).astype(np.int32)
             grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
-            objects = extract_objects(grid, min_area=3)
-            obj_px, ignored, background = pixel_accounting(grid, objects)
+            obj_px = sum(o.pixel_count for o in extract_objects(grid, min_area=3))
+            ignored = sum(
+                o.pixel_count for o in extract_objects(grid, min_area=1) if o.pixel_count < 3
+            )
+            background = 24 * 24 - int(np.count_nonzero(grid.cells))
             assert obj_px + ignored + background == 24 * 24
-            assert ignored >= 0
+
+
+@st.composite
+def _label_arrays(draw):
+    """Small multi-class maps; `fill` of 8 cells is foreground, sparse to full."""
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    levels = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 7)))
+    classes = draw(hnp.arrays(np.int32, shape, elements=st.integers(1, 3)))
+    fill = draw(st.sampled_from((1, 3, 6, 8)))
+    return np.where(levels < fill, classes, 0).astype(np.int32)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_label_arrays(), st.sampled_from((1, 3)))
+def test_extraction_matches_flood_fill_oracle(arr, min_area):
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
+    assert {(o.class_id, o.pixels) for o in objects} == _component_oracle(arr, min_area)
+    firsts = [o.pixels[0] for o in objects]
+    assert firsts == sorted(firsts)
+    assert [o.object_id for o in objects] == list(range(len(objects)))
+    for o in objects:
+        rows, cols = np.array(o.pixels).T
+        assert o.pixel_count == len(o.pixels)
+        assert o.centroid == (float(rows.astype(float).mean()), float(cols.astype(float).mean()))
+        assert o.bbox == (rows.min(), cols.min(), rows.max(), cols.max())
 
 
 def _component_oracle(arr, min_area):

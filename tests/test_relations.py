@@ -275,6 +275,62 @@ class TestShapeHistogram:
             assert all(b >= 0 for b in hist.bins)
 
 
+def _shape_histogram_reference(obj, n_samples, n_bins):
+    """Per-sample loop form of `shape_histogram`, kept as its exactness oracle."""
+    r0, c0 = obj.bbox[0], obj.bbox[1]
+    pts = [(float(r - r0), float(c - c0)) for r, c in obj.boundary]
+    cy = float(np.mean([r - r0 for r, _ in obj.pixels]))
+    cx = float(np.mean([c - c0 for _, c in obj.pixels]))
+    if len(pts) == 1:
+        samples = np.zeros(n_samples)
+    else:
+        closed = pts + [pts[0]]
+        seg = np.array(
+            [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(closed, closed[1:])]
+        )
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        total = cum[-1]
+        targets = np.arange(n_samples) * (total / n_samples)
+        idx = np.searchsorted(cum, targets, side="right") - 1
+        idx = np.clip(idx, 0, len(seg) - 1)
+        dist_samples = []
+        for t, i in zip(targets, idx):
+            frac = 0.0 if seg[i] == 0 else (t - cum[i]) / seg[i]
+            p, q = closed[i], closed[i + 1]
+            r = p[0] + frac * (q[0] - p[0])
+            c = p[1] + frac * (q[1] - p[1])
+            dist_samples.append(math.hypot(r - cy, c - cx))
+        samples = np.array(dist_samples)
+    max_d = samples.max() if len(samples) else 0.0
+    normalized = np.ones(n_samples) if max_d <= 0.0 else samples / max_d
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for v in normalized:
+        counts[min(int(v * n_bins), n_bins - 1)] += 1
+    return tuple(float(f) for f in counts / float(n_samples))
+
+
+def _random_ellipse_array(rng):
+    h, w = (int(v) for v in rng.integers(1, 30, size=2))
+    arr = np.zeros((h + 4, w + 4), dtype=np.int32)
+    rows, cols = np.ogrid[:h, :w]
+    mask = ((rows - (h - 1) / 2) / (h / 2)) ** 2 + ((cols - (w - 1) / 2) / (w / 2)) ** 2 <= 1
+    arr[2 : 2 + h, 2 : 2 + w][mask] = 1
+    return arr
+
+
+@pytest.mark.parametrize("n_samples, n_bins", [(64, 16), (7, 3)])
+def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
+    for k in range(120):
+        if k % 2:
+            arr = random_blob_array(rng, size=int(rng.integers(3, 24)), steps=int(rng.integers(0, 120)))
+        else:
+            arr = _random_ellipse_array(rng)
+        grid = grid_from_array(arr, {1: "x"})
+        for obj in extract_objects(grid, min_area=1):
+            got = shape_histogram(grid, obj, n_samples, n_bins).bins
+            assert got == _shape_histogram_reference(obj, n_samples, n_bins)
+
+
 def _resolved_shapes():
     """Deterministic well-resolved test objects: rect, L, cross, ellipse."""
     shapes = []
