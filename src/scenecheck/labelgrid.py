@@ -255,7 +255,9 @@ def _runs(cells: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return starts[keep], stops[keep], classes[keep]
 
 
-def _run_roots(starts: np.ndarray, stops: np.ndarray, classes: np.ndarray, width: int) -> list[int]:
+def _run_roots(
+    starts: np.ndarray, stops: np.ndarray, classes: np.ndarray, width: int
+) -> list[int]:
     """Index of each run's component root: the component's first run.
 
     A run touches a same-class run in the row above when their column

@@ -125,7 +125,9 @@ def test_unknown_or_oversized_id_is_an_unknown_class_error(arr, position, token)
 
 @settings(max_examples=40, deadline=None)
 @given(
-    hnp.arrays(np.int64, st.tuples(st.integers(2, 6), st.integers(2, 6)), elements=st.integers(0, 3)),
+    hnp.arrays(
+        np.int64, st.tuples(st.integers(2, 6), st.integers(2, 6)), elements=st.integers(0, 3)
+    ),
     st.integers(0, 10**6),
     st.booleans(),
 )

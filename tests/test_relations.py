@@ -322,7 +322,8 @@ def _random_ellipse_array(rng):
 def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
     for k in range(120):
         if k % 2:
-            arr = random_blob_array(rng, size=int(rng.integers(3, 24)), steps=int(rng.integers(0, 120)))
+            size, steps = int(rng.integers(3, 24)), int(rng.integers(0, 120))
+            arr = random_blob_array(rng, size=size, steps=steps)
         else:
             arr = _random_ellipse_array(rng)
         grid = grid_from_array(arr, {1: "x"})
