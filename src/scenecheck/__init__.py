@@ -57,13 +57,12 @@ from .relations import (
     K_DIST,
     OCTANTS,
     PROXIMITY_LABELS,
-    PairRelation,
+    PairTable,
     ShapeHistogram,
     contact,
     norm_distance,
     octant,
     opposite_octant,
-    pair_relation,
     proximity_relation,
     relations_for_objects,
     shape_histogram,
@@ -78,8 +77,6 @@ from .stats import (
     accumulate,
     finalize,
     merge,
-    query,
-    query_size_zscore,
 )
 from .verifier import (
     FEATURE_NAMES,

@@ -193,18 +193,20 @@ def cmd_verify(args) -> int:
         raise SceneCheckError(f"{args.registry} does not hold a verifier registry")
     if args.classes:
         classes_doc = corpus_mod._read_json(Path(args.classes))
-        class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
+        with corpus_mod._malformed(args.classes):
+            class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
     else:
         class_map = {c: str(c) for c in registry.global_stats.classes}
     grid = load_label_grid(args.image, class_map)
     attributes = None
     if args.attributes:
         raw = corpus_mod._read_json(Path(args.attributes))
-        annotations = raw["annotations"] if isinstance(raw, dict) else raw
-        for entry in annotations:
-            if entry.get("image_id") == grid.image_id:
-                attributes = entry.get("attributes", {})
-                break
+        with corpus_mod._malformed(args.attributes):
+            annotations = raw["annotations"] if isinstance(raw, dict) else raw
+            for entry in annotations:
+                if entry.get("image_id") == grid.image_id:
+                    attributes = entry.get("attributes", {})
+                    break
     verdict = verify(grid, registry, attributes)
     _print_json(verdict.to_dict())
     return 0

@@ -21,6 +21,7 @@ parallel and sequential generation agree byte for byte.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
@@ -39,6 +40,22 @@ from .stats import CooccurrenceModel, StatsBuilder, finalize
 from .verifier import Hyperparams, LinearModel, VerifierRegistry
 
 SCHEMA_VERSION = 1
+
+
+@contextmanager
+def _malformed(what):
+    """Report a missing key or a value of the wrong type or form in a
+    parsed document as a one-line FormatError naming `what`.
+
+    Usable as a `with` block or as a decorator on a loader.
+    """
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{what}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{what}: malformed document: {exc}") from None
+
 
 _SYNTH_TAG = 201
 EVAL_TAG = 202
@@ -129,6 +146,7 @@ class SyntheticConfig:
         }
 
     @classmethod
+    @_malformed("synthetic config")
     def from_dict(cls, doc: dict) -> "SyntheticConfig":
         if doc.get("schema_version") != SCHEMA_VERSION:
             raise VersionError(f"unsupported config version {doc.get('schema_version')!r}")
@@ -243,13 +261,15 @@ class Corpus:
         root = Path(root)
         classes_doc = _read_json(root / "classes.json")
         _check_version(classes_doc, "classes.json")
-        class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
+        with _malformed(root / "classes.json"):
+            class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
         splits_doc = _read_json(root / "splits.json")
         _check_version(splits_doc, "splits.json")
-        splits = {
-            "train": list(splits_doc["train"]),
-            "val": list(splits_doc["val"]),
-        }
+        with _malformed(root / "splits.json"):
+            splits = {
+                "train": list(splits_doc["train"]),
+                "val": list(splits_doc["val"]),
+            }
         overlap = set(splits["train"]) & set(splits["val"])
         if overlap:
             raise SchemaError(f"split tags overlap on {len(overlap)} ids")
@@ -276,7 +296,9 @@ class Corpus:
     def attributes(self) -> AttributeTable:
         doc = _read_json(self.root / "attributes.json")
         _check_version(doc, "attributes.json")
-        return load_attributes(json.dumps(doc["annotations"]), doc["schema"])
+        with _malformed(self.root / "attributes.json"):
+            annotations, schema = doc["annotations"], doc["schema"]
+        return load_attributes(json.dumps(annotations), schema)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +551,7 @@ def _stats_to_doc(model: CooccurrenceModel) -> dict:
     }
 
 
+@_malformed("statistics document")
 def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     from collections import Counter
 
@@ -564,6 +587,7 @@ def _model_to_doc(model: LinearModel) -> dict:
     }
 
 
+@_malformed("linear model document")
 def _model_from_doc(doc: dict) -> LinearModel:
     hp = doc["hyperparams"]
     return LinearModel(
@@ -627,24 +651,25 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
 def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
     """Load a document written by `save_model`; inverse for counts and weights."""
     doc = _read_json(Path(path))
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise VersionError(f"unsupported schema version {doc.get('schema_version')!r}")
-    kind = doc.get("kind")
-    if kind == "cooccurrence_model":
-        return _stats_from_doc(doc)
-    if kind == "verifier_registry":
-        g = doc["global"]
-        return VerifierRegistry(
-            context_attribute=doc["context_attribute"],
-            aggregation_mode=doc["aggregation_mode"],
-            min_area=int(doc["min_area"]),
-            shape_samples=int(doc["shape_samples"]),
-            shape_bins=int(doc["shape_bins"]),
-            global_model=_model_from_doc(g["model"]),
-            global_stats=_stats_from_doc(g["stats"]),
-            global_prototypes=_protos_from_doc(g["prototypes"]),
-            models={v: _model_from_doc(c["model"]) for v, c in doc["contexts"].items()},
-            stats_models={v: _stats_from_doc(c["stats"]) for v, c in doc["contexts"].items()},
-            prototypes={v: _protos_from_doc(c["prototypes"]) for v, c in doc["contexts"].items()},
-        )
-    raise FormatError(f"unknown document kind {kind!r}")
+    with _malformed(path):
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise VersionError(f"unsupported schema version {doc.get('schema_version')!r}")
+        kind = doc.get("kind")
+        if kind == "cooccurrence_model":
+            return _stats_from_doc(doc)
+        if kind == "verifier_registry":
+            g, contexts = doc["global"], doc["contexts"]
+            return VerifierRegistry(
+                context_attribute=doc["context_attribute"],
+                aggregation_mode=doc["aggregation_mode"],
+                min_area=int(doc["min_area"]),
+                shape_samples=int(doc["shape_samples"]),
+                shape_bins=int(doc["shape_bins"]),
+                global_model=_model_from_doc(g["model"]),
+                global_stats=_stats_from_doc(g["stats"]),
+                global_prototypes=_protos_from_doc(g["prototypes"]),
+                models={v: _model_from_doc(c["model"]) for v, c in contexts.items()},
+                stats_models={v: _stats_from_doc(c["stats"]) for v, c in contexts.items()},
+                prototypes={v: _protos_from_doc(c["prototypes"]) for v, c in contexts.items()},
+            )
+        raise FormatError(f"unknown document kind {kind!r}")

@@ -2,8 +2,11 @@
 
 Four channels are computed for every ordered object pair: position
 octant (direction of the A -> B centroid vector), proximity label,
-size log-ratio, and normalized centroid distance.  Per-object shape is
-summarized as a histogram of normalized boundary-to-centroid distances.
+size log-ratio, and normalized centroid distance.  A scene's pairs
+come out together as the columns of one PairTable; the scalar
+functions (`octant`, `contact`, `proximity_relation`, ...) define each
+channel for a single pair.  Per-object shape is summarized as a
+histogram of normalized boundary-to-centroid distances.
 
 All operations are pure functions with no shared mutable state.
 """
@@ -11,7 +14,8 @@ All operations are pure functions with no shared mutable state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,19 +35,32 @@ SHAPE_BINS = 16
 _DIAGONAL = math.hypot(1.0, 1.0)
 
 
-@dataclass(frozen=True)
-class PairRelation:
-    """Relational observation for one ordered object pair (A, B)."""
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Relational observations for every ordered pair of one scene's objects.
 
-    a_id: int
-    b_id: int
-    a_class: int
-    b_class: int
-    rpos: str
-    rprox: str
-    rsize: float
-    rdist: float
-    rdist_bin: int
+    Row k describes the ordered pair (objects[a_index[k]],
+    objects[b_index[k]]).  `rpos` and `rprox` are codes into OCTANTS and
+    PROXIMITY_LABELS.  Every column is a read-only array with one entry
+    per pair.
+    """
+
+    a_index: np.ndarray
+    b_index: np.ndarray
+    a_class: np.ndarray
+    b_class: np.ndarray
+    rpos: np.ndarray
+    rprox: np.ndarray
+    rsize: np.ndarray
+    rdist: np.ndarray
+    rdist_bin: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.a_index)
 
 
 @dataclass(frozen=True)
@@ -73,7 +90,13 @@ def opposite_octant(label: str) -> str:
     return OCTANTS[(OCTANTS.index(label) + 4) % 8]
 
 
-def contact(grid: LabelGrid, a: SceneObject, b: SceneObject) -> bool:
+def _rows(obj: SceneObject, first: int, last: int) -> tuple[tuple[int, int], ...]:
+    """The pixels of `obj` in rows first..last; `pixels` is in raster order."""
+    pixels = obj.pixels
+    return pixels[bisect_left(pixels, (first, -1)) : bisect_left(pixels, (last + 1, -1))]
+
+
+def contact(a: SceneObject, b: SceneObject) -> bool:
     """True iff some pixel of A and some pixel of B are within Chebyshev distance 1."""
     small, large = (a, b) if a.pixel_count <= b.pixel_count else (b, a)
     # Quick reject: bounding boxes further than 1 apart cannot touch.
@@ -84,8 +107,9 @@ def contact(grid: LabelGrid, a: SceneObject, b: SceneObject) -> bool:
         or large.bbox[1] > small.bbox[3] + 1
     ):
         return False
-    large_px = set(large.pixels)
-    for r, c in small.pixels:
+    # Only rows within 1 of the other object's bbox can hold a touching pixel.
+    large_px = set(_rows(large, small.bbox[0] - 1, small.bbox[2] + 1))
+    for r, c in _rows(small, large.bbox[0] - 1, large.bbox[2] + 1):
         for dr in (-1, 0, 1):
             for dc in (-1, 0, 1):
                 if (r + dr, c + dc) in large_px:
@@ -198,28 +222,84 @@ def shape_histogram(
     return ShapeHistogram(tuple(freqs.tolist()))
 
 
-def pair_relation(grid: LabelGrid, a: SceneObject, b: SceneObject) -> PairRelation:
-    """Assemble the full relational observation for the ordered pair (A, B)."""
-    in_contact = contact(grid, a, b)
-    rdist = norm_distance(a, b, grid)
-    return PairRelation(
-        a_id=a.object_id,
-        b_id=b.object_id,
-        a_class=a.class_id,
-        b_class=b.class_id,
-        rpos=octant(a.centroid, b.centroid),
-        rprox=proximity_relation(a, b, in_contact, grid.height),
-        rsize=size_log_ratio(a, b),
-        rdist=rdist,
-        rdist_bin=distance_bin(rdist),
+def _contact_matrix(objects: list[SceneObject], bbox: np.ndarray) -> np.ndarray:
+    """Symmetric (n, n) `contact` matrix; pixels are compared only for
+    pairs whose bounding boxes come within 1 of each other."""
+    r0, c0, r1, c1 = bbox.T
+    near = (
+        (r0[:, None] <= r1 + 1)
+        & (r0 <= r1[:, None] + 1)
+        & (c0[:, None] <= c1 + 1)
+        & (c0 <= c1[:, None] + 1)
     )
+    touching = np.zeros(near.shape, dtype=bool)
+    for i, j in np.argwhere(np.triu(near, 1)).tolist():
+        touching[i, j] = touching[j, i] = contact(objects[i], objects[j])
+    return touching
 
 
-def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> list[PairRelation]:
-    """Relations for every ordered pair of distinct objects, in id order."""
-    rels = []
-    for a in objects:
-        for b in objects:
-            if a.object_id != b.object_id:
-                rels.append(pair_relation(grid, a, b))
-    return rels
+_NO_PAIRS = PairTable(
+    **{
+        f.name: np.zeros(0, dtype=np.float64 if f.name in ("rsize", "rdist") else np.int64)
+        for f in fields(PairTable)
+    }
+)
+
+
+def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTable:
+    """Relations for every ordered pair of distinct objects, in id order.
+
+    Rows run over A, then B, like a nested loop over `objects`.  Every
+    column equals the scalar channel functions bit for bit: angles and
+    distances go through `math.atan2` and `math.hypot` pair by pair, and
+    the remaining arithmetic is the same IEEE operations on arrays.
+    Raises DegeneratePairError when two objects share a centroid.
+    """
+    if len(objects) < 2:
+        return _NO_PAIRS
+    ids = np.array([o.object_id for o in objects], dtype=np.int64)
+    classes = np.array([o.class_id for o in objects], dtype=np.int64)
+    centroid = np.array([o.centroid for o in objects], dtype=np.float64)
+    bbox = np.array([o.bbox for o in objects], dtype=np.int64)
+    log_size = np.array([math.log(o.pixel_count) for o in objects], dtype=np.float64)
+    a, b = np.nonzero(ids[:, None] != ids)
+
+    dr = centroid[b, 0] - centroid[a, 0]
+    dc = centroid[b, 1] - centroid[a, 1]
+    if np.any((dr == 0.0) & (dc == 0.0)):
+        raise DegeneratePairError("identical centroids have no direction")
+    theta = np.array(
+        list(map(math.degrees, map(math.atan2, (-dr).tolist(), dc.tolist()))),
+        dtype=np.float64,
+    )
+    # hypot ignores signs, so (dr, dc) gives the A - B distance exactly.
+    rdist = np.array(list(map(math.hypot, dr.tolist(), dc.tolist())), dtype=np.float64)
+    rdist /= grid.diagonal()
+
+    # Proximity over (A, B) matrices, in `proximity_relation`'s order of
+    # precedence: containment, then contact with the vertical dead-band.
+    label = PROXIMITY_LABELS.index
+    r0, c0, r1, c1 = bbox.T
+    nested = (r0[:, None] > r0) & (c0[:, None] > c0) & (r1[:, None] < r1) & (c1[:, None] < c1)
+    row = centroid[:, 0]
+    eps = ROW_EPS_FRACTION * grid.height
+    prox = np.where(
+        row[:, None] < row - eps,
+        label("ON"),
+        np.where(row[:, None] > row + eps, label("UNDER"), label("BESIDE")),
+    )
+    prox = np.where(_contact_matrix(objects, bbox), prox, label("NONE"))
+    prox = np.where(nested.T, label("BACK"), prox)
+    prox = np.where(nested, label("FRONT"), prox)
+
+    return PairTable(
+        a_index=a,
+        b_index=b,
+        a_class=classes[a],
+        b_class=classes[b],
+        rpos=np.floor((theta + 22.5) / 45.0).astype(np.int64) % 8,
+        rprox=prox[a, b].astype(np.int64),
+        rsize=log_size[a] - log_size[b],
+        rdist=rdist,
+        rdist_bin=np.minimum((rdist * K_DIST).astype(np.int64), K_DIST - 1),
+    )

@@ -3,6 +3,8 @@
 A StatsBuilder accumulates integer counts from scenes; builders merge
 associatively (map-reduce style, one builder per image or shard), and
 `finalize` turns counts into a smoothed, immutable CooccurrenceModel.
+The model also holds dense arrays of the same smoothed values over the
+class index, so that all of a scene's pairs are looked up at once.
 
 Count tables kept per ordered class pair: position octants (8),
 proximity labels (6), distance bins (K_DIST), and size observations.
@@ -19,6 +21,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     ConsistencyError,
     EmptyCorpusError,
@@ -26,7 +30,7 @@ from .errors import (
     UnknownClassError,
 )
 from .labelgrid import SceneObject
-from .relations import K_DIST, OCTANTS, PROXIMITY_LABELS, PairRelation
+from .relations import K_DIST, OCTANTS, PROXIMITY_LABELS, PairTable
 
 ALPHA_DEFAULT = 1.0
 SIGMA_FLOOR = 0.1
@@ -60,23 +64,26 @@ class StatsBuilder:
 def accumulate(
     builder: StatsBuilder,
     objects: list[SceneObject],
-    relations: list[PairRelation],
+    relations: PairTable,
 ) -> StatsBuilder:
     """Fold one image into the builder (mutates and returns it).
 
     Presence counts move once per class pair present in the image; the
     relational tables move once per ordered object pair.  Relations must
-    refer only to classes present among `objects`.
+    be those of `objects`: their classes present and their indices in
+    range.
     """
     scene_classes = {o.class_id for o in objects}
     unknown = scene_classes - builder.classes
     if unknown:
         raise ConsistencyError(f"objects carry classes outside the universe: {sorted(unknown)}")
-    for rel in relations:
-        if rel.a_class not in scene_classes or rel.b_class not in scene_classes:
-            raise ConsistencyError(
-                f"relation references class absent from the scene: ({rel.a_class}, {rel.b_class})"
-            )
+    absent = (set(relations.a_class.tolist()) | set(relations.b_class.tolist())) - scene_classes
+    if absent:
+        raise ConsistencyError(
+            f"relations reference classes absent from the scene: {sorted(absent)}"
+        )
+    if len(relations) and max(relations.a_index.max(), relations.b_index.max()) >= len(objects):
+        raise ConsistencyError("relations index objects outside the scene")
 
     builder.images += 1
     class_counts = Counter(o.class_id for o in objects)
@@ -90,17 +97,17 @@ def accumulate(
             key = _pair_key(a, b)
             builder.presence_counts[key] = builder.presence_counts.get(key, 0) + 1
 
-    sizes = {o.object_id: o.pixel_count for o in objects}
-    for rel in relations:
-        key = (rel.a_class, rel.b_class)
-        pos = builder.position_counts.setdefault(key, [0] * 8)
-        pos[OCTANTS.index(rel.rpos)] += 1
-        prox = builder.proximity_counts.setdefault(key, [0] * 6)
-        prox[PROXIMITY_LABELS.index(rel.rprox)] += 1
-        dist = builder.distance_counts.setdefault(key, [0] * builder.k_dist)
-        dist[rel.rdist_bin] += 1
-        obs = builder.size_obs.setdefault(key, Counter())
-        obs[(sizes[rel.a_id], sizes[rel.b_id])] += 1
+    sizes = [o.pixel_count for o in objects]
+    columns = (
+        relations.a_class, relations.b_class, relations.rpos, relations.rprox,
+        relations.rdist_bin, relations.a_index, relations.b_index,
+    )
+    for a, b, pos, prox, dist, i, j in zip(*(c.tolist() for c in columns)):
+        key = (a, b)
+        builder.position_counts.setdefault(key, [0] * 8)[pos] += 1
+        builder.proximity_counts.setdefault(key, [0] * 6)[prox] += 1
+        builder.distance_counts.setdefault(key, [0] * builder.k_dist)[dist] += 1
+        builder.size_obs.setdefault(key, Counter())[(sizes[i], sizes[j])] += 1
     return builder
 
 
@@ -161,7 +168,10 @@ class CooccurrenceModel:
     """Immutable smoothed co-occurrence tables; shareable across threads.
 
     Raw counts are retained so serialization is lossless and derived
-    probabilities can be reproduced exactly on load.
+    probabilities can be reproduced exactly on load.  The dense tables
+    hold the values `query` and `size_zscore` return, indexed by
+    `class_rows`; they are derived from the counts, so they take no part
+    in equality.
     """
 
     alpha: float
@@ -174,16 +184,76 @@ class CooccurrenceModel:
     proximity_counts: dict[tuple[int, int], tuple[int, ...]]
     distance_counts: dict[tuple[int, int], tuple[int, ...]]
     size_obs: dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]]
-    presence_prob: dict[tuple[int, int], float]
     position_dist: dict[tuple[int, int], tuple[float, ...]]
     proximity_dist: dict[tuple[int, int], tuple[float, ...]]
     distance_dist: dict[tuple[int, int], tuple[float, ...]]
     size_stats: dict[tuple[int, int], tuple[int, float, float]]
+    presence_table: np.ndarray = field(init=False, compare=False, repr=False)
+    position_table: np.ndarray = field(init=False, compare=False, repr=False)
+    proximity_table: np.ndarray = field(init=False, compare=False, repr=False)
+    distance_table: np.ndarray = field(init=False, compare=False, repr=False)
+    size_mean: np.ndarray = field(init=False, compare=False, repr=False)
+    size_std: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        """Fill the dense tables, each value computed as `query` computes it.
+
+        Unseen pairs get what `query` returns for them: the presence
+        prior, exactly 1/len(labels), and size moments (0, 1).
+        """
+        row = {c: i for i, c in enumerate(self.classes)}
+        keyed = (
+            self.presence_counts, self.position_dist, self.proximity_dist,
+            self.distance_dist, self.size_stats,
+        )
+        outside = {c for table in keyed for key in table for c in key} - set(row)
+        if outside:
+            raise SchemaError(f"counts reference classes outside the universe: {sorted(outside)}")
+        n = len(row)
+        denominator = self.images + 2 * self.alpha
+        presence = np.empty((n, n))
+        for a, i in row.items():
+            for b, j in row.items():
+                count = self.presence_counts.get(_pair_key(a, b), 0)
+                presence[i, j] = (count + self.alpha) / denominator
+        tables = {"presence_table": presence}
+        for name, dist, arity in (
+            ("position_table", self.position_dist, len(OCTANTS)),
+            ("proximity_table", self.proximity_dist, len(PROXIMITY_LABELS)),
+            ("distance_table", self.distance_dist, self.k_dist),
+        ):
+            tables[name] = np.full((n, n, arity), 1.0 / arity)
+            for (a, b), values in dist.items():
+                tables[name][row[a], row[b]] = values
+        tables["size_mean"], tables["size_std"] = np.zeros((n, n)), np.ones((n, n))
+        for (a, b), (_, mean, std) in self.size_stats.items():
+            tables["size_mean"][row[a], row[b]] = mean
+            tables["size_std"][row[a], row[b]] = std
+        for name, table in tables.items():
+            table.flags.writeable = False
+            object.__setattr__(self, name, table)
 
     def _check_classes(self, *ids: int) -> None:
         for c in ids:
             if c not in self.classes:
                 raise UnknownClassError(f"class id {c} unknown to this model")
+
+    def class_rows(self, class_ids) -> np.ndarray:
+        """Index of each class id into the dense tables.
+
+        Raises UnknownClassError, naming the first such id, when an id is
+        outside the model's universe.
+        """
+        ids = np.asarray(class_ids, dtype=np.int64)
+        universe = np.asarray(self.classes, dtype=np.int64)
+        rows = np.searchsorted(universe, ids)
+        known = rows < len(universe)
+        known[known] = universe[rows[known]] == ids[known]
+        if not known.all():
+            raise UnknownClassError(
+                f"class id {int(ids[np.argmin(known)])} unknown to this model"
+            )
+        return rows
 
     def query(self, kind: str, a_class: int, b_class: int, observed) -> float:
         """Smoothed probability of `observed` under the named table.
@@ -219,30 +289,12 @@ class CooccurrenceModel:
         return (log_ratio - mean) / std
 
 
-def query(
-    model: CooccurrenceModel, kind: str, a_class: int, b_class: int, observed=None
-) -> float:
-    """Function form of CooccurrenceModel.query."""
-    return model.query(kind, a_class, b_class, observed)
-
-
-def query_size_zscore(
-    model: CooccurrenceModel, a_class: int, b_class: int, log_ratio: float
-) -> float:
-    """Function form of CooccurrenceModel.size_zscore."""
-    return model.size_zscore(a_class, b_class, log_ratio)
-
-
 def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:
     """Laplace-smooth the builder's counts into a CooccurrenceModel."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if builder.images < 1:
         raise EmptyCorpusError("cannot finalize statistics over zero images")
-    presence_prob = {
-        k: (c + alpha) / (builder.images + 2 * alpha)
-        for k, c in sorted(builder.presence_counts.items())
-    }
     position_dist = {k: _smooth(v, alpha) for k, v in sorted(builder.position_counts.items())}
     proximity_dist = {k: _smooth(v, alpha) for k, v in sorted(builder.proximity_counts.items())}
     distance_dist = {k: _smooth(v, alpha) for k, v in sorted(builder.distance_counts.items())}
@@ -260,7 +312,6 @@ def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> Cooccurrenc
         size_obs={
             k: tuple(sorted(v.items())) for k, v in sorted(builder.size_obs.items())
         },
-        presence_prob=presence_prob,
         position_dist=position_dist,
         proximity_dist=proximity_dist,
         distance_dist=distance_dist,

@@ -1,9 +1,10 @@
 """Contradiction detection over pair feature vectors.
 
-Each ordered object pair becomes a fixed-layout vector of seven scalars
-built from the co-occurrence tables; a linear max-margin classifier
-(hinge loss plus L2, plain SGD, trained from scratch) scores pairs, and
-per-image verdicts come from majority voting or a mean-margin threshold.
+A scene's ordered object pairs become the rows of one (n_pairs, 7)
+feature matrix, read from the co-occurrence tables; a linear max-margin
+classifier (hinge loss plus L2, plain SGD, trained from scratch) scores
+all rows in one call, and per-image verdicts come from majority voting
+or a mean-margin threshold over the pair margins.
 
 A VerifierRegistry holds one global detector plus one detector per
 context value; `verify` dispatches on the image's context attribute and
@@ -31,7 +32,7 @@ from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, SceneObject, extract_objects
 from .relations import (
     SHAPE_BINS,
     SHAPE_SAMPLES,
-    PairRelation,
+    PairTable,
     ShapeHistogram,
     relations_for_objects,
     shape_histogram,
@@ -102,36 +103,49 @@ class Verdict:
         }
 
 
+def _shape_term(hist: ShapeHistogram, proto: tuple[float, ...] | None) -> float:
+    values = hist.to_array()
+    if proto is None:
+        proto_arr = np.full(len(values), 1.0 / len(values))
+    else:
+        proto_arr = np.asarray(proto, dtype=np.float64)
+    return float(np.abs(values - proto_arr).sum())
+
+
 def featurize(
-    relation: PairRelation,
-    shape_a: ShapeHistogram,
+    pairs: PairTable,
+    objects: list[SceneObject],
+    hists: list[ShapeHistogram],
     stats: CooccurrenceModel,
     prototypes: Mapping[int, tuple[float, ...]],
 ) -> np.ndarray:
-    """Evaluate the co-occurrence tables at the observed relation.
+    """Evaluate the co-occurrence tables at every pair: one row per pair.
 
+    `hists` holds one histogram per object, in the order of `objects`.
     The shape term is the L1 distance between object A's histogram and
     the mean histogram of its class; classes without a prototype compare
-    against the uniform histogram.
+    against the uniform histogram.  It is computed once per object.
+    Raises UnknownClassError when a paired object's class is outside
+    the statistics.
     """
-    a, b = relation.a_class, relation.b_class
-    hist = shape_a.to_array()
-    proto = prototypes.get(a)
-    if proto is None:
-        proto_arr = np.full(len(hist), 1.0 / len(hist))
-    else:
-        proto_arr = np.asarray(proto, dtype=np.float64)
-    return np.array(
-        [
-            stats.query("presence", a, b, None),
-            stats.query("position", a, b, relation.rpos),
-            stats.query("proximity", a, b, relation.rprox),
-            stats.query("distance", a, b, relation.rdist_bin),
-            abs(stats.size_zscore(a, b, relation.rsize)),
-            relation.rdist,
-            float(np.abs(hist - proto_arr).sum()),
-        ],
+    if not len(pairs):
+        return np.empty((0, N_FEATURES))
+    rows = stats.class_rows([o.class_id for o in objects])
+    a, b = rows[pairs.a_index], rows[pairs.b_index]
+    shape = np.array(
+        [_shape_term(h, prototypes.get(o.class_id)) for o, h in zip(objects, hists)],
         dtype=np.float64,
+    )
+    return np.column_stack(
+        [
+            stats.presence_table[a, b],
+            stats.position_table[a, b, pairs.rpos],
+            stats.proximity_table[a, b, pairs.rprox],
+            stats.distance_table[a, b, pairs.rdist_bin],
+            np.abs((pairs.rsize - stats.size_mean[a, b]) / stats.size_std[a, b]),
+            pairs.rdist,
+            shape[pairs.a_index],
+        ]
     )
 
 
@@ -196,16 +210,21 @@ def train_linear(
     )
 
 
-def score(model: LinearModel, fv) -> float:
-    """Margin w . standardized(fv) + b; positive means a contradiction vote."""
-    x = np.asarray(fv, dtype=np.float64)
-    if x.shape != (len(model.weights),):
+def score(model: LinearModel, features) -> np.ndarray:
+    """Margins w . standardized(x) + b of every row; positive means a contradiction vote.
+
+    `np.vecdot` sums each row in the order a one-row `w @ z` does, so
+    each margin does not depend on the other rows (`Z @ w` can differ
+    from it in the last bit).
+    """
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != len(model.weights):
         raise DimensionError(
-            f"feature vector of length {x.shape} does not match model "
+            f"feature matrix of shape {X.shape} does not match model "
             f"dimension {len(model.weights)}"
         )
-    z = (x - np.asarray(model.feature_means)) / np.asarray(model.feature_stds)
-    return float(np.asarray(model.weights) @ z + model.bias)
+    Z = (X - np.asarray(model.feature_means)) / np.asarray(model.feature_stds)
+    return np.vecdot(Z, np.asarray(model.weights, dtype=np.float64)) + model.bias
 
 
 def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:
@@ -282,20 +301,19 @@ def verify(
             registry.prototypes[label],
         )
     objects = extract_objects(grid, registry.min_area)
-    hists = {
-        o.object_id: shape_histogram(grid, o, registry.shape_samples, registry.shape_bins)
-        for o in objects
-    }
-    pair_scores = []
-    for rel in relations_for_objects(grid, objects):
-        fv = featurize(rel, hists[rel.a_id], stats, protos)
-        pair_scores.append((rel.a_id, rel.b_id, score(model, fv)))
-    contradiction, confidence = aggregate(
-        [m for _, _, m in pair_scores], registry.aggregation_mode
+    hists = [
+        shape_histogram(grid, o, registry.shape_samples, registry.shape_bins) for o in objects
+    ]
+    pairs = relations_for_objects(grid, objects)
+    margins = score(model, featurize(pairs, objects, hists, stats, protos)).tolist()
+    ids = np.array([o.object_id for o in objects], dtype=np.int64)
+    pair_scores = tuple(
+        zip(ids[pairs.a_index].tolist(), ids[pairs.b_index].tolist(), margins)
     )
+    contradiction, confidence = aggregate(margins, registry.aggregation_mode)
     return Verdict(
         image_id=grid.image_id,
-        pair_scores=tuple(pair_scores),
+        pair_scores=pair_scores,
         contradiction=contradiction,
         confidence=confidence,
         model_used=label,
@@ -305,8 +323,8 @@ def verify(
 @dataclass
 class _SceneCache:
     objects: list[SceneObject]
-    relations: list[PairRelation]
-    hists: dict[int, ShapeHistogram]
+    relations: PairTable
+    hists: list[ShapeHistogram]
 
 
 def _prepare(grid: LabelGrid, min_area: int, n_samples: int, n_bins: int) -> _SceneCache:
@@ -314,21 +332,21 @@ def _prepare(grid: LabelGrid, min_area: int, n_samples: int, n_bins: int) -> _Sc
     return _SceneCache(
         objects=objects,
         relations=relations_for_objects(grid, objects),
-        hists={o.object_id: shape_histogram(grid, o, n_samples, n_bins) for o in objects},
+        hists=[shape_histogram(grid, o, n_samples, n_bins) for o in objects],
     )
 
 
-def _prototypes_for(scenes: list[_SceneCache], n_bins: int) -> dict[int, tuple[float, ...]]:
+def _prototypes_for(scenes: list[_SceneCache]) -> dict[int, tuple[float, ...]]:
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for cache in scenes:
-        for obj in cache.objects:
-            hist = cache.hists[obj.object_id].to_array()
+        for obj, hist in zip(cache.objects, cache.hists):
+            values = hist.to_array()
             if obj.class_id in sums:
-                sums[obj.class_id] += hist
+                sums[obj.class_id] += values
                 counts[obj.class_id] += 1
             else:
-                sums[obj.class_id] = hist.copy()
+                sums[obj.class_id] = values.copy()
                 counts[obj.class_id] = 1
     return {
         c: tuple(float(v) for v in sums[c] / counts[c]) for c in sorted(sums)
@@ -395,20 +413,18 @@ def train_registry(
         for image_id in ids:
             accumulate(builder, scenes[image_id].objects, scenes[image_id].relations)
         scope_stats = finalize(builder, alpha)
-        protos = _prototypes_for([scenes[i] for i in ids], shape_bins)
+        protos = _prototypes_for([scenes[i] for i in ids])
         features: list[np.ndarray] = []
         labels: list[int] = []
         for image_id in ids:
             for cache, y in [(scenes[image_id], -1)] + [
                 (t, +1) for t in twins[image_id]
             ]:
-                for rel in cache.relations:
-                    features.append(
-                        featurize(rel, cache.hists[rel.a_id], scope_stats, protos)
-                    )
-                    labels.append(y)
+                X = featurize(cache.relations, cache.objects, cache.hists, scope_stats, protos)
+                features.append(X)
+                labels.extend([y] * len(X))
         model = train_linear(
-            features,
+            np.concatenate(features),
             labels,
             hyperparams,
             seed=derive_seed(seed, _MODEL_TAG, scope_idx),

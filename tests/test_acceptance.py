@@ -120,7 +120,7 @@ def test_criterion_1_exact_oracles(rng):
             for pa in a.pixels
             for pb in b.pixels
         )
-        if contact(grid, a, b) != expected:
+        if contact(a, b) != expected:
             contact_mismatches += 1
     assert contact_mismatches == 0
 
@@ -228,7 +228,7 @@ def test_criterion_5_classifier_determinism(rng):
     a = train_linear(list(X), list(y), seed=77)
     b = train_linear(list(X), list(y), seed=77)
     assert a == b and a.weights == b.weights and a.bias == b.bias
-    correct = sum(1 for xi, yi in zip(X, y) if math.copysign(1, score(a, xi)) == yi)
+    correct = sum(1 for m, yi in zip(score(a, X), y) if math.copysign(1, m) == yi)
     assert correct == 200
     elapsed = time.monotonic() - started
     assert elapsed < 5.0

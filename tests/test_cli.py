@@ -52,6 +52,17 @@ class TestSynth:
         assert err.startswith("error: VersionError:")
         assert err.count("\n") == 1
 
+    def test_config_missing_a_key_fails_validation(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        doc = default_synthetic_config(n_images=4).to_dict()
+        del doc["contexts"]
+        config_path.write_text(json.dumps(doc))
+        code = main(["synth", str(config_path), str(tmp_path / "c"), "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:")
+        assert err.count("\n") == 1
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "conf.json", str(tmp_path / "c")])
@@ -127,6 +138,22 @@ class TestVerifyCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["contradiction"] is False
         assert verdict["confidence"] == 0.5
+
+    @pytest.mark.parametrize(
+        "flag, doc", [("--classes", {"schema_version": 1}), ("--attributes", {"schema": {}})]
+    )
+    def test_document_missing_a_key_is_validation_error(
+        self, pipeline, tmp_path, capsys, flag, doc
+    ):
+        _, corpus_dir, registry_path = pipeline
+        image = next((corpus_dir / "images").glob("inside_*.lgrid"))
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(registry_path), str(image), flag, str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:")
+        assert err.count("\n") == 1
 
     def test_missing_file_is_validation_error(self, pipeline, capsys):
         _, _, registry_path = pipeline

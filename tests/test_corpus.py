@@ -7,24 +7,33 @@ import numpy as np
 import pytest
 
 from scenecheck import (
+    GLOBAL_LABEL,
     Corpus,
     FormatError,
+    Hyperparams,
+    LinearModel,
     NotEnoughObjectsError,
     PlacementError,
+    StatsBuilder,
     SyntheticConfig,
+    VerifierRegistry,
     VersionError,
+    accumulate,
     default_synthetic_config,
     extract_objects,
+    finalize,
     generate_contradiction,
     grid_from_array,
     load_model,
-    pair_relation,
+    relations_for_objects,
     save_model,
     synth_corpus,
     train_registry,
     verify,
 )
+from scenecheck.relations import PROXIMITY_LABELS
 from scenecheck.seeds import derive_seed
+from scenecheck.verifier import FEATURE_NAMES
 
 
 class TestGenerateContradiction:
@@ -97,7 +106,8 @@ class TestSynthCorpus:
             objects = {o.class_id: o for o in extract_objects(grid)}
             if 7 in objects and 8 in objects:
                 total += 1
-                if pair_relation(grid, objects[7], objects[8]).rprox == "ON":
+                pairs = relations_for_objects(grid, [objects[7], objects[8]])
+                if PROXIMITY_LABELS[pairs.rprox[0]] == "ON":
                     on += 1
         assert total >= 10
         assert on / total >= 0.9
@@ -115,6 +125,19 @@ class TestSynthCorpus:
         train, val = corpus.image_ids("train"), corpus.image_ids("val")
         assert not set(train) & set(val)
         assert len(train) + len(val) == 60
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [("classes.json", "classes"), ("splits.json", "val"), ("attributes.json", "schema")],
+    )
+    def test_corpus_document_missing_a_key_is_format_error(self, tmp_path, name, key):
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), tmp_path / "corpus")
+        path = tmp_path / "corpus" / name
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"{name}: missing key '{key}'"):
+            Corpus.load(tmp_path / "corpus").attributes()
 
     def test_corpus_reload_matches(self, tmp_path):
         config = default_synthetic_config(n_images=10, seed=6)
@@ -148,23 +171,93 @@ class TestSynthCorpus:
         doc = json.loads(json.dumps(config.to_dict()))
         assert SyntheticConfig.from_dict(doc) == config
 
+    def test_config_missing_a_key_is_format_error(self):
+        doc = default_synthetic_config(n_images=12, seed=44).to_dict()
+        del doc["classes"][0]["shape"]
+        with pytest.raises(FormatError, match="synthetic config: missing key 'shape'"):
+            SyntheticConfig.from_dict(doc)
+        doc = default_synthetic_config(n_images=12, seed=44).to_dict()
+        doc["n_images"] = "many"
+        with pytest.raises(FormatError, match="synthetic config"):
+            SyntheticConfig.from_dict(doc)
+
+
+def _corpus_stats(tmp_path):
+    config = default_synthetic_config(n_images=15, seed=10)
+    corpus, _ = synth_corpus(config, tmp_path / "corpus")
+    builder = StatsBuilder.for_classes(corpus.class_map)
+    for image_id in corpus.image_ids():
+        grid = corpus.grid(image_id)
+        objects = extract_objects(grid)
+        accumulate(builder, objects, relations_for_objects(grid, objects))
+    return finalize(builder, alpha=1.0)
+
+
+def _hand_registry():
+    builder = StatsBuilder.for_classes([1, 2])
+    builder.images = 1
+    n = len(FEATURE_NAMES)
+    model = LinearModel(
+        weights=(0.5,) * n, bias=0.1, feature_means=(0.0,) * n, feature_stds=(1.0,) * n,
+        hyperparams=Hyperparams(), seed=0, n_pos=1, n_neg=1, context_label=GLOBAL_LABEL,
+    )
+    return VerifierRegistry(
+        context_attribute=None, aggregation_mode="majority", min_area=1, shape_samples=64,
+        shape_bins=16, global_model=model, global_stats=finalize(builder),
+        global_prototypes={},
+    )
+
+
+DENSE_TABLES = (
+    "presence_table", "position_table", "proximity_table", "distance_table",
+    "size_mean", "size_std",
+)
+
 
 class TestPersistence:
     def test_stats_model_roundtrip_exact(self, tmp_path):
-        from scenecheck import StatsBuilder, accumulate, finalize, relations_for_objects
-
-        config = default_synthetic_config(n_images=15, seed=10)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
-        builder = StatsBuilder.for_classes(corpus.class_map)
-        for image_id in corpus.image_ids():
-            grid = corpus.grid(image_id)
-            objects = extract_objects(grid)
-            accumulate(builder, objects, relations_for_objects(grid, objects))
-        model = finalize(builder, alpha=1.0)
+        model = _corpus_stats(tmp_path)
         path = tmp_path / "stats.json"
         save_model(path, model)
         loaded = load_model(path)
         assert loaded == model
+
+    def test_loaded_dense_tables_equal_saved(self, tmp_path):
+        model = _corpus_stats(tmp_path)
+        path = tmp_path / "stats.json"
+        save_model(path, model)
+        loaded = load_model(path)
+        for name in DENSE_TABLES:
+            saved, reread = getattr(model, name), getattr(loaded, name)
+            assert reread.shape == saved.shape
+            assert (reread == saved).all(), name
+
+    @pytest.mark.parametrize(
+        "where, key",
+        [((), "min_area"), (("global", "model"), "bias"), (("global", "stats"), "images")],
+    )
+    def test_document_missing_a_key_is_format_error(self, tmp_path, where, key):
+        path = tmp_path / "registry.json"
+        save_model(path, _hand_registry())
+        assert isinstance(load_model(path), VerifierRegistry)
+        doc = json.loads(path.read_text())
+        part = doc
+        for step in where:
+            part = part[step]
+        del part[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"missing key '{key}'") as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+
+    def test_stats_document_with_wrong_types_is_format_error(self, tmp_path):
+        path = tmp_path / "stats.json"
+        save_model(path, _hand_registry().global_stats)
+        doc = json.loads(path.read_text())
+        doc["presence_counts"] = [[1, 2]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError):
+            load_model(path)
 
     def test_registry_roundtrip_behavioural_equality(self, tmp_path, rng):
         config = default_synthetic_config(n_images=60, seed=14)

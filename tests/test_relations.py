@@ -15,13 +15,14 @@ from scenecheck import (
     norm_distance,
     octant,
     opposite_octant,
-    pair_relation,
     proximity_relation,
+    relations_for_objects,
     shape_histogram,
     size_log_ratio,
 )
-from scenecheck.relations import distance_bin
+from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, distance_bin
 
+import pair_oracle
 from conftest import blob_grid, random_blob_array
 
 
@@ -88,12 +89,12 @@ class TestContact:
     def test_shared_edge_touches(self):
         grid = self._two_rect_grid(gap=0)
         a, b = extract_objects(grid, min_area=1)
-        assert contact(grid, a, b) is True
+        assert contact(a, b) is True
 
     def test_two_pixel_gap_does_not_touch(self):
         grid = self._two_rect_grid(gap=2)
         a, b = extract_objects(grid, min_area=1)
-        assert contact(grid, a, b) is False
+        assert contact(a, b) is False
 
     def test_diagonal_corner_touches(self):
         arr = np.zeros((6, 6), dtype=int)
@@ -101,7 +102,7 @@ class TestContact:
         arr[3:5, 3:5] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
         a, b = extract_objects(grid, min_area=1)
-        assert contact(grid, a, b) is True
+        assert contact(a, b) is True
 
     def test_matches_exhaustive_pixel_pair_oracle(self, rng):
         for _ in range(60):
@@ -117,8 +118,8 @@ class TestContact:
                         for pa in a.pixels
                         for pb in b.pixels
                     )
-                    assert contact(grid, a, b) == expected
-                    assert contact(grid, b, a) == expected
+                    assert contact(a, b) == expected
+                    assert contact(b, a) == expected
 
 
 class TestProximity:
@@ -133,7 +134,7 @@ class TestProximity:
         grid, objects = self._objects(arr, {1: "small", 2: "big"})
         small = next(o for o in objects if o.class_id == 1)
         big = next(o for o in objects if o.class_id == 2)
-        touching = contact(grid, small, big)
+        touching = contact(small, big)
         assert proximity_relation(small, big, touching, grid.height) == "FRONT"
         assert proximity_relation(big, small, touching, grid.height) == "BACK"
 
@@ -143,7 +144,7 @@ class TestProximity:
         arr[8:16, 2:6] = 2
         grid, objects = self._objects(arr, {1: "top", 2: "bottom"})
         top, bottom = objects
-        assert contact(grid, top, bottom)
+        assert contact(top, bottom)
         assert proximity_relation(top, bottom, True, grid.height) == "ON"
         assert proximity_relation(bottom, top, True, grid.height) == "UNDER"
 
@@ -159,7 +160,7 @@ class TestProximity:
         arr[4:7, 2:5] = 1
         arr[4:7, 5:8] = 2
         grid, (a, b) = self._objects(arr, {1: "a", 2: "b"})
-        assert contact(grid, a, b)
+        assert contact(a, b)
         assert proximity_relation(a, b, True, grid.height) == "BESIDE"
         assert proximity_relation(b, a, True, grid.height) == "BESIDE"
 
@@ -363,13 +364,14 @@ class TestPairRelation:
         arr[8:16, 2:6] = 2
         grid = grid_from_array(arr, {1: "top", 2: "bottom"})
         top, bottom = extract_objects(grid, min_area=1)
-        rel = pair_relation(grid, top, bottom)
-        assert rel.rpos == "S"
-        assert rel.rprox == "ON"
-        assert rel.rsize == pytest.approx(math.log(16 / 32), abs=1e-12)
-        back = pair_relation(grid, bottom, top)
-        assert back.rpos == "N"
-        assert back.rprox == "UNDER"
+        table = relations_for_objects(grid, [top, bottom])
+        assert len(table) == 2
+        assert table.a_index.tolist() == [0, 1] and table.b_index.tolist() == [1, 0]
+        assert OCTANTS[table.rpos[0]] == "S"
+        assert PROXIMITY_LABELS[table.rprox[0]] == "ON"
+        assert table.rsize[0] == pytest.approx(math.log(16 / 32), abs=1e-12)
+        assert OCTANTS[table.rpos[1]] == "N"
+        assert PROXIMITY_LABELS[table.rprox[1]] == "UNDER"
 
     def test_fields_match_componentwise_oracle(self, rng):
         for _ in range(15):
@@ -378,28 +380,100 @@ class TestPairRelation:
             arr[arr == 0] = other[arr == 0]
             grid = grid_from_array(arr, {1: "a", 2: "b"})
             objects = extract_objects(grid, min_area=1)
-            for a in objects:
-                for b in objects:
-                    if a.object_id == b.object_id:
-                        continue
-                    if a.centroid == b.centroid:
-                        continue
-                    rel = pair_relation(grid, a, b)
-                    assert rel.rpos == octant(a.centroid, b.centroid)
-                    touching = contact(grid, a, b)
-                    assert rel.rprox == proximity_relation(a, b, touching, grid.height)
-                    assert rel.rsize == size_log_ratio(a, b)
-                    assert rel.rdist == norm_distance(a, b, grid)
-                    assert rel.rdist_bin == distance_bin(rel.rdist)
+            if len({o.centroid for o in objects}) < len(objects):
+                with pytest.raises(DegeneratePairError):
+                    relations_for_objects(grid, objects)
+                continue
+            table = relations_for_objects(grid, objects)
+            rows = pair_oracle.table_rows(table, objects)
+            assert rows == pair_oracle.relations(grid, objects)
+            for rel in rows:
+                a, b = objects[rel.a_id], objects[rel.b_id]
+                assert rel.rpos == octant(a.centroid, b.centroid)
+                touching = contact(a, b)
+                assert rel.rprox == proximity_relation(a, b, touching, grid.height)
+                assert rel.rsize == size_log_ratio(a, b)
+                assert rel.rdist == norm_distance(a, b, grid)
+                assert rel.rdist_bin == distance_bin(rel.rdist)
 
     def test_reversed_pair_antisymmetry(self, rng):
         arr = np.zeros((20, 20), dtype=int)
         arr[2:6, 3:8] = 1
         arr[12:17, 10:16] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
-        a, b = extract_objects(grid, min_area=1)
-        fwd = pair_relation(grid, a, b)
-        rev = pair_relation(grid, b, a)
-        assert fwd.rpos == opposite_octant(rev.rpos)
-        assert fwd.rsize == -rev.rsize
-        assert fwd.rdist == rev.rdist
+        table = relations_for_objects(grid, extract_objects(grid, min_area=1))
+        assert OCTANTS[table.rpos[0]] == opposite_octant(OCTANTS[table.rpos[1]])
+        assert table.rsize[0] == -table.rsize[1]
+        assert table.rdist[0] == table.rdist[1]
+
+
+# Label maps of up to six rectangles on a 24 x 24 grid.  Later rectangles
+# paint over earlier ones, so scenes hold touching, nested, overlapping
+# and separate objects of classes 1-4.
+rect = st.tuples(
+    st.integers(1, 4), st.integers(0, 23), st.integers(0, 23), st.integers(1, 12),
+    st.integers(1, 12),
+)
+scenes = st.lists(rect, min_size=0, max_size=6)
+
+
+def paint(rects, shape=(24, 24)):
+    arr = np.zeros(shape, dtype=np.int32)
+    for class_id, r, c, h, w in rects:
+        arr[r : r + h, c : c + w] = class_id
+    return arr
+
+
+CLASS_MAP = {1: "a", 2: "b", 3: "c", 4: "d"}
+
+# One scene per proximity label: (rectangles, (A class, B class)).
+LABELLED_SCENES = {
+    "ON": ([(1, 2, 4, 3, 4), (2, 5, 2, 6, 8)], (1, 2)),
+    "UNDER": ([(2, 8, 2, 3, 8), (1, 2, 4, 6, 4)], (2, 1)),
+    "FRONT": ([(2, 2, 2, 12, 12), (1, 6, 6, 3, 3)], (1, 2)),
+    "BACK": ([(2, 2, 2, 12, 12), (1, 6, 6, 3, 3)], (2, 1)),
+    "BESIDE": ([(1, 4, 2, 3, 3), (2, 4, 5, 3, 3)], (1, 2)),
+    "NONE": ([(1, 1, 1, 2, 2), (2, 15, 15, 3, 3)], (1, 2)),
+}
+
+
+def test_every_proximity_label_matches_oracle():
+    for expected, (rects, classes) in LABELLED_SCENES.items():
+        grid = grid_from_array(paint(rects), CLASS_MAP)
+        objects = extract_objects(grid, min_area=1)
+        table = relations_for_objects(grid, objects)
+        rows = pair_oracle.table_rows(table, objects)
+        assert rows == pair_oracle.relations(grid, objects)
+        labelled = next(r for r in rows if (r.a_class, r.b_class) == classes)
+        assert labelled.rprox == expected
+
+
+@given(scenes)
+def test_pair_table_equals_per_pair_oracle(rects):
+    grid = grid_from_array(paint(rects), CLASS_MAP)
+    objects = extract_objects(grid, min_area=1)
+    try:
+        expected = pair_oracle.relations(grid, objects)
+    except DegeneratePairError:
+        with pytest.raises(DegeneratePairError):
+            relations_for_objects(grid, objects)
+        return
+    table = relations_for_objects(grid, objects)
+    assert len(table) == len(objects) * (len(objects) - 1)
+    assert pair_oracle.table_rows(table, objects) == expected
+
+
+def test_pair_table_columns_are_read_only():
+    grid = grid_from_array(paint(LABELLED_SCENES["ON"][0]), CLASS_MAP)
+    table = relations_for_objects(grid, extract_objects(grid, min_area=1))
+    with pytest.raises(ValueError):
+        table.rdist[0] = 0.5
+
+
+@pytest.mark.parametrize("rects", [[], [(1, 3, 3, 4, 4)]])
+def test_fewer_than_two_objects_make_an_empty_table(rects):
+    grid = grid_from_array(paint(rects), CLASS_MAP)
+    objects = extract_objects(grid, min_area=1)
+    table = relations_for_objects(grid, objects)
+    assert len(table) == 0
+    assert table.rdist.dtype == np.float64 and table.rpos.dtype == np.int64

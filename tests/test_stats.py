@@ -266,13 +266,35 @@ class TestQuery:
         _, mean, _ = model.size_stats[(1, 2)]
         assert model.size_zscore(1, 2, mean) == 0.0
 
-    def test_function_forms_delegate(self):
-        from scenecheck import query, query_size_zscore
-
+    def test_dense_tables_equal_query(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        assert query(model, "presence", 1, 2) == model.query("presence", 1, 2, None)
-        assert query(model, "position", 1, 2, "S") == model.query("position", 1, 2, "S")
-        assert query_size_zscore(model, 1, 2, 0.3) == model.size_zscore(1, 2, 0.3)
+        rows = model.class_rows(model.classes)
+        assert rows.tolist() == list(range(len(model.classes)))
+        for a, i in zip(model.classes, rows):
+            for b, j in zip(model.classes, rows):
+                assert model.presence_table[i, j] == model.query("presence", a, b, None)
+                for k, label in enumerate(OCTANTS):
+                    assert model.position_table[i, j, k] == model.query("position", a, b, label)
+                for k, label in enumerate(PROXIMITY_LABELS):
+                    assert model.proximity_table[i, j, k] == model.query("proximity", a, b, label)
+                for k in range(model.k_dist):
+                    assert model.distance_table[i, j, k] == model.query("distance", a, b, k)
+                for x in (-1.3, 0.0, 0.3):
+                    z = (x - model.size_mean[i, j]) / model.size_std[i, j]
+                    assert z == model.size_zscore(a, b, x)
+
+    def test_class_rows_reject_unknown_ids(self):
+        model = finalize(_hand_builder(), alpha=1.0)
+        assert model.class_rows([3, 1, 1]).tolist() == [2, 0, 0]
+        for ids, unknown in (([1, 9], 9), ([0], 0), ([4, 2, 7], 4)):
+            with pytest.raises(UnknownClassError, match=f"class id {unknown} "):
+                model.class_rows(ids)
+
+    def test_counts_outside_the_universe_rejected(self):
+        builder = _hand_builder()
+        builder.position_counts[(1, 9)] = [1] * 8
+        with pytest.raises(SchemaError):
+            finalize(builder)
 
     def test_zscore_unseen_pair_standard_normal_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)

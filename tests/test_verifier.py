@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from scenecheck import (
+    DegeneratePairError,
     DegenerateTrainingError,
     DimensionError,
     GLOBAL_LABEL,
@@ -13,13 +15,15 @@ from scenecheck import (
     LinearModel,
     PLACEHOLDER,
     StatsBuilder,
+    UnknownClassError,
+    VerifierRegistry,
+    accumulate,
     aggregate,
     default_synthetic_config,
     extract_objects,
     featurize,
     finalize,
     grid_from_array,
-    pair_relation,
     relations_for_objects,
     score,
     shape_histogram,
@@ -30,6 +34,9 @@ from scenecheck import (
 )
 from scenecheck.corpus import save_model
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
+
+import pair_oracle
+from test_relations import CLASS_MAP, LABELLED_SCENES, paint, scenes
 
 
 def _identity_model(weights, bias=0.0):
@@ -53,11 +60,11 @@ class TestFeaturize:
         arr[8:16, 2:6] = 2
         grid = grid_from_array(arr, {1: "top", 2: "bottom"})
         objects = extract_objects(grid, min_area=1)
-        return grid, objects
+        hists = [shape_histogram(grid, o) for o in objects]
+        return grid, objects, relations_for_objects(grid, objects), hists
 
     def test_octant_probability_lands_in_slot_one(self):
-        grid, (top, bottom) = self._scene()
-        rel = pair_relation(grid, top, bottom)  # rpos == "S"
+        grid, objects, pairs, hists = self._scene()  # pair 0 is (top, bottom), rpos "S"
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 8
         octant_index = 6  # S
@@ -65,33 +72,26 @@ class TestFeaturize:
         counts[octant_index] = 8
         builder.position_counts[(1, 2)] = counts
         stats = finalize(builder, alpha=1.0)
-        hist = shape_histogram(grid, top)
-        fv = featurize(rel, hist, stats, {})
-        assert fv.shape == (N_FEATURES,)
-        assert fv[1] == pytest.approx(9 / 16, abs=1e-15)
+        X = featurize(pairs, objects, hists, stats, {})
+        assert X.shape == (2, N_FEATURES)
+        assert X[0, 1] == pytest.approx(9 / 16, abs=1e-15)
 
     def test_prototype_match_zeroes_shape_term(self):
-        grid, (top, bottom) = self._scene()
-        rel = pair_relation(grid, top, bottom)
+        grid, objects, pairs, hists = self._scene()
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
         stats = finalize(builder, alpha=1.0)
-        hist = shape_histogram(grid, top)
-        fv = featurize(rel, hist, stats, {1: hist.bins})
-        assert fv[len(FEATURE_NAMES) - 1] == 0.0
+        X = featurize(pairs, objects, hists, stats, {1: hists[0].bins})
+        assert X[0, len(FEATURE_NAMES) - 1] == 0.0
 
     def test_components_match_independent_recomputation(self):
-        grid, (top, bottom) = self._scene()
-        rel = pair_relation(grid, top, bottom)
+        grid, objects, pairs, hists = self._scene()
+        rel = pair_oracle.table_rows(pairs, objects)[0]
         builder = StatsBuilder.for_classes([1, 2])
-        impl_objects = extract_objects(grid, min_area=1)
-        from scenecheck import accumulate
-
-        accumulate(builder, impl_objects, relations_for_objects(grid, impl_objects))
+        accumulate(builder, objects, pairs)
         stats = finalize(builder, alpha=1.0)
-        hist = shape_histogram(grid, top)
         proto = {1: tuple(1.0 / 16 for _ in range(16))}
-        fv = featurize(rel, hist, stats, proto)
+        fv = featurize(pairs, objects, hists, stats, proto)[0]
         assert fv[0] == stats.query("presence", 1, 2, None)
         assert fv[1] == stats.query("position", 1, 2, rel.rpos)
         assert fv[2] == stats.query("proximity", 1, 2, rel.rprox)
@@ -99,8 +99,17 @@ class TestFeaturize:
         assert fv[4] == abs(stats.size_zscore(1, 2, rel.rsize))
         assert fv[5] == rel.rdist
         assert fv[6] == pytest.approx(
-            float(np.abs(hist.to_array() - 1.0 / 16).sum()), abs=1e-15
+            float(np.abs(hists[0].to_array() - 1.0 / 16).sum()), abs=1e-15
         )
+
+    def test_no_pairs_give_an_empty_matrix(self):
+        grid, objects, _, hists = self._scene()
+        builder = StatsBuilder.for_classes([1, 2])
+        builder.images = 1
+        stats = finalize(builder, alpha=1.0)
+        lone = objects[:1]
+        X = featurize(relations_for_objects(grid, lone), lone, hists[:1], stats, {})
+        assert X.shape == (0, N_FEATURES)
 
 
 def _separable_set(rng, n=200):
@@ -115,7 +124,7 @@ class TestTrainLinear:
         X, y = _separable_set(rng)
         model = train_linear(list(X), list(y), seed=1)
         correct = sum(
-            1 for xi, yi in zip(X, y) if math.copysign(1, score(model, xi)) == yi
+            1 for m, yi in zip(score(model, X), y) if math.copysign(1, m) == yi
         )
         assert correct == len(y)
 
@@ -135,7 +144,7 @@ class TestTrainLinear:
         X = np.tile(rng.uniform(size=N_FEATURES), (100, 1))
         y = np.array([1] * 70 + [-1] * 30)
         model = train_linear(list(X), list(y), seed=4)
-        preds = [1 if score(model, xi) > 0 else -1 for xi in X]
+        preds = [1 if m > 0 else -1 for m in score(model, X)]
         accuracy = sum(1 for p, yi in zip(preds, y) if p == yi) / len(y)
         assert abs(accuracy - 0.7) <= 0.05
 
@@ -143,27 +152,31 @@ class TestTrainLinear:
 class TestScore:
     def test_zero_model_scores_zero(self, rng):
         model = _identity_model([0.0] * N_FEATURES)
-        assert score(model, rng.uniform(size=N_FEATURES)) == 0.0
+        margins = score(model, rng.uniform(size=(5, N_FEATURES)))
+        assert margins.shape == (5,)
+        assert np.all(margins == 0.0)
 
     def test_dimension_mismatch_rejected(self):
         model = _identity_model([0.0] * N_FEATURES)
         with pytest.raises(DimensionError):
             score(model, [1.0, 2.0])
+        with pytest.raises(DimensionError):
+            score(model, np.zeros((3, N_FEATURES - 1)))
+        with pytest.raises(DimensionError):
+            score(model, np.zeros(N_FEATURES))
 
     def test_affine_in_input_under_identity_standardization(self, rng):
         w = rng.normal(size=N_FEATURES)
         model = _identity_model(w, bias=0.37)
         fv = rng.normal(size=N_FEATURES)
-        s1 = score(model, fv) - model.bias
-        s2 = score(model, 2 * fv) - model.bias
-        s3 = score(model, 3 * fv) - model.bias
+        s1, s2, s3 = score(model, np.stack([fv, 2 * fv, 3 * fv])) - model.bias
         assert s2 == pytest.approx(2 * s1, rel=1e-12)
         assert s3 == pytest.approx(3 * s1, rel=1e-12)
 
     def test_training_margins_have_correct_sign(self, rng):
         X, y = _separable_set(rng)
         model = train_linear(list(X), list(y), seed=2)
-        signs = [math.copysign(1, score(model, xi)) for xi in X]
+        signs = [math.copysign(1, m) for m in score(model, X)]
         agreement = sum(1 for s, yi in zip(signs, y) if s == yi) / len(y)
         assert agreement >= 0.99
 
@@ -268,22 +281,17 @@ class TestVerify:
         stats = registry.stats_models[verdict.model_used]
         protos = registry.prototypes[verdict.model_used]
         model = registry.models[verdict.model_used]
-        hists = {
-            o.object_id: shape_histogram(grid, o, registry.shape_samples, registry.shape_bins)
-            for o in objects
-        }
         for perm_seed in range(3):
             rng = np.random.default_rng(perm_seed)
             shuffled = list(objects)
             rng.shuffle(shuffled)
-            margins = []
-            for a in shuffled:
-                for b in shuffled:
-                    if a.object_id == b.object_id:
-                        continue
-                    rel = pair_relation(grid, a, b)
-                    margins.append(score(model, featurize(rel, hists[a.object_id], stats, protos)))
-            contradiction, _ = aggregate(margins, registry.aggregation_mode)
+            hists = [
+                shape_histogram(grid, o, registry.shape_samples, registry.shape_bins)
+                for o in shuffled
+            ]
+            pairs = relations_for_objects(grid, shuffled)
+            margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
+            contradiction, _ = aggregate(margins.tolist(), registry.aggregation_mode)
             assert contradiction == verdict.contradiction
 
 
@@ -338,3 +346,112 @@ class TestTrainRegistry:
             save_model(path, registry)
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+
+def _oracle_stats(universe=(1, 2, 3, 4)):
+    """Statistics that saw classes 1-3 in a few scenes; every pair with 4 is unseen."""
+    builder = StatsBuilder.for_classes(universe)
+    training = [rects for rects, _ in LABELLED_SCENES.values()]
+    training.append([(1, 2, 2, 4, 4), (3, 6, 2, 5, 9), (1, 15, 15, 3, 5)])
+    for rects in training:
+        grid = grid_from_array(paint(rects), CLASS_MAP)
+        objects = extract_objects(grid, min_area=1)
+        accumulate(builder, objects, relations_for_objects(grid, objects))
+    return finalize(builder, alpha=1.0)
+
+
+def _oracle_model(width=N_FEATURES):
+    rng = np.random.default_rng(31)
+    return LinearModel(
+        weights=tuple(rng.normal(size=width).tolist()),
+        bias=0.37,
+        feature_means=tuple(rng.uniform(0.0, 0.5, size=width).tolist()),
+        feature_stds=tuple(rng.uniform(0.3, 2.0, size=width).tolist()),
+        hyperparams=Hyperparams(),
+        seed=0,
+        n_pos=1,
+        n_neg=1,
+        context_label=GLOBAL_LABEL,
+    )
+
+
+def _oracle_registry(model=None, stats=None):
+    grid = grid_from_array(paint([(2, 3, 3, 9, 6)]), CLASS_MAP)
+    hist = shape_histogram(grid, extract_objects(grid, min_area=1)[0])
+    return VerifierRegistry(
+        context_attribute=None,
+        aggregation_mode="majority",
+        min_area=1,
+        shape_samples=64,
+        shape_bins=16,
+        global_model=model or _oracle_model(),
+        global_stats=stats or _oracle_stats(),
+        # Classes 3 and 4 have no prototype and compare against uniform.
+        global_prototypes={1: tuple(1.0 / 16 for _ in range(16)), 2: hist.bins},
+    )
+
+
+ORACLE_REGISTRY = _oracle_registry()
+
+
+class TestBatchedPairLayerMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(scenes)
+    def test_features_and_margins_equal_per_pair_oracle(self, rects):
+        registry = ORACLE_REGISTRY
+        stats, protos, model = (
+            registry.global_stats, registry.global_prototypes, registry.global_model
+        )
+        grid = grid_from_array(paint(rects), CLASS_MAP)
+        objects = extract_objects(grid, min_area=1)
+        hists = [shape_histogram(grid, o) for o in objects]
+        try:
+            rels = pair_oracle.relations(grid, objects)
+        except DegeneratePairError:
+            with pytest.raises(DegeneratePairError):
+                verify(grid, registry)
+            return
+        expected = np.array(
+            [pair_oracle.featurize(r, hists[r.a_id], stats, protos) for r in rels]
+        ).reshape(-1, N_FEATURES)
+        X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
+        assert X.shape == expected.shape
+        assert (X == expected).all()
+        expected_margins = [pair_oracle.score(model, fv) for fv in expected]
+        assert score(model, X).tolist() == expected_margins
+        verdict = verify(grid, registry)
+        assert verdict.pair_scores == tuple(
+            (r.a_id, r.b_id, m) for r, m in zip(rels, expected_margins)
+        )
+        assert (verdict.contradiction, verdict.confidence) == aggregate(expected_margins)
+
+    def test_unseen_class_pairs_use_the_uniform_priors(self):
+        stats = ORACLE_REGISTRY.global_stats
+        grid = grid_from_array(paint([(4, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
+        objects = extract_objects(grid, min_area=1)
+        hists = [shape_histogram(grid, o) for o in objects]
+        X = featurize(relations_for_objects(grid, objects), objects, hists, stats, {})
+        assert (X[:, 0] == 1.0 / (stats.images + 2.0)).all()
+        assert (X[:, 1] == 1.0 / 8).all()
+        assert (X[:, 2] == 1.0 / 6).all()
+        assert (X[:, 3] == 1.0 / 5).all()
+        assert (X[:, 4] == 0.0).all()
+
+    def test_coincident_centroids_raise(self):
+        grid = grid_from_array(paint([(2, 2, 2, 9, 9), (1, 5, 5, 3, 3)]), CLASS_MAP)
+        with pytest.raises(DegeneratePairError):
+            verify(grid, ORACLE_REGISTRY)
+
+    def test_class_outside_the_model_raises(self):
+        registry = _oracle_registry(stats=_oracle_stats(universe=(1, 2, 3)))
+        pair = grid_from_array(paint([(1, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
+        with pytest.raises(UnknownClassError):
+            verify(pair, registry)
+        lone = grid_from_array(paint([(4, 10, 10, 4, 4)]), CLASS_MAP)
+        assert verify(lone, registry).pair_scores == ()
+
+    def test_model_of_the_wrong_width_raises(self):
+        registry = _oracle_registry(model=_oracle_model(width=N_FEATURES - 2))
+        grid = grid_from_array(paint([(1, 2, 2, 4, 4), (2, 10, 10, 4, 4)]), CLASS_MAP)
+        with pytest.raises(DimensionError):
+            verify(grid, registry)
