@@ -22,6 +22,7 @@ from .corpus import (
     Corpus,
     SyntheticConfig,
     default_synthetic_config,
+    derive_contradiction,
     generate_contradiction,
     load_model,
     save_model,
@@ -51,7 +52,6 @@ from .labelgrid import (
     grid_from_array,
     load_label_grid,
     parse_label_grid,
-    trace_boundary,
 )
 from .relations import (
     K_DIST,
@@ -83,10 +83,12 @@ from .verifier import (
     GLOBAL_LABEL,
     Hyperparams,
     LinearModel,
+    Scene,
     Verdict,
     VerifierRegistry,
     aggregate,
     featurize,
+    prepare,
     score,
     train_linear,
     train_registry,

@@ -24,12 +24,13 @@ from .corpus import (
     EVAL_TAG,
     Corpus,
     SyntheticConfig,
+    derive_contradiction,
     generate_contradiction,
     load_model,
     save_model,
     synth_corpus,
 )
-from .errors import NotEnoughObjectsError, SceneCheckError
+from .errors import SceneCheckError
 from .labelgrid import DEFAULT_MIN_AREA, extract_objects, load_label_grid
 from .relations import relations_for_objects
 from .seeds import derive_seed
@@ -38,6 +39,7 @@ from .verifier import (
     CONTRADICTIONS_PER_IMAGE,
     Hyperparams,
     VerifierRegistry,
+    prepare,
     train_registry,
     verify,
 )
@@ -230,18 +232,14 @@ def cmd_evaluate(args) -> int:
         grid = corpus.grid(image_id)
         record = table.record(image_id)
         context = record.get(context_attribute, PLACEHOLDER) if context_attribute else None
-        variants = [(grid, False)]
-        try:
-            twin, _ = generate_contradiction(
-                grid, derive_seed(args.seed, EVAL_TAG, idx), min_area=registry.min_area
-            )
-        except NotEnoughObjectsError:
-            pass
-        else:
+        scene = prepare(grid, registry.min_area, registry.shape_samples, registry.shape_bins)
+        variants = [(scene, False)]
+        if len(scene.objects) >= 2:
+            twin, _ = derive_contradiction(scene, derive_seed(args.seed, EVAL_TAG, idx))
             variants.append((twin, True))
-        for variant_grid, expected in variants:
-            dispatched = verify(variant_grid, registry, record)
-            forced_global = verify(variant_grid, registry, None)
+        for variant, expected in variants:
+            dispatched = verify(variant, registry, record)
+            forced_global = verify(variant, registry, None)
             log_rows.append(
                 {
                     "image_id": image_id,

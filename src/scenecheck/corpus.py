@@ -11,7 +11,10 @@ optional base/rider stacking rule (the rider is always placed on its
 base, never on the anchor).
 
 Contradiction examples are produced by removing one object, chosen
-uniformly at random under a seed, and painting its pixels background.
+uniformly at random under a seed, and painting its pixels background:
+`generate_contradiction` writes the modified label map, and
+`derive_contradiction` derives the same twin from a prepared Scene
+without labelling it again.  Both choose the object through one rule.
 
 All randomized operations are pure functions of (inputs, seed); image
 level seeds are derived from the global seed and the image index, so
@@ -37,7 +40,7 @@ from .errors import (
 from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, extract_objects, grid_from_array
 from .seeds import derive_seed
 from .stats import CooccurrenceModel, StatsBuilder, finalize
-from .verifier import Hyperparams, LinearModel, VerifierRegistry
+from .verifier import Hyperparams, LinearModel, Scene, VerifierRegistry
 
 SCHEMA_VERSION = 1
 
@@ -487,6 +490,13 @@ def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, Att
 # contradiction generation
 
 
+def _removed_index(n_objects: int, seed: int) -> int:
+    """Index of the object a seeded contradiction removes, uniform over the objects."""
+    if n_objects < 2:
+        raise NotEnoughObjectsError(f"need at least 2 objects to remove one, found {n_objects}")
+    return int(np.random.default_rng(seed).integers(n_objects))
+
+
 def generate_contradiction(
     grid: LabelGrid, seed: int, min_area: int = DEFAULT_MIN_AREA
 ) -> tuple[LabelGrid, int]:
@@ -496,17 +506,23 @@ def generate_contradiction(
     other pixels are conserved exactly.
     """
     objects = extract_objects(grid, min_area)
-    if len(objects) < 2:
-        raise NotEnoughObjectsError(
-            f"need at least 2 objects to remove one, found {len(objects)}"
-        )
-    rng = np.random.default_rng(seed)
-    removed = objects[int(rng.integers(len(objects)))]
+    removed = objects[_removed_index(len(objects), seed)]
     cells = grid.to_array().copy()
     rows, cols = np.array(removed.pixels).T
     cells[rows, cols] = 0
     modified = grid_from_array(cells, grid.class_map, image_id=grid.image_id)
     return modified, removed.class_id
+
+
+def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
+    """The twin `generate_contradiction` makes under `seed`, derived from a prepared scene.
+
+    Returns the scene without the removed object and that object's class
+    id.  It equals preparing the grid `generate_contradiction` returns
+    with the scene's parameters, with no re-labelling.
+    """
+    k = _removed_index(len(scene.objects), seed)
+    return scene.without(k), scene.objects[k].class_id
 
 
 # ---------------------------------------------------------------------------

@@ -354,22 +354,17 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     return objects
 
 
-def trace_boundary(grid: LabelGrid, obj: SceneObject) -> tuple[tuple[int, int], ...]:
-    """Return the outer boundary of `obj` as a closed clockwise cycle.
-
-    Uses Moore neighbourhood tracing starting at the top-left-most pixel;
-    a single-pixel object yields a one-element boundary.  Consecutive
-    entries (including the wrap-around) are 8-adjacent, and every entry
-    has at least one 4-neighbour outside the component or off the grid.
-    """
-    rows, cols = np.array(obj.pixels, dtype=np.int64).reshape(-1, 2).T
-    return _trace(rows, cols, obj.bbox)
-
-
 def _trace(
     rows: np.ndarray, cols: np.ndarray, bbox: tuple[int, int, int, int]
 ) -> tuple[tuple[int, int], ...]:
-    """Moore-trace the component with pixels (rows, cols), sorted in raster order."""
+    """Moore-trace the component with pixels (rows, cols), sorted in raster order.
+
+    Returns the closed clockwise outer boundary starting at the
+    top-left-most pixel; a single pixel yields a one-element boundary.
+    Consecutive entries (including the wrap-around) are 8-adjacent, and
+    every entry has a 4-neighbour outside the component or off the grid.
+    Only the component's own pixels are read.
+    """
     r0, c0, r1, c1 = bbox
     start = (int(rows[0]), int(cols[0]))
     if len(rows) == 1:

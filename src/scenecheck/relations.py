@@ -165,7 +165,6 @@ def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
 
 
 def shape_histogram(
-    grid: LabelGrid,
     obj: SceneObject,
     n_samples: int = SHAPE_SAMPLES,
     n_bins: int = SHAPE_BINS,

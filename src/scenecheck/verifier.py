@@ -6,10 +6,17 @@ classifier (hinge loss plus L2, plain SGD, trained from scratch) scores
 all rows in one call, and per-image verdicts come from majority voting
 or a mean-margin threshold over the pair margins.
 
+A label map is labelled once into a Scene: its objects, their pair
+table and their shape histograms.  `Scene.without(k)` derives the
+object-removal twin of a scene from it, with no re-labelling, and
+`train_registry` and the `evaluate` command score prepared scenes and
+their twins.
+
 A VerifierRegistry holds one global detector plus one detector per
 context value; `verify` dispatches on the image's context attribute and
 falls back to the global detector whenever the context is missing,
-placeholder-valued, or untrained.
+placeholder-valued, or untrained.  It takes a label grid, which it
+prepares with the registry's parameters, or a Scene prepared with them.
 
 Featurization and scoring are pure; training is single-threaded and
 fully determined by its inputs and seed.
@@ -17,8 +24,8 @@ fully determined by its inputs and seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass, field, replace
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,6 +64,79 @@ CONTRADICTIONS_PER_IMAGE = 4
 
 _TRAIN_TAG = 101
 _MODEL_TAG = 102
+
+
+@dataclass(frozen=True, eq=False)
+class Scene:
+    """One label map, labelled once: its objects, their ordered pairs and
+    one shape histogram per object, with the parameters it was built with.
+
+    `objects[i].object_id == i`, the pair table indexes `objects`, and
+    `hists[i]` belongs to `objects[i]`.
+    """
+
+    image_id: str
+    objects: tuple[SceneObject, ...]
+    pairs: PairTable
+    hists: tuple[ShapeHistogram, ...]
+    min_area: int
+    shape_samples: int
+    shape_bins: int
+
+    @property
+    def params(self) -> tuple[int, int, int]:
+        return (self.min_area, self.shape_samples, self.shape_bins)
+
+    def without(self, k: int) -> "Scene":
+        """This scene with object `k` painted background, derived without re-labelling.
+
+        Equal to preparing the map with object k's pixels cleared:
+        clearing an object cannot merge or split another component, every
+        pair column and histogram depends only on its own objects and the
+        grid size, and the survivors keep their raster order, so their
+        ids become their new list index.
+        """
+        if not 0 <= k < len(self.objects):
+            raise IndexError(f"object {k} is not in a scene of {len(self.objects)}")
+        objects = self.objects[:k] + tuple(
+            replace(o, object_id=i) for i, o in enumerate(self.objects[k + 1 :], k)
+        )
+        p = self.pairs
+        keep = (p.a_index != k) & (p.b_index != k)
+        a, b = p.a_index[keep], p.b_index[keep]
+        pairs = PairTable(
+            a_index=a - (a > k),
+            b_index=b - (b > k),
+            a_class=p.a_class[keep],
+            b_class=p.b_class[keep],
+            rpos=p.rpos[keep],
+            rprox=p.rprox[keep],
+            rsize=p.rsize[keep],
+            rdist=p.rdist[keep],
+            rdist_bin=p.rdist_bin[keep],
+        )
+        hists = self.hists[:k] + self.hists[k + 1 :]
+        return replace(self, objects=objects, pairs=pairs, hists=hists)
+
+
+def prepare(
+    grid: LabelGrid,
+    min_area: int = DEFAULT_MIN_AREA,
+    shape_samples: int = SHAPE_SAMPLES,
+    shape_bins: int = SHAPE_BINS,
+) -> Scene:
+    """Label the grid once: objects, their pair table and their shape histograms."""
+    objects = tuple(extract_objects(grid, min_area))
+    hists = tuple(shape_histogram(o, shape_samples, shape_bins) for o in objects)
+    return Scene(
+        image_id=grid.image_id,
+        objects=objects,
+        pairs=relations_for_objects(grid, objects),
+        hists=hists,
+        min_area=min_area,
+        shape_samples=shape_samples,
+        shape_bins=shape_bins,
+    )
 
 
 @dataclass(frozen=True)
@@ -114,8 +194,8 @@ def _shape_term(hist: ShapeHistogram, proto: tuple[float, ...] | None) -> float:
 
 def featurize(
     pairs: PairTable,
-    objects: list[SceneObject],
-    hists: list[ShapeHistogram],
+    objects: Sequence[SceneObject],
+    hists: Sequence[ShapeHistogram],
     stats: CooccurrenceModel,
     prototypes: Mapping[int, tuple[float, ...]],
 ) -> np.ndarray:
@@ -282,11 +362,24 @@ class VerifierRegistry:
 
 
 def verify(
-    grid: LabelGrid,
+    scene: LabelGrid | Scene,
     registry: VerifierRegistry,
     attributes: Mapping[str, str] | None = None,
 ) -> Verdict:
-    """Verify one label grid, dispatching to the context-specific detector."""
+    """Verify one label map, dispatching to the context-specific detector.
+
+    A LabelGrid is prepared with the registry's min_area and shape
+    parameters; a Scene must have been prepared with those same
+    parameters, or ValueError is raised.
+    """
+    params = (registry.min_area, registry.shape_samples, registry.shape_bins)
+    if isinstance(scene, LabelGrid):
+        scene = prepare(scene, *params)
+    elif scene.params != params:
+        raise ValueError(
+            f"scene prepared with (min_area, shape_samples, shape_bins) = {scene.params}, "
+            f"registry uses {params}"
+        )
     label = registry.resolve(attributes)
     if label == GLOBAL_LABEL:
         model, stats, protos = (
@@ -300,19 +393,12 @@ def verify(
             registry.stats_models[label],
             registry.prototypes[label],
         )
-    objects = extract_objects(grid, registry.min_area)
-    hists = [
-        shape_histogram(grid, o, registry.shape_samples, registry.shape_bins) for o in objects
-    ]
-    pairs = relations_for_objects(grid, objects)
-    margins = score(model, featurize(pairs, objects, hists, stats, protos)).tolist()
-    ids = np.array([o.object_id for o in objects], dtype=np.int64)
-    pair_scores = tuple(
-        zip(ids[pairs.a_index].tolist(), ids[pairs.b_index].tolist(), margins)
-    )
+    pairs = scene.pairs
+    margins = score(model, featurize(pairs, scene.objects, scene.hists, stats, protos)).tolist()
+    pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins))
     contradiction, confidence = aggregate(margins, registry.aggregation_mode)
     return Verdict(
-        image_id=grid.image_id,
+        image_id=scene.image_id,
         pair_scores=pair_scores,
         contradiction=contradiction,
         confidence=confidence,
@@ -320,27 +406,11 @@ def verify(
     )
 
 
-@dataclass
-class _SceneCache:
-    objects: list[SceneObject]
-    relations: PairTable
-    hists: list[ShapeHistogram]
-
-
-def _prepare(grid: LabelGrid, min_area: int, n_samples: int, n_bins: int) -> _SceneCache:
-    objects = extract_objects(grid, min_area)
-    return _SceneCache(
-        objects=objects,
-        relations=relations_for_objects(grid, objects),
-        hists=[shape_histogram(grid, o, n_samples, n_bins) for o in objects],
-    )
-
-
-def _prototypes_for(scenes: list[_SceneCache]) -> dict[int, tuple[float, ...]]:
+def _prototypes_for(scenes: list[Scene]) -> dict[int, tuple[float, ...]]:
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
-    for cache in scenes:
-        for obj, hist in zip(cache.objects, cache.hists):
+    for scene in scenes:
+        for obj, hist in zip(scene.objects, scene.hists):
             values = hist.to_array()
             if obj.class_id in sums:
                 sums[obj.class_id] += values
@@ -376,27 +446,26 @@ def train_registry(
     label shared by all pairs of a scene).  Context values with fewer
     than `n_min` train images get no model and fall back to global.
     """
-    from .corpus import generate_contradiction
+    from .corpus import derive_contradiction
 
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
         raise EmptyCorpusError("train split is empty")
     classes = frozenset(corpus.class_map)
 
-    scenes: dict[str, _SceneCache] = {}
-    twins: dict[str, list[_SceneCache]] = {}
+    scenes: dict[str, Scene] = {}
+    twins: dict[str, list[Scene]] = {}
     for idx, image_id in enumerate(train_ids):
-        grid = corpus.grid(image_id)
-        cache = _prepare(grid, min_area, shape_samples, shape_bins)
-        scenes[image_id] = cache
-        twin_list = []
-        if len(cache.objects) >= 2:
-            for j in range(contradictions_per_image):
-                twin_grid, _ = generate_contradiction(
-                    grid, derive_seed(seed, _TRAIN_TAG, idx, j), min_area=min_area
-                )
-                twin_list.append(_prepare(twin_grid, min_area, shape_samples, shape_bins))
-        twins[image_id] = twin_list
+        scene = prepare(corpus.grid(image_id), min_area, shape_samples, shape_bins)
+        scenes[image_id] = scene
+        twins[image_id] = (
+            [
+                derive_contradiction(scene, derive_seed(seed, _TRAIN_TAG, idx, j))[0]
+                for j in range(contradictions_per_image)
+            ]
+            if len(scene.objects) >= 2
+            else []
+        )
 
     scopes: list[tuple[str, list[str]]] = [(GLOBAL_LABEL, train_ids)]
     if context_attribute is not None:
@@ -411,16 +480,16 @@ def train_registry(
     for scope_idx, (label, ids) in enumerate(scopes):
         builder = StatsBuilder.for_classes(classes)
         for image_id in ids:
-            accumulate(builder, scenes[image_id].objects, scenes[image_id].relations)
+            accumulate(builder, scenes[image_id].objects, scenes[image_id].pairs)
         scope_stats = finalize(builder, alpha)
         protos = _prototypes_for([scenes[i] for i in ids])
         features: list[np.ndarray] = []
         labels: list[int] = []
         for image_id in ids:
-            for cache, y in [(scenes[image_id], -1)] + [
+            for scene, y in [(scenes[image_id], -1)] + [
                 (t, +1) for t in twins[image_id]
             ]:
-                X = featurize(cache.relations, cache.objects, cache.hists, scope_stats, protos)
+                X = featurize(scene.pairs, scene.objects, scene.hists, scope_stats, protos)
                 features.append(X)
                 labels.extend([y] * len(X))
         model = train_linear(

@@ -19,7 +19,6 @@ from scenecheck import (
     extract_objects,
     grid_from_array,
     parse_label_grid,
-    trace_boundary,
 )
 
 from conftest import blob_grid
@@ -375,10 +374,23 @@ class TestBoundary:
                     break
                 assert max(abs(p[0] - q[0]), abs(p[1] - q[1])) == 1
 
-    def test_trace_boundary_matches_extraction(self, rng):
-        grid = blob_grid(rng)
-        (obj,) = extract_objects(grid, min_area=1)
-        assert trace_boundary(grid, obj) == obj.boundary
+    def test_boundary_depends_only_on_own_pixels(self, rng):
+        # Filling the background around a blob with another class, or
+        # adding a same-class blob that does not touch it, leaves the
+        # blob's traced boundary as it was.
+        for _ in range(10):
+            grid = blob_grid(rng)
+            (obj,) = extract_objects(grid, min_area=1)
+            filled = np.where(grid.to_array() == 0, 2, 1)
+            filled_objects = extract_objects(grid_from_array(filled, {1: "a", 2: "b"}), 1)
+            (same,) = [o for o in filled_objects if o.class_id == 1]
+            assert same.pixels == obj.pixels and same.boundary == obj.boundary
+            wide = np.zeros((16, 34), dtype=np.int32)
+            wide[:, :16] = grid.to_array()
+            wide[:, 18:] = grid.to_array()
+            first, second = extract_objects(grid_from_array(wide, {1: "a"}), 1)
+            assert first.boundary == obj.boundary
+            assert second.boundary == tuple((r, c + 18) for r, c in obj.boundary)
 
     def test_starts_at_top_left_most_pixel(self, rng):
         for _ in range(10):

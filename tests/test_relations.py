@@ -229,7 +229,7 @@ class TestShapeHistogram:
                     arr[r, c] = 1
         grid = grid_from_array(arr, {1: "disk"})
         (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram(grid, obj)
+        hist = shape_histogram(obj)
         assert sum(hist.bins[-3:]) >= 0.9
 
     def test_translation_invariance_exact(self, rng):
@@ -243,7 +243,7 @@ class TestShapeHistogram:
             g2 = grid_from_array(shifted, {1: "blob"})
             (o1,) = extract_objects(g1, min_area=1)
             (o2,) = extract_objects(g2, min_area=1)
-            assert shape_histogram(g1, o1).bins == shape_histogram(g2, o2).bins
+            assert shape_histogram(o1).bins == shape_histogram(o2).bins
 
     def test_upscale_robustness(self):
         # Resolved objects: at these sizes the half-pixel rasterization
@@ -254,8 +254,8 @@ class TestShapeHistogram:
             g2 = grid_from_array(doubled, {1: "blob"})
             (o1,) = extract_objects(g1, min_area=1)
             (o2,) = extract_objects(g2, min_area=1)
-            h1 = shape_histogram(g1, o1).to_array()
-            h2 = shape_histogram(g2, o2).to_array()
+            h1 = shape_histogram(o1).to_array()
+            h2 = shape_histogram(o2).to_array()
             assert np.abs(h1 - h2).sum() <= 0.15
 
     def test_single_pixel_degenerates_to_last_bin(self):
@@ -263,7 +263,7 @@ class TestShapeHistogram:
         arr[1, 1] = 1
         grid = grid_from_array(arr, {1: "dot"})
         (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram(grid, obj)
+        hist = shape_histogram(obj)
         assert hist.bins[-1] == 1.0
         assert sum(hist.bins) == pytest.approx(1.0, abs=1e-12)
 
@@ -271,7 +271,7 @@ class TestShapeHistogram:
         for _ in range(20):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            hist = shape_histogram(grid, obj)
+            hist = shape_histogram(obj)
             assert sum(hist.bins) == pytest.approx(1.0, abs=1e-9)
             assert all(b >= 0 for b in hist.bins)
 
@@ -329,7 +329,7 @@ def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
             arr = _random_ellipse_array(rng)
         grid = grid_from_array(arr, {1: "x"})
         for obj in extract_objects(grid, min_area=1):
-            got = shape_histogram(grid, obj, n_samples, n_bins).bins
+            got = shape_histogram(obj, n_samples, n_bins).bins
             assert got == _shape_histogram_reference(obj, n_samples, n_bins)
 
 

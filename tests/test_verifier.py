@@ -20,10 +20,14 @@ from scenecheck import (
     accumulate,
     aggregate,
     default_synthetic_config,
+    derive_contradiction,
+    derive_seed,
     extract_objects,
     featurize,
     finalize,
+    generate_contradiction,
     grid_from_array,
+    prepare,
     relations_for_objects,
     score,
     shape_histogram,
@@ -32,7 +36,7 @@ from scenecheck import (
     train_registry,
     verify,
 )
-from scenecheck.corpus import save_model
+from scenecheck.corpus import EVAL_TAG, save_model
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
 import pair_oracle
@@ -60,7 +64,7 @@ class TestFeaturize:
         arr[8:16, 2:6] = 2
         grid = grid_from_array(arr, {1: "top", 2: "bottom"})
         objects = extract_objects(grid, min_area=1)
-        hists = [shape_histogram(grid, o) for o in objects]
+        hists = [shape_histogram(o) for o in objects]
         return grid, objects, relations_for_objects(grid, objects), hists
 
     def test_octant_probability_lands_in_slot_one(self):
@@ -286,13 +290,43 @@ class TestVerify:
             shuffled = list(objects)
             rng.shuffle(shuffled)
             hists = [
-                shape_histogram(grid, o, registry.shape_samples, registry.shape_bins)
+                shape_histogram(o, registry.shape_samples, registry.shape_bins)
                 for o in shuffled
             ]
             pairs = relations_for_objects(grid, shuffled)
             margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
             contradiction, _ = aggregate(margins.tolist(), registry.aggregation_mode)
             assert contradiction == verdict.contradiction
+
+
+class TestVerifyPreparedScene:
+    def test_scene_and_derived_twin_give_the_grid_verdicts(self, small_experiment):
+        corpus, table, registry = small_experiment
+        params = (registry.min_area, registry.shape_samples, registry.shape_bins)
+        models_used = set()
+        for idx, image_id in enumerate(corpus.image_ids("val")[:60]):
+            grid = corpus.grid(image_id)
+            scene = prepare(grid, *params)
+            variants = [(scene, grid)]
+            if len(scene.objects) >= 2:
+                seed = derive_seed(5, EVAL_TAG, idx)
+                twin, _ = derive_contradiction(scene, seed)
+                variants.append((twin, generate_contradiction(grid, seed, registry.min_area)[0]))
+            for attributes in (table.record(image_id), None):
+                for prepared, unprepared in variants:
+                    verdict = verify(prepared, registry, attributes)
+                    assert verdict.to_dict() == verify(unprepared, registry, attributes).to_dict()
+                    models_used.add(verdict.model_used)
+        assert models_used == {GLOBAL_LABEL, "inside", "outside"}
+
+    def test_scene_prepared_with_other_parameters_rejected(self, small_experiment):
+        corpus, table, registry = small_experiment
+        grid, record = _find_triple(corpus, table, registry)
+        params = (registry.min_area, registry.shape_samples, registry.shape_bins)
+        for i, other in ((0, registry.min_area + 1), (1, 32), (2, 8)):
+            changed = params[:i] + (other,) + params[i + 1 :]
+            with pytest.raises(ValueError):
+                verify(prepare(grid, *changed), registry, record)
 
 
 def _find_triple(corpus, table, registry):
@@ -377,7 +411,7 @@ def _oracle_model(width=N_FEATURES):
 
 def _oracle_registry(model=None, stats=None):
     grid = grid_from_array(paint([(2, 3, 3, 9, 6)]), CLASS_MAP)
-    hist = shape_histogram(grid, extract_objects(grid, min_area=1)[0])
+    hist = shape_histogram(extract_objects(grid, min_area=1)[0])
     return VerifierRegistry(
         context_attribute=None,
         aggregation_mode="majority",
@@ -404,7 +438,7 @@ class TestBatchedPairLayerMatchesOracle:
         )
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = [shape_histogram(grid, o) for o in objects]
+        hists = [shape_histogram(o) for o in objects]
         try:
             rels = pair_oracle.relations(grid, objects)
         except DegeneratePairError:
@@ -429,7 +463,7 @@ class TestBatchedPairLayerMatchesOracle:
         stats = ORACLE_REGISTRY.global_stats
         grid = grid_from_array(paint([(4, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = [shape_histogram(grid, o) for o in objects]
+        hists = [shape_histogram(o) for o in objects]
         X = featurize(relations_for_objects(grid, objects), objects, hists, stats, {})
         assert (X[:, 0] == 1.0 / (stats.images + 2.0)).all()
         assert (X[:, 1] == 1.0 / 8).all()
