@@ -53,6 +53,21 @@ def _context_arg(value: str) -> str | None:
     return None if value == "none" else value
 
 
+def _positive(cast):
+    """argparse type: `cast(value)`, which must be > 0 (a usage error otherwise)."""
+
+    def parse(value: str):
+        try:
+            number = cast(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {value!r}") from None
+        if not number > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+        return number
+
+    return parse
+
+
 def _build_one_stats(corpus: Corpus, ids: list[str], alpha: float, min_area: int):
     builder = StatsBuilder.for_classes(corpus.class_map)
     for image_id in ids:
@@ -331,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-stats", help="Build co-occurrence statistics from the train split")
     p.add_argument("corpus")
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
-    p.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
-    p.add_argument("--min-area", type=int, default=DEFAULT_MIN_AREA)
+    p.add_argument("--alpha", type=_positive(float), default=ALPHA_DEFAULT)
+    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_build_stats)
 
@@ -340,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--min-coverage", type=float, default=0.95)
     p.add_argument("--min-balance", type=float, default=0.10)
-    p.add_argument("--min-area", type=int, default=DEFAULT_MIN_AREA)
+    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_select_contexts)
 
@@ -348,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--split", default="val", choices=["train", "val"])
-    p.add_argument("--min-area", type=int, default=DEFAULT_MIN_AREA)
+    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen_contradictions)
 
@@ -357,10 +372,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--epochs", type=_positive(int), default=50)
     p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--alpha", type=float, default=ALPHA_DEFAULT)
-    p.add_argument("--min-area", type=int, default=DEFAULT_MIN_AREA)
+    p.add_argument("--alpha", type=_positive(float), default=ALPHA_DEFAULT)
+    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("--n-min", type=int, default=30)
     p.add_argument(
         "--contradictions-per-image", type=int, default=CONTRADICTIONS_PER_IMAGE

@@ -9,8 +9,17 @@ Components are labelled run by run, in the run-based two-scan family
 (He, Chao & Suzuki, IEEE TIP 2008): maximal same-class horizontal runs
 are found with numpy, runs of one class that are 8-adjacent across two
 consecutive rows are merged in a small union-find, and each component is
-rebuilt from its runs.  Outer boundaries are Moore-traced over a padded
-mask of the component's bounding box.
+rebuilt from its runs.
+
+Outer boundaries are Moore-traced with one table lookup per step, in the
+table-driven border-following family (Suzuki & Abe, CVGIP 1985).  Each
+grid gets one 8-bit neighbour code per cell of a copy padded by one
+background cell, over the rows its objects span: bit d is set when the
+Moore neighbour in direction d holds the cell's own class.  Two
+8-adjacent pixels of one class always lie in one 8-connected component,
+so at a pixel of a component the same-class bits are exactly its
+neighbours in that component, and the codes of one grid serve every
+object traced on it.
 
 All functions here are pure; LabelGrid and SceneObject are immutable
 after construction and safe to share across threads.
@@ -44,6 +53,18 @@ _BACK = tuple(
     _MOORE.index((_MOORE[d - 1][0] - _MOORE[d][0], _MOORE[d - 1][1] - _MOORE[d][1]))
     for d in range(8)
 )
+
+
+def _next_table() -> tuple[int, ...]:
+    """_NEXT[code * 8 + back]: the first direction clockwise after `back`
+    whose bit is set in the neighbour code `code`.  Entries of code 0, a
+    lone pixel, are never read."""
+    scan = (np.arange(8)[:, None] + np.arange(1, 9)) & 7  # [back, k]: k-th direction tried
+    hit = (np.arange(256)[:, None, None] >> scan) & 1  # [code, back, k]
+    return tuple(scan[np.arange(8), hit.argmax(axis=2)].ravel().tolist())
+
+
+_NEXT = _next_table()
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
 # Powers of ten that start a new decimal digit count: 10, 100, ...
@@ -290,6 +311,32 @@ def _run_roots(
     return parent
 
 
+def _neighbour_codes(grid: LabelGrid, first: int, last: int) -> bytes:
+    """One 8-bit neighbour code per cell of the grid padded by one background
+    cell, filled in for grid rows `first`..`last`.
+
+    Indexed by the flat position in the padded grid, whose row stride is
+    `width + 2`.  Bit d of a cell's code is set when its Moore neighbour in
+    direction d (`_MOORE[d]`) holds the same class.  Codes are only read at
+    pixels of objects within those rows, so the background, the margin and
+    the other rows are never used.
+    """
+    stride = grid.width + 2
+    padded = np.zeros((grid.height + 2, stride), dtype=np.int32)
+    padded[1:-1, 1:-1] = grid.to_array()
+    padded = padded.reshape(-1)
+    lo, hi = (first + 1) * stride + 1, (last + 2) * stride - 1
+    centre = padded[lo:hi]
+    codes = np.zeros(len(padded), dtype=np.uint8)
+    inner = codes[lo:hi]
+    same = np.empty(hi - lo, dtype=bool)
+    for d, (dr, dc) in enumerate(_MOORE):
+        o = dr * stride + dc
+        np.equal(padded[lo + o : hi + o], centre, out=same)
+        inner |= same.view(np.uint8) << d
+    return codes.tobytes()
+
+
 def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[SceneObject]:
     """Extract 8-connected same-class components of at least `min_area` pixels.
 
@@ -333,12 +380,19 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
         comp_index, weights=(2 * run_cols + run_lengths - 1) * run_lengths / 2
     ).tolist()
     counts = area[comp_roots].astype(np.int64).tolist()
+    first_rows = run_rows[first_run]
+    bbox_r0 = first_rows.tolist()
+    # Each component's raster-first pixel, where its trace starts, as a
+    # position in the padded grid of the neighbour codes.
+    stride = w + 2
+    origins = ((first_rows + 1) * stride + run_cols[first_run] + 1).tolist()
+    # Components come in raster order, so the first starts on the topmost object row.
+    codes = _neighbour_codes(grid, bbox_r0[0], max(bbox_r1))
     objects: list[SceneObject] = []
     at = 0
     for k, root in enumerate(comp_roots.tolist()):
         n = counts[k]
-        r0 = int(run_rows[first_run[k]])
-        bbox = (r0, bbox_c0[k], bbox_r1[k], bbox_c1[k])
+        bbox = (bbox_r0[k], bbox_c0[k], bbox_r1[k], bbox_c1[k])
         objects.append(
             SceneObject(
                 object_id=k,
@@ -346,7 +400,7 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
                 pixel_count=n,
                 centroid=(row_sums[k] / n, col_sums[k] / n),
                 bbox=bbox,
-                boundary=_trace(rows[at : at + n], cols[at : at + n], bbox),
+                boundary=_trace(codes, stride, origins[k]),
                 pixels=tuple(pixels[at : at + n]),
             )
         )
@@ -354,34 +408,31 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     return objects
 
 
-def _trace(
-    rows: np.ndarray, cols: np.ndarray, bbox: tuple[int, int, int, int]
-) -> tuple[tuple[int, int], ...]:
-    """Moore-trace the component with pixels (rows, cols), sorted in raster order.
+def _trace(codes: bytes, stride: int, origin: int) -> tuple[tuple[int, int], ...]:
+    """Moore-trace the component whose raster-first pixel sits at `origin`.
 
-    Returns the closed clockwise outer boundary starting at the
-    top-left-most pixel; a single pixel yields a one-element boundary.
+    `codes` are the grid's neighbour codes (`_neighbour_codes`), indexed
+    like `origin` by flat position in the padded grid of row stride
+    `stride`.  Returns the closed clockwise outer boundary, in grid
+    coordinates, starting at the top-left-most pixel; a single pixel
+    (code 0: no same-class neighbour) yields a one-element boundary.
     Consecutive entries (including the wrap-around) are 8-adjacent, and
     every entry has a 4-neighbour outside the component or off the grid.
-    Only the component's own pixels are read.
+
+    Each step is one lookup, `_NEXT[code * 8 + back]`: at a pixel of the
+    component its code's bits are exactly its neighbours in the
+    component, so the walk never leaves it and depends on nothing else
+    in the grid.
     """
-    r0, c0, r1, c1 = bbox
-    start = (int(rows[0]), int(cols[0]))
-    if len(rows) == 1:
-        return (start,)
-    # Membership mask over the bbox with a one-cell background margin, so
-    # every neighbour index stays inside it.
-    stride = c1 - c0 + 3
-    mask = np.zeros((r1 - r0 + 3) * stride, dtype=np.uint8)
-    mask[(rows - r0 + 1) * stride + (cols - c0 + 1)] = 1
-    inside = mask.tobytes()
-    offsets = [dr * stride + dc for dr, dc in _MOORE]
+    shift = stride + 1  # padded position of grid cell (0, 0)
+    if not codes[origin]:
+        return (divmod(origin - shift, stride),)
     # Walk (pixel, backtrack direction) states until one repeats; the
     # repeated segment is the full clockwise outer contour.  The
     # artificial initial state (backtrack = West of the raster-first
     # pixel, which cannot belong to the component) may itself lie off
     # that cycle.
-    origin = stride + start[1] - c0 + 1  # start lies in the bbox's top row
+    offsets = [dr * stride + dc for dr, dc in _MOORE]
     cur, back = origin, 0
     seen: dict[int, int] = {}
     walk: list[int] = []
@@ -389,14 +440,10 @@ def _trace(
     while state not in seen:
         seen[state] = len(walk)
         walk.append(cur)
-        for k in range(1, 9):
-            d = (back + k) & 7
-            if inside[cur + offsets[d]]:
-                break
+        d = _NEXT[codes[cur] * 8 + back]
         cur += offsets[d]
         back = _BACK[d]
         state = cur * 8 + back
     cycle = walk[seen[state] :]
     j = cycle.index(origin)  # the top-left-most pixel is on the outer contour
-    r, c = np.divmod(np.array(cycle[j:] + cycle[:j]), stride)
-    return tuple(zip((r + (r0 - 1)).tolist(), (c + (c0 - 1)).tolist()))
+    return tuple([divmod(p - shift, stride) for p in cycle[j:] + cycle[:j]])

@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 
@@ -33,6 +35,9 @@ ROW_EPS_FRACTION = 0.05
 SHAPE_SAMPLES = 64
 SHAPE_BINS = 16
 _DIAGONAL = math.hypot(1.0, 1.0)
+# Scenes with at least this many objects get their shape histograms in one
+# batched pass; below it the batch's fixed cost outweighs what it saves.
+_BATCH_MIN = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,37 +170,66 @@ def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
 
 
 def shape_histogram(
-    obj: SceneObject,
+    objects: Sequence[SceneObject],
     n_samples: int = SHAPE_SAMPLES,
     n_bins: int = SHAPE_BINS,
-) -> ShapeHistogram:
-    """Histogram of boundary-point distances to the centroid.
+) -> tuple[ShapeHistogram, ...]:
+    """Histograms of boundary-point distances to the centroid, one per object.
 
-    The traced boundary cycle is resampled at `n_samples` points of equal
-    arc-length spacing; distances are normalized by the maximum sampled
-    distance and binned into `n_bins` equal-width bins over [0, 1] (the
-    value 1.0 falls in the last bin).  A single-pixel object degenerates
-    to all mass in the last bin.
+    Each object's traced boundary cycle is resampled at `n_samples`
+    points of equal arc-length spacing; distances are normalized by the
+    maximum sampled distance and binned into `n_bins` equal-width bins
+    over [0, 1] (the value 1.0 falls in the last bin).  A single-pixel
+    object degenerates to all mass in the last bin.
 
     All geometry is computed in bbox-relative coordinates, which are
     invariant under integer translation, so translated copies of an
     object produce bit-identical histograms.  The centroid is read from
     `obj.centroid`, which must be the mean pixel position, as
     `extract_objects` sets it.
+
+    Scenes of `_BATCH_MIN` or more objects are computed in one pass over
+    all their boundaries, padded to one array; each object's histogram
+    is bit-identical to the one it gets on its own.
     """
-    r0, c0 = obj.bbox[0], obj.bbox[1]
-    # The centroid is an integer coordinate sum over n, so rounding it
-    # times n recovers that sum exactly (for sums below 2**51).  The
-    # exact bbox-relative sum over n equals the float64 mean of the
-    # bbox-relative coordinates bit for bit.
+    if len(objects) < _BATCH_MIN:
+        return tuple(_one_histogram(o, n_samples, n_bins) for o in objects)
+    return _batched_histograms(objects, n_samples, n_bins)
+
+
+def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """Elementwise `math.hypot` of two 1-D arrays.
+
+    Not `np.hypot`: a last-bit difference can move a sample across a bin
+    edge.
+    """
+    return np.fromiter(map(math.hypot, dr.tolist(), dc.tolist()), np.float64, len(dr))
+
+
+def _relative_centroid(obj: SceneObject) -> tuple[float, float]:
+    """`obj.centroid` relative to its bbox corner, exactly.
+
+    The centroid is an integer coordinate sum over n, so rounding it
+    times n recovers that sum exactly (for sums below 2**51).  The exact
+    bbox-relative sum over n equals the float64 mean of the
+    bbox-relative coordinates bit for bit.
+    """
     n = obj.pixel_count
-    cy = (round(obj.centroid[0] * n) - n * r0) / n
-    cx = (round(obj.centroid[1] * n) - n * c0) / n
+    r0, c0 = obj.bbox[0], obj.bbox[1]
+    return (
+        (round(obj.centroid[0] * n) - n * r0) / n,
+        (round(obj.centroid[1] * n) - n * c0) / n,
+    )
+
+
+def _one_histogram(obj: SceneObject, n_samples: int, n_bins: int) -> ShapeHistogram:
+    """`shape_histogram` of a single object."""
+    cy, cx = _relative_centroid(obj)
     if len(obj.boundary) == 1:
         samples = np.zeros(n_samples)
     else:
         closed = np.array(obj.boundary + obj.boundary[:1], dtype=np.float64)
-        closed -= (r0, c0)
+        closed -= obj.bbox[:2]
         # Consecutive boundary points are 8-adjacent: a step is 1 or a diagonal.
         step = closed[1:] - closed[:-1]
         seg = np.where((step[:, 0] != 0) & (step[:, 1] != 0), _DIAGONAL, 1.0)
@@ -208,9 +242,7 @@ def shape_histogram(
         p, q = closed[idx], closed[idx + 1]
         r = p[:, 0] + frac * (q[:, 0] - p[:, 0])
         c = p[:, 1] + frac * (q[:, 1] - p[:, 1])
-        # math.hypot, not np.hypot: a last-bit difference can move a
-        # sample across a bin edge.
-        samples = np.array(list(map(math.hypot, (r - cy).tolist(), (c - cx).tolist())))
+        samples = _hypot(r - cy, c - cx)
     max_d = samples.max() if len(samples) else 0.0
     if max_d <= 0.0:
         normalized = np.ones(n_samples)
@@ -219,6 +251,62 @@ def shape_histogram(
     bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
     freqs = np.bincount(bins, minlength=n_bins) / float(n_samples)
     return ShapeHistogram(tuple(freqs.tolist()))
+
+
+def _batched_histograms(
+    objects: Sequence[SceneObject], n_samples: int, n_bins: int
+) -> tuple[ShapeHistogram, ...]:
+    """`_one_histogram` of every object, computed for all of them at once.
+
+    Row k holds object k's boundary followed by its first point, repeated
+    to the longest cycle's length: the closing step, then zero-length
+    padding whose arc length is set to 0.  Every per-row operation is
+    the 1-D one: `cumsum(axis=1)` adds each row left to right as the 1-D
+    `cumsum` does and a padded step adds exactly 0.0, so a row's arc
+    lengths and total are the object's own.  A single pixel is one
+    zero-length step of arc length 1 at its own bbox-relative centroid,
+    so all its samples are 0, as in the 1-D special case.
+    """
+    k = len(objects)
+    lengths = np.array([len(o.boundary) for o in objects])
+    starts = np.cumsum(lengths) - lengths
+    width = int(lengths.max()) + 1
+    flat = chain.from_iterable(chain.from_iterable(o.boundary for o in objects))
+    points = np.fromiter(flat, np.int64, 2 * int(lengths.sum())).reshape(-1, 2)
+    points -= np.repeat(np.array([o.bbox[:2] for o in objects]), lengths, axis=0)
+    # closed[0] holds the rows and closed[1] the columns, one object per row.
+    closed = np.empty((2, k, width))
+    closed[:] = points[starts].T[:, :, None]
+    row_of = np.repeat(np.arange(k), lengths)
+    col_of = np.arange(len(points)) - np.repeat(starts, lengths)
+    closed[:, row_of, col_of] = points.T
+    # Consecutive boundary points are 8-adjacent: a step is 1 or a diagonal.
+    step = closed[:, :, 1:] - closed[:, :, :-1]
+    seg = np.where((step[0] != 0) & (step[1] != 0), _DIAGONAL, 1.0)
+    seg[np.arange(width - 1) >= lengths[:, None]] = 0.0
+    cum = np.zeros((k, width))
+    np.cumsum(seg, axis=1, out=cum[:, 1:])
+    targets = np.arange(n_samples) * (cum[:, -1:] / n_samples)
+    # Every target lies in [0, total), so idx lies in [0, length - 1].
+    idx = np.array([np.searchsorted(c, t, side="right") for c, t in zip(cum, targets)]) - 1
+    frac = (targets - np.take_along_axis(cum, idx, 1)) / np.take_along_axis(seg, idx, 1)
+    at = idx + np.arange(0, k * width, width)[:, None]  # into closed[0] and closed[1] flat
+    rc = closed.reshape(2, -1)
+    p, q = rc[:, at], rc[:, at + 1]
+    r = p[0] + frac * (q[0] - p[0])
+    c = p[1] + frac * (q[1] - p[1])
+    centroids = np.array([_relative_centroid(o) for o in objects])
+    r -= centroids[:, :1]
+    c -= centroids[:, 1:]
+    samples = _hypot(r.ravel(), c.ravel()).reshape(k, n_samples)
+    max_d = samples.max(axis=1, keepdims=True, initial=0.0)
+    normalized = np.ones((k, n_samples))
+    np.divide(samples, max_d, out=normalized, where=max_d > 0.0)
+    bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
+    bins += np.arange(0, k * n_bins, n_bins)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=k * n_bins).reshape(k, n_bins)
+    freqs = counts / float(n_samples)
+    return tuple(ShapeHistogram(tuple(f)) for f in freqs.tolist())
 
 
 def _contact_matrix(objects: list[SceneObject], bbox: np.ndarray) -> np.ndarray:

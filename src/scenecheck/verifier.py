@@ -127,7 +127,7 @@ def prepare(
 ) -> Scene:
     """Label the grid once: objects, their pair table and their shape histograms."""
     objects = tuple(extract_objects(grid, min_area))
-    hists = tuple(shape_histogram(o, shape_samples, shape_bins) for o in objects)
+    hists = shape_histogram(objects, shape_samples, shape_bins)
     return Scene(
         image_id=grid.image_id,
         objects=objects,
@@ -144,6 +144,10 @@ class Hyperparams:
     learning_rate: float = 0.01
     epochs: int = 50
     l2_lambda: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
 @dataclass(frozen=True)
@@ -183,15 +187,6 @@ class Verdict:
         }
 
 
-def _shape_term(hist: ShapeHistogram, proto: tuple[float, ...] | None) -> float:
-    values = hist.to_array()
-    if proto is None:
-        proto_arr = np.full(len(values), 1.0 / len(values))
-    else:
-        proto_arr = np.asarray(proto, dtype=np.float64)
-    return float(np.abs(values - proto_arr).sum())
-
-
 def featurize(
     pairs: PairTable,
     objects: Sequence[SceneObject],
@@ -204,7 +199,8 @@ def featurize(
     `hists` holds one histogram per object, in the order of `objects`.
     The shape term is the L1 distance between object A's histogram and
     the mean histogram of its class; classes without a prototype compare
-    against the uniform histogram.  It is computed once per object.
+    against the uniform histogram.  It is computed once per object, as
+    the row sums of one (n_objects, n_bins) difference.
     Raises UnknownClassError when a paired object's class is outside
     the statistics.
     """
@@ -212,10 +208,12 @@ def featurize(
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows([o.class_id for o in objects])
     a, b = rows[pairs.a_index], rows[pairs.b_index]
-    shape = np.array(
-        [_shape_term(h, prototypes.get(o.class_id)) for o, h in zip(objects, hists)],
-        dtype=np.float64,
-    )
+    n_bins = len(hists[0].bins)
+    uniform = (1.0 / n_bins,) * n_bins
+    shape = np.abs(
+        np.array([h.bins for h in hists])
+        - np.array([prototypes.get(o.class_id, uniform) for o in objects])
+    ).sum(axis=1)
     return np.column_stack(
         [
             stats.presence_table[a, b],
@@ -257,6 +255,14 @@ def train_linear(
     w = np.zeros(X.shape[1])
     b = 0.0
     lr, lam = hp.learning_rate, hp.l2_lambda
+    # One step is `w -= lr * (lam * w - y_i * z_i)` on a margin below 1
+    # and `w -= lr * lam * w` otherwise, evaluated in that order into a
+    # scratch vector (the ufuncs' third argument is `out`), so a step
+    # allocates no array data, only the row views it reads.
+    signs = y.tolist()
+    signed = y[:, None] * Z
+    decay = lr * lam
+    tmp = np.empty_like(w)
     # Tail-averaged iterates: the raw SGD endpoint oscillates on noisy
     # margins, the average over the last half of the epochs does not.
     w_avg = np.zeros_like(w)
@@ -264,13 +270,16 @@ def train_linear(
     averaged = 0
     tail_start = hp.epochs - max(1, hp.epochs // 2)
     for epoch in range(hp.epochs):
-        for i in rng.permutation(len(Z)):
-            zi, yi = Z[i], y[i]
-            if yi * (w @ zi + b) < 1.0:
-                w -= lr * (lam * w - yi * zi)
+        for i in rng.permutation(len(Z)).tolist():
+            yi = signs[i]
+            if yi * (float(w.dot(Z[i])) + b) < 1.0:
+                np.multiply(w, lam, tmp)
+                np.subtract(tmp, signed[i], tmp)
+                np.multiply(tmp, lr, tmp)
                 b += lr * yi
             else:
-                w -= lr * lam * w
+                np.multiply(w, decay, tmp)
+            np.subtract(w, tmp, w)
         if epoch >= tail_start:
             w_avg += w
             b_avg += b

@@ -293,7 +293,7 @@ def test_criterion_8_shape_histograms(rng):
         ga, gb = grid_from_array(a, {1: "x"}), grid_from_array(b, {1: "x"})
         (oa,) = extract_objects(ga, min_area=1)
         (ob,) = extract_objects(gb, min_area=1)
-        assert shape_histogram(oa).bins == shape_histogram(ob).bins
+        assert shape_histogram([oa])[0].bins == shape_histogram([ob])[0].bins
     for arr in _resolved_shapes():
         doubled = np.kron(arr, np.ones((2, 2), dtype=int))
         g1, g2 = grid_from_array(arr, {1: "x"}), grid_from_array(doubled, {1: "x"})
@@ -301,7 +301,7 @@ def test_criterion_8_shape_histograms(rng):
         (o2,) = extract_objects(g2, min_area=1)
         l1 = float(
             np.abs(
-                shape_histogram(o1).to_array() - shape_histogram(o2).to_array()
+                shape_histogram([o1])[0].to_array() - shape_histogram([o2])[0].to_array()
             ).sum()
         )
         assert l1 <= 0.15

@@ -257,3 +257,36 @@ class TestPipelineDeterminism:
         for fa in sorted(a.rglob("*.*")):
             fb = b / fa.relative_to(a)
             assert fa.read_bytes() == fb.read_bytes()
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["select-contexts", "{corpus}", "-o", "{out}", "--min-area", "0"], "--min-area"),
+            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--min-area", "0"], "--min-area"),
+            (["build-stats", "{corpus}", "-o", "{out}", "--min-area", "0"], "--min-area"),
+            (
+                ["gen-contradictions", "{corpus}", "--seed", "1", "-o", "{out}", "--min-area", "0"],
+                "--min-area",
+            ),
+            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--epochs", "0"], "--epochs"),
+            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--alpha", "0"], "--alpha"),
+            (["build-stats", "{corpus}", "-o", "{out}", "--alpha", "0"], "--alpha"),
+        ],
+    )
+    def test_value_below_the_minimum_is_usage_error(
+        self, pipeline, tmp_path, capsys, argv, option
+    ):
+        _, corpus_dir, _ = pipeline
+        out = tmp_path / "out"
+        argv = [a.format(corpus=corpus_dir, out=out) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: scenecheck")
+        assert "Traceback" not in err
+        errors = [ln for ln in err.splitlines() if "error:" in ln]
+        assert errors == [f"scenecheck {argv[0]}: error: argument {option}: must be > 0, got 0"]
+        assert not out.exists()

@@ -413,3 +413,103 @@ def test_every_boundary_pixel_touches_outside(seed):
                 or (r + dr, c + dc) not in pixels
                 for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
             )
+
+
+# Moore neighbourhood clockwise from West, and the backtrack direction
+# after a move in each direction, as the tracer defines them.
+_MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+_BACK = tuple(
+    _MOORE.index((_MOORE[d - 1][0] - _MOORE[d][0], _MOORE[d - 1][1] - _MOORE[d][1]))
+    for d in range(8)
+)
+
+
+def _mask_trace(pixels, bbox):
+    """Moore trace over a padded membership mask of the component's bbox.
+
+    The tracer's earlier per-object form, kept as the exactness oracle of
+    the per-grid neighbour codes: it reads nothing but the component's
+    own pixels.
+    """
+    r0, c0, r1, c1 = bbox
+    if len(pixels) == 1:
+        return tuple(pixels)
+    stride = c1 - c0 + 3
+    inside = bytearray((r1 - r0 + 3) * stride)
+    for r, c in pixels:
+        inside[(r - r0 + 1) * stride + (c - c0 + 1)] = 1
+    offsets = [dr * stride + dc for dr, dc in _MOORE]
+    origin = stride + pixels[0][1] - c0 + 1
+    cur, back = origin, 0
+    seen, walk = {}, []
+    state = cur * 8
+    while state not in seen:
+        seen[state] = len(walk)
+        walk.append(cur)
+        for k in range(1, 9):
+            d = (back + k) & 7
+            if inside[cur + offsets[d]]:
+                break
+        cur += offsets[d]
+        back = _BACK[d]
+        state = cur * 8 + back
+    cycle = walk[seen[state] :]
+    j = cycle.index(origin)
+    return tuple(
+        (p // stride + r0 - 1, p % stride + c0 - 1) for p in cycle[j:] + cycle[:j]
+    )
+
+
+@st.composite
+def _shape_maps(draw):
+    """Multi-class maps painted with blobs, single pixels, 1-pixel lines and
+    rings, often clipped by or lying along the grid edge, over a sparse
+    random background of the same classes."""
+    h, w = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+    noise = draw(hnp.arrays(np.int8, (h, w), elements=st.integers(0, 9)))
+    classes = draw(hnp.arrays(np.int32, (h, w), elements=st.integers(1, 3)))
+    arr = np.where(noise < draw(st.sampled_from((0, 2, 5))), classes, 0).astype(np.int32)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("pixel", "hline", "vline", "diagonal", "ring", "rect")))
+        cls = draw(st.integers(1, 3))
+        r, c = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        n = draw(st.integers(1, 12))
+        if kind == "pixel":
+            arr[r, c] = cls
+        elif kind == "hline":
+            arr[r, c : c + n] = cls
+        elif kind == "vline":
+            arr[r : r + n, c] = cls
+        elif kind == "diagonal":
+            k = min(n, h - r, w - c)
+            arr[r + np.arange(k), c + np.arange(k)] = cls
+        else:
+            m = draw(st.integers(1, 12))
+            arr[r : r + n, c : c + m] = cls
+            if kind == "ring" and n > 2 and m > 2:
+                arr[r + 1 : r + n - 1, c + 1 : c + m - 1] = draw(st.integers(0, 3))
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shape_maps(), st.sampled_from((1, 3)))
+def test_boundaries_equal_the_mask_trace(arr, min_area):
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
+    for o in objects:
+        assert o.boundary == _mask_trace(o.pixels, o.bbox)
+
+
+def test_boundaries_equal_the_mask_trace_on_named_shapes():
+    arr = np.zeros((9, 12), dtype=np.int32)
+    arr[0, 0] = 1  # single pixel in the corner
+    arr[0, 3:12] = 2  # 1-pixel line along the top edge
+    arr[2:9, 0] = 3  # 1-pixel line down the left edge
+    arr[3:9, 3:9] = 1  # ring around a hole of another class
+    arr[4:8, 4:8] = 2
+    arr[5:7, 5:7] = 0
+    arr[2, 10] = arr[3, 11] = arr[4, 10] = 3  # diagonal zigzag ending on the right edge
+    arr[8, 11] = 2  # single pixel in the opposite corner
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), 1)
+    assert {len(o.pixels) for o in objects} >= {1, 3, 7, 9}
+    for o in objects:
+        assert o.boundary == _mask_trace(o.pixels, o.bbox)

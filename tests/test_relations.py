@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenecheck import (
@@ -229,7 +229,7 @@ class TestShapeHistogram:
                     arr[r, c] = 1
         grid = grid_from_array(arr, {1: "disk"})
         (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram(obj)
+        hist = shape_histogram([obj])[0]
         assert sum(hist.bins[-3:]) >= 0.9
 
     def test_translation_invariance_exact(self, rng):
@@ -243,7 +243,7 @@ class TestShapeHistogram:
             g2 = grid_from_array(shifted, {1: "blob"})
             (o1,) = extract_objects(g1, min_area=1)
             (o2,) = extract_objects(g2, min_area=1)
-            assert shape_histogram(o1).bins == shape_histogram(o2).bins
+            assert shape_histogram([o1])[0].bins == shape_histogram([o2])[0].bins
 
     def test_upscale_robustness(self):
         # Resolved objects: at these sizes the half-pixel rasterization
@@ -254,8 +254,8 @@ class TestShapeHistogram:
             g2 = grid_from_array(doubled, {1: "blob"})
             (o1,) = extract_objects(g1, min_area=1)
             (o2,) = extract_objects(g2, min_area=1)
-            h1 = shape_histogram(o1).to_array()
-            h2 = shape_histogram(o2).to_array()
+            h1 = shape_histogram([o1])[0].to_array()
+            h2 = shape_histogram([o2])[0].to_array()
             assert np.abs(h1 - h2).sum() <= 0.15
 
     def test_single_pixel_degenerates_to_last_bin(self):
@@ -263,7 +263,7 @@ class TestShapeHistogram:
         arr[1, 1] = 1
         grid = grid_from_array(arr, {1: "dot"})
         (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram(obj)
+        hist = shape_histogram([obj])[0]
         assert hist.bins[-1] == 1.0
         assert sum(hist.bins) == pytest.approx(1.0, abs=1e-12)
 
@@ -271,7 +271,7 @@ class TestShapeHistogram:
         for _ in range(20):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            hist = shape_histogram(obj)
+            hist = shape_histogram([obj])[0]
             assert sum(hist.bins) == pytest.approx(1.0, abs=1e-9)
             assert all(b >= 0 for b in hist.bins)
 
@@ -329,8 +329,69 @@ def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
             arr = _random_ellipse_array(rng)
         grid = grid_from_array(arr, {1: "x"})
         for obj in extract_objects(grid, min_area=1):
-            got = shape_histogram(obj, n_samples, n_bins).bins
+            got = shape_histogram([obj], n_samples, n_bins)[0].bins
             assert got == _shape_histogram_reference(obj, n_samples, n_bins)
+
+
+def _lattice_map(rng, cells=7, size=8):
+    """A map of up to `cells`**2 objects, one per `size`-square lattice cell.
+
+    Each cell holds one random shape of a random class, drawn in its
+    top-left (size-1)-square so that shapes in neighbouring cells never
+    touch: a random blob, a single pixel, a 1-pixel line, a ring, or
+    nothing.  Shapes in the first row and column lie on the grid edge.
+    """
+    arr = np.zeros((cells * size, cells * size), dtype=np.int32)
+    inner = size - 1
+    for i in range(cells):
+        for j in range(cells):
+            cell = arr[i * size : i * size + inner, j * size : j * size + inner]
+            cls = int(rng.integers(1, 4))
+            kind = int(rng.integers(6))
+            if kind <= 1:
+                blob = random_blob_array(rng, size=inner, steps=int(rng.integers(0, 30)))
+                cell[blob > 0] = cls
+            elif kind == 2:
+                cell[tuple(rng.integers(inner, size=2))] = cls
+            elif kind == 3:
+                cell[int(rng.integers(inner)), : int(rng.integers(1, inner + 1))] = cls
+            elif kind == 4:
+                cell[:, :] = cls
+                cell[1:-1, 1:-1] = 0
+    return arr
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from((1, 3)),
+    st.sampled_from(((64, 16), (7, 3))),
+)
+def test_scene_histograms_equal_the_per_object_reference(seed, min_area, shape):
+    # Prefixes give scenes of 0, 1 and 2 objects (per-object path) and
+    # 3 and about 40 objects (batched path); the reversed scene checks
+    # that no row depends on another.
+    n_samples, n_bins = shape
+    arr = _lattice_map(np.random.default_rng(seed))
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
+    expected = [_shape_histogram_reference(o, n_samples, n_bins) for o in objects]
+    for n in (0, 1, 2, 3, len(objects)):
+        got = shape_histogram(objects[:n], n_samples, n_bins)
+        assert [h.bins for h in got] == expected[:n]
+    got = shape_histogram(objects[::-1], n_samples, n_bins)
+    assert [h.bins for h in got] == expected[::-1]
+
+
+def test_single_pixels_in_a_batch_put_all_mass_in_the_last_bin():
+    arr = np.zeros((5, 9), dtype=np.int32)
+    arr[0, 0] = arr[2, 4] = arr[4, 8] = 1
+    arr[0:3, 7] = 2
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b"}), 1)
+    assert [o.pixel_count for o in objects] == [1, 3, 1, 1]
+    hists = shape_histogram(objects, 7, 3)
+    for o, h in zip(objects, hists):
+        assert h.bins == _shape_histogram_reference(o, 7, 3)
+    assert [h.bins for i, h in enumerate(hists) if i != 1] == [(0.0, 0.0, 1.0)] * 3
 
 
 def _resolved_shapes():

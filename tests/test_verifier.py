@@ -64,7 +64,7 @@ class TestFeaturize:
         arr[8:16, 2:6] = 2
         grid = grid_from_array(arr, {1: "top", 2: "bottom"})
         objects = extract_objects(grid, min_area=1)
-        hists = [shape_histogram(o) for o in objects]
+        hists = shape_histogram(objects)
         return grid, objects, relations_for_objects(grid, objects), hists
 
     def test_octant_probability_lands_in_slot_one(self):
@@ -151,6 +151,79 @@ class TestTrainLinear:
         preds = [1 if m > 0 else -1 for m in score(model, X)]
         accuracy = sum(1 for p, yi in zip(preds, y) if p == yi) / len(y)
         assert abs(accuracy - 0.7) <= 0.05
+
+
+def _train_linear_reference(features, labels, hyperparams=None, seed=0):
+    """The per-sample SGD loop with array temporaries, kept as the exactness
+    oracle of `train_linear`'s in-place steps.  Also returns how many steps
+    took the hinge branch and how many only decayed the weights."""
+    hp = hyperparams or Hyperparams()
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    means = X.mean(axis=0)
+    stds = np.maximum(X.std(axis=0), 1e-6)
+    Z = (X - means) / stds
+    rng = np.random.default_rng(seed)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    lr, lam = hp.learning_rate, hp.l2_lambda
+    w_avg = np.zeros_like(w)
+    b_avg = 0.0
+    averaged = 0
+    branches = [0, 0]
+    tail_start = hp.epochs - max(1, hp.epochs // 2)
+    for epoch in range(hp.epochs):
+        for i in rng.permutation(len(Z)):
+            zi, yi = Z[i], y[i]
+            if yi * (w @ zi + b) < 1.0:
+                w -= lr * (lam * w - yi * zi)
+                b += lr * yi
+                branches[0] += 1
+            else:
+                w -= lr * lam * w
+                branches[1] += 1
+        if epoch >= tail_start:
+            w_avg += w
+            b_avg += b
+            averaged += 1
+    model = LinearModel(
+        weights=tuple(float(v) for v in w_avg / averaged),
+        bias=float(b_avg / averaged),
+        feature_means=tuple(float(v) for v in means),
+        feature_stds=tuple(float(v) for v in stds),
+        hyperparams=hp,
+        seed=int(seed),
+        n_pos=int(np.sum(y > 0)),
+        n_neg=int(np.sum(y < 0)),
+        context_label=GLOBAL_LABEL,
+    )
+    return model, branches
+
+
+class TestTrainLinearMatchesLoopReference:
+    @pytest.mark.parametrize("seed", [0, 3, 41])
+    @pytest.mark.parametrize("n", [2, 37, 300])
+    @pytest.mark.parametrize("separable", [True, False])
+    def test_models_equal_the_reference(self, seed, n, separable):
+        rng = np.random.default_rng(seed * 1000 + n)
+        if separable:
+            X, y = _separable_set(rng, n)
+        else:
+            X = rng.normal(size=(n, N_FEATURES)) * rng.uniform(0.1, 10.0, N_FEATURES)
+            y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = (1, -1)
+        for hp in (Hyperparams(), Hyperparams(learning_rate=0.3, epochs=7, l2_lambda=0.05)):
+            expected, (hinge, decay) = _train_linear_reference(X, y, hp, seed)
+            assert train_linear(X, y, hp, seed=seed) == expected
+            assert hinge > 0
+            if separable and n > 2:
+                assert decay > 0
+
+
+def test_hyperparams_reject_fewer_than_one_epoch():
+    for epochs in (0, -1):
+        with pytest.raises(ValueError, match="epochs must be >= 1"):
+            Hyperparams(epochs=epochs)
 
 
 class TestScore:
@@ -289,10 +362,7 @@ class TestVerify:
             rng = np.random.default_rng(perm_seed)
             shuffled = list(objects)
             rng.shuffle(shuffled)
-            hists = [
-                shape_histogram(o, registry.shape_samples, registry.shape_bins)
-                for o in shuffled
-            ]
+            hists = shape_histogram(shuffled, registry.shape_samples, registry.shape_bins)
             pairs = relations_for_objects(grid, shuffled)
             margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
             contradiction, _ = aggregate(margins.tolist(), registry.aggregation_mode)
@@ -411,7 +481,7 @@ def _oracle_model(width=N_FEATURES):
 
 def _oracle_registry(model=None, stats=None):
     grid = grid_from_array(paint([(2, 3, 3, 9, 6)]), CLASS_MAP)
-    hist = shape_histogram(extract_objects(grid, min_area=1)[0])
+    (hist,) = shape_histogram(extract_objects(grid, min_area=1))
     return VerifierRegistry(
         context_attribute=None,
         aggregation_mode="majority",
@@ -438,7 +508,7 @@ class TestBatchedPairLayerMatchesOracle:
         )
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = [shape_histogram(o) for o in objects]
+        hists = shape_histogram(objects)
         try:
             rels = pair_oracle.relations(grid, objects)
         except DegeneratePairError:
@@ -463,13 +533,31 @@ class TestBatchedPairLayerMatchesOracle:
         stats = ORACLE_REGISTRY.global_stats
         grid = grid_from_array(paint([(4, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = [shape_histogram(o) for o in objects]
+        hists = shape_histogram(objects)
         X = featurize(relations_for_objects(grid, objects), objects, hists, stats, {})
         assert (X[:, 0] == 1.0 / (stats.images + 2.0)).all()
         assert (X[:, 1] == 1.0 / 8).all()
         assert (X[:, 2] == 1.0 / 6).all()
         assert (X[:, 3] == 1.0 / 5).all()
         assert (X[:, 4] == 0.0).all()
+
+    @pytest.mark.parametrize("n_bins", [16, 3])
+    def test_shape_term_equals_the_per_object_sum(self, rng, n_bins):
+        # Prototypes that are not multiples of 1/n_samples make the L1 sum
+        # round, so each row must add in the order of a per-object sum.
+        stats = ORACLE_REGISTRY.global_stats
+        rects = [(1, 1, 1, 5, 7), (2, 9, 2, 6, 4), (3, 3, 12, 9, 6), (1, 16, 10, 5, 9)]
+        grid = grid_from_array(paint(rects), CLASS_MAP)
+        objects = extract_objects(grid, min_area=1)
+        hists = shape_histogram(objects, 64, n_bins)
+        for _ in range(20):
+            protos = {c: tuple(rng.dirichlet(np.ones(n_bins)).tolist()) for c in (1, 2)}
+            X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
+            expected = [
+                pair_oracle.featurize(r, hists[r.a_id], stats, protos)[6]
+                for r in pair_oracle.relations(grid, objects)
+            ]
+            assert X[:, 6].tolist() == expected
 
     def test_coincident_centroids_raise(self):
         grid = grid_from_array(paint([(2, 2, 2, 9, 9), (1, 5, 5, 3, 3)]), CLASS_MAP)
