@@ -60,13 +60,8 @@ from .relations import (
     PairTable,
     ShapeHistogram,
     contact,
-    norm_distance,
-    octant,
-    opposite_octant,
-    proximity_relation,
     relations_for_objects,
     shape_histogram,
-    size_log_ratio,
 )
 from .seeds import derive_seed
 from .stats import (

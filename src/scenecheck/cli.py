@@ -19,7 +19,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .context import PLACEHOLDER, score_attributes
+from .context import PLACEHOLDER, partition_corpus, score_attributes
 from .corpus import (
     EVAL_TAG,
     Corpus,
@@ -32,13 +32,14 @@ from .corpus import (
 )
 from .errors import SceneCheckError
 from .labelgrid import DEFAULT_MIN_AREA, extract_objects, load_label_grid
-from .relations import relations_for_objects
 from .seeds import derive_seed
-from .stats import ALPHA_DEFAULT, StatsBuilder, accumulate, finalize
+from .stats import ALPHA_DEFAULT
 from .verifier import (
+    AGGREGATION_MODES,
     CONTRADICTIONS_PER_IMAGE,
     Hyperparams,
     VerifierRegistry,
+    build_stats,
     prepare,
     train_registry,
     verify,
@@ -68,15 +69,6 @@ def _positive(cast):
     return parse
 
 
-def _build_one_stats(corpus: Corpus, ids: list[str], alpha: float, min_area: int):
-    builder = StatsBuilder.for_classes(corpus.class_map)
-    for image_id in ids:
-        grid = corpus.grid(image_id)
-        objects = extract_objects(grid, min_area)
-        accumulate(builder, objects, relations_for_objects(grid, objects))
-    return finalize(builder, alpha)
-
-
 def cmd_synth(args) -> int:
     doc = corpus_mod._read_json(Path(args.config))
     config = SyntheticConfig.from_dict(doc)
@@ -99,22 +91,19 @@ def cmd_synth(args) -> int:
 def cmd_build_stats(args) -> int:
     corpus = Corpus.load(args.corpus)
     train_ids = corpus.image_ids("train")
+    scenes = {i: prepare(corpus.grid(i), args.min_area) for i in train_ids}
     out = Path(args.out)
-    written = []
-    model = _build_one_stats(corpus, train_ids, args.alpha, args.min_area)
-    save_model(out, model)
-    written.append(str(out))
+    save_model(out, build_stats(scenes.values(), corpus.class_map, args.alpha))
+    written = [str(out)]
     context = _context_arg(args.context)
     if context is not None:
-        table = corpus.attributes()
-        from .context import partition_corpus
-
-        groups = partition_corpus(train_ids, table, context)
+        groups = partition_corpus(train_ids, corpus.attributes(), context)
         for value in sorted(groups):
             if value == PLACEHOLDER:
                 continue
             path = out.parent / f"{out.stem}.{value}{out.suffix}"
-            save_model(path, _build_one_stats(corpus, sorted(groups[value]), args.alpha, args.min_area))
+            ids = sorted(groups[value])
+            save_model(path, build_stats([scenes[i] for i in ids], corpus.class_map, args.alpha))
             written.append(str(path))
     _print_json({"command": "build-stats", "written": written})
     return 0
@@ -371,16 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lr", type=float, default=0.01)
+    p.add_argument("--lr", type=_positive(float), default=0.01)
     p.add_argument("--epochs", type=_positive(int), default=50)
-    p.add_argument("--l2", type=float, default=1e-3)
+    p.add_argument("--l2", type=_positive(float), default=1e-3)
     p.add_argument("--alpha", type=_positive(float), default=ALPHA_DEFAULT)
     p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
-    p.add_argument("--n-min", type=int, default=30)
+    p.add_argument("--n-min", type=_positive(int), default=30)
     p.add_argument(
-        "--contradictions-per-image", type=int, default=CONTRADICTIONS_PER_IMAGE
+        "--contradictions-per-image", type=_positive(int), default=CONTRADICTIONS_PER_IMAGE
     )
-    p.add_argument("--aggregation", default="majority", choices=["majority", "mean_threshold"])
+    p.add_argument("--aggregation", default="majority", choices=AGGREGATION_MODES)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 

@@ -56,12 +56,6 @@ class AttributeTable:
     def record(self, image_id: str) -> dict[str, str]:
         return dict(self.records.get(image_id, {a: PLACEHOLDER for a in self.schema}))
 
-    def to_annotations(self) -> list[dict]:
-        return [
-            {"image_id": image_id, "attributes": dict(attrs)}
-            for image_id, attrs in self.records.items()
-        ]
-
 
 def load_attributes(json_text: str, schema: dict[str, list[str]]) -> AttributeTable:
     """Parse a JSON array of {image_id, attributes} records against `schema`.

@@ -11,7 +11,7 @@ optional base/rider stacking rule (the rider is always placed on its
 base, never on the anchor).
 
 Contradiction examples are produced by removing one object, chosen
-uniformly at random under a seed, and painting its pixels background:
+uniformly at random under a seed, and painting its runs background:
 `generate_contradiction` writes the modified label map, and
 `derive_contradiction` derives the same twin from a prepared Scene
 without labelling it again.  Both choose the object through one rule.
@@ -508,8 +508,8 @@ def generate_contradiction(
     objects = extract_objects(grid, min_area)
     removed = objects[_removed_index(len(objects), seed)]
     cells = grid.to_array().copy()
-    rows, cols = np.array(removed.pixels).T
-    cells[rows, cols] = 0
+    for r, c0, c1 in removed.runs:
+        cells[r, c0:c1] = 0
     modified = grid_from_array(cells, grid.class_map, image_id=grid.image_id)
     return modified, removed.class_id
 

@@ -129,9 +129,6 @@ class LabelGrid:
 
     __hash__ = None  # class_map is a dict, so grids were never hashable
 
-    def at(self, row: int, col: int) -> int:
-        return int(self.cells[row * self.width + col])
-
     def to_array(self) -> np.ndarray:
         """The cells as a read-only (height, width) view (no copy)."""
         return self.cells.reshape(self.height, self.width)
@@ -165,8 +162,9 @@ class LabelGrid:
 class SceneObject:
     """One extracted connected component.
 
-    `pixels` is the sorted tuple of (row, col) positions belonging to the
-    component; `boundary` is the closed clockwise outer-boundary cycle
+    `runs` holds the component's pixels as its maximal horizontal runs:
+    (row, c0, c1) triples covering columns c0..c1-1 of `row`, in raster
+    order.  `boundary` is the closed clockwise outer-boundary cycle
     starting at the top-left-most pixel.
     """
 
@@ -176,7 +174,7 @@ class SceneObject:
     centroid: tuple[float, float]
     bbox: tuple[int, int, int, int]
     boundary: tuple[tuple[int, int], ...]
-    pixels: tuple[tuple[int, int], ...] = field(repr=False)
+    runs: tuple[tuple[int, int, int], ...] = field(repr=False)
 
 
 def _digits_and_spaces(s: str) -> bool:
@@ -364,14 +362,13 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     first_run = np.flatnonzero(is_first)
     comp_roots = sorted_roots[first_run]
     run_starts, run_lengths = starts[order], lengths[order]
-    pix = np.repeat(run_starts - np.cumsum(run_lengths) + run_lengths, run_lengths)
-    pix += np.arange(len(pix))
-    rows, cols = np.divmod(pix, w)
-    pixels = list(zip(rows.tolist(), cols.tolist()))
     run_rows, run_cols = np.divmod(run_starts, w)
+    run_c1 = run_cols + run_lengths
+    runs = list(zip(run_rows.tolist(), run_cols.tolist(), run_c1.tolist()))
+    run_ends = np.append(first_run[1:], len(order))
     bbox_c0 = np.minimum.reduceat(run_cols, first_run).tolist()
-    bbox_c1 = np.maximum.reduceat(run_cols + run_lengths - 1, first_run).tolist()
-    bbox_r1 = run_rows[np.append(first_run[1:], len(order)) - 1].tolist()
+    bbox_c1 = (np.maximum.reduceat(run_c1, first_run) - 1).tolist()
+    bbox_r1 = run_rows[run_ends - 1].tolist()
     # Integer sums are exact in float64, so sum / n equals the mean numpy
     # computes over the sorted pixel coordinates, bit for bit.
     comp_index = np.cumsum(is_first) - 1
@@ -388,8 +385,8 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     origins = ((first_rows + 1) * stride + run_cols[first_run] + 1).tolist()
     # Components come in raster order, so the first starts on the topmost object row.
     codes = _neighbour_codes(grid, bbox_r0[0], max(bbox_r1))
+    run_lo, run_hi = first_run.tolist(), run_ends.tolist()
     objects: list[SceneObject] = []
-    at = 0
     for k, root in enumerate(comp_roots.tolist()):
         n = counts[k]
         bbox = (bbox_r0[k], bbox_c0[k], bbox_r1[k], bbox_c1[k])
@@ -401,10 +398,9 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
                 centroid=(row_sums[k] / n, col_sums[k] / n),
                 bbox=bbox,
                 boundary=_trace(codes, stride, origins[k]),
-                pixels=tuple(pixels[at : at + n]),
+                runs=tuple(runs[run_lo[k] : run_hi[k]]),
             )
         )
-        at += n
     return objects
 
 

@@ -3,10 +3,11 @@
 Four channels are computed for every ordered object pair: position
 octant (direction of the A -> B centroid vector), proximity label,
 size log-ratio, and normalized centroid distance.  A scene's pairs
-come out together as the columns of one PairTable; the scalar
-functions (`octant`, `contact`, `proximity_relation`, ...) define each
-channel for a single pair.  Per-object shape is summarized as a
-histogram of normalized boundary-to-centroid distances.
+come out together as the columns of one PairTable, and
+`relations_for_objects` is where each channel is defined.  `contact`
+decides, from two objects' pixel runs, whether they touch.  Per-object
+shape is summarized as a histogram of normalized boundary-to-centroid
+distances.
 
 All operations are pure functions with no shared mutable state.
 """
@@ -14,7 +15,6 @@ All operations are pure functions with no shared mutable state.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Sequence
@@ -78,95 +78,29 @@ class ShapeHistogram:
         return np.asarray(self.bins, dtype=np.float64)
 
 
-def octant(a_centroid: tuple[float, float], b_centroid: tuple[float, float]) -> str:
-    """Classify the direction from A's centroid to B's into a compass octant.
-
-    Raises DegeneratePairError when the centroids coincide.
-    """
-    dr = b_centroid[0] - a_centroid[0]
-    dc = b_centroid[1] - a_centroid[1]
-    if dr == 0.0 and dc == 0.0:
-        raise DegeneratePairError("identical centroids have no direction")
-    theta = math.degrees(math.atan2(-dr, dc))
-    return OCTANTS[math.floor((theta + 22.5) / 45.0) % 8]
-
-
-def opposite_octant(label: str) -> str:
-    return OCTANTS[(OCTANTS.index(label) + 4) % 8]
-
-
-def _rows(obj: SceneObject, first: int, last: int) -> tuple[tuple[int, int], ...]:
-    """The pixels of `obj` in rows first..last; `pixels` is in raster order."""
-    pixels = obj.pixels
-    return pixels[bisect_left(pixels, (first, -1)) : bisect_left(pixels, (last + 1, -1))]
-
-
 def contact(a: SceneObject, b: SceneObject) -> bool:
-    """True iff some pixel of A and some pixel of B are within Chebyshev distance 1."""
-    small, large = (a, b) if a.pixel_count <= b.pixel_count else (b, a)
+    """True iff some pixel of A and some pixel of B are within Chebyshev distance 1.
+
+    Runs [c0, c1) and [s, e) in rows at most 1 apart hold such a pixel
+    pair iff c0 <= e and s <= c1.
+    """
     # Quick reject: bounding boxes further than 1 apart cannot touch.
     if (
-        small.bbox[0] > large.bbox[2] + 1
-        or large.bbox[0] > small.bbox[2] + 1
-        or small.bbox[1] > large.bbox[3] + 1
-        or large.bbox[1] > small.bbox[3] + 1
+        a.bbox[0] > b.bbox[2] + 1
+        or b.bbox[0] > a.bbox[2] + 1
+        or a.bbox[1] > b.bbox[3] + 1
+        or b.bbox[1] > a.bbox[3] + 1
     ):
         return False
-    # Only rows within 1 of the other object's bbox can hold a touching pixel.
-    large_px = set(_rows(large, small.bbox[0] - 1, small.bbox[2] + 1))
-    for r, c in _rows(small, large.bbox[0] - 1, large.bbox[2] + 1):
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                if (r + dr, c + dc) in large_px:
+    b_rows: dict[int, list[tuple[int, int]]] = {}
+    for r, s, e in b.runs:
+        b_rows.setdefault(r, []).append((s, e))
+    for r, c0, c1 in a.runs:
+        for row in (r - 1, r, r + 1):
+            for s, e in b_rows.get(row, ()):
+                if c0 <= e and s <= c1:
                     return True
     return False
-
-
-def _strictly_inside(inner: tuple[int, int, int, int], outer: tuple[int, int, int, int]) -> bool:
-    return (
-        inner[0] > outer[0]
-        and inner[1] > outer[1]
-        and inner[2] < outer[2]
-        and inner[3] < outer[3]
-    )
-
-
-def proximity_relation(
-    a: SceneObject, b: SceneObject, in_contact: bool, image_height: int
-) -> str:
-    """Assign one of ON/UNDER/FRONT/BACK/BESIDE/NONE to the ordered pair (A, B).
-
-    Containment (FRONT/BACK, via strict bounding-box nesting) takes
-    precedence over the contact-based vertical labels; the vertical
-    dead-band is 5% of the image height.
-    """
-    if _strictly_inside(a.bbox, b.bbox):
-        return "FRONT"
-    if _strictly_inside(b.bbox, a.bbox):
-        return "BACK"
-    if in_contact:
-        eps = ROW_EPS_FRACTION * image_height
-        if a.centroid[0] < b.centroid[0] - eps:
-            return "ON"
-        if a.centroid[0] > b.centroid[0] + eps:
-            return "UNDER"
-        return "BESIDE"
-    return "NONE"
-
-
-def size_log_ratio(a: SceneObject, b: SceneObject) -> float:
-    """ln(pixel_count(A) / pixel_count(B)), exactly antisymmetric in (A, B)."""
-    return math.log(a.pixel_count) - math.log(b.pixel_count)
-
-
-def norm_distance(a: SceneObject, b: SceneObject, grid: LabelGrid) -> float:
-    """Euclidean centroid distance divided by the image diagonal; lies in [0, 1]."""
-    d = math.hypot(a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1])
-    return d / grid.diagonal()
-
-
-def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
-    return min(int(rdist * k_dist), k_dist - 1)
 
 
 def shape_histogram(
@@ -310,7 +244,7 @@ def _batched_histograms(
 
 
 def _contact_matrix(objects: list[SceneObject], bbox: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) `contact` matrix; pixels are compared only for
+    """Symmetric (n, n) `contact` matrix; runs are compared only for
     pairs whose bounding boxes come within 1 of each other."""
     r0, c0, r1, c1 = bbox.T
     near = (
@@ -336,11 +270,25 @@ _NO_PAIRS = PairTable(
 def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTable:
     """Relations for every ordered pair of distinct objects, in id order.
 
-    Rows run over A, then B, like a nested loop over `objects`.  Every
-    column equals the scalar channel functions bit for bit: angles and
-    distances go through `math.atan2` and `math.hypot` pair by pair, and
-    the remaining arithmetic is the same IEEE operations on arrays.
-    Raises DegeneratePairError when two objects share a centroid.
+    Rows run over A, then B, like a nested loop over `objects`.  The
+    channels of the ordered pair (A, B):
+
+    - `rpos`: the OCTANTS sector of the direction from A's centroid to
+      B's, angles measured with "up" = decreasing row.
+    - `rprox`: FRONT when A's bbox lies strictly inside B's, BACK when
+      B's lies strictly inside A's; otherwise, for objects in `contact`,
+      ON when A's centroid row is above B's by more than 5% of the grid
+      height, UNDER when below by more than that, else BESIDE; NONE for
+      objects that do not touch.
+    - `rsize`: ln(pixel_count(A)) - ln(pixel_count(B)), exactly
+      antisymmetric in (A, B).
+    - `rdist`: Euclidean centroid distance over the grid diagonal, in
+      [0, 1]; `rdist_bin` is `floor(rdist * K_DIST)`, clamped to
+      K_DIST - 1.
+
+    Angles and distances go through `math.atan2` and `math.hypot` pair
+    by pair.  Raises DegeneratePairError when two objects share a
+    centroid, whose direction is undefined.
     """
     if len(objects) < 2:
         return _NO_PAIRS
@@ -363,8 +311,8 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
     rdist = np.array(list(map(math.hypot, dr.tolist(), dc.tolist())), dtype=np.float64)
     rdist /= grid.diagonal()
 
-    # Proximity over (A, B) matrices, in `proximity_relation`'s order of
-    # precedence: containment, then contact with the vertical dead-band.
+    # Proximity over (A, B) matrices, in reverse order of precedence, so
+    # containment overrides contact and its vertical dead-band.
     label = PROXIMITY_LABELS.index
     r0, c0, r1, c1 = bbox.T
     nested = (r0[:, None] > r0) & (c0[:, None] > c0) & (r1[:, None] < r1) & (c1[:, None] < c1)

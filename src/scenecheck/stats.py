@@ -3,8 +3,8 @@
 A StatsBuilder accumulates integer counts from scenes; builders merge
 associatively (map-reduce style, one builder per image or shard), and
 `finalize` turns counts into a smoothed, immutable CooccurrenceModel.
-The model also holds dense arrays of the same smoothed values over the
-class index, so that all of a scene's pairs are looked up at once.
+The model's dense arrays over the class index are its only lookup, so
+that all of a scene's pairs are looked up at once.
 
 Count tables kept per ordered class pair: position octants (8),
 proximity labels (6), distance bins (K_DIST), and size observations.
@@ -34,8 +34,6 @@ from .relations import K_DIST, OCTANTS, PROXIMITY_LABELS, PairTable
 
 ALPHA_DEFAULT = 1.0
 SIGMA_FLOOR = 0.1
-
-QUERY_KINDS = ("presence", "position", "proximity", "distance")
 
 
 def _pair_key(a: int, b: int) -> tuple[int, int]:
@@ -168,10 +166,20 @@ class CooccurrenceModel:
     """Immutable smoothed co-occurrence tables; shareable across threads.
 
     Raw counts are retained so serialization is lossless and derived
-    probabilities can be reproduced exactly on load.  The dense tables
-    hold the values `query` and `size_zscore` return, indexed by
-    `class_rows`; they are derived from the counts, so they take no part
-    in equality.
+    probabilities can be reproduced exactly on load.  The dense tables,
+    indexed by `class_rows`, are how the model is read; they are derived
+    from the counts, so they take no part in equality.  For classes a
+    and b at rows i and j:
+
+    - `presence_table[i, j]`: (images showing both + alpha) / (images +
+      2 alpha); "both" means two objects of the class when a == b.
+    - `position_table[i, j]`, `proximity_table[i, j]`,
+      `distance_table[i, j]`: the smoothed distribution over OCTANTS,
+      PROXIMITY_LABELS and distance bins of the ordered pair (a, b);
+      uniform for a pair never observed.
+    - `size_mean[i, j]`, `size_std[i, j]`: the size log-ratio moments of
+      (a, b), which standardize a pair's `rsize`; (0, 1) for a pair
+      never observed.
     """
 
     alpha: float
@@ -196,10 +204,10 @@ class CooccurrenceModel:
     size_std: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Fill the dense tables, each value computed as `query` computes it.
+        """Fill the dense tables from the smoothed values.
 
-        Unseen pairs get what `query` returns for them: the presence
-        prior, exactly 1/len(labels), and size moments (0, 1).
+        Unseen pairs get the presence prior, exactly 1/len(labels), and
+        size moments (0, 1).
         """
         row = {c: i for i, c in enumerate(self.classes)}
         keyed = (
@@ -233,11 +241,6 @@ class CooccurrenceModel:
             table.flags.writeable = False
             object.__setattr__(self, name, table)
 
-    def _check_classes(self, *ids: int) -> None:
-        for c in ids:
-            if c not in self.classes:
-                raise UnknownClassError(f"class id {c} unknown to this model")
-
     def class_rows(self, class_ids) -> np.ndarray:
         """Index of each class id into the dense tables.
 
@@ -254,39 +257,6 @@ class CooccurrenceModel:
                 f"class id {int(ids[np.argmin(known)])} unknown to this model"
             )
         return rows
-
-    def query(self, kind: str, a_class: int, b_class: int, observed) -> float:
-        """Smoothed probability of `observed` under the named table.
-
-        Unknown class ids raise UnknownClassError; a known pair with no
-        data falls back to the uniform smoothed prior and never errors.
-        """
-        if kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {kind!r}")
-        self._check_classes(a_class, b_class)
-        if kind == "presence":
-            count = self.presence_counts.get(_pair_key(a_class, b_class), 0)
-            return (count + self.alpha) / (self.images + 2 * self.alpha)
-        if kind == "position":
-            table, labels = self.position_dist, OCTANTS
-        elif kind == "proximity":
-            table, labels = self.proximity_dist, PROXIMITY_LABELS
-        else:
-            table, labels = self.distance_dist, tuple(range(self.k_dist))
-        idx = labels.index(observed)
-        dist = table.get((a_class, b_class))
-        if dist is None:
-            return 1.0 / len(labels)
-        return dist[idx]
-
-    def size_zscore(self, a_class: int, b_class: int, log_ratio: float) -> float:
-        """(log_ratio - mean) / std for the ordered pair; unseen pairs use (0, 1)."""
-        self._check_classes(a_class, b_class)
-        stats = self.size_stats.get((a_class, b_class))
-        if stats is None:
-            return float(log_ratio)
-        _, mean, std = stats
-        return (log_ratio - mean) / std
 
 
 def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:

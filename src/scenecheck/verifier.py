@@ -25,7 +25,7 @@ fully determined by its inputs and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,6 +61,7 @@ N_FEATURES = len(FEATURE_NAMES)
 GLOBAL_LABEL = "global"
 N_MIN_CONTEXT = 30
 CONTRADICTIONS_PER_IMAGE = 4
+AGGREGATION_MODES = ("majority", "mean_threshold")
 
 _TRAIN_TAG = 101
 _MODEL_TAG = 102
@@ -356,6 +357,8 @@ class VerifierRegistry:
     prototypes: dict[str, dict[int, tuple[float, ...]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.aggregation_mode not in AGGREGATION_MODES:
+            raise ValueError(f"unknown aggregation mode {self.aggregation_mode!r}")
         missing = set(self.models) - set(self.stats_models)
         if missing:
             raise ValueError(f"context models without statistics: {sorted(missing)}")
@@ -415,6 +418,16 @@ def verify(
     )
 
 
+def build_stats(
+    scenes: Iterable[Scene], classes: Iterable[int], alpha: float = ALPHA_DEFAULT
+) -> CooccurrenceModel:
+    """Co-occurrence statistics of prepared scenes over the class universe `classes`."""
+    builder = StatsBuilder.for_classes(classes)
+    for scene in scenes:
+        accumulate(builder, scene.objects, scene.pairs)
+    return finalize(builder, alpha)
+
+
 def _prototypes_for(scenes: list[Scene]) -> dict[int, tuple[float, ...]]:
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
@@ -460,7 +473,6 @@ def train_registry(
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
         raise EmptyCorpusError("train split is empty")
-    classes = frozenset(corpus.class_map)
 
     scenes: dict[str, Scene] = {}
     twins: dict[str, list[Scene]] = {}
@@ -487,11 +499,9 @@ def train_registry(
 
     trained: dict[str, tuple[LinearModel, CooccurrenceModel, dict]] = {}
     for scope_idx, (label, ids) in enumerate(scopes):
-        builder = StatsBuilder.for_classes(classes)
-        for image_id in ids:
-            accumulate(builder, scenes[image_id].objects, scenes[image_id].pairs)
-        scope_stats = finalize(builder, alpha)
-        protos = _prototypes_for([scenes[i] for i in ids])
+        scope_scenes = [scenes[i] for i in ids]
+        scope_stats = build_stats(scope_scenes, corpus.class_map, alpha)
+        protos = _prototypes_for(scope_scenes)
         features: list[np.ndarray] = []
         labels: list[int] = []
         for image_id in ids:

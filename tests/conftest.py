@@ -42,6 +42,11 @@ def random_blob_array(rng, size=16, steps=60, class_id=1):
     return arr
 
 
+def pixels(obj):
+    """The (row, col) positions of an object's runs, in raster order."""
+    return tuple([(r, c) for r, c0, c1 in obj.runs for c in range(c0, c1)])
+
+
 def blob_grid(rng, size=16, steps=60, class_id=1, class_map=None):
     class_map = class_map or {class_id: "blob"}
     return grid_from_array(random_blob_array(rng, size, steps, class_id), class_map)

@@ -1,24 +1,131 @@
 """One-pair-at-a-time reference for the batched pair layer.
 
-The library computes a scene's pairs as the columns of one PairTable
-and its features and margins as matrices.  This module keeps the
-per-pair form they replaced, assembled from the scalar channel
-functions and the statistics' `query`/`size_zscore` methods, so that
-tests can require the batched results to equal it bit for bit.
+The library computes a scene's pairs as the columns of one PairTable,
+reads its statistics from dense tables and computes features and
+margins as matrices.  This module keeps the per-pair form they
+replaced: the scalar channel functions, the statistics lookups `query`
+and `size_zscore`, and per-pair features and scores built from them, so
+that tests can require the batched results to equal it bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from scenecheck import (
-    contact,
-    norm_distance,
-    octant,
-    proximity_relation,
-    size_log_ratio,
-)
-from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, distance_bin
+from scenecheck import DegeneratePairError, UnknownClassError, contact
+from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
+
+QUERY_KINDS = ("presence", "position", "proximity", "distance")
+
+
+def octant(a_centroid, b_centroid) -> str:
+    """Classify the direction from A's centroid to B's into a compass octant.
+
+    Label k spans the half-open sector [k*45 - 22.5, k*45 + 22.5) with
+    "up" = decreasing row.  Raises DegeneratePairError when the
+    centroids coincide.
+    """
+    dr = b_centroid[0] - a_centroid[0]
+    dc = b_centroid[1] - a_centroid[1]
+    if dr == 0.0 and dc == 0.0:
+        raise DegeneratePairError("identical centroids have no direction")
+    theta = math.degrees(math.atan2(-dr, dc))
+    return OCTANTS[math.floor((theta + 22.5) / 45.0) % 8]
+
+
+def opposite_octant(label: str) -> str:
+    return OCTANTS[(OCTANTS.index(label) + 4) % 8]
+
+
+def _strictly_inside(inner, outer) -> bool:
+    return (
+        inner[0] > outer[0]
+        and inner[1] > outer[1]
+        and inner[2] < outer[2]
+        and inner[3] < outer[3]
+    )
+
+
+def proximity_relation(a, b, in_contact: bool, image_height: int) -> str:
+    """Assign one of ON/UNDER/FRONT/BACK/BESIDE/NONE to the ordered pair (A, B).
+
+    Containment (FRONT/BACK, via strict bounding-box nesting) takes
+    precedence over the contact-based vertical labels; the vertical
+    dead-band is 5% of the image height.
+    """
+    if _strictly_inside(a.bbox, b.bbox):
+        return "FRONT"
+    if _strictly_inside(b.bbox, a.bbox):
+        return "BACK"
+    if in_contact:
+        eps = ROW_EPS_FRACTION * image_height
+        if a.centroid[0] < b.centroid[0] - eps:
+            return "ON"
+        if a.centroid[0] > b.centroid[0] + eps:
+            return "UNDER"
+        return "BESIDE"
+    return "NONE"
+
+
+def size_log_ratio(a, b) -> float:
+    """ln(pixel_count(A) / pixel_count(B)), exactly antisymmetric in (A, B)."""
+    return math.log(a.pixel_count) - math.log(b.pixel_count)
+
+
+def norm_distance(a, b, grid) -> float:
+    """Euclidean centroid distance divided by the image diagonal; lies in [0, 1]."""
+    d = math.hypot(a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1])
+    return d / grid.diagonal()
+
+
+def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
+    return min(int(rdist * k_dist), k_dist - 1)
+
+
+def _pair_key(a, b):
+    return (a, b) if a <= b else (b, a)
+
+
+def _check_classes(model, *ids) -> None:
+    for c in ids:
+        if c not in model.classes:
+            raise UnknownClassError(f"class id {c} unknown to this model")
+
+
+def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
+    """Smoothed probability of `observed` under the model's named table.
+
+    Unknown class ids raise UnknownClassError; a known pair with no
+    data falls back to the uniform smoothed prior and never errors.
+    """
+    if kind not in QUERY_KINDS:
+        raise ValueError(f"unknown query kind {kind!r}")
+    _check_classes(model, a_class, b_class)
+    if kind == "presence":
+        count = model.presence_counts.get(_pair_key(a_class, b_class), 0)
+        return (count + model.alpha) / (model.images + 2 * model.alpha)
+    if kind == "position":
+        table, labels = model.position_dist, OCTANTS
+    elif kind == "proximity":
+        table, labels = model.proximity_dist, PROXIMITY_LABELS
+    else:
+        table, labels = model.distance_dist, tuple(range(model.k_dist))
+    idx = labels.index(observed)
+    dist = table.get((a_class, b_class))
+    if dist is None:
+        return 1.0 / len(labels)
+    return dist[idx]
+
+
+def size_zscore(model, a_class: int, b_class: int, log_ratio: float) -> float:
+    """(log_ratio - mean) / std for the ordered pair; unseen pairs use (0, 1)."""
+    _check_classes(model, a_class, b_class)
+    stats = model.size_stats.get((a_class, b_class))
+    if stats is None:
+        return float(log_ratio)
+    _, mean, std = stats
+    return (log_ratio - mean) / std
 
 
 @dataclass(frozen=True)
@@ -90,11 +197,11 @@ def featurize(relation, shape_a, stats, prototypes) -> np.ndarray:
         proto_arr = np.asarray(proto, dtype=np.float64)
     return np.array(
         [
-            stats.query("presence", a, b, None),
-            stats.query("position", a, b, relation.rpos),
-            stats.query("proximity", a, b, relation.rprox),
-            stats.query("distance", a, b, relation.rdist_bin),
-            abs(stats.size_zscore(a, b, relation.rsize)),
+            query(stats, "presence", a, b, None),
+            query(stats, "position", a, b, relation.rpos),
+            query(stats, "proximity", a, b, relation.rprox),
+            query(stats, "distance", a, b, relation.rdist_bin),
+            abs(size_zscore(stats, a, b, relation.rsize)),
             relation.rdist,
             float(np.abs(hist - proto_arr).sum()),
         ],

@@ -23,8 +23,6 @@ from scenecheck import (
     load_model,
     merge,
     mutual_information,
-    octant,
-    opposite_octant,
     relations_for_objects,
     save_model,
     score,
@@ -38,10 +36,11 @@ from scenecheck.cli import main
 from scenecheck.corpus import Corpus, _stats_to_doc
 from scenecheck.relations import OCTANTS
 
-from conftest import random_blob_array
-from test_labelgrid import _component_oracle
-from test_relations import _resolved_shapes, octant_oracle
-from test_stats import _hand_builder
+import pair_oracle
+from conftest import pixels, random_blob_array
+from test_labelgrid import _component_oracle, _touch_oracle
+from test_relations import _resolved_shapes, octant_oracle, rpos_of_pairs
+from test_stats import _hand_builder, lookup, position, proximity
 from test_context import mi_oracle
 from test_verifier import _separable_set
 
@@ -94,15 +93,21 @@ def experiment(tmp_path_factory):
 
 def test_criterion_1_exact_oracles(rng):
     started = time.monotonic()
-    # octant vs independent interval oracle, 10,000 random pairs
-    mismatches = 0
+    # the pair table's octant vs independent interval oracle, 10,000 random
+    # pairs, read from tables of 10 pairs
+    pairs = []
     for _ in range(10_000):
         a = tuple(rng.uniform(0, 200, size=2))
         b = tuple(rng.uniform(0, 200, size=2))
         if a == b:
             continue
-        if octant(a, b) != octant_oracle(a, b):
-            mismatches += 1
+        pairs.append((a, b))
+    mismatches = 0
+    for k in range(0, len(pairs), 10):
+        chunk = pairs[k : k + 10]
+        for (a, b), label in zip(chunk, rpos_of_pairs(chunk), strict=True):
+            if label != octant_oracle(a, b):
+                mismatches += 1
     assert mismatches == 0
 
     # contact vs exhaustive pixel-pair oracle, 200 random blob pairs
@@ -115,12 +120,7 @@ def test_criterion_1_exact_oracles(rng):
         objects = extract_objects(grid, min_area=1)
         a = next(o for o in objects if o.class_id == 1)
         b = next(o for o in objects if o.class_id == 2)
-        expected = any(
-            max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) <= 1
-            for pa in a.pixels
-            for pb in b.pixels
-        )
-        if contact(a, b) != expected:
+        if contact(a, b) != _touch_oracle(a, b):
             contact_mismatches += 1
     assert contact_mismatches == 0
 
@@ -129,7 +129,7 @@ def test_criterion_1_exact_oracles(rng):
     for _ in range(100):
         arr = rng.integers(0, 4, size=(64, 64)).astype(np.int32)
         grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
-        got = {(o.class_id, o.pixels) for o in extract_objects(grid, min_area=1)}
+        got = {(o.class_id, pixels(o)) for o in extract_objects(grid, min_area=1)}
         if got != _component_oracle(arr, 1):
             component_mismatches += 1
     assert component_mismatches == 0
@@ -145,10 +145,10 @@ def test_criterion_2_statistics_correctness(tmp_path, rng):
     assert builder.presence_counts == {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
     assert builder.class_image_counts == {1: 4, 2: 3, 3: 2}
     model = finalize(builder, alpha=1.0)
-    assert abs(model.query("presence", 1, 2, None) - 3 / 7) <= 1e-12
-    assert abs(model.query("position", 1, 2, "S") - 2 / 10) <= 1e-12
-    assert abs(model.query("proximity", 1, 2, "ON") - 2 / 8) <= 1e-12
-    assert abs(model.query("distance", 1, 2, 1) - 2 / 7) <= 1e-12
+    assert abs(lookup(model, "presence_table", 1, 2) - 3 / 7) <= 1e-12
+    assert abs(position(model, 1, 2, "S") - 2 / 10) <= 1e-12
+    assert abs(proximity(model, 1, 2, "ON") - 2 / 8) <= 1e-12
+    assert abs(lookup(model, "distance_table", 1, 2)[1] - 2 / 7) <= 1e-12
 
     config = default_synthetic_config(n_images=25, seed=52)
     corpus, _ = synth_corpus(config, tmp_path / "c2")
@@ -218,7 +218,7 @@ def test_criterion_4_normalization_and_duality(tmp_path):
         for (a, b), dist in model.position_dist.items():
             rev = model.position_dist[(b, a)]
             for i, label in enumerate(OCTANTS):
-                assert dist[i] == rev[OCTANTS.index(opposite_octant(label))]
+                assert dist[i] == rev[OCTANTS.index(pair_oracle.opposite_octant(label))]
     print("PASS criterion 4: distributions sum to 1, positional duality exact")
 
 

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from scenecheck import default_synthetic_config, grid_from_array
+from scenecheck import default_synthetic_config, grid_from_array, load_model
 from scenecheck.cli import main
 
 
@@ -93,6 +93,15 @@ class TestBuildStats:
         assert (tmp_path / "stats.outside.json").exists()
         doc = json.loads(out.read_text())
         assert doc["kind"] == "cooccurrence_model"
+
+    def test_statistics_equal_the_trained_registry(self, pipeline, tmp_path):
+        _, corpus_dir, registry_path = pipeline
+        out = tmp_path / "stats.json"
+        assert main(["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]) == 0
+        registry = load_model(registry_path)
+        assert load_model(out) == registry.global_stats
+        for value in ("inside", "outside"):
+            assert load_model(tmp_path / f"stats.{value}.json") == registry.stats_models[value]
 
 
 class TestGenContradictions:
@@ -273,6 +282,16 @@ class TestNumericOptions:
             (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--epochs", "0"], "--epochs"),
             (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--alpha", "0"], "--alpha"),
             (["build-stats", "{corpus}", "-o", "{out}", "--alpha", "0"], "--alpha"),
+            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--lr", "0"], "--lr"),
+            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--l2", "0"], "--l2"),
+            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--n-min", "0"], "--n-min"),
+            (
+                [
+                    "train", "{corpus}", "--seed", "1", "-o", "{out}",
+                    "--contradictions-per-image", "0",
+                ],
+                "--contradictions-per-image",
+            ),
         ],
     )
     def test_value_below_the_minimum_is_usage_error(

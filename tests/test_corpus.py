@@ -31,6 +31,7 @@ from scenecheck import (
     train_registry,
     verify,
 )
+from scenecheck.cli import main
 from scenecheck.relations import PROXIMITY_LABELS
 from scenecheck.seeds import derive_seed
 from scenecheck.verifier import FEATURE_NAMES
@@ -249,6 +250,21 @@ class TestPersistence:
         with pytest.raises(FormatError, match=f"missing key '{key}'") as exc:
             load_model(path)
         assert "\n" not in str(exc.value)
+
+    def test_unknown_aggregation_mode_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "registry.json"
+        save_model(path, _hand_registry())
+        doc = json.loads(path.read_text())
+        doc["aggregation_mode"] = "bogus"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="unknown aggregation mode 'bogus'") as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+        image = tmp_path / "image.lgrid"
+        image.write_text(grid_from_array(np.ones((4, 4), dtype=int), {1: "a"}).to_text())
+        assert main(["verify", str(path), str(image)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
 
     def test_stats_document_with_wrong_types_is_format_error(self, tmp_path):
         path = tmp_path / "stats.json"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -16,12 +16,13 @@ from scenecheck import (
     FormatError,
     LabelGrid,
     UnknownClassError,
+    contact,
     extract_objects,
     grid_from_array,
     parse_label_grid,
 )
 
-from conftest import blob_grid
+from conftest import blob_grid, pixels
 
 
 class TestParse:
@@ -144,11 +145,11 @@ class TestLabelGrid:
         grid = grid_from_array(arr, {1: "a", 2: "b"})
         assert grid.cells.dtype == np.int32 and grid.cells.shape == (6,)
         assert list(grid.cells) == arr.ravel().tolist()
-        assert grid.at(1, 2) == arr[1, 2]
+        assert grid.to_array()[1, 2] == arr[1, 2]
         with pytest.raises(ValueError):
             grid.cells[0] = 1
         arr[0, 0] = 2  # the grid holds its own copy
-        assert grid.at(0, 0) == 0
+        assert grid.to_array()[0, 0] == 0
 
     def test_to_array_is_a_read_only_view(self):
         grid = grid_from_array(np.eye(3, dtype=int), {1: "a"})
@@ -220,14 +221,14 @@ class TestExtract:
             arr = rng.integers(0, 4, size=(64, 64)).astype(np.int32)
             grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
             assert _component_oracle(arr, 1) == {
-                (o.class_id, o.pixels)
+                (o.class_id, pixels(o))
                 for o in extract_objects(grid, min_area=1)
             }
 
     def test_object_ids_follow_raster_order(self, rng):
         arr = rng.integers(0, 3, size=(32, 32)).astype(np.int32)
         objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b"}), min_area=1)
-        firsts = [o.pixels[0] for o in objects]
+        firsts = [pixels(o)[0] for o in objects]
         assert firsts == sorted(firsts)
         assert [o.object_id for o in objects] == list(range(len(objects)))
 
@@ -248,7 +249,7 @@ class TestExtract:
     def test_diagonal_contacts_match_oracle(self, rows):
         text = f"{len(rows)} {len(rows[0].split())}\n" + "\n".join(rows)
         grid = parse_label_grid(text, {1: "a", 2: "b"})
-        got = {(o.class_id, o.pixels) for o in extract_objects(grid, min_area=1)}
+        got = {(o.class_id, pixels(o)) for o in extract_objects(grid, min_area=1)}
         assert got == _component_oracle(grid.to_array(), 1)
 
     def test_reparse_is_byte_stable(self, rng):
@@ -280,9 +281,9 @@ class TestExtract:
 
 
 @st.composite
-def _label_arrays(draw):
+def _label_arrays(draw, max_side=12):
     """Small multi-class maps; `fill` of 8 cells is foreground, sparse to full."""
-    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    shape = draw(st.tuples(st.integers(1, max_side), st.integers(1, max_side)))
     levels = draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 7)))
     classes = draw(hnp.arrays(np.int32, shape, elements=st.integers(1, 3)))
     fill = draw(st.sampled_from((1, 3, 6, 8)))
@@ -293,15 +294,47 @@ def _label_arrays(draw):
 @given(_label_arrays(), st.sampled_from((1, 3)))
 def test_extraction_matches_flood_fill_oracle(arr, min_area):
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
-    assert {(o.class_id, o.pixels) for o in objects} == _component_oracle(arr, min_area)
-    firsts = [o.pixels[0] for o in objects]
+    assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
+    firsts = [pixels(o)[0] for o in objects]
     assert firsts == sorted(firsts)
     assert [o.object_id for o in objects] == list(range(len(objects)))
     for o in objects:
-        rows, cols = np.array(o.pixels).T
-        assert o.pixel_count == len(o.pixels)
+        rows, cols = np.array(pixels(o)).T
+        assert o.pixel_count == len(pixels(o))
         assert o.centroid == (float(rows.astype(float).mean()), float(cols.astype(float).mean()))
         assert o.bbox == (rows.min(), cols.min(), rows.max(), cols.max())
+
+
+def _touch_oracle(a, b):
+    """Exhaustive pixel-pair test: some pixels within Chebyshev distance 1."""
+    b_pixels = pixels(b)
+    return any(
+        max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) <= 1 for pa in pixels(a) for pb in b_pixels
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_label_arrays(max_side=14), st.sampled_from((1, 3)))
+@example(np.array([[1, 0], [0, 2]], dtype=np.int32), 1)  # diagonal-only touch
+@example(np.array([[1, 2, 0, 3]], dtype=np.int32), 1)  # single pixels in one row
+@example(np.array([[1, 1, 0, 0], [0, 0, 2, 2], [2, 0, 0, 1]], dtype=np.int32), 1)
+@example(np.array([[1, 1, 2, 2, 2, 0, 3, 3]], dtype=np.int32), 1)  # same-row runs
+def test_runs_expand_to_components_and_decide_contact(arr, min_area):
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
+    assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
+    for o in objects:
+        assert list(o.runs) == sorted(o.runs)
+        assert sum(c1 - c0 for _, c0, c1 in o.runs) == o.pixel_count
+        for r, c0, c1 in o.runs:
+            assert 0 <= c0 < c1 <= arr.shape[1]
+            assert (arr[r, c0:c1] == o.class_id).all()
+            # Maximal: the cells either side of the run hold another class.
+            assert c0 == 0 or arr[r, c0 - 1] != o.class_id
+            assert c1 == arr.shape[1] or arr[r, c1] != o.class_id
+    for a in objects:
+        for b in objects:
+            if a is not b:
+                assert contact(a, b) == _touch_oracle(a, b)
 
 
 def _component_oracle(arr, min_area):
@@ -353,12 +386,12 @@ class TestBoundary:
         for _ in range(50):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            pixels = set(obj.pixels)
+            inside = set(pixels(obj))
             expected = {
                 (r, c)
-                for r, c in pixels
+                for r, c in inside
                 if any(
-                    (r + dr, c + dc) not in pixels
+                    (r + dr, c + dc) not in inside
                     for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
                 )
             }
@@ -384,7 +417,7 @@ class TestBoundary:
             filled = np.where(grid.to_array() == 0, 2, 1)
             filled_objects = extract_objects(grid_from_array(filled, {1: "a", 2: "b"}), 1)
             (same,) = [o for o in filled_objects if o.class_id == 1]
-            assert same.pixels == obj.pixels and same.boundary == obj.boundary
+            assert same.runs == obj.runs and same.boundary == obj.boundary
             wide = np.zeros((16, 34), dtype=np.int32)
             wide[:, :16] = grid.to_array()
             wide[:, 18:] = grid.to_array()
@@ -396,7 +429,7 @@ class TestBoundary:
         for _ in range(10):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            assert obj.boundary[0] == min(obj.pixels)
+            assert obj.boundary[0] == min(pixels(obj))
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,12 +438,12 @@ def test_every_boundary_pixel_touches_outside(seed):
     rng = np.random.default_rng(seed)
     grid = blob_grid(rng, size=12, steps=30)
     for obj in extract_objects(grid, min_area=1):
-        pixels = set(obj.pixels)
+        inside = set(pixels(obj))
         for r, c in obj.boundary:
-            assert (r, c) in pixels
+            assert (r, c) in inside
             assert any(
                 not (0 <= r + dr < grid.height and 0 <= c + dc < grid.width)
-                or (r + dr, c + dc) not in pixels
+                or (r + dr, c + dc) not in inside
                 for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
             )
 
@@ -496,7 +529,7 @@ def _shape_maps(draw):
 def test_boundaries_equal_the_mask_trace(arr, min_area):
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
     for o in objects:
-        assert o.boundary == _mask_trace(o.pixels, o.bbox)
+        assert o.boundary == _mask_trace(pixels(o), o.bbox)
 
 
 def test_boundaries_equal_the_mask_trace_on_named_shapes():
@@ -510,6 +543,6 @@ def test_boundaries_equal_the_mask_trace_on_named_shapes():
     arr[2, 10] = arr[3, 11] = arr[4, 10] = 3  # diagonal zigzag ending on the right edge
     arr[8, 11] = 2  # single pixel in the opposite corner
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), 1)
-    assert {len(o.pixels) for o in objects} >= {1, 3, 7, 9}
+    assert {len(pixels(o)) for o in objects} >= {1, 3, 7, 9}
     for o in objects:
-        assert o.boundary == _mask_trace(o.pixels, o.bbox)
+        assert o.boundary == _mask_trace(pixels(o), o.bbox)

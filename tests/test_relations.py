@@ -9,21 +9,18 @@ from hypothesis import strategies as st
 
 from scenecheck import (
     DegeneratePairError,
+    SceneObject,
     contact,
     extract_objects,
     grid_from_array,
-    norm_distance,
-    octant,
-    opposite_octant,
-    proximity_relation,
     relations_for_objects,
     shape_histogram,
-    size_log_ratio,
 )
-from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, distance_bin
+from scenecheck.relations import OCTANTS, PROXIMITY_LABELS
 
 import pair_oracle
-from conftest import blob_grid, random_blob_array
+from conftest import blob_grid, pixels, random_blob_array
+from test_labelgrid import _touch_oracle
 
 
 def octant_oracle(a, b):
@@ -46,20 +43,67 @@ def octant_oracle(a, b):
     raise AssertionError(theta)
 
 
+def standin(object_id=0, centroid=(0.0, 0.0), pixel_count=1, row=0):
+    """Minimal stand-in object with a chosen centroid and pixel count.
+
+    Its one pixel, at (row, 0), is read only by the proximity channel
+    (bbox nesting and contact); the other channels read the centroid and
+    the pixel count.
+    """
+    return SceneObject(
+        object_id=object_id,
+        class_id=1,
+        pixel_count=pixel_count,
+        centroid=centroid,
+        bbox=(row, 0, row, 0),
+        boundary=((row, 0),),
+        runs=((row, 0, 1),),
+    )
+
+
+# Large enough that every centroid used below lies inside it.
+STANDIN_GRID = grid_from_array(np.zeros((200, 200), dtype=np.int32), {1: "a"})
+
+
+def pair_columns(a_centroid, b_centroid, a_count=1, b_count=1, grid=STANDIN_GRID):
+    """The PairTable of stand-ins A and B: row 0 is (A, B), row 1 is (B, A)."""
+    a = standin(0, a_centroid, a_count)
+    b = standin(1, b_centroid, b_count)
+    return relations_for_objects(grid, [a, b])
+
+
+def rpos(a_centroid, b_centroid):
+    """The octant label of the direction from A's centroid to B's."""
+    return OCTANTS[pair_columns(a_centroid, b_centroid).rpos[0]]
+
+
+def rpos_of_pairs(pairs):
+    """`rpos` of each (A centroid, B centroid) pair, read from one table.
+
+    Each pair becomes stand-ins 2k and 2k + 1, and the rows (2k, 2k + 1)
+    are read.  The stand-ins' pixels lie 2 rows apart, so no two touch.
+    """
+    centroids = [c for pair in pairs for c in pair]
+    objects = [standin(i, c, row=2 * i) for i, c in enumerate(centroids)]
+    table = relations_for_objects(STANDIN_GRID, objects)
+    wanted = (table.a_index % 2 == 0) & (table.b_index == table.a_index + 1)
+    return [OCTANTS[p] for p in table.rpos[wanted].tolist()]
+
+
 class TestOctant:
     def test_axis_aligned(self):
-        assert octant((10, 10), (10, 20)) == "E"
-        assert octant((10, 10), (5, 10)) == "N"
-        assert octant((10, 10), (15, 10)) == "S"
-        assert octant((10, 10), (10, 0)) == "W"
+        assert rpos((10, 10), (10, 20)) == "E"
+        assert rpos((10, 10), (5, 10)) == "N"
+        assert rpos((10, 10), (15, 10)) == "S"
+        assert rpos((10, 10), (10, 0)) == "W"
 
     def test_diagonals(self):
-        assert octant((10, 10), (5, 15)) == "NE"
-        assert octant((10, 10), (15, 5)) == "SW"
+        assert rpos((10, 10), (5, 15)) == "NE"
+        assert rpos((10, 10), (15, 5)) == "SW"
 
     def test_identical_centroids_degenerate(self):
         with pytest.raises(DegeneratePairError):
-            octant((3.0, 4.0), (3.0, 4.0))
+            rpos((3.0, 4.0), (3.0, 4.0))
 
     def test_matches_angle_oracle_on_random_pairs(self, rng):
         for _ in range(2000):
@@ -67,7 +111,7 @@ class TestOctant:
             b = tuple(rng.uniform(0, 100, size=2))
             if a == b:
                 continue
-            assert octant(a, b) == octant_oracle(a, b)
+            assert rpos(a, b) == octant_oracle(a, b)
 
 
 @given(
@@ -76,7 +120,8 @@ class TestOctant:
 def test_octant_antisymmetry(ar, ac, br, bc):
     if (ar, ac) == (br, bc):
         return
-    assert octant((ar, ac), (br, bc)) == opposite_octant(octant((br, bc), (ar, ac)))
+    table = pair_columns((ar, ac), (br, bc))
+    assert OCTANTS[table.rpos[0]] == pair_oracle.opposite_octant(OCTANTS[table.rpos[1]])
 
 
 class TestContact:
@@ -113,74 +158,75 @@ class TestContact:
             objects = extract_objects(grid, min_area=1)
             for i, a in enumerate(objects):
                 for b in objects[i + 1 :]:
-                    expected = any(
-                        max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) <= 1
-                        for pa in a.pixels
-                        for pb in b.pixels
-                    )
+                    expected = _touch_oracle(a, b)
                     assert contact(a, b) == expected
                     assert contact(b, a) == expected
 
 
 class TestProximity:
-    def _objects(self, arr, class_map):
+    def _labels(self, arr, class_map):
+        """The scene's objects and the `rprox` label of each ordered class
+        pair; every object has its own class."""
         grid = grid_from_array(arr, class_map)
-        return grid, extract_objects(grid, min_area=1)
+        objects = extract_objects(grid, min_area=1)
+        table = relations_for_objects(grid, objects)
+        labels = {
+            (a, b): PROXIMITY_LABELS[p]
+            for a, b, p in zip(
+                table.a_class.tolist(), table.b_class.tolist(), table.rprox.tolist()
+            )
+        }
+        return objects, labels
 
     def test_contained_bbox_is_front(self):
         arr = np.zeros((10, 10), dtype=int)
         arr[1:9, 1:9] = 2
-        arr[4:6, 4:6] = 1
-        grid, objects = self._objects(arr, {1: "small", 2: "big"})
-        small = next(o for o in objects if o.class_id == 1)
-        big = next(o for o in objects if o.class_id == 2)
-        touching = contact(small, big)
-        assert proximity_relation(small, big, touching, grid.height) == "FRONT"
-        assert proximity_relation(big, small, touching, grid.height) == "BACK"
+        # Off centre: centred, both centroids would coincide.
+        arr[3:5, 4:6] = 1
+        _, labels = self._labels(arr, {1: "small", 2: "big"})
+        assert labels[(1, 2)] == "FRONT"
+        assert labels[(2, 1)] == "BACK"
 
     def test_stacked_contact_is_on(self):
         arr = np.zeros((20, 8), dtype=int)
         arr[4:8, 2:6] = 1
         arr[8:16, 2:6] = 2
-        grid, objects = self._objects(arr, {1: "top", 2: "bottom"})
-        top, bottom = objects
+        (top, bottom), labels = self._labels(arr, {1: "top", 2: "bottom"})
         assert contact(top, bottom)
-        assert proximity_relation(top, bottom, True, grid.height) == "ON"
-        assert proximity_relation(bottom, top, True, grid.height) == "UNDER"
+        assert labels[(1, 2)] == "ON"
+        assert labels[(2, 1)] == "UNDER"
 
     def test_far_apart_is_none(self):
         arr = np.zeros((10, 20), dtype=int)
         arr[1:3, 1:3] = 1
         arr[7:9, 16:19] = 2
-        grid, (a, b) = self._objects(arr, {1: "a", 2: "b"})
-        assert proximity_relation(a, b, False, grid.height) == "NONE"
+        _, labels = self._labels(arr, {1: "a", 2: "b"})
+        assert labels[(1, 2)] == "NONE"
 
     def test_side_by_side_contact_is_beside(self):
         arr = np.zeros((10, 10), dtype=int)
         arr[4:7, 2:5] = 1
         arr[4:7, 5:8] = 2
-        grid, (a, b) = self._objects(arr, {1: "a", 2: "b"})
+        (a, b), labels = self._labels(arr, {1: "a", 2: "b"})
         assert contact(a, b)
-        assert proximity_relation(a, b, True, grid.height) == "BESIDE"
-        assert proximity_relation(b, a, True, grid.height) == "BESIDE"
+        assert labels[(1, 2)] == "BESIDE"
+        assert labels[(2, 1)] == "BESIDE"
 
 
 class TestSizeAndDistance:
     def test_log_ratio_value(self):
-        a = _square_object(count_side=10)
-        b = _square_object(count_side=10, scale_half=True)
-        assert size_log_ratio(a, b) == pytest.approx(math.log(2), abs=1e-12)
+        table = pair_columns((0, 0), (0, 1), a_count=100, b_count=50)
+        assert table.rsize[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_log_ratio_zero_for_equal(self):
-        a = _square_object(count_side=8)
-        b = _square_object(count_side=8)
-        assert size_log_ratio(a, b) == 0.0
+        table = pair_columns((0, 0), (0, 1), a_count=64, b_count=64)
+        assert table.rsize[0] == 0.0
 
     def test_log_ratio_exactly_antisymmetric(self, rng):
         for _ in range(500):
-            a = _square_object(count=int(rng.integers(1, 10**6)))
-            b = _square_object(count=int(rng.integers(1, 10**6)))
-            assert size_log_ratio(a, b) == -size_log_ratio(b, a)
+            a_count, b_count = (int(n) for n in rng.integers(1, 10**6, size=2))
+            table = pair_columns((0, 0), (0, 1), a_count, b_count)
+            assert table.rsize[0] == -table.rsize[1]
 
     def test_norm_distance_formula_and_symmetry(self, rng):
         arr = np.zeros((30, 40), dtype=int)
@@ -191,32 +237,20 @@ class TestSizeAndDistance:
         expected = math.hypot(
             a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1]
         ) / math.hypot(30, 40)
-        assert norm_distance(a, b, grid) == pytest.approx(expected, abs=1e-15)
-        assert norm_distance(a, b, grid) == norm_distance(b, a, grid)
-        assert 0.0 <= norm_distance(a, b, grid) <= 1.0
+        rdist = relations_for_objects(grid, [a, b]).rdist
+        assert rdist[0] == pytest.approx(expected, abs=1e-15)
+        assert rdist[0] == rdist[1]
+        assert 0.0 <= rdist[0] <= 1.0
 
     def test_distance_bin_clamps_at_one(self):
-        assert distance_bin(1.0) == 4
-        assert distance_bin(0.0) == 0
-        assert distance_bin(0.39) == 1
-
-
-def _square_object(count_side=4, count=None, scale_half=False):
-    """Minimal stand-in object with a chosen pixel count."""
-    from scenecheck import SceneObject
-
-    n = count if count is not None else count_side * count_side
-    if scale_half:
-        n //= 2
-    return SceneObject(
-        object_id=0,
-        class_id=1,
-        pixel_count=n,
-        centroid=(0.0, 0.0),
-        bbox=(0, 0, 1, 1),
-        boundary=((0, 0),),
-        pixels=((0, 0),),
-    )
+        # The grid's diagonal is 50: centroids 50, 1 and 19.5 apart give
+        # rdist 1.0, 0.02 and 0.39.
+        grid = grid_from_array(np.zeros((30, 40), dtype=np.int32), {1: "a"})
+        cases = (((30, 40), 1.0, 4), ((0, 1), 0.02, 0), ((0, 19.5), 0.39, 1))
+        for far, rdist, expected_bin in cases:
+            table = pair_columns((0, 0), far, grid=grid)
+            assert table.rdist[0] == rdist
+            assert table.rdist_bin[0] == expected_bin
 
 
 class TestShapeHistogram:
@@ -280,8 +314,8 @@ def _shape_histogram_reference(obj, n_samples, n_bins):
     """Per-sample loop form of `shape_histogram`, kept as its exactness oracle."""
     r0, c0 = obj.bbox[0], obj.bbox[1]
     pts = [(float(r - r0), float(c - c0)) for r, c in obj.boundary]
-    cy = float(np.mean([r - r0 for r, _ in obj.pixels]))
-    cx = float(np.mean([c - c0 for _, c in obj.pixels]))
+    cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
+    cx = float(np.mean([c - c0 for _, c in pixels(obj)]))
     if len(pts) == 1:
         samples = np.zeros(n_samples)
     else:
@@ -450,12 +484,12 @@ class TestPairRelation:
             assert rows == pair_oracle.relations(grid, objects)
             for rel in rows:
                 a, b = objects[rel.a_id], objects[rel.b_id]
-                assert rel.rpos == octant(a.centroid, b.centroid)
+                assert rel.rpos == pair_oracle.octant(a.centroid, b.centroid)
                 touching = contact(a, b)
-                assert rel.rprox == proximity_relation(a, b, touching, grid.height)
-                assert rel.rsize == size_log_ratio(a, b)
-                assert rel.rdist == norm_distance(a, b, grid)
-                assert rel.rdist_bin == distance_bin(rel.rdist)
+                assert rel.rprox == pair_oracle.proximity_relation(a, b, touching, grid.height)
+                assert rel.rsize == pair_oracle.size_log_ratio(a, b)
+                assert rel.rdist == pair_oracle.norm_distance(a, b, grid)
+                assert rel.rdist_bin == pair_oracle.distance_bin(rel.rdist)
 
     def test_reversed_pair_antisymmetry(self, rng):
         arr = np.zeros((20, 20), dtype=int)
@@ -463,7 +497,7 @@ class TestPairRelation:
         arr[12:17, 10:16] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
         table = relations_for_objects(grid, extract_objects(grid, min_area=1))
-        assert OCTANTS[table.rpos[0]] == opposite_octant(OCTANTS[table.rpos[1]])
+        assert OCTANTS[table.rpos[0]] == pair_oracle.opposite_octant(OCTANTS[table.rpos[1]])
         assert table.rsize[0] == -table.rsize[1]
         assert table.rdist[0] == table.rdist[1]
 

@@ -17,7 +17,7 @@ from scenecheck import (
     prepare,
 )
 
-from conftest import random_blob_array
+from conftest import pixels, random_blob_array
 from test_relations import CLASS_MAP, paint, scenes
 
 
@@ -35,7 +35,7 @@ def assert_same_scene(got, want):
 
 def without_pixels(grid, obj):
     cells = grid.to_array().copy()
-    rows, cols = np.array(obj.pixels).T
+    rows, cols = np.array(pixels(obj)).T
     cells[rows, cols] = 0
     return grid_from_array(cells, grid.class_map, image_id=grid.image_id)
 

@@ -1,4 +1,4 @@
-"""Co-occurrence accumulation, merging, smoothing, and queries."""
+"""Co-occurrence accumulation, merging, smoothing, and the dense tables."""
 
 import json
 import math
@@ -24,11 +24,27 @@ from scenecheck import (
 from scenecheck.corpus import _stats_to_doc
 from scenecheck.relations import OCTANTS, PROXIMITY_LABELS
 
+import pair_oracle
+
 
 def _scene(arr, class_map, min_area=1):
     grid = grid_from_array(arr, class_map)
     objects = extract_objects(grid, min_area=min_area)
     return objects, relations_for_objects(grid, objects)
+
+
+def lookup(model, table, a, b):
+    """The entry of the named dense table for the ordered class pair (a, b)."""
+    i, j = model.class_rows([a, b])
+    return getattr(model, table)[i, j]
+
+
+def position(model, a, b, label):
+    return lookup(model, "position_table", a, b)[OCTANTS.index(label)]
+
+
+def proximity(model, a, b, label):
+    return lookup(model, "proximity_table", a, b)[PROXIMITY_LABELS.index(label)]
 
 
 CLASS_MAP = {1: "cat", 2: "sofa", 3: "tv"}
@@ -221,16 +237,16 @@ class TestFinalize:
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 10
         model = finalize(builder, alpha=1.0)
-        assert model.query("presence", 1, 2, None) == pytest.approx(1 / 12, abs=1e-15)
+        assert lookup(model, "presence_table", 1, 2) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_octant_smoothing_example(self):
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 8
         builder.position_counts[(1, 2)] = [8, 0, 0, 0, 0, 0, 0, 0]
         model = finalize(builder, alpha=1.0)
-        assert model.query("position", 1, 2, "E") == pytest.approx(9 / 16, abs=1e-15)
+        assert position(model, 1, 2, "E") == pytest.approx(9 / 16, abs=1e-15)
         for label in OCTANTS[1:]:
-            assert model.query("position", 1, 2, label) == pytest.approx(1 / 16, abs=1e-15)
+            assert position(model, 1, 2, label) == pytest.approx(1 / 16, abs=1e-15)
 
     def test_empty_builder_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -238,15 +254,15 @@ class TestFinalize:
 
     def test_hand_corpus_probabilities(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        assert model.query("presence", 1, 2, None) == pytest.approx(3 / 7, abs=1e-12)
-        assert model.query("presence", 2, 1, None) == pytest.approx(3 / 7, abs=1e-12)
-        assert model.query("presence", 1, 1, None) == pytest.approx(2 / 7, abs=1e-12)
-        assert model.query("presence", 2, 2, None) == pytest.approx(1 / 7, abs=1e-12)
-        assert model.query("position", 1, 2, "S") == pytest.approx(2 / 10, abs=1e-12)
-        assert model.query("position", 1, 2, "E") == pytest.approx(1 / 10, abs=1e-12)
-        assert model.query("proximity", 1, 2, "ON") == pytest.approx(2 / 8, abs=1e-12)
-        assert model.query("proximity", 1, 2, "FRONT") == pytest.approx(1 / 8, abs=1e-12)
-        assert model.query("distance", 1, 2, 1) == pytest.approx(2 / 7, abs=1e-12)
+        assert lookup(model, "presence_table", 1, 2) == pytest.approx(3 / 7, abs=1e-12)
+        assert lookup(model, "presence_table", 2, 1) == pytest.approx(3 / 7, abs=1e-12)
+        assert lookup(model, "presence_table", 1, 1) == pytest.approx(2 / 7, abs=1e-12)
+        assert lookup(model, "presence_table", 2, 2) == pytest.approx(1 / 7, abs=1e-12)
+        assert position(model, 1, 2, "S") == pytest.approx(2 / 10, abs=1e-12)
+        assert position(model, 1, 2, "E") == pytest.approx(1 / 10, abs=1e-12)
+        assert proximity(model, 1, 2, "ON") == pytest.approx(2 / 8, abs=1e-12)
+        assert proximity(model, 1, 2, "FRONT") == pytest.approx(1 / 8, abs=1e-12)
+        assert lookup(model, "distance_table", 1, 2)[1] == pytest.approx(2 / 7, abs=1e-12)
         n, mean, std = model.size_stats[(1, 2)]
         xs = [math.log(4 / 8), math.log(4 / 12)]
         assert n == 2
@@ -264,7 +280,8 @@ class TestQuery:
     def test_zscore_centering(self):
         model = finalize(_hand_builder(), alpha=1.0)
         _, mean, _ = model.size_stats[(1, 2)]
-        assert model.size_zscore(1, 2, mean) == 0.0
+        mu, sigma = lookup(model, "size_mean", 1, 2), lookup(model, "size_std", 1, 2)
+        assert (mean - mu) / sigma == 0.0
 
     def test_dense_tables_equal_query(self):
         model = finalize(_hand_builder(), alpha=1.0)
@@ -272,16 +289,19 @@ class TestQuery:
         assert rows.tolist() == list(range(len(model.classes)))
         for a, i in zip(model.classes, rows):
             for b, j in zip(model.classes, rows):
-                assert model.presence_table[i, j] == model.query("presence", a, b, None)
+                query = pair_oracle.query
+                assert model.presence_table[i, j] == query(model, "presence", a, b, None)
                 for k, label in enumerate(OCTANTS):
-                    assert model.position_table[i, j, k] == model.query("position", a, b, label)
+                    assert model.position_table[i, j, k] == query(model, "position", a, b, label)
                 for k, label in enumerate(PROXIMITY_LABELS):
-                    assert model.proximity_table[i, j, k] == model.query("proximity", a, b, label)
+                    assert model.proximity_table[i, j, k] == query(
+                        model, "proximity", a, b, label
+                    )
                 for k in range(model.k_dist):
-                    assert model.distance_table[i, j, k] == model.query("distance", a, b, k)
+                    assert model.distance_table[i, j, k] == query(model, "distance", a, b, k)
                 for x in (-1.3, 0.0, 0.3):
                     z = (x - model.size_mean[i, j]) / model.size_std[i, j]
-                    assert z == model.size_zscore(a, b, x)
+                    assert z == pair_oracle.size_zscore(model, a, b, x)
 
     def test_class_rows_reject_unknown_ids(self):
         model = finalize(_hand_builder(), alpha=1.0)
@@ -298,20 +318,20 @@ class TestQuery:
 
     def test_zscore_unseen_pair_standard_normal_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        assert model.size_zscore(2, 2, 0.7) == 0.7
+        assert (lookup(model, "size_mean", 2, 2), lookup(model, "size_std", 2, 2)) == (0.0, 1.0)
 
     def test_unknown_class_rejected(self):
         model = finalize(_hand_builder(), alpha=1.0)
         with pytest.raises(UnknownClassError):
-            model.query("presence", 1, 9, None)
+            lookup(model, "presence_table", 1, 9)
         with pytest.raises(UnknownClassError):
-            model.size_zscore(9, 1, 0.0)
+            lookup(model, "size_mean", 9, 1)
 
     def test_unseen_pair_uniform_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        assert model.query("position", 2, 2, "N") == pytest.approx(1 / 8, abs=1e-15)
-        assert model.query("proximity", 2, 2, "ON") == pytest.approx(1 / 6, abs=1e-15)
-        assert model.query("distance", 2, 2, 0) == pytest.approx(1 / 5, abs=1e-15)
+        assert position(model, 2, 2, "N") == pytest.approx(1 / 8, abs=1e-15)
+        assert proximity(model, 2, 2, "ON") == pytest.approx(1 / 6, abs=1e-15)
+        assert lookup(model, "distance_table", 2, 2)[0] == pytest.approx(1 / 5, abs=1e-15)
 
     def test_random_queries_match_recomputation(self, rng):
         builder = _hand_builder()
@@ -321,7 +341,7 @@ class TestQuery:
             octant_label = OCTANTS[int(rng.integers(8))]
             counts = builder.position_counts.get((a, b), [0] * 8)
             expected = (counts[OCTANTS.index(octant_label)] + 1.0) / (sum(counts) + 8.0)
-            assert model.query("position", a, b, octant_label) == pytest.approx(
+            assert position(model, a, b, octant_label) == pytest.approx(
                 expected, abs=1e-15
             )
 
@@ -343,12 +363,10 @@ class TestModelInvariants:
 
     def test_positional_duality_exact(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        from scenecheck import opposite_octant
-
         for (a, b), dist in model.position_dist.items():
             rev = model.position_dist[(b, a)]
             for i, label in enumerate(OCTANTS):
-                assert dist[i] == rev[OCTANTS.index(opposite_octant(label))]
+                assert dist[i] == rev[OCTANTS.index(pair_oracle.opposite_octant(label))]
 
     def test_large_alpha_approaches_uniform(self):
         model = finalize(_hand_builder(), alpha=1e6)

@@ -40,6 +40,7 @@ from scenecheck.corpus import EVAL_TAG, save_model
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
 import pair_oracle
+from conftest import pixels
 from test_relations import CLASS_MAP, LABELLED_SCENES, paint, scenes
 
 
@@ -96,11 +97,11 @@ class TestFeaturize:
         stats = finalize(builder, alpha=1.0)
         proto = {1: tuple(1.0 / 16 for _ in range(16))}
         fv = featurize(pairs, objects, hists, stats, proto)[0]
-        assert fv[0] == stats.query("presence", 1, 2, None)
-        assert fv[1] == stats.query("position", 1, 2, rel.rpos)
-        assert fv[2] == stats.query("proximity", 1, 2, rel.rprox)
-        assert fv[3] == stats.query("distance", 1, 2, rel.rdist_bin)
-        assert fv[4] == abs(stats.size_zscore(1, 2, rel.rsize))
+        assert fv[0] == pair_oracle.query(stats, "presence", 1, 2, None)
+        assert fv[1] == pair_oracle.query(stats, "position", 1, 2, rel.rpos)
+        assert fv[2] == pair_oracle.query(stats, "proximity", 1, 2, rel.rprox)
+        assert fv[3] == pair_oracle.query(stats, "distance", 1, 2, rel.rdist_bin)
+        assert fv[4] == abs(pair_oracle.size_zscore(stats, 1, 2, rel.rsize))
         assert fv[5] == rel.rdist
         assert fv[6] == pytest.approx(
             float(np.abs(hists[0].to_array() - 1.0 / 16).sum()), abs=1e-15
@@ -319,7 +320,7 @@ class TestVerify:
         objects = extract_objects(grid, registry.min_area)
         anchor = next(o for o in objects if o.class_id in anchor_ids)
         cells = list(grid.cells)
-        for r, c in anchor.pixels:
+        for r, c in pixels(anchor):
             cells[r * grid.width + c] = 0
         broken = grid_from_array(
             np.array(cells).reshape(grid.height, grid.width), grid.class_map, grid.image_id
