@@ -58,7 +58,6 @@ from .relations import (
     OCTANTS,
     PROXIMITY_LABELS,
     PairTable,
-    ShapeHistogram,
     contact,
     relations_for_objects,
     shape_histogram,
@@ -76,6 +75,7 @@ from .stats import (
 from .verifier import (
     FEATURE_NAMES,
     GLOBAL_LABEL,
+    Detector,
     Hyperparams,
     LinearModel,
     Scene,

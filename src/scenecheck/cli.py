@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -122,7 +123,7 @@ def cmd_select_contexts(args) -> int:
         table, labels, min_coverage=args.min_coverage, min_balance=args.min_balance
     )
     doc = report.to_dict()
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    corpus_mod._write_json(args.out, doc)
     _print_json(doc)
     return 0
 
@@ -147,8 +148,8 @@ def cmd_gen_contradictions(args) -> int:
         pairs.append(
             {
                 "image_id": image_id,
-                "valid": str(corpus.grid_path(image_id)),
-                "invalid": str(invalid_path),
+                "valid": os.path.relpath(corpus.grid_path(image_id), out),
+                "invalid": os.path.relpath(invalid_path, out),
                 "removed_class": removed,
             }
         )
@@ -159,7 +160,7 @@ def cmd_gen_contradictions(args) -> int:
         "pairs": pairs,
         "skipped": skipped,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    corpus_mod._write_json(out / "manifest.json", manifest)
     _print_json({"command": "gen-contradictions", "pairs": len(pairs), "skipped": len(skipped)})
     return 0
 
@@ -202,7 +203,7 @@ def cmd_verify(args) -> int:
         with corpus_mod._malformed(args.classes):
             class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
     else:
-        class_map = {c: str(c) for c in registry.global_stats.classes}
+        class_map = {c: str(c) for c in registry.global_detector.stats.classes}
     grid = load_label_grid(args.image, class_map)
     attributes = None
     if args.attributes:
@@ -304,7 +305,7 @@ def cmd_evaluate(args) -> int:
         "improvement_pp": improvement,
     }
     out = Path(args.out)
-    out.write_text(json.dumps(report, sort_keys=True, indent=1) + "\n")
+    corpus_mod._write_json(out, report)
     log_path = out.parent / (out.stem + ".verdicts.jsonl")
     with log_path.open("w") as fh:
         for row in log_rows:

@@ -40,7 +40,7 @@ from .errors import (
 from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, extract_objects, grid_from_array
 from .seeds import derive_seed
 from .stats import CooccurrenceModel, StatsBuilder, finalize
-from .verifier import Hyperparams, LinearModel, Scene, VerifierRegistry
+from .verifier import Detector, Hyperparams, LinearModel, Scene, VerifierRegistry
 
 SCHEMA_VERSION = 1
 
@@ -539,7 +539,10 @@ def _read_json(path: Path) -> dict:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    """Write `doc` as sorted, indented JSON, creating the parent directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
 def _check_version(doc: dict, what: str) -> None:
@@ -623,12 +626,20 @@ def _model_from_doc(doc: dict) -> LinearModel:
     )
 
 
-def _protos_to_doc(protos: dict[int, tuple[float, ...]]) -> dict:
-    return {str(k): list(v) for k, v in sorted(protos.items())}
+def _detector_to_doc(detector: Detector) -> dict:
+    return {
+        "model": _model_to_doc(detector.model),
+        "stats": _stats_to_doc(detector.stats),
+        "prototypes": {str(k): list(v) for k, v in sorted(detector.prototypes.items())},
+    }
 
 
-def _protos_from_doc(doc: dict) -> dict[int, tuple[float, ...]]:
-    return {int(k): tuple(v) for k, v in doc.items()}
+def _detector_from_doc(doc: dict) -> Detector:
+    return Detector(
+        model=_model_from_doc(doc["model"]),
+        stats=_stats_from_doc(doc["stats"]),
+        prototypes={int(k): tuple(v) for k, v in doc["prototypes"].items()},
+    )
 
 
 def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> None:
@@ -645,18 +656,9 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
             "min_area": obj.min_area,
             "shape_samples": obj.shape_samples,
             "shape_bins": obj.shape_bins,
-            "global": {
-                "model": _model_to_doc(obj.global_model),
-                "stats": _stats_to_doc(obj.global_stats),
-                "prototypes": _protos_to_doc(obj.global_prototypes),
-            },
+            "global": _detector_to_doc(obj.global_detector),
             "contexts": {
-                value: {
-                    "model": _model_to_doc(obj.models[value]),
-                    "stats": _stats_to_doc(obj.stats_models[value]),
-                    "prototypes": _protos_to_doc(obj.prototypes[value]),
-                }
-                for value in sorted(obj.models)
+                value: _detector_to_doc(detector) for value, detector in obj.models.items()
             },
         }
     else:
@@ -674,18 +676,13 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
         if kind == "cooccurrence_model":
             return _stats_from_doc(doc)
         if kind == "verifier_registry":
-            g, contexts = doc["global"], doc["contexts"]
             return VerifierRegistry(
                 context_attribute=doc["context_attribute"],
                 aggregation_mode=doc["aggregation_mode"],
                 min_area=int(doc["min_area"]),
                 shape_samples=int(doc["shape_samples"]),
                 shape_bins=int(doc["shape_bins"]),
-                global_model=_model_from_doc(g["model"]),
-                global_stats=_stats_from_doc(g["stats"]),
-                global_prototypes=_protos_from_doc(g["prototypes"]),
-                models={v: _model_from_doc(c["model"]) for v, c in contexts.items()},
-                stats_models={v: _stats_from_doc(c["stats"]) for v, c in contexts.items()},
-                prototypes={v: _protos_from_doc(c["prototypes"]) for v, c in contexts.items()},
+                global_detector=_detector_from_doc(doc["global"]),
+                models={v: _detector_from_doc(c) for v, c in doc["contexts"].items()},
             )
         raise FormatError(f"unknown document kind {kind!r}")

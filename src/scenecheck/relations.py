@@ -7,7 +7,7 @@ come out together as the columns of one PairTable, and
 `relations_for_objects` is where each channel is defined.  `contact`
 decides, from two objects' pixel runs, whether they touch.  Per-object
 shape is summarized as a histogram of normalized boundary-to-centroid
-distances.
+distances; a scene's histograms are the rows of one array.
 
 All operations are pure functions with no shared mutable state.
 """
@@ -68,16 +68,6 @@ class PairTable:
         return len(self.a_index)
 
 
-@dataclass(frozen=True)
-class ShapeHistogram:
-    """Frequencies of normalized boundary-point distances from the centroid."""
-
-    bins: tuple[float, ...]
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.bins, dtype=np.float64)
-
-
 def contact(a: SceneObject, b: SceneObject) -> bool:
     """True iff some pixel of A and some pixel of B are within Chebyshev distance 1.
 
@@ -107,14 +97,16 @@ def shape_histogram(
     objects: Sequence[SceneObject],
     n_samples: int = SHAPE_SAMPLES,
     n_bins: int = SHAPE_BINS,
-) -> tuple[ShapeHistogram, ...]:
-    """Histograms of boundary-point distances to the centroid, one per object.
+) -> np.ndarray:
+    """Histograms of boundary-point distances to the centroid, one row per object.
 
-    Each object's traced boundary cycle is resampled at `n_samples`
-    points of equal arc-length spacing; distances are normalized by the
-    maximum sampled distance and binned into `n_bins` equal-width bins
-    over [0, 1] (the value 1.0 falls in the last bin).  A single-pixel
-    object degenerates to all mass in the last bin.
+    Returns a read-only `(len(objects), n_bins)` float64 array whose row
+    k holds the bin frequencies of `objects[k]`.  Each object's traced
+    boundary cycle is resampled at `n_samples` points of equal arc-length
+    spacing; distances are normalized by the maximum sampled distance
+    and binned into `n_bins` equal-width bins over [0, 1] (the value 1.0
+    falls in the last bin).  A single-pixel object degenerates to all
+    mass in the last bin.
 
     All geometry is computed in bbox-relative coordinates, which are
     invariant under integer translation, so translated copies of an
@@ -127,8 +119,12 @@ def shape_histogram(
     is bit-identical to the one it gets on its own.
     """
     if len(objects) < _BATCH_MIN:
-        return tuple(_one_histogram(o, n_samples, n_bins) for o in objects)
-    return _batched_histograms(objects, n_samples, n_bins)
+        hists = np.array([_one_histogram(o, n_samples, n_bins) for o in objects])
+        hists = hists.reshape(len(objects), n_bins)
+    else:
+        hists = _batched_histograms(objects, n_samples, n_bins)
+    hists.flags.writeable = False
+    return hists
 
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -156,8 +152,8 @@ def _relative_centroid(obj: SceneObject) -> tuple[float, float]:
     )
 
 
-def _one_histogram(obj: SceneObject, n_samples: int, n_bins: int) -> ShapeHistogram:
-    """`shape_histogram` of a single object."""
+def _one_histogram(obj: SceneObject, n_samples: int, n_bins: int) -> np.ndarray:
+    """`shape_histogram` row of a single object."""
     cy, cx = _relative_centroid(obj)
     if len(obj.boundary) == 1:
         samples = np.zeros(n_samples)
@@ -183,13 +179,12 @@ def _one_histogram(obj: SceneObject, n_samples: int, n_bins: int) -> ShapeHistog
     else:
         normalized = samples / max_d
     bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
-    freqs = np.bincount(bins, minlength=n_bins) / float(n_samples)
-    return ShapeHistogram(tuple(freqs.tolist()))
+    return np.bincount(bins, minlength=n_bins) / float(n_samples)
 
 
 def _batched_histograms(
     objects: Sequence[SceneObject], n_samples: int, n_bins: int
-) -> tuple[ShapeHistogram, ...]:
+) -> np.ndarray:
     """`_one_histogram` of every object, computed for all of them at once.
 
     Row k holds object k's boundary followed by its first point, repeated
@@ -239,8 +234,7 @@ def _batched_histograms(
     bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
     bins += np.arange(0, k * n_bins, n_bins)[:, None]
     counts = np.bincount(bins.ravel(), minlength=k * n_bins).reshape(k, n_bins)
-    freqs = counts / float(n_samples)
-    return tuple(ShapeHistogram(tuple(f)) for f in freqs.tolist())
+    return counts / float(n_samples)
 
 
 def _contact_matrix(objects: list[SceneObject], bbox: np.ndarray) -> np.ndarray:

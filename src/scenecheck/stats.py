@@ -140,45 +140,47 @@ def merge(x: StatsBuilder, y: StatsBuilder) -> StatsBuilder:
     return out
 
 
-def _smooth(counts: list[int], alpha: float) -> tuple[float, ...]:
+def _smooth(counts: tuple[int, ...], alpha: float) -> tuple[float, ...]:
     total = sum(counts)
     arity = len(counts)
     return tuple((c + alpha) / (total + alpha * arity) for c in counts)
 
 
-def _size_moments(obs: Counter) -> tuple[int, float, float]:
-    """(n, mean, std) of size log-ratios, derived in sorted observation order."""
+def _size_moments(obs: tuple[tuple[tuple[int, int], int], ...]) -> tuple[float, float]:
+    """(mean, std) of size log-ratios, derived in sorted observation order."""
     n = 0
     sx = 0.0
     sxx = 0.0
-    for (pa, pb), count in sorted(obs.items()):
+    for (pa, pb), count in sorted(obs):
         x = math.log(pa) - math.log(pb)
         n += count
         sx += count * x
         sxx += count * x * x
     mean = sx / n
     var = max(0.0, sxx / n - mean * mean)
-    return n, mean, max(math.sqrt(var), SIGMA_FLOOR)
+    return mean, max(math.sqrt(var), SIGMA_FLOOR)
 
 
 @dataclass(frozen=True)
 class CooccurrenceModel:
-    """Immutable smoothed co-occurrence tables; shareable across threads.
+    """Immutable co-occurrence counts and the smoothed dense tables derived
+    from them; shareable across threads.
 
-    Raw counts are retained so serialization is lossless and derived
-    probabilities can be reproduced exactly on load.  The dense tables,
-    indexed by `class_rows`, are how the model is read; they are derived
-    from the counts, so they take no part in equality.  For classes a
-    and b at rows i and j:
+    The counts are the model: they make serialization lossless and take
+    part in equality.  The dense tables, indexed by `class_rows`, are how
+    the model is read; `__post_init__` derives them from the counts, so
+    they take no part in equality.  For classes a and b at rows i and j:
 
     - `presence_table[i, j]`: (images showing both + alpha) / (images +
       2 alpha); "both" means two objects of the class when a == b.
     - `position_table[i, j]`, `proximity_table[i, j]`,
       `distance_table[i, j]`: the smoothed distribution over OCTANTS,
-      PROXIMITY_LABELS and distance bins of the ordered pair (a, b);
-      uniform for a pair never observed.
+      PROXIMITY_LABELS and distance bins of the ordered pair (a, b),
+      (count + alpha) / (total + alpha * arity); uniform for a pair
+      never observed.
     - `size_mean[i, j]`, `size_std[i, j]`: the size log-ratio moments of
-      (a, b), which standardize a pair's `rsize`; (0, 1) for a pair
+      (a, b), summed in sorted observation order with the std floored at
+      SIGMA_FLOOR, which standardize a pair's `rsize`; (0, 1) for a pair
       never observed.
     """
 
@@ -192,10 +194,6 @@ class CooccurrenceModel:
     proximity_counts: dict[tuple[int, int], tuple[int, ...]]
     distance_counts: dict[tuple[int, int], tuple[int, ...]]
     size_obs: dict[tuple[int, int], tuple[tuple[tuple[int, int], int], ...]]
-    position_dist: dict[tuple[int, int], tuple[float, ...]]
-    proximity_dist: dict[tuple[int, int], tuple[float, ...]]
-    distance_dist: dict[tuple[int, int], tuple[float, ...]]
-    size_stats: dict[tuple[int, int], tuple[int, float, float]]
     presence_table: np.ndarray = field(init=False, compare=False, repr=False)
     position_table: np.ndarray = field(init=False, compare=False, repr=False)
     proximity_table: np.ndarray = field(init=False, compare=False, repr=False)
@@ -204,15 +202,15 @@ class CooccurrenceModel:
     size_std: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Fill the dense tables from the smoothed values.
+        """Smooth the counts into the dense tables.
 
         Unseen pairs get the presence prior, exactly 1/len(labels), and
         size moments (0, 1).
         """
         row = {c: i for i, c in enumerate(self.classes)}
         keyed = (
-            self.presence_counts, self.position_dist, self.proximity_dist,
-            self.distance_dist, self.size_stats,
+            self.presence_counts, self.position_counts, self.proximity_counts,
+            self.distance_counts, self.size_obs,
         )
         outside = {c for table in keyed for key in table for c in key} - set(row)
         if outside:
@@ -225,16 +223,17 @@ class CooccurrenceModel:
                 count = self.presence_counts.get(_pair_key(a, b), 0)
                 presence[i, j] = (count + self.alpha) / denominator
         tables = {"presence_table": presence}
-        for name, dist, arity in (
-            ("position_table", self.position_dist, len(OCTANTS)),
-            ("proximity_table", self.proximity_dist, len(PROXIMITY_LABELS)),
-            ("distance_table", self.distance_dist, self.k_dist),
+        for name, counts, arity in (
+            ("position_table", self.position_counts, len(OCTANTS)),
+            ("proximity_table", self.proximity_counts, len(PROXIMITY_LABELS)),
+            ("distance_table", self.distance_counts, self.k_dist),
         ):
             tables[name] = np.full((n, n, arity), 1.0 / arity)
-            for (a, b), values in dist.items():
-                tables[name][row[a], row[b]] = values
+            for (a, b), values in counts.items():
+                tables[name][row[a], row[b]] = _smooth(values, self.alpha)
         tables["size_mean"], tables["size_std"] = np.zeros((n, n)), np.ones((n, n))
-        for (a, b), (_, mean, std) in self.size_stats.items():
+        for (a, b), obs in self.size_obs.items():
+            mean, std = _size_moments(obs)
             tables["size_mean"][row[a], row[b]] = mean
             tables["size_std"][row[a], row[b]] = std
         for name, table in tables.items():
@@ -265,10 +264,6 @@ def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> Cooccurrenc
         raise ValueError("alpha must be positive")
     if builder.images < 1:
         raise EmptyCorpusError("cannot finalize statistics over zero images")
-    position_dist = {k: _smooth(v, alpha) for k, v in sorted(builder.position_counts.items())}
-    proximity_dist = {k: _smooth(v, alpha) for k, v in sorted(builder.proximity_counts.items())}
-    distance_dist = {k: _smooth(v, alpha) for k, v in sorted(builder.distance_counts.items())}
-    size_stats = {k: _size_moments(v) for k, v in sorted(builder.size_obs.items())}
     return CooccurrenceModel(
         alpha=alpha,
         k_dist=builder.k_dist,
@@ -282,8 +277,4 @@ def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> Cooccurrenc
         size_obs={
             k: tuple(sorted(v.items())) for k, v in sorted(builder.size_obs.items())
         },
-        position_dist=position_dist,
-        proximity_dist=proximity_dist,
-        distance_dist=distance_dist,
-        size_stats=size_stats,
     )

@@ -12,10 +12,11 @@ object-removal twin of a scene from it, with no re-labelling, and
 `train_registry` and the `evaluate` command score prepared scenes and
 their twins.
 
-A VerifierRegistry holds one global detector plus one detector per
-context value; `verify` dispatches on the image's context attribute and
-falls back to the global detector whenever the context is missing,
-placeholder-valued, or untrained.  It takes a label grid, which it
+A VerifierRegistry holds one global Detector (linear model,
+statistics and shape prototypes) plus one per context value; `verify`
+dispatches on the image's context attribute and falls back to the
+global detector whenever the context is missing, placeholder-valued,
+or untrained.  It takes a label grid, which it
 prepares with the registry's parameters, or a Scene prepared with them.
 
 Featurization and scoring are pure; training is single-threaded and
@@ -34,13 +35,13 @@ from .errors import (
     DegenerateTrainingError,
     DimensionError,
     EmptyCorpusError,
+    SchemaError,
 )
 from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, SceneObject, extract_objects
 from .relations import (
     SHAPE_BINS,
     SHAPE_SAMPLES,
     PairTable,
-    ShapeHistogram,
     relations_for_objects,
     shape_histogram,
 )
@@ -70,16 +71,17 @@ _MODEL_TAG = 102
 @dataclass(frozen=True, eq=False)
 class Scene:
     """One label map, labelled once: its objects, their ordered pairs and
-    one shape histogram per object, with the parameters it was built with.
+    their shape histograms, with the parameters it was built with.
 
     `objects[i].object_id == i`, the pair table indexes `objects`, and
-    `hists[i]` belongs to `objects[i]`.
+    `hists` is the read-only `(len(objects), shape_bins)` array of
+    `shape_histogram`, whose row i belongs to `objects[i]`.
     """
 
     image_id: str
     objects: tuple[SceneObject, ...]
     pairs: PairTable
-    hists: tuple[ShapeHistogram, ...]
+    hists: np.ndarray
     min_area: int
     shape_samples: int
     shape_bins: int
@@ -116,7 +118,8 @@ class Scene:
             rdist=p.rdist[keep],
             rdist_bin=p.rdist_bin[keep],
         )
-        hists = self.hists[:k] + self.hists[k + 1 :]
+        hists = np.concatenate((self.hists[:k], self.hists[k + 1 :]))
+        hists.flags.writeable = False
         return replace(self, objects=objects, pairs=pairs, hists=hists)
 
 
@@ -128,12 +131,11 @@ def prepare(
 ) -> Scene:
     """Label the grid once: objects, their pair table and their shape histograms."""
     objects = tuple(extract_objects(grid, min_area))
-    hists = shape_histogram(objects, shape_samples, shape_bins)
     return Scene(
         image_id=grid.image_id,
         objects=objects,
         pairs=relations_for_objects(grid, objects),
-        hists=hists,
+        hists=shape_histogram(objects, shape_samples, shape_bins),
         min_area=min_area,
         shape_samples=shape_samples,
         shape_bins=shape_bins,
@@ -191,13 +193,13 @@ class Verdict:
 def featurize(
     pairs: PairTable,
     objects: Sequence[SceneObject],
-    hists: Sequence[ShapeHistogram],
+    hists: np.ndarray,
     stats: CooccurrenceModel,
     prototypes: Mapping[int, tuple[float, ...]],
 ) -> np.ndarray:
     """Evaluate the co-occurrence tables at every pair: one row per pair.
 
-    `hists` holds one histogram per object, in the order of `objects`.
+    `hists` holds one histogram row per object, in the order of `objects`.
     The shape term is the L1 distance between object A's histogram and
     the mean histogram of its class; classes without a prototype compare
     against the uniform histogram.  It is computed once per object, as
@@ -209,10 +211,10 @@ def featurize(
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows([o.class_id for o in objects])
     a, b = rows[pairs.a_index], rows[pairs.b_index]
-    n_bins = len(hists[0].bins)
+    n_bins = hists.shape[1]
     uniform = (1.0 / n_bins,) * n_bins
     shape = np.abs(
-        np.array([h.bins for h in hists])
+        hists
         - np.array([prototypes.get(o.class_id, uniform) for o in objects])
     ).sum(axis=1)
     return np.column_stack(
@@ -341,27 +343,34 @@ def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:
 
 
 @dataclass(frozen=True)
+class Detector:
+    """One scope's detector: its classifier, the co-occurrence statistics
+    it featurizes against and its per-class shape prototypes."""
+
+    model: LinearModel
+    stats: CooccurrenceModel
+    prototypes: dict[int, tuple[float, ...]]
+
+
+@dataclass(frozen=True)
 class VerifierRegistry:
-    """A global detector plus context-specific detectors and their statistics."""
+    """The global Detector plus one Detector per trained context value.
+
+    `models` is keyed by exactly the context values that were trained;
+    every other value falls back to `global_detector`.
+    """
 
     context_attribute: str | None
     aggregation_mode: str
     min_area: int
     shape_samples: int
     shape_bins: int
-    global_model: LinearModel
-    global_stats: CooccurrenceModel
-    global_prototypes: dict[int, tuple[float, ...]]
-    models: dict[str, LinearModel] = field(default_factory=dict)
-    stats_models: dict[str, CooccurrenceModel] = field(default_factory=dict)
-    prototypes: dict[str, dict[int, tuple[float, ...]]] = field(default_factory=dict)
+    global_detector: Detector
+    models: dict[str, Detector] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.aggregation_mode not in AGGREGATION_MODES:
             raise ValueError(f"unknown aggregation mode {self.aggregation_mode!r}")
-        missing = set(self.models) - set(self.stats_models)
-        if missing:
-            raise ValueError(f"context models without statistics: {sorted(missing)}")
 
     def resolve(self, attributes: Mapping[str, str] | None) -> str:
         """Context label serving this image; global whenever dispatch fails."""
@@ -393,20 +402,10 @@ def verify(
             f"registry uses {params}"
         )
     label = registry.resolve(attributes)
-    if label == GLOBAL_LABEL:
-        model, stats, protos = (
-            registry.global_model,
-            registry.global_stats,
-            registry.global_prototypes,
-        )
-    else:
-        model, stats, protos = (
-            registry.models[label],
-            registry.stats_models[label],
-            registry.prototypes[label],
-        )
+    detector = registry.global_detector if label == GLOBAL_LABEL else registry.models[label]
     pairs = scene.pairs
-    margins = score(model, featurize(pairs, scene.objects, scene.hists, stats, protos)).tolist()
+    X = featurize(pairs, scene.objects, scene.hists, detector.stats, detector.prototypes)
+    margins = score(detector.model, X).tolist()
     pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins))
     contradiction, confidence = aggregate(margins, registry.aggregation_mode)
     return Verdict(
@@ -432,8 +431,7 @@ def _prototypes_for(scenes: list[Scene]) -> dict[int, tuple[float, ...]]:
     sums: dict[int, np.ndarray] = {}
     counts: dict[int, int] = {}
     for scene in scenes:
-        for obj, hist in zip(scene.objects, scene.hists):
-            values = hist.to_array()
+        for obj, values in zip(scene.objects, scene.hists):
             if obj.class_id in sums:
                 sums[obj.class_id] += values
                 counts[obj.class_id] += 1
@@ -467,6 +465,8 @@ def train_registry(
     object-removal twins as contradiction examples (one image-level
     label shared by all pairs of a scene).  Context values with fewer
     than `n_min` train images get no model and fall back to global.
+    Raises SchemaError when the context attribute takes the value
+    GLOBAL_LABEL, which would name the global detector.
     """
     from .corpus import derive_contradiction
 
@@ -493,11 +493,16 @@ def train_registry(
         if attribute_table is None:
             raise ValueError("context training requires an attribute table")
         groups = partition_corpus(train_ids, attribute_table, context_attribute)
+        if GLOBAL_LABEL in groups:
+            raise SchemaError(
+                f"context attribute {context_attribute!r} takes the value "
+                f"{GLOBAL_LABEL!r}, which names the global detector"
+            )
         for value in sorted(groups):
             if value != PLACEHOLDER and len(groups[value]) >= n_min:
                 scopes.append((value, sorted(groups[value])))
 
-    trained: dict[str, tuple[LinearModel, CooccurrenceModel, dict]] = {}
+    trained: dict[str, Detector] = {}
     for scope_idx, (label, ids) in enumerate(scopes):
         scope_scenes = [scenes[i] for i in ids]
         scope_stats = build_stats(scope_scenes, corpus.class_map, alpha)
@@ -518,19 +523,14 @@ def train_registry(
             seed=derive_seed(seed, _MODEL_TAG, scope_idx),
             context_label=label,
         )
-        trained[label] = (model, scope_stats, protos)
+        trained[label] = Detector(model, scope_stats, protos)
 
-    global_model, global_stats, global_protos = trained[GLOBAL_LABEL]
     return VerifierRegistry(
         context_attribute=context_attribute,
         aggregation_mode=aggregation_mode,
         min_area=min_area,
         shape_samples=shape_samples,
         shape_bins=shape_bins,
-        global_model=global_model,
-        global_stats=global_stats,
-        global_prototypes=global_protos,
-        models={k: v[0] for k, v in trained.items() if k != GLOBAL_LABEL},
-        stats_models={k: v[1] for k, v in trained.items() if k != GLOBAL_LABEL},
-        prototypes={k: v[2] for k, v in trained.items() if k != GLOBAL_LABEL},
+        global_detector=trained.pop(GLOBAL_LABEL),
+        models=trained,
     )

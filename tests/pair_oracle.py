@@ -4,8 +4,9 @@ The library computes a scene's pairs as the columns of one PairTable,
 reads its statistics from dense tables and computes features and
 margins as matrices.  This module keeps the per-pair form they
 replaced: the scalar channel functions, the statistics lookups `query`
-and `size_zscore`, and per-pair features and scores built from them, so
-that tests can require the batched results to equal it bit for bit.
+and `size_zscore`, which smooth the model's raw counts themselves, and
+per-pair features and scores built from them, so that tests can require
+the batched results to equal it bit for bit.
 """
 
 import math
@@ -15,6 +16,7 @@ import numpy as np
 
 from scenecheck import DegeneratePairError, UnknownClassError, contact
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
+from scenecheck.stats import SIGMA_FLOOR
 
 QUERY_KINDS = ("presence", "position", "proximity", "distance")
 
@@ -94,7 +96,8 @@ def _check_classes(model, *ids) -> None:
 
 
 def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
-    """Smoothed probability of `observed` under the model's named table.
+    """Smoothed probability of `observed` under the model's named counts:
+    (count + alpha) / (total + alpha * arity).
 
     Unknown class ids raise UnknownClassError; a known pair with no
     data falls back to the uniform smoothed prior and never errors.
@@ -106,25 +109,38 @@ def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
         count = model.presence_counts.get(_pair_key(a_class, b_class), 0)
         return (count + model.alpha) / (model.images + 2 * model.alpha)
     if kind == "position":
-        table, labels = model.position_dist, OCTANTS
+        table, labels = model.position_counts, OCTANTS
     elif kind == "proximity":
-        table, labels = model.proximity_dist, PROXIMITY_LABELS
+        table, labels = model.proximity_counts, PROXIMITY_LABELS
     else:
-        table, labels = model.distance_dist, tuple(range(model.k_dist))
+        table, labels = model.distance_counts, tuple(range(model.k_dist))
     idx = labels.index(observed)
-    dist = table.get((a_class, b_class))
-    if dist is None:
+    counts = table.get((a_class, b_class))
+    if counts is None:
         return 1.0 / len(labels)
-    return dist[idx]
+    return (counts[idx] + model.alpha) / (sum(counts) + model.alpha * len(labels))
+
+
+def size_moments(observations) -> tuple[float, float]:
+    """(mean, std) of the size log-ratios of ((pixels_a, pixels_b), count)
+    observations, summed in sorted order; std is floored at SIGMA_FLOOR."""
+    n, sx, sxx = 0, 0.0, 0.0
+    for (pa, pb), count in sorted(observations):
+        x = math.log(pa) - math.log(pb)
+        n += count
+        sx += count * x
+        sxx += count * x * x
+    mean = sx / n
+    return mean, max(math.sqrt(max(0.0, sxx / n - mean * mean)), SIGMA_FLOOR)
 
 
 def size_zscore(model, a_class: int, b_class: int, log_ratio: float) -> float:
     """(log_ratio - mean) / std for the ordered pair; unseen pairs use (0, 1)."""
     _check_classes(model, a_class, b_class)
-    stats = model.size_stats.get((a_class, b_class))
-    if stats is None:
+    observations = model.size_obs.get((a_class, b_class))
+    if observations is None:
         return float(log_ratio)
-    _, mean, std = stats
+    mean, std = size_moments(observations)
     return (log_ratio - mean) / std
 
 
@@ -189,7 +205,7 @@ def table_rows(table, objects) -> list[PairRelation]:
 
 def featurize(relation, shape_a, stats, prototypes) -> np.ndarray:
     a, b = relation.a_class, relation.b_class
-    hist = shape_a.to_array()
+    hist = np.asarray(shape_a, dtype=np.float64)
     proto = prototypes.get(a)
     if proto is None:
         proto_arr = np.full(len(hist), 1.0 / len(hist))

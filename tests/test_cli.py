@@ -1,6 +1,8 @@
 """End-to-end command-line pipeline."""
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
@@ -99,9 +101,9 @@ class TestBuildStats:
         out = tmp_path / "stats.json"
         assert main(["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]) == 0
         registry = load_model(registry_path)
-        assert load_model(out) == registry.global_stats
+        assert load_model(out) == registry.global_detector.stats
         for value in ("inside", "outside"):
-            assert load_model(tmp_path / f"stats.{value}.json") == registry.stats_models[value]
+            assert load_model(tmp_path / f"stats.{value}.json") == registry.models[value].stats
 
 
 class TestGenContradictions:
@@ -117,6 +119,57 @@ class TestGenContradictions:
         assert manifest["skipped"], "lone scenes should be skipped"
         first = manifest["pairs"][0]
         assert (out / "contradictions" / f"{first['image_id']}.lgrid").exists()
+
+    def test_manifest_paths_are_relative_to_the_manifest(self, pipeline, tmp_path):
+        _, corpus_dir, _ = pipeline
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            argv = ["gen-contradictions", str(corpus_dir), "--seed", "3", "-o", str(out)]
+            assert main(argv) == 0
+        first, second = ((out / "manifest.json").read_bytes() for out in outs)
+        assert first == second
+        manifest = json.loads(first)
+        assert manifest["pairs"]
+        for pair in manifest["pairs"]:
+            for key in ("valid", "invalid"):
+                assert not os.path.isabs(pair[key])
+                assert (outs[0] / pair[key]).is_file()
+            assert (outs[0] / pair["valid"]).resolve() == (
+                corpus_dir / "images" / f"{pair['image_id']}.lgrid"
+            ).resolve()
+
+
+@pytest.mark.parametrize("command", ["build-stats", "select-contexts", "train", "evaluate"])
+def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command):
+    _, corpus_dir, registry_path = pipeline
+    out = tmp_path / "missing" / "sub" / "x.json"
+    argv = {
+        "build-stats": ["build-stats", str(corpus_dir)],
+        "select-contexts": ["select-contexts", str(corpus_dir)],
+        "train": ["train", str(corpus_dir), "--seed", "1", "--epochs", "1"],
+        "evaluate": ["evaluate", str(registry_path), str(corpus_dir), "--seed", "1"],
+    }[command]
+    assert main(argv + ["-o", str(out)]) == 0
+    assert json.loads(out.read_text())
+
+
+def test_train_rejects_a_context_value_named_global(tmp_path, capsys):
+    config = default_synthetic_config(n_images=10)
+    inside, outside = config.contexts
+    config = dataclasses.replace(
+        config, contexts=(dataclasses.replace(inside, value="global"), outside)
+    )
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config.to_dict()))
+    corpus_dir = tmp_path / "corpus"
+    assert main(["synth", str(config_path), str(corpus_dir), "--seed", "2"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "registry.json"
+    argv = ["train", str(corpus_dir), "--context", "location", "--seed", "2", "-o", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: SchemaError:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -9,6 +9,7 @@ import pytest
 from scenecheck import (
     GLOBAL_LABEL,
     Corpus,
+    Detector,
     FormatError,
     Hyperparams,
     LinearModel,
@@ -204,8 +205,8 @@ def _hand_registry():
     )
     return VerifierRegistry(
         context_attribute=None, aggregation_mode="majority", min_area=1, shape_samples=64,
-        shape_bins=16, global_model=model, global_stats=finalize(builder),
-        global_prototypes={},
+        shape_bins=16,
+        global_detector=Detector(model=model, stats=finalize(builder), prototypes={}),
     )
 
 
@@ -268,7 +269,7 @@ class TestPersistence:
 
     def test_stats_document_with_wrong_types_is_format_error(self, tmp_path):
         path = tmp_path / "stats.json"
-        save_model(path, _hand_registry().global_stats)
+        save_model(path, _hand_registry().global_detector.stats)
         doc = json.loads(path.read_text())
         doc["presence_counts"] = [[1, 2]]
         path.write_text(json.dumps(doc))

@@ -25,7 +25,7 @@ def assert_same_scene(got, want):
     assert got.image_id == want.image_id
     assert got.params == want.params
     assert got.objects == want.objects
-    assert got.hists == want.hists
+    assert got.hists.shape == want.hists.shape and np.array_equal(got.hists, want.hists)
     assert len(got.pairs) == len(want.pairs)
     for f in fields(PairTable):
         g, w = getattr(got.pairs, f.name), getattr(want.pairs, f.name)
@@ -137,4 +137,17 @@ def test_prepare_records_its_parameters():
     scene = prepare(grid, 3, 32, 8)
     assert scene.image_id == "two"
     assert scene.params == (3, 32, 8)
-    assert all(len(h.bins) == 8 for h in scene.hists)
+    assert scene.hists.shape == (2, 8)
+
+
+@pytest.mark.parametrize("rects", [[], TWO_RECTS], ids=["empty", "two-objects"])
+def test_hists_are_one_read_only_row_per_object(rects):
+    grid = grid_from_array(paint(rects), CLASS_MAP)
+    scene = prepare(grid, min_area=1, shape_bins=8)
+    scenes = [scene] + [scene.without(k) for k in range(len(scene.objects))]
+    for s in scenes:
+        assert s.hists.shape == (len(s.objects), 8)
+        assert s.hists.dtype == np.float64
+        assert not s.hists.flags.writeable
+        with pytest.raises(ValueError):
+            s.hists[...] = 0.0

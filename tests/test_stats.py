@@ -263,7 +263,8 @@ class TestFinalize:
         assert proximity(model, 1, 2, "ON") == pytest.approx(2 / 8, abs=1e-12)
         assert proximity(model, 1, 2, "FRONT") == pytest.approx(1 / 8, abs=1e-12)
         assert lookup(model, "distance_table", 1, 2)[1] == pytest.approx(2 / 7, abs=1e-12)
-        n, mean, std = model.size_stats[(1, 2)]
+        n = sum(count for _, count in model.size_obs[(1, 2)])
+        mean, std = lookup(model, "size_mean", 1, 2), lookup(model, "size_std", 1, 2)
         xs = [math.log(4 / 8), math.log(4 / 12)]
         assert n == 2
         assert mean == pytest.approx(sum(xs) / 2, abs=1e-12)
@@ -271,7 +272,8 @@ class TestFinalize:
 
     def test_sigma_floor_applies_to_degenerate_pairs(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        n, mean, std = model.size_stats[(1, 3)]
+        n = sum(count for _, count in model.size_obs[(1, 3)])
+        mean, std = lookup(model, "size_mean", 1, 3), lookup(model, "size_std", 1, 3)
         assert (n, mean) == (2, 0.0)
         assert std == 0.1
 
@@ -279,7 +281,7 @@ class TestFinalize:
 class TestQuery:
     def test_zscore_centering(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        _, mean, _ = model.size_stats[(1, 2)]
+        mean, _ = pair_oracle.size_moments(model.size_obs[(1, 2)])
         mu, sigma = lookup(model, "size_mean", 1, 2), lookup(model, "size_std", 1, 2)
         assert (mean - mu) / sigma == 0.0
 
@@ -356,24 +358,34 @@ class TestModelInvariants:
             objects = extract_objects(grid)
             accumulate(builder, objects, relations_for_objects(grid, objects))
         model = finalize(builder, alpha=1.0)
-        for table in (model.position_dist, model.proximity_dist, model.distance_dist):
-            for dist in table.values():
-                assert sum(dist) == pytest.approx(1.0, abs=1e-9)
-                assert all(p > 0 for p in dist)
+        assert_rows_are_distributions(model)
 
     def test_positional_duality_exact(self):
-        model = finalize(_hand_builder(), alpha=1.0)
-        for (a, b), dist in model.position_dist.items():
-            rev = model.position_dist[(b, a)]
-            for i, label in enumerate(OCTANTS):
-                assert dist[i] == rev[OCTANTS.index(pair_oracle.opposite_octant(label))]
+        assert_positional_duality(finalize(_hand_builder(), alpha=1.0))
 
     def test_large_alpha_approaches_uniform(self):
         model = finalize(_hand_builder(), alpha=1e6)
         for table, arity in (
-            (model.position_dist, 8),
-            (model.proximity_dist, 6),
-            (model.distance_dist, 5),
+            (model.position_table, 8),
+            (model.proximity_table, 6),
+            (model.distance_table, 5),
         ):
-            for dist in table.values():
-                assert max(abs(p - 1.0 / arity) for p in dist) <= 1e-3
+            assert table.shape[-1] == arity
+            assert np.abs(table - 1.0 / arity).max() <= 1e-3
+
+
+def assert_rows_are_distributions(model):
+    """Every pair's row of every dense distribution table, seen or unseen,
+    is positive and sums to 1."""
+    n = len(model.classes)
+    for table in (model.position_table, model.proximity_table, model.distance_table):
+        assert table.shape[:2] == (n, n)
+        assert (table > 0).all()
+        assert np.abs(table.sum(axis=2) - 1.0).max() <= 1e-9
+
+
+def assert_positional_duality(model):
+    """P(octant | a, b) equals P(opposite octant | b, a) exactly, for every pair."""
+    opposite = [OCTANTS.index(pair_oracle.opposite_octant(label)) for label in OCTANTS]
+    table = model.position_table
+    assert (table == table.transpose(1, 0, 2)[:, :, opposite]).all()

@@ -1,6 +1,7 @@
 """Featurization, linear training, aggregation, and context dispatch."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,11 +10,13 @@ from hypothesis import given, settings
 from scenecheck import (
     DegeneratePairError,
     DegenerateTrainingError,
+    Detector,
     DimensionError,
     GLOBAL_LABEL,
     Hyperparams,
     LinearModel,
     PLACEHOLDER,
+    SchemaError,
     StatsBuilder,
     UnknownClassError,
     VerifierRegistry,
@@ -86,7 +89,7 @@ class TestFeaturize:
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
         stats = finalize(builder, alpha=1.0)
-        X = featurize(pairs, objects, hists, stats, {1: hists[0].bins})
+        X = featurize(pairs, objects, hists, stats, {1: tuple(hists[0].tolist())})
         assert X[0, len(FEATURE_NAMES) - 1] == 0.0
 
     def test_components_match_independent_recomputation(self):
@@ -104,7 +107,7 @@ class TestFeaturize:
         assert fv[4] == abs(pair_oracle.size_zscore(stats, 1, 2, rel.rsize))
         assert fv[5] == rel.rdist
         assert fv[6] == pytest.approx(
-            float(np.abs(hists[0].to_array() - 1.0 / 16).sum()), abs=1e-15
+            float(np.abs(hists[0] - 1.0 / 16).sum()), abs=1e-15
         )
 
     def test_no_pairs_give_an_empty_matrix(self):
@@ -356,9 +359,8 @@ class TestVerify:
         grid, record = _find_triple(corpus, table, registry)
         verdict = verify(grid, registry, record)
         objects = extract_objects(grid, registry.min_area)
-        stats = registry.stats_models[verdict.model_used]
-        protos = registry.prototypes[verdict.model_used]
-        model = registry.models[verdict.model_used]
+        detector = registry.models[verdict.model_used]
+        stats, protos, model = detector.stats, detector.prototypes, detector.model
         for perm_seed in range(3):
             rng = np.random.default_rng(perm_seed)
             shuffled = list(objects)
@@ -422,9 +424,13 @@ class TestTrainRegistry:
     def test_context_models_trained_per_value(self, small_experiment):
         _, _, registry = small_experiment
         assert sorted(registry.models) == ["inside", "outside"]
-        assert sorted(registry.stats_models) == ["inside", "outside"]
-        assert registry.global_model.context_label == GLOBAL_LABEL
-        assert registry.models["inside"].context_label == "inside"
+        assert all(isinstance(d, Detector) for d in registry.models.values())
+        assert registry.global_detector.model.context_label == GLOBAL_LABEL
+        assert registry.models["inside"].model.context_label == "inside"
+        # Each context's statistics count its own train images only.
+        context_images = [d.stats.images for d in registry.models.values()]
+        assert all(0 < n < registry.global_detector.stats.images for n in context_images)
+        assert sum(context_images) <= registry.global_detector.stats.images
 
     def test_small_contexts_fall_back_to_global(self, tmp_path):
         config = default_synthetic_config(n_images=40, seed=8)
@@ -440,6 +446,14 @@ class TestTrainRegistry:
         registry = train_registry(corpus, None, None, seed=8)
         assert registry.models == {}
         assert registry.context_attribute is None
+
+    def test_context_value_named_global_rejected(self, tmp_path):
+        config = default_synthetic_config(n_images=40, seed=8)
+        inside, outside = config.contexts
+        config = replace(config, contexts=(replace(inside, value=GLOBAL_LABEL), outside))
+        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        with pytest.raises(SchemaError, match="'global'"):
+            train_registry(corpus, table, "location", seed=8)
 
     def test_training_is_deterministic(self, tmp_path):
         config = default_synthetic_config(n_images=60, seed=21)
@@ -489,10 +503,12 @@ def _oracle_registry(model=None, stats=None):
         min_area=1,
         shape_samples=64,
         shape_bins=16,
-        global_model=model or _oracle_model(),
-        global_stats=stats or _oracle_stats(),
-        # Classes 3 and 4 have no prototype and compare against uniform.
-        global_prototypes={1: tuple(1.0 / 16 for _ in range(16)), 2: hist.bins},
+        global_detector=Detector(
+            model=model or _oracle_model(),
+            stats=stats or _oracle_stats(),
+            # Classes 3 and 4 have no prototype and compare against uniform.
+            prototypes={1: tuple(1.0 / 16 for _ in range(16)), 2: tuple(hist.tolist())},
+        ),
     )
 
 
@@ -504,9 +520,8 @@ class TestBatchedPairLayerMatchesOracle:
     @given(scenes)
     def test_features_and_margins_equal_per_pair_oracle(self, rects):
         registry = ORACLE_REGISTRY
-        stats, protos, model = (
-            registry.global_stats, registry.global_prototypes, registry.global_model
-        )
+        detector = registry.global_detector
+        stats, protos, model = detector.stats, detector.prototypes, detector.model
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
         hists = shape_histogram(objects)
@@ -531,7 +546,7 @@ class TestBatchedPairLayerMatchesOracle:
         assert (verdict.contradiction, verdict.confidence) == aggregate(expected_margins)
 
     def test_unseen_class_pairs_use_the_uniform_priors(self):
-        stats = ORACLE_REGISTRY.global_stats
+        stats = ORACLE_REGISTRY.global_detector.stats
         grid = grid_from_array(paint([(4, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
         hists = shape_histogram(objects)
@@ -546,7 +561,7 @@ class TestBatchedPairLayerMatchesOracle:
     def test_shape_term_equals_the_per_object_sum(self, rng, n_bins):
         # Prototypes that are not multiples of 1/n_samples make the L1 sum
         # round, so each row must add in the order of a per-object sum.
-        stats = ORACLE_REGISTRY.global_stats
+        stats = ORACLE_REGISTRY.global_detector.stats
         rects = [(1, 1, 1, 5, 7), (2, 9, 2, 6, 4), (3, 3, 12, 9, 6), (1, 16, 10, 5, 9)]
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
