@@ -38,6 +38,7 @@ from .stats import ALPHA_DEFAULT
 from .verifier import (
     AGGREGATION_MODES,
     CONTRADICTIONS_PER_IMAGE,
+    GLOBAL_LABEL,
     Hyperparams,
     VerifierRegistry,
     build_stats,
@@ -182,12 +183,17 @@ def cmd_train(args) -> int:
         alpha=args.alpha,
     )
     save_model(args.out, registry)
+    scopes = {GLOBAL_LABEL: registry.global_detector, **registry.models}
     _print_json(
         {
             "command": "train",
             "out": str(args.out),
             "context_attribute": context,
             "contexts": sorted(registry.models),
+            "scopes": {
+                label: {"n_pos": d.model.n_pos, "n_neg": d.model.n_neg}
+                for label, d in scopes.items()
+            },
             "seed": args.seed,
         }
     )
@@ -283,12 +289,15 @@ def cmd_evaluate(args) -> int:
         (per_context_avg - global_accuracy) * 100.0 if per_context_avg is not None else None
     )
 
+    # Input paths relative to the report's directory, so the report's
+    # bytes do not depend on how the inputs were named.
+    out = Path(args.out)
     report = {
         "schema_version": 1,
         "command": "evaluate",
         "config": {
-            "registry": str(args.registry),
-            "corpus": str(args.corpus),
+            "registry": os.path.relpath(args.registry, out.parent),
+            "corpus": os.path.relpath(args.corpus, out.parent),
             "context_attribute": context_attribute,
             "aggregation_mode": registry.aggregation_mode,
         },
@@ -304,7 +313,6 @@ def cmd_evaluate(args) -> int:
         "per_context_average_accuracy": per_context_avg,
         "improvement_pp": improvement,
     }
-    out = Path(args.out)
     corpus_mod._write_json(out, report)
     log_path = out.parent / (out.stem + ".verdicts.jsonl")
     with log_path.open("w") as fh:

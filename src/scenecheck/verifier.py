@@ -26,6 +26,7 @@ fully determined by its inputs and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -230,6 +231,41 @@ def featurize(
     )
 
 
+@cache
+def _sgd_epoch(width: int):
+    """One SGD epoch over `width` features, as straight-line float code.
+
+    The generated `epoch(w, b, order, rows, lr, lam, decay)` takes the
+    weights as a tuple of floats, the bias, the visiting order and the
+    rows `[z_0, ..., z_{width-1}, y]` as Python floats, and returns the
+    new weights and bias.  Every coordinate's update is spelt out, so a
+    step makes no NumPy call and runs no loop over the coordinates.  It
+    is generated once per width; the cache key is the width alone.
+    """
+    ws = [f"w{j}" for j in range(width)]
+    zs = [f"z{j}" for j in range(width)]
+    weights = "(" + "".join(f"{w}, " for w in ws) + ")"
+    row = "".join(f"{z}, " for z in zs) + "yi,"
+    dot = "".join(f"{w}*{z} + " for w, z in zip(ws, zs))
+    hinge = [f"{w} = {w} - ({w}*lam - yi*{z})*lr" for w, z in zip(ws, zs)]
+    shrink = [f"{w} = {w} - {w}*decay" for w in ws] or ["pass"]
+    lines = [
+        "def epoch(w, b, order, rows, lr, lam, decay):",
+        f"    {weights} = w",
+        "    for i in order:",
+        f"        {row} = rows[i]",
+        f"        if yi * ({dot}b) < 1.0:",
+        *(f"            {line}" for line in hinge),
+        "            b += lr * yi",
+        "        else:",
+        *(f"            {line}" for line in shrink),
+        f"    return {weights}, b",
+    ]
+    namespace: dict = {}
+    exec(compile("\n".join(lines), f"<sgd epoch, width {width}>", "exec"), namespace)
+    return namespace["epoch"]
+
+
 def train_linear(
     features,
     labels,
@@ -243,6 +279,18 @@ def train_linear(
     is fitted on the training features (stds floored at 1e-6); samples
     are visited in a seeded shuffle per epoch for a fixed epoch count,
     so identical inputs and seed give bit-identical models.
+
+    A step on a margin below 1 sets each weight to
+    `w_j - (w_j*lam - y_i*z_ij)*lr` and the bias to `b + lr*y_i`; any
+    other step sets it to `w_j - w_j*(lr*lam)`.  The steps run on
+    Python floats, one straight-line function per feature width
+    (`_sgd_epoch`).  Each weight comes only from these element-wise
+    IEEE operations, in the order the array form `w -= lr*(lam*w -
+    y_i*z_i)` evaluates them, and CPython rounds them as NumPy does, so
+    the weights are those of the array form bit for bit.  The dot
+    product, summed left to right, only picks the branch; a different
+    summation order could pick the other one only on a margin within
+    rounding error of 1.
     """
     hp = hyperparams or Hyperparams()
     X = np.asarray(features, dtype=np.float64)
@@ -255,43 +303,27 @@ def train_linear(
     stds = np.maximum(X.std(axis=0), 1e-6)
     Z = (X - means) / stds
     rng = np.random.default_rng(seed)
-    w = np.zeros(X.shape[1])
+    epoch_fn = _sgd_epoch(X.shape[1])
+    rows = np.column_stack((Z, y)).tolist()
+    w: tuple[float, ...] = (0.0,) * X.shape[1]
     b = 0.0
     lr, lam = hp.learning_rate, hp.l2_lambda
-    # One step is `w -= lr * (lam * w - y_i * z_i)` on a margin below 1
-    # and `w -= lr * lam * w` otherwise, evaluated in that order into a
-    # scratch vector (the ufuncs' third argument is `out`), so a step
-    # allocates no array data, only the row views it reads.
-    signs = y.tolist()
-    signed = y[:, None] * Z
     decay = lr * lam
-    tmp = np.empty_like(w)
     # Tail-averaged iterates: the raw SGD endpoint oscillates on noisy
     # margins, the average over the last half of the epochs does not.
-    w_avg = np.zeros_like(w)
+    w_avg = np.zeros(X.shape[1])
     b_avg = 0.0
     averaged = 0
     tail_start = hp.epochs - max(1, hp.epochs // 2)
     for epoch in range(hp.epochs):
-        for i in rng.permutation(len(Z)).tolist():
-            yi = signs[i]
-            if yi * (float(w.dot(Z[i])) + b) < 1.0:
-                np.multiply(w, lam, tmp)
-                np.subtract(tmp, signed[i], tmp)
-                np.multiply(tmp, lr, tmp)
-                b += lr * yi
-            else:
-                np.multiply(w, decay, tmp)
-            np.subtract(w, tmp, w)
+        w, b = epoch_fn(w, b, rng.permutation(len(Z)).tolist(), rows, lr, lam, decay)
         if epoch >= tail_start:
             w_avg += w
             b_avg += b
             averaged += 1
-    w = w_avg / averaged
-    b = b_avg / averaged
     return LinearModel(
-        weights=tuple(float(v) for v in w),
-        bias=float(b),
+        weights=tuple(float(v) for v in w_avg / averaged),
+        bias=float(b_avg / averaged),
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
         hyperparams=hp,
@@ -357,7 +389,8 @@ class VerifierRegistry:
     """The global Detector plus one Detector per trained context value.
 
     `models` is keyed by exactly the context values that were trained;
-    every other value falls back to `global_detector`.
+    every other value falls back to `global_detector`.  No key may be
+    GLOBAL_LABEL: `resolve` would never dispatch to it.
     """
 
     context_attribute: str | None
@@ -371,6 +404,8 @@ class VerifierRegistry:
     def __post_init__(self) -> None:
         if self.aggregation_mode not in AGGREGATION_MODES:
             raise ValueError(f"unknown aggregation mode {self.aggregation_mode!r}")
+        if GLOBAL_LABEL in self.models:
+            raise ValueError(f"context value {GLOBAL_LABEL!r} names the global detector")
 
     def resolve(self, attributes: Mapping[str, str] | None) -> str:
         """Context label serving this image; global whenever dispatch fails."""

@@ -153,6 +153,25 @@ def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command)
     assert json.loads(out.read_text())
 
 
+class TestTrain:
+    def test_printed_scopes_equal_the_saved_registry(self, pipeline, tmp_path, capsys):
+        _, corpus_dir, _ = pipeline
+        out = tmp_path / "registry.json"
+        argv = ["train", str(corpus_dir), "--context", "location", "--seed", "17", "-o", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 0
+        printed = json.loads(capsys.readouterr().out)
+        registry = load_model(out)
+        detectors = {"global": registry.global_detector, **registry.models}
+        assert set(printed["scopes"]) == {"global", "inside", "outside"}
+        assert printed["scopes"] == {
+            label: {"n_pos": d.model.n_pos, "n_neg": d.model.n_neg}
+            for label, d in detectors.items()
+        }
+        for counts in printed["scopes"].values():
+            assert counts["n_pos"] > 0 and counts["n_neg"] > 0
+
+
 def test_train_rejects_a_context_value_named_global(tmp_path, capsys):
     config = default_synthetic_config(n_images=10)
     inside, outside = config.contexts
@@ -305,6 +324,29 @@ class TestEvaluate:
             outs.append((tmp_path / f"report_{run}.verdicts.jsonl").read_bytes())
         assert outs[0] == outs[2]
         assert outs[1] == outs[3]
+
+
+    def test_input_paths_are_relative_to_the_report(self, pipeline, tmp_path, monkeypatch):
+        _, corpus_dir, registry_path = pipeline
+        monkeypatch.chdir(tmp_path)
+        spellings = {
+            "relative": (os.path.relpath(registry_path), os.path.relpath(corpus_dir)),
+            "absolute": (str(registry_path.resolve()), str(corpus_dir.resolve())),
+        }
+        texts = {}
+        for name, (registry, corpus) in spellings.items():
+            out = tmp_path / "reports" / name / "report.json"
+            argv = ["evaluate", registry, corpus, "--seed", "5", "-o", str(out)]
+            assert main(argv) == 0
+            config = json.loads(out.read_text())["config"]
+            assert not os.path.isabs(config["registry"])
+            assert (out.parent / config["registry"]).resolve() == registry_path.resolve()
+            assert (out.parent / config["corpus"]).resolve() == corpus_dir.resolve()
+            # Everything but the one timing line must match byte for byte.
+            texts[name] = [
+                line for line in out.read_text().splitlines() if '"wall_time_s"' not in line
+            ]
+        assert texts["relative"] == texts["absolute"]
 
 
 class TestPipelineDeterminism:

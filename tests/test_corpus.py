@@ -267,6 +267,21 @@ class TestPersistence:
         err = capsys.readouterr().err
         assert err.startswith("error: FormatError:") and err.count("\n") == 1
 
+    def test_context_named_global_is_format_error(self, tmp_path, capsys):
+        path = tmp_path / "registry.json"
+        save_model(path, _hand_registry())
+        doc = json.loads(path.read_text())
+        doc["contexts"] = {GLOBAL_LABEL: doc["global"]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="context value 'global' names the global") as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+        image = tmp_path / "image.lgrid"
+        image.write_text(grid_from_array(np.ones((4, 4), dtype=int), {1: "a"}).to_text())
+        assert main(["verify", str(path), str(image)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+
     def test_stats_document_with_wrong_types_is_format_error(self, tmp_path):
         path = tmp_path / "stats.json"
         save_model(path, _hand_registry().global_detector.stats)

@@ -223,6 +223,50 @@ class TestTrainLinearMatchesLoopReference:
             if separable and n > 2:
                 assert decay > 0
 
+    @staticmethod
+    def _noisy_set(seed, n, width):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, width)) * rng.uniform(0.1, 10.0, width)
+        y = np.where(rng.random(n) < 0.5, 1, -1)
+        y[:2] = (1, -1)
+        return X, y
+
+    @pytest.mark.parametrize("width", [1, 2, 12, N_FEATURES])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_models_equal_the_reference_at_every_width(self, width, seed):
+        X, y = self._noisy_set(seed * 100 + width, 90, width)
+        X[:, -1] += 2.0 * y  # one informative column, so both branches run
+        for hp in (Hyperparams(), Hyperparams(learning_rate=0.3, epochs=7, l2_lambda=0.05)):
+            expected, (hinge, decay) = _train_linear_reference(X, y, hp, seed)
+            model = train_linear(X, y, hp, seed=seed)
+            assert model == expected
+            assert len(model.weights) == width
+            assert hinge > 0 and decay > 0
+
+    def test_constant_column_hits_the_std_floor(self):
+        X, y = self._noisy_set(7, 60, N_FEATURES)
+        X[:, 2] = 3.25
+        expected, _ = _train_linear_reference(X, y, seed=7)
+        model = train_linear(X, y, seed=7)
+        assert model.feature_stds[2] == 1e-6
+        assert model == expected
+
+    def test_duplicated_rows_with_opposite_labels(self):
+        # A twin repeats its source's rows with the opposite label.
+        X, _ = self._noisy_set(11, 40, N_FEATURES)
+        X = np.concatenate([X, X[:25]])
+        y = np.array([-1] * 40 + [1] * 25)
+        for seed in (0, 11):
+            expected, (hinge, _) = _train_linear_reference(X, y, seed=seed)
+            assert train_linear(X, y, seed=seed) == expected
+            assert hinge > 0
+
+    def test_widths_interleaved_in_one_process(self):
+        sets = [self._noisy_set(width, 50, width) for width in (3, N_FEATURES, 3, 12)]
+        for X, y in sets + sets[::-1]:
+            expected, _ = _train_linear_reference(X, y, seed=2)
+            assert train_linear(X, y, seed=2) == expected
+
 
 def test_hyperparams_reject_fewer_than_one_epoch():
     for epochs in (0, -1):
