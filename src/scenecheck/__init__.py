@@ -22,7 +22,6 @@ from .corpus import (
     Corpus,
     SyntheticConfig,
     default_synthetic_config,
-    derive_contradiction,
     generate_contradiction,
     load_model,
     save_model,
@@ -82,6 +81,7 @@ from .verifier import (
     Verdict,
     VerifierRegistry,
     aggregate,
+    derive_contradiction,
     featurize,
     prepare,
     score,

@@ -20,12 +20,17 @@ from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .context import PLACEHOLDER, partition_corpus, score_attributes
+from .context import (
+    MIN_BALANCE_DEFAULT,
+    MIN_COVERAGE_DEFAULT,
+    PLACEHOLDER,
+    partition_corpus,
+    score_attributes,
+)
 from .corpus import (
     EVAL_TAG,
     Corpus,
     SyntheticConfig,
-    derive_contradiction,
     generate_contradiction,
     load_model,
     save_model,
@@ -39,9 +44,11 @@ from .verifier import (
     AGGREGATION_MODES,
     CONTRADICTIONS_PER_IMAGE,
     GLOBAL_LABEL,
+    N_MIN_CONTEXT,
     Hyperparams,
     VerifierRegistry,
     build_stats,
+    derive_contradiction,
     prepare,
     train_registry,
     verify,
@@ -243,7 +250,7 @@ def cmd_evaluate(args) -> int:
         grid = corpus.grid(image_id)
         record = table.record(image_id)
         context = record.get(context_attribute, PLACEHOLDER) if context_attribute else None
-        scene = prepare(grid, registry.min_area, registry.shape_samples, registry.shape_bins)
+        scene = prepare(grid, registry.min_area)
         variants = [(scene, False)]
         if len(scene.objects) >= 2:
             twin, _ = derive_contradiction(scene, derive_seed(args.seed, EVAL_TAG, idx))
@@ -351,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select-contexts", help="Rank candidate context attributes")
     p.add_argument("corpus")
-    p.add_argument("--min-coverage", type=float, default=0.95)
-    p.add_argument("--min-balance", type=float, default=0.10)
+    p.add_argument("--min-coverage", type=float, default=MIN_COVERAGE_DEFAULT)
+    p.add_argument("--min-balance", type=float, default=MIN_BALANCE_DEFAULT)
     p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_select_contexts)
@@ -369,12 +376,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lr", type=_positive(float), default=0.01)
-    p.add_argument("--epochs", type=_positive(int), default=50)
-    p.add_argument("--l2", type=_positive(float), default=1e-3)
+    p.add_argument("--lr", type=_positive(float), default=Hyperparams.learning_rate)
+    p.add_argument("--epochs", type=_positive(int), default=Hyperparams.epochs)
+    p.add_argument("--l2", type=_positive(float), default=Hyperparams.l2_lambda)
     p.add_argument("--alpha", type=_positive(float), default=ALPHA_DEFAULT)
     p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
-    p.add_argument("--n-min", type=_positive(int), default=30)
+    p.add_argument("--n-min", type=_positive(int), default=N_MIN_CONTEXT)
     p.add_argument(
         "--contradictions-per-image", type=_positive(int), default=CONTRADICTIONS_PER_IMAGE
     )

@@ -12,7 +12,6 @@ Everything is read-only after load; scoring functions are pure.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -57,21 +56,17 @@ class AttributeTable:
         return dict(self.records.get(image_id, {a: PLACEHOLDER for a in self.schema}))
 
 
-def load_attributes(json_text: str, schema: dict[str, list[str]]) -> AttributeTable:
-    """Parse a JSON array of {image_id, attributes} records against `schema`.
+def load_attributes(annotations: list, schema: dict[str, list[str]]) -> AttributeTable:
+    """Validate parsed {image_id, attributes} records against `schema`.
 
-    Missing attributes are filled with the placeholder; values outside an
-    attribute's allowed set raise SchemaError, repeated image ids raise
-    DuplicateError.
+    Missing attributes are filled with the placeholder; records that are
+    not a list raise FormatError, values outside an attribute's allowed
+    set raise SchemaError, repeated image ids raise DuplicateError.
     """
-    try:
-        raw = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"attribute file is not valid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise FormatError("attribute file must be a JSON array")
+    if not isinstance(annotations, list):
+        raise FormatError("attribute annotations must be a JSON array")
     records: dict[str, dict[str, str]] = {}
-    for entry in raw:
+    for entry in annotations:
         if not isinstance(entry, dict) or "image_id" not in entry:
             raise FormatError(f"malformed annotation entry: {entry!r}")
         image_id = str(entry["image_id"])

@@ -13,8 +13,9 @@ base, never on the anchor).
 Contradiction examples are produced by removing one object, chosen
 uniformly at random under a seed, and painting its runs background:
 `generate_contradiction` writes the modified label map, and
-`derive_contradiction` derives the same twin from a prepared Scene
-without labelling it again.  Both choose the object through one rule.
+`verifier.derive_contradiction` derives the same twin from a prepared
+Scene without labelling it again.  Both choose the object through one
+rule.
 
 All randomized operations are pure functions of (inputs, seed); image
 level seeds are derived from the global seed and the image index, so
@@ -32,15 +33,22 @@ import numpy as np
 from .context import DEFAULT_SCHEMA, PLACEHOLDER, AttributeTable, load_attributes
 from .errors import (
     FormatError,
-    NotEnoughObjectsError,
     PlacementError,
     SchemaError,
     VersionError,
 )
 from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, extract_objects, grid_from_array
+from .relations import K_DIST, SHAPE_BINS, SHAPE_SAMPLES
 from .seeds import derive_seed
 from .stats import CooccurrenceModel, StatsBuilder, finalize
-from .verifier import Detector, Hyperparams, LinearModel, Scene, VerifierRegistry
+from .verifier import (
+    N_FEATURES,
+    Detector,
+    Hyperparams,
+    LinearModel,
+    VerifierRegistry,
+    _removed_index,
+)
 
 SCHEMA_VERSION = 1
 
@@ -301,7 +309,7 @@ class Corpus:
         _check_version(doc, "attributes.json")
         with _malformed(self.root / "attributes.json"):
             annotations, schema = doc["annotations"], doc["schema"]
-        return load_attributes(json.dumps(annotations), schema)
+        return load_attributes(annotations, schema)
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +490,12 @@ def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, Att
         "val": val_ids,
     })
     corpus = Corpus(root=root, class_map=class_map, splits={"train": train_ids, "val": val_ids})
-    table = load_attributes(json.dumps(annotations), schema)
+    table = load_attributes(annotations, schema)
     return corpus, table
 
 
 # ---------------------------------------------------------------------------
 # contradiction generation
-
-
-def _removed_index(n_objects: int, seed: int) -> int:
-    """Index of the object a seeded contradiction removes, uniform over the objects."""
-    if n_objects < 2:
-        raise NotEnoughObjectsError(f"need at least 2 objects to remove one, found {n_objects}")
-    return int(np.random.default_rng(seed).integers(n_objects))
 
 
 def generate_contradiction(
@@ -512,17 +513,6 @@ def generate_contradiction(
         cells[r, c0:c1] = 0
     modified = grid_from_array(cells, grid.class_map, image_id=grid.image_id)
     return modified, removed.class_id
-
-
-def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
-    """The twin `generate_contradiction` makes under `seed`, derived from a prepared scene.
-
-    Returns the scene without the removed object and that object's class
-    id.  It equals preparing the grid `generate_contradiction` returns
-    with the scene's parameters, with no re-labelling.
-    """
-    k = _removed_index(len(scene.objects), seed)
-    return scene.without(k), scene.objects[k].class_id
 
 
 # ---------------------------------------------------------------------------
@@ -552,10 +542,16 @@ def _check_version(doc: dict, what: str) -> None:
         )
 
 
+def _expect(what: str, got, fixed: int) -> None:
+    """Reject a document whose `what` reads `got` where this version fixes `fixed`."""
+    if got != fixed:
+        raise ValueError(f"{what} is {got!r}, expected {fixed}")
+
+
 def _stats_to_doc(model: CooccurrenceModel) -> dict:
     return {
         "alpha": model.alpha,
-        "k_dist": model.k_dist,
+        "k_dist": K_DIST,
         "classes": list(model.classes),
         "images": model.images,
         "class_image_counts": {str(k): v for k, v in model.class_image_counts.items()},
@@ -574,7 +570,8 @@ def _stats_to_doc(model: CooccurrenceModel) -> dict:
 def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     from collections import Counter
 
-    builder = StatsBuilder.for_classes(doc["classes"], k_dist=int(doc["k_dist"]))
+    _expect("k_dist", doc["k_dist"], K_DIST)
+    builder = StatsBuilder.for_classes(doc["classes"])
     builder.images = int(doc["images"])
     builder.class_image_counts = {int(k): int(v) for k, v in doc["class_image_counts"].items()}
     builder.presence_counts = {(a, b): int(n) for a, b, n in doc["presence_counts"]}
@@ -608,12 +605,14 @@ def _model_to_doc(model: LinearModel) -> dict:
 
 @_malformed("linear model document")
 def _model_from_doc(doc: dict) -> LinearModel:
+    for key in ("weights", "feature_means", "feature_stds"):
+        _expect(f"length of {key}", len(doc[key]), N_FEATURES)
     hp = doc["hyperparams"]
     return LinearModel(
-        weights=tuple(doc["weights"]),
+        weights=tuple(map(float, doc["weights"])),
         bias=float(doc["bias"]),
-        feature_means=tuple(doc["feature_means"]),
-        feature_stds=tuple(doc["feature_stds"]),
+        feature_means=tuple(map(float, doc["feature_means"])),
+        feature_stds=tuple(map(float, doc["feature_stds"])),
         hyperparams=Hyperparams(
             learning_rate=float(hp["learning_rate"]),
             epochs=int(hp["epochs"]),
@@ -635,10 +634,12 @@ def _detector_to_doc(detector: Detector) -> dict:
 
 
 def _detector_from_doc(doc: dict) -> Detector:
+    for k, v in doc["prototypes"].items():
+        _expect(f"length of the class {k} prototype", len(v), SHAPE_BINS)
     return Detector(
         model=_model_from_doc(doc["model"]),
         stats=_stats_from_doc(doc["stats"]),
-        prototypes={int(k): tuple(v) for k, v in doc["prototypes"].items()},
+        prototypes={int(k): tuple(map(float, v)) for k, v in doc["prototypes"].items()},
     )
 
 
@@ -654,8 +655,8 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
             "context_attribute": obj.context_attribute,
             "aggregation_mode": obj.aggregation_mode,
             "min_area": obj.min_area,
-            "shape_samples": obj.shape_samples,
-            "shape_bins": obj.shape_bins,
+            "shape_samples": SHAPE_SAMPLES,
+            "shape_bins": SHAPE_BINS,
             "global": _detector_to_doc(obj.global_detector),
             "contexts": {
                 value: _detector_to_doc(detector) for value, detector in obj.models.items()
@@ -667,7 +668,12 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
 
 
 def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
-    """Load a document written by `save_model`; inverse for counts and weights."""
+    """Load a document written by `save_model`; inverse for counts and weights.
+
+    A resolution or vector length other than this version's fixed one
+    (shape samples and bins, distance bins, feature width), or a vector
+    entry that is not a number, is a FormatError.
+    """
     doc = _read_json(Path(path))
     with _malformed(path):
         if doc.get("schema_version") != SCHEMA_VERSION:
@@ -676,12 +682,12 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
         if kind == "cooccurrence_model":
             return _stats_from_doc(doc)
         if kind == "verifier_registry":
+            _expect("shape_samples", doc["shape_samples"], SHAPE_SAMPLES)
+            _expect("shape_bins", doc["shape_bins"], SHAPE_BINS)
             return VerifierRegistry(
                 context_attribute=doc["context_attribute"],
                 aggregation_mode=doc["aggregation_mode"],
                 min_area=int(doc["min_area"]),
-                shape_samples=int(doc["shape_samples"]),
-                shape_bins=int(doc["shape_bins"]),
                 global_detector=_detector_from_doc(doc["global"]),
                 models={v: _detector_from_doc(c) for v, c in doc["contexts"].items()},
             )

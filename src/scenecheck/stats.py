@@ -7,12 +7,12 @@ The model's dense arrays over the class index are its only lookup, so
 that all of a scene's pairs are looked up at once.
 
 Count tables kept per ordered class pair: position octants (8),
-proximity labels (6), distance bins (K_DIST), and size observations.
-Presence is counted per unordered class pair once per image.  Size
-observations are stored as an exact multiset of (pixels_a, pixels_b)
-integer pairs rather than running float sums, so that shard-merged and
-sequential builders are bit-identical; the log-ratio moments are derived
-once, in sorted order, at finalize time.
+proximity labels (6), distance bins (the fixed K_DIST of `relations`),
+and size observations.  Presence is counted per unordered class pair
+once per image.  Size observations are stored as an exact multiset of
+(pixels_a, pixels_b) integer pairs rather than running float sums, so
+that shard-merged and sequential builders are bit-identical; the
+log-ratio moments are derived once, in sorted order, at finalize time.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class StatsBuilder:
     """Mutable accumulator of co-occurrence counts; merge is associative."""
 
     classes: frozenset[int]
-    k_dist: int = K_DIST
     images: int = 0
     class_image_counts: dict[int, int] = field(default_factory=dict)
     presence_counts: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -55,8 +54,8 @@ class StatsBuilder:
     size_obs: dict[tuple[int, int], Counter] = field(default_factory=dict)
 
     @classmethod
-    def for_classes(cls, classes, k_dist: int = K_DIST) -> "StatsBuilder":
-        return cls(classes=frozenset(int(c) for c in classes), k_dist=k_dist)
+    def for_classes(cls, classes) -> "StatsBuilder":
+        return cls(classes=frozenset(int(c) for c in classes))
 
 
 def accumulate(
@@ -104,16 +103,16 @@ def accumulate(
         key = (a, b)
         builder.position_counts.setdefault(key, [0] * 8)[pos] += 1
         builder.proximity_counts.setdefault(key, [0] * 6)[prox] += 1
-        builder.distance_counts.setdefault(key, [0] * builder.k_dist)[dist] += 1
+        builder.distance_counts.setdefault(key, [0] * K_DIST)[dist] += 1
         builder.size_obs.setdefault(key, Counter())[(sizes[i], sizes[j])] += 1
     return builder
 
 
 def merge(x: StatsBuilder, y: StatsBuilder) -> StatsBuilder:
     """Element-wise sum of two builders over the same class universe."""
-    if x.classes != y.classes or x.k_dist != y.k_dist:
-        raise SchemaError("builders disagree on class universe or distance bins")
-    out = StatsBuilder.for_classes(x.classes, x.k_dist)
+    if x.classes != y.classes:
+        raise SchemaError("builders disagree on class universe")
+    out = StatsBuilder.for_classes(x.classes)
     out.images = x.images + y.images
     out.class_image_counts = dict(x.class_image_counts)
     for c, n in y.class_image_counts.items():
@@ -175,9 +174,9 @@ class CooccurrenceModel:
       2 alpha); "both" means two objects of the class when a == b.
     - `position_table[i, j]`, `proximity_table[i, j]`,
       `distance_table[i, j]`: the smoothed distribution over OCTANTS,
-      PROXIMITY_LABELS and distance bins of the ordered pair (a, b),
-      (count + alpha) / (total + alpha * arity); uniform for a pair
-      never observed.
+      PROXIMITY_LABELS and the K_DIST distance bins of the ordered pair
+      (a, b), (count + alpha) / (total + alpha * arity); uniform for a
+      pair never observed.
     - `size_mean[i, j]`, `size_std[i, j]`: the size log-ratio moments of
       (a, b), summed in sorted observation order with the std floored at
       SIGMA_FLOOR, which standardize a pair's `rsize`; (0, 1) for a pair
@@ -185,7 +184,6 @@ class CooccurrenceModel:
     """
 
     alpha: float
-    k_dist: int
     classes: tuple[int, ...]
     images: int
     class_image_counts: dict[int, int]
@@ -226,7 +224,7 @@ class CooccurrenceModel:
         for name, counts, arity in (
             ("position_table", self.position_counts, len(OCTANTS)),
             ("proximity_table", self.proximity_counts, len(PROXIMITY_LABELS)),
-            ("distance_table", self.distance_counts, self.k_dist),
+            ("distance_table", self.distance_counts, K_DIST),
         ):
             tables[name] = np.full((n, n, arity), 1.0 / arity)
             for (a, b), values in counts.items():
@@ -266,7 +264,6 @@ def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> Cooccurrenc
         raise EmptyCorpusError("cannot finalize statistics over zero images")
     return CooccurrenceModel(
         alpha=alpha,
-        k_dist=builder.k_dist,
         classes=tuple(sorted(builder.classes)),
         images=builder.images,
         class_image_counts=dict(sorted(builder.class_image_counts.items())),

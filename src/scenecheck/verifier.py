@@ -7,8 +7,10 @@ all rows in one call, and per-image verdicts come from majority voting
 or a mean-margin threshold over the pair margins.
 
 A label map is labelled once into a Scene: its objects, their pair
-table and their shape histograms.  `Scene.without(k)` derives the
-object-removal twin of a scene from it, with no re-labelling, and
+table and their shape histograms, at the fixed resolutions of
+`relations`.  `Scene.without(k)` derives the object-removal twin of a
+scene from it, with no re-labelling, and `derive_contradiction` picks the
+removed object by the seeded rule `corpus.generate_contradiction` shares;
 `train_registry` and the `evaluate` command score prepared scenes and
 their twins.
 
@@ -17,7 +19,7 @@ statistics and shape prototypes) plus one per context value; `verify`
 dispatches on the image's context attribute and falls back to the
 global detector whenever the context is missing, placeholder-valued,
 or untrained.  It takes a label grid, which it
-prepares with the registry's parameters, or a Scene prepared with them.
+prepares with the registry's min_area, or a Scene prepared with it.
 
 Featurization and scoring are pure; training is single-threaded and
 fully determined by its inputs and seed.
@@ -36,16 +38,11 @@ from .errors import (
     DegenerateTrainingError,
     DimensionError,
     EmptyCorpusError,
+    NotEnoughObjectsError,
     SchemaError,
 )
 from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, SceneObject, extract_objects
-from .relations import (
-    SHAPE_BINS,
-    SHAPE_SAMPLES,
-    PairTable,
-    relations_for_objects,
-    shape_histogram,
-)
+from .relations import PairTable, relations_for_objects, shape_histogram
 from .seeds import derive_seed
 from .stats import ALPHA_DEFAULT, CooccurrenceModel, StatsBuilder, accumulate, finalize
 
@@ -72,10 +69,10 @@ _MODEL_TAG = 102
 @dataclass(frozen=True, eq=False)
 class Scene:
     """One label map, labelled once: its objects, their ordered pairs and
-    their shape histograms, with the parameters it was built with.
+    their shape histograms, with the min_area it was labelled with.
 
     `objects[i].object_id == i`, the pair table indexes `objects`, and
-    `hists` is the read-only `(len(objects), shape_bins)` array of
+    `hists` is the read-only `(len(objects), SHAPE_BINS)` array of
     `shape_histogram`, whose row i belongs to `objects[i]`.
     """
 
@@ -84,12 +81,6 @@ class Scene:
     pairs: PairTable
     hists: np.ndarray
     min_area: int
-    shape_samples: int
-    shape_bins: int
-
-    @property
-    def params(self) -> tuple[int, int, int]:
-        return (self.min_area, self.shape_samples, self.shape_bins)
 
     def without(self, k: int) -> "Scene":
         """This scene with object `k` painted background, derived without re-labelling.
@@ -124,22 +115,34 @@ class Scene:
         return replace(self, objects=objects, pairs=pairs, hists=hists)
 
 
-def prepare(
-    grid: LabelGrid,
-    min_area: int = DEFAULT_MIN_AREA,
-    shape_samples: int = SHAPE_SAMPLES,
-    shape_bins: int = SHAPE_BINS,
-) -> Scene:
-    """Label the grid once: objects, their pair table and their shape histograms."""
+def _removed_index(n_objects: int, seed: int) -> int:
+    """Index of the object a seeded contradiction removes, uniform over the objects."""
+    if n_objects < 2:
+        raise NotEnoughObjectsError(f"need at least 2 objects to remove one, found {n_objects}")
+    return int(np.random.default_rng(seed).integers(n_objects))
+
+
+def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
+    """The twin `corpus.generate_contradiction` makes under `seed`, from a prepared scene.
+
+    Returns the scene without the removed object and that object's class
+    id.  It equals preparing the grid `generate_contradiction` returns
+    with the scene's min_area, with no re-labelling.
+    """
+    k = _removed_index(len(scene.objects), seed)
+    return scene.without(k), scene.objects[k].class_id
+
+
+def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
+    """Label the grid once: objects, their pair table and their shape
+    histograms, at the fixed SHAPE_SAMPLES and SHAPE_BINS of `relations`."""
     objects = tuple(extract_objects(grid, min_area))
     return Scene(
         image_id=grid.image_id,
         objects=objects,
         pairs=relations_for_objects(grid, objects),
-        hists=shape_histogram(objects, shape_samples, shape_bins),
+        hists=shape_histogram(objects),
         min_area=min_area,
-        shape_samples=shape_samples,
-        shape_bins=shape_bins,
     )
 
 
@@ -386,7 +389,8 @@ class Detector:
 
 @dataclass(frozen=True)
 class VerifierRegistry:
-    """The global Detector plus one Detector per trained context value.
+    """The global Detector plus one Detector per trained context value,
+    and the min_area every scene it verifies is labelled with.
 
     `models` is keyed by exactly the context values that were trained;
     every other value falls back to `global_detector`.  No key may be
@@ -396,8 +400,6 @@ class VerifierRegistry:
     context_attribute: str | None
     aggregation_mode: str
     min_area: int
-    shape_samples: int
-    shape_bins: int
     global_detector: Detector
     models: dict[str, Detector] = field(default_factory=dict)
 
@@ -424,17 +426,15 @@ def verify(
 ) -> Verdict:
     """Verify one label map, dispatching to the context-specific detector.
 
-    A LabelGrid is prepared with the registry's min_area and shape
-    parameters; a Scene must have been prepared with those same
-    parameters, or ValueError is raised.
+    A LabelGrid is prepared with the registry's min_area; a Scene must
+    have been prepared with that same min_area, or ValueError is raised.
     """
-    params = (registry.min_area, registry.shape_samples, registry.shape_bins)
     if isinstance(scene, LabelGrid):
-        scene = prepare(scene, *params)
-    elif scene.params != params:
+        scene = prepare(scene, registry.min_area)
+    elif scene.min_area != registry.min_area:
         raise ValueError(
-            f"scene prepared with (min_area, shape_samples, shape_bins) = {scene.params}, "
-            f"registry uses {params}"
+            f"scene prepared with min_area {scene.min_area}, "
+            f"registry uses {registry.min_area}"
         )
     label = registry.resolve(attributes)
     detector = registry.global_detector if label == GLOBAL_LABEL else registry.models[label]
@@ -490,8 +490,6 @@ def train_registry(
     n_min: int = N_MIN_CONTEXT,
     aggregation_mode: str = "majority",
     alpha: float = ALPHA_DEFAULT,
-    shape_samples: int = SHAPE_SAMPLES,
-    shape_bins: int = SHAPE_BINS,
 ) -> VerifierRegistry:
     """Train the global detector and one detector per context value.
 
@@ -503,8 +501,6 @@ def train_registry(
     Raises SchemaError when the context attribute takes the value
     GLOBAL_LABEL, which would name the global detector.
     """
-    from .corpus import derive_contradiction
-
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
         raise EmptyCorpusError("train split is empty")
@@ -512,7 +508,7 @@ def train_registry(
     scenes: dict[str, Scene] = {}
     twins: dict[str, list[Scene]] = {}
     for idx, image_id in enumerate(train_ids):
-        scene = prepare(corpus.grid(image_id), min_area, shape_samples, shape_bins)
+        scene = prepare(corpus.grid(image_id), min_area)
         scenes[image_id] = scene
         twins[image_id] = (
             [
@@ -564,8 +560,6 @@ def train_registry(
         context_attribute=context_attribute,
         aggregation_mode=aggregation_mode,
         min_area=min_area,
-        shape_samples=shape_samples,
-        shape_bins=shape_bins,
         global_detector=trained.pop(GLOBAL_LABEL),
         models=trained,
     )

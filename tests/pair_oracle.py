@@ -113,7 +113,7 @@ def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
     elif kind == "proximity":
         table, labels = model.proximity_counts, PROXIMITY_LABELS
     else:
-        table, labels = model.distance_counts, tuple(range(model.k_dist))
+        table, labels = model.distance_counts, tuple(range(K_DIST))
     idx = labels.index(observed)
     counts = table.get((a_class, b_class))
     if counts is None:

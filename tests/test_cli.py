@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from scenecheck import default_synthetic_config, grid_from_array, load_model
-from scenecheck.cli import main
+from scenecheck.cli import build_parser, main
+from scenecheck.context import MIN_BALANCE_DEFAULT, MIN_COVERAGE_DEFAULT
+from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +366,18 @@ class TestPipelineDeterminism:
 
 
 class TestNumericOptions:
+    def test_parsed_defaults_equal_the_library_defaults(self):
+        parser = build_parser()
+        train = parser.parse_args(["train", "c", "--seed", "1", "-o", "r.json"])
+        hp = Hyperparams()
+        assert (train.lr, train.epochs, train.l2, train.n_min) == (
+            hp.learning_rate, hp.epochs, hp.l2_lambda, N_MIN_CONTEXT
+        )
+        select = parser.parse_args(["select-contexts", "c", "-o", "x.json"])
+        assert (select.min_coverage, select.min_balance) == (
+            MIN_COVERAGE_DEFAULT, MIN_BALANCE_DEFAULT
+        )
+
     @pytest.mark.parametrize(
         "argv, option",
         [

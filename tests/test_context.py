@@ -1,6 +1,5 @@
 """Attribute tables, mutual information, and context selection."""
 
-import json
 import math
 from collections import Counter
 
@@ -13,6 +12,7 @@ from scenecheck import (
     DuplicateError,
     EmptyCorpusError,
     EmptyDistributionError,
+    FormatError,
     PLACEHOLDER,
     SchemaError,
     load_attributes,
@@ -25,7 +25,7 @@ SCHEMA = {"location": ["inside", "outside"], "lighting": ["soft", "hard"]}
 
 
 def _table(records):
-    return load_attributes(json.dumps(records), SCHEMA)
+    return load_attributes(records, SCHEMA)
 
 
 class TestLoadAttributes:
@@ -54,6 +54,16 @@ class TestLoadAttributes:
                     {"image_id": "a", "attributes": {}},
                 ]
             )
+
+    @pytest.mark.parametrize(
+        "annotations",
+        [{"image_id": "a", "attributes": {}}, '[{"image_id": "a"}]', None],
+        ids=["dict", "json-text", "none"],
+    )
+    def test_records_that_are_not_a_list_rejected(self, annotations):
+        with pytest.raises(FormatError, match="must be a JSON array") as exc:
+            load_attributes(annotations, SCHEMA)
+        assert "\n" not in str(exc.value)
 
     def test_unknown_image_reads_as_placeholder(self):
         table = _table([{"image_id": "a", "attributes": {}}])

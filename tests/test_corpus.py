@@ -204,8 +204,7 @@ def _hand_registry():
         hyperparams=Hyperparams(), seed=0, n_pos=1, n_neg=1, context_label=GLOBAL_LABEL,
     )
     return VerifierRegistry(
-        context_attribute=None, aggregation_mode="majority", min_area=1, shape_samples=64,
-        shape_bins=16,
+        context_attribute=None, aggregation_mode="majority", min_area=1,
         global_detector=Detector(model=model, stats=finalize(builder), prototypes={}),
     )
 
@@ -274,6 +273,65 @@ class TestPersistence:
         doc["contexts"] = {GLOBAL_LABEL: doc["global"]}
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match="context value 'global' names the global") as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+        image = tmp_path / "image.lgrid"
+        image.write_text(grid_from_array(np.ones((4, 4), dtype=int), {1: "a"}).to_text())
+        assert main(["verify", str(path), str(image)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, where, key, value, message",
+        [
+            ("registry", (), "shape_samples", 32, "shape_samples is 32, expected 64"),
+            ("registry", (), "shape_bins", 8, "shape_bins is 8, expected 16"),
+            ("registry", ("global", "stats"), "k_dist", 3, "k_dist is 3, expected 5"),
+            ("statistics", (), "k_dist", 3, "k_dist is 3, expected 5"),
+            (
+                "registry", ("global", "model"), "weights", [0.5] * 6,
+                "length of weights is 6, expected 7",
+            ),
+            (
+                "registry", ("global", "model"), "feature_means", [0.0] * 6,
+                "length of feature_means is 6, expected 7",
+            ),
+            (
+                "registry", ("global", "model"), "feature_stds", [1.0] * 8,
+                "length of feature_stds is 8, expected 7",
+            ),
+            (
+                "registry", ("global", "prototypes"), "1", [0.125] * 8,
+                "length of the class 1 prototype is 8, expected 16",
+            ),
+            (
+                "registry", ("global", "model"), "weights", ["x"] * 7,
+                "could not convert string to float",
+            ),
+            (
+                "registry", ("global", "prototypes"), "1", ["x"] * 16,
+                "could not convert string to float",
+            ),
+        ],
+        ids=[
+            "shape_samples", "shape_bins", "registry-k_dist", "statistics-k_dist",
+            "weights", "feature_means", "feature_stds", "prototype",
+            "weights-not-numbers", "prototype-not-numbers",
+        ],
+    )
+    def test_other_resolution_or_malformed_vector_is_format_error(
+        self, tmp_path, capsys, kind, where, key, value, message
+    ):
+        registry = _hand_registry()
+        path = tmp_path / "model.json"
+        save_model(path, registry if kind == "registry" else registry.global_detector.stats)
+        doc = json.loads(path.read_text())
+        part = doc
+        for step in where:
+            part = part[step]
+        part[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=message) as exc:
             load_model(path)
         assert "\n" not in str(exc.value)
         image = tmp_path / "image.lgrid"

@@ -16,6 +16,7 @@ from scenecheck import (
     grid_from_array,
     prepare,
 )
+from scenecheck.relations import SHAPE_BINS
 
 from conftest import pixels, random_blob_array
 from test_relations import CLASS_MAP, paint, scenes
@@ -23,7 +24,7 @@ from test_relations import CLASS_MAP, paint, scenes
 
 def assert_same_scene(got, want):
     assert got.image_id == want.image_id
-    assert got.params == want.params
+    assert got.min_area == want.min_area
     assert got.objects == want.objects
     assert got.hists.shape == want.hists.shape and np.array_equal(got.hists, want.hists)
     assert len(got.pairs) == len(want.pairs)
@@ -134,19 +135,19 @@ def test_without_rejects_an_index_outside_the_scene():
 
 def test_prepare_records_its_parameters():
     grid = grid_from_array(paint(TWO_RECTS), CLASS_MAP, image_id="two")
-    scene = prepare(grid, 3, 32, 8)
+    scene = prepare(grid, 3)
     assert scene.image_id == "two"
-    assert scene.params == (3, 32, 8)
-    assert scene.hists.shape == (2, 8)
+    assert scene.min_area == 3
+    assert scene.hists.shape == (2, SHAPE_BINS)
 
 
 @pytest.mark.parametrize("rects", [[], TWO_RECTS], ids=["empty", "two-objects"])
 def test_hists_are_one_read_only_row_per_object(rects):
     grid = grid_from_array(paint(rects), CLASS_MAP)
-    scene = prepare(grid, min_area=1, shape_bins=8)
+    scene = prepare(grid, min_area=1)
     scenes = [scene] + [scene.without(k) for k in range(len(scene.objects))]
     for s in scenes:
-        assert s.hists.shape == (len(s.objects), 8)
+        assert s.hists.shape == (len(s.objects), SHAPE_BINS)
         assert s.hists.dtype == np.float64
         assert not s.hists.flags.writeable
         with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from scenecheck import (
     synth_corpus,
 )
 from scenecheck.corpus import _stats_to_doc
-from scenecheck.relations import OCTANTS, PROXIMITY_LABELS
+from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS
 
 import pair_oracle
 
@@ -181,11 +181,6 @@ class TestMerge:
     def test_schema_mismatch_rejected(self):
         with pytest.raises(SchemaError):
             merge(StatsBuilder.for_classes([1, 2]), StatsBuilder.for_classes([1, 3]))
-        with pytest.raises(SchemaError):
-            merge(
-                StatsBuilder.for_classes([1, 2], k_dist=5),
-                StatsBuilder.for_classes([1, 2], k_dist=4),
-            )
 
     def test_shard_merge_equals_sequential(self, tmp_path):
         config = default_synthetic_config(n_images=25, seed=77)
@@ -299,7 +294,7 @@ class TestQuery:
                     assert model.proximity_table[i, j, k] == query(
                         model, "proximity", a, b, label
                     )
-                for k in range(model.k_dist):
+                for k in range(K_DIST):
                     assert model.distance_table[i, j, k] == query(model, "distance", a, b, k)
                 for x in (-1.3, 0.0, 0.3):
                     z = (x - model.size_mean[i, j]) / model.size_std[i, j]

@@ -409,7 +409,7 @@ class TestVerify:
             rng = np.random.default_rng(perm_seed)
             shuffled = list(objects)
             rng.shuffle(shuffled)
-            hists = shape_histogram(shuffled, registry.shape_samples, registry.shape_bins)
+            hists = shape_histogram(shuffled)
             pairs = relations_for_objects(grid, shuffled)
             margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
             contradiction, _ = aggregate(margins.tolist(), registry.aggregation_mode)
@@ -419,11 +419,10 @@ class TestVerify:
 class TestVerifyPreparedScene:
     def test_scene_and_derived_twin_give_the_grid_verdicts(self, small_experiment):
         corpus, table, registry = small_experiment
-        params = (registry.min_area, registry.shape_samples, registry.shape_bins)
         models_used = set()
         for idx, image_id in enumerate(corpus.image_ids("val")[:60]):
             grid = corpus.grid(image_id)
-            scene = prepare(grid, *params)
+            scene = prepare(grid, registry.min_area)
             variants = [(scene, grid)]
             if len(scene.objects) >= 2:
                 seed = derive_seed(5, EVAL_TAG, idx)
@@ -439,11 +438,8 @@ class TestVerifyPreparedScene:
     def test_scene_prepared_with_other_parameters_rejected(self, small_experiment):
         corpus, table, registry = small_experiment
         grid, record = _find_triple(corpus, table, registry)
-        params = (registry.min_area, registry.shape_samples, registry.shape_bins)
-        for i, other in ((0, registry.min_area + 1), (1, 32), (2, 8)):
-            changed = params[:i] + (other,) + params[i + 1 :]
-            with pytest.raises(ValueError):
-                verify(prepare(grid, *changed), registry, record)
+        with pytest.raises(ValueError):
+            verify(prepare(grid, registry.min_area + 1), registry, record)
 
 
 def _find_triple(corpus, table, registry):
@@ -545,8 +541,6 @@ def _oracle_registry(model=None, stats=None):
         context_attribute=None,
         aggregation_mode="majority",
         min_area=1,
-        shape_samples=64,
-        shape_bins=16,
         global_detector=Detector(
             model=model or _oracle_model(),
             stats=stats or _oracle_stats(),
