@@ -51,6 +51,7 @@ from .labelgrid import (
     grid_from_array,
     load_label_grid,
     parse_label_grid,
+    trace_boundaries,
 )
 from .relations import (
     K_DIST,

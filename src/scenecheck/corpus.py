@@ -3,7 +3,8 @@
 A corpus on disk is a directory of `.lgrid` files plus three JSON
 documents: `classes.json` (id -> name map), `attributes.json` (schema
 and per-image annotation records) and `splits.json` (train/val id
-lists).  The synthetic generator writes corpora of non-overlapping
+lists; each id names `images/<id>.lgrid`, so it must be a plain file
+stem).  The synthetic generator writes corpora of non-overlapping
 rectangular and elliptical objects whose co-occurrence structure is
 controlled per context: every context has an exclusive class pool, an
 optional support anchor that co-occurring objects stand on, and an
@@ -25,6 +26,7 @@ parallel and sequential generation agree byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -259,6 +261,18 @@ def default_synthetic_config(n_images: int = 400, seed: int = 0) -> SyntheticCon
     )
 
 
+def _check_image_id(image_id, where: Path) -> None:
+    """Reject an id that could name a file outside the corpus or an output
+    directory: commands build `<dir>/<id>.lgrid` paths from ids."""
+    if not isinstance(image_id, str):
+        raise FormatError(f"{where}: image id {image_id!r} is not a string")
+    if not image_id or image_id[0] == "." or "/" in image_id or "\\" in image_id:
+        raise FormatError(
+            f"{where}: image id {image_id!r} is not a plain file name"
+            " (empty, starting with '.', or holding '/' or '\\')"
+        )
+
+
 @dataclass
 class Corpus:
     """A corpus rooted at a directory, with split tags and a class map."""
@@ -269,18 +283,23 @@ class Corpus:
 
     @classmethod
     def load(cls, root: str | Path) -> "Corpus":
+        """Read the corpus documents under `root`; an image id in
+        `splits.json` that is not a plain file stem is a FormatError."""
         root = Path(root)
         classes_doc = _read_json(root / "classes.json")
         _check_version(classes_doc, "classes.json")
         with _malformed(root / "classes.json"):
             class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
-        splits_doc = _read_json(root / "splits.json")
+        splits_path = root / "splits.json"
+        splits_doc = _read_json(splits_path)
         _check_version(splits_doc, "splits.json")
-        with _malformed(root / "splits.json"):
+        with _malformed(splits_path):
             splits = {
                 "train": list(splits_doc["train"]),
                 "val": list(splits_doc["val"]),
             }
+        for image_id in splits["train"] + splits["val"]:
+            _check_image_id(image_id, splits_path)
         overlap = set(splits["train"]) & set(splits["val"])
         if overlap:
             raise SchemaError(f"split tags overlap on {len(overlap)} ids")
@@ -603,16 +622,28 @@ def _model_to_doc(model: LinearModel) -> dict:
     }
 
 
+def _finite(what: str, values) -> tuple[float, ...]:
+    """`values` as floats; one that is NaN or infinite is a ValueError."""
+    out = tuple(map(float, values))
+    for v in out:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} holds {v!r}, expected finite numbers")
+    return out
+
+
 @_malformed("linear model document")
 def _model_from_doc(doc: dict) -> LinearModel:
     for key in ("weights", "feature_means", "feature_stds"):
         _expect(f"length of {key}", len(doc[key]), N_FEATURES)
+    stds = _finite("feature_stds", doc["feature_stds"])
+    if min(stds) <= 0.0:
+        raise ValueError(f"feature_stds holds {min(stds)!r}, expected values above 0")
     hp = doc["hyperparams"]
     return LinearModel(
-        weights=tuple(map(float, doc["weights"])),
-        bias=float(doc["bias"]),
-        feature_means=tuple(map(float, doc["feature_means"])),
-        feature_stds=tuple(map(float, doc["feature_stds"])),
+        weights=_finite("weights", doc["weights"]),
+        bias=_finite("bias", [doc["bias"]])[0],
+        feature_means=_finite("feature_means", doc["feature_means"]),
+        feature_stds=stds,
         hyperparams=Hyperparams(
             learning_rate=float(hp["learning_rate"]),
             epochs=int(hp["epochs"]),
@@ -671,8 +702,10 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
     """Load a document written by `save_model`; inverse for counts and weights.
 
     A resolution or vector length other than this version's fixed one
-    (shape samples and bins, distance bins, feature width), or a vector
-    entry that is not a number, is a FormatError.
+    (shape samples and bins, distance bins, feature width), a vector
+    entry that is not a number, or a linear model whose weights, bias or
+    feature means are not finite or whose feature stds are not finite
+    and above 0, is a FormatError.
     """
     doc = _read_json(Path(path))
     with _malformed(path):

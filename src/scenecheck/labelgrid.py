@@ -1,24 +1,26 @@
-"""Label-map parsing and scene-object extraction.
+"""Label-map parsing, scene-object extraction and boundary tracing.
 
 A label grid is a per-pixel assignment of semantic class ids (0 denotes
 background), held as a read-only row-major `int32` array.  Scene objects
 are 8-connected same-class components with geometric summaries: pixel
-count, centroid, bounding box and a traced outer boundary.
+count, centroid, bounding box and the component's horizontal runs.
 
 Components are labelled run by run, in the run-based two-scan family
 (He, Chao & Suzuki, IEEE TIP 2008): maximal same-class horizontal runs
 are found with numpy, runs of one class that are 8-adjacent across two
 consecutive rows are merged in a small union-find, and each component is
-rebuilt from its runs.
+rebuilt from its runs.  Extraction stops there: an object carries no
+boundary.
 
-Outer boundaries are Moore-traced with one table lookup per step, in the
-table-driven border-following family (Suzuki & Abe, CVGIP 1985).  Each
-grid gets one 8-bit neighbour code per cell of a copy padded by one
-background cell, over the rows its objects span: bit d is set when the
-Moore neighbour in direction d holds the cell's own class.  Two
-8-adjacent pixels of one class always lie in one 8-connected component,
-so at a pixel of a component the same-class bits are exactly its
-neighbours in that component, and the codes of one grid serve every
+`trace_boundaries` Moore-traces the outer boundaries of given objects
+of a grid, for the shape histograms, with one table lookup per step, in
+the table-driven border-following family (Suzuki & Abe, CVGIP 1985).
+Each call builds one 8-bit neighbour code per cell of a copy of the grid
+padded by one background cell, over the rows its objects span: bit d is
+set when the Moore neighbour in direction d holds the cell's own class.
+Two 8-adjacent pixels of one class always lie in one 8-connected
+component, so at a pixel of a component the same-class bits are exactly
+its neighbours in that component, and the codes of one grid serve every
 object traced on it.
 
 All functions here are pure; LabelGrid and SceneObject are immutable
@@ -30,10 +32,11 @@ rightward, so "above" always means a smaller row index.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -57,8 +60,8 @@ _BACK = tuple(
 
 def _next_table() -> tuple[int, ...]:
     """_NEXT[code * 8 + back]: the first direction clockwise after `back`
-    whose bit is set in the neighbour code `code`.  Entries of code 0, a
-    lone pixel, are never read."""
+    whose bit is set in the neighbour code `code`.  No walk steps from
+    code 0, a lone pixel."""
     scan = (np.arange(8)[:, None] + np.arange(1, 9)) & 7  # [back, k]: k-th direction tried
     hit = (np.arange(256)[:, None, None] >> scan) & 1  # [code, back, k]
     return tuple(scan[np.arange(8), hit.argmax(axis=2)].ravel().tolist())
@@ -164,8 +167,8 @@ class SceneObject:
 
     `runs` holds the component's pixels as its maximal horizontal runs:
     (row, c0, c1) triples covering columns c0..c1-1 of `row`, in raster
-    order.  `boundary` is the closed clockwise outer-boundary cycle
-    starting at the top-left-most pixel.
+    order.  Its outer boundary is not stored: `trace_boundaries` traces
+    it from the grid when a shape histogram needs it.
     """
 
     object_id: int
@@ -173,7 +176,6 @@ class SceneObject:
     pixel_count: int
     centroid: tuple[float, float]
     bbox: tuple[int, int, int, int]
-    boundary: tuple[tuple[int, int], ...]
     runs: tuple[tuple[int, int, int], ...] = field(repr=False)
 
 
@@ -377,69 +379,109 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
         comp_index, weights=(2 * run_cols + run_lengths - 1) * run_lengths / 2
     ).tolist()
     counts = area[comp_roots].astype(np.int64).tolist()
-    first_rows = run_rows[first_run]
-    bbox_r0 = first_rows.tolist()
-    # Each component's raster-first pixel, where its trace starts, as a
-    # position in the padded grid of the neighbour codes.
-    stride = w + 2
-    origins = ((first_rows + 1) * stride + run_cols[first_run] + 1).tolist()
-    # Components come in raster order, so the first starts on the topmost object row.
-    codes = _neighbour_codes(grid, bbox_r0[0], max(bbox_r1))
+    bbox_r0 = run_rows[first_run].tolist()
     run_lo, run_hi = first_run.tolist(), run_ends.tolist()
     objects: list[SceneObject] = []
     for k, root in enumerate(comp_roots.tolist()):
         n = counts[k]
-        bbox = (bbox_r0[k], bbox_c0[k], bbox_r1[k], bbox_c1[k])
         objects.append(
             SceneObject(
                 object_id=k,
                 class_id=int(classes[root]),
                 pixel_count=n,
                 centroid=(row_sums[k] / n, col_sums[k] / n),
-                bbox=bbox,
-                boundary=_trace(codes, stride, origins[k]),
+                bbox=(bbox_r0[k], bbox_c0[k], bbox_r1[k], bbox_c1[k]),
                 runs=tuple(runs[run_lo[k] : run_hi[k]]),
             )
         )
     return objects
 
 
-def _trace(codes: bytes, stride: int, origin: int) -> tuple[tuple[int, int], ...]:
-    """Moore-trace the component whose raster-first pixel sits at `origin`.
+@functools.cache
+def _jump_table(stride: int) -> tuple[int, ...]:
+    """jump[code * 8 + back]: the change of the walk state `position * 8 +
+    back` in one Moore step, on the padded grid of row stride `stride`.
 
-    `codes` are the grid's neighbour codes (`_neighbour_codes`), indexed
-    like `origin` by flat position in the padded grid of row stride
-    `stride`.  Returns the closed clockwise outer boundary, in grid
-    coordinates, starting at the top-left-most pixel; a single pixel
-    (code 0: no same-class neighbour) yields a one-element boundary.
-    Consecutive entries (including the wrap-around) are 8-adjacent, and
-    every entry has a 4-neighbour outside the component or off the grid.
-
-    Each step is one lookup, `_NEXT[code * 8 + back]`: at a pixel of the
-    component its code's bits are exactly its neighbours in the
-    component, so the walk never leaves it and depends on nothing else
-    in the grid.
+    The step from a pixel with neighbour code `code`, entered with
+    backtrack direction `back`, moves in direction d = _NEXT[code * 8 +
+    back] to position + offset[d] with backtrack _BACK[d], so the state
+    grows by 8 * offset[d] + _BACK[d] - back.
     """
-    shift = stride + 1  # padded position of grid cell (0, 0)
-    if not codes[origin]:
-        return (divmod(origin - shift, stride),)
-    # Walk (pixel, backtrack direction) states until one repeats; the
-    # repeated segment is the full clockwise outer contour.  The
-    # artificial initial state (backtrack = West of the raster-first
-    # pixel, which cannot belong to the component) may itself lie off
-    # that cycle.
     offsets = [dr * stride + dc for dr, dc in _MOORE]
-    cur, back = origin, 0
-    seen: dict[int, int] = {}
-    walk: list[int] = []
-    state = cur * 8
-    while state not in seen:
-        seen[state] = len(walk)
-        walk.append(cur)
-        d = _NEXT[codes[cur] * 8 + back]
-        cur += offsets[d]
-        back = _BACK[d]
-        state = cur * 8 + back
-    cycle = walk[seen[state] :]
-    j = cycle.index(origin)  # the top-left-most pixel is on the outer contour
-    return tuple([divmod(p - shift, stride) for p in cycle[j:] + cycle[:j]])
+    return tuple(8 * offsets[d] + _BACK[d] - (i & 7) for i, d in enumerate(_NEXT))
+
+
+def trace_boundaries(
+    grid: LabelGrid, objects: Sequence[SceneObject]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Moore-trace the outer boundary of each of `objects`, components of `grid`.
+
+    Returns `(points, lengths)`: `points` is one int64 array of `(row,
+    col)` rows holding every object's contour in turn, in the order of
+    `objects`, and `lengths[k]` is the length of object k's.  A contour
+    is the closed clockwise outer-boundary cycle starting at the
+    object's top-left-most pixel; a single pixel (code 0: no same-class
+    neighbour) yields a one-point contour.  Consecutive points (with
+    the wrap-around) are 8-adjacent, and every point has a 4-neighbour
+    outside the component or off the grid.  An object's contour is the
+    same whichever other objects of the grid are traced with it.
+
+    The grid's neighbour codes are built once, over the rows from the
+    smallest `bbox[0]` to the largest `bbox[2]` of `objects`.  The walk
+    state is `position * 8 + back`, a padded-grid position and the
+    backtrack direction, and each step adds `_jump_table(stride)[code *
+    8 + back]`.  At a pixel of the component its code's bits are
+    exactly its neighbours in the component, so the walk never leaves
+    it and depends on nothing else in the grid.
+
+    The walk starts from an artificial state s0: the raster-first pixel
+    (the origin) with backtrack West, a cell outside the component.  It
+    stops when the state s1 after the first step recurs, because only
+    s0 can lie off the cycle.  Every state a step produces has a
+    background backtrack cell, and its pixel's predecessor is the first
+    component pixel counter-clockwise from that cell; two produced
+    states with one successor therefore have the same predecessor and
+    backtracks in the same background gap of its ring, hence the same
+    previous state.  So the step is one-to-one on produced states, and
+    from s1 on the walk runs round a cycle of at most 4 states per pixel
+    (a produced backtrack is a 4-neighbour).  The loop is bounded at `8 * pixel_count + 1` steps, so a
+    walk that does not close raises RuntimeError instead of hanging.
+
+    The cycle's last state sn steps to s1 as s0 does, so it lies at s1's
+    predecessor, the origin, and the contour is the origin followed by
+    the pixels of s1 .. sn-1.
+    This is the cycle from s0 when the walk ends on s0, and otherwise
+    from the walk's first visit of the origin: the origin's West, North
+    and both upper diagonals are outside the component, so every state
+    at it has backtrack West (s0) or South, and a cycle that misses s0
+    visits the origin once.
+    """
+    if not objects:
+        return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    stride = grid.width + 2
+    codes = _neighbour_codes(
+        grid, min(o.bbox[0] for o in objects), max(o.bbox[2] for o in objects)
+    )
+    jump = _jump_table(stride)
+    states: list[int] = []
+    append = states.append
+    lengths: list[int] = []
+    for obj in objects:
+        before = len(states)
+        row, col, _ = obj.runs[0]  # the raster-first pixel
+        origin = (row + 1) * stride + col + 1
+        s = origin * 8
+        append(s)
+        if codes[origin]:
+            first = s = s + jump[codes[origin] << 3]
+            for _ in range(8 * obj.pixel_count + 1):
+                append(s)
+                s += jump[codes[s >> 3] << 3 | s & 7]
+                if s == first:
+                    break
+            else:
+                raise RuntimeError(f"boundary walk from position {origin} did not close")
+            states.pop()  # sn, at the origin, which s0 already holds
+        lengths.append(len(states) - before)
+    rows, cols = np.divmod((np.array(states, dtype=np.int64) >> 3) - (stride + 1), stride)
+    return np.stack((rows, cols), axis=1), np.array(lengths, dtype=np.int64)

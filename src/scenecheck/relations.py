@@ -7,7 +7,8 @@ come out together as the columns of one PairTable, and
 `relations_for_objects` is where each channel is defined.  `contact`
 decides, from two objects' pixel runs, whether they touch.  Per-object
 shape is summarized as a histogram of normalized boundary-to-centroid
-distances; a scene's histograms are the rows of one array.
+distances; a scene's histograms are the rows of one array, and its
+boundaries are traced only there.
 
 All operations are pure functions with no shared mutable state.
 """
@@ -16,13 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DegeneratePairError
-from .labelgrid import LabelGrid, SceneObject
+from .labelgrid import LabelGrid, SceneObject, trace_boundaries
 
 # Octant labels indexed so that label k spans the half-open 45-degree
 # sector [k*45 - 22.5, k*45 + 22.5) with "up" = decreasing row.
@@ -94,19 +94,22 @@ def contact(a: SceneObject, b: SceneObject) -> bool:
 
 
 def shape_histogram(
+    grid: LabelGrid,
     objects: Sequence[SceneObject],
     n_samples: int = SHAPE_SAMPLES,
     n_bins: int = SHAPE_BINS,
 ) -> np.ndarray:
     """Histograms of boundary-point distances to the centroid, one row per object.
 
-    Returns a read-only `(len(objects), n_bins)` float64 array whose row
-    k holds the bin frequencies of `objects[k]`.  Each object's traced
-    boundary cycle is resampled at `n_samples` points of equal arc-length
-    spacing; distances are normalized by the maximum sampled distance
-    and binned into `n_bins` equal-width bins over [0, 1] (the value 1.0
-    falls in the last bin).  A single-pixel object degenerates to all
-    mass in the last bin.
+    `objects` are components of `grid`, in any order; their boundaries
+    are traced here, in one `trace_boundaries` call.  Returns a
+    read-only `(len(objects), n_bins)` float64 array whose row k holds
+    the bin frequencies of `objects[k]`.  Each object's boundary cycle
+    is resampled at `n_samples` points of equal arc-length spacing;
+    distances are normalized by the maximum sampled distance and binned
+    into `n_bins` equal-width bins over [0, 1] (the value 1.0 falls in
+    the last bin).  A single-pixel object degenerates to all mass in
+    the last bin.
 
     All geometry is computed in bbox-relative coordinates, which are
     invariant under integer translation, so translated copies of an
@@ -118,11 +121,18 @@ def shape_histogram(
     all their boundaries, padded to one array; each object's histogram
     is bit-identical to the one it gets on its own.
     """
+    points, lengths = trace_boundaries(grid, objects)
     if len(objects) < _BATCH_MIN:
-        hists = np.array([_one_histogram(o, n_samples, n_bins) for o in objects])
+        ends = np.cumsum(lengths).tolist()
+        hists = np.array(
+            [
+                _one_histogram(o, points[e - n : e], n_samples, n_bins)
+                for o, n, e in zip(objects, lengths.tolist(), ends)
+            ]
+        )
         hists = hists.reshape(len(objects), n_bins)
     else:
-        hists = _batched_histograms(objects, n_samples, n_bins)
+        hists = _batched_histograms(objects, points, lengths, n_samples, n_bins)
     hists.flags.writeable = False
     return hists
 
@@ -152,13 +162,15 @@ def _relative_centroid(obj: SceneObject) -> tuple[float, float]:
     )
 
 
-def _one_histogram(obj: SceneObject, n_samples: int, n_bins: int) -> np.ndarray:
-    """`shape_histogram` row of a single object."""
+def _one_histogram(
+    obj: SceneObject, boundary: np.ndarray, n_samples: int, n_bins: int
+) -> np.ndarray:
+    """`shape_histogram` row of a single object with traced contour `boundary`."""
     cy, cx = _relative_centroid(obj)
-    if len(obj.boundary) == 1:
+    if len(boundary) == 1:
         samples = np.zeros(n_samples)
     else:
-        closed = np.array(obj.boundary + obj.boundary[:1], dtype=np.float64)
+        closed = np.concatenate((boundary, boundary[:1]), dtype=np.float64)
         closed -= obj.bbox[:2]
         # Consecutive boundary points are 8-adjacent: a step is 1 or a diagonal.
         step = closed[1:] - closed[:-1]
@@ -183,9 +195,14 @@ def _one_histogram(obj: SceneObject, n_samples: int, n_bins: int) -> np.ndarray:
 
 
 def _batched_histograms(
-    objects: Sequence[SceneObject], n_samples: int, n_bins: int
+    objects: Sequence[SceneObject],
+    points: np.ndarray,
+    lengths: np.ndarray,
+    n_samples: int,
+    n_bins: int,
 ) -> np.ndarray:
-    """`_one_histogram` of every object, computed for all of them at once.
+    """`_one_histogram` of every object, computed for all of them at once
+    from the contours `trace_boundaries` returns.
 
     Row k holds object k's boundary followed by its first point, repeated
     to the longest cycle's length: the closing step, then zero-length
@@ -197,12 +214,9 @@ def _batched_histograms(
     so all its samples are 0, as in the 1-D special case.
     """
     k = len(objects)
-    lengths = np.array([len(o.boundary) for o in objects])
     starts = np.cumsum(lengths) - lengths
     width = int(lengths.max()) + 1
-    flat = chain.from_iterable(chain.from_iterable(o.boundary for o in objects))
-    points = np.fromiter(flat, np.int64, 2 * int(lengths.sum())).reshape(-1, 2)
-    points -= np.repeat(np.array([o.bbox[:2] for o in objects]), lengths, axis=0)
+    points = points - np.repeat(np.array([o.bbox[:2] for o in objects]), lengths, axis=0)
     # closed[0] holds the rows and closed[1] the columns, one object per row.
     closed = np.empty((2, k, width))
     closed[:] = points[starts].T[:, :, None]

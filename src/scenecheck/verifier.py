@@ -135,13 +135,16 @@ def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
 
 def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
     """Label the grid once: objects, their pair table and their shape
-    histograms, at the fixed SHAPE_SAMPLES and SHAPE_BINS of `relations`."""
+    histograms, at the fixed SHAPE_SAMPLES and SHAPE_BINS of `relations`.
+
+    The objects carry runs, not boundaries: `shape_histogram` traces
+    their boundaries from `grid` and keeps only the histograms."""
     objects = tuple(extract_objects(grid, min_area))
     return Scene(
         image_id=grid.image_id,
         objects=objects,
         pairs=relations_for_objects(grid, objects),
-        hists=shape_histogram(objects),
+        hists=shape_histogram(grid, objects),
         min_area=min_area,
     )
 

@@ -1,11 +1,12 @@
-"""Shared helpers: random hole-free blobs and tiny scene builders."""
+"""Shared helpers: random hole-free blobs, tiny scene builders, object pixels
+and traced contours."""
 
 from collections import deque
 
 import numpy as np
 import pytest
 
-from scenecheck import grid_from_array
+from scenecheck import grid_from_array, trace_boundaries
 
 
 def random_blob_array(rng, size=16, steps=60, class_id=1):
@@ -45,6 +46,12 @@ def random_blob_array(rng, size=16, steps=60, class_id=1):
 def pixels(obj):
     """The (row, col) positions of an object's runs, in raster order."""
     return tuple([(r, c) for r, c0, c1 in obj.runs for c in range(c0, c1)])
+
+
+def boundary(grid, obj):
+    """The (row, col) points of an object's contour, traced on its own."""
+    points, _ = trace_boundaries(grid, [obj])
+    return tuple(map(tuple, points.tolist()))
 
 
 def blob_grid(rng, size=16, steps=60, class_id=1, class_map=None):

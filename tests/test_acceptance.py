@@ -292,13 +292,13 @@ def test_criterion_8_shape_histograms(rng):
         ga, gb = grid_from_array(a, {1: "x"}), grid_from_array(b, {1: "x"})
         (oa,) = extract_objects(ga, min_area=1)
         (ob,) = extract_objects(gb, min_area=1)
-        assert shape_histogram([oa])[0].tolist() == shape_histogram([ob])[0].tolist()
+        assert shape_histogram(ga, [oa])[0].tolist() == shape_histogram(gb, [ob])[0].tolist()
     for arr in _resolved_shapes():
         doubled = np.kron(arr, np.ones((2, 2), dtype=int))
         g1, g2 = grid_from_array(arr, {1: "x"}), grid_from_array(doubled, {1: "x"})
         (o1,) = extract_objects(g1, min_area=1)
         (o2,) = extract_objects(g2, min_area=1)
-        l1 = float(np.abs(shape_histogram([o1])[0] - shape_histogram([o2])[0]).sum())
+        l1 = float(np.abs(shape_histogram(g1, [o1])[0] - shape_histogram(g2, [o2])[0]).sum())
         assert l1 <= 0.15
     print("PASS criterion 8: translation invariance exact on 50 blobs, 2x scale L1 <= 0.15")
 

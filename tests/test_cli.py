@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from scenecheck import default_synthetic_config, grid_from_array, load_model
+from scenecheck import default_synthetic_config, grid_from_array, load_model, synth_corpus
 from scenecheck.cli import build_parser, main
 from scenecheck.context import MIN_BALANCE_DEFAULT, MIN_COVERAGE_DEFAULT
 from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams
@@ -139,6 +139,28 @@ class TestGenContradictions:
             assert (outs[0] / pair["valid"]).resolve() == (
                 corpus_dir / "images" / f"{pair['image_id']}.lgrid"
             ).resolve()
+
+    def test_image_id_escaping_the_corpus_is_format_error(self, tmp_path, capsys):
+        # The twin of val id "../../escaped" would be written over the very
+        # file it was read from, outside both the corpus and the output.
+        corpus_dir = tmp_path / "corpus"
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus_dir)
+        arr = np.zeros((20, 20), dtype=int)
+        arr[1:7, 1:7] = 1
+        arr[10:16, 10:16] = 2
+        escaped = tmp_path / "escaped.lgrid"
+        escaped.write_text(grid_from_array(arr, {1: "a", 2: "b"}).to_text())
+        before = escaped.read_bytes()
+        splits = corpus_dir / "splits.json"
+        doc = json.loads(splits.read_text())
+        doc["val"].append("../../escaped")
+        splits.write_text(json.dumps(doc))
+        argv = ["gen-contradictions", str(corpus_dir), "--seed", "1", "-o", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+        assert "'../../escaped'" in err
+        assert escaped.read_bytes() == before
 
 
 @pytest.mark.parametrize("command", ["build-stats", "select-contexts", "train", "evaluate"])

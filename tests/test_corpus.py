@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +142,21 @@ class TestSynthCorpus:
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=f"{name}: missing key '{key}'"):
             Corpus.load(tmp_path / "corpus").attributes()
+
+    @pytest.mark.parametrize(
+        "bad_id", ["", "../../escaped", "a/b", "a\\b", ".hidden", "..", 7],
+        ids=["empty", "parent", "slash", "backslash", "dot", "dotdot", "not-a-string"],
+    )
+    def test_image_id_that_is_not_a_file_stem_is_format_error(self, tmp_path, bad_id):
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), tmp_path / "corpus")
+        path = tmp_path / "corpus" / "splits.json"
+        doc = json.loads(path.read_text())
+        doc["val"].append(bad_id)
+        path.write_text(json.dumps(doc))
+        message = re.escape(f"splits.json: image id {bad_id!r} is not a")
+        with pytest.raises(FormatError, match=message) as exc:
+            Corpus.load(tmp_path / "corpus")
+        assert "\n" not in str(exc.value)
 
     def test_corpus_reload_matches(self, tmp_path):
         config = default_synthetic_config(n_images=10, seed=6)
@@ -312,11 +329,45 @@ class TestPersistence:
                 "registry", ("global", "prototypes"), "1", ["x"] * 16,
                 "could not convert string to float",
             ),
+            (
+                "registry", ("global", "model"), "feature_stds", [1.0] * 6 + [0.0],
+                "feature_stds holds 0.0, expected values above 0",
+            ),
+            (
+                "registry", ("global", "model"), "feature_stds", [-1.0] + [1.0] * 6,
+                "feature_stds holds -1.0, expected values above 0",
+            ),
+            (
+                "registry", ("global", "model"), "feature_stds", [1.0] * 6 + [math.nan],
+                "feature_stds holds nan, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "model"), "feature_stds", [math.inf] * 7,
+                "feature_stds holds inf, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "model"), "weights", [0.5] * 6 + [math.nan],
+                "weights holds nan, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "model"), "feature_means", [-math.inf] + [0.0] * 6,
+                "feature_means holds -inf, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "model"), "bias", math.nan,
+                "bias holds nan, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "model"), "bias", math.inf,
+                "bias holds inf, expected finite numbers",
+            ),
         ],
         ids=[
             "shape_samples", "shape_bins", "registry-k_dist", "statistics-k_dist",
             "weights", "feature_means", "feature_stds", "prototype",
             "weights-not-numbers", "prototype-not-numbers",
+            "feature_stds-zero", "feature_stds-negative", "feature_stds-nan",
+            "feature_stds-inf", "weights-nan", "feature_means-inf", "bias-nan", "bias-inf",
         ],
     )
     def test_other_resolution_or_malformed_vector_is_format_error(

@@ -22,7 +22,7 @@ from scenecheck import (
     parse_label_grid,
 )
 
-from conftest import blob_grid, pixels
+from conftest import blob_grid, boundary, pixels
 
 
 class TestParse:
@@ -372,15 +372,17 @@ class TestBoundary:
     def test_solid_square_boundary(self):
         grid = grid_from_array(np.ones((3, 3), dtype=int), {1: "x"})
         (obj,) = extract_objects(grid, min_area=1)
-        assert len(obj.boundary) == 8
-        assert (1, 1) not in obj.boundary
-        assert obj.boundary[0] == (0, 0)
+        contour = boundary(grid, obj)
+        assert len(contour) == 8
+        assert (1, 1) not in contour
+        assert contour[0] == (0, 0)
 
     def test_single_pixel_boundary(self):
         arr = np.zeros((3, 3), dtype=int)
         arr[1, 1] = 1
-        (obj,) = extract_objects(grid_from_array(arr, {1: "x"}), min_area=1)
-        assert obj.boundary == ((1, 1),)
+        grid = grid_from_array(arr, {1: "x"})
+        (obj,) = extract_objects(grid, min_area=1)
+        assert boundary(grid, obj) == ((1, 1),)
 
     def test_boundary_set_matches_4_neighbour_oracle(self, rng):
         for _ in range(50):
@@ -395,13 +397,13 @@ class TestBoundary:
                     for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
                 )
             }
-            assert set(obj.boundary) == expected
+            assert set(boundary(grid, obj)) == expected
 
     def test_boundary_is_closed_8_connected_cycle(self, rng):
         for _ in range(25):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            cycle = list(obj.boundary)
+            cycle = list(boundary(grid, obj))
             for p, q in zip(cycle, cycle[1:] + cycle[:1]):
                 if len(cycle) == 1:
                     break
@@ -414,22 +416,36 @@ class TestBoundary:
         for _ in range(10):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            filled = np.where(grid.to_array() == 0, 2, 1)
-            filled_objects = extract_objects(grid_from_array(filled, {1: "a", 2: "b"}), 1)
+            contour = boundary(grid, obj)
+            filled = grid_from_array(np.where(grid.to_array() == 0, 2, 1), {1: "a", 2: "b"})
+            filled_objects = extract_objects(filled, 1)
             (same,) = [o for o in filled_objects if o.class_id == 1]
-            assert same.runs == obj.runs and same.boundary == obj.boundary
+            assert same.runs == obj.runs and boundary(filled, same) == contour
             wide = np.zeros((16, 34), dtype=np.int32)
             wide[:, :16] = grid.to_array()
             wide[:, 18:] = grid.to_array()
-            first, second = extract_objects(grid_from_array(wide, {1: "a"}), 1)
-            assert first.boundary == obj.boundary
-            assert second.boundary == tuple((r, c + 18) for r, c in obj.boundary)
+            wide = grid_from_array(wide, {1: "a"})
+            first, second = extract_objects(wide, 1)
+            assert boundary(wide, first) == contour
+            assert boundary(wide, second) == tuple((r, c + 18) for r, c in contour)
+
+    def test_contour_through_the_origin_twice_starts_at_the_start_state(self):
+        # The top-left pixel joins two arms, so the contour passes it twice;
+        # the walk ends on its artificial start state and the contour
+        # starts there, as the mask trace's does, not at the first return.
+        arr = np.zeros((4, 5), dtype=int)
+        arr[0, 1:3] = 1
+        arr[1:3, 0] = 1
+        grid = grid_from_array(arr, {1: "x"})
+        (obj,) = extract_objects(grid, min_area=1)
+        expected = ((0, 1), (0, 2), (0, 1), (1, 0), (2, 0), (1, 0))
+        assert boundary(grid, obj) == expected == _mask_trace(pixels(obj), obj.bbox)
 
     def test_starts_at_top_left_most_pixel(self, rng):
         for _ in range(10):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            assert obj.boundary[0] == min(pixels(obj))
+            assert boundary(grid, obj)[0] == min(pixels(obj))
 
 
 @settings(max_examples=40, deadline=None)
@@ -439,7 +455,7 @@ def test_every_boundary_pixel_touches_outside(seed):
     grid = blob_grid(rng, size=12, steps=30)
     for obj in extract_objects(grid, min_area=1):
         inside = set(pixels(obj))
-        for r, c in obj.boundary:
+        for r, c in boundary(grid, obj):
             assert (r, c) in inside
             assert any(
                 not (0 <= r + dr < grid.height and 0 <= c + dc < grid.width)
@@ -527,12 +543,12 @@ def _shape_maps(draw):
 @settings(max_examples=300, deadline=None)
 @given(_shape_maps(), st.sampled_from((1, 3)))
 def test_boundaries_equal_the_mask_trace(arr, min_area):
-    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
-    for o in objects:
-        assert o.boundary == _mask_trace(pixels(o), o.bbox)
+    grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+    for o in extract_objects(grid, min_area):
+        assert boundary(grid, o) == _mask_trace(pixels(o), o.bbox)
 
 
-def test_boundaries_equal_the_mask_trace_on_named_shapes():
+def _named_shapes_array():
     arr = np.zeros((9, 12), dtype=np.int32)
     arr[0, 0] = 1  # single pixel in the corner
     arr[0, 3:12] = 2  # 1-pixel line along the top edge
@@ -542,7 +558,12 @@ def test_boundaries_equal_the_mask_trace_on_named_shapes():
     arr[5:7, 5:7] = 0
     arr[2, 10] = arr[3, 11] = arr[4, 10] = 3  # diagonal zigzag ending on the right edge
     arr[8, 11] = 2  # single pixel in the opposite corner
-    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), 1)
+    return arr
+
+
+def test_boundaries_equal_the_mask_trace_on_named_shapes():
+    grid = grid_from_array(_named_shapes_array(), {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(grid, 1)
     assert {len(pixels(o)) for o in objects} >= {1, 3, 7, 9}
     for o in objects:
-        assert o.boundary == _mask_trace(pixels(o), o.bbox)
+        assert boundary(grid, o) == _mask_trace(pixels(o), o.bbox)

@@ -15,12 +15,13 @@ from scenecheck import (
     grid_from_array,
     relations_for_objects,
     shape_histogram,
+    trace_boundaries,
 )
 from scenecheck.relations import OCTANTS, PROXIMITY_LABELS
 
 import pair_oracle
-from conftest import blob_grid, pixels, random_blob_array
-from test_labelgrid import _touch_oracle
+from conftest import blob_grid, boundary, pixels, random_blob_array
+from test_labelgrid import _named_shapes_array, _shape_maps, _touch_oracle
 
 
 def octant_oracle(a, b):
@@ -56,7 +57,6 @@ def standin(object_id=0, centroid=(0.0, 0.0), pixel_count=1, row=0):
         pixel_count=pixel_count,
         centroid=centroid,
         bbox=(row, 0, row, 0),
-        boundary=((row, 0),),
         runs=((row, 0, 1),),
     )
 
@@ -263,7 +263,7 @@ class TestShapeHistogram:
                     arr[r, c] = 1
         grid = grid_from_array(arr, {1: "disk"})
         (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram([obj])[0]
+        hist = shape_histogram(grid, [obj])[0]
         assert sum(hist.tolist()[-3:]) >= 0.9
 
     def test_translation_invariance_exact(self, rng):
@@ -277,7 +277,7 @@ class TestShapeHistogram:
             g2 = grid_from_array(shifted, {1: "blob"})
             (o1,) = extract_objects(g1, min_area=1)
             (o2,) = extract_objects(g2, min_area=1)
-            assert shape_histogram([o1])[0].tolist() == shape_histogram([o2])[0].tolist()
+            assert shape_histogram(g1, [o1])[0].tolist() == shape_histogram(g2, [o2])[0].tolist()
 
     def test_upscale_robustness(self):
         # Resolved objects: at these sizes the half-pixel rasterization
@@ -288,8 +288,8 @@ class TestShapeHistogram:
             g2 = grid_from_array(doubled, {1: "blob"})
             (o1,) = extract_objects(g1, min_area=1)
             (o2,) = extract_objects(g2, min_area=1)
-            h1 = shape_histogram([o1])[0]
-            h2 = shape_histogram([o2])[0]
+            h1 = shape_histogram(g1, [o1])[0]
+            h2 = shape_histogram(g2, [o2])[0]
             assert np.abs(h1 - h2).sum() <= 0.15
 
     def test_single_pixel_degenerates_to_last_bin(self):
@@ -297,7 +297,7 @@ class TestShapeHistogram:
         arr[1, 1] = 1
         grid = grid_from_array(arr, {1: "dot"})
         (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram([obj])[0].tolist()
+        hist = shape_histogram(grid, [obj])[0].tolist()
         assert hist[-1] == 1.0
         assert sum(hist) == pytest.approx(1.0, abs=1e-12)
 
@@ -305,15 +305,15 @@ class TestShapeHistogram:
         for _ in range(20):
             grid = blob_grid(rng)
             (obj,) = extract_objects(grid, min_area=1)
-            hist = shape_histogram([obj])[0].tolist()
+            hist = shape_histogram(grid, [obj])[0].tolist()
             assert sum(hist) == pytest.approx(1.0, abs=1e-9)
             assert all(b >= 0 for b in hist)
 
 
-def _shape_histogram_reference(obj, n_samples, n_bins):
+def _shape_histogram_reference(grid, obj, n_samples, n_bins):
     """Per-sample loop form of `shape_histogram`, kept as its exactness oracle."""
     r0, c0 = obj.bbox[0], obj.bbox[1]
-    pts = [(float(r - r0), float(c - c0)) for r, c in obj.boundary]
+    pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, obj)]
     cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
     cx = float(np.mean([c - c0 for _, c in pixels(obj)]))
     if len(pts) == 1:
@@ -363,8 +363,8 @@ def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
             arr = _random_ellipse_array(rng)
         grid = grid_from_array(arr, {1: "x"})
         for obj in extract_objects(grid, min_area=1):
-            got = shape_histogram([obj], n_samples, n_bins)[0].tolist()
-            assert got == _shape_histogram_reference(obj, n_samples, n_bins)
+            got = shape_histogram(grid, [obj], n_samples, n_bins)[0].tolist()
+            assert got == _shape_histogram_reference(grid, obj, n_samples, n_bins)
 
 
 def _lattice_map(rng, cells=7, size=8):
@@ -407,25 +407,67 @@ def test_scene_histograms_equal_the_per_object_reference(seed, min_area, shape):
     # that no row depends on another.
     n_samples, n_bins = shape
     arr = _lattice_map(np.random.default_rng(seed))
-    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
-    expected = [_shape_histogram_reference(o, n_samples, n_bins) for o in objects]
+    grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(grid, min_area)
+    expected = [_shape_histogram_reference(grid, o, n_samples, n_bins) for o in objects]
     for n in (0, 1, 2, 3, len(objects)):
-        got = shape_histogram(objects[:n], n_samples, n_bins)
+        got = shape_histogram(grid, objects[:n], n_samples, n_bins)
         assert got.shape == (n, n_bins) and not got.flags.writeable
         assert got.tolist() == expected[:n]
-    got = shape_histogram(objects[::-1], n_samples, n_bins)
+    got = shape_histogram(grid, objects[::-1], n_samples, n_bins)
     assert got.tolist() == expected[::-1]
+
+
+def _assert_traced_the_same_in_any_company(grid, objects, orders):
+    """Each object's contour and histogram row, traced within each of
+    `orders` (lists of indices into `objects`), equal those it gets alone."""
+    alone = [boundary(grid, o) for o in objects]
+    alone_hists = [shape_histogram(grid, [o])[0].tolist() for o in objects]
+    for order in orders:
+        chosen = [objects[i] for i in order]
+        points, lengths = trace_boundaries(grid, chosen)
+        assert points.shape == (int(lengths.sum()), 2)
+        ends = np.cumsum(lengths).tolist()
+        contours = [tuple(map(tuple, points[e - n : e].tolist())) for n, e in zip(lengths, ends)]
+        assert contours == [alone[i] for i in order]
+        assert shape_histogram(grid, chosen).tolist() == [alone_hists[i] for i in order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shape_maps(), st.sampled_from((1, 3)), st.data())
+def test_contours_and_histograms_do_not_depend_on_the_objects_traced_with_them(
+    arr, min_area, data
+):
+    # The neighbour codes cover only the rows of the objects passed, so a
+    # subset or an order whose first object is not the topmost one must
+    # still trace every object as it is traced alone.
+    grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(grid, min_area)
+    raster = list(range(len(objects)))
+    subset = data.draw(st.lists(st.sampled_from(raster), unique=True)) if objects else []
+    _assert_traced_the_same_in_any_company(grid, objects, [raster, raster[::-1], subset])
+
+
+def test_named_shapes_trace_the_same_in_any_company():
+    # Single pixels in two corners, 1-pixel lines along two edges, a ring
+    # around a hole of another class, and a diagonal ending on the right edge.
+    grid = grid_from_array(_named_shapes_array(), {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(grid, 1)
+    raster = list(range(len(objects)))
+    orders = [raster, raster[::-1], raster[1::2], raster[-2:], [raster[-1], raster[0]]]
+    _assert_traced_the_same_in_any_company(grid, objects, orders)
 
 
 def test_single_pixels_in_a_batch_put_all_mass_in_the_last_bin():
     arr = np.zeros((5, 9), dtype=np.int32)
     arr[0, 0] = arr[2, 4] = arr[4, 8] = 1
     arr[0:3, 7] = 2
-    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b"}), 1)
+    grid = grid_from_array(arr, {1: "a", 2: "b"})
+    objects = extract_objects(grid, 1)
     assert [o.pixel_count for o in objects] == [1, 3, 1, 1]
-    hists = shape_histogram(objects, 7, 3)
+    hists = shape_histogram(grid, objects, 7, 3)
     for o, h in zip(objects, hists):
-        assert h.tolist() == _shape_histogram_reference(o, 7, 3)
+        assert h.tolist() == _shape_histogram_reference(grid, o, 7, 3)
     assert [h.tolist() for i, h in enumerate(hists) if i != 1] == [[0.0, 0.0, 1.0]] * 3
 
 

@@ -68,7 +68,7 @@ class TestFeaturize:
         arr[8:16, 2:6] = 2
         grid = grid_from_array(arr, {1: "top", 2: "bottom"})
         objects = extract_objects(grid, min_area=1)
-        hists = shape_histogram(objects)
+        hists = shape_histogram(grid, objects)
         return grid, objects, relations_for_objects(grid, objects), hists
 
     def test_octant_probability_lands_in_slot_one(self):
@@ -409,7 +409,7 @@ class TestVerify:
             rng = np.random.default_rng(perm_seed)
             shuffled = list(objects)
             rng.shuffle(shuffled)
-            hists = shape_histogram(shuffled)
+            hists = shape_histogram(grid, shuffled)
             pairs = relations_for_objects(grid, shuffled)
             margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
             contradiction, _ = aggregate(margins.tolist(), registry.aggregation_mode)
@@ -536,7 +536,7 @@ def _oracle_model(width=N_FEATURES):
 
 def _oracle_registry(model=None, stats=None):
     grid = grid_from_array(paint([(2, 3, 3, 9, 6)]), CLASS_MAP)
-    (hist,) = shape_histogram(extract_objects(grid, min_area=1))
+    (hist,) = shape_histogram(grid, extract_objects(grid, min_area=1))
     return VerifierRegistry(
         context_attribute=None,
         aggregation_mode="majority",
@@ -562,7 +562,7 @@ class TestBatchedPairLayerMatchesOracle:
         stats, protos, model = detector.stats, detector.prototypes, detector.model
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = shape_histogram(objects)
+        hists = shape_histogram(grid, objects)
         try:
             rels = pair_oracle.relations(grid, objects)
         except DegeneratePairError:
@@ -587,7 +587,7 @@ class TestBatchedPairLayerMatchesOracle:
         stats = ORACLE_REGISTRY.global_detector.stats
         grid = grid_from_array(paint([(4, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = shape_histogram(objects)
+        hists = shape_histogram(grid, objects)
         X = featurize(relations_for_objects(grid, objects), objects, hists, stats, {})
         assert (X[:, 0] == 1.0 / (stats.images + 2.0)).all()
         assert (X[:, 1] == 1.0 / 8).all()
@@ -603,7 +603,7 @@ class TestBatchedPairLayerMatchesOracle:
         rects = [(1, 1, 1, 5, 7), (2, 9, 2, 6, 4), (3, 3, 12, 9, 6), (1, 16, 10, 5, 9)]
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = shape_histogram(objects, 64, n_bins)
+        hists = shape_histogram(grid, objects, 64, n_bins)
         for _ in range(20):
             protos = {c: tuple(rng.dirichlet(np.ones(n_bins)).tolist()) for c in (1, 2)}
             X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
