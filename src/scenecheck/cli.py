@@ -33,6 +33,7 @@ from .corpus import (
     SyntheticConfig,
     generate_contradiction,
     load_model,
+    read_attributes,
     save_model,
     synth_corpus,
 )
@@ -220,13 +221,7 @@ def cmd_verify(args) -> int:
     grid = load_label_grid(args.image, class_map)
     attributes = None
     if args.attributes:
-        raw = corpus_mod._read_json(Path(args.attributes))
-        with corpus_mod._malformed(args.attributes):
-            annotations = raw["annotations"] if isinstance(raw, dict) else raw
-            for entry in annotations:
-                if entry.get("image_id") == grid.image_id:
-                    attributes = entry.get("attributes", {})
-                    break
+        attributes = read_attributes(args.attributes).record(grid.image_id)
     verdict = verify(grid, registry, attributes)
     _print_json(verdict.to_dict())
     return 0

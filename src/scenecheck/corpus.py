@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,6 +35,7 @@ import numpy as np
 
 from .context import DEFAULT_SCHEMA, PLACEHOLDER, AttributeTable, load_attributes
 from .errors import (
+    DuplicateError,
     FormatError,
     PlacementError,
     SchemaError,
@@ -261,6 +263,16 @@ def default_synthetic_config(n_images: int = 400, seed: int = 0) -> SyntheticCon
     )
 
 
+def read_attributes(path: str | Path) -> AttributeTable:
+    """Read an `attributes.json` document: its schema and its annotation
+    records, checked against that schema by `load_attributes`."""
+    doc = _read_json(Path(path))
+    with _malformed(path):
+        annotations, schema = doc["annotations"], doc["schema"]
+        _check_version(doc, "attributes.json")
+    return load_attributes(annotations, schema)
+
+
 def _check_image_id(image_id, where: Path) -> None:
     """Reject an id that could name a file outside the corpus or an output
     directory: commands build `<dir>/<id>.lgrid` paths from ids."""
@@ -284,7 +296,8 @@ class Corpus:
     @classmethod
     def load(cls, root: str | Path) -> "Corpus":
         """Read the corpus documents under `root`; an image id in
-        `splits.json` that is not a plain file stem is a FormatError."""
+        `splits.json` that is not a plain file stem is a FormatError, and
+        one listed twice in a split is a DuplicateError."""
         root = Path(root)
         classes_doc = _read_json(root / "classes.json")
         _check_version(classes_doc, "classes.json")
@@ -300,6 +313,12 @@ class Corpus:
             }
         for image_id in splits["train"] + splits["val"]:
             _check_image_id(image_id, splits_path)
+        for split, ids in splits.items():
+            for image_id, n in Counter(ids).items():
+                if n > 1:
+                    raise DuplicateError(
+                        f"{splits_path}: image id {image_id!r} listed {n} times in {split}"
+                    )
         overlap = set(splits["train"]) & set(splits["val"])
         if overlap:
             raise SchemaError(f"split tags overlap on {len(overlap)} ids")
@@ -324,11 +343,7 @@ class Corpus:
         return parse_label_grid(path.read_text(), self.class_map, image_id=image_id)
 
     def attributes(self) -> AttributeTable:
-        doc = _read_json(self.root / "attributes.json")
-        _check_version(doc, "attributes.json")
-        with _malformed(self.root / "attributes.json"):
-            annotations, schema = doc["annotations"], doc["schema"]
-        return load_attributes(annotations, schema)
+        return read_attributes(self.root / "attributes.json")
 
 
 # ---------------------------------------------------------------------------
@@ -568,39 +583,62 @@ def _expect(what: str, got, fixed: int) -> None:
 
 
 def _stats_to_doc(model: CooccurrenceModel) -> dict:
+    classes = model.classes
+
+    def entries(counts: np.ndarray) -> list:
+        """[a, b, counts] of every class pair with a nonzero count, in row order."""
+        nonzero = counts.any(axis=2) if counts.ndim == 3 else counts
+        return [
+            [classes[i], classes[j], counts[i, j].tolist()]
+            for i, j in np.argwhere(nonzero).tolist()
+        ]
+
     return {
         "alpha": model.alpha,
         "k_dist": K_DIST,
-        "classes": list(model.classes),
+        "classes": list(classes),
         "images": model.images,
-        "class_image_counts": {str(k): v for k, v in model.class_image_counts.items()},
-        "presence_counts": [[a, b, n] for (a, b), n in sorted(model.presence_counts.items())],
-        "position_counts": [[a, b, list(v)] for (a, b), v in sorted(model.position_counts.items())],
-        "proximity_counts": [[a, b, list(v)] for (a, b), v in sorted(model.proximity_counts.items())],
-        "distance_counts": [[a, b, list(v)] for (a, b), v in sorted(model.distance_counts.items())],
+        "class_image_counts": {
+            str(c): n for c, n in zip(classes, model.class_images.tolist()) if n
+        },
+        "presence_counts": entries(np.triu(model.presence)),
+        "position_counts": entries(model.position),
+        "proximity_counts": entries(model.proximity),
+        "distance_counts": entries(model.distance),
         "size_obs": [
-            [a, b, [[pa, pb, n] for (pa, pb), n in obs]]
-            for (a, b), obs in sorted(model.size_obs.items())
+            [classes[i], classes[j], [[pa, pb, n] for (pa, pb), n in sorted(obs.items())]]
+            for (i, j), obs in sorted(model.size_obs.items())
         ],
     }
 
 
+class _ClassRows(dict):
+    """Row of each class of a statistics document; looking up any other
+    class is a one-line SchemaError that names it."""
+
+    def __missing__(self, class_id):
+        raise SchemaError(f"statistics document: counts name class {class_id!r}, not in classes")
+
+
 @_malformed("statistics document")
 def _stats_from_doc(doc: dict) -> CooccurrenceModel:
-    from collections import Counter
-
     _expect("k_dist", doc["k_dist"], K_DIST)
     builder = StatsBuilder.for_classes(doc["classes"])
+    row = _ClassRows((c, i) for i, c in enumerate(builder.classes))
     builder.images = int(doc["images"])
-    builder.class_image_counts = {int(k): int(v) for k, v in doc["class_image_counts"].items()}
-    builder.presence_counts = {(a, b): int(n) for a, b, n in doc["presence_counts"]}
-    builder.position_counts = {(a, b): [int(x) for x in v] for a, b, v in doc["position_counts"]}
-    builder.proximity_counts = {(a, b): [int(x) for x in v] for a, b, v in doc["proximity_counts"]}
-    builder.distance_counts = {(a, b): [int(x) for x in v] for a, b, v in doc["distance_counts"]}
-    builder.size_obs = {
-        (a, b): Counter({(int(pa), int(pb)): int(n) for pa, pb, n in obs})
-        for a, b, obs in doc["size_obs"]
-    }
+    for c, n in doc["class_image_counts"].items():
+        builder.class_images[row[int(c)]] = n
+    for a, b, n in doc["presence_counts"]:
+        builder.presence[row[a], row[b]] = builder.presence[row[b], row[a]] = n
+    for name in ("position", "proximity", "distance"):
+        counts = getattr(builder, name)
+        for a, b, v in doc[f"{name}_counts"]:
+            _expect(f"length of the {name} counts of ({a}, {b})", len(v), counts.shape[2])
+            counts[row[a], row[b]] = v
+    for a, b, obs in doc["size_obs"]:
+        builder.size_obs[row[a], row[b]] = Counter(
+            {(int(pa), int(pb)): int(n) for pa, pb, n in obs}
+        )
     return finalize(builder, alpha=float(doc["alpha"]))
 
 

@@ -93,23 +93,18 @@ def contact(a: SceneObject, b: SceneObject) -> bool:
     return False
 
 
-def shape_histogram(
-    grid: LabelGrid,
-    objects: Sequence[SceneObject],
-    n_samples: int = SHAPE_SAMPLES,
-    n_bins: int = SHAPE_BINS,
-) -> np.ndarray:
+def shape_histogram(grid: LabelGrid, objects: Sequence[SceneObject]) -> np.ndarray:
     """Histograms of boundary-point distances to the centroid, one row per object.
 
     `objects` are components of `grid`, in any order; their boundaries
     are traced here, in one `trace_boundaries` call.  Returns a
-    read-only `(len(objects), n_bins)` float64 array whose row k holds
-    the bin frequencies of `objects[k]`.  Each object's boundary cycle
-    is resampled at `n_samples` points of equal arc-length spacing;
-    distances are normalized by the maximum sampled distance and binned
-    into `n_bins` equal-width bins over [0, 1] (the value 1.0 falls in
-    the last bin).  A single-pixel object degenerates to all mass in
-    the last bin.
+    read-only `(len(objects), SHAPE_BINS)` float64 array whose row k
+    holds the bin frequencies of `objects[k]`.  Each object's boundary
+    cycle is resampled at SHAPE_SAMPLES points of equal arc-length
+    spacing; distances are normalized by the maximum sampled distance
+    and binned into SHAPE_BINS equal-width bins over [0, 1] (the value
+    1.0 falls in the last bin).  A single-pixel object degenerates to
+    all mass in the last bin.
 
     All geometry is computed in bbox-relative coordinates, which are
     invariant under integer translation, so translated copies of an
@@ -126,13 +121,13 @@ def shape_histogram(
         ends = np.cumsum(lengths).tolist()
         hists = np.array(
             [
-                _one_histogram(o, points[e - n : e], n_samples, n_bins)
+                _one_histogram(o, points[e - n : e])
                 for o, n, e in zip(objects, lengths.tolist(), ends)
             ]
         )
-        hists = hists.reshape(len(objects), n_bins)
+        hists = hists.reshape(len(objects), SHAPE_BINS)
     else:
-        hists = _batched_histograms(objects, points, lengths, n_samples, n_bins)
+        hists = _batched_histograms(objects, points, lengths)
     hists.flags.writeable = False
     return hists
 
@@ -162,13 +157,11 @@ def _relative_centroid(obj: SceneObject) -> tuple[float, float]:
     )
 
 
-def _one_histogram(
-    obj: SceneObject, boundary: np.ndarray, n_samples: int, n_bins: int
-) -> np.ndarray:
+def _one_histogram(obj: SceneObject, boundary: np.ndarray) -> np.ndarray:
     """`shape_histogram` row of a single object with traced contour `boundary`."""
     cy, cx = _relative_centroid(obj)
     if len(boundary) == 1:
-        samples = np.zeros(n_samples)
+        samples = np.zeros(SHAPE_SAMPLES)
     else:
         closed = np.concatenate((boundary, boundary[:1]), dtype=np.float64)
         closed -= obj.bbox[:2]
@@ -177,7 +170,7 @@ def _one_histogram(
         seg = np.where((step[:, 0] != 0) & (step[:, 1] != 0), _DIAGONAL, 1.0)
         cum = np.concatenate([[0.0], np.cumsum(seg)])
         total = cum[-1]
-        targets = np.arange(n_samples) * (total / n_samples)
+        targets = np.arange(SHAPE_SAMPLES) * (total / SHAPE_SAMPLES)
         idx = np.searchsorted(cum, targets, side="right") - 1
         idx = np.minimum(np.maximum(idx, 0), len(seg) - 1)
         frac = (targets - cum[idx]) / seg[idx]
@@ -187,19 +180,17 @@ def _one_histogram(
         samples = _hypot(r - cy, c - cx)
     max_d = samples.max() if len(samples) else 0.0
     if max_d <= 0.0:
-        normalized = np.ones(n_samples)
+        normalized = np.ones(SHAPE_SAMPLES)
     else:
         normalized = samples / max_d
-    bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
-    return np.bincount(bins, minlength=n_bins) / float(n_samples)
+    bins = np.minimum((normalized * SHAPE_BINS).astype(np.int64), SHAPE_BINS - 1)
+    return np.bincount(bins, minlength=SHAPE_BINS) / float(SHAPE_SAMPLES)
 
 
 def _batched_histograms(
     objects: Sequence[SceneObject],
     points: np.ndarray,
     lengths: np.ndarray,
-    n_samples: int,
-    n_bins: int,
 ) -> np.ndarray:
     """`_one_histogram` of every object, computed for all of them at once
     from the contours `trace_boundaries` returns.
@@ -229,7 +220,7 @@ def _batched_histograms(
     seg[np.arange(width - 1) >= lengths[:, None]] = 0.0
     cum = np.zeros((k, width))
     np.cumsum(seg, axis=1, out=cum[:, 1:])
-    targets = np.arange(n_samples) * (cum[:, -1:] / n_samples)
+    targets = np.arange(SHAPE_SAMPLES) * (cum[:, -1:] / SHAPE_SAMPLES)
     # Every target lies in [0, total), so idx lies in [0, length - 1].
     idx = np.array([np.searchsorted(c, t, side="right") for c, t in zip(cum, targets)]) - 1
     frac = (targets - np.take_along_axis(cum, idx, 1)) / np.take_along_axis(seg, idx, 1)
@@ -241,14 +232,14 @@ def _batched_histograms(
     centroids = np.array([_relative_centroid(o) for o in objects])
     r -= centroids[:, :1]
     c -= centroids[:, 1:]
-    samples = _hypot(r.ravel(), c.ravel()).reshape(k, n_samples)
+    samples = _hypot(r.ravel(), c.ravel()).reshape(k, SHAPE_SAMPLES)
     max_d = samples.max(axis=1, keepdims=True, initial=0.0)
-    normalized = np.ones((k, n_samples))
+    normalized = np.ones((k, SHAPE_SAMPLES))
     np.divide(samples, max_d, out=normalized, where=max_d > 0.0)
-    bins = np.minimum((normalized * n_bins).astype(np.int64), n_bins - 1)
-    bins += np.arange(0, k * n_bins, n_bins)[:, None]
-    counts = np.bincount(bins.ravel(), minlength=k * n_bins).reshape(k, n_bins)
-    return counts / float(n_samples)
+    bins = np.minimum((normalized * SHAPE_BINS).astype(np.int64), SHAPE_BINS - 1)
+    bins += np.arange(0, k * SHAPE_BINS, SHAPE_BINS)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=k * SHAPE_BINS).reshape(k, SHAPE_BINS)
+    return counts / float(SHAPE_SAMPLES)
 
 
 def _contact_matrix(objects: list[SceneObject], bbox: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ margins as matrices.  This module keeps the per-pair form they
 replaced: the scalar channel functions, the statistics lookups `query`
 and `size_zscore`, which smooth the model's raw counts themselves, and
 per-pair features and scores built from them, so that tests can require
-the batched results to equal it bit for bit.
+the batched results to equal it bit for bit.  `keyed` reads the
+statistics' count arrays back as the per-class-pair dicts that hand
+tallies are written in.
 """
 
 import math
@@ -85,14 +87,12 @@ def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
     return min(int(rdist * k_dist), k_dist - 1)
 
 
-def _pair_key(a, b):
-    return (a, b) if a <= b else (b, a)
-
-
-def _check_classes(model, *ids) -> None:
+def _rows(model, *ids) -> list[int]:
+    """The row of each class id in the model's counts."""
     for c in ids:
         if c not in model.classes:
             raise UnknownClassError(f"class id {c} unknown to this model")
+    return [model.classes.index(c) for c in ids]
 
 
 def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
@@ -104,19 +104,14 @@ def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
-    _check_classes(model, a_class, b_class)
+    i, j = _rows(model, a_class, b_class)
     if kind == "presence":
-        count = model.presence_counts.get(_pair_key(a_class, b_class), 0)
+        count = int(model.presence[i, j])
         return (count + model.alpha) / (model.images + 2 * model.alpha)
-    if kind == "position":
-        table, labels = model.position_counts, OCTANTS
-    elif kind == "proximity":
-        table, labels = model.proximity_counts, PROXIMITY_LABELS
-    else:
-        table, labels = model.distance_counts, tuple(range(K_DIST))
+    labels = {"position": OCTANTS, "proximity": PROXIMITY_LABELS}.get(kind, tuple(range(K_DIST)))
     idx = labels.index(observed)
-    counts = table.get((a_class, b_class))
-    if counts is None:
+    counts = getattr(model, kind)[i, j].tolist()
+    if not any(counts):
         return 1.0 / len(labels)
     return (counts[idx] + model.alpha) / (sum(counts) + model.alpha * len(labels))
 
@@ -136,12 +131,30 @@ def size_moments(observations) -> tuple[float, float]:
 
 def size_zscore(model, a_class: int, b_class: int, log_ratio: float) -> float:
     """(log_ratio - mean) / std for the ordered pair; unseen pairs use (0, 1)."""
-    _check_classes(model, a_class, b_class)
-    observations = model.size_obs.get((a_class, b_class))
+    observations = model.size_obs.get(tuple(_rows(model, a_class, b_class)))
     if observations is None:
         return float(log_ratio)
-    mean, std = size_moments(observations)
+    mean, std = size_moments(observations.items())
     return (log_ratio - mean) / std
+
+
+def keyed(counts, name: str) -> dict:
+    """The nonzero entries of a builder's or model's named counts, keyed by
+    class as hand tallies are: {c: n} for `class_images`, {(a, b): n} over
+    a <= b for `presence`, {(a, b): [counts]} for the relational arrays and
+    {(a, b): {(pixels_a, pixels_b): n}} for `size_obs`."""
+    classes = counts.classes
+    if name == "size_obs":
+        return {(classes[i], classes[j]): dict(obs) for (i, j), obs in counts.size_obs.items()}
+    values = getattr(counts, name)
+    if name == "class_images":
+        return {classes[i]: n for i, n in enumerate(values.tolist()) if n}
+    if name == "presence":
+        values = np.triu(values)
+    nonzero = values.any(axis=2) if values.ndim == 3 else values
+    return {
+        (classes[i], classes[j]): values[i, j].tolist() for i, j in np.argwhere(nonzero).tolist()
+    }
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from scenecheck.cli import main
 from scenecheck.corpus import Corpus, _stats_to_doc
 
 from conftest import pixels, random_blob_array
+from pair_oracle import keyed
 from test_labelgrid import _component_oracle, _touch_oracle
 from test_relations import _resolved_shapes, octant_oracle, rpos_of_pairs
 from test_stats import (
@@ -147,8 +148,8 @@ def test_criterion_1_exact_oracles(rng):
 def test_criterion_2_statistics_correctness(tmp_path, rng):
     builder = _hand_builder()
     assert builder.images == 5
-    assert builder.presence_counts == {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
-    assert builder.class_image_counts == {1: 4, 2: 3, 3: 2}
+    assert keyed(builder, "presence") == {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
+    assert keyed(builder, "class_images") == {1: 4, 2: 3, 3: 2}
     model = finalize(builder, alpha=1.0)
     assert abs(lookup(model, "presence_table", 1, 2) - 3 / 7) <= 1e-12
     assert abs(position(model, 1, 2, "S") - 2 / 10) <= 1e-12
@@ -325,5 +326,5 @@ def test_criterion_9_persistence(experiment, tmp_path, rng):
     save_model(stats_path, model)
     loaded = load_model(stats_path)
     assert loaded == model
-    assert loaded.presence_counts == builder.presence_counts
+    assert keyed(loaded, "presence") == keyed(builder, "presence")
     print("PASS criterion 9: round-trips count-exact, verdicts identical on 100 scenes")

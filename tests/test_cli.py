@@ -162,6 +162,21 @@ class TestGenContradictions:
         assert "'../../escaped'" in err
         assert escaped.read_bytes() == before
 
+    def test_image_id_listed_twice_in_a_split_is_duplicate_error(self, tmp_path, capsys):
+        corpus_dir = tmp_path / "corpus"
+        synth_corpus(default_synthetic_config(n_images=12, seed=5), corpus_dir)
+        splits = corpus_dir / "splits.json"
+        doc = json.loads(splits.read_text())
+        twice = doc["val"][0]
+        doc["val"].append(twice)
+        splits.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["gen-contradictions", str(corpus_dir), "--seed", "1", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DuplicateError:") and err.count("\n") == 1
+        assert repr(twice) in err
+        assert not (out / "manifest.json").exists()
+
 
 @pytest.mark.parametrize("command", ["build-stats", "select-contexts", "train", "evaluate"])
 def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command):
@@ -259,6 +274,21 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: FormatError:")
         assert err.count("\n") == 1
+
+    def test_attribute_value_outside_the_schema_is_schema_error(self, pipeline, tmp_path, capsys):
+        _, corpus_dir, registry_path = pipeline
+        image = next((corpus_dir / "images").glob("inside_*.lgrid"))
+        doc = json.loads((corpus_dir / "attributes.json").read_text())
+        for entry in doc["annotations"]:
+            if entry["image_id"] == image.stem:
+                entry["attributes"]["location"] = "moon"
+        path = tmp_path / "attributes.json"
+        path.write_text(json.dumps(doc))
+        code = main(["verify", str(registry_path), str(image), "--attributes", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: SchemaError:") and err.count("\n") == 1
+        assert "'moon'" in err
 
     def test_missing_file_is_validation_error(self, pipeline, capsys):
         _, _, registry_path = pipeline

@@ -240,6 +240,18 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded == model
 
+    def test_saving_what_was_loaded_reproduces_the_document(self, tmp_path):
+        config = default_synthetic_config(n_images=60, seed=14)
+        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        registry = train_registry(corpus, table, "location", seed=14)
+        assert registry.models, "the registry should hold context detectors too"
+        stats = registry.models["inside"].stats
+        for name, obj in (("registry.json", registry), ("stats.json", stats)):
+            path, again = tmp_path / name, tmp_path / f"again.{name}"
+            save_model(path, obj)
+            save_model(again, load_model(path))
+            assert again.read_bytes() == path.read_bytes(), name
+
     def test_loaded_dense_tables_equal_saved(self, tmp_path):
         model = _corpus_stats(tmp_path)
         path = tmp_path / "stats.json"

@@ -17,7 +17,7 @@ from scenecheck import (
     shape_histogram,
     trace_boundaries,
 )
-from scenecheck.relations import OCTANTS, PROXIMITY_LABELS
+from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, SHAPE_BINS, SHAPE_SAMPLES
 
 import pair_oracle
 from conftest import blob_grid, boundary, pixels, random_blob_array
@@ -310,8 +310,9 @@ class TestShapeHistogram:
             assert all(b >= 0 for b in hist)
 
 
-def _shape_histogram_reference(grid, obj, n_samples, n_bins):
+def _shape_histogram_reference(grid, obj):
     """Per-sample loop form of `shape_histogram`, kept as its exactness oracle."""
+    n_samples, n_bins = SHAPE_SAMPLES, SHAPE_BINS
     r0, c0 = obj.bbox[0], obj.bbox[1]
     pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, obj)]
     cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
@@ -353,8 +354,7 @@ def _random_ellipse_array(rng):
     return arr
 
 
-@pytest.mark.parametrize("n_samples, n_bins", [(64, 16), (7, 3)])
-def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
+def test_shape_histogram_matches_loop_reference_exactly(rng):
     for k in range(120):
         if k % 2:
             size, steps = int(rng.integers(3, 24)), int(rng.integers(0, 120))
@@ -363,8 +363,8 @@ def test_shape_histogram_matches_loop_reference_exactly(rng, n_samples, n_bins):
             arr = _random_ellipse_array(rng)
         grid = grid_from_array(arr, {1: "x"})
         for obj in extract_objects(grid, min_area=1):
-            got = shape_histogram(grid, [obj], n_samples, n_bins)[0].tolist()
-            assert got == _shape_histogram_reference(grid, obj, n_samples, n_bins)
+            got = shape_histogram(grid, [obj])[0].tolist()
+            assert got == _shape_histogram_reference(grid, obj)
 
 
 def _lattice_map(rng, cells=7, size=8):
@@ -396,25 +396,20 @@ def _lattice_map(rng, cells=7, size=8):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from((1, 3)),
-    st.sampled_from(((64, 16), (7, 3))),
-)
-def test_scene_histograms_equal_the_per_object_reference(seed, min_area, shape):
+@given(st.integers(0, 2**32 - 1), st.sampled_from((1, 3)))
+def test_scene_histograms_equal_the_per_object_reference(seed, min_area):
     # Prefixes give scenes of 0, 1 and 2 objects (per-object path) and
     # 3 and about 40 objects (batched path); the reversed scene checks
     # that no row depends on another.
-    n_samples, n_bins = shape
     arr = _lattice_map(np.random.default_rng(seed))
     grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, min_area)
-    expected = [_shape_histogram_reference(grid, o, n_samples, n_bins) for o in objects]
+    expected = [_shape_histogram_reference(grid, o) for o in objects]
     for n in (0, 1, 2, 3, len(objects)):
-        got = shape_histogram(grid, objects[:n], n_samples, n_bins)
-        assert got.shape == (n, n_bins) and not got.flags.writeable
+        got = shape_histogram(grid, objects[:n])
+        assert got.shape == (n, SHAPE_BINS) and not got.flags.writeable
         assert got.tolist() == expected[:n]
-    got = shape_histogram(grid, objects[::-1], n_samples, n_bins)
+    got = shape_histogram(grid, objects[::-1])
     assert got.tolist() == expected[::-1]
 
 
@@ -465,10 +460,11 @@ def test_single_pixels_in_a_batch_put_all_mass_in_the_last_bin():
     grid = grid_from_array(arr, {1: "a", 2: "b"})
     objects = extract_objects(grid, 1)
     assert [o.pixel_count for o in objects] == [1, 3, 1, 1]
-    hists = shape_histogram(grid, objects, 7, 3)
+    hists = shape_histogram(grid, objects)
     for o, h in zip(objects, hists):
-        assert h.tolist() == _shape_histogram_reference(grid, o, 7, 3)
-    assert [h.tolist() for i, h in enumerate(hists) if i != 1] == [[0.0, 0.0, 1.0]] * 3
+        assert h.tolist() == _shape_histogram_reference(grid, o)
+    last_bin = [0.0] * (SHAPE_BINS - 1) + [1.0]
+    assert [h.tolist() for i, h in enumerate(hists) if i != 1] == [last_bin] * 3
 
 
 def _resolved_shapes():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from scenecheck import (
     ConsistencyError,
     EmptyCorpusError,
+    SceneCheckError,
     SchemaError,
     StatsBuilder,
     UnknownClassError,
@@ -17,14 +19,17 @@ from scenecheck import (
     extract_objects,
     finalize,
     grid_from_array,
+    load_model,
     merge,
     relations_for_objects,
+    save_model,
     synth_corpus,
 )
 from scenecheck.corpus import _stats_to_doc
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS
 
 import pair_oracle
+from pair_oracle import keyed
 
 
 def _scene(arr, class_map, min_area=1):
@@ -90,22 +95,23 @@ class TestAccumulate:
         objects, relations = _scene(_hand_corpus()[0], CLASS_MAP)
         accumulate(builder, objects, relations)
         assert builder.images == 1
-        assert builder.presence_counts == {(1, 2): 1}
-        assert builder.class_image_counts == {1: 1, 2: 1}
+        assert keyed(builder, "presence") == {(1, 2): 1}
+        assert keyed(builder, "class_images") == {1: 1, 2: 1}
 
     def test_lone_object_makes_no_pairs(self):
         builder = StatsBuilder.for_classes([1, 2, 3])
         objects, relations = _scene(_hand_corpus()[3], CLASS_MAP)
         accumulate(builder, objects, relations)
-        assert builder.presence_counts == {}
-        assert builder.class_image_counts == {1: 1}
-        assert builder.position_counts == {}
+        assert keyed(builder, "presence") == {}
+        assert keyed(builder, "class_images") == {1: 1}
+        assert keyed(builder, "position") == {}
 
     def test_hand_tallied_counts(self):
         builder = _hand_builder()
         assert builder.images == 5
-        assert builder.class_image_counts == {1: 4, 2: 3, 3: 2}
-        assert builder.presence_counts == {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
+        assert keyed(builder, "class_images") == {1: 4, 2: 3, 3: 2}
+        assert keyed(builder, "presence") == {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
+        assert (builder.presence == builder.presence.T).all()
         oct_idx = {o: i for i, o in enumerate(OCTANTS)}
 
         def octs(**kw):
@@ -114,7 +120,7 @@ class TestAccumulate:
                 row[oct_idx[label]] = n
             return row
 
-        assert builder.position_counts == {
+        assert keyed(builder, "position") == {
             (1, 2): octs(S=1, SE=1),
             (2, 1): octs(N=1, NW=1),
             (2, 3): octs(E=1),
@@ -131,7 +137,7 @@ class TestAccumulate:
                 row[prox_idx[label]] = n
             return row
 
-        assert builder.proximity_counts == {
+        assert keyed(builder, "proximity") == {
             (1, 2): prox(ON=1, NONE=1),
             (2, 1): prox(UNDER=1, NONE=1),
             (2, 3): prox(NONE=1),
@@ -140,7 +146,7 @@ class TestAccumulate:
             (3, 1): prox(NONE=2),
             (1, 1): prox(NONE=2),
         }
-        assert builder.distance_counts == {
+        assert keyed(builder, "distance") == {
             (1, 2): [0, 1, 0, 1, 0],
             (2, 1): [0, 1, 0, 1, 0],
             (2, 3): [0, 0, 1, 0, 0],
@@ -149,9 +155,10 @@ class TestAccumulate:
             (3, 1): [0, 0, 1, 1, 0],
             (1, 1): [0, 0, 2, 0, 0],
         }
-        assert dict(builder.size_obs[(1, 2)]) == {(4, 8): 1, (4, 12): 1}
-        assert dict(builder.size_obs[(1, 3)]) == {(4, 4): 2}
-        assert dict(builder.size_obs[(1, 1)]) == {(4, 4): 2}
+        size_obs = keyed(builder, "size_obs")
+        assert size_obs[(1, 2)] == {(4, 8): 1, (4, 12): 1}
+        assert size_obs[(1, 3)] == {(4, 4): 2}
+        assert size_obs[(1, 1)] == {(4, 4): 2}
 
     def test_relation_with_foreign_class_rejected(self):
         builder = StatsBuilder.for_classes([1, 2, 3])
@@ -237,11 +244,25 @@ class TestFinalize:
     def test_octant_smoothing_example(self):
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 8
-        builder.position_counts[(1, 2)] = [8, 0, 0, 0, 0, 0, 0, 0]
+        builder.position[0, 1] = [8, 0, 0, 0, 0, 0, 0, 0]  # classes 1 and 2 are rows 0 and 1
         model = finalize(builder, alpha=1.0)
         assert position(model, 1, 2, "E") == pytest.approx(9 / 16, abs=1e-15)
         for label in OCTANTS[1:]:
             assert position(model, 1, 2, label) == pytest.approx(1 / 16, abs=1e-15)
+
+    def test_model_counts_are_read_only_copies(self):
+        builder = _hand_builder()
+        model = finalize(builder, alpha=1.0)
+        accumulate(builder, *_scene(_hand_corpus()[0], CLASS_MAP))
+        assert builder.images == 6 and model.images == 5
+        assert model == finalize(_hand_builder(), alpha=1.0)
+        arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 11  # five count arrays, six tables
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            model.alpha = 2.0
 
     def test_empty_builder_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -258,7 +279,7 @@ class TestFinalize:
         assert proximity(model, 1, 2, "ON") == pytest.approx(2 / 8, abs=1e-12)
         assert proximity(model, 1, 2, "FRONT") == pytest.approx(1 / 8, abs=1e-12)
         assert lookup(model, "distance_table", 1, 2)[1] == pytest.approx(2 / 7, abs=1e-12)
-        n = sum(count for _, count in model.size_obs[(1, 2)])
+        n = sum(keyed(model, "size_obs")[(1, 2)].values())
         mean, std = lookup(model, "size_mean", 1, 2), lookup(model, "size_std", 1, 2)
         xs = [math.log(4 / 8), math.log(4 / 12)]
         assert n == 2
@@ -267,7 +288,7 @@ class TestFinalize:
 
     def test_sigma_floor_applies_to_degenerate_pairs(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        n = sum(count for _, count in model.size_obs[(1, 3)])
+        n = sum(keyed(model, "size_obs")[(1, 3)].values())
         mean, std = lookup(model, "size_mean", 1, 3), lookup(model, "size_std", 1, 3)
         assert (n, mean) == (2, 0.0)
         assert std == 0.1
@@ -276,7 +297,7 @@ class TestFinalize:
 class TestQuery:
     def test_zscore_centering(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        mean, _ = pair_oracle.size_moments(model.size_obs[(1, 2)])
+        mean, _ = pair_oracle.size_moments(keyed(model, "size_obs")[(1, 2)].items())
         mu, sigma = lookup(model, "size_mean", 1, 2), lookup(model, "size_std", 1, 2)
         assert (mean - mu) / sigma == 0.0
 
@@ -307,11 +328,30 @@ class TestQuery:
             with pytest.raises(UnknownClassError, match=f"class id {unknown} "):
                 model.class_rows(ids)
 
-    def test_counts_outside_the_universe_rejected(self):
-        builder = _hand_builder()
-        builder.position_counts[(1, 9)] = [1] * 8
-        with pytest.raises(SchemaError):
-            finalize(builder)
+    @pytest.mark.parametrize(
+        "key, entry",
+        [
+            ("class_image_counts", None),
+            ("presence_counts", [1, 9, 1]),
+            ("position_counts", [9, 2, [1] * 8]),
+            ("proximity_counts", [1, 9, [1] * 6]),
+            ("distance_counts", [9, 9, [1] * K_DIST]),
+            ("size_obs", [1, 9, [[4, 4, 1]]]),
+        ],
+        ids=["class_image_counts", "presence", "position", "proximity", "distance", "size_obs"],
+    )
+    def test_count_entry_outside_classes_rejected_on_load(self, tmp_path, key, entry):
+        path = tmp_path / "stats.json"
+        save_model(path, finalize(_hand_builder()))
+        doc = json.loads(path.read_text())
+        if entry is None:
+            doc[key]["9"] = 1
+        else:
+            doc[key].append(entry)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SceneCheckError, match="class 9,") as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
 
     def test_zscore_unseen_pair_standard_normal_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
@@ -333,10 +373,11 @@ class TestQuery:
     def test_random_queries_match_recomputation(self, rng):
         builder = _hand_builder()
         model = finalize(builder, alpha=1.0)
+        tallies = keyed(builder, "position")
         for _ in range(200):
             a, b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             octant_label = OCTANTS[int(rng.integers(8))]
-            counts = builder.position_counts.get((a, b), [0] * 8)
+            counts = tallies.get((a, b), [0] * 8)
             expected = (counts[OCTANTS.index(octant_label)] + 1.0) / (sum(counts) + 8.0)
             assert position(model, a, b, octant_label) == pytest.approx(
                 expected, abs=1e-15

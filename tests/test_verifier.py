@@ -40,6 +40,7 @@ from scenecheck import (
     verify,
 )
 from scenecheck.corpus import EVAL_TAG, save_model
+from scenecheck.relations import SHAPE_BINS
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
 import pair_oracle
@@ -78,7 +79,7 @@ class TestFeaturize:
         octant_index = 6  # S
         counts = [0] * 8
         counts[octant_index] = 8
-        builder.position_counts[(1, 2)] = counts
+        builder.position[0, 1] = counts  # classes 1 and 2 are rows 0 and 1
         stats = finalize(builder, alpha=1.0)
         X = featurize(pairs, objects, hists, stats, {})
         assert X.shape == (2, N_FEATURES)
@@ -595,17 +596,16 @@ class TestBatchedPairLayerMatchesOracle:
         assert (X[:, 3] == 1.0 / 5).all()
         assert (X[:, 4] == 0.0).all()
 
-    @pytest.mark.parametrize("n_bins", [16, 3])
-    def test_shape_term_equals_the_per_object_sum(self, rng, n_bins):
+    def test_shape_term_equals_the_per_object_sum(self, rng):
         # Prototypes that are not multiples of 1/n_samples make the L1 sum
         # round, so each row must add in the order of a per-object sum.
         stats = ORACLE_REGISTRY.global_detector.stats
         rects = [(1, 1, 1, 5, 7), (2, 9, 2, 6, 4), (3, 3, 12, 9, 6), (1, 16, 10, 5, 9)]
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
-        hists = shape_histogram(grid, objects, 64, n_bins)
+        hists = shape_histogram(grid, objects)
         for _ in range(20):
-            protos = {c: tuple(rng.dirichlet(np.ones(n_bins)).tolist()) for c in (1, 2)}
+            protos = {c: tuple(rng.dirichlet(np.ones(SHAPE_BINS)).tolist()) for c in (1, 2)}
             X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
             expected = [
                 pair_oracle.featurize(r, hists[r.a_id], stats, protos)[6]
