@@ -300,13 +300,13 @@ class Corpus:
         one listed twice in a split is a DuplicateError."""
         root = Path(root)
         classes_doc = _read_json(root / "classes.json")
-        _check_version(classes_doc, "classes.json")
         with _malformed(root / "classes.json"):
+            _check_version(classes_doc, "classes.json")
             class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
         splits_path = root / "splits.json"
         splits_doc = _read_json(splits_path)
-        _check_version(splits_doc, "splits.json")
         with _malformed(splits_path):
+            _check_version(splits_doc, "splits.json")
             splits = {
                 "train": list(splits_doc["train"]),
                 "val": list(splits_doc["val"]),
@@ -582,6 +582,14 @@ def _expect(what: str, got, fixed: int) -> None:
         raise ValueError(f"{what} is {got!r}, expected {fixed}")
 
 
+def _count(what: str, value) -> int:
+    """`value`, which must be an integer that an int64 count array holds,
+    at least 0; anything else is a ValueError naming `what`."""
+    if type(value) is not int or not 0 <= value < 2**63:
+        raise ValueError(f"{what} holds {value!r}, expected an integer count in [0, 2**63)")
+    return value
+
+
 def _stats_to_doc(model: CooccurrenceModel) -> dict:
     classes = model.classes
 
@@ -625,19 +633,22 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     _expect("k_dist", doc["k_dist"], K_DIST)
     builder = StatsBuilder.for_classes(doc["classes"])
     row = _ClassRows((c, i) for i, c in enumerate(builder.classes))
-    builder.images = int(doc["images"])
+    builder.images = _count("images", doc["images"])
     for c, n in doc["class_image_counts"].items():
-        builder.class_images[row[int(c)]] = n
+        builder.class_images[row[int(c)]] = _count(f"class_image_counts of {c}", n)
     for a, b, n in doc["presence_counts"]:
+        n = _count(f"presence_counts of ({a}, {b})", n)
         builder.presence[row[a], row[b]] = builder.presence[row[b], row[a]] = n
     for name in ("position", "proximity", "distance"):
         counts = getattr(builder, name)
         for a, b, v in doc[f"{name}_counts"]:
-            _expect(f"length of the {name} counts of ({a}, {b})", len(v), counts.shape[2])
-            counts[row[a], row[b]] = v
+            what = f"{name}_counts of ({a}, {b})"
+            _expect(f"length of {what}", len(v), counts.shape[2])
+            counts[row[a], row[b]] = [_count(what, n) for n in v]
     for a, b, obs in doc["size_obs"]:
+        what = f"size_obs of ({a}, {b})"
         builder.size_obs[row[a], row[b]] = Counter(
-            {(int(pa), int(pb)): int(n) for pa, pb, n in obs}
+            {(_count(what, pa), _count(what, pb)): _count(what, n) for pa, pb, n in obs}
         )
     return finalize(builder, alpha=float(doc["alpha"]))
 

@@ -10,12 +10,23 @@ shape is summarized as a histogram of normalized boundary-to-centroid
 distances; a scene's histograms are the rows of one array, and its
 boundaries are traced only there.
 
-All operations are pure functions with no shared mutable state.
+Octants, and the shape samples of a batched scene, are computed with
+numpy over whole arrays.  Both are then cut into discrete codes and
+bins, where a last-bit difference from the scalar `math` functions
+could move a value across an edge; a value within _EDGE_EPS of an edge
+is recomputed with those functions, so every code and bin equals the
+scalar one.  Distances are float features and stay on `math.hypot`,
+once per unordered pair.
+
+All operations are pure functions.  The only shared state is a bounded
+cache of ordered-pair index tables, which depend on the object count
+alone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -35,6 +46,10 @@ ROW_EPS_FRACTION = 0.05
 SHAPE_SAMPLES = 64
 SHAPE_BINS = 16
 _DIAGONAL = math.hypot(1.0, 1.0)
+# numpy's arctan2 and hypot may differ from math's by a few units in the
+# last place, about 1e-15 on the octant sector and bin scales; a value
+# this close to an edge is recomputed with math.
+_EDGE_EPS = 1e-9
 # Scenes with at least this many objects get their shape histograms in one
 # batched pass; below it the batch's fixed cost outweighs what it saves.
 _BATCH_MIN = 3
@@ -113,8 +128,9 @@ def shape_histogram(grid: LabelGrid, objects: Sequence[SceneObject]) -> np.ndarr
     `extract_objects` sets it.
 
     Scenes of `_BATCH_MIN` or more objects are computed in one pass over
-    all their boundaries, padded to one array; each object's histogram
-    is bit-identical to the one it gets on its own.
+    all their boundaries, padded to one array, with `np.hypot` samples
+    and the `_hypot` fallback near bin edges; each object's histogram is
+    bit-identical to the one it gets on its own.
     """
     points, lengths = trace_boundaries(grid, objects)
     if len(objects) < _BATCH_MIN:
@@ -133,11 +149,8 @@ def shape_histogram(grid: LabelGrid, objects: Sequence[SceneObject]) -> np.ndarr
 
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
-    """Elementwise `math.hypot` of two 1-D arrays.
-
-    Not `np.hypot`: a last-bit difference can move a sample across a bin
-    edge.
-    """
+    """Elementwise `math.hypot` of two 1-D arrays: pair distances, and the
+    shape samples of an object alone or of a batched row near a bin edge."""
     return np.fromiter(map(math.hypot, dr.tolist(), dc.tolist()), np.float64, len(dr))
 
 
@@ -232,11 +245,21 @@ def _batched_histograms(
     centroids = np.array([_relative_centroid(o) for o in objects])
     r -= centroids[:, :1]
     c -= centroids[:, 1:]
-    samples = _hypot(r.ravel(), c.ravel()).reshape(k, SHAPE_SAMPLES)
+    samples = np.hypot(r, c)
     max_d = samples.max(axis=1, keepdims=True, initial=0.0)
-    normalized = np.ones((k, SHAPE_SAMPLES))
-    np.divide(samples, max_d, out=normalized, where=max_d > 0.0)
-    bins = np.minimum((normalized * SHAPE_BINS).astype(np.int64), SHAPE_BINS - 1)
+    scaled = np.ones((k, SHAPE_SAMPLES))
+    np.divide(samples, max_d, out=scaled, where=max_d > 0.0)
+    scaled *= SHAPE_BINS
+    # A row with a sample within _EDGE_EPS of an inner bin edge is
+    # recomputed with `_hypot`.  Clipping keeps out 0 and SHAPE_BINS: no
+    # sample lies below 0, and the row's maximum scales to SHAPE_BINS
+    # exactly either way, as does every sample of a single pixel.
+    inner = np.clip(scaled, 0.5, SHAPE_BINS - 0.5)
+    near = (np.abs(inner - np.rint(inner)) < _EDGE_EPS).any(axis=1)
+    for i in np.flatnonzero(near).tolist():
+        exact = _hypot(r[i], c[i])
+        scaled[i] = exact / exact.max() * SHAPE_BINS
+    bins = np.minimum(scaled.astype(np.int64), SHAPE_BINS - 1)
     bins += np.arange(0, k * SHAPE_BINS, SHAPE_BINS)[:, None]
     counts = np.bincount(bins.ravel(), minlength=k * SHAPE_BINS).reshape(k, SHAPE_BINS)
     return counts / float(SHAPE_SAMPLES)
@@ -265,12 +288,70 @@ _NO_PAIRS = PairTable(
     }
 )
 
+# Index tables by object count, least recently used first.  They hold at
+# most _PAIR_INDEX_BUDGET ordered pairs in all (about 3 MB), so a one-off
+# scene of many objects is not kept.
+_PAIR_INDEX: dict[int, tuple[np.ndarray, ...]] = {}
+_PAIR_INDEX_BUDGET = 1 << 17
+_PAIR_INDEX_LOCK = threading.Lock()
+
+
+def _new_pair_index(n: int) -> tuple[np.ndarray, ...]:
+    a = np.repeat(np.arange(n), n - 1)
+    j = np.tile(np.arange(n - 1), n)
+    b = j + (j >= a)
+    lower = np.flatnonzero(a < b)
+    mirror = b[lower] * (n - 1) + a[lower]
+    index = (a, b, lower, mirror)
+    for array in index:
+        array.flags.writeable = False
+    return index
+
+
+def _pair_index(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only index tables of the ordered pairs of n >= 2 objects.
+
+    Returns (a, b, lower, mirror): row k is the ordered pair (a[k], b[k])
+    of positions, A-major as a nested loop over the objects gives them;
+    `lower` holds the rows with a < b and `mirror` the row of (b, a) for
+    each of them.
+    """
+    with _PAIR_INDEX_LOCK:
+        index = _PAIR_INDEX.pop(n, None)
+        if index is None:
+            index = _new_pair_index(n)
+            kept = len(index[0])
+            if kept > _PAIR_INDEX_BUDGET:
+                return index
+            kept += sum(len(i[0]) for i in _PAIR_INDEX.values())
+            while kept > _PAIR_INDEX_BUDGET:
+                kept -= len(_PAIR_INDEX.pop(next(iter(_PAIR_INDEX)))[0])
+        _PAIR_INDEX[n] = index
+        return index
+
+
+def _octants(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
+    """OCTANTS code of each direction (dr, dc), "up" = decreasing row.
+
+    Code k is floor(theta / 45 + 0.5) mod 8 for theta in degrees.  A
+    sector within _EDGE_EPS of an integer is recomputed in the scalar
+    form `floor((degrees(atan2(-dr, dc)) + 22.5) / 45)`, which fixes
+    the half-open sector edges.
+    """
+    sector = np.arctan2(-dr, dc) * (4.0 / math.pi) + 0.5
+    codes = np.floor(sector)
+    for k in np.flatnonzero(np.abs(sector - np.rint(sector)) < _EDGE_EPS).tolist():
+        theta = math.degrees(math.atan2(-float(dr[k]), float(dc[k])))
+        codes[k] = math.floor((theta + 22.5) / 45.0)
+    return codes.astype(np.int64) % 8
+
 
 def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTable:
-    """Relations for every ordered pair of distinct objects, in id order.
+    """Relations for every ordered pair of distinct objects, in list order.
 
-    Rows run over A, then B, like a nested loop over `objects`.  The
-    channels of the ordered pair (A, B):
+    Rows run over A, then B, like a nested loop over `objects`; the
+    table's indices are positions in `objects`.  The channels of the
+    ordered pair (A, B):
 
     - `rpos`: the OCTANTS sector of the direction from A's centroid to
       B's, angles measured with "up" = decreasing row.
@@ -285,29 +366,29 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
       [0, 1]; `rdist_bin` is `floor(rdist * K_DIST)`, clamped to
       K_DIST - 1.
 
-    Angles and distances go through `math.atan2` and `math.hypot` pair
-    by pair.  Raises DegeneratePairError when two objects share a
-    centroid, whose direction is undefined.
+    Octants come from one `np.arctan2` over all pairs, with the scalar
+    fallback of `_octants` at sector edges.  Distances are one
+    `math.hypot` per unordered pair, copied to its mirror: the mirror's
+    offsets are the exact negatives, and hypot ignores signs.  Raises
+    DegeneratePairError when two objects share a centroid, whose
+    direction is undefined.
     """
     if len(objects) < 2:
         return _NO_PAIRS
-    ids = np.array([o.object_id for o in objects], dtype=np.int64)
     classes = np.array([o.class_id for o in objects], dtype=np.int64)
     centroid = np.array([o.centroid for o in objects], dtype=np.float64)
     bbox = np.array([o.bbox for o in objects], dtype=np.int64)
     log_size = np.array([math.log(o.pixel_count) for o in objects], dtype=np.float64)
-    a, b = np.nonzero(ids[:, None] != ids)
+    a, b, lower, mirror = _pair_index(len(objects))
 
     dr = centroid[b, 0] - centroid[a, 0]
     dc = centroid[b, 1] - centroid[a, 1]
     if np.any((dr == 0.0) & (dc == 0.0)):
         raise DegeneratePairError("identical centroids have no direction")
-    theta = np.array(
-        list(map(math.degrees, map(math.atan2, (-dr).tolist(), dc.tolist()))),
-        dtype=np.float64,
-    )
-    # hypot ignores signs, so (dr, dc) gives the A - B distance exactly.
-    rdist = np.array(list(map(math.hypot, dr.tolist(), dc.tolist())), dtype=np.float64)
+    half = _hypot(dr[lower], dc[lower])
+    rdist = np.empty(len(a))
+    rdist[lower] = half
+    rdist[mirror] = half
     rdist /= grid.diagonal()
 
     # Proximity over (A, B) matrices, in reverse order of precedence, so
@@ -331,7 +412,7 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
         b_index=b,
         a_class=classes[a],
         b_class=classes[b],
-        rpos=np.floor((theta + 22.5) / 45.0).astype(np.int64) % 8,
+        rpos=_octants(dr, dc),
         rprox=prox[a, b].astype(np.int64),
         rsize=log_size[a] - log_size[b],
         rdist=rdist,

@@ -358,7 +358,7 @@ def score(model: LinearModel, features) -> np.ndarray:
 
 
 def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:
-    """Combine pair margins into an image verdict.
+    """Combine pair margins, a sequence or 1-D array, into an image verdict.
 
     majority: contradiction iff strictly more than half the margins are
     positive; confidence is the fraction of pairs agreeing with the
@@ -366,16 +366,18 @@ def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:
     positive; confidence is logistic(mean margin).  No pairs at all
     (a 0- or 1-object scene) abstains with (False, 0.5).
     """
-    margins = list(pair_scores)
-    if not margins:
+    margins = np.asarray(pair_scores, dtype=np.float64)
+    if not len(margins):
         return False, 0.5
     if mode == "majority":
-        pos = sum(1 for m in margins if m > 0)
+        pos = int(np.count_nonzero(margins > 0))
         contradiction = 2 * pos > len(margins)
         agreeing = pos if contradiction else len(margins) - pos
         return contradiction, agreeing / len(margins)
     if mode == "mean_threshold":
-        mean = sum(margins) / len(margins)
+        # Python's left-to-right sum, not numpy's pairwise one, keeps the
+        # confidence's last bit.
+        mean = sum(margins.tolist()) / len(margins)
         return mean > 0, float(1.0 / (1.0 + np.exp(-mean)))
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
@@ -443,8 +445,8 @@ def verify(
     detector = registry.global_detector if label == GLOBAL_LABEL else registry.models[label]
     pairs = scene.pairs
     X = featurize(pairs, scene.objects, scene.hists, detector.stats, detector.prototypes)
-    margins = score(detector.model, X).tolist()
-    pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins))
+    margins = score(detector.model, X)
+    pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins.tolist()))
     contradiction, confidence = aggregate(margins, registry.aggregation_mode)
     return Verdict(
         image_id=scene.image_id,

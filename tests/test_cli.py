@@ -108,6 +108,17 @@ class TestBuildStats:
             assert load_model(tmp_path / f"stats.{value}.json") == registry.models[value].stats
 
 
+    @pytest.mark.parametrize("name", ["classes.json", "splits.json"])
+    def test_corpus_document_that_is_a_list_is_format_error(self, tmp_path, capsys, name):
+        corpus_dir = tmp_path / "corpus"
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus_dir)
+        (corpus_dir / name).write_text("[]")
+        assert main(["build-stats", str(corpus_dir), "-o", str(tmp_path / "stats.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+        assert name in err
+
+
 class TestGenContradictions:
     def test_manifest_pairs_and_skips(self, pipeline, tmp_path):
         _, corpus_dir, _ = pipeline

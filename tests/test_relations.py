@@ -17,6 +17,7 @@ from scenecheck import (
     shape_histogram,
     trace_boundaries,
 )
+from scenecheck import relations
 from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, SHAPE_BINS, SHAPE_SAMPLES
 
 import pair_oracle
@@ -42,6 +43,23 @@ def octant_oracle(a, b):
         if lo <= theta < lo + 45.0:
             return label
     raise AssertionError(theta)
+
+
+def perturbed(ufunc, delta):
+    """`ufunc` with its results scaled by 1 + delta and 1 - delta in turn.
+
+    The library computes octants and shape samples with numpy and falls
+    back to `math` near an edge; patched in for the numpy function, this
+    stands in for a numpy build whose results differ from `math` by far
+    more than the last bit.  A delta of 0 leaves the results as they are.
+    """
+
+    def scaled(*args):
+        out = ufunc(*args)
+        sign = np.where(np.arange(out.size) % 2, -1.0, 1.0).reshape(out.shape)
+        return out * (1.0 + delta * sign)
+
+    return scaled
 
 
 def standin(object_id=0, centroid=(0.0, 0.0), pixel_count=1, row=0):
@@ -122,6 +140,34 @@ def test_octant_antisymmetry(ar, ac, br, bc):
         return
     table = pair_columns((ar, ac), (br, bc))
     assert OCTANTS[table.rpos[0]] == pair_oracle.opposite_octant(OCTANTS[table.rpos[1]])
+
+
+def _sector_edge_offsets():
+    """(dr, dc) offsets whose direction is the double nearest to a sector
+    edge, 22.5 + 45k degrees, or 1 to 3 steps of dc away, at three lengths."""
+    offsets = []
+    for k in range(8):
+        phi = math.radians(22.5 + 45 * k)
+        for length in (1.0, 7.5, 60.0):
+            dr, dc = -length * math.sin(phi), length * math.cos(phi)
+            for _ in range(3):
+                dc = math.nextafter(dc, -math.inf)
+            for _ in range(7):
+                offsets.append((dr, dc))
+                dc = math.nextafter(dc, math.inf)
+    return offsets
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12])
+def test_octants_on_sector_edges_match_the_oracle(monkeypatch, delta):
+    monkeypatch.setattr(np, "arctan2", perturbed(np.arctan2, delta))
+    origin = (0.0, 0.0)
+    for offset in _sector_edge_offsets():
+        sector = math.atan2(-offset[0], offset[1]) * 4 / math.pi + 0.5
+        assert abs(sector - round(sector)) < 1e-12
+        table = pair_columns(origin, offset)
+        expected = [pair_oracle.octant(origin, offset), pair_oracle.octant(offset, origin)]
+        assert [OCTANTS[p] for p in table.rpos.tolist()] == expected
 
 
 class TestContact:
@@ -312,7 +358,16 @@ class TestShapeHistogram:
 
 def _shape_histogram_reference(grid, obj):
     """Per-sample loop form of `shape_histogram`, kept as its exactness oracle."""
-    n_samples, n_bins = SHAPE_SAMPLES, SHAPE_BINS
+    counts = np.zeros(SHAPE_BINS, dtype=np.int64)
+    for v in _normalized_samples_reference(grid, obj):
+        counts[min(int(v * SHAPE_BINS), SHAPE_BINS - 1)] += 1
+    return [float(f) for f in counts / float(SHAPE_SAMPLES)]
+
+
+def _normalized_samples_reference(grid, obj):
+    """The sample distances that `_shape_histogram_reference` bins,
+    computed with `math.hypot` and divided by their maximum."""
+    n_samples = SHAPE_SAMPLES
     r0, c0 = obj.bbox[0], obj.bbox[1]
     pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, obj)]
     cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
@@ -338,11 +393,7 @@ def _shape_histogram_reference(grid, obj):
             dist_samples.append(math.hypot(r - cy, c - cx))
         samples = np.array(dist_samples)
     max_d = samples.max() if len(samples) else 0.0
-    normalized = np.ones(n_samples) if max_d <= 0.0 else samples / max_d
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for v in normalized:
-        counts[min(int(v * n_bins), n_bins - 1)] += 1
-    return [float(f) for f in counts / float(n_samples)]
+    return np.ones(n_samples) if max_d <= 0.0 else samples / max_d
 
 
 def _random_ellipse_array(rng):
@@ -465,6 +516,39 @@ def test_single_pixels_in_a_batch_put_all_mass_in_the_last_bin():
         assert h.tolist() == _shape_histogram_reference(grid, o)
     last_bin = [0.0] * (SHAPE_BINS - 1) + [1.0]
     assert [h.tolist() for i, h in enumerate(hists) if i != 1] == [last_bin] * 3
+
+
+def _edge_shapes_grid():
+    """1-pixel lines, axis-aligned rectangles and a single pixel in one
+    row; each shape but the pixel has samples that normalize to an inner
+    bin edge exactly, 0.5 among them."""
+    sizes = [(1, 5), (3, 1), (1, 11), (2, 3), (3, 2), (3, 5), (4, 7), (5, 3), (6, 11), (9, 5)]
+    sizes.append((1, 1))
+    arr = np.zeros((11, sum(w + 2 for _, w in sizes) + 1), dtype=np.int32)
+    col = 1
+    for k, (h, w) in enumerate(sizes):
+        arr[1 : 1 + h, col : col + w] = 1 + k % 2
+        col += w + 2
+    return grid_from_array(arr, {1: "a", 2: "b"})
+
+
+def _on_inner_edges(grid, obj):
+    scaled = _normalized_samples_reference(grid, obj) * SHAPE_BINS
+    edge = np.rint(scaled)
+    return scaled[(np.abs(scaled - edge) < 1e-12) & (edge >= 1) & (edge < SHAPE_BINS)]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12])
+def test_shape_bins_on_bin_edges_match_the_reference(monkeypatch, delta):
+    monkeypatch.setattr(np, "hypot", perturbed(np.hypot, delta))
+    grid = _edge_shapes_grid()
+    objects = extract_objects(grid, 1)
+    assert len(objects) == 11
+    assert all(len(_on_inner_edges(grid, o)) for o in objects[:-1])
+    assert any(8.0 in _on_inner_edges(grid, o) for o in objects)
+    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    assert shape_histogram(grid, objects).tolist() == expected
+    assert [shape_histogram(grid, [o])[0].tolist() for o in objects] == expected
 
 
 def _resolved_shapes():
@@ -595,6 +679,32 @@ def test_pair_table_equals_per_pair_oracle(rects):
     table = relations_for_objects(grid, objects)
     assert len(table) == len(objects) * (len(objects) - 1)
     assert pair_oracle.table_rows(table, objects) == expected
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_pair_table_of_objects_in_any_subset_and_order_equals_the_oracle(seed, data):
+    # Positions in the list index the table; object ids are not read, so
+    # ids that are not 0..n-1, in any order, give the same rows.
+    arr = _lattice_map(np.random.default_rng(seed), cells=5)
+    grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(grid, 1)
+    order = data.draw(st.permutations(range(len(objects))))
+    chosen = [objects[i] for i in order[: data.draw(st.integers(0, len(objects)))]]
+    table = relations_for_objects(grid, chosen)
+    assert len(table) == len(chosen) * (len(chosen) - 1)
+    assert pair_oracle.table_rows(table, chosen) == pair_oracle.relations(grid, chosen)
+
+
+def test_pair_index_over_the_cache_budget_is_not_kept():
+    small = relations._pair_index(3)
+    n = math.isqrt(relations._PAIR_INDEX_BUDGET) + 2
+    a, b, lower, mirror = relations._pair_index(n)
+    assert len(a) == n * (n - 1) > relations._PAIR_INDEX_BUDGET
+    assert (a[lower] < b[lower]).all() and len(lower) == len(a) // 2
+    assert (a[mirror] == b[lower]).all() and (b[mirror] == a[lower]).all()
+    assert n not in relations._PAIR_INDEX
+    assert relations._pair_index(3) is small
 
 
 def test_pair_table_columns_are_read_only():

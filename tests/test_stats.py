@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scenecheck import (
     ConsistencyError,
     EmptyCorpusError,
+    FormatError,
     SceneCheckError,
     SchemaError,
     StatsBuilder,
@@ -350,6 +352,42 @@ class TestQuery:
             doc[key].append(entry)
         path.write_text(json.dumps(doc))
         with pytest.raises(SceneCheckError, match="class 9,") as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("images", 5.0),
+            ("class_image_counts", -5),
+            ("presence_counts", 2.7),
+            ("presence_counts", 2**63),
+            ("position_counts", -5),
+            ("proximity_counts", 2.7),
+            ("distance_counts", -1),
+            ("size_obs", 2.7),
+        ],
+    )
+    def test_negative_or_fractional_count_rejected_on_load(self, tmp_path, key, bad):
+        path = tmp_path / "stats.json"
+        save_model(path, finalize(_hand_builder()))
+        doc = json.loads(path.read_text())
+        if key == "images":
+            doc[key], where = bad, key
+        elif key == "class_image_counts":
+            c = next(iter(doc[key]))
+            doc[key][c], where = bad, f"{key} of {c}"
+        else:
+            a, b, counts = entry = doc[key][0]
+            where = f"{key} of ({a}, {b})"
+            if key == "presence_counts":
+                entry[2] = bad
+            elif key == "size_obs":
+                counts[0][2] = bad  # the multiplicity of one (pixels_a, pixels_b)
+            else:
+                counts[-1] = bad
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"{where} holds {bad!r}")) as exc:
             load_model(path)
         assert "\n" not in str(exc.value)
 
