@@ -34,6 +34,7 @@ from .corpus import (
     generate_contradiction,
     load_model,
     read_attributes,
+    read_classes,
     save_model,
     synth_corpus,
 )
@@ -80,7 +81,7 @@ def _positive(cast):
 
 
 def cmd_synth(args) -> int:
-    doc = corpus_mod._read_json(Path(args.config))
+    doc = corpus_mod._read_document(args.config, "synthetic config")
     config = SyntheticConfig.from_dict(doc)
     config = dataclasses.replace(config, seed=args.seed)
     corpus, _ = synth_corpus(config, args.out)
@@ -101,20 +102,20 @@ def cmd_synth(args) -> int:
 def cmd_build_stats(args) -> int:
     corpus = Corpus.load(args.corpus)
     train_ids = corpus.image_ids("train")
+    # Every document is read before the first file is written.
+    context = _context_arg(args.context)
+    groups = {} if context is None else partition_corpus(train_ids, corpus.attributes(), context)
     scenes = {i: prepare(corpus.grid(i), args.min_area) for i in train_ids}
     out = Path(args.out)
     save_model(out, build_stats(scenes.values(), corpus.class_map, args.alpha))
     written = [str(out)]
-    context = _context_arg(args.context)
-    if context is not None:
-        groups = partition_corpus(train_ids, corpus.attributes(), context)
-        for value in sorted(groups):
-            if value == PLACEHOLDER:
-                continue
-            path = out.parent / f"{out.stem}.{value}{out.suffix}"
-            ids = sorted(groups[value])
-            save_model(path, build_stats([scenes[i] for i in ids], corpus.class_map, args.alpha))
-            written.append(str(path))
+    for value in sorted(groups):
+        if value == PLACEHOLDER:
+            continue
+        path = out.parent / f"{out.stem}.{value}{out.suffix}"
+        ids = sorted(groups[value])
+        save_model(path, build_stats([scenes[i] for i in ids], corpus.class_map, args.alpha))
+        written.append(str(path))
     _print_json({"command": "build-stats", "written": written})
     return 0
 
@@ -131,7 +132,7 @@ def cmd_select_contexts(args) -> int:
     report = score_attributes(
         table, labels, min_coverage=args.min_coverage, min_balance=args.min_balance
     )
-    doc = report.to_dict()
+    doc = corpus_mod._versioned(report.to_dict())
     corpus_mod._write_json(args.out, doc)
     _print_json(doc)
     return 0
@@ -163,13 +164,12 @@ def cmd_gen_contradictions(args) -> int:
             }
         )
     manifest = {
-        "schema_version": 1,
         "seed": args.seed,
         "split": args.split,
         "pairs": pairs,
         "skipped": skipped,
     }
-    corpus_mod._write_json(out / "manifest.json", manifest)
+    corpus_mod._write_json(out / "manifest.json", corpus_mod._versioned(manifest))
     _print_json({"command": "gen-contradictions", "pairs": len(pairs), "skipped": len(skipped)})
     return 0
 
@@ -213,9 +213,7 @@ def cmd_verify(args) -> int:
     if not isinstance(registry, VerifierRegistry):
         raise SceneCheckError(f"{args.registry} does not hold a verifier registry")
     if args.classes:
-        classes_doc = corpus_mod._read_json(Path(args.classes))
-        with corpus_mod._malformed(args.classes):
-            class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
+        class_map = read_classes(args.classes)
     else:
         class_map = {c: str(c) for c in registry.global_detector.stats.classes}
     grid = load_label_grid(args.image, class_map)
@@ -295,7 +293,6 @@ def cmd_evaluate(args) -> int:
     # bytes do not depend on how the inputs were named.
     out = Path(args.out)
     report = {
-        "schema_version": 1,
         "command": "evaluate",
         "config": {
             "registry": os.path.relpath(args.registry, out.parent),
@@ -315,7 +312,7 @@ def cmd_evaluate(args) -> int:
         "per_context_average_accuracy": per_context_avg,
         "improvement_pp": improvement,
     }
-    corpus_mod._write_json(out, report)
+    corpus_mod._write_json(out, corpus_mod._versioned(report))
     log_path = out.parent / (out.stem + ".verdicts.jsonl")
     with log_path.open("w") as fh:
         for row in log_rows:

@@ -133,7 +133,6 @@ class ContextSelectionReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema_version": 1,
             "attributes": {
                 name: {
                     "mutual_information": s.mutual_information,

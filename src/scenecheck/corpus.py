@@ -29,7 +29,7 @@ import json
 import math
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -55,6 +55,18 @@ from .verifier import (
 )
 
 SCHEMA_VERSION = 1
+
+
+def _versioned(doc: dict) -> dict:
+    """`doc` stamped with SCHEMA_VERSION, as every document is written."""
+    return {"schema_version": SCHEMA_VERSION, **doc}
+
+
+def _check_version(doc: dict, what: str) -> None:
+    """Refuse a document of any other schema version with a one-line
+    VersionError naming `what`."""
+    if doc.get("schema_version") != SCHEMA_VERSION:
+        raise VersionError(f"{what}: unsupported schema version {doc.get('schema_version')!r}")
 
 
 @contextmanager
@@ -126,45 +138,16 @@ class SyntheticConfig:
         return {c.class_id: c.name for c in self.classes}
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "n_images": self.n_images,
-            "grid_height": self.grid_height,
-            "grid_width": self.grid_width,
-            "seed": self.seed,
-            "classes": [
-                {
-                    "class_id": c.class_id,
-                    "name": c.name,
-                    "shape": c.shape,
-                    "height": list(c.height),
-                    "width": list(c.width),
-                }
-                for c in self.classes
-            ],
-            "contexts": [
-                {
-                    "value": ctx.value,
-                    "anchor": ctx.anchor,
-                    "satellites": list(ctx.satellites),
-                    "stack": list(ctx.stack) if ctx.stack else None,
-                    "kind_weights": dict(ctx.kind_weights),
-                    "stack_bias": ctx.stack_bias,
-                    "lone_extra": list(ctx.lone_extra),
-                }
-                for ctx in self.contexts
-            ],
-            "context_attribute": self.context_attribute,
-            "noise_attributes": {k: list(v) for k, v in self.noise_attributes.items()},
-            "placeholder_rate": self.placeholder_rate,
-            "train_fraction": self.train_fraction,
-        }
+        return _versioned(asdict(self))
 
     @classmethod
     @_malformed("synthetic config")
     def from_dict(cls, doc: dict) -> "SyntheticConfig":
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise VersionError(f"unsupported config version {doc.get('schema_version')!r}")
+        """The config of a parsed document; a context value, which starts
+        the image ids of its context, must be a plain file name."""
+        _check_version(doc, "synthetic config")
+        for ctx in doc["contexts"]:
+            _check_plain_name(ctx["value"], "context value", "synthetic config")
         return cls(
             n_images=int(doc["n_images"]),
             grid_height=int(doc["grid_height"]),
@@ -263,24 +246,35 @@ def default_synthetic_config(n_images: int = 400, seed: int = 0) -> SyntheticCon
     )
 
 
+def read_classes(path: str | Path) -> dict[int, str]:
+    """Read a `classes.json` document: its id -> name map."""
+    doc = _read_document(path, "class map")
+    with _malformed(path):
+        return {int(k): str(v) for k, v in doc["classes"].items()}
+
+
 def read_attributes(path: str | Path) -> AttributeTable:
     """Read an `attributes.json` document: its schema and its annotation
-    records, checked against that schema by `load_attributes`."""
-    doc = _read_json(Path(path))
+    records, checked against that schema by `load_attributes`.  A schema
+    value that is not a plain file name is a FormatError."""
+    doc = _read_document(path, "attribute table")
     with _malformed(path):
         annotations, schema = doc["annotations"], doc["schema"]
-        _check_version(doc, "attributes.json")
+        for values in schema.values():
+            for value in values:
+                _check_plain_name(value, "context value", path)
     return load_attributes(annotations, schema)
 
 
-def _check_image_id(image_id, where: Path) -> None:
-    """Reject an id that could name a file outside the corpus or an output
-    directory: commands build `<dir>/<id>.lgrid` paths from ids."""
-    if not isinstance(image_id, str):
-        raise FormatError(f"{where}: image id {image_id!r} is not a string")
-    if not image_id or image_id[0] == "." or "/" in image_id or "\\" in image_id:
+def _check_plain_name(name, what: str, where: Path) -> None:
+    """Reject an image id or context value that could name a file outside a
+    corpus or an output directory: commands build `<dir>/<id>.lgrid` and
+    `<stem>.<value>.json` paths from them."""
+    if not isinstance(name, str):
+        raise FormatError(f"{where}: {what} {name!r} is not a string")
+    if not name or name[0] == "." or "/" in name or "\\" in name:
         raise FormatError(
-            f"{where}: image id {image_id!r} is not a plain file name"
+            f"{where}: {what} {name!r} is not a plain file name"
             " (empty, starting with '.', or holding '/' or '\\')"
         )
 
@@ -299,20 +293,16 @@ class Corpus:
         `splits.json` that is not a plain file stem is a FormatError, and
         one listed twice in a split is a DuplicateError."""
         root = Path(root)
-        classes_doc = _read_json(root / "classes.json")
-        with _malformed(root / "classes.json"):
-            _check_version(classes_doc, "classes.json")
-            class_map = {int(k): str(v) for k, v in classes_doc["classes"].items()}
+        class_map = read_classes(root / "classes.json")
         splits_path = root / "splits.json"
-        splits_doc = _read_json(splits_path)
+        splits_doc = _read_document(splits_path, "split lists")
         with _malformed(splits_path):
-            _check_version(splits_doc, "splits.json")
             splits = {
                 "train": list(splits_doc["train"]),
                 "val": list(splits_doc["val"]),
             }
         for image_id in splits["train"] + splits["val"]:
-            _check_image_id(image_id, splits_path)
+            _check_plain_name(image_id, "image id", splits_path)
         for split, ids in splits.items():
             for image_id, n in Counter(ids).items():
                 if n > 1:
@@ -509,20 +499,17 @@ def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, Att
 
     schema = {config.context_attribute: [ctx.value for ctx in config.contexts]}
     schema.update({k: list(v) for k, v in sorted(config.noise_attributes.items())})
-    _write_json(root / "classes.json", {
-        "schema_version": SCHEMA_VERSION,
+    _write_json(root / "classes.json", _versioned({
         "classes": {str(k): v for k, v in sorted(class_map.items())},
-    })
-    _write_json(root / "attributes.json", {
-        "schema_version": SCHEMA_VERSION,
+    }))
+    _write_json(root / "attributes.json", _versioned({
         "schema": schema,
         "annotations": annotations,
-    })
-    _write_json(root / "splits.json", {
-        "schema_version": SCHEMA_VERSION,
+    }))
+    _write_json(root / "splits.json", _versioned({
         "train": train_ids,
         "val": val_ids,
-    })
+    }))
     corpus = Corpus(root=root, class_map=class_map, splits={"train": train_ids, "val": val_ids})
     table = load_attributes(annotations, schema)
     return corpus, table
@@ -553,13 +540,23 @@ def generate_contradiction(
 # persistence
 
 
-def _read_json(path: Path) -> dict:
+def _read_document(path: str | Path, what: str) -> dict:
+    """The JSON object in the file at `path`, a `what` of this schema version.
+
+    A file that cannot be read, text that is not JSON, a value that is not
+    an object and any other schema version are each a one-line FormatError
+    or VersionError naming `path`.
+    """
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    except FileNotFoundError:
-        raise FormatError(f"{path}: file not found") from None
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: a {what} must be a JSON object, not {type(doc).__name__}")
+    _check_version(doc, f"{path}: {what}")
+    return doc
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -567,13 +564,6 @@ def _write_json(path: Path, doc: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
-
-
-def _check_version(doc: dict, what: str) -> None:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise VersionError(
-            f"{what}: unsupported schema version {doc.get('schema_version')!r}"
-        )
 
 
 def _expect(what: str, got, fixed: int) -> None:
@@ -653,24 +643,6 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     return finalize(builder, alpha=float(doc["alpha"]))
 
 
-def _model_to_doc(model: LinearModel) -> dict:
-    return {
-        "weights": list(model.weights),
-        "bias": model.bias,
-        "feature_means": list(model.feature_means),
-        "feature_stds": list(model.feature_stds),
-        "hyperparams": {
-            "learning_rate": model.hyperparams.learning_rate,
-            "epochs": model.hyperparams.epochs,
-            "l2_lambda": model.hyperparams.l2_lambda,
-        },
-        "seed": model.seed,
-        "n_pos": model.n_pos,
-        "n_neg": model.n_neg,
-        "context_label": model.context_label,
-    }
-
-
 def _finite(what: str, values) -> tuple[float, ...]:
     """`values` as floats; one that is NaN or infinite is a ValueError."""
     out = tuple(map(float, values))
@@ -707,7 +679,7 @@ def _model_from_doc(doc: dict) -> LinearModel:
 
 def _detector_to_doc(detector: Detector) -> dict:
     return {
-        "model": _model_to_doc(detector.model),
+        "model": asdict(detector.model),
         "stats": _stats_to_doc(detector.stats),
         "prototypes": {str(k): list(v) for k, v in sorted(detector.prototypes.items())},
     }
@@ -726,11 +698,9 @@ def _detector_from_doc(doc: dict) -> Detector:
 def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> None:
     """Serialize a statistics model or a verifier registry to versioned JSON."""
     if isinstance(obj, CooccurrenceModel):
-        doc = {"schema_version": SCHEMA_VERSION, "kind": "cooccurrence_model"}
-        doc.update(_stats_to_doc(obj))
+        doc = {"kind": "cooccurrence_model", **_stats_to_doc(obj)}
     elif isinstance(obj, VerifierRegistry):
         doc = {
-            "schema_version": SCHEMA_VERSION,
             "kind": "verifier_registry",
             "context_attribute": obj.context_attribute,
             "aggregation_mode": obj.aggregation_mode,
@@ -744,7 +714,7 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
         }
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
-    _write_json(Path(path), doc)
+    _write_json(Path(path), _versioned(doc))
 
 
 def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
@@ -756,10 +726,8 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
     feature means are not finite or whose feature stds are not finite
     and above 0, is a FormatError.
     """
-    doc = _read_json(Path(path))
+    doc = _read_document(path, "model document")
     with _malformed(path):
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise VersionError(f"unsupported schema version {doc.get('schema_version')!r}")
         kind = doc.get("kind")
         if kind == "cooccurrence_model":
             return _stats_from_doc(doc)

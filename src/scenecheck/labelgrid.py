@@ -171,7 +171,6 @@ class SceneObject:
     it from the grid when a shape histogram needs it.
     """
 
-    object_id: int
     class_id: int
     pixel_count: int
     centroid: tuple[float, float]
@@ -340,9 +339,10 @@ def _neighbour_codes(grid: LabelGrid, first: int, last: int) -> bytes:
 def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[SceneObject]:
     """Extract 8-connected same-class components of at least `min_area` pixels.
 
-    Background (id 0) never yields objects.  Object ids are assigned in
+    Background (id 0) never yields objects.  Objects are listed in
     raster order of each kept component's first pixel, so extraction is
-    deterministic for a given grid.
+    deterministic for a given grid, and an object is known by its index
+    in the list.
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
@@ -386,7 +386,6 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
         n = counts[k]
         objects.append(
             SceneObject(
-                object_id=k,
                 class_id=int(classes[root]),
                 pixel_count=n,
                 centroid=(row_sums[k] / n, col_sums[k] / n),

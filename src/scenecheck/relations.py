@@ -67,8 +67,6 @@ class PairTable:
 
     a_index: np.ndarray
     b_index: np.ndarray
-    a_class: np.ndarray
-    b_class: np.ndarray
     rpos: np.ndarray
     rprox: np.ndarray
     rsize: np.ndarray
@@ -375,7 +373,6 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
     """
     if len(objects) < 2:
         return _NO_PAIRS
-    classes = np.array([o.class_id for o in objects], dtype=np.int64)
     centroid = np.array([o.centroid for o in objects], dtype=np.float64)
     bbox = np.array([o.bbox for o in objects], dtype=np.int64)
     log_size = np.array([math.log(o.pixel_count) for o in objects], dtype=np.float64)
@@ -410,8 +407,6 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
     return PairTable(
         a_index=a,
         b_index=b,
-        a_class=classes[a],
-        b_class=classes[b],
         rpos=_octants(dr, dc),
         rprox=prox[a, b].astype(np.int64),
         rsize=log_size[a] - log_size[b],

@@ -82,20 +82,14 @@ def accumulate(
 
     Presence counts move once per class pair present in the image; the
     relational tables move once per ordered object pair.  Relations must
-    be those of `objects`: their classes present and their indices in
-    range.
+    be those of `objects`, their indices in range: a pair's classes are
+    those of the objects it indexes.
     """
     row = {c: i for i, c in enumerate(builder.classes)}
     class_counts = Counter(o.class_id for o in objects)
     unknown = class_counts.keys() - row.keys()
     if unknown:
         raise ConsistencyError(f"objects carry classes outside the universe: {sorted(unknown)}")
-    paired = set(relations.a_class.tolist()) | set(relations.b_class.tolist())
-    absent = paired - class_counts.keys()
-    if absent:
-        raise ConsistencyError(
-            f"relations reference classes absent from the scene: {sorted(absent)}"
-        )
     if len(relations) and max(relations.a_index.max(), relations.b_index.max()) >= len(objects):
         raise ConsistencyError("relations index objects outside the scene")
 

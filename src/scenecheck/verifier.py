@@ -71,9 +71,10 @@ class Scene:
     """One label map, labelled once: its objects, their ordered pairs and
     their shape histograms, with the min_area it was labelled with.
 
-    `objects[i].object_id == i`, the pair table indexes `objects`, and
-    `hists` is the read-only `(len(objects), SHAPE_BINS)` array of
-    `shape_histogram`, whose row i belongs to `objects[i]`.
+    An object is known by its position in `objects`: the pair table
+    indexes `objects`, and `hists` is the read-only
+    `(len(objects), SHAPE_BINS)` array of `shape_histogram`, whose row i
+    belongs to `objects[i]`.
     """
 
     image_id: str
@@ -88,22 +89,18 @@ class Scene:
         Equal to preparing the map with object k's pixels cleared:
         clearing an object cannot merge or split another component, every
         pair column and histogram depends only on its own objects and the
-        grid size, and the survivors keep their raster order, so their
-        ids become their new list index.
+        grid size, and the survivors keep their raster order, so each
+        takes its new list index.
         """
         if not 0 <= k < len(self.objects):
             raise IndexError(f"object {k} is not in a scene of {len(self.objects)}")
-        objects = self.objects[:k] + tuple(
-            replace(o, object_id=i) for i, o in enumerate(self.objects[k + 1 :], k)
-        )
+        objects = self.objects[:k] + self.objects[k + 1 :]
         p = self.pairs
         keep = (p.a_index != k) & (p.b_index != k)
         a, b = p.a_index[keep], p.b_index[keep]
         pairs = PairTable(
             a_index=a - (a > k),
             b_index=b - (b > k),
-            a_class=p.a_class[keep],
-            b_class=p.b_class[keep],
             rpos=p.rpos[keep],
             rprox=p.rprox[keep],
             rsize=p.rsize[keep],

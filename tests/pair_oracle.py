@@ -172,11 +172,13 @@ class PairRelation:
     rdist_bin: int
 
 
-def pair_relation(grid, a, b) -> PairRelation:
+def pair_relation(grid, objects, i, j) -> PairRelation:
+    """The relation of the ordered pair (objects[i], objects[j])."""
+    a, b = objects[i], objects[j]
     rdist = norm_distance(a, b, grid)
     return PairRelation(
-        a_id=a.object_id,
-        b_id=b.object_id,
+        a_id=i,
+        b_id=j,
         a_class=a.class_id,
         b_class=b.class_id,
         rpos=octant(a.centroid, b.centroid),
@@ -188,25 +190,21 @@ def pair_relation(grid, a, b) -> PairRelation:
 
 
 def relations(grid, objects) -> list[PairRelation]:
-    """Every ordered pair of distinct objects, in id order."""
-    return [
-        pair_relation(grid, a, b)
-        for a in objects
-        for b in objects
-        if a.object_id != b.object_id
-    ]
+    """Every ordered pair of distinct objects, in list order."""
+    n = len(objects)
+    return [pair_relation(grid, objects, i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def table_rows(table, objects) -> list[PairRelation]:
     """The rows of a PairTable in the per-pair form, labels as strings."""
-    ids = [o.object_id for o in objects]
+    classes = [o.class_id for o in objects]
     return [
-        PairRelation(ids[a], ids[b], ac, bc, OCTANTS[pos], PROXIMITY_LABELS[prox], rs, rd, db)
-        for a, b, ac, bc, pos, prox, rs, rd, db in zip(
+        PairRelation(
+            a, b, classes[a], classes[b], OCTANTS[pos], PROXIMITY_LABELS[prox], rs, rd, db
+        )
+        for a, b, pos, prox, rs, rd, db in zip(
             table.a_index.tolist(),
             table.b_index.tolist(),
-            table.a_class.tolist(),
-            table.b_class.tolist(),
             table.rpos.tolist(),
             table.rprox.tolist(),
             table.rsize.tolist(),

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -67,6 +68,23 @@ class TestSynth:
         assert err.startswith("error: FormatError:")
         assert err.count("\n") == 1
 
+    def test_context_value_that_is_not_a_plain_name_is_format_error(self, tmp_path, capsys):
+        # Image ids start with the context value, so this one would write
+        # `up_00000.lgrid` and its siblings above the corpus.
+        config = default_synthetic_config(n_images=2)
+        inside, outside = config.contexts
+        config = dataclasses.replace(
+            config, contexts=(dataclasses.replace(inside, value="../../up"), outside)
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        code = main(["synth", str(config_path), str(tmp_path / "out" / "corpus"), "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+        assert "'../../up'" in err
+        assert sorted(tmp_path.rglob("*")) == [config_path]
+
     def test_missing_seed_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["synth", "conf.json", str(tmp_path / "c")])
@@ -117,6 +135,101 @@ class TestBuildStats:
         err = capsys.readouterr().err
         assert err.startswith("error: FormatError:") and err.count("\n") == 1
         assert name in err
+
+    def test_context_value_that_is_not_a_plain_name_is_format_error(self, tmp_path, capsys):
+        # Per-context statistics are written to `<stem>.<value>.json`, so this
+        # value would make a directory `stats.x` next to the output and write
+        # `escaped.json` two directories above it.
+        corpus_dir = tmp_path / "corpus"
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus_dir)
+        value = "x/../../../escaped"
+        path = corpus_dir / "attributes.json"
+        doc = json.loads(path.read_text())
+        doc["schema"]["location"] = ["inside", value]
+        for entry in doc["annotations"]:
+            if entry["attributes"]["location"] == "outside":
+                entry["attributes"]["location"] = value
+        path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "a" / "b" / "c" / "stats.json"
+        argv = ["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+        assert repr(value) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def _spoil(path, how):
+    """Spoil the JSON document at `path` in one of the ways every reader refuses."""
+    if how == "missing":
+        path.unlink()
+    elif how == "list":
+        path.write_text("[]")
+    elif how == "invalid-json":
+        path.write_text('{"schema_version": 1,')
+    else:
+        doc = json.loads(path.read_text())
+        doc["schema_version"] = 999
+        path.write_text(json.dumps(doc))
+
+
+SPOILS = {
+    "version": "VersionError",
+    "list": "FormatError",
+    "invalid-json": "FormatError",
+    "missing": "FormatError",
+}
+READERS = [
+    "synth config",
+    "build-stats classes.json",
+    "build-stats splits.json",
+    "build-stats attributes.json",
+    "verify registry",
+    "verify --classes",
+    "verify --attributes",
+    "evaluate registry",
+]
+
+
+@pytest.fixture
+def readers(pipeline, tmp_path):
+    """For each command that reads a document: a copy of that document in
+    tmp_path and the command's argv, which reads the copy."""
+    _, corpus_dir, registry_path = pipeline
+    corpus = tmp_path / "corpus"
+    synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(default_synthetic_config(n_images=4).to_dict()))
+    registry = tmp_path / "registry.json"
+    shutil.copy(registry_path, registry)
+    classes, attributes = corpus / "classes.json", corpus / "attributes.json"
+    out = str(tmp_path / "out" / "x.json")
+    build_stats = ["build-stats", str(corpus), "--context", "location", "-o", out]
+    verify = ["verify", str(registry), str(next((corpus_dir / "images").glob("inside_*.lgrid")))]
+    return {
+        "synth config": (config, ["synth", str(config), str(tmp_path / "c"), "--seed", "1"]),
+        "build-stats classes.json": (classes, build_stats),
+        "build-stats splits.json": (corpus / "splits.json", build_stats),
+        "build-stats attributes.json": (attributes, build_stats),
+        "verify registry": (registry, verify),
+        "verify --classes": (classes, verify + ["--classes", str(classes)]),
+        "verify --attributes": (attributes, verify + ["--attributes", str(attributes)]),
+        "evaluate registry": (
+            registry, ["evaluate", str(registry), str(corpus_dir), "--seed", "1", "-o", out]
+        ),
+    }
+
+
+@pytest.mark.parametrize("how", sorted(SPOILS))
+@pytest.mark.parametrize("reader", READERS)
+def test_every_document_reader_refuses_a_spoilt_document(readers, capsys, reader, how):
+    # The error names the spoilt file, so the command got as far as reading it.
+    path, argv = readers[reader]
+    _spoil(path, how)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {SPOILS[how]}: {path}:") and err.count("\n") == 1
 
 
 class TestGenContradictions:
@@ -271,7 +384,11 @@ class TestVerifyCommand:
         assert verdict["confidence"] == 0.5
 
     @pytest.mark.parametrize(
-        "flag, doc", [("--classes", {"schema_version": 1}), ("--attributes", {"schema": {}})]
+        "flag, doc",
+        [
+            ("--classes", {"schema_version": 1}),
+            ("--attributes", {"schema_version": 1, "schema": {}}),
+        ],
     )
     def test_document_missing_a_key_is_validation_error(
         self, pipeline, tmp_path, capsys, flag, doc

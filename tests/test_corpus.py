@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from scenecheck import (
     verify,
 )
 from scenecheck.cli import main
+from scenecheck.corpus import _write_json
 from scenecheck.relations import PROXIMITY_LABELS
 from scenecheck.seeds import derive_seed
 from scenecheck.verifier import FEATURE_NAMES
@@ -199,6 +201,15 @@ class TestSynthCorpus:
         doc["n_images"] = "many"
         with pytest.raises(FormatError, match="synthetic config"):
             SyntheticConfig.from_dict(doc)
+
+    def test_shipped_config_is_the_default_config(self, tmp_path):
+        shipped = Path(__file__).parents[1] / "scripts" / "configs" / "synth_default.json"
+        written = tmp_path / "config.json"
+        _write_json(written, default_synthetic_config().to_dict())
+        assert shipped.read_bytes() == written.read_bytes()
+        assert SyntheticConfig.from_dict(json.loads(shipped.read_text())) == (
+            default_synthetic_config()
+        )
 
 
 def _corpus_stats(tmp_path):

@@ -62,7 +62,7 @@ def perturbed(ufunc, delta):
     return scaled
 
 
-def standin(object_id=0, centroid=(0.0, 0.0), pixel_count=1, row=0):
+def standin(centroid=(0.0, 0.0), pixel_count=1, row=0):
     """Minimal stand-in object with a chosen centroid and pixel count.
 
     Its one pixel, at (row, 0), is read only by the proximity channel
@@ -70,7 +70,6 @@ def standin(object_id=0, centroid=(0.0, 0.0), pixel_count=1, row=0):
     the pixel count.
     """
     return SceneObject(
-        object_id=object_id,
         class_id=1,
         pixel_count=pixel_count,
         centroid=centroid,
@@ -85,8 +84,8 @@ STANDIN_GRID = grid_from_array(np.zeros((200, 200), dtype=np.int32), {1: "a"})
 
 def pair_columns(a_centroid, b_centroid, a_count=1, b_count=1, grid=STANDIN_GRID):
     """The PairTable of stand-ins A and B: row 0 is (A, B), row 1 is (B, A)."""
-    a = standin(0, a_centroid, a_count)
-    b = standin(1, b_centroid, b_count)
+    a = standin(a_centroid, a_count)
+    b = standin(b_centroid, b_count)
     return relations_for_objects(grid, [a, b])
 
 
@@ -102,7 +101,7 @@ def rpos_of_pairs(pairs):
     are read.  The stand-ins' pixels lie 2 rows apart, so no two touch.
     """
     centroids = [c for pair in pairs for c in pair]
-    objects = [standin(i, c, row=2 * i) for i, c in enumerate(centroids)]
+    objects = [standin(c, row=2 * i) for i, c in enumerate(centroids)]
     table = relations_for_objects(STANDIN_GRID, objects)
     wanted = (table.a_index % 2 == 0) & (table.b_index == table.a_index + 1)
     return [OCTANTS[p] for p in table.rpos[wanted].tolist()]
@@ -217,9 +216,9 @@ class TestProximity:
         objects = extract_objects(grid, min_area=1)
         table = relations_for_objects(grid, objects)
         labels = {
-            (a, b): PROXIMITY_LABELS[p]
+            (objects[a].class_id, objects[b].class_id): PROXIMITY_LABELS[p]
             for a, b, p in zip(
-                table.a_class.tolist(), table.b_class.tolist(), table.rprox.tolist()
+                table.a_index.tolist(), table.b_index.tolist(), table.rprox.tolist()
             )
         }
         return objects, labels
