@@ -208,32 +208,41 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    registry = load_model(args.registry)
+def _load_registry(path) -> VerifierRegistry:
+    """The verifier registry saved at `path`; any other document is a SceneCheckError."""
+    registry = load_model(path)
     if not isinstance(registry, VerifierRegistry):
-        raise SceneCheckError(f"{args.registry} does not hold a verifier registry")
+        raise SceneCheckError(f"{path} does not hold a verifier registry")
+    return registry
+
+
+def cmd_verify(args) -> int:
+    registry = _load_registry(args.registry)
     if args.classes:
         class_map = read_classes(args.classes)
     else:
         class_map = {c: str(c) for c in registry.global_detector.stats.classes}
     grid = load_label_grid(args.image, class_map)
-    attributes = None
-    if args.attributes:
-        attributes = read_attributes(args.attributes).record(grid.image_id)
+    attributes = read_attributes(args.attributes).record(grid.image_id) if args.attributes else None
     verdict = verify(grid, registry, attributes)
     _print_json(verdict.to_dict())
     return 0
 
 
-def _accuracy(rows) -> float:
-    return sum(1 for r in rows if r["correct"]) / len(rows) if rows else 0.0
+def _tally(rows, correct_key: str) -> dict:
+    """Accuracy by `correct_key`, valid, invalid and total counts of verdict log rows."""
+    n_valid = sum(1 for r in rows if not r["expected"])
+    return {
+        "accuracy": sum(1 for r in rows if r[correct_key]) / len(rows) if rows else 0.0,
+        "valid": n_valid,
+        "invalid": len(rows) - n_valid,
+        "total": len(rows),
+    }
 
 
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
-    registry = load_model(args.registry)
-    if not isinstance(registry, VerifierRegistry):
-        raise SceneCheckError(f"{args.registry} does not hold a verifier registry")
+    registry = _load_registry(args.registry)
     corpus = Corpus.load(args.corpus)
     table = corpus.attributes()
     context_attribute = registry.context_attribute
@@ -267,27 +276,15 @@ def cmd_evaluate(args) -> int:
                 }
             )
 
-    n_valid = sum(1 for r in log_rows if not r["expected"])
-    n_invalid = len(log_rows) - n_valid
-    global_accuracy = (
-        sum(1 for r in log_rows if r["global_correct"]) / len(log_rows) if log_rows else 0.0
-    )
+    overall = _tally(log_rows, "global_correct")
     contexts = {}
     if context_attribute:
         for value in sorted({r["context"] for r in log_rows}):
-            rows = [r for r in log_rows if r["context"] == value]
-            contexts[value] = {
-                "accuracy": _accuracy(rows),
-                "valid": sum(1 for r in rows if not r["expected"]),
-                "invalid": sum(1 for r in rows if r["expected"]),
-                "total": len(rows),
-            }
-    per_context_avg = (
-        sum(c["accuracy"] for c in contexts.values()) / len(contexts) if contexts else None
-    )
-    improvement = (
-        (per_context_avg - global_accuracy) * 100.0 if per_context_avg is not None else None
-    )
+            contexts[value] = _tally([r for r in log_rows if r["context"] == value], "correct")
+    per_context_avg = improvement = None
+    if contexts:
+        per_context_avg = sum(c["accuracy"] for c in contexts.values()) / len(contexts)
+        improvement = (per_context_avg - overall["accuracy"]) * 100.0
 
     # Input paths relative to the report's directory, so the report's
     # bytes do not depend on how the inputs were named.
@@ -302,12 +299,7 @@ def cmd_evaluate(args) -> int:
         },
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 3),
-        "global": {
-            "accuracy": global_accuracy,
-            "valid": n_valid,
-            "invalid": n_invalid,
-            "total": len(log_rows),
-        },
+        "global": overall,
         "contexts": contexts,
         "per_context_average_accuracy": per_context_avg,
         "improvement_pp": improvement,
@@ -319,9 +311,8 @@ def cmd_evaluate(args) -> int:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
 
     print(f"{'context':<12}{'valid':>8}{'invalid':>9}{'total':>8}{'accuracy':>10}")
-    for value, c in contexts.items():
+    for value, c in [*contexts.items(), (GLOBAL_LABEL, overall)]:
         print(f"{value:<12}{c['valid']:>8}{c['invalid']:>9}{c['total']:>8}{c['accuracy']:>9.2%}")
-    print(f"{'global':<12}{n_valid:>8}{n_invalid:>9}{len(log_rows):>8}{global_accuracy:>9.2%}")
     if improvement is not None:
         print(f"per-context average {per_context_avg:.2%}, improvement {improvement:+.2f} pp")
     return 0

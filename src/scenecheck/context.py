@@ -60,11 +60,15 @@ def load_attributes(annotations: list, schema: dict[str, list[str]]) -> Attribut
     """Validate parsed {image_id, attributes} records against `schema`.
 
     Missing attributes are filled with the placeholder; records that are
-    not a list raise FormatError, values outside an attribute's allowed
+    not a list, or an attribute's allowed values that are not a list of
+    strings, raise FormatError, values outside an attribute's allowed
     set raise SchemaError, repeated image ids raise DuplicateError.
     """
     if not isinstance(annotations, list):
         raise FormatError("attribute annotations must be a JSON array")
+    for name, allowed in schema.items():
+        if not isinstance(allowed, list) or not all(isinstance(v, str) for v in allowed):
+            raise FormatError(f"schema values of {name!r} are not a list of strings: {allowed!r}")
     records: dict[str, dict[str, str]] = {}
     for entry in annotations:
         if not isinstance(entry, dict) or "image_id" not in entry:

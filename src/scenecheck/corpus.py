@@ -678,21 +678,29 @@ def _model_from_doc(doc: dict) -> LinearModel:
 
 
 def _detector_to_doc(detector: Detector) -> dict:
+    stats = detector.stats
+    rows = zip(stats.classes, stats.class_images, detector.prototypes)
     return {
         "model": asdict(detector.model),
-        "stats": _stats_to_doc(detector.stats),
-        "prototypes": {str(k): list(v) for k, v in sorted(detector.prototypes.items())},
+        "stats": _stats_to_doc(stats),
+        "prototypes": {str(c): row.tolist() for c, n, row in rows if n},
     }
 
 
 def _detector_from_doc(doc: dict) -> Detector:
-    for k, v in doc["prototypes"].items():
+    """The Detector of a document whose `prototypes` give the row of each class
+    with images, SHAPE_BINS finite numbers; every other class's row is uniform."""
+    protos = doc["prototypes"]
+    for k, v in protos.items():
         _expect(f"length of the class {k} prototype", len(v), SHAPE_BINS)
-    return Detector(
-        model=_model_from_doc(doc["model"]),
-        stats=_stats_from_doc(doc["stats"]),
-        prototypes={int(k): tuple(map(float, v)) for k, v in doc["prototypes"].items()},
-    )
+        _finite(f"the class {k} prototype", v)
+    model, stats = _model_from_doc(doc["model"]), _stats_from_doc(doc["stats"])
+    imaged = [str(c) for c, n in zip(stats.classes, stats.class_images) if n]
+    if sorted(protos) != sorted(imaged):
+        raise ValueError(f"prototypes name {sorted(protos)}, not the classes with images {imaged}")
+    table = np.full((len(stats.classes), SHAPE_BINS), 1.0 / SHAPE_BINS)
+    table[stats.class_images > 0] = np.reshape([protos[c] for c in imaged], (-1, SHAPE_BINS))
+    return Detector(model, stats, table)
 
 
 def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> None:
@@ -722,9 +730,10 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
 
     A resolution or vector length other than this version's fixed one
     (shape samples and bins, distance bins, feature width), a vector
-    entry that is not a number, or a linear model whose weights, bias or
+    entry that is not a number, a linear model whose weights, bias or
     feature means are not finite or whose feature stds are not finite
-    and above 0, is a FormatError.
+    and above 0, a shape prototype that is not finite, or prototypes for
+    other classes than those with images, is a FormatError.
     """
     doc = _read_document(path, "model document")
     with _malformed(path):

@@ -42,9 +42,9 @@ from .errors import (
     SchemaError,
 )
 from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, SceneObject, extract_objects
-from .relations import PairTable, relations_for_objects, shape_histogram
+from .relations import SHAPE_BINS, PairTable, relations_for_objects, shape_histogram
 from .seeds import derive_seed
-from .stats import ALPHA_DEFAULT, CooccurrenceModel, StatsBuilder, accumulate, finalize
+from .stats import ALPHA_DEFAULT, CooccurrenceModel, StatsBuilder, _Counts, accumulate, finalize
 
 FEATURE_NAMES = (
     "presence_prob",
@@ -199,15 +199,14 @@ def featurize(
     objects: Sequence[SceneObject],
     hists: np.ndarray,
     stats: CooccurrenceModel,
-    prototypes: Mapping[int, tuple[float, ...]],
+    prototypes: np.ndarray,
 ) -> np.ndarray:
     """Evaluate the co-occurrence tables at every pair: one row per pair.
 
     `hists` holds one histogram row per object, in the order of `objects`.
-    The shape term is the L1 distance between object A's histogram and
-    the mean histogram of its class; classes without a prototype compare
-    against the uniform histogram.  It is computed once per object, as
-    the row sums of one (n_objects, n_bins) difference.
+    The shape term is the L1 distance between object A's histogram and its
+    class's row of a Detector's `prototypes`, gathered once per object by
+    the class rows that the co-occurrence tables are read with.
     Raises UnknownClassError when a paired object's class is outside
     the statistics.
     """
@@ -215,12 +214,7 @@ def featurize(
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows([o.class_id for o in objects])
     a, b = rows[pairs.a_index], rows[pairs.b_index]
-    n_bins = hists.shape[1]
-    uniform = (1.0 / n_bins,) * n_bins
-    shape = np.abs(
-        hists
-        - np.array([prototypes.get(o.class_id, uniform) for o in objects])
-    ).sum(axis=1)
+    shape = np.abs(hists - prototypes[rows]).sum(axis=1)
     return np.column_stack(
         [
             stats.presence_table[a, b],
@@ -379,14 +373,23 @@ def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:
     raise ValueError(f"unknown aggregation mode {mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Detector:
-    """One scope's detector: its classifier, the co-occurrence statistics
-    it featurizes against and its per-class shape prototypes."""
+    """One scope's detector: its classifier, the co-occurrence statistics it
+    featurizes against and its shape prototypes, a read-only table whose row
+    i is the mean histogram of class `stats.classes[i]` over the scope's
+    objects, or the uniform one for a class none of them has."""
 
     model: LinearModel
     stats: CooccurrenceModel
-    prototypes: dict[int, tuple[float, ...]]
+    prototypes: np.ndarray
+
+    def __post_init__(self) -> None:
+        if self.prototypes.shape != (len(self.stats.classes), SHAPE_BINS):
+            raise ValueError(f"prototype table of shape {self.prototypes.shape}, not (classes, bins)")
+        self.prototypes.flags.writeable = False
+
+    __eq__ = _Counts.__eq__
 
 
 @dataclass(frozen=True)
@@ -464,20 +467,14 @@ def build_stats(
     return finalize(builder, alpha)
 
 
-def _prototypes_for(scenes: list[Scene]) -> dict[int, tuple[float, ...]]:
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-    for scene in scenes:
-        for obj, values in zip(scene.objects, scene.hists):
-            if obj.class_id in sums:
-                sums[obj.class_id] += values
-                counts[obj.class_id] += 1
-            else:
-                sums[obj.class_id] = values.copy()
-                counts[obj.class_id] = 1
-    return {
-        c: tuple(float(v) for v in sums[c] / counts[c]) for c in sorted(sums)
-    }
+def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray:
+    """The prototype table of `scenes` on the rows of `stats`: each class's
+    histograms summed in scene and object order, divided by their count."""
+    rows = stats.class_rows([o.class_id for scene in scenes for o in scene.objects])
+    sums = np.zeros((len(stats.classes), SHAPE_BINS))
+    np.add.at(sums, rows, np.concatenate([scene.hists for scene in scenes]))
+    counts = np.bincount(rows, minlength=len(stats.classes))[:, None]
+    return np.where(counts > 0, sums / np.maximum(counts, 1), 1.0 / SHAPE_BINS)
 
 
 def train_registry(
@@ -539,7 +536,7 @@ def train_registry(
     for scope_idx, (label, ids) in enumerate(scopes):
         scope_scenes = [scenes[i] for i in ids]
         scope_stats = build_stats(scope_scenes, corpus.class_map, alpha)
-        protos = _prototypes_for(scope_scenes)
+        protos = _prototypes_for(scope_scenes, scope_stats)
         features: list[np.ndarray] = []
         labels: list[int] = []
         for image_id in ids:

@@ -388,6 +388,17 @@ class TestVerifyCommand:
         [
             ("--classes", {"schema_version": 1}),
             ("--attributes", {"schema_version": 1, "schema": {}}),
+            # A string is not a list of allowed values: "ins" is in it, as a substring.
+            (
+                "--attributes",
+                {
+                    "schema_version": 1,
+                    "schema": {"location": "insideoutside"},
+                    "annotations": [
+                        {"image_id": "inside_00000", "attributes": {"location": "ins"}}
+                    ],
+                },
+            ),
         ],
     )
     def test_document_missing_a_key_is_validation_error(

@@ -37,7 +37,7 @@ from scenecheck import (
 )
 from scenecheck.cli import main
 from scenecheck.corpus import _write_json
-from scenecheck.relations import PROXIMITY_LABELS
+from scenecheck.relations import PROXIMITY_LABELS, SHAPE_BINS
 from scenecheck.seeds import derive_seed
 from scenecheck.verifier import FEATURE_NAMES
 
@@ -233,7 +233,11 @@ def _hand_registry():
     )
     return VerifierRegistry(
         context_attribute=None, aggregation_mode="majority", min_area=1,
-        global_detector=Detector(model=model, stats=finalize(builder), prototypes={}),
+        global_detector=Detector(
+            model=model,
+            stats=finalize(builder),
+            prototypes=np.full((2, SHAPE_BINS), 1 / SHAPE_BINS),
+        ),
     )
 
 
@@ -353,6 +357,22 @@ class TestPersistence:
                 "could not convert string to float",
             ),
             (
+                "registry", ("global", "prototypes"), "1", [0.0] * 15 + [math.nan],
+                "the class 1 prototype holds nan, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "prototypes"), "1", [math.inf] + [0.0] * 15,
+                "the class 1 prototype holds inf, expected finite numbers",
+            ),
+            (
+                "registry", ("global", "prototypes"), "9", [1 / 16] * 16,
+                re.escape("prototypes name ['9'], not the classes with images []"),
+            ),
+            (
+                "registry", ("global", "stats"), "class_image_counts", {"1": 1},
+                re.escape("prototypes name [], not the classes with images ['1']"),
+            ),
+            (
                 "registry", ("global", "model"), "feature_stds", [1.0] * 6 + [0.0],
                 "feature_stds holds 0.0, expected values above 0",
             ),
@@ -388,7 +408,8 @@ class TestPersistence:
         ids=[
             "shape_samples", "shape_bins", "registry-k_dist", "statistics-k_dist",
             "weights", "feature_means", "feature_stds", "prototype",
-            "weights-not-numbers", "prototype-not-numbers",
+            "weights-not-numbers", "prototype-not-numbers", "prototype-nan", "prototype-inf",
+            "prototype-of-a-class-outside-classes", "class-with-images-but-no-prototype",
             "feature_stds-zero", "feature_stds-negative", "feature_stds-nan",
             "feature_stds-inf", "weights-nan", "feature_means-inf", "bias-nan", "bias-inf",
         ],

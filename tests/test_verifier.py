@@ -62,6 +62,16 @@ def _identity_model(weights, bias=0.0):
     )
 
 
+def _uniform_prototypes(stats):
+    """A prototype table that holds the uniform histogram for every class of `stats`."""
+    return np.full((len(stats.classes), SHAPE_BINS), 1.0 / SHAPE_BINS)
+
+
+def _prototype_rows(stats, prototypes):
+    """The table's rows by class id, as the per-pair oracle reads them."""
+    return dict(zip(stats.classes, prototypes))
+
+
 class TestFeaturize:
     def _scene(self):
         arr = np.zeros((20, 8), dtype=int)
@@ -81,7 +91,7 @@ class TestFeaturize:
         counts[octant_index] = 8
         builder.position[0, 1] = counts  # classes 1 and 2 are rows 0 and 1
         stats = finalize(builder, alpha=1.0)
-        X = featurize(pairs, objects, hists, stats, {})
+        X = featurize(pairs, objects, hists, stats, _uniform_prototypes(stats))
         assert X.shape == (2, N_FEATURES)
         assert X[0, 1] == pytest.approx(9 / 16, abs=1e-15)
 
@@ -90,7 +100,9 @@ class TestFeaturize:
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
         stats = finalize(builder, alpha=1.0)
-        X = featurize(pairs, objects, hists, stats, {1: tuple(hists[0].tolist())})
+        prototypes = _uniform_prototypes(stats)
+        prototypes[0] = hists[0]  # class 1
+        X = featurize(pairs, objects, hists, stats, prototypes)
         assert X[0, len(FEATURE_NAMES) - 1] == 0.0
 
     def test_components_match_independent_recomputation(self):
@@ -99,8 +111,7 @@ class TestFeaturize:
         builder = StatsBuilder.for_classes([1, 2])
         accumulate(builder, objects, pairs)
         stats = finalize(builder, alpha=1.0)
-        proto = {1: tuple(1.0 / 16 for _ in range(16))}
-        fv = featurize(pairs, objects, hists, stats, proto)[0]
+        fv = featurize(pairs, objects, hists, stats, _uniform_prototypes(stats))[0]
         assert fv[0] == pair_oracle.query(stats, "presence", 1, 2, None)
         assert fv[1] == pair_oracle.query(stats, "position", 1, 2, rel.rpos)
         assert fv[2] == pair_oracle.query(stats, "proximity", 1, 2, rel.rprox)
@@ -117,7 +128,9 @@ class TestFeaturize:
         builder.images = 1
         stats = finalize(builder, alpha=1.0)
         lone = objects[:1]
-        X = featurize(relations_for_objects(grid, lone), lone, hists[:1], stats, {})
+        X = featurize(
+            relations_for_objects(grid, lone), lone, hists[:1], stats, _uniform_prototypes(stats)
+        )
         assert X.shape == (0, N_FEATURES)
 
 
@@ -472,6 +485,13 @@ class TestTrainRegistry:
         context_images = [d.stats.images for d in registry.models.values()]
         assert all(0 < n < registry.global_detector.stats.images for n in context_images)
         assert sum(context_images) <= registry.global_detector.stats.images
+        # One read-only prototype row per class, uniform for a class the scope never shows.
+        for d in [registry.global_detector, *registry.models.values()]:
+            assert d.prototypes.shape == (len(d.stats.classes), SHAPE_BINS)
+            assert not d.prototypes.flags.writeable
+            unseen = d.stats.class_images == 0
+            assert (d.prototypes[unseen] == 1.0 / SHAPE_BINS).all()
+            assert unseen.any() or d is registry.global_detector
 
     def test_small_contexts_fall_back_to_global(self, tmp_path):
         config = default_synthetic_config(n_images=40, seed=8)
@@ -537,17 +557,15 @@ def _oracle_model(width=N_FEATURES):
 
 def _oracle_registry(model=None, stats=None):
     grid = grid_from_array(paint([(2, 3, 3, 9, 6)]), CLASS_MAP)
-    (hist,) = shape_histogram(grid, extract_objects(grid, min_area=1))
+    stats = stats or _oracle_stats()
+    # Class 2, at row 1, has a prototype; every other class compares against uniform.
+    prototypes = _uniform_prototypes(stats)
+    (prototypes[1],) = shape_histogram(grid, extract_objects(grid, min_area=1))
     return VerifierRegistry(
         context_attribute=None,
         aggregation_mode="majority",
         min_area=1,
-        global_detector=Detector(
-            model=model or _oracle_model(),
-            stats=stats or _oracle_stats(),
-            # Classes 3 and 4 have no prototype and compare against uniform.
-            prototypes={1: tuple(1.0 / 16 for _ in range(16)), 2: tuple(hist.tolist())},
-        ),
+        global_detector=Detector(model or _oracle_model(), stats, prototypes),
     )
 
 
@@ -570,8 +588,9 @@ class TestBatchedPairLayerMatchesOracle:
             with pytest.raises(DegeneratePairError):
                 verify(grid, registry)
             return
+        rows = _prototype_rows(stats, protos)
         expected = np.array(
-            [pair_oracle.featurize(r, hists[r.a_id], stats, protos) for r in rels]
+            [pair_oracle.featurize(r, hists[r.a_id], stats, rows) for r in rels]
         ).reshape(-1, N_FEATURES)
         X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
         assert X.shape == expected.shape
@@ -589,7 +608,8 @@ class TestBatchedPairLayerMatchesOracle:
         grid = grid_from_array(paint([(4, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
         hists = shape_histogram(grid, objects)
-        X = featurize(relations_for_objects(grid, objects), objects, hists, stats, {})
+        protos = _uniform_prototypes(stats)
+        X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
         assert (X[:, 0] == 1.0 / (stats.images + 2.0)).all()
         assert (X[:, 1] == 1.0 / 8).all()
         assert (X[:, 2] == 1.0 / 6).all()
@@ -605,10 +625,11 @@ class TestBatchedPairLayerMatchesOracle:
         objects = extract_objects(grid, min_area=1)
         hists = shape_histogram(grid, objects)
         for _ in range(20):
-            protos = {c: tuple(rng.dirichlet(np.ones(SHAPE_BINS)).tolist()) for c in (1, 2)}
+            protos = _uniform_prototypes(stats)
+            protos[:2] = [rng.dirichlet(np.ones(SHAPE_BINS)) for _ in (1, 2)]  # classes 1, 2
             X = featurize(relations_for_objects(grid, objects), objects, hists, stats, protos)
             expected = [
-                pair_oracle.featurize(r, hists[r.a_id], stats, protos)[6]
+                pair_oracle.featurize(r, hists[r.a_id], stats, _prototype_rows(stats, protos))[6]
                 for r in pair_oracle.relations(grid, objects)
             ]
             assert X[:, 6].tolist() == expected
