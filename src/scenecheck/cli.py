@@ -82,7 +82,7 @@ def _positive(cast):
 
 def cmd_synth(args) -> int:
     doc = corpus_mod._read_document(args.config, "synthetic config")
-    config = SyntheticConfig.from_dict(doc)
+    config = SyntheticConfig.from_dict(doc, args.config)
     config = dataclasses.replace(config, seed=args.seed)
     corpus, _ = synth_corpus(config, args.out)
     _print_json(

@@ -26,11 +26,16 @@ parallel and sequential generation agree byte for byte.
 from __future__ import annotations
 
 import json
-import math
+import re
+import reprlib
+import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
+
 import numpy as np
 
 from .context import DEFAULT_SCHEMA, PLACEHOLDER, AttributeTable, load_attributes
@@ -38,6 +43,7 @@ from .errors import (
     DuplicateError,
     FormatError,
     PlacementError,
+    SceneCheckError,
     SchemaError,
     VersionError,
 )
@@ -48,7 +54,6 @@ from .stats import CooccurrenceModel, StatsBuilder, finalize
 from .verifier import (
     N_FEATURES,
     Detector,
-    Hyperparams,
     LinearModel,
     VerifierRegistry,
     _removed_index,
@@ -72,16 +77,71 @@ def _check_version(doc: dict, what: str) -> None:
 @contextmanager
 def _malformed(what):
     """Report a missing key or a value of the wrong type or form in a
-    parsed document as a one-line FormatError naming `what`.
-
-    Usable as a `with` block or as a decorator on a loader.
-    """
+    parsed document as a one-line FormatError naming `what`."""
     try:
         yield
     except KeyError as exc:
         raise FormatError(f"{what}: missing key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise FormatError(f"{what}: malformed document: {exc}") from None
+
+
+_INT_KEY = re.compile(r"0|-?[1-9][0-9]*")
+_EXPECTED = {
+    dict: "an object", list: "an array", tuple: "an array",
+    int: "integers", float: "finite numbers", str: "strings",
+}
+
+
+def _read(tp, value, what: str):
+    """`value`, a parsed JSON value, read as the annotation `tp`: the inverse
+    of `asdict` followed by `json.dumps`.
+
+    - A dataclass is an object: each field is read by its annotation, a
+      missing one takes its default or is a KeyError of its name, and a key
+      that names no field, other than `schema_version`, is refused.
+    - `X | None` is null or an X; `Literal[...]` is one of its values.
+    - `list[T]`, `tuple[T, ...]` and a fixed `tuple[A, B]` (of that length)
+      are arrays, given as lists or as the tuples `asdict` makes.
+    - `dict[K, V]` is an object, whose keys an `int` K reads in decimal.
+    - The leaf rule: an `int` is an integer and a `float` a finite number,
+      neither of them a boolean; a `str` is a string; `object` is any value.
+
+    Anything else is a ValueError naming `what`, the field or the part of
+    the document that `value` stands in.
+    """
+    if tp is object or tp is int and type(value) is int or tp is str and type(value) is str:
+        return value
+    if tp is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp) and isinstance(value, dict):
+        names = {f.name for f in fields(tp)}
+        unknown = sorted(set(value) - names - {"schema_version"})
+        if unknown:
+            raise ValueError(f"{what} holds unknown keys {unknown}")
+        for f in fields(tp):
+            if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+                raise KeyError(f.name)
+        hints = get_type_hints(tp)
+        return tp(**{k: _read(hints[k], v, k) for k, v in value.items() if k in names})
+    if origin is UnionType:  # X | None
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _read(inner, value, what)
+    if origin is Literal and any(type(value) is type(a) and value == a for a in args):
+        return value
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        if origin is list or args[1:] == (...,):
+            return origin(_read(args[0], v, what) for v in value)
+        _expect(f"length of {what}", len(value), len(args))
+        return tuple(_read(a, v, what) for a, v in zip(args, value))
+    if origin is dict and isinstance(value, dict):
+        key, item = args
+        if key is int:  # written in decimal; a key in any other form stays a string
+            value = {int(k) if _INT_KEY.fullmatch(k) else k: v for k, v in value.items()}
+        return {_read(key, k, what): _read(item, v, what) for k, v in value.items()}
+    expected = _EXPECTED.get(dict if is_dataclass(tp) else origin or tp, f"one of {args}")
+    raise ValueError(f"{what} holds {reprlib.repr(value)}, expected {expected}")
 
 
 _SYNTH_TAG = 201
@@ -96,7 +156,7 @@ class ClassSpec:
 
     class_id: int
     name: str
-    shape: str  # "rect" or "ellipse"
+    shape: Literal["rect", "ellipse"]
     height: tuple[int, int]
     width: tuple[int, int]
 
@@ -141,47 +201,17 @@ class SyntheticConfig:
         return _versioned(asdict(self))
 
     @classmethod
-    @_malformed("synthetic config")
-    def from_dict(cls, doc: dict) -> "SyntheticConfig":
-        """The config of a parsed document; a context value, which starts
-        the image ids of its context, must be a plain file name."""
-        _check_version(doc, "synthetic config")
-        for ctx in doc["contexts"]:
-            _check_plain_name(ctx["value"], "context value", "synthetic config")
-        return cls(
-            n_images=int(doc["n_images"]),
-            grid_height=int(doc["grid_height"]),
-            grid_width=int(doc["grid_width"]),
-            seed=int(doc["seed"]),
-            classes=tuple(
-                ClassSpec(
-                    class_id=int(c["class_id"]),
-                    name=c["name"],
-                    shape=c["shape"],
-                    height=tuple(c["height"]),
-                    width=tuple(c["width"]),
-                )
-                for c in doc["classes"]
-            ),
-            contexts=tuple(
-                ContextSpec(
-                    value=ctx["value"],
-                    anchor=int(ctx["anchor"]),
-                    satellites=tuple(int(s) for s in ctx["satellites"]),
-                    stack=tuple(ctx["stack"]) if ctx.get("stack") else None,
-                    kind_weights=dict(ctx["kind_weights"]),
-                    stack_bias=float(ctx.get("stack_bias", 0.25)),
-                    lone_extra=tuple(int(s) for s in ctx.get("lone_extra", ())),
-                )
-                for ctx in doc["contexts"]
-            ),
-            context_attribute=doc.get("context_attribute", "location"),
-            noise_attributes={
-                k: list(v) for k, v in doc.get("noise_attributes", {}).items()
-            },
-            placeholder_rate=float(doc.get("placeholder_rate", 0.01)),
-            train_fraction=float(doc.get("train_fraction", 0.7)),
-        )
+    def from_dict(cls, doc: dict, where: str | Path = "synthetic config") -> "SyntheticConfig":
+        """The config of a parsed document of this schema version, read by
+        `_read`: each field by its annotation, a missing one at its default.
+        A context value, which starts the image ids of its context, must be
+        a plain file name.  Every error is one line naming `where`."""
+        with _malformed(where):
+            _check_version(doc, where)
+            config = _read(cls, doc, "synthetic config")
+        for ctx in config.contexts:
+            _check_plain_name(ctx.value, "context value", where)
+        return config
 
 
 _INSIDE_KIND_WEIGHTS = {"lone": 0.525, "pair": 0.3, "stack_pair": 0.075, "triple": 0.1}
@@ -250,28 +280,31 @@ def read_classes(path: str | Path) -> dict[int, str]:
     """Read a `classes.json` document: its id -> name map."""
     doc = _read_document(path, "class map")
     with _malformed(path):
-        return {int(k): str(v) for k, v in doc["classes"].items()}
+        return _read(dict[int, str], doc["classes"], "classes")
 
 
 def read_attributes(path: str | Path) -> AttributeTable:
     """Read an `attributes.json` document: its schema and its annotation
     records, checked against that schema by `load_attributes`.  A schema
-    value that is not a plain file name is a FormatError."""
+    value that is not a plain file name is a FormatError.  Every error
+    names `path`."""
     doc = _read_document(path, "attribute table")
     with _malformed(path):
-        annotations, schema = doc["annotations"], doc["schema"]
-        for values in schema.values():
-            for value in values:
-                _check_plain_name(value, "context value", path)
-    return load_attributes(annotations, schema)
+        annotations = doc["annotations"]
+        schema = _read(dict[str, list[str]], doc["schema"], "schema")
+    for values in schema.values():
+        for value in values:
+            _check_plain_name(value, "context value", path)
+    try:
+        return load_attributes(annotations, schema)
+    except SceneCheckError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
-def _check_plain_name(name, what: str, where: Path) -> None:
-    """Reject an image id or context value that could name a file outside a
-    corpus or an output directory: commands build `<dir>/<id>.lgrid` and
-    `<stem>.<value>.json` paths from them."""
-    if not isinstance(name, str):
-        raise FormatError(f"{where}: {what} {name!r} is not a string")
+def _check_plain_name(name: str, what: str, where: str | Path) -> None:
+    """Reject an image id or context value, a string, that could name a file
+    outside a corpus or an output directory: commands build
+    `<dir>/<id>.lgrid` and `<stem>.<value>.json` paths from them."""
     if not name or name[0] == "." or "/" in name or "\\" in name:
         raise FormatError(
             f"{where}: {what} {name!r} is not a plain file name"
@@ -297,10 +330,7 @@ class Corpus:
         splits_path = root / "splits.json"
         splits_doc = _read_document(splits_path, "split lists")
         with _malformed(splits_path):
-            splits = {
-                "train": list(splits_doc["train"]),
-                "val": list(splits_doc["val"]),
-            }
+            splits = {s: _read(list[str], splits_doc[s], s) for s in ("train", "val")}
         for image_id in splits["train"] + splits["val"]:
             _check_plain_name(image_id, "image id", splits_path)
         for split, ids in splits.items():
@@ -618,63 +648,47 @@ class _ClassRows(dict):
         raise SchemaError(f"statistics document: counts name class {class_id!r}, not in classes")
 
 
-@_malformed("statistics document")
 def _stats_from_doc(doc: dict) -> CooccurrenceModel:
+    """The statistics of a document whose `classes` are strictly increasing
+    class ids and whose counts `_count` accepts."""
     _expect("k_dist", doc["k_dist"], K_DIST)
-    builder = StatsBuilder.for_classes(doc["classes"])
-    row = _ClassRows((c, i) for i, c in enumerate(builder.classes))
+    classes = _read(list[int], doc["classes"], "classes")
+    if classes != sorted(set(classes)):
+        raise ValueError(f"classes {classes} are not strictly increasing")
+    builder = StatsBuilder.for_classes(classes)
+    row = _ClassRows((c, i) for i, c in enumerate(classes))
+
+    def entries(key: str):
+        """(row of a, row of b, what, counts) of each [a, b, counts] entry of doc[key]."""
+        for a, b, counts in _read(list[tuple[int, int, object]], doc[key], key):
+            yield row[a], row[b], f"{key} of ({a}, {b})", counts
+
     builder.images = _count("images", doc["images"])
-    for c, n in doc["class_image_counts"].items():
-        builder.class_images[row[int(c)]] = _count(f"class_image_counts of {c}", n)
-    for a, b, n in doc["presence_counts"]:
-        n = _count(f"presence_counts of ({a}, {b})", n)
-        builder.presence[row[a], row[b]] = builder.presence[row[b], row[a]] = n
+    for c, n in _read(dict[int, object], doc["class_image_counts"], "class_image_counts").items():
+        builder.class_images[row[c]] = _count(f"class_image_counts of {c}", n)
+    for i, j, what, n in entries("presence_counts"):
+        builder.presence[i, j] = builder.presence[j, i] = _count(what, n)
     for name in ("position", "proximity", "distance"):
         counts = getattr(builder, name)
-        for a, b, v in doc[f"{name}_counts"]:
-            what = f"{name}_counts of ({a}, {b})"
+        for i, j, what, v in entries(f"{name}_counts"):
             _expect(f"length of {what}", len(v), counts.shape[2])
-            counts[row[a], row[b]] = [_count(what, n) for n in v]
-    for a, b, obs in doc["size_obs"]:
-        what = f"size_obs of ({a}, {b})"
-        builder.size_obs[row[a], row[b]] = Counter(
+            counts[i, j] = [_count(what, n) for n in v]
+    for i, j, what, obs in entries("size_obs"):
+        builder.size_obs[i, j] = Counter(
             {(_count(what, pa), _count(what, pb)): _count(what, n) for pa, pb, n in obs}
         )
-    return finalize(builder, alpha=float(doc["alpha"]))
+    return finalize(builder, alpha=_read(float, doc["alpha"], "alpha"))
 
 
-def _finite(what: str, values) -> tuple[float, ...]:
-    """`values` as floats; one that is NaN or infinite is a ValueError."""
-    out = tuple(map(float, values))
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"{what} holds {v!r}, expected finite numbers")
-    return out
-
-
-@_malformed("linear model document")
 def _model_from_doc(doc: dict) -> LinearModel:
+    """The LinearModel of a document whose vectors hold one number per
+    feature and whose feature stds are above 0."""
+    model = _read(LinearModel, doc, "model")
     for key in ("weights", "feature_means", "feature_stds"):
-        _expect(f"length of {key}", len(doc[key]), N_FEATURES)
-    stds = _finite("feature_stds", doc["feature_stds"])
-    if min(stds) <= 0.0:
-        raise ValueError(f"feature_stds holds {min(stds)!r}, expected values above 0")
-    hp = doc["hyperparams"]
-    return LinearModel(
-        weights=_finite("weights", doc["weights"]),
-        bias=_finite("bias", [doc["bias"]])[0],
-        feature_means=_finite("feature_means", doc["feature_means"]),
-        feature_stds=stds,
-        hyperparams=Hyperparams(
-            learning_rate=float(hp["learning_rate"]),
-            epochs=int(hp["epochs"]),
-            l2_lambda=float(hp["l2_lambda"]),
-        ),
-        seed=int(doc["seed"]),
-        n_pos=int(doc["n_pos"]),
-        n_neg=int(doc["n_neg"]),
-        context_label=doc["context_label"],
-    )
+        _expect(f"length of {key}", len(getattr(model, key)), N_FEATURES)
+    if min(model.feature_stds) <= 0.0:
+        raise ValueError(f"feature_stds holds {min(model.feature_stds)!r}, expected values above 0")
+    return model
 
 
 def _detector_to_doc(detector: Detector) -> dict:
@@ -690,10 +704,12 @@ def _detector_to_doc(detector: Detector) -> dict:
 def _detector_from_doc(doc: dict) -> Detector:
     """The Detector of a document whose `prototypes` give the row of each class
     with images, SHAPE_BINS finite numbers; every other class's row is uniform."""
-    protos = doc["prototypes"]
+    protos = {
+        k: _read(tuple[float, ...], v, f"the class {k} prototype")
+        for k, v in _read(dict[str, object], doc["prototypes"], "prototypes").items()
+    }
     for k, v in protos.items():
         _expect(f"length of the class {k} prototype", len(v), SHAPE_BINS)
-        _finite(f"the class {k} prototype", v)
     model, stats = _model_from_doc(doc["model"]), _stats_from_doc(doc["stats"])
     imaged = [str(c) for c, n in zip(stats.classes, stats.class_images) if n]
     if sorted(protos) != sorted(imaged):
@@ -728,12 +744,15 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
 def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
     """Load a document written by `save_model`; inverse for counts and weights.
 
-    A resolution or vector length other than this version's fixed one
-    (shape samples and bins, distance bins, feature width), a vector
-    entry that is not a number, a linear model whose weights, bias or
-    feature means are not finite or whose feature stds are not finite
-    and above 0, a shape prototype that is not finite, or prototypes for
-    other classes than those with images, is a FormatError.
+    Every leaf is read by the rule of `_read`: a linear model through its
+    dataclass, and `alpha`, `classes`, the class ids of count entries,
+    `min_area`, `context_attribute`, `aggregation_mode` and the shape
+    prototypes by their types.  A leaf that breaks that rule, a missing
+    key, a resolution or vector length other than this version's fixed
+    one (shape samples and bins, distance bins, feature width), feature
+    stds that are not above 0, `classes` that are not strictly increasing,
+    `min_area` below 1, or prototypes for other classes than those with
+    images, is a one-line FormatError naming `path`.
     """
     doc = _read_document(path, "model document")
     with _malformed(path):
@@ -743,11 +762,12 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
         if kind == "verifier_registry":
             _expect("shape_samples", doc["shape_samples"], SHAPE_SAMPLES)
             _expect("shape_bins", doc["shape_bins"], SHAPE_BINS)
+            contexts = _read(dict[str, object], doc["contexts"], "contexts")
             return VerifierRegistry(
-                context_attribute=doc["context_attribute"],
-                aggregation_mode=doc["aggregation_mode"],
-                min_area=int(doc["min_area"]),
+                context_attribute=_read(str | None, doc["context_attribute"], "context_attribute"),
+                aggregation_mode=_read(str, doc["aggregation_mode"], "aggregation_mode"),
+                min_area=_read(int, doc["min_area"], "min_area"),
                 global_detector=_detector_from_doc(doc["global"]),
-                models={v: _detector_from_doc(c) for v, c in doc["contexts"].items()},
+                models={v: _detector_from_doc(c) for v, c in contexts.items()},
             )
         raise FormatError(f"unknown document kind {kind!r}")

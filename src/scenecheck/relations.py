@@ -18,15 +18,12 @@ is recomputed with those functions, so every code and bin equals the
 scalar one.  Distances are float features and stay on `math.hypot`,
 once per unordered pair.
 
-All operations are pure functions.  The only shared state is a bounded
-cache of ordered-pair index tables, which depend on the object count
-alone.
+All operations are pure functions and hold no shared state.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, fields
 from typing import Sequence
 
@@ -286,48 +283,6 @@ _NO_PAIRS = PairTable(
     }
 )
 
-# Index tables by object count, least recently used first.  They hold at
-# most _PAIR_INDEX_BUDGET ordered pairs in all (about 3 MB), so a one-off
-# scene of many objects is not kept.
-_PAIR_INDEX: dict[int, tuple[np.ndarray, ...]] = {}
-_PAIR_INDEX_BUDGET = 1 << 17
-_PAIR_INDEX_LOCK = threading.Lock()
-
-
-def _new_pair_index(n: int) -> tuple[np.ndarray, ...]:
-    a = np.repeat(np.arange(n), n - 1)
-    j = np.tile(np.arange(n - 1), n)
-    b = j + (j >= a)
-    lower = np.flatnonzero(a < b)
-    mirror = b[lower] * (n - 1) + a[lower]
-    index = (a, b, lower, mirror)
-    for array in index:
-        array.flags.writeable = False
-    return index
-
-
-def _pair_index(n: int) -> tuple[np.ndarray, ...]:
-    """Read-only index tables of the ordered pairs of n >= 2 objects.
-
-    Returns (a, b, lower, mirror): row k is the ordered pair (a[k], b[k])
-    of positions, A-major as a nested loop over the objects gives them;
-    `lower` holds the rows with a < b and `mirror` the row of (b, a) for
-    each of them.
-    """
-    with _PAIR_INDEX_LOCK:
-        index = _PAIR_INDEX.pop(n, None)
-        if index is None:
-            index = _new_pair_index(n)
-            kept = len(index[0])
-            if kept > _PAIR_INDEX_BUDGET:
-                return index
-            kept += sum(len(i[0]) for i in _PAIR_INDEX.values())
-            while kept > _PAIR_INDEX_BUDGET:
-                kept -= len(_PAIR_INDEX.pop(next(iter(_PAIR_INDEX)))[0])
-        _PAIR_INDEX[n] = index
-        return index
-
-
 def _octants(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """OCTANTS code of each direction (dr, dc), "up" = decreasing row.
 
@@ -371,21 +326,23 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
     DegeneratePairError when two objects share a centroid, whose
     direction is undefined.
     """
-    if len(objects) < 2:
+    n = len(objects)
+    if n < 2:
         return _NO_PAIRS
     centroid = np.array([o.centroid for o in objects], dtype=np.float64)
     bbox = np.array([o.bbox for o in objects], dtype=np.int64)
     log_size = np.array([math.log(o.pixel_count) for o in objects], dtype=np.float64)
-    a, b, lower, mirror = _pair_index(len(objects))
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
 
     dr = centroid[b, 0] - centroid[a, 0]
     dc = centroid[b, 1] - centroid[a, 1]
     if np.any((dr == 0.0) & (dc == 0.0)):
         raise DegeneratePairError("identical centroids have no direction")
+    lower = np.flatnonzero(a < b)
     half = _hypot(dr[lower], dc[lower])
     rdist = np.empty(len(a))
     rdist[lower] = half
-    rdist[mirror] = half
+    rdist[b[lower] * (n - 1) + a[lower]] = half  # the row of (b, a)
     rdist /= grid.diagonal()
 
     # Proximity over (A, B) matrices, in reverse order of precedence, so

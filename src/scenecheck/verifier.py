@@ -395,7 +395,7 @@ class Detector:
 @dataclass(frozen=True)
 class VerifierRegistry:
     """The global Detector plus one Detector per trained context value,
-    and the min_area every scene it verifies is labelled with.
+    and the min_area, at least 1, that every scene it verifies is labelled with.
 
     `models` is keyed by exactly the context values that were trained;
     every other value falls back to `global_detector`.  No key may be
@@ -409,6 +409,8 @@ class VerifierRegistry:
     models: dict[str, Detector] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.min_area < 1:
+            raise ValueError(f"min_area is {self.min_area}, expected at least 1")
         if self.aggregation_mode not in AGGREGATION_MODES:
             raise ValueError(f"unknown aggregation mode {self.aggregation_mode!r}")
         if GLOBAL_LABEL in self.models:

@@ -2,13 +2,26 @@
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenecheck import default_synthetic_config, grid_from_array, load_model, synth_corpus
+from scenecheck import (
+    Corpus,
+    SceneCheckError,
+    default_synthetic_config,
+    extract_objects,
+    grid_from_array,
+    load_model,
+    save_model,
+    synth_corpus,
+    verify,
+)
 from scenecheck.cli import build_parser, main
 from scenecheck.context import MIN_BALANCE_DEFAULT, MIN_COVERAGE_DEFAULT
 from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams
@@ -232,6 +245,28 @@ def test_every_document_reader_refuses_a_spoilt_document(readers, capsys, reader
     assert err.startswith(f"error: {SPOILS[how]}: {path}:") and err.count("\n") == 1
 
 
+ATTRIBUTE_FAULTS = {
+    "schema-value-a-string": "FormatError",
+    "value-outside-the-schema": "SchemaError",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ATTRIBUTE_FAULTS))
+@pytest.mark.parametrize("reader", ["build-stats attributes.json", "verify --attributes"])
+def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
+    path, argv = readers[reader]
+    doc = json.loads(path.read_text())
+    if fault == "schema-value-a-string":
+        doc["schema"]["location"] = "insideoutside"
+    else:
+        for entry in doc["annotations"]:
+            entry["attributes"]["location"] = "moon"
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {ATTRIBUTE_FAULTS[fault]}: {path}: ") and err.count("\n") == 1
+
+
 class TestGenContradictions:
     def test_manifest_pairs_and_skips(self, pipeline, tmp_path):
         _, corpus_dir, _ = pipeline
@@ -434,6 +469,88 @@ class TestVerifyCommand:
         code = main(["verify", str(registry_path), "/nonexistent/image.lgrid"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+def _leaf_paths(node, path=()):
+    """The path of every scalar leaf of a parsed JSON document."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+def _mutations(parent, key):
+    """Each mutation that applies to the leaf `parent[key]`, by name: a
+    function that applies it in place."""
+    value = parent[key]
+
+    def put(new):
+        return lambda: parent.__setitem__(key, new)
+
+    mutations = {
+        "drop": lambda: parent.__delitem__(key),
+        "string": put(value if isinstance(value, str) else json.dumps(value)),
+        "true": put(True),
+        "nan": put(math.nan),
+        "inf": put(math.inf),
+        "minus-one": put(-1),
+        "empty-list": put([]),
+    }
+    if type(value) in (int, float):
+        mutations["plus-half"] = put(value + 0.5)
+    if isinstance(parent, list):
+        mutations["duplicate"] = lambda: parent.insert(key, value)
+    return mutations
+
+
+@pytest.fixture(scope="module")
+def mutable_registry(pipeline, tmp_path_factory):
+    """The pipeline's registry text, the path of each leaf of its document,
+    a val map of 3 objects, and a directory to write mutated copies in."""
+    _, corpus_dir, registry_path = pipeline
+    text = registry_path.read_text()
+    corpus = Corpus.load(corpus_dir)
+    grids = (corpus.grid(image_id) for image_id in corpus.image_ids("val"))
+    grid = next(g for g in grids if len(extract_objects(g)) == 3)
+    return text, list(_leaf_paths(json.loads(text))), grid, tmp_path_factory.mktemp("mutants")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_registry_with_one_leaf_mutated_is_refused_in_one_line_or_loads_whole(
+    mutable_registry, data
+):
+    # Either load_model refuses the document in one line, or every detector
+    # gives finite margins (or a one-line refusal) and saving what was loaded
+    # gives the document's values back.
+    text, leaves, grid, work = mutable_registry
+    original, doc = json.loads(text), json.loads(text)
+    *steps, key = data.draw(st.sampled_from(leaves))
+    parent = doc
+    for step in steps:
+        parent = parent[step]
+    mutations = _mutations(parent, key)
+    how = data.draw(st.sampled_from(sorted(mutations)))
+    mutations[how]()
+    mutant, saved = work / "mutant.json", work / "saved.json"
+    mutant.write_text(json.dumps(doc))
+    try:
+        registry = load_model(mutant)
+    except SceneCheckError as exc:
+        assert "\n" not in str(exc)
+        return
+    for attributes in [None] + [{registry.context_attribute: v} for v in registry.models]:
+        try:
+            margins = [m for _, _, m in verify(grid, registry, attributes).pair_scores]
+        except SceneCheckError as exc:
+            assert "\n" not in str(exc)
+        else:
+            assert len(margins) == 6 and all(math.isfinite(m) for m in margins)
+    save_model(saved, registry)
+    # A dropped key that loads takes its default, which the pipeline trained with.
+    resaved = json.loads(saved.read_text())
+    assert resaved == doc or how == "drop" and resaved == original
 
 
 class TestEvaluate:

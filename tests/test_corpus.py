@@ -155,8 +155,11 @@ class TestSynthCorpus:
         doc = json.loads(path.read_text())
         doc["val"].append(bad_id)
         path.write_text(json.dumps(doc))
-        message = re.escape(f"splits.json: image id {bad_id!r} is not a")
-        with pytest.raises(FormatError, match=message) as exc:
+        if isinstance(bad_id, str):
+            message = f"splits.json: image id {bad_id!r} is not a"
+        else:
+            message = f"splits.json: malformed document: val holds {bad_id!r}, expected strings"
+        with pytest.raises(FormatError, match=re.escape(message)) as exc:
             Corpus.load(tmp_path / "corpus")
         assert "\n" not in str(exc.value)
 
@@ -201,6 +204,35 @@ class TestSynthCorpus:
         doc["n_images"] = "many"
         with pytest.raises(FormatError, match="synthetic config"):
             SyntheticConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "part, key, value, message",
+        [
+            ("class", "height", "9", "height holds '9', expected an array"),
+            ("config", "n_images", 6.9, "n_images holds 6.9, expected integers"),
+            (
+                "class", "shape", "elipse",
+                "shape holds 'elipse', expected one of ('rect', 'ellipse')",
+            ),
+            ("context", "stack_bais", 0.5, "contexts holds unknown keys ['stack_bais']"),
+        ],
+        ids=["height-a-string", "n_images-fractional", "shape-misspelt", "unknown-key"],
+    )
+    def test_config_leaf_of_the_wrong_type_or_value_is_format_error(
+        self, tmp_path, capsys, part, key, value, message
+    ):
+        doc = default_synthetic_config(n_images=4).to_dict()
+        parts = {"class": doc["classes"][1], "context": doc["contexts"][0], "config": doc}
+        parts[part][key] = value
+        with pytest.raises(FormatError, match=re.escape(message)) as exc:
+            SyntheticConfig.from_dict(doc)
+        assert "\n" not in str(exc.value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["synth", str(path), str(tmp_path / "corpus"), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: FormatError: {path}: ") and err.count("\n") == 1
+        assert message in err
 
     def test_shipped_config_is_the_default_config(self, tmp_path):
         shipped = Path(__file__).parents[1] / "scripts" / "configs" / "synth_default.json"
@@ -350,11 +382,11 @@ class TestPersistence:
             ),
             (
                 "registry", ("global", "model"), "weights", ["x"] * 7,
-                "could not convert string to float",
+                "weights holds 'x', expected finite numbers",
             ),
             (
                 "registry", ("global", "prototypes"), "1", ["x"] * 16,
-                "could not convert string to float",
+                "the class 1 prototype holds 'x', expected finite numbers",
             ),
             (
                 "registry", ("global", "prototypes"), "1", [0.0] * 15 + [math.nan],
@@ -404,6 +436,32 @@ class TestPersistence:
                 "registry", ("global", "model"), "bias", math.inf,
                 "bias holds inf, expected finite numbers",
             ),
+            ("registry", ("global", "stats"), "alpha", math.nan, "alpha holds nan, expected"),
+            ("registry", ("global", "stats"), "alpha", math.inf, "alpha holds inf, expected"),
+            ("registry", (), "min_area", 0, "min_area is 0, expected at least 1"),
+            ("registry", (), "min_area", 25.5, "min_area holds 25.5, expected integers"),
+            ("registry", ("global", "model"), "seed", "5", "seed holds '5', expected integers"),
+            ("registry", ("global", "model"), "n_pos", True, "n_pos holds True, expected integers"),
+            (
+                "registry", ("global", "model", "hyperparams"), "learning_rate", "0.01",
+                "learning_rate holds '0.01', expected finite numbers",
+            ),
+            (
+                "registry", ("global", "stats"), "classes", [1, 1, 2],
+                re.escape("classes [1, 1, 2] are not strictly increasing"),
+            ),
+            (
+                "registry", ("global", "stats"), "classes", [2, 1],
+                re.escape("classes [2, 1] are not strictly increasing"),
+            ),
+            (
+                "registry", ("global", "stats"), "classes", [1, math.inf],
+                "classes holds inf, expected integers",
+            ),
+            (
+                "registry", ("global", "stats"), "presence_counts", [[True, 1, 1]],
+                "presence_counts holds True, expected integers",
+            ),
         ],
         ids=[
             "shape_samples", "shape_bins", "registry-k_dist", "statistics-k_dist",
@@ -412,6 +470,9 @@ class TestPersistence:
             "prototype-of-a-class-outside-classes", "class-with-images-but-no-prototype",
             "feature_stds-zero", "feature_stds-negative", "feature_stds-nan",
             "feature_stds-inf", "weights-nan", "feature_means-inf", "bias-nan", "bias-inf",
+            "alpha-nan", "alpha-inf", "min_area-zero", "min_area-fractional", "seed-a-string",
+            "n_pos-true", "learning_rate-a-string", "classes-duplicated", "classes-unsorted",
+            "classes-inf", "class-id-true",
         ],
     )
     def test_other_resolution_or_malformed_vector_is_format_error(

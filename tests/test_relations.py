@@ -17,7 +17,6 @@ from scenecheck import (
     shape_histogram,
     trace_boundaries,
 )
-from scenecheck import relations
 from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, SHAPE_BINS, SHAPE_SAMPLES
 
 import pair_oracle
@@ -693,17 +692,6 @@ def test_pair_table_of_objects_in_any_subset_and_order_equals_the_oracle(seed, d
     table = relations_for_objects(grid, chosen)
     assert len(table) == len(chosen) * (len(chosen) - 1)
     assert pair_oracle.table_rows(table, chosen) == pair_oracle.relations(grid, chosen)
-
-
-def test_pair_index_over_the_cache_budget_is_not_kept():
-    small = relations._pair_index(3)
-    n = math.isqrt(relations._PAIR_INDEX_BUDGET) + 2
-    a, b, lower, mirror = relations._pair_index(n)
-    assert len(a) == n * (n - 1) > relations._PAIR_INDEX_BUDGET
-    assert (a[lower] < b[lower]).all() and len(lower) == len(a) // 2
-    assert (a[mirror] == b[lower]).all() and (b[mirror] == a[lower]).all()
-    assert n not in relations._PAIR_INDEX
-    assert relations._pair_index(3) is small
 
 
 def test_pair_table_columns_are_read_only():
