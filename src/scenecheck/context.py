@@ -60,9 +60,10 @@ def load_attributes(annotations: list, schema: dict[str, list[str]]) -> Attribut
     """Validate parsed {image_id, attributes} records against `schema`.
 
     Missing attributes are filled with the placeholder; records that are
-    not a list, or an attribute's allowed values that are not a list of
-    strings, raise FormatError, values outside an attribute's allowed
-    set raise SchemaError, repeated image ids raise DuplicateError.
+    not a list, an image id that is not a string, or an attribute's
+    allowed values that are not a list of strings, raise FormatError,
+    values outside an attribute's allowed set raise SchemaError, repeated
+    image ids raise DuplicateError.
     """
     if not isinstance(annotations, list):
         raise FormatError("attribute annotations must be a JSON array")
@@ -73,7 +74,9 @@ def load_attributes(annotations: list, schema: dict[str, list[str]]) -> Attribut
     for entry in annotations:
         if not isinstance(entry, dict) or "image_id" not in entry:
             raise FormatError(f"malformed annotation entry: {entry!r}")
-        image_id = str(entry["image_id"])
+        image_id = entry["image_id"]
+        if not isinstance(image_id, str):
+            raise FormatError(f"annotation image id {image_id!r} is not a string")
         if image_id in records:
             raise DuplicateError(f"duplicate image id {image_id!r}")
         attrs = entry.get("attributes", {})

@@ -147,7 +147,8 @@ def _read(tp, value, what: str):
 _SYNTH_TAG = 201
 EVAL_TAG = 202
 
-SCENE_KINDS = ("lone", "pair", "stack_pair", "triple")
+SceneKind = Literal["lone", "pair", "stack_pair", "triple"]
+SCENE_KINDS: tuple[str, ...] = get_args(SceneKind)
 
 
 @dataclass(frozen=True)
@@ -167,16 +168,26 @@ class ContextSpec:
 
     `satellites` may co-occur on the anchor; `lone_extra` classes only
     ever appear alone; the rider of `stack` appears alone or on its
-    base, never directly on the anchor.
+    base, never directly on the anchor.  `kind_weights` are relative
+    draw weights of the scene kinds, none negative, with a finite sum
+    above 0; a kind they leave out is never drawn.
     """
 
     value: str
     anchor: int
     satellites: tuple[int, ...]
     stack: tuple[int, int] | None  # (base class, rider class)
-    kind_weights: dict[str, float]
+    kind_weights: dict[SceneKind, float]
     stack_bias: float = 0.25
     lone_extra: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        weights = self.kind_weights.values()
+        if any(w < 0 for w in weights) or not 0 < sum(weights) <= sys.float_info.max:
+            raise ValueError(
+                f"kind_weights of {self.value!r} are {self.kind_weights},"
+                " expected weights of at least 0 with a finite sum above 0"
+            )
 
 
 @dataclass(frozen=True)

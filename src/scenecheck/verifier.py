@@ -8,9 +8,10 @@ or a mean-margin threshold over the pair margins.
 
 A label map is labelled once into a Scene: its objects, their pair
 table and their shape histograms, at the fixed resolutions of
-`relations`.  `Scene.without(k)` derives the object-removal twin of a
-scene from it, with no re-labelling, and `derive_contradiction` picks the
-removed object by the seeded rule `corpus.generate_contradiction` shares;
+`relations`; `prepare` and `verify` build it with one helper.
+`Scene.without(k)` derives the object-removal twin of a scene from it,
+with no re-labelling, and `derive_contradiction` picks the removed
+object by the seeded rule `corpus.generate_contradiction` shares;
 `train_registry` and the `evaluate` command score prepared scenes and
 their twins.
 
@@ -18,8 +19,11 @@ A VerifierRegistry holds one global Detector (linear model,
 statistics and shape prototypes) plus one per context value; `verify`
 dispatches on the image's context attribute and falls back to the
 global detector whenever the context is missing, placeholder-valued,
-or untrained.  It takes a label grid, which it
-prepares with the registry's min_area, or a Scene prepared with it.
+or untrained.  It takes a label grid, which it labels with the
+registry's min_area, or a Scene prepared with it.  A grid is related and
+histogrammed only when it has a pair: with fewer than two objects its
+verdict is the abstention (not a contradiction, confidence 0.5) of
+`aggregate` on no margins, so nothing else is computed for it.
 
 Featurization and scoring are pure; training is single-threaded and
 fully determined by its inputs and seed.
@@ -130,13 +134,13 @@ def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
     return scene.without(k), scene.objects[k].class_id
 
 
-def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
-    """Label the grid once: objects, their pair table and their shape
-    histograms, at the fixed SHAPE_SAMPLES and SHAPE_BINS of `relations`.
+def _scene(grid: LabelGrid, objects: tuple[SceneObject, ...], min_area: int) -> Scene:
+    """The Scene of `grid` and the objects extracted from it with `min_area`:
+    their pair table and their shape histograms, at the fixed SHAPE_SAMPLES
+    and SHAPE_BINS of `relations`.
 
     The objects carry runs, not boundaries: `shape_histogram` traces
     their boundaries from `grid` and keeps only the histograms."""
-    objects = tuple(extract_objects(grid, min_area))
     return Scene(
         image_id=grid.image_id,
         objects=objects,
@@ -144,6 +148,13 @@ def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
         hists=shape_histogram(grid, objects),
         min_area=min_area,
     )
+
+
+def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
+    """Label the grid once into a Scene: objects, their pair table and their
+    shape histograms, whatever its object count, since the training
+    prototypes read the histograms of one-object scenes too."""
+    return _scene(grid, tuple(extract_objects(grid, min_area)), min_area)
 
 
 @dataclass(frozen=True)
@@ -433,25 +444,32 @@ def verify(
 ) -> Verdict:
     """Verify one label map, dispatching to the context-specific detector.
 
-    A LabelGrid is prepared with the registry's min_area; a Scene must
-    have been prepared with that same min_area, or ValueError is raised.
+    A LabelGrid is labelled with the registry's min_area, and related and
+    histogrammed only when it has a pair: a map of fewer than two objects
+    goes straight to `aggregate` with no margins, which abstains.  A Scene
+    must have been prepared with that same min_area, or ValueError is
+    raised.
     """
+    image_id = scene.image_id
     if isinstance(scene, LabelGrid):
-        scene = prepare(scene, registry.min_area)
+        objects = tuple(extract_objects(scene, registry.min_area))
+        scene = _scene(scene, objects, registry.min_area) if len(objects) >= 2 else None
     elif scene.min_area != registry.min_area:
         raise ValueError(
             f"scene prepared with min_area {scene.min_area}, "
             f"registry uses {registry.min_area}"
         )
     label = registry.resolve(attributes)
-    detector = registry.global_detector if label == GLOBAL_LABEL else registry.models[label]
-    pairs = scene.pairs
-    X = featurize(pairs, scene.objects, scene.hists, detector.stats, detector.prototypes)
-    margins = score(detector.model, X)
-    pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins.tolist()))
+    margins, pair_scores = np.empty(0), ()
+    if scene is not None:
+        detector = registry.global_detector if label == GLOBAL_LABEL else registry.models[label]
+        pairs = scene.pairs
+        X = featurize(pairs, scene.objects, scene.hists, detector.stats, detector.prototypes)
+        margins = score(detector.model, X)
+        pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins.tolist()))
     contradiction, confidence = aggregate(margins, registry.aggregation_mode)
     return Verdict(
-        image_id=scene.image_id,
+        image_id=image_id,
         pair_scores=pair_scores,
         contradiction=contradiction,
         confidence=confidence,

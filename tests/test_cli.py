@@ -248,6 +248,7 @@ def test_every_document_reader_refuses_a_spoilt_document(readers, capsys, reader
 ATTRIBUTE_FAULTS = {
     "schema-value-a-string": "FormatError",
     "value-outside-the-schema": "SchemaError",
+    "image-id-a-number": "FormatError",
 }
 
 
@@ -258,6 +259,8 @@ def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
     doc = json.loads(path.read_text())
     if fault == "schema-value-a-string":
         doc["schema"]["location"] = "insideoutside"
+    elif fault == "image-id-a-number":
+        doc["annotations"][0]["image_id"] = 7
     else:
         for entry in doc["annotations"]:
             entry["attributes"]["location"] = "moon"

@@ -215,8 +215,26 @@ class TestSynthCorpus:
                 "shape holds 'elipse', expected one of ('rect', 'ellipse')",
             ),
             ("context", "stack_bais", 0.5, "contexts holds unknown keys ['stack_bais']"),
+            (
+                "context", "kind_weights", {"lonely": 1.0},
+                "kind_weights holds 'lonely',"
+                " expected one of ('lone', 'pair', 'stack_pair', 'triple')",
+            ),
+            (
+                "context", "kind_weights", {"lone": 0.0, "pair": 0.0},
+                "kind_weights of 'inside' are {'lone': 0.0, 'pair': 0.0}, expected weights of"
+                " at least 0 with a finite sum above 0",
+            ),
+            (
+                "context", "kind_weights", {"lone": 1.0, "pair": -0.5},
+                "kind_weights of 'inside' are {'lone': 1.0, 'pair': -0.5}, expected weights of"
+                " at least 0 with a finite sum above 0",
+            ),
         ],
-        ids=["height-a-string", "n_images-fractional", "shape-misspelt", "unknown-key"],
+        ids=[
+            "height-a-string", "n_images-fractional", "shape-misspelt", "unknown-key",
+            "kind-weights-unknown-key", "kind-weights-all-zero", "kind-weights-negative",
+        ],
     )
     def test_config_leaf_of_the_wrong_type_or_value_is_format_error(
         self, tmp_path, capsys, part, key, value, message

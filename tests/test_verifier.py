@@ -39,6 +39,7 @@ from scenecheck import (
     train_registry,
     verify,
 )
+import scenecheck.verifier as verifier_module
 from scenecheck.corpus import EVAL_TAG, save_model
 from scenecheck.relations import SHAPE_BINS
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
@@ -411,6 +412,34 @@ class TestVerify:
         assert verdict.contradiction is False
         assert verdict.confidence == 0.5
         assert verdict.pair_scores == ()
+
+    @pytest.mark.parametrize("class_id", [2, 99], ids=["known-class", "class-the-stats-lack"])
+    def test_one_object_map_abstains_right_after_labelling(
+        self, small_experiment, monkeypatch, class_id
+    ):
+        # Nothing past labelling may run: each of these raises if called.
+        _, _, registry = small_experiment
+        for name in ("relations_for_objects", "shape_histogram", "featurize", "score"):
+
+            def refuse(*args, _name=name, **kwargs):
+                raise AssertionError(f"{_name} called for a one-object map")
+
+            monkeypatch.setattr(verifier_module, name, refuse)
+        margins_seen = []
+
+        def spy(margins, mode="majority"):
+            margins_seen.append(np.asarray(margins))
+            return aggregate(margins, mode)
+
+        monkeypatch.setattr(verifier_module, "aggregate", spy)
+        grid = grid_from_array(paint([(class_id, 4, 4, 6, 6)]), {class_id: "thing"})
+        assert len(extract_objects(grid, registry.min_area)) == 1
+        verdict = verify(grid, registry, {"location": "inside"})
+        assert verdict.contradiction is False
+        assert verdict.confidence == 0.5
+        assert verdict.pair_scores == ()
+        assert verdict.model_used == "inside"
+        assert len(margins_seen) == 1 and margins_seen[0].shape == (0,)
 
     def test_verdict_invariant_under_object_permutation(self, small_experiment):
         corpus, table, registry = small_experiment
