@@ -49,6 +49,7 @@ from .labelgrid import (
     SceneObject,
     extract_objects,
     grid_from_array,
+    label_maps,
     load_label_grid,
     parse_label_grid,
     trace_boundaries,
@@ -85,6 +86,7 @@ from .verifier import (
     derive_contradiction,
     featurize,
     prepare,
+    prepare_all,
     score,
     train_linear,
     train_registry,

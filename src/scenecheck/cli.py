@@ -39,9 +39,19 @@ from .corpus import (
     synth_corpus,
 )
 from .errors import SceneCheckError
-from .labelgrid import DEFAULT_MIN_AREA, extract_objects, load_label_grid
+# `extract_objects` stays bound here, though no command calls it by this
+# name: the benchmark's tracer wraps it at every scenecheck binding, and
+# its test expects this one.
+from .labelgrid import (  # noqa: F401
+    DEFAULT_MIN_AREA,
+    extract_objects,
+    grid_batches,
+    label_maps,
+    load_label_grid,
+)
+from .relations import relations_for_objects
 from .seeds import derive_seed
-from .stats import ALPHA_DEFAULT
+from .stats import ALPHA_DEFAULT, finalize
 from .verifier import (
     AGGREGATION_MODES,
     CONTRADICTIONS_PER_IMAGE,
@@ -51,7 +61,7 @@ from .verifier import (
     VerifierRegistry,
     build_stats,
     derive_contradiction,
-    prepare,
+    prepare_all,
     train_registry,
     verify,
 )
@@ -105,16 +115,24 @@ def cmd_build_stats(args) -> int:
     # Every document is read before the first file is written.
     context = _context_arg(args.context)
     groups = {} if context is None else partition_corpus(train_ids, corpus.attributes(), context)
-    scenes = {i: prepare(corpus.grid(i), args.min_area) for i in train_ids}
+    value_of = {image_id: value for value, ids in groups.items() for image_id in ids}
+
+    def observed():
+        """(context value, objects, pairs) of each train map: labelled and
+        related, with no boundary traced, since statistics read no shape."""
+        for batch in grid_batches(map(corpus.grid, train_ids)):
+            for grid, objects in zip(batch, label_maps(batch, args.min_area)):
+                yield value_of.get(grid.image_id), objects, relations_for_objects(grid, objects)
+
+    all_counts, counts = build_stats(observed(), corpus.class_map)
     out = Path(args.out)
-    save_model(out, build_stats(scenes.values(), corpus.class_map, args.alpha))
+    save_model(out, finalize(all_counts, args.alpha))
     written = [str(out)]
     for value in sorted(groups):
         if value == PLACEHOLDER:
             continue
         path = out.parent / f"{out.stem}.{value}{out.suffix}"
-        ids = sorted(groups[value])
-        save_model(path, build_stats([scenes[i] for i in ids], corpus.class_map, args.alpha))
+        save_model(path, finalize(counts[value], args.alpha))
         written.append(str(path))
     _print_json({"command": "build-stats", "written": written})
     return 0
@@ -124,11 +142,9 @@ def cmd_select_contexts(args) -> int:
     corpus = Corpus.load(args.corpus)
     table = corpus.attributes()
     labels: dict[str, Counter] = {}
-    for image_id in corpus.image_ids("train"):
-        grid = corpus.grid(image_id)
-        labels[image_id] = Counter(
-            o.class_id for o in extract_objects(grid, args.min_area)
-        )
+    for batch in grid_batches(map(corpus.grid, corpus.image_ids("train"))):
+        for grid, objects in zip(batch, label_maps(batch, args.min_area)):
+            labels[grid.image_id] = Counter(o.class_id for o in objects)
     report = score_attributes(
         table, labels, min_coverage=args.min_coverage, min_balance=args.min_balance
     )
@@ -248,11 +264,11 @@ def cmd_evaluate(args) -> int:
     context_attribute = registry.context_attribute
 
     log_rows = []
-    for idx, image_id in enumerate(corpus.image_ids("val")):
-        grid = corpus.grid(image_id)
+    val_ids = corpus.image_ids("val")
+    scenes = prepare_all(map(corpus.grid, val_ids), registry.min_area)
+    for idx, (image_id, scene) in enumerate(zip(val_ids, scenes)):
         record = table.record(image_id)
         context = record.get(context_attribute, PLACEHOLDER) if context_attribute else None
-        scene = prepare(grid, registry.min_area)
         variants = [(scene, False)]
         if len(scene.objects) >= 2:
             twin, _ = derive_contradiction(scene, derive_seed(args.seed, EVAL_TAG, idx))

@@ -47,7 +47,13 @@ from .errors import (
     SchemaError,
     VersionError,
 )
-from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, extract_objects, grid_from_array
+from .labelgrid import (
+    DEFAULT_MIN_AREA,
+    LabelGrid,
+    extract_objects,
+    grid_from_array,
+    load_label_grid,
+)
 from .relations import K_DIST, SHAPE_BINS, SHAPE_SAMPLES
 from .seeds import derive_seed
 from .stats import CooccurrenceModel, StatsBuilder, finalize
@@ -366,12 +372,7 @@ class Corpus:
         return self.root / "images" / f"{image_id}.lgrid"
 
     def grid(self, image_id: str) -> LabelGrid:
-        path = self.grid_path(image_id)
-        if not path.exists():
-            raise FormatError(f"image id {image_id!r} has no .lgrid file")
-        from .labelgrid import parse_label_grid
-
-        return parse_label_grid(path.read_text(), self.class_map, image_id=image_id)
+        return load_label_grid(self.grid_path(image_id), self.class_map)
 
     def attributes(self) -> AttributeTable:
         return read_attributes(self.root / "attributes.json")

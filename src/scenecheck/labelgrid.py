@@ -10,7 +10,9 @@ Components are labelled run by run, in the run-based two-scan family
 are found with numpy, runs of one class that are 8-adjacent across two
 consecutive rows are merged in a small union-find, and each component is
 rebuilt from its runs.  Extraction stops there: an object carries no
-boundary.
+boundary.  `label_maps` labels many maps in one such pass, over one
+array that stacks them with a background row after each; `grid_batches`
+cuts a stream of maps into stacks of bounded size.
 
 `trace_boundaries` Moore-traces the outer boundaries of given objects
 of a grid, for the shape histograms, with one table lookup per step, in
@@ -36,13 +38,17 @@ import functools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import FormatError, UnknownClassError
 
 DEFAULT_MIN_AREA = 25
+# Cells of one `label_maps` stack that `grid_batches` allows: about ten
+# maps of 48 x 64.  A larger stack saves little more per map and costs
+# memory in every array of the pass.
+_BATCH_CELLS = 1 << 15
 
 _INT32 = np.iinfo(np.int32)
 
@@ -242,11 +248,17 @@ def parse_label_grid(
 
 
 def load_label_grid(path: str | Path, class_map: Mapping[int, str]) -> LabelGrid:
+    """Read and parse the `.lgrid` file at `path`; the grid's image id is
+    the file's stem.  A file that cannot be read or is not UTF-8 text is
+    a one-line FormatError naming `path`, as is any parse error."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except FileNotFoundError:
-        raise FormatError(f"{path}: file not found") from None
+        text = path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        byte, at = exc.object[exc.start], exc.start
+        raise FormatError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {at}") from None
     return parse_label_grid(text, class_map, image_id=path.stem)
 
 
@@ -342,14 +354,57 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     Background (id 0) never yields objects.  Objects are listed in
     raster order of each kept component's first pixel, so extraction is
     deterministic for a given grid, and an object is known by its index
-    in the list.
+    in the list.  This is the batch of one of `label_maps`.
+    """
+    return label_maps([grid], min_area)[0]
+
+
+def grid_batches(grids: Iterable[LabelGrid]) -> Iterator[list[LabelGrid]]:
+    """Consecutive runs of `grids`, read lazily, each small enough for one
+    `label_maps` pass: its stack holds at most _BATCH_CELLS cells, padding
+    and separator rows included.  A map whose own stack exceeds the
+    budget is a batch alone."""
+    batch: list[LabelGrid] = []
+    rows = width = 0
+    for grid in grids:
+        rows += grid.height + 1
+        width = max(width, grid.width)
+        if batch and rows * width > _BATCH_CELLS:
+            yield batch
+            batch, rows, width = [], grid.height + 1, grid.width
+        batch.append(grid)
+    if batch:
+        yield batch
+
+
+def label_maps(
+    grids: Sequence[LabelGrid], min_area: int = DEFAULT_MIN_AREA
+) -> list[list[SceneObject]]:
+    """`extract_objects` of each of `grids`, from one labelling pass.
+
+    The maps are stacked into one array as wide as the widest map: each
+    map is padded on the right with background and followed by one
+    background row, so no run and no 8-adjacency joins two maps, and
+    every component lies in one map.  A single map is labelled in its
+    own cells, without a copy.  An object's rows are taken relative to
+    its map's first stack row before any sum is formed, so its runs,
+    bbox and centroid equal those of its map labelled alone, bit for bit.
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
-    w = grid.width
-    starts, stops, classes = _runs(grid.cells, w)
+    objects: list[list[SceneObject]] = [[] for _ in grids]
+    if len(grids) == 1:
+        cells, w = grids[0].cells, grids[0].width
+    else:
+        tops = np.cumsum([0] + [g.height + 1 for g in grids])  # each map's first stack row
+        w = max(g.width for g in grids)
+        stack = np.zeros((int(tops[-1]), w), dtype=np.int32)
+        for g, top in zip(grids, tops.tolist()):
+            stack[top : top + g.height, : g.width] = g.to_array()
+        cells = stack.reshape(-1)
+    starts, stops, classes = _runs(cells, w)
     if not len(starts):
-        return []
+        return objects
     roots = np.array(_run_roots(starts, stops, classes, w))
     lengths = stops - starts
     area = np.bincount(roots, weights=lengths, minlength=len(starts))
@@ -358,16 +413,21 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     order = np.argsort(roots, kind="stable")
     order = order[area[roots[order]] >= min_area]
     if not len(order):
-        return []
+        return objects
     sorted_roots = roots[order]
     is_first = np.append(True, sorted_roots[1:] != sorted_roots[:-1])
     first_run = np.flatnonzero(is_first)
     comp_roots = sorted_roots[first_run]
     run_starts, run_lengths = starts[order], lengths[order]
     run_rows, run_cols = np.divmod(run_starts, w)
+    run_ends = np.append(first_run[1:], len(order))
+    maps = [0] * len(first_run)  # the map of each component
+    if len(grids) > 1:
+        comp_map = np.searchsorted(tops, run_rows[first_run], side="right") - 1
+        run_rows -= np.repeat(tops[comp_map], run_ends - first_run)
+        maps = comp_map.tolist()
     run_c1 = run_cols + run_lengths
     runs = list(zip(run_rows.tolist(), run_cols.tolist(), run_c1.tolist()))
-    run_ends = np.append(first_run[1:], len(order))
     bbox_c0 = np.minimum.reduceat(run_cols, first_run).tolist()
     bbox_c1 = (np.maximum.reduceat(run_c1, first_run) - 1).tolist()
     bbox_r1 = run_rows[run_ends - 1].tolist()
@@ -381,10 +441,9 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[S
     counts = area[comp_roots].astype(np.int64).tolist()
     bbox_r0 = run_rows[first_run].tolist()
     run_lo, run_hi = first_run.tolist(), run_ends.tolist()
-    objects: list[SceneObject] = []
-    for k, root in enumerate(comp_roots.tolist()):
+    for k, (root, m) in enumerate(zip(comp_roots.tolist(), maps)):
         n = counts[k]
-        objects.append(
+        objects[m].append(
             SceneObject(
                 class_id=int(classes[root]),
                 pixel_count=n,

@@ -8,7 +8,8 @@ come out together as the columns of one PairTable, and
 decides, from two objects' pixel runs, whether they touch.  Per-object
 shape is summarized as a histogram of normalized boundary-to-centroid
 distances; a scene's histograms are the rows of one array, and its
-boundaries are traced only there.
+boundaries are traced only there.  `shape_histograms` bins the objects
+of many maps in one pass.
 
 Octants, and the shape samples of a batched scene, are computed with
 numpy over whole arrays.  Both are then cut into discrete codes and
@@ -23,6 +24,7 @@ All operations are pure functions and hold no shared state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -47,7 +49,7 @@ _DIAGONAL = math.hypot(1.0, 1.0)
 # last place, about 1e-15 on the octant sector and bin scales; a value
 # this close to an edge is recomputed with math.
 _EDGE_EPS = 1e-9
-# Scenes with at least this many objects get their shape histograms in one
+# Batches of at least this many objects get their shape histograms in one
 # batched pass; below it the batch's fixed cost outweighs what it saves.
 _BATCH_MIN = 3
 
@@ -120,27 +122,43 @@ def shape_histogram(grid: LabelGrid, objects: Sequence[SceneObject]) -> np.ndarr
     invariant under integer translation, so translated copies of an
     object produce bit-identical histograms.  The centroid is read from
     `obj.centroid`, which must be the mean pixel position, as
-    `extract_objects` sets it.
-
-    Scenes of `_BATCH_MIN` or more objects are computed in one pass over
-    all their boundaries, padded to one array, with `np.hypot` samples
-    and the `_hypot` fallback near bin edges; each object's histogram is
-    bit-identical to the one it gets on its own.
+    `extract_objects` sets it.  This is the batch of one of
+    `shape_histograms`.
     """
-    points, lengths = trace_boundaries(grid, objects)
-    if len(objects) < _BATCH_MIN:
+    return shape_histograms([grid], [objects])[0]
+
+
+def shape_histograms(
+    grids: Sequence[LabelGrid], objects: Sequence[Sequence[SceneObject]]
+) -> list[np.ndarray]:
+    """`shape_histogram(grids[i], objects[i])` of each map, binned together.
+
+    Each map's boundaries are traced in one `trace_boundaries` call.  A
+    batch of `_BATCH_MIN` or more objects, over all maps, is binned in
+    one `_batched_histograms` pass over all their boundaries, padded to
+    one array, with `np.hypot` samples and the `_hypot` fallback near
+    bin edges; smaller batches object by object.  Each object's
+    histogram is bit-identical either way, and whatever else is in the
+    batch.  The arrays returned are read-only views of one array.
+    """
+    traced = [trace_boundaries(g, objs) for g, objs in zip(grids, objects)]
+    flat = [o for objs in objects for o in objs]
+    points = np.concatenate([p for p, _ in traced])
+    lengths = np.concatenate([n for _, n in traced])
+    if len(flat) < _BATCH_MIN:
         ends = np.cumsum(lengths).tolist()
         hists = np.array(
             [
                 _one_histogram(o, points[e - n : e])
-                for o, n, e in zip(objects, lengths.tolist(), ends)
+                for o, n, e in zip(flat, lengths.tolist(), ends)
             ]
         )
-        hists = hists.reshape(len(objects), SHAPE_BINS)
+        hists = hists.reshape(len(flat), SHAPE_BINS)
     else:
-        hists = _batched_histograms(objects, points, lengths)
+        hists = _batched_histograms(flat, points, lengths)
     hists.flags.writeable = False
-    return hists
+    ends = itertools.accumulate(len(objs) for objs in objects)
+    return [hists[e - len(objs) : e] for objs, e in zip(objects, ends)]
 
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:

@@ -8,7 +8,10 @@ or a mean-margin threshold over the pair margins.
 
 A label map is labelled once into a Scene: its objects, their pair
 table and their shape histograms, at the fixed resolutions of
-`relations`; `prepare` and `verify` build it with one helper.
+`relations`; `prepare_all`, `prepare` and `verify` build it with one
+helper.  `prepare_all` labels a stream of maps in batches, one stacked
+labelling pass and one histogram pass per batch; `prepare` is its batch
+of one.
 `Scene.without(k)` derives the object-removal twin of a scene from it,
 with no re-labelling, and `derive_contradiction` picks the removed
 object by the seeded rule `corpus.generate_contradiction` shares;
@@ -32,8 +35,8 @@ fully determined by its inputs and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cache
-from typing import Iterable, Mapping, Sequence
+from functools import cache, reduce
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -45,10 +48,31 @@ from .errors import (
     NotEnoughObjectsError,
     SchemaError,
 )
-from .labelgrid import DEFAULT_MIN_AREA, LabelGrid, SceneObject, extract_objects
-from .relations import SHAPE_BINS, PairTable, relations_for_objects, shape_histogram
+from .labelgrid import (
+    DEFAULT_MIN_AREA,
+    LabelGrid,
+    SceneObject,
+    extract_objects,
+    grid_batches,
+    label_maps,
+)
+from .relations import (
+    SHAPE_BINS,
+    PairTable,
+    relations_for_objects,
+    shape_histogram,
+    shape_histograms,
+)
 from .seeds import derive_seed
-from .stats import ALPHA_DEFAULT, CooccurrenceModel, StatsBuilder, _Counts, accumulate, finalize
+from .stats import (
+    ALPHA_DEFAULT,
+    CooccurrenceModel,
+    StatsBuilder,
+    _Counts,
+    accumulate,
+    finalize,
+    merge,
+)
 
 FEATURE_NAMES = (
     "presence_prob",
@@ -134,27 +158,40 @@ def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
     return scene.without(k), scene.objects[k].class_id
 
 
-def _scene(grid: LabelGrid, objects: tuple[SceneObject, ...], min_area: int) -> Scene:
-    """The Scene of `grid` and the objects extracted from it with `min_area`:
-    their pair table and their shape histograms, at the fixed SHAPE_SAMPLES
-    and SHAPE_BINS of `relations`.
-
-    The objects carry runs, not boundaries: `shape_histogram` traces
-    their boundaries from `grid` and keeps only the histograms."""
+def _scene(
+    grid: LabelGrid, objects: Sequence[SceneObject], hists: np.ndarray, min_area: int
+) -> Scene:
+    """The Scene of `grid`, given the objects extracted from it with
+    `min_area` and their shape histograms; their pair table is made here."""
     return Scene(
         image_id=grid.image_id,
-        objects=objects,
+        objects=tuple(objects),
         pairs=relations_for_objects(grid, objects),
-        hists=shape_histogram(grid, objects),
+        hists=hists,
         min_area=min_area,
     )
 
 
+def prepare_all(grids: Iterable[LabelGrid], min_area: int = DEFAULT_MIN_AREA) -> Iterator[Scene]:
+    """`prepare` of each of `grids`, read lazily, in batches.
+
+    Each batch of `grid_batches` is labelled in one `label_maps` pass and
+    its shape histograms binned in one `shape_histograms` pass; each map
+    is then related alone.  Every Scene equals the one `prepare` gives.
+    """
+    for batch in grid_batches(grids):
+        objects = label_maps(batch, min_area)
+        for grid, objs, hists in zip(batch, objects, shape_histograms(batch, objects)):
+            yield _scene(grid, objs, hists, min_area)
+
+
 def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
     """Label the grid once into a Scene: objects, their pair table and their
-    shape histograms, whatever its object count, since the training
-    prototypes read the histograms of one-object scenes too."""
-    return _scene(grid, tuple(extract_objects(grid, min_area)), min_area)
+    shape histograms at the fixed SHAPE_SAMPLES and SHAPE_BINS of
+    `relations`, whatever its object count, since the training prototypes
+    read the histograms of one-object scenes too.  The batch of one of
+    `prepare_all`."""
+    return next(prepare_all([grid], min_area))
 
 
 @dataclass(frozen=True)
@@ -452,8 +489,12 @@ def verify(
     """
     image_id = scene.image_id
     if isinstance(scene, LabelGrid):
-        objects = tuple(extract_objects(scene, registry.min_area))
-        scene = _scene(scene, objects, registry.min_area) if len(objects) >= 2 else None
+        objects = extract_objects(scene, registry.min_area)
+        scene = (
+            _scene(scene, objects, shape_histogram(scene, objects), registry.min_area)
+            if len(objects) >= 2
+            else None
+        )
     elif scene.min_area != registry.min_area:
         raise ValueError(
             f"scene prepared with min_area {scene.min_area}, "
@@ -478,13 +519,22 @@ def verify(
 
 
 def build_stats(
-    scenes: Iterable[Scene], classes: Iterable[int], alpha: float = ALPHA_DEFAULT
-) -> CooccurrenceModel:
-    """Co-occurrence statistics of prepared scenes over the class universe `classes`."""
-    builder = StatsBuilder.for_classes(classes)
-    for scene in scenes:
-        accumulate(builder, scene.objects, scene.pairs)
-    return finalize(builder, alpha)
+    scenes: Iterable[tuple[str | None, Sequence[SceneObject], PairTable]], classes: Iterable[int]
+) -> tuple[StatsBuilder, dict[str | None, StatsBuilder]]:
+    """Co-occurrence counts of scenes, given as (context value, objects, pairs
+    of the objects), over the class universe `classes`.
+
+    Each scene is folded once, into the builder of its context value.
+    Returns the counts of all scenes, the `merge` of those builders, and
+    the builders by value.
+    """
+    classes = tuple(classes)
+    builders: dict[str | None, StatsBuilder] = {}
+    for value, objects, pairs in scenes:
+        if value not in builders:
+            builders[value] = StatsBuilder.for_classes(classes)
+        accumulate(builders[value], objects, pairs)
+    return reduce(merge, builders.values(), StatsBuilder.for_classes(classes)), builders
 
 
 def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray:
@@ -517,17 +567,32 @@ def train_registry(
     object-removal twins as contradiction examples (one image-level
     label shared by all pairs of a scene).  Context values with fewer
     than `n_min` train images get no model and fall back to global.
-    Raises SchemaError when the context attribute takes the value
-    GLOBAL_LABEL, which would name the global detector.
+    Each train scene is counted once, into the statistics of its context
+    value (placeholder and values below `n_min` included), and the
+    global statistics are the merge of those.  Raises SchemaError when
+    the context attribute takes the value GLOBAL_LABEL, which would name
+    the global detector.
     """
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
         raise EmptyCorpusError("train split is empty")
 
+    groups: dict[str, list[str]] = {}
+    if context_attribute is not None:
+        if attribute_table is None:
+            raise ValueError("context training requires an attribute table")
+        groups = partition_corpus(train_ids, attribute_table, context_attribute)
+        if GLOBAL_LABEL in groups:
+            raise SchemaError(
+                f"context attribute {context_attribute!r} takes the value "
+                f"{GLOBAL_LABEL!r}, which names the global detector"
+            )
+    value_of = {image_id: value for value, ids in groups.items() for image_id in ids}
+
     scenes: dict[str, Scene] = {}
     twins: dict[str, list[Scene]] = {}
-    for idx, image_id in enumerate(train_ids):
-        scene = prepare(corpus.grid(image_id), min_area)
+    grids = map(corpus.grid, train_ids)
+    for idx, (image_id, scene) in enumerate(zip(train_ids, prepare_all(grids, min_area))):
         scenes[image_id] = scene
         twins[image_id] = (
             [
@@ -538,24 +603,18 @@ def train_registry(
             else []
         )
 
-    scopes: list[tuple[str, list[str]]] = [(GLOBAL_LABEL, train_ids)]
-    if context_attribute is not None:
-        if attribute_table is None:
-            raise ValueError("context training requires an attribute table")
-        groups = partition_corpus(train_ids, attribute_table, context_attribute)
-        if GLOBAL_LABEL in groups:
-            raise SchemaError(
-                f"context attribute {context_attribute!r} takes the value "
-                f"{GLOBAL_LABEL!r}, which names the global detector"
-            )
-        for value in sorted(groups):
-            if value != PLACEHOLDER and len(groups[value]) >= n_min:
-                scopes.append((value, sorted(groups[value])))
+    all_counts, counts = build_stats(
+        ((value_of.get(i), s.objects, s.pairs) for i, s in scenes.items()), corpus.class_map
+    )
+    scopes: list[tuple[str, list[str], StatsBuilder]] = [(GLOBAL_LABEL, train_ids, all_counts)]
+    for value in sorted(groups):
+        if value != PLACEHOLDER and len(groups[value]) >= n_min:
+            scopes.append((value, sorted(groups[value]), counts[value]))
 
     trained: dict[str, Detector] = {}
-    for scope_idx, (label, ids) in enumerate(scopes):
+    for scope_idx, (label, ids, scope_counts) in enumerate(scopes):
         scope_scenes = [scenes[i] for i in ids]
-        scope_stats = build_stats(scope_scenes, corpus.class_map, alpha)
+        scope_stats = finalize(scope_counts, alpha)
         protos = _prototypes_for(scope_scenes, scope_stats)
         features: list[np.ndarray] = []
         labels: list[int] = []

@@ -22,6 +22,7 @@ from scenecheck import (
     synth_corpus,
     verify,
 )
+from scenecheck import relations
 from scenecheck.cli import build_parser, main
 from scenecheck.context import MIN_BALANCE_DEFAULT, MIN_COVERAGE_DEFAULT
 from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams
@@ -129,14 +130,23 @@ class TestBuildStats:
         doc = json.loads(out.read_text())
         assert doc["kind"] == "cooccurrence_model"
 
-    def test_statistics_equal_the_trained_registry(self, pipeline, tmp_path):
+    def test_statistics_equal_the_trained_registry(self, pipeline, tmp_path, monkeypatch):
         _, corpus_dir, registry_path = pipeline
         out = tmp_path / "stats.json"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("build-stats traced a boundary, but statistics read no shape")
+
+        monkeypatch.setattr(relations, "trace_boundaries", refuse)
         assert main(["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]) == 0
         registry = load_model(registry_path)
-        assert load_model(out) == registry.global_detector.stats
-        for value in ("inside", "outside"):
-            assert load_model(tmp_path / f"stats.{value}.json") == registry.models[value].stats
+        for path, stats in [
+            (out, registry.global_detector.stats),
+            *((tmp_path / f"stats.{v}.json", registry.models[v].stats) for v in registry.models),
+        ]:
+            assert load_model(path) == stats
+            save_model(tmp_path / "resaved.json", stats)
+            assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
 
     @pytest.mark.parametrize("name", ["classes.json", "splits.json"])
@@ -472,6 +482,30 @@ class TestVerifyCommand:
         code = main(["verify", str(registry_path), "/nonexistent/image.lgrid"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("fault", ["missing", "a-directory", "not-utf-8"])
+@pytest.mark.parametrize("command", ["select-contexts", "verify"])
+def test_unreadable_label_map_is_one_line_format_error(
+    pipeline, tmp_path, capsys, command, fault
+):
+    # select-contexts reads the map through Corpus.grid, verify through load_label_grid.
+    _, _, registry_path = pipeline
+    corpus = tmp_path / "corpus"
+    synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus)
+    image = corpus / "images" / f"{Corpus.load(corpus).image_ids('train')[1]}.lgrid"
+    image.unlink()
+    if fault == "a-directory":
+        image.mkdir()
+    elif fault == "not-utf-8":
+        image.write_bytes(b"\xff\xfe2 2\n0 0\n0 0\n")
+    argv = {
+        "select-contexts": ["select-contexts", str(corpus), "-o", str(tmp_path / "c.json")],
+        "verify": ["verify", str(registry_path), str(image)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: {image}: ") and err.count("\n") == 1
 
 
 def _leaf_paths(node, path=()):

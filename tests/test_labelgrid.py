@@ -19,8 +19,10 @@ from scenecheck import (
     contact,
     extract_objects,
     grid_from_array,
+    label_maps,
     parse_label_grid,
 )
+from scenecheck.labelgrid import _BATCH_CELLS, grid_batches
 
 from conftest import blob_grid, boundary, pixels
 
@@ -364,6 +366,56 @@ def _component_oracle(arr, min_area):
             if len(comp) >= min_area:
                 out.add((int(cls), tuple(sorted(comp))))
     return out
+
+
+def _stack_cells(batch):
+    """Cells of the `label_maps` stack of `batch`: one background row after
+    each map, all as wide as the widest."""
+    return sum(g.height + 1 for g in batch) * max(g.width for g in batch)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_label_arrays(), min_size=1, max_size=6), st.sampled_from((1, 3)))
+@example([np.zeros((1, 1), np.int32), np.array([[2]], np.int32), np.zeros((3, 5), np.int32)], 1)
+# One class touching the stack's right edge, then the next map's first row
+# below it: only the background row keeps the two apart.
+@example([np.ones((2, 2), np.int32), np.ones((1, 3), np.int32), np.ones((2, 1), np.int32)], 1)
+@example([np.array([[0, 3]], np.int32), np.array([[3, 0, 0]], np.int32)], 1)
+def test_label_maps_equal_each_map_labelled_alone(arrays, min_area):
+    grids = [grid_from_array(a, {1: "a", 2: "b", 3: "c"}) for a in arrays]
+    batched = label_maps(grids, min_area)
+    assert len(batched) == len(grids)
+    for arr, grid, objects in zip(arrays, grids, batched):
+        alone = extract_objects(grid, min_area)
+        assert objects == alone  # class, pixel count, centroid, bbox and runs
+        bits = [(o.centroid[0].hex(), o.centroid[1].hex()) for o in objects]
+        assert bits == [(o.centroid[0].hex(), o.centroid[1].hex()) for o in alone]
+        assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
+
+
+def test_grid_batches_read_lazily_and_fill_each_stack_up_to_the_budget():
+    side = int(_BATCH_CELLS**0.5) + 1  # a map whose own stack exceeds the budget
+    shapes = [(48, 64)] * 12 + [(side, side), (1, 1), (3, 200), (48, 64), (1, 1)]
+    grids = [grid_from_array(np.zeros(s, np.int32), {}, str(i)) for i, s in enumerate(shapes)]
+    read = []
+
+    def source():
+        for grid in grids:
+            read.append(grid)
+            yield grid
+
+    batches = grid_batches(source())
+    first = next(batches)
+    assert read == grids[: len(first) + 1]  # the map that did not fit, and no further
+    batches = [first, *batches]
+    assert [g for batch in batches for g in batch] == grids
+    assert [g.image_id for g in grids if (g.height, g.width) == (side, side)] in [
+        [g.image_id for g in batch] for batch in batches
+    ]
+    for batch, after in zip(batches, batches[1:]):
+        assert len(batch) == 1 or _stack_cells(batch) <= _BATCH_CELLS
+        assert _stack_cells(batch + after[:1]) > _BATCH_CELLS
+    assert max(len(batch) for batch in batches) > 1
 
 
 class TestBoundary:

@@ -15,7 +15,9 @@ from scenecheck import (
     generate_contradiction,
     grid_from_array,
     prepare,
+    prepare_all,
 )
+from scenecheck.labelgrid import _BATCH_CELLS, grid_batches
 from scenecheck.relations import SHAPE_BINS
 
 from conftest import pixels, random_blob_array
@@ -150,3 +152,52 @@ def test_hists_are_one_read_only_row_per_object(rects):
         assert not s.hists.flags.writeable
         with pytest.raises(ValueError):
             s.hists[...] = 0.0
+
+
+def assert_prepare_all_equals_prepare(grids, min_area):
+    """`prepare_all` yields `prepare` of each map, read-only histograms and all,
+    or raises where `prepare` of some map does."""
+    try:
+        want = [prepare(grid, min_area) for grid in grids]
+    except DegeneratePairError:
+        with pytest.raises(DegeneratePairError):
+            list(prepare_all(iter(grids), min_area))
+        return
+    got = list(prepare_all(iter(grids), min_area))
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert_same_scene(g, w)
+        assert not g.hists.flags.writeable
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(maps, st.integers(1, 20), st.integers(1, 24)), min_size=1, max_size=6),
+       st.sampled_from([1, 3]))
+def test_prepare_all_equals_prepare_of_each_map(crops, min_area):
+    arrays = [arr[:h, :w] for arr, h, w in crops]
+    grids = [grid_from_array(a, CLASS_MAP, image_id=f"m{i}") for i, a in enumerate(arrays)]
+    assert_prepare_all_equals_prepare(grids, min_area)
+
+
+def test_prepare_all_equals_prepare_across_the_cell_budget():
+    rng = np.random.default_rng(11)
+    side = int(_BATCH_CELLS**0.5) + 1  # a map whose own stack exceeds the budget
+    arrays = []
+    for shape in [(48, 64)] * 12 + [(side, side), (1, 1), (48, 64), (9, 30)]:
+        arr = np.zeros(shape, np.int32)
+        for r in range(0, shape[0] - 19, 24):
+            for c in range(0, shape[1] - 23, 28):
+                n = int(rng.integers(0, 4))
+                blobs = [
+                    (int(rng.integers(1, 4)), int(rng.integers(0, 12)), int(rng.integers(0, 16)),
+                     int(rng.integers(2**32)))
+                    for _ in range(n)
+                ]
+                arr[r : r + 20, c : c + 24] = paint_blobs(blobs)
+        arrays.append(arr)
+    grids = [grid_from_array(a, CLASS_MAP, image_id=f"m{i}") for i, a in enumerate(arrays)]
+    batches = list(grid_batches(grids))
+    assert 1 < len(batches[0]) < 12  # the 48 x 64 maps fill more than one stack
+    assert [grids[12]] in batches  # the large map, alone
+    assert sum(len(prepare(g, 3).objects) for g in grids) > 50
+    assert_prepare_all_equals_prepare(grids, 3)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from scenecheck import (
+    AttributeTable,
     DegeneratePairError,
     DegenerateTrainingError,
     Detector,
@@ -544,6 +545,37 @@ class TestTrainRegistry:
         corpus, table = synth_corpus(config, tmp_path / "corpus")
         with pytest.raises(SchemaError, match="'global'"):
             train_registry(corpus, table, "location", seed=8)
+
+    @pytest.mark.parametrize("n_min", [20, 1000], ids=["contexts", "all-below-n-min"])
+    def test_each_train_scene_is_counted_once(self, tmp_path, monkeypatch, n_min):
+        config = default_synthetic_config(n_images=60, seed=8)
+        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        train_ids = corpus.image_ids("train")
+        # Every fifth train image is unannotated, so its value is the placeholder.
+        records = {k: v for k, v in table.records.items() if k not in train_ids[::5]}
+        table = AttributeTable(table.schema, records)
+        folded = []
+
+        def spy(builder, objects, pairs):
+            folded.append(builder)
+            return accumulate(builder, objects, pairs)
+
+        monkeypatch.setattr(verifier_module, "accumulate", spy)
+        registry = train_registry(corpus, table, "location", seed=8, n_min=n_min)
+        assert len(folded) == len(train_ids)
+        assert len({id(b) for b in folded}) == 3  # inside, outside and the placeholder
+        assert len(registry.models) == (2 if n_min == 20 else 0)
+        # Each scope's statistics equal its scenes folded one by one into one builder.
+        scenes = {i: prepare(corpus.grid(i)) for i in train_ids}
+        scopes = [(GLOBAL_LABEL, train_ids)] + [
+            (v, [i for i in train_ids if table.value(i, "location") == v]) for v in registry.models
+        ]
+        for label, ids in scopes:
+            builder = StatsBuilder.for_classes(corpus.class_map)
+            for i in ids:
+                accumulate(builder, scenes[i].objects, scenes[i].pairs)
+            detector = registry.models.get(label, registry.global_detector)
+            assert detector.stats == finalize(builder)
 
     def test_training_is_deterministic(self, tmp_path):
         config = default_synthetic_config(n_images=60, seed=21)
