@@ -211,6 +211,33 @@ class SyntheticConfig:
     placeholder_rate: float = 0.01
     train_fraction: float = 0.7
 
+    def __post_init__(self) -> None:
+        """Every class id is at least 1, since 0 is the background, and
+        names one class; every class a context places is one of them."""
+        names: dict[int, str] = {}
+        for c in self.classes:
+            if c.class_id < 1:
+                raise ValueError(
+                    f"class_id {c.class_id} of {c.name!r} is below 1 (0 is background)"
+                )
+            if c.class_id in names:
+                raise ValueError(
+                    f"class_id {c.class_id} is given to both {names[c.class_id]!r} and {c.name!r}"
+                )
+            names[c.class_id] = c.name
+        for ctx in self.contexts:
+            placed = {
+                "anchor": (ctx.anchor,), "satellites": ctx.satellites,
+                "stack": ctx.stack or (), "lone_extra": ctx.lone_extra,
+            }
+            for key, ids in placed.items():
+                for class_id in ids:
+                    if class_id not in names:
+                        raise ValueError(
+                            f"{key} of context {ctx.value!r} names class {class_id}, which no"
+                            " class has"
+                        )
+
     def class_map(self) -> dict[int, str]:
         return {c.class_id: c.name for c in self.classes}
 

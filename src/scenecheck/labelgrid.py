@@ -1,7 +1,10 @@
 """Label-map parsing, scene-object extraction and boundary tracing.
 
 A label grid is a per-pixel assignment of semantic class ids (0 denotes
-background), held as a read-only row-major `int32` array.  Scene objects
+background), held as a read-only row-major `int32` array.  The `.lgrid`
+text of one is read in one numpy pass over its bytes when it is in the
+plain form `to_text` writes, and line by line otherwise; `to_text`
+renders from one token per distinct cell value.  Scene objects
 are 8-connected same-class components with geometric summaries: pixel
 count, centroid, bounding box and the component's horizontal runs.
 
@@ -76,8 +79,6 @@ def _next_table() -> tuple[int, ...]:
 _NEXT = _next_table()
 
 _INT_TOKEN = re.compile(r"[+-]?[0-9]+")
-# Powers of ten that start a new decimal digit count: 10, 100, ...
-_DIGIT_STEPS = 10 ** np.arange(1, 10, dtype=np.int64)
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
@@ -148,23 +149,20 @@ class LabelGrid:
     def to_text(self) -> str:
         """Render back to the `.lgrid` text format.
 
-        The body is assembled as ASCII bytes with numpy: each cell's
-        decimal digits are written right to left into its slot, followed
-        by a space or, at the end of a row, a newline.
+        The body is assembled as ASCII bytes with numpy from a table of
+        two tokens per distinct cell value, its digits followed by a
+        space or by a newline, NUL-padded to one width: each cell takes
+        its value's token, the newline one at the end of a row, and the
+        padding is dropped.
         """
-        values = self.cells.astype(np.int64)
-        negative = values < 0
-        magnitude = np.abs(values)
-        n_digits = 1 + np.searchsorted(_DIGIT_STEPS, magnitude, side="right")
-        ends = np.cumsum(n_digits + negative + 1)  # one past each cell's separator
-        buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
-        buf[ends[self.width - 1 :: self.width] - 1] = ord("\n")
-        last_digit = ends - 2
-        for k in range(int(n_digits.max())):
-            sel = n_digits > k
-            buf[last_digit[sel] - k] = ord("0") + (magnitude[sel] // 10**k) % 10
-        buf[(last_digit - n_digits)[negative]] = ord("-")
-        return f"{self.height} {self.width}\n" + buf.tobytes().decode("ascii")
+        values = _distinct(self.cells)
+        tokens = [str(v) for v in values.tolist()]
+        table = np.array([t + " " for t in tokens] + [t + "\n" for t in tokens], dtype=bytes)
+        pick = np.searchsorted(values, self.cells).reshape(self.height, self.width)
+        pick[:, -1] += len(values)
+        chars = table.view(f"V{table.itemsize}").take(pick.ravel()).view(np.uint8)
+        body = chars.compress(chars != 0).tobytes().decode("ascii")
+        return f"{self.height} {self.width}\n" + body
 
 
 @dataclass(frozen=True)
@@ -184,51 +182,98 @@ class SceneObject:
     runs: tuple[tuple[int, int, int], ...] = field(repr=False)
 
 
-def _digits_and_spaces(s: str) -> bool:
-    return s.isascii() and not s.encode().translate(None, b"0123456789 ")
+def _general_cells(rows: list[str], width: int) -> np.ndarray:
+    """The cell rows of any accepted text as one int64 array.
 
-
-def _parse_cells(rows: list[str], width: int) -> np.ndarray:
-    """Convert the cell rows to one int64 array in a single numpy call.
-
-    Plain rows (ASCII digits and spaces) take a fast path: a row holds at
-    most its space count + 1 tokens, so when every row has `width - 1`
-    spaces and numpy reads `rows * width` values back, every row holds
-    exactly `width` tokens.  Other text is split on whitespace first and,
-    when it holds anything but digits, checked token by token, because
+    Rows are split on whitespace and every token is checked against
+    `_INT_TOKEN` before one `np.fromstring` call reads them, because
     `np.fromstring` reads a lone sign as 0.
     """
-    flat = " ".join(rows)
-    if _digits_and_spaces(flat) and all(ln.count(" ") == width - 1 for ln in rows):
-        values = np.fromstring(flat, dtype=np.int64, sep=" ")
-        if values.size == len(rows) * width:
-            return values
     tokens: list[str] = []
     for ln in rows:
         row = ln.split()
         if len(row) != width:
             raise FormatError(f"ragged row: expected {width} tokens, got {len(row)}")
         tokens += row
-    flat = " ".join(tokens)
-    if not _digits_and_spaces(flat):
-        bad = next((t for t in tokens if not _INT_TOKEN.fullmatch(t)), None)
-        if bad is not None:
-            raise FormatError(f"non-integer cell token {bad!r}")
-    values = np.fromstring(flat, dtype=np.int64, sep=" ")
+    bad = next((t for t in tokens if not _INT_TOKEN.fullmatch(t)), None)
+    if bad is not None:
+        raise FormatError(f"non-integer cell token {bad!r}")
+    values = np.fromstring(" ".join(tokens), dtype=np.int64, sep=" ")
     if values.min() < 0:
         raise FormatError(f"negative cell value {values.min()}")
     return values
 
 
+def _plain_cells(body: bytes, height: int, width: int) -> np.ndarray | None:
+    """The cells of a plain body as a read-only int32 array, or None when
+    `body` is not plain.
+
+    A plain body is `height` rows of `width` tokens of 1 to 9 ASCII
+    digits, one space between tokens and a newline after each row (the
+    last one optional).  Every byte that is not a digit is a separator,
+    and a newline is put in front so that each token follows one.  The
+    body is plain when there are `height * width` separators after that
+    one, each row's last a newline and the others spaces, and no token
+    is empty or longer than 9 digits, so every value fits in int32.  A
+    token's value is the sum, over its digit positions counted from its
+    end, of digit times power of ten: one numpy step per position.
+    """
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    buf = np.frombuffer(b"\n" + body, dtype=np.uint8)
+    digits = buf - np.uint8(ord("0"))  # a byte that is not a digit wraps to 10 or more
+    seps = np.flatnonzero(digits > 9)
+    ends = seps[1:]  # one past each token
+    if ends.size != height * width:
+        return None
+    # With each row's last separator a newline, the other separators are
+    # all spaces when the body holds exactly that many spaces.
+    if not (buf[ends[width - 1 :: width]] == ord("\n")).all() or (
+        np.count_nonzero(buf == ord(" ")) != height * (width - 1)
+    ):
+        return None
+    lengths = ends - seps[:-1] - 1
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > 9:
+        return None
+    values = digits[ends - 1].astype(np.int32)
+    for k in range(1, longest):
+        wide = np.flatnonzero(lengths > k)
+        values[wide] += digits[ends[wide] - 1 - k] * np.int32(10**k)
+    values.flags.writeable = False
+    return values
+
+
+_PLAIN_HEADER = re.compile(rb"([1-9][0-9]*) ([1-9][0-9]*)\n")
+
+
 def parse_label_grid(
-    text: str, class_map: Mapping[int, str], image_id: str = ""
+    text: str | bytes, class_map: Mapping[int, str], image_id: str = ""
 ) -> LabelGrid:
-    """Parse the `.lgrid` text format.
+    """Parse the `.lgrid` text format, given as a str or as UTF-8 bytes.
 
     First line is "height width"; each of the following `height` lines
     holds `width` whitespace-separated non-negative integers, each an
     optional sign followed by ASCII digits.
+
+    A plain text, ASCII with a header of two decimal integers from 1 up,
+    without leading zeros, one space between them and a newline after,
+    then a plain body (see `_plain_cells`), is decoded from its bytes in
+    a fixed number of whole-array numpy steps.  Any other text (CRLF,
+    tabs, repeated spaces, blank lines, signs, tokens of 10 or more
+    digits, non-ASCII) takes the general path, which reads it line by
+    line and raises every parse error; the two paths give equal grids.
     """
+    if isinstance(text, str) and text.isascii():
+        text = text.encode()
+    head = _PLAIN_HEADER.match(text) if isinstance(text, bytes) else None
+    if head:
+        height, width = int(head[1]), int(head[2])
+        cells = _plain_cells(text[head.end() :], height, width)
+        if cells is not None:
+            return LabelGrid(image_id, height, width, cells, dict(class_map))
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty label grid text")
@@ -243,23 +288,29 @@ def parse_label_grid(
         raise FormatError(f"grid must be at least 1x1, got {height}x{width}")
     if len(lines) - 1 != height:
         raise FormatError(f"expected {height} rows, got {len(lines) - 1}")
-    cells = _parse_cells(lines[1:], width)
+    cells = _general_cells(lines[1:], width)
     return LabelGrid(image_id, height, width, cells, dict(class_map))
 
 
 def load_label_grid(path: str | Path, class_map: Mapping[int, str]) -> LabelGrid:
     """Read and parse the `.lgrid` file at `path`; the grid's image id is
-    the file's stem.  A file that cannot be read or is not UTF-8 text is
-    a one-line FormatError naming `path`, as is any parse error."""
+    the file's stem.  The parser gets the file's bytes, so a plain file
+    is never decoded.  A file that cannot be read or is not UTF-8 text
+    is a one-line FormatError naming `path`, and a parse error
+    (FormatError or UnknownClassError) is re-raised with `path` in
+    front."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
+    try:
+        return parse_label_grid(data, class_map, image_id=path.stem)
     except UnicodeDecodeError as exc:
         byte, at = exc.object[exc.start], exc.start
         raise FormatError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {at}") from None
-    return parse_label_grid(text, class_map, image_id=path.stem)
+    except (FormatError, UnknownClassError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def grid_from_array(

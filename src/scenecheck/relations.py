@@ -163,7 +163,7 @@ def shape_histograms(
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """Elementwise `math.hypot` of two 1-D arrays: pair distances, and the
-    shape samples of an object alone or of a batched row near a bin edge."""
+    shape samples of an object alone or of the batched rows near a bin edge."""
     return np.fromiter(map(math.hypot, dr.tolist(), dc.tolist()), np.float64, len(dr))
 
 
@@ -233,7 +233,8 @@ def _batched_histograms(
     k = len(objects)
     starts = np.cumsum(lengths) - lengths
     width = int(lengths.max()) + 1
-    points = points - np.repeat(np.array([o.bbox[:2] for o in objects]), lengths, axis=0)
+    corners = np.array([o.bbox[:2] for o in objects])
+    points = points - np.repeat(corners, lengths, axis=0)
     # closed[0] holds the rows and closed[1] the columns, one object per row.
     closed = np.empty((2, k, width))
     closed[:] = points[starts].T[:, :, None]
@@ -247,15 +248,24 @@ def _batched_histograms(
     cum = np.zeros((k, width))
     np.cumsum(seg, axis=1, out=cum[:, 1:])
     targets = np.arange(SHAPE_SAMPLES) * (cum[:, -1:] / SHAPE_SAMPLES)
+    # One search over all rows: complex numbers order by real part, then
+    # imaginary part, so keys of row index plus arc length times 1j sort
+    # row by row, and a target is placed among its own row's arc lengths
+    # exactly as a search in that row alone would place it.
     # Every target lies in [0, total), so idx lies in [0, length - 1].
-    idx = np.array([np.searchsorted(c, t, side="right") for c, t in zip(cum, targets)]) - 1
+    rows = np.arange(k)[:, None]
+    idx = np.searchsorted((rows + 1j * cum).ravel(), (rows + 1j * targets).ravel(), side="right")
+    idx = idx.reshape(k, SHAPE_SAMPLES) - rows * width - 1
     frac = (targets - np.take_along_axis(cum, idx, 1)) / np.take_along_axis(seg, idx, 1)
     at = idx + np.arange(0, k * width, width)[:, None]  # into closed[0] and closed[1] flat
     rc = closed.reshape(2, -1)
     p, q = rc[:, at], rc[:, at + 1]
     r = p[0] + frac * (q[0] - p[0])
     c = p[1] + frac * (q[1] - p[1])
-    centroids = np.array([_relative_centroid(o) for o in objects])
+    # `_relative_centroid` of every object: np.rint rounds half to even as round does.
+    n = np.array([o.pixel_count for o in objects], dtype=np.float64)[:, None]
+    centroids = np.array([o.centroid for o in objects])
+    centroids = (np.rint(centroids * n) - n * corners) / n
     r -= centroids[:, :1]
     c -= centroids[:, 1:]
     samples = np.hypot(r, c)
@@ -268,10 +278,9 @@ def _batched_histograms(
     # sample lies below 0, and the row's maximum scales to SHAPE_BINS
     # exactly either way, as does every sample of a single pixel.
     inner = np.clip(scaled, 0.5, SHAPE_BINS - 0.5)
-    near = (np.abs(inner - np.rint(inner)) < _EDGE_EPS).any(axis=1)
-    for i in np.flatnonzero(near).tolist():
-        exact = _hypot(r[i], c[i])
-        scaled[i] = exact / exact.max() * SHAPE_BINS
+    near = np.flatnonzero((np.abs(inner - np.rint(inner)) < _EDGE_EPS).any(axis=1))
+    exact = _hypot(r[near].ravel(), c[near].ravel()).reshape(len(near), SHAPE_SAMPLES)
+    scaled[near] = exact / exact.max(axis=1, keepdims=True) * SHAPE_BINS
     bins = np.minimum(scaled.astype(np.int64), SHAPE_BINS - 1)
     bins += np.arange(0, k * SHAPE_BINS, SHAPE_BINS)[:, None]
     counts = np.bincount(bins.ravel(), minlength=k * SHAPE_BINS).reshape(k, SHAPE_BINS)

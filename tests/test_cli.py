@@ -484,28 +484,57 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.startswith("error:")
 
 
-@pytest.mark.parametrize("fault", ["missing", "a-directory", "not-utf-8"])
+def _fault_text(text, fault):
+    """`text`, a map's `.lgrid` text, with `fault` put into its first row."""
+    lines = text.splitlines()
+    first = lines[1].split(" ")
+    if fault == "ragged-row":
+        del first[-1]
+    else:
+        first[0] = {"bad-token": "x", "unknown-class": "99"}[fault]
+    lines[1] = " ".join(first)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        ("missing", "FormatError", "cannot read: "),
+        ("a-directory", "FormatError", "cannot read: "),
+        ("not-utf-8", "FormatError", "not UTF-8 text: byte 0xff at offset 0"),
+        ("ragged-row", "FormatError", "ragged row: expected 64 tokens, got 63"),
+        ("bad-token", "FormatError", "non-integer cell token 'x'"),
+        ("unknown-class", "UnknownClassError", "class id 99 missing from class map"),
+    ],
+    ids=["missing", "a-directory", "not-utf-8", "ragged-row", "bad-token", "unknown-class"],
+)
 @pytest.mark.parametrize("command", ["select-contexts", "verify"])
 def test_unreadable_label_map_is_one_line_format_error(
-    pipeline, tmp_path, capsys, command, fault
+    pipeline, tmp_path, capsys, command, fault, error, message
 ):
-    # select-contexts reads the map through Corpus.grid, verify through load_label_grid.
+    # select-contexts reads the map through Corpus.grid, verify through load_label_grid;
+    # both take the class map from the corpus's classes.json, which lacks class 99.
     _, _, registry_path = pipeline
     corpus = tmp_path / "corpus"
     synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus)
     image = corpus / "images" / f"{Corpus.load(corpus).image_ids('train')[1]}.lgrid"
+    text = image.read_text()
     image.unlink()
     if fault == "a-directory":
         image.mkdir()
     elif fault == "not-utf-8":
         image.write_bytes(b"\xff\xfe2 2\n0 0\n0 0\n")
+    elif fault != "missing":
+        image.write_text(_fault_text(text, fault))
     argv = {
         "select-contexts": ["select-contexts", str(corpus), "-o", str(tmp_path / "c.json")],
-        "verify": ["verify", str(registry_path), str(image)],
+        "verify": [
+            "verify", str(registry_path), str(image), "--classes", str(corpus / "classes.json"),
+        ],
     }[command]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: FormatError: {image}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {error}: {image}: {message}") and err.count("\n") == 1
 
 
 def _leaf_paths(node, path=()):

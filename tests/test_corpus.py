@@ -230,10 +230,31 @@ class TestSynthCorpus:
                 "kind_weights of 'inside' are {'lone': 1.0, 'pair': -0.5}, expected weights of"
                 " at least 0 with a finite sum above 0",
             ),
+            ("class", "class_id", -3, "class_id -3 of 'sofa' is below 1 (0 is background)"),
+            ("class", "class_id", 0, "class_id 0 of 'sofa' is below 1 (0 is background)"),
+            ("class", "class_id", 1, "class_id 1 is given to both 'floor' and 'sofa'"),
+            (
+                "context", "anchor", 99,
+                "anchor of context 'inside' names class 99, which no class has",
+            ),
+            (
+                "context", "satellites", [2, 3, 99],
+                "satellites of context 'inside' names class 99, which no class has",
+            ),
+            (
+                "context", "stack", [2, -3],
+                "stack of context 'inside' names class -3, which no class has",
+            ),
+            (
+                "context", "lone_extra", [13, 0],
+                "lone_extra of context 'inside' names class 0, which no class has",
+            ),
         ],
         ids=[
             "height-a-string", "n_images-fractional", "shape-misspelt", "unknown-key",
             "kind-weights-unknown-key", "kind-weights-all-zero", "kind-weights-negative",
+            "class-id-negative", "class-id-background", "class-id-duplicate",
+            "anchor-unknown", "satellite-unknown", "stack-unknown", "lone-extra-unknown",
         ],
     )
     def test_config_leaf_of_the_wrong_type_or_value_is_format_error(
@@ -251,6 +272,7 @@ class TestSynthCorpus:
         err = capsys.readouterr().err
         assert err.startswith(f"error: FormatError: {path}: ") and err.count("\n") == 1
         assert message in err
+        assert not (tmp_path / "corpus").exists()
 
     def test_shipped_config_is_the_default_config(self, tmp_path):
         shipped = Path(__file__).parents[1] / "scripts" / "configs" / "synth_default.json"

@@ -22,7 +22,7 @@ from scenecheck import (
     label_maps,
     parse_label_grid,
 )
-from scenecheck.labelgrid import _BATCH_CELLS, grid_batches
+from scenecheck.labelgrid import _BATCH_CELLS, _plain_cells, grid_batches
 
 from conftest import blob_grid, boundary, pixels
 
@@ -59,13 +59,51 @@ class TestParse:
         grid = parse_label_grid(text, {1: "cat", 2: "sofa"})
         assert grid.to_text() == text
 
-    def test_whitespace_variants_parse_alike(self):
-        canonical = parse_label_grid("2 3\n0 1 1\n0 0 2\n", {1: "a", 2: "b"})
-        for text in (
+    @pytest.mark.parametrize(
+        "text",
+        [
             "2 3\r\n0\t1  1\r\n 0 0 +2 \r\n",
             "2 3\n\n0 1 1\n\n0 -0 2",
-        ):
-            assert parse_label_grid(text, {1: "a", 2: "b"}) == canonical
+            "2 3\r\n0 1 1\r\n0 0 2\r\n",
+            "2 3\n0 1\t1\n0 0 2\n",
+            "2 3\n0  1 1\n0 0 2\n",
+            "2 3\n0 1 1 \n0 0 2\n",
+            "\n\n2 3\n0 1 1\n0 0 2\n",
+            "2 3\n0 1 1\n0 0 2\n\n\n",
+            "2 3\n0 1 1\n0 0 2",
+            "2 3\n+0 1 1\n-0 0 2\n",
+            "2 3\n00 001 1\n0 0 000000002\n",
+            "2 3\n0000000000 1 1\n0 0 0000000002\n",
+            "2 3\n0 1 1\n0 0 " + "0" * 29 + "2\n",
+            b"2 3\n0 1 1\n0 0 2\n",
+            "2 3\r\n0 1 1\r\n0 0 2\r\n".encode(),
+        ],
+    )
+    def test_whitespace_variants_parse_alike(self, text):
+        canonical = parse_label_grid("2 3\n0 1 1\n0 0 2\n", {1: "a", 2: "b"})
+        grid = parse_label_grid(text, {1: "a", 2: "b"})
+        assert grid == canonical
+        assert grid.cells.dtype == np.int32 and not grid.cells.flags.writeable
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("1 2\n0 " + "9" * 10 + "\n", UnknownClassError),
+            ("1 2\n0 " + "9" * 30 + "\n", UnknownClassError),
+            ("1 2\n0 \u0662\n", FormatError),  # an Arabic-Indic digit 2
+            ("1 2\n0 -1\n", FormatError),
+            ("1 2\n0 1\n\n0 1\n", FormatError),
+            ("1 2\n0 1 1\n", FormatError),
+            ("0 2\n", FormatError),
+            ("1 2\n", FormatError),
+            ("1 2 3\n0 1\n", FormatError),
+        ],
+    )
+    def test_plain_looking_faults_raise_as_the_general_path_does(self, text, error):
+        with pytest.raises(error):
+            parse_label_grid(text, {1: "a", 2: "b"})
+        with pytest.raises(error):
+            parse_label_grid(text.encode(), {1: "a", 2: "b"})
 
 
 def _canonical_text(arr):
@@ -93,6 +131,36 @@ def test_array_text_parses_back_to_equal_cells(arr):
     back = parse_label_grid(grid.to_text(), class_map)
     assert back == grid
     assert np.array_equal(back.to_array(), arr)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(0, 10**9 - 1)),
+    st.booleans(),
+)
+@example(np.array([[0, 999_999_999, 7], [10, 0, 100_000_000]]), False)
+def test_plain_text_decodes_as_the_general_path_reads_it(arr, final_newline):
+    """A plain text takes the one-pass path and gives the grid its CRLF
+    copy, which only the general path reads, gives."""
+    class_map = {int(v): "c" for v in np.unique(arr) if v}
+    text = _canonical_text(arr)[: None if final_newline else -1]
+    head, body = text.encode().split(b"\n", 1)
+    assert _plain_cells(body, *arr.shape) is not None
+    plain = parse_label_grid(text, class_map)
+    general = parse_label_grid(text.replace("\n", "\r\n"), class_map)
+    assert parse_label_grid(text.encode(), class_map) == plain == general
+    for grid in (plain, general):
+        assert grid.cells.dtype == np.int32 and not grid.cells.flags.writeable
+    assert np.array_equal(plain.to_array(), arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hnp.arrays(np.int64, _SHAPES, elements=st.integers(-(2**31), 2**31 - 1)))
+@example(np.array([[-(2**31), 2**31 - 1], [0, -1]]))
+@example(np.array([[-(2**31)]]))
+def test_to_text_is_the_joined_decimal_text(arr):
+    class_map = {int(v): "c" for v in np.unique(arr) if v}
+    assert grid_from_array(arr, class_map).to_text() == _canonical_text(arr)
 
 
 def _with_token(arr, position, token):
