@@ -280,10 +280,9 @@ def parse_label_grid(
     header = lines[0].split()
     if len(header) != 2:
         raise FormatError(f"header must be 'height width', got {lines[0]!r}")
-    try:
-        height, width = int(header[0]), int(header[1])
-    except ValueError:
-        raise FormatError(f"non-integer header token in {lines[0]!r}") from None
+    if not all(_INT_TOKEN.fullmatch(t) for t in header):
+        raise FormatError(f"non-integer header token in {lines[0]!r}")
+    height, width = int(header[0]), int(header[1])
     if height < 1 or width < 1:
         raise FormatError(f"grid must be at least 1x1, got {height}x{width}")
     if len(lines) - 1 != height:

@@ -7,16 +7,16 @@ come out together as the columns of one PairTable, and
 `relations_for_objects` is where each channel is defined.  `contact`
 decides, from two objects' pixel runs, whether they touch.  Per-object
 shape is summarized as a histogram of normalized boundary-to-centroid
-distances; a scene's histograms are the rows of one array, and its
-boundaries are traced only there.  `shape_histograms` bins the objects
-of many maps in one pass.
+distances (the centroid-distance signature); a scene's histograms are
+the rows of one array, and its boundaries are traced only there.
+`shape_histograms` bins the objects of many maps, whatever their
+number, in one pass over their concatenated contours.
 
-Octants, and the shape samples of a batched scene, are computed with
-numpy over whole arrays.  Both are then cut into discrete codes and
-bins, where a last-bit difference from the scalar `math` functions
-could move a value across an edge; a value within _EDGE_EPS of an edge
-is recomputed with those functions, so every code and bin equals the
-scalar one.  Distances are float features and stay on `math.hypot`,
+Octants and shape samples are computed with numpy over whole arrays.
+Both are then cut into discrete codes and bins, where a last-bit
+difference from the scalar `math` functions could move a value across
+an edge; a value within _EDGE_EPS of an edge is recomputed with those
+functions, so every code and bin equals the scalar one.  Distances are float features and stay on `math.hypot`,
 once per unordered pair.
 
 All operations are pure functions and hold no shared state.
@@ -49,9 +49,6 @@ _DIAGONAL = math.hypot(1.0, 1.0)
 # last place, about 1e-15 on the octant sector and bin scales; a value
 # this close to an edge is recomputed with math.
 _EDGE_EPS = 1e-9
-# Batches of at least this many objects get their shape histograms in one
-# batched pass; below it the batch's fixed cost outweighs what it saves.
-_BATCH_MIN = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,29 +130,17 @@ def shape_histograms(
 ) -> list[np.ndarray]:
     """`shape_histogram(grids[i], objects[i])` of each map, binned together.
 
-    Each map's boundaries are traced in one `trace_boundaries` call.  A
-    batch of `_BATCH_MIN` or more objects, over all maps, is binned in
-    one `_batched_histograms` pass over all their boundaries, padded to
-    one array, with `np.hypot` samples and the `_hypot` fallback near
-    bin edges; smaller batches object by object.  Each object's
-    histogram is bit-identical either way, and whatever else is in the
-    batch.  The arrays returned are read-only views of one array.
+    Each map's boundaries are traced in one `trace_boundaries` call, and
+    every object of the batch, whatever their number, is binned in one
+    `_histograms` pass over all the contours, with `np.hypot` samples and
+    the `_hypot` fallback near bin edges.  Each object's histogram is
+    bit-identical whatever else is in the batch.  The arrays returned are
+    read-only views of one array.
     """
     traced = [trace_boundaries(g, objs) for g, objs in zip(grids, objects)]
     flat = [o for objs in objects for o in objs]
     points = np.concatenate([p for p, _ in traced])
-    lengths = np.concatenate([n for _, n in traced])
-    if len(flat) < _BATCH_MIN:
-        ends = np.cumsum(lengths).tolist()
-        hists = np.array(
-            [
-                _one_histogram(o, points[e - n : e])
-                for o, n, e in zip(flat, lengths.tolist(), ends)
-            ]
-        )
-        hists = hists.reshape(len(flat), SHAPE_BINS)
-    else:
-        hists = _batched_histograms(flat, points, lengths)
+    hists = _histograms(flat, points, np.concatenate([n for _, n in traced]))
     hists.flags.writeable = False
     ends = itertools.accumulate(len(objs) for objs in objects)
     return [hists[e - len(objs) : e] for objs, e in zip(objects, ends)]
@@ -163,113 +148,71 @@ def shape_histograms(
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """Elementwise `math.hypot` of two 1-D arrays: pair distances, and the
-    shape samples of an object alone or of the batched rows near a bin edge."""
+    shape samples of the objects with a sample near a bin edge."""
     return np.fromiter(map(math.hypot, dr.tolist(), dc.tolist()), np.float64, len(dr))
 
 
-def _relative_centroid(obj: SceneObject) -> tuple[float, float]:
-    """`obj.centroid` relative to its bbox corner, exactly.
-
-    The centroid is an integer coordinate sum over n, so rounding it
-    times n recovers that sum exactly (for sums below 2**51).  The exact
-    bbox-relative sum over n equals the float64 mean of the
-    bbox-relative coordinates bit for bit.
-    """
-    n = obj.pixel_count
-    r0, c0 = obj.bbox[0], obj.bbox[1]
-    return (
-        (round(obj.centroid[0] * n) - n * r0) / n,
-        (round(obj.centroid[1] * n) - n * c0) / n,
-    )
-
-
-def _one_histogram(obj: SceneObject, boundary: np.ndarray) -> np.ndarray:
-    """`shape_histogram` row of a single object with traced contour `boundary`."""
-    cy, cx = _relative_centroid(obj)
-    if len(boundary) == 1:
-        samples = np.zeros(SHAPE_SAMPLES)
-    else:
-        closed = np.concatenate((boundary, boundary[:1]), dtype=np.float64)
-        closed -= obj.bbox[:2]
-        # Consecutive boundary points are 8-adjacent: a step is 1 or a diagonal.
-        step = closed[1:] - closed[:-1]
-        seg = np.where((step[:, 0] != 0) & (step[:, 1] != 0), _DIAGONAL, 1.0)
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        total = cum[-1]
-        targets = np.arange(SHAPE_SAMPLES) * (total / SHAPE_SAMPLES)
-        idx = np.searchsorted(cum, targets, side="right") - 1
-        idx = np.minimum(np.maximum(idx, 0), len(seg) - 1)
-        frac = (targets - cum[idx]) / seg[idx]
-        p, q = closed[idx], closed[idx + 1]
-        r = p[:, 0] + frac * (q[:, 0] - p[:, 0])
-        c = p[:, 1] + frac * (q[:, 1] - p[:, 1])
-        samples = _hypot(r - cy, c - cx)
-    max_d = samples.max() if len(samples) else 0.0
-    if max_d <= 0.0:
-        normalized = np.ones(SHAPE_SAMPLES)
-    else:
-        normalized = samples / max_d
-    bins = np.minimum((normalized * SHAPE_BINS).astype(np.int64), SHAPE_BINS - 1)
-    return np.bincount(bins, minlength=SHAPE_BINS) / float(SHAPE_SAMPLES)
-
-
-def _batched_histograms(
-    objects: Sequence[SceneObject],
-    points: np.ndarray,
-    lengths: np.ndarray,
+def _histograms(
+    objects: Sequence[SceneObject], points: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """`_one_histogram` of every object, computed for all of them at once
-    from the contours `trace_boundaries` returns.
+    """`shape_histogram` rows of `objects`, binned in one pass over the
+    concatenated contours that `trace_boundaries` returns.
 
-    Row k holds object k's boundary followed by its first point, repeated
-    to the longest cycle's length: the closing step, then zero-length
-    padding whose arc length is set to 0.  Every per-row operation is
-    the 1-D one: `cumsum(axis=1)` adds each row left to right as the 1-D
-    `cumsum` does and a padded step adds exactly 0.0, so a row's arc
-    lengths and total are the object's own.  A single pixel is one
-    zero-length step of arc length 1 at its own bbox-relative centroid,
-    so all its samples are 0, as in the 1-D special case.
+    Point i of a contour of L points steps to point (i + 1) mod L, a
+    segment of 1 or the diagonal, since the points are 8-adjacent; a
+    single pixel's zero step counts 1.  One `cumsum(axis=1)` over a
+    `(k, longest + 1)` array holding a zero, each object's segment
+    lengths and zeros after them adds each row left to right as the 1-D
+    `cumsum` does, so cum_i, the arc length at point i, and the total
+    T = cum_L are the object's own bit for bit.
+
+    Sample j lies at t_j = fl(j * h), h = T / SHAPE_SAMPLES, on segment
+    idx_j = searchsorted(cum, t_j, "right") - 1 = #{i : cum_i <= t_j} - 1.
+    The t_j do not decrease in j, so cum_i <= t_j iff j >= m_i, where
+    m_i = #{j : t_j < cum_i}; m_i is ceil(cum_i / h) up to one rounding
+    step, corrected once each way against fl(j * h).  Hence idx_j + 1
+    counts the points with m_i <= j: one `bincount` over
+    object * (SHAPE_SAMPLES + 1) + m_i and one `cumsum`.  Every t_j lies
+    in [0, T), so idx_j lies in [0, L - 1].  A single pixel is sampled at
+    its own bbox-relative centroid, so all its samples are 0.
     """
     k = len(objects)
-    starts = np.cumsum(lengths) - lengths
-    width = int(lengths.max()) + 1
-    corners = np.array([o.bbox[:2] for o in objects])
-    points = points - np.repeat(corners, lengths, axis=0)
-    # closed[0] holds the rows and closed[1] the columns, one object per row.
-    closed = np.empty((2, k, width))
-    closed[:] = points[starts].T[:, :, None]
-    row_of = np.repeat(np.arange(k), lengths)
-    col_of = np.arange(len(points)) - np.repeat(starts, lengths)
-    closed[:, row_of, col_of] = points.T
-    # Consecutive boundary points are 8-adjacent: a step is 1 or a diagonal.
-    step = closed[:, :, 1:] - closed[:, :, :-1]
-    seg = np.where((step[0] != 0) & (step[1] != 0), _DIAGONAL, 1.0)
-    seg[np.arange(width - 1) >= lengths[:, None]] = 0.0
-    cum = np.zeros((k, width))
-    np.cumsum(seg, axis=1, out=cum[:, 1:])
-    targets = np.arange(SHAPE_SAMPLES) * (cum[:, -1:] / SHAPE_SAMPLES)
-    # One search over all rows: complex numbers order by real part, then
-    # imaginary part, so keys of row index plus arc length times 1j sort
-    # row by row, and a target is placed among its own row's arc lengths
-    # exactly as a search in that row alone would place it.
-    # Every target lies in [0, total), so idx lies in [0, length - 1].
-    rows = np.arange(k)[:, None]
-    idx = np.searchsorted((rows + 1j * cum).ravel(), (rows + 1j * targets).ravel(), side="right")
-    idx = idx.reshape(k, SHAPE_SAMPLES) - rows * width - 1
-    frac = (targets - np.take_along_axis(cum, idx, 1)) / np.take_along_axis(seg, idx, 1)
-    at = idx + np.arange(0, k * width, width)[:, None]  # into closed[0] and closed[1] flat
-    rc = closed.reshape(2, -1)
-    p, q = rc[:, at], rc[:, at + 1]
-    r = p[0] + frac * (q[0] - p[0])
-    c = p[1] + frac * (q[1] - p[1])
-    # `_relative_centroid` of every object: np.rint rounds half to even as round does.
-    n = np.array([o.pixel_count for o in objects], dtype=np.float64)[:, None]
-    centroids = np.array([o.centroid for o in objects])
-    centroids = (np.rint(centroids * n) - n * corners) / n
-    r -= centroids[:, :1]
-    c -= centroids[:, 1:]
-    samples = np.hypot(r, c)
-    max_d = samples.max(axis=1, keepdims=True, initial=0.0)
+    if not k:
+        return np.zeros((0, SHAPE_BINS))
+    # Row i: object i's bbox corner, centroid and pixel count.
+    meta = np.array([o.bbox[:2] + o.centroid + (o.pixel_count,) for o in objects], np.float64)
+    corners, n = meta[:, :2], meta[:, 4:]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    # The rows and columns of every point, and each point's step.
+    points = points.T
+    after = np.arange(1, len(points[0]) + 1)
+    after[ends - 1] = starts
+    step = np.take(points, after, axis=1) - points
+    seg = np.where(step[0] * step[1], _DIAGONAL, 1.0)
+    inside = np.arange(lengths.max()) < lengths[:, None]
+    rows = np.zeros((k, len(inside[0]) + 1))
+    rows[:, 1:][inside] = seg
+    cum = np.cumsum(rows, axis=1)
+    h = cum[:, -1] / SHAPE_SAMPLES
+    arc, h_of = cum[:, :-1][inside], np.repeat(h, lengths)
+    m = np.ceil(arc / h_of)
+    m -= (m - 1.0) * h_of >= arc
+    m += m * h_of < arc
+    n_counts = SHAPE_SAMPLES + 1
+    m += np.repeat(np.arange(0, k * n_counts, n_counts), lengths)
+    counts = np.bincount(m.astype(np.int64), minlength=k * n_counts).reshape(k, n_counts)
+    at = np.cumsum(counts[:, :SHAPE_SAMPLES], axis=1)
+    at += (starts - 1)[:, None]  # idx_j, as a position in `points`
+    frac = (np.arange(SHAPE_SAMPLES) * h[:, None] - arc.take(at)) / seg.take(at)
+    rc = np.take(points, at, axis=1) - corners.T[:, :, None] + frac * np.take(step, at, axis=1)
+    # The centroids relative to the bbox corners, exactly: a centroid is an
+    # integer coordinate sum over n, so rounding it times n (np.rint rounds
+    # half to even) recovers that sum for sums below 2**51, and the exact
+    # relative sum over n is the float64 mean of the relative coordinates.
+    rc -= ((np.rint(meta[:, 2:4] * n) - n * corners) / n).T[:, :, None]
+    samples = np.hypot(rc[0], rc[1])
+    max_d = samples.max(axis=1, keepdims=True)
     scaled = np.ones((k, SHAPE_SAMPLES))
     np.divide(samples, max_d, out=scaled, where=max_d > 0.0)
     scaled *= SHAPE_BINS
@@ -279,7 +222,8 @@ def _batched_histograms(
     # exactly either way, as does every sample of a single pixel.
     inner = np.clip(scaled, 0.5, SHAPE_BINS - 0.5)
     near = np.flatnonzero((np.abs(inner - np.rint(inner)) < _EDGE_EPS).any(axis=1))
-    exact = _hypot(r[near].ravel(), c[near].ravel()).reshape(len(near), SHAPE_SAMPLES)
+    dr, dc = rc[:, near].reshape(2, -1)
+    exact = _hypot(dr, dc).reshape(len(near), SHAPE_SAMPLES)
     scaled[near] = exact / exact.max(axis=1, keepdims=True) * SHAPE_BINS
     bins = np.minimum(scaled.astype(np.int64), SHAPE_BINS - 1)
     bins += np.arange(0, k * SHAPE_BINS, SHAPE_BINS)[:, None]

@@ -26,7 +26,10 @@ or untrained.  It takes a label grid, which it labels with the
 registry's min_area, or a Scene prepared with it.  A grid is related and
 histogrammed only when it has a pair: with fewer than two objects its
 verdict is the abstention (not a contradiction, confidence 0.5) of
-`aggregate` on no margins, so nothing else is computed for it.
+`aggregate` on no margins, so nothing else is computed for it.  A
+Verdict keeps the pair table's index columns and the margins as
+read-only arrays, so `verify` builds no Python object per pair; the
+`(a, b, margin)` tuples of `Verdict.pair_scores` are built on demand.
 
 Featurization and scoring are pure; training is single-threaded and
 fully determined by its inputs and seed.
@@ -57,6 +60,7 @@ from .labelgrid import (
     label_maps,
 )
 from .relations import (
+    _NO_PAIRS,
     SHAPE_BINS,
     PairTable,
     relations_for_objects,
@@ -220,15 +224,34 @@ class LinearModel:
     context_label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Verdict:
-    """Per-image verification outcome."""
+    """Per-image verification outcome.
+
+    Pair k of the verdict is the ordered pair (`a_index[k]`,
+    `b_index[k]`) of the scene's objects, in the order of its pair table,
+    with margin `margins[k]`.  The three are read-only arrays, the index
+    columns those of the scene's PairTable; an abstention's are empty.
+    """
 
     image_id: str
-    pair_scores: tuple[tuple[int, int, float], ...]
+    a_index: np.ndarray
+    b_index: np.ndarray
+    margins: np.ndarray
     contradiction: bool
     confidence: float
     model_used: str
+
+    def __post_init__(self) -> None:
+        for column in (self.a_index, self.b_index, self.margins):
+            column.flags.writeable = False
+
+    __eq__ = _Counts.__eq__
+
+    @property
+    def pair_scores(self) -> tuple[tuple[int, int, float], ...]:
+        """The `(a, b, margin)` triple of every pair, built on demand."""
+        return tuple(zip(self.a_index.tolist(), self.b_index.tolist(), self.margins.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -236,9 +259,7 @@ class Verdict:
             "contradiction": self.contradiction,
             "confidence": self.confidence,
             "model_used": self.model_used,
-            "pair_scores": [
-                {"a": a, "b": b, "margin": m} for a, b, m in self.pair_scores
-            ],
+            "pair_scores": [{"a": a, "b": b, "margin": m} for a, b, m in self.pair_scores],
         }
 
 
@@ -501,17 +522,18 @@ def verify(
             f"registry uses {registry.min_area}"
         )
     label = registry.resolve(attributes)
-    margins, pair_scores = np.empty(0), ()
+    pairs, margins = _NO_PAIRS, np.zeros(0)
     if scene is not None:
         detector = registry.global_detector if label == GLOBAL_LABEL else registry.models[label]
         pairs = scene.pairs
         X = featurize(pairs, scene.objects, scene.hists, detector.stats, detector.prototypes)
         margins = score(detector.model, X)
-        pair_scores = tuple(zip(pairs.a_index.tolist(), pairs.b_index.tolist(), margins.tolist()))
     contradiction, confidence = aggregate(margins, registry.aggregation_mode)
     return Verdict(
         image_id=image_id,
-        pair_scores=pair_scores,
+        a_index=pairs.a_index,
+        b_index=pairs.b_index,
+        margins=margins,
         contradiction=contradiction,
         confidence=confidence,
         model_used=label,

@@ -25,7 +25,7 @@ from scenecheck import (
 from scenecheck import relations
 from scenecheck.cli import build_parser, main
 from scenecheck.context import MIN_BALANCE_DEFAULT, MIN_COVERAGE_DEFAULT
-from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams
+from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams, Verdict
 
 
 @pytest.fixture(scope="module")
@@ -701,6 +701,26 @@ class TestEvaluate:
         assert outs[0] == outs[2]
         assert outs[1] == outs[3]
 
+
+    def test_evaluation_reads_no_per_pair_tuples(self, pipeline, tmp_path, monkeypatch):
+        # Verdicts keep their pair margins as arrays; building the
+        # `pair_scores` tuples is left to readers that ask for them.
+        _, corpus_dir, registry_path = pipeline
+        outputs = []
+        for run in ("tuples-allowed", "tuples-refused"):
+            if run == "tuples-refused":
+
+                def refuse(verdict):
+                    raise AssertionError("evaluate read Verdict.pair_scores")
+
+                monkeypatch.setattr(Verdict, "pair_scores", property(refuse))
+            out = tmp_path / run / "report.json"
+            argv = ["evaluate", str(registry_path), str(corpus_dir), "--seed", "5", "-o", str(out)]
+            assert main(argv) == 0
+            report = json.loads(out.read_text())
+            report.pop("wall_time_s")
+            outputs.append((report, (out.parent / "report.verdicts.jsonl").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_input_paths_are_relative_to_the_report(self, pipeline, tmp_path, monkeypatch):
         _, corpus_dir, registry_path = pipeline

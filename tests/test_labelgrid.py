@@ -13,14 +13,18 @@ from hypothesis.extra import numpy as hnp
 
 import scenecheck
 from scenecheck import (
+    Corpus,
     FormatError,
     LabelGrid,
     UnknownClassError,
     contact,
+    default_synthetic_config,
     extract_objects,
     grid_from_array,
     label_maps,
+    load_label_grid,
     parse_label_grid,
+    synth_corpus,
 )
 from scenecheck.labelgrid import _BATCH_CELLS, _plain_cells, grid_batches
 
@@ -104,6 +108,25 @@ class TestParse:
             parse_label_grid(text, {1: "a", 2: "b"})
         with pytest.raises(error):
             parse_label_grid(text.encode(), {1: "a", 2: "b"})
+
+    @pytest.mark.parametrize(
+        "header",
+        ["1_0 1", "1 1_0", "٢ 1", "1 ٢", "+ 1", "2.0 1", "0x2 1"],
+    )
+    def test_header_token_that_a_cell_refuses_is_format_error(self, header):
+        # `int()` reads underscores and non-ASCII digits; the header is
+        # checked with the cells' token rule instead.
+        text = header + "\n" + "0\n" * 10
+        for given_text in (text, text.encode()):
+            with pytest.raises(FormatError) as exc:
+                parse_label_grid(given_text, {})
+            assert str(exc.value) == f"non-integer header token in {header!r}"
+
+    @pytest.mark.parametrize("header", ["+2 1", "02 1", "2 +1", "2 01"])
+    def test_header_tokens_with_a_sign_or_leading_zeros_are_read(self, header):
+        text = header + "\n0\n0\n"
+        for given_text in (text, text.encode()):
+            assert parse_label_grid(given_text, {}) == parse_label_grid("2 1\n0\n0\n", {})
 
 
 def _canonical_text(arr):
@@ -207,6 +230,46 @@ def test_ragged_row_is_a_format_error(arr, row, longer):
     lines[k] = lines[k] + " 0" if longer else lines[k].rsplit(" ", 1)[0]
     with pytest.raises(FormatError):
         parse_label_grid("\n".join(lines), {1: "a", 2: "b", 3: "c"})
+
+
+@pytest.fixture(scope="module")
+def synth_map(tmp_path_factory):
+    """The bytes of one `.lgrid` map that `synth_corpus` wrote, the
+    corpus's class map, and a directory to write mutated copies in."""
+    root = tmp_path_factory.mktemp("lgrid-mutants")
+    synth_corpus(default_synthetic_config(n_images=4, seed=6), root / "corpus")
+    corpus = Corpus.load(root / "corpus")
+    image = root / "corpus" / "images" / f"{corpus.image_ids('train')[0]}.lgrid"
+    return image.read_bytes(), corpus.class_map, root
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.one_of(st.integers(0, 12), st.integers(0, 10**6)),  # the header, or anywhere
+    st.one_of(st.sampled_from(b"0123456789 \t\r\n\v\f+-_x"), st.integers(0, 255)),
+)
+def test_label_map_with_one_byte_changed_loads_whole_or_fails_in_one_line(
+    synth_map, how, position, byte
+):
+    # Either the map loads and its text parses back to equal cells, or
+    # load_label_grid refuses it with a one-line error naming the file.
+    text, class_map, root = synth_map
+    at = position % len(text)
+    mutant = {
+        "replace": text[:at] + bytes([byte]) + text[at + 1 :],
+        "insert": text[:at] + bytes([byte]) + text[at:],
+        "delete": text[:at] + text[at + 1 :],
+    }[how]
+    path = root / "mutant.lgrid"
+    path.write_bytes(mutant)
+    try:
+        grid = load_label_grid(path, class_map)
+    except (FormatError, UnknownClassError) as exc:
+        assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+        return
+    again = parse_label_grid(grid.to_text(), class_map, grid.image_id)
+    assert again == grid
 
 
 class TestLabelGrid:

@@ -17,6 +17,7 @@ from scenecheck import (
     shape_histogram,
     trace_boundaries,
 )
+from scenecheck import relations
 from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, SHAPE_BINS, SHAPE_SAMPLES
 
 import pair_oracle
@@ -365,33 +366,43 @@ def _shape_histogram_reference(grid, obj):
 def _normalized_samples_reference(grid, obj):
     """The sample distances that `_shape_histogram_reference` bins,
     computed with `math.hypot` and divided by their maximum."""
+    offsets = _sample_offsets_reference(grid, obj)
+    if offsets is None:
+        samples = np.zeros(SHAPE_SAMPLES)
+    else:
+        samples = np.array([math.hypot(r, c) for r, c in offsets])
+    max_d = samples.max() if len(samples) else 0.0
+    return np.ones(SHAPE_SAMPLES) if max_d <= 0.0 else samples / max_d
+
+
+def _sample_offsets_reference(grid, obj):
+    """The (row, col) offsets from the centroid of the points at which
+    `_normalized_samples_reference` samples an object's contour, all in
+    bbox-relative coordinates; None for a single pixel."""
     n_samples = SHAPE_SAMPLES
     r0, c0 = obj.bbox[0], obj.bbox[1]
     pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, obj)]
     cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
     cx = float(np.mean([c - c0 for _, c in pixels(obj)]))
     if len(pts) == 1:
-        samples = np.zeros(n_samples)
-    else:
-        closed = pts + [pts[0]]
-        seg = np.array(
-            [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(closed, closed[1:])]
-        )
-        cum = np.concatenate([[0.0], np.cumsum(seg)])
-        total = cum[-1]
-        targets = np.arange(n_samples) * (total / n_samples)
-        idx = np.searchsorted(cum, targets, side="right") - 1
-        idx = np.clip(idx, 0, len(seg) - 1)
-        dist_samples = []
-        for t, i in zip(targets, idx):
-            frac = 0.0 if seg[i] == 0 else (t - cum[i]) / seg[i]
-            p, q = closed[i], closed[i + 1]
-            r = p[0] + frac * (q[0] - p[0])
-            c = p[1] + frac * (q[1] - p[1])
-            dist_samples.append(math.hypot(r - cy, c - cx))
-        samples = np.array(dist_samples)
-    max_d = samples.max() if len(samples) else 0.0
-    return np.ones(n_samples) if max_d <= 0.0 else samples / max_d
+        return None
+    closed = pts + [pts[0]]
+    seg = np.array(
+        [math.hypot(q[0] - p[0], q[1] - p[1]) for p, q in zip(closed, closed[1:])]
+    )
+    cum = np.concatenate([[0.0], np.cumsum(seg)])
+    total = cum[-1]
+    targets = np.arange(n_samples) * (total / n_samples)
+    idx = np.searchsorted(cum, targets, side="right") - 1
+    idx = np.clip(idx, 0, len(seg) - 1)
+    offsets = []
+    for t, i in zip(targets, idx):
+        frac = 0.0 if seg[i] == 0 else (t - cum[i]) / seg[i]
+        p, q = closed[i], closed[i + 1]
+        r = p[0] + frac * (q[0] - p[0])
+        c = p[1] + frac * (q[1] - p[1])
+        offsets.append((r - cy, c - cx))
+    return offsets
 
 
 def _random_ellipse_array(rng):
@@ -447,9 +458,9 @@ def _lattice_map(rng, cells=7, size=8):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 3)))
 def test_scene_histograms_equal_the_per_object_reference(seed, min_area):
-    # Prefixes give scenes of 0, 1 and 2 objects (per-object path) and
-    # 3 and about 40 objects (batched path); the reversed scene checks
-    # that no row depends on another.
+    # Prefixes give scenes of 0, 1, 2, 3 and about 40 objects, all binned
+    # by the one batched path; the reversed scene checks that no row
+    # depends on another.
     arr = _lattice_map(np.random.default_rng(seed))
     grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, min_area)
@@ -539,6 +550,17 @@ def _on_inner_edges(grid, obj):
 @pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12])
 def test_shape_bins_on_bin_edges_match_the_reference(monkeypatch, delta):
     monkeypatch.setattr(np, "hypot", perturbed(np.hypot, delta))
+    # The fallback's inputs, one entry per call: the number of samples it
+    # recomputed.  A path whose samples bypass np.hypot cannot pass
+    # without it.
+    fallback = []
+
+    def counted(dr, dc):
+        fallback.append(len(dr))
+        return hypot(dr, dc)
+
+    hypot = relations._hypot
+    monkeypatch.setattr(relations, "_hypot", counted)
     grid = _edge_shapes_grid()
     objects = extract_objects(grid, 1)
     assert len(objects) == 11
@@ -546,6 +568,121 @@ def test_shape_bins_on_bin_edges_match_the_reference(monkeypatch, delta):
     assert any(8.0 in _on_inner_edges(grid, o) for o in objects)
     expected = [_shape_histogram_reference(grid, o) for o in objects]
     assert shape_histogram(grid, objects).tolist() == expected
+    assert [shape_histogram(grid, [o])[0].tolist() for o in objects] == expected
+    # Once for the batch and once for each object alone; every call but
+    # the single pixel's has samples on an edge to recompute.
+    assert len(fallback) == 1 + len(objects)
+    assert all(fallback[:-1]) and fallback[-1] == 0
+
+
+def _mixed_contours_array(rng):
+    """`_lattice_map` blobs above a band of single pixels, 1-pixel lines
+    longer than SHAPE_SAMPLES (more segments than samples), rings, short
+    straight and diagonal lines and a small blob (several samples per
+    segment), of random sizes and classes, no two touching."""
+    band = np.zeros((44, 140), dtype=np.int32)
+
+    def cls():
+        return int(rng.integers(1, 4))
+
+    band[1, 2 : 2 + int(rng.integers(65, 136))] = cls()
+    band[3 : 3 + int(rng.integers(33, 41)), 0] = cls()
+    for left in (2, 70):
+        h, w = (int(v) for v in rng.integers(3, (21, 66)))
+        band[3 : 3 + h, left : left + w] = cls()
+        band[4 : 2 + h, left + 1 : left + w - 1] = 0
+    for k in range(int(rng.integers(1, 8))):
+        band[26, 2 + 3 * k] = cls()
+    band[28, 2 : 2 + int(rng.integers(2, 12))] = cls()
+    for k in range(int(rng.integers(2, 12))):
+        band[30 + k, 30 + k] = 4
+    blob = random_blob_array(rng, size=7, steps=int(rng.integers(0, 30)), class_id=cls())
+    band[30:37, 60:67] = blob
+    lattice = np.zeros((57, 140), dtype=np.int32)
+    lattice[:56, :56] = _lattice_map(rng)
+    return np.concatenate((lattice, band))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.data())
+def test_one_batch_of_mixed_contour_lengths_bins_as_the_reference(seed, data):
+    grid = grid_from_array(
+        _mixed_contours_array(np.random.default_rng(seed)), {1: "a", 2: "b", 3: "c", 4: "d"}
+    )
+    objects = extract_objects(grid, 1)
+    lengths = trace_boundaries(grid, objects)[1]
+    assert lengths.min() == 1 and lengths.max() > SHAPE_SAMPLES
+    assert any(1 < n < SHAPE_SAMPLES for n in lengths.tolist())
+    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    assert shape_histogram(grid, objects).tolist() == expected
+    order = data.draw(st.permutations(range(len(objects))))
+    drawn = shape_histogram(grid, [objects[i] for i in order])
+    assert drawn.tolist() == [expected[i] for i in order]
+
+
+# Two shapes on whose contours the quotient cum_i / h rounds across a
+# sample target: its ceiling counts one target too few below the arc
+# length of one contour point of the first shape, and one too many for
+# the second.
+_MISCOUNTED_SHAPES = (
+    (
+        ".#....",
+        ".##...",
+        ".#....",
+        "######",
+        ".###.#",
+        ".#....",
+    ),
+    (
+        "...........#",
+        "...........#",
+        "..........##",
+        ".........###",
+        "........###.",
+        "###....###..",
+        "###.#.####..",
+        ".#######....",
+        "..######....",
+        "..###.......",
+        "....#.......",
+    ),
+)
+
+
+def test_sample_segments_are_counted_exactly_where_the_quotient_rounds_across_a_target(
+    monkeypatch,
+):
+    arr = np.zeros((13, 21), dtype=np.int32)
+    for (top, left), rows in zip(((1, 1), (1, 8)), _MISCOUNTED_SHAPES):
+        arr[top : top + len(rows), left : left + len(rows[0])] = [
+            [ch == "#" for ch in row] for row in rows
+        ]
+    grid = grid_from_array(arr, {1: "a"})
+    objects = extract_objects(grid, 1)
+    assert len(objects) == 2
+    miscounts = []
+    for obj in objects:
+        pts = np.array(boundary(grid, obj) + boundary(grid, obj)[:1])
+        step = np.abs(np.diff(pts, axis=0)).sum(axis=1)
+        cum = np.cumsum(np.where(step == 2, math.hypot(1.0, 1.0), 1.0))
+        arc, h = np.concatenate([[0.0], cum[:-1]]), cum[-1] / SHAPE_SAMPLES
+        below = np.searchsorted(np.arange(SHAPE_SAMPLES) * h, arc, side="left")
+        miscounts.append(sorted(set((np.ceil(arc / h) - below).tolist())))
+    assert miscounts == [[-1.0, 0.0], [0.0, 1.0]]
+    # A sample placed on the neighbouring segment moves by a rounding
+    # error at most, which rarely changes a bin; the sample offsets that
+    # reach np.hypot must be the reference's bit for bit.
+    offsets = []
+
+    def recorded(r, c):
+        offsets.append(np.stack((r, c), axis=-1).tolist())
+        return hypot(r, c)
+
+    hypot = np.hypot
+    monkeypatch.setattr(np, "hypot", recorded)
+    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    assert shape_histogram(grid, objects).tolist() == expected
+    assert offsets == [[[list(rc) for rc in _sample_offsets_reference(grid, o)] for o in objects]]
     assert [shape_histogram(grid, [o])[0].tolist() for o in objects] == expected
 
 

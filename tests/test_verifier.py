@@ -1,5 +1,6 @@
 """Featurization, linear training, aggregation, and context dispatch."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -47,7 +48,7 @@ from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
 import pair_oracle
 from conftest import pixels
-from test_relations import CLASS_MAP, LABELLED_SCENES, paint, scenes
+from test_relations import CLASS_MAP, LABELLED_SCENES, _lattice_map, paint, scenes
 
 
 def _identity_model(weights, bias=0.0):
@@ -484,6 +485,65 @@ class TestVerifyPreparedScene:
         grid, record = _find_triple(corpus, table, registry)
         with pytest.raises(ValueError):
             verify(prepare(grid, registry.min_area + 1), registry, record)
+
+
+def _crowded_grid(seed, class_map):
+    """A lattice map scaled by 3, so that most of its objects of classes
+    1-3 reach the default min_area; no two share a centroid."""
+    arr = np.kron(_lattice_map(np.random.default_rng(seed)), np.ones((3, 3), dtype=np.int32))
+    return grid_from_array(arr, class_map, f"crowded{seed}")
+
+
+def _dict_from_tuples(verdict):
+    """`verdict.to_dict()` as it was built from the `pair_scores` tuple."""
+    return {
+        "image_id": verdict.image_id,
+        "contradiction": verdict.contradiction,
+        "confidence": verdict.confidence,
+        "model_used": verdict.model_used,
+        "pair_scores": [{"a": a, "b": b, "margin": m} for a, b, m in verdict.pair_scores],
+    }
+
+
+class TestVerdictArrays:
+    def test_pair_scores_are_the_arrays_in_nested_loop_order(self, small_experiment):
+        corpus, table, registry = small_experiment
+        triple, record = _find_triple(corpus, table, registry)
+        grids = [triple] + [_crowded_grid(seed, corpus.class_map) for seed in range(6)]
+        for grid in grids:
+            verdict = verify(grid, registry, record)
+            columns = (verdict.a_index, verdict.b_index, verdict.margins)
+            assert not any(column.flags.writeable for column in columns)
+            assert verdict.pair_scores == tuple(zip(*(column.tolist() for column in columns)))
+            n = len(extract_objects(grid, registry.min_area))
+            assert [(a, b) for a, b, _ in verdict.pair_scores] == [
+                (a, b) for a in range(n) for b in range(n) if a != b
+            ]
+            assert json.dumps(verdict.to_dict()) == json.dumps(_dict_from_tuples(verdict))
+            assert verdict == verify(prepare(grid, registry.min_area), registry, record)
+            assert n > 20 or grid is triple
+
+    @pytest.mark.parametrize("rects", [[], [(2, 4, 4, 6, 6)]], ids=["no-object", "one-object"])
+    def test_abstention_has_empty_arrays(self, small_experiment, rects):
+        _, _, registry = small_experiment
+        grid = grid_from_array(paint(rects), {2: "thing"})
+        for scene in (grid, prepare(grid, registry.min_area)):
+            verdict = verify(scene, registry)
+            columns = (verdict.a_index, verdict.b_index, verdict.margins)
+            assert [len(column) for column in columns] == [0, 0, 0]
+            assert not any(column.flags.writeable for column in columns)
+            assert verdict.pair_scores == ()
+            assert verdict.to_dict()["pair_scores"] == []
+        assert verify(grid, registry) == verify(prepare(grid, registry.min_area), registry)
+
+    def test_verdicts_differing_in_one_margin_are_unequal(self, small_experiment):
+        corpus, table, registry = small_experiment
+        grid, record = _find_triple(corpus, table, registry)
+        verdict = verify(grid, registry, record)
+        margins = verdict.margins.copy()
+        margins[-1] = np.nextafter(margins[-1], np.inf)
+        assert replace(verdict, margins=margins) != verdict
+        assert replace(verdict, margins=verdict.margins.copy()) == verdict
 
 
 def _find_triple(corpus, table, registry):
