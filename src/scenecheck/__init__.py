@@ -46,6 +46,7 @@ from .errors import (
 from .labelgrid import (
     DEFAULT_MIN_AREA,
     LabelGrid,
+    ObjectTable,
     SceneObject,
     extract_objects,
     grid_from_array,
@@ -59,7 +60,6 @@ from .relations import (
     OCTANTS,
     PROXIMITY_LABELS,
     PairTable,
-    contact,
     relations_for_objects,
     shape_histogram,
 )

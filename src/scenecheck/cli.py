@@ -144,7 +144,7 @@ def cmd_select_contexts(args) -> int:
     labels: dict[str, Counter] = {}
     for batch in grid_batches(map(corpus.grid, corpus.image_ids("train"))):
         for grid, objects in zip(batch, label_maps(batch, args.min_area)):
-            labels[grid.image_id] = Counter(o.class_id for o in objects)
+            labels[grid.image_id] = Counter(objects.class_id.tolist())
     report = score_attributes(
         table, labels, min_coverage=args.min_coverage, min_balance=args.min_balance
     )

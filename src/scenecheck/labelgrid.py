@@ -4,9 +4,12 @@ A label grid is a per-pixel assignment of semantic class ids (0 denotes
 background), held as a read-only row-major `int32` array.  The `.lgrid`
 text of one is read in one numpy pass over its bytes when it is in the
 plain form `to_text` writes, and line by line otherwise; `to_text`
-renders from one token per distinct cell value.  Scene objects
-are 8-connected same-class components with geometric summaries: pixel
-count, centroid, bounding box and the component's horizontal runs.
+renders from the sorted distinct cell values that the class check
+found.  Scene objects are 8-connected same-class components with
+geometric summaries: pixel count, centroid, bounding box and the
+component's horizontal runs.  The objects of one map are one
+ObjectTable, a read-only column per summary, from labelling to the
+pair features; indexing it gives an object's SceneObject view.
 
 Components are labelled run by run, in the run-based two-scan family
 (He, Chao & Suzuki, IEEE TIP 2008): maximal same-class horizontal runs
@@ -14,8 +17,11 @@ are found with numpy, runs of one class that are 8-adjacent across two
 consecutive rows are merged in a small union-find, and each component is
 rebuilt from its runs.  Extraction stops there: an object carries no
 boundary.  `label_maps` labels many maps in one such pass, over one
-array that stacks them with a background row after each; `grid_batches`
-cuts a stream of maps into stacks of bounded size.
+array that stacks them with a background row after each, and computes
+every column once over the batch; `grid_batches` cuts a stream of maps
+into stacks of bounded size.  `ObjectTable.contacts` finds which objects
+touch in one pass over a table's runs, with the search for 8-adjacent
+runs in consecutive rows that the labelling merges with.
 
 `trace_boundaries` Moore-traces the outer boundaries of given objects
 of a grid, for the shape histograms, with one table lookup per step, in
@@ -28,8 +34,8 @@ component, so at a pixel of a component the same-class bits are exactly
 its neighbours in that component, and the codes of one grid serve every
 object traced on it.
 
-All functions here are pure; LabelGrid and SceneObject are immutable
-after construction and safe to share across threads.
+All functions here are pure; LabelGrid, ObjectTable and SceneObject are
+immutable after construction and safe to share across threads.
 
 Coordinate convention: row increases downward, column increases
 rightward, so "above" always means a smaller row index.
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -114,6 +120,9 @@ class LabelGrid:
     width: int
     cells: np.ndarray
     class_map: Mapping[int, str]
+    # The sorted distinct cell values, found once for the class check and
+    # read again by `to_text`.
+    _values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.height < 1 or self.width < 1:
@@ -121,10 +130,13 @@ class LabelGrid:
         cells = _read_only_int32(self.cells)
         if cells.size != self.height * self.width:
             raise FormatError(f"cell count {cells.size} != {self.height}x{self.width}")
-        for v in _distinct(cells).tolist():
+        values = _distinct(cells)
+        values.flags.writeable = False
+        for v in values.tolist():
             if v != 0 and v not in self.class_map:
                 raise UnknownClassError(f"class id {v} missing from class map")
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_values", values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabelGrid):
@@ -155,7 +167,7 @@ class LabelGrid:
         its value's token, the newline one at the end of a row, and the
         padding is dropped.
         """
-        values = _distinct(self.cells)
+        values = self._values
         tokens = [str(v) for v in values.tolist()]
         table = np.array([t + " " for t in tokens] + [t + "\n" for t in tokens], dtype=bytes)
         pick = np.searchsorted(values, self.cells).reshape(self.height, self.width)
@@ -167,12 +179,12 @@ class LabelGrid:
 
 @dataclass(frozen=True)
 class SceneObject:
-    """One extracted connected component.
+    """One extracted connected component, as plain Python values: the view
+    that indexing an ObjectTable gives.
 
     `runs` holds the component's pixels as its maximal horizontal runs:
     (row, c0, c1) triples covering columns c0..c1-1 of `row`, in raster
-    order.  Its outer boundary is not stored: `trace_boundaries` traces
-    it from the grid when a shape histogram needs it.
+    order.
     """
 
     class_id: int
@@ -180,6 +192,122 @@ class SceneObject:
     centroid: tuple[float, float]
     bbox: tuple[int, int, int, int]
     runs: tuple[tuple[int, int, int], ...] = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class ObjectTable:
+    """The objects of one label map, one read-only column per field.
+
+    Object k has class `class_id[k]`, `pixel_count[k]` pixels, centroid
+    `centroid[k]` (the mean pixel row and column, float64) and bounding
+    box `bbox[k]` (r0, c0, r1, c1, inclusive).  Its pixels are its maximal
+    horizontal runs `runs[offsets[k]:offsets[k + 1]]`, (row, c0, c1) rows
+    covering columns c0..c1-1 of `row`, in raster order.  Its outer
+    boundary is not stored: `trace_boundaries` traces it from the grid
+    when a shape histogram needs it.
+
+    `table[k]` is the SceneObject view of object k; a slice, an index
+    array or a mask gives the table of those objects, in that order.
+    Tables are equal when every column is.
+    """
+
+    class_id: np.ndarray  # (n,) int64
+    pixel_count: np.ndarray  # (n,) int64
+    centroid: np.ndarray  # (n, 2) float64
+    bbox: np.ndarray  # (n, 4) int64
+    runs: np.ndarray  # (m, 3) int64
+    offsets: np.ndarray  # (n + 1,) int64, from 0 to m
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            getattr(self, f.name).flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.class_id)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ObjectTable):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    __hash__ = None
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            k = range(len(self))[key]
+            return SceneObject(
+                class_id=int(self.class_id[k]),
+                pixel_count=int(self.pixel_count[k]),
+                centroid=tuple(self.centroid[k].tolist()),
+                bbox=tuple(self.bbox[k].tolist()),
+                runs=tuple(map(tuple, self.runs[self.offsets[k] : self.offsets[k + 1]].tolist())),
+            )
+        index = np.arange(len(self))[key]
+        first, lengths = self.offsets[index], np.diff(self.offsets)[index]
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        runs = np.repeat(first - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return ObjectTable(
+            self.class_id[index],
+            self.pixel_count[index],
+            self.centroid[index],
+            self.bbox[index],
+            self.runs[runs],
+            offsets,
+        )
+
+    def without(self, k: int) -> "ObjectTable":
+        """The table with object k left out; the others keep their order."""
+        if not 0 <= k < len(self):
+            raise IndexError(f"object {k} is not in a table of {len(self)}")
+        return self[np.arange(len(self)) != k]
+
+    def contacts(self) -> np.ndarray:
+        """Symmetric (n, n) bool matrix: True where some pixel of one object
+        and some pixel of the other lie within Chebyshev distance 1.
+
+        Objects whose bounding boxes lie more than 1 apart cannot touch,
+        so a table with no two boxes that close is answered from the boxes
+        alone.  Otherwise the runs are searched in one pass, in raster
+        order, on a grid one column wider than the widest run stop, so no
+        run wraps into the next row.  Two runs of different objects touch
+        when they are 8-adjacent in consecutive rows (`_adjacent_runs`) or
+        when one stops where the next in the same row starts.
+        """
+        r0, c0, r1, c1 = self.bbox.T
+        near = (
+            (r0[:, None] <= r1 + 1)
+            & (r0 <= r1[:, None] + 1)
+            & (c0[:, None] <= c1 + 1)
+            & (c0 <= c1[:, None] + 1)
+        )
+        np.fill_diagonal(near, False)
+        touching = np.zeros_like(near)
+        if not near.any():
+            return touching
+        rows, c0, c1 = self.runs.T
+        width = int(c1.max()) + 1
+        starts = rows * width + c0
+        order = np.argsort(starts)
+        starts, stops = starts[order], (rows * width + c1)[order]
+        owner = np.searchsorted(self.offsets, order, side="right") - 1
+        above, below = _adjacent_runs(starts, stops, width)
+        beside = np.flatnonzero(stops[:-1] == starts[1:])
+        a, b = owner[np.concatenate((above, beside, below, beside + 1)).reshape(2, -1)]
+        touching[a, b] = touching[b, a] = True
+        np.fill_diagonal(touching, False)  # runs of one object
+        return touching
+
+
+_NO_OBJECTS = ObjectTable(
+    np.zeros(0, np.int64),
+    np.zeros(0, np.int64),
+    np.zeros((0, 2)),
+    np.zeros((0, 4), np.int64),
+    np.zeros((0, 3), np.int64),
+    np.zeros(1, np.int64),
+)
 
 
 def _general_cells(rows: list[str], width: int) -> np.ndarray:
@@ -337,24 +465,41 @@ def _runs(cells: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.nda
     return starts[keep], stops[keep], classes[keep]
 
 
-def _run_roots(
-    starts: np.ndarray, stops: np.ndarray, classes: np.ndarray, width: int
-) -> list[int]:
-    """Index of each run's component root: the component's first run.
+def _adjacent_runs(
+    starts: np.ndarray, stops: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair of 8-adjacent runs in consecutive rows, as `(above, below)`
+    index arrays, whatever their classes.
 
-    A run touches a same-class run in the row above when their column
-    spans overlap after widening by one column on each side (within the
-    grid), which is 8-adjacency.  The candidate runs above form one
-    contiguous index range, found by binary search over the run bounds.
+    `starts` and `stops` are flat start and stop (exclusive) indices of
+    disjoint runs, each within one row of a grid `width` wide, in raster
+    order.  A run touches a run in the row above when their column spans
+    overlap after widening by one column on each side (within the grid),
+    which is 8-adjacency.  The candidate runs above form one contiguous
+    index range, found by binary search over the run bounds: those that
+    stop after `lo` and start by `hi`.  A run that stops by `lo` starts
+    before it, and `lo <= hi`, so no count is negative.
     """
     cols = starts % width
     last = stops - 1
     lo = starts - width - (cols > 0)
     hi = last - width + (last % width < width - 1)
     first = np.searchsorted(stops, lo, side="right")
-    count = np.maximum(np.searchsorted(starts, hi, side="right") - first, 0)
+    count = np.searchsorted(starts, hi, side="right") - first
     below = np.repeat(np.arange(len(starts)), count)
     above = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(below))
+    return above, below
+
+
+def _run_roots(
+    starts: np.ndarray, stops: np.ndarray, classes: np.ndarray, width: int
+) -> list[int]:
+    """Index of each run's component root: the component's first run.
+
+    Runs of one class that are 8-adjacent across two consecutive rows
+    (`_adjacent_runs`) are merged in a union-find.
+    """
+    above, below = _adjacent_runs(starts, stops, width)
     same = classes[above] == classes[below]
     parent = list(range(len(starts)))
     for a, b in zip(above[same].tolist(), below[same].tolist()):
@@ -398,13 +543,13 @@ def _neighbour_codes(grid: LabelGrid, first: int, last: int) -> bytes:
     return codes.tobytes()
 
 
-def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> list[SceneObject]:
+def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> ObjectTable:
     """Extract 8-connected same-class components of at least `min_area` pixels.
 
     Background (id 0) never yields objects.  Objects are listed in
     raster order of each kept component's first pixel, so extraction is
     deterministic for a given grid, and an object is known by its index
-    in the list.  This is the batch of one of `label_maps`.
+    in the table.  This is the batch of one of `label_maps`.
     """
     return label_maps([grid], min_area)[0]
 
@@ -429,7 +574,7 @@ def grid_batches(grids: Iterable[LabelGrid]) -> Iterator[list[LabelGrid]]:
 
 def label_maps(
     grids: Sequence[LabelGrid], min_area: int = DEFAULT_MIN_AREA
-) -> list[list[SceneObject]]:
+) -> list[ObjectTable]:
     """`extract_objects` of each of `grids`, from one labelling pass.
 
     The maps are stacked into one array as wide as the widest map: each
@@ -439,10 +584,11 @@ def label_maps(
     own cells, without a copy.  An object's rows are taken relative to
     its map's first stack row before any sum is formed, so its runs,
     bbox and centroid equal those of its map labelled alone, bit for bit.
+    Every column of the batch is computed once over all its objects, and
+    each map's table holds read-only slices of them.
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
-    objects: list[list[SceneObject]] = [[] for _ in grids]
     if len(grids) == 1:
         cells, w = grids[0].cells, grids[0].width
     else:
@@ -454,7 +600,7 @@ def label_maps(
         cells = stack.reshape(-1)
     starts, stops, classes = _runs(cells, w)
     if not len(starts):
-        return objects
+        return [_NO_OBJECTS] * len(grids)
     roots = np.array(_run_roots(starts, stops, classes, w))
     lengths = stops - starts
     area = np.bincount(roots, weights=lengths, minlength=len(starts))
@@ -463,46 +609,52 @@ def label_maps(
     order = np.argsort(roots, kind="stable")
     order = order[area[roots[order]] >= min_area]
     if not len(order):
-        return objects
+        return [_NO_OBJECTS] * len(grids)
     sorted_roots = roots[order]
     is_first = np.append(True, sorted_roots[1:] != sorted_roots[:-1])
     first_run = np.flatnonzero(is_first)
     comp_roots = sorted_roots[first_run]
     run_starts, run_lengths = starts[order], lengths[order]
     run_rows, run_cols = np.divmod(run_starts, w)
-    run_ends = np.append(first_run[1:], len(order))
-    maps = [0] * len(first_run)  # the map of each component
+    offsets = np.append(first_run, len(order))
+    run_ends = offsets[1:]
+    bounds = [0, len(first_run)]  # map m holds components bounds[m]..bounds[m + 1] - 1
     if len(grids) > 1:
         comp_map = np.searchsorted(tops, run_rows[first_run], side="right") - 1
         run_rows -= np.repeat(tops[comp_map], run_ends - first_run)
-        maps = comp_map.tolist()
+        bounds = np.searchsorted(comp_map, np.arange(len(grids) + 1)).tolist()
     run_c1 = run_cols + run_lengths
-    runs = list(zip(run_rows.tolist(), run_cols.tolist(), run_c1.tolist()))
-    bbox_c0 = np.minimum.reduceat(run_cols, first_run).tolist()
-    bbox_c1 = (np.maximum.reduceat(run_c1, first_run) - 1).tolist()
-    bbox_r1 = run_rows[run_ends - 1].tolist()
+    counts = np.add.reduceat(run_lengths, first_run)
+    # A run's column sum, (2 * c0 + length - 1) * length / 2, is an integer.
     # Integer sums are exact in float64, so sum / n equals the mean numpy
     # computes over the sorted pixel coordinates, bit for bit.
-    comp_index = np.cumsum(is_first) - 1
-    row_sums = np.bincount(comp_index, weights=run_rows * run_lengths).tolist()
-    col_sums = np.bincount(
-        comp_index, weights=(2 * run_cols + run_lengths - 1) * run_lengths / 2
-    ).tolist()
-    counts = area[comp_roots].astype(np.int64).tolist()
-    bbox_r0 = run_rows[first_run].tolist()
-    run_lo, run_hi = first_run.tolist(), run_ends.tolist()
-    for k, (root, m) in enumerate(zip(comp_roots.tolist(), maps)):
-        n = counts[k]
-        objects[m].append(
-            SceneObject(
-                class_id=int(classes[root]),
-                pixel_count=n,
-                centroid=(row_sums[k] / n, col_sums[k] / n),
-                bbox=(bbox_r0[k], bbox_c0[k], bbox_r1[k], bbox_c1[k]),
-                runs=tuple(runs[run_lo[k] : run_hi[k]]),
+    row_sums = np.add.reduceat(run_rows * run_lengths, first_run)
+    col_sums = np.add.reduceat((2 * run_cols + run_lengths - 1) * run_lengths, first_run) // 2
+    class_id = classes[comp_roots].astype(np.int64)
+    centroid = np.array((row_sums, col_sums)).T / counts[:, None]
+    bbox = np.array(
+        (
+            run_rows[first_run],
+            np.minimum.reduceat(run_cols, first_run),
+            run_rows[run_ends - 1],
+            np.maximum.reduceat(run_c1, first_run) - 1,
+        )
+    ).T
+    runs = np.array((run_rows, run_cols, run_c1)).T
+    tables = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        first, last = offsets[lo], offsets[hi]
+        tables.append(
+            ObjectTable(
+                class_id[lo:hi],
+                counts[lo:hi],
+                centroid[lo:hi],
+                bbox[lo:hi],
+                runs[first:last],
+                offsets[lo : hi + 1] - first,
             )
         )
-    return objects
+    return tables
 
 
 @functools.cache
@@ -519,9 +671,7 @@ def _jump_table(stride: int) -> tuple[int, ...]:
     return tuple(8 * offsets[d] + _BACK[d] - (i & 7) for i, d in enumerate(_NEXT))
 
 
-def trace_boundaries(
-    grid: LabelGrid, objects: Sequence[SceneObject]
-) -> tuple[np.ndarray, np.ndarray]:
+def trace_boundaries(grid: LabelGrid, objects: ObjectTable) -> tuple[np.ndarray, np.ndarray]:
     """Moore-trace the outer boundary of each of `objects`, components of `grid`.
 
     Returns `(points, lengths)`: `points` is one int64 array of `(row,
@@ -564,25 +714,24 @@ def trace_boundaries(
     at it has backtrack West (s0) or South, and a cycle that misses s0
     visits the origin once.
     """
-    if not objects:
+    if not len(objects):
         return np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)
     stride = grid.width + 2
-    codes = _neighbour_codes(
-        grid, min(o.bbox[0] for o in objects), max(o.bbox[2] for o in objects)
-    )
+    top, bottom = min(objects.bbox[:, 0].tolist()), max(objects.bbox[:, 2].tolist())
+    codes = _neighbour_codes(grid, top, bottom)
     jump = _jump_table(stride)
+    firsts = objects.runs[objects.offsets[:-1], :2].tolist()  # each object's raster-first pixel
     states: list[int] = []
     append = states.append
     lengths: list[int] = []
-    for obj in objects:
+    for (row, col), pixel_count in zip(firsts, objects.pixel_count.tolist()):
         before = len(states)
-        row, col, _ = obj.runs[0]  # the raster-first pixel
         origin = (row + 1) * stride + col + 1
         s = origin * 8
         append(s)
         if codes[origin]:
             first = s = s + jump[codes[origin] << 3]
-            for _ in range(8 * obj.pixel_count + 1):
+            for _ in range(8 * pixel_count + 1):
                 append(s)
                 s += jump[codes[s >> 3] << 3 | s & 7]
                 if s == first:

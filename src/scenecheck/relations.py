@@ -4,9 +4,10 @@ Four channels are computed for every ordered object pair: position
 octant (direction of the A -> B centroid vector), proximity label,
 size log-ratio, and normalized centroid distance.  A scene's pairs
 come out together as the columns of one PairTable, and
-`relations_for_objects` is where each channel is defined.  `contact`
-decides, from two objects' pixel runs, whether they touch.  Per-object
-shape is summarized as a histogram of normalized boundary-to-centroid
+`relations_for_objects` is where each channel is defined; it reads the
+columns of the scene's ObjectTable, and which objects touch from its
+`contacts`, found in one pass over their runs.  Per-object shape is
+summarized as a histogram of normalized boundary-to-centroid
 distances (the centroid-distance signature); a scene's histograms are
 the rows of one array, and its boundaries are traced only there.
 `shape_histograms` bins the objects of many maps, whatever their
@@ -16,8 +17,10 @@ Octants and shape samples are computed with numpy over whole arrays.
 Both are then cut into discrete codes and bins, where a last-bit
 difference from the scalar `math` functions could move a value across
 an edge; a value within _EDGE_EPS of an edge is recomputed with those
-functions, so every code and bin equals the scalar one.  Distances are float features and stay on `math.hypot`,
-once per unordered pair.
+functions, so every code and bin equals the scalar one.  In a row of
+shape samples only the near samples and the candidates for the row's
+maximum are recomputed, not the whole row.  Distances are float
+features and stay on `math.hypot`, once per unordered pair.
 
 All operations are pure functions and hold no shared state.
 """
@@ -32,7 +35,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DegeneratePairError
-from .labelgrid import LabelGrid, SceneObject, trace_boundaries
+from .labelgrid import LabelGrid, ObjectTable, trace_boundaries
 
 # Octant labels indexed so that label k spans the half-open 45-degree
 # sector [k*45 - 22.5, k*45 + 22.5) with "up" = decreasing row.
@@ -77,32 +80,7 @@ class PairTable:
         return len(self.a_index)
 
 
-def contact(a: SceneObject, b: SceneObject) -> bool:
-    """True iff some pixel of A and some pixel of B are within Chebyshev distance 1.
-
-    Runs [c0, c1) and [s, e) in rows at most 1 apart hold such a pixel
-    pair iff c0 <= e and s <= c1.
-    """
-    # Quick reject: bounding boxes further than 1 apart cannot touch.
-    if (
-        a.bbox[0] > b.bbox[2] + 1
-        or b.bbox[0] > a.bbox[2] + 1
-        or a.bbox[1] > b.bbox[3] + 1
-        or b.bbox[1] > a.bbox[3] + 1
-    ):
-        return False
-    b_rows: dict[int, list[tuple[int, int]]] = {}
-    for r, s, e in b.runs:
-        b_rows.setdefault(r, []).append((s, e))
-    for r, c0, c1 in a.runs:
-        for row in (r - 1, r, r + 1):
-            for s, e in b_rows.get(row, ()):
-                if c0 <= e and s <= c1:
-                    return True
-    return False
-
-
-def shape_histogram(grid: LabelGrid, objects: Sequence[SceneObject]) -> np.ndarray:
+def shape_histogram(grid: LabelGrid, objects: ObjectTable) -> np.ndarray:
     """Histograms of boundary-point distances to the centroid, one row per object.
 
     `objects` are components of `grid`, in any order; their boundaries
@@ -118,15 +96,14 @@ def shape_histogram(grid: LabelGrid, objects: Sequence[SceneObject]) -> np.ndarr
     All geometry is computed in bbox-relative coordinates, which are
     invariant under integer translation, so translated copies of an
     object produce bit-identical histograms.  The centroid is read from
-    `obj.centroid`, which must be the mean pixel position, as
-    `extract_objects` sets it.  This is the batch of one of
-    `shape_histograms`.
+    the table's `centroid` column, the mean pixel position.  This is the
+    batch of one of `shape_histograms`.
     """
     return shape_histograms([grid], [objects])[0]
 
 
 def shape_histograms(
-    grids: Sequence[LabelGrid], objects: Sequence[Sequence[SceneObject]]
+    grids: Sequence[LabelGrid], objects: Sequence[ObjectTable]
 ) -> list[np.ndarray]:
     """`shape_histogram(grids[i], objects[i])` of each map, binned together.
 
@@ -138,9 +115,13 @@ def shape_histograms(
     read-only views of one array.
     """
     traced = [trace_boundaries(g, objs) for g, objs in zip(grids, objects)]
-    flat = [o for objs in objects for o in objs]
-    points = np.concatenate([p for p, _ in traced])
-    hists = _histograms(flat, points, np.concatenate([n for _, n in traced]))
+    hists = _histograms(
+        np.concatenate([objs.bbox[:, :2] for objs in objects]),
+        np.concatenate([objs.centroid for objs in objects]),
+        np.concatenate([objs.pixel_count for objs in objects]),
+        np.concatenate([p for p, _ in traced]),
+        np.concatenate([n for _, n in traced]),
+    )
     hists.flags.writeable = False
     ends = itertools.accumulate(len(objs) for objs in objects)
     return [hists[e - len(objs) : e] for objs, e in zip(objects, ends)]
@@ -148,15 +129,20 @@ def shape_histograms(
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """Elementwise `math.hypot` of two 1-D arrays: pair distances, and the
-    shape samples of the objects with a sample near a bin edge."""
+    shape samples near a bin edge or their row's maximum."""
     return np.fromiter(map(math.hypot, dr.tolist(), dc.tolist()), np.float64, len(dr))
 
 
 def _histograms(
-    objects: Sequence[SceneObject], points: np.ndarray, lengths: np.ndarray
+    corners: np.ndarray,
+    centroid: np.ndarray,
+    pixel_count: np.ndarray,
+    points: np.ndarray,
+    lengths: np.ndarray,
 ) -> np.ndarray:
-    """`shape_histogram` rows of `objects`, binned in one pass over the
-    concatenated contours that `trace_boundaries` returns.
+    """`shape_histogram` rows of objects with these bbox corners (r0, c0),
+    centroids and pixel counts, binned in one pass over the concatenated
+    contours that `trace_boundaries` returns.
 
     Point i of a contour of L points steps to point (i + 1) mod L, a
     segment of 1 or the diagonal, since the points are 8-adjacent; a
@@ -176,12 +162,10 @@ def _histograms(
     in [0, T), so idx_j lies in [0, L - 1].  A single pixel is sampled at
     its own bbox-relative centroid, so all its samples are 0.
     """
-    k = len(objects)
+    k = len(corners)
     if not k:
         return np.zeros((0, SHAPE_BINS))
-    # Row i: object i's bbox corner, centroid and pixel count.
-    meta = np.array([o.bbox[:2] + o.centroid + (o.pixel_count,) for o in objects], np.float64)
-    corners, n = meta[:, :2], meta[:, 4:]
+    corners, n = corners.astype(np.float64), pixel_count[:, None].astype(np.float64)
     ends = np.cumsum(lengths)
     starts = ends - lengths
     # The rows and columns of every point, and each point's step.
@@ -210,41 +194,33 @@ def _histograms(
     # integer coordinate sum over n, so rounding it times n (np.rint rounds
     # half to even) recovers that sum for sums below 2**51, and the exact
     # relative sum over n is the float64 mean of the relative coordinates.
-    rc -= ((np.rint(meta[:, 2:4] * n) - n * corners) / n).T[:, :, None]
+    rc -= ((np.rint(centroid * n) - n * corners) / n).T[:, :, None]
     samples = np.hypot(rc[0], rc[1])
     max_d = samples.max(axis=1, keepdims=True)
     scaled = np.ones((k, SHAPE_SAMPLES))
     np.divide(samples, max_d, out=scaled, where=max_d > 0.0)
     scaled *= SHAPE_BINS
-    # A row with a sample within _EDGE_EPS of an inner bin edge is
-    # recomputed with `_hypot`.  Clipping keeps out 0 and SHAPE_BINS: no
-    # sample lies below 0, and the row's maximum scales to SHAPE_BINS
-    # exactly either way, as does every sample of a single pixel.
+    # In a row with a sample within _EDGE_EPS of an inner bin edge, that
+    # sample and every candidate for the row's maximum, a sample within
+    # _EDGE_EPS of SHAPE_BINS, are recomputed with `_hypot`, and scaled by
+    # the largest of them.  Samples differ from `_hypot`'s by far less
+    # than _EDGE_EPS, so that is the exact maximum, and every other
+    # sample lies too far from an edge for its bin to change.
+    # Clipping keeps out 0 and SHAPE_BINS: no sample lies below 0, and a
+    # single pixel, whose samples all scale to SHAPE_BINS, has no near one.
     inner = np.clip(scaled, 0.5, SHAPE_BINS - 0.5)
-    near = np.flatnonzero((np.abs(inner - np.rint(inner)) < _EDGE_EPS).any(axis=1))
-    dr, dc = rc[:, near].reshape(2, -1)
-    exact = _hypot(dr, dc).reshape(len(near), SHAPE_SAMPLES)
-    scaled[near] = exact / exact.max(axis=1, keepdims=True) * SHAPE_BINS
+    near = np.abs(inner - np.rint(inner)) < _EDGE_EPS
+    flagged = near.any(axis=1, keepdims=True)
+    if flagged.any():
+        row, col = np.nonzero((near | (scaled > SHAPE_BINS - _EDGE_EPS)) & flagged)
+        exact = _hypot(rc[0, row, col], rc[1, row, col])
+        row_max = np.zeros(k)
+        np.maximum.at(row_max, row, exact)
+        scaled[row, col] = exact / row_max[row] * SHAPE_BINS
     bins = np.minimum(scaled.astype(np.int64), SHAPE_BINS - 1)
     bins += np.arange(0, k * SHAPE_BINS, SHAPE_BINS)[:, None]
     counts = np.bincount(bins.ravel(), minlength=k * SHAPE_BINS).reshape(k, SHAPE_BINS)
     return counts / float(SHAPE_SAMPLES)
-
-
-def _contact_matrix(objects: list[SceneObject], bbox: np.ndarray) -> np.ndarray:
-    """Symmetric (n, n) `contact` matrix; runs are compared only for
-    pairs whose bounding boxes come within 1 of each other."""
-    r0, c0, r1, c1 = bbox.T
-    near = (
-        (r0[:, None] <= r1 + 1)
-        & (r0 <= r1[:, None] + 1)
-        & (c0[:, None] <= c1 + 1)
-        & (c0 <= c1[:, None] + 1)
-    )
-    touching = np.zeros(near.shape, dtype=bool)
-    for i, j in np.argwhere(np.triu(near, 1)).tolist():
-        touching[i, j] = touching[j, i] = contact(objects[i], objects[j])
-    return touching
 
 
 _NO_PAIRS = PairTable(
@@ -270,8 +246,8 @@ def _octants(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
     return codes.astype(np.int64) % 8
 
 
-def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTable:
-    """Relations for every ordered pair of distinct objects, in list order.
+def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
+    """Relations for every ordered pair of distinct objects, in table order.
 
     Rows run over A, then B, like a nested loop over `objects`; the
     table's indices are positions in `objects`.  The channels of the
@@ -280,7 +256,8 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
     - `rpos`: the OCTANTS sector of the direction from A's centroid to
       B's, angles measured with "up" = decreasing row.
     - `rprox`: FRONT when A's bbox lies strictly inside B's, BACK when
-      B's lies strictly inside A's; otherwise, for objects in `contact`,
+      B's lies strictly inside A's; otherwise, for objects that touch
+      (some pixels within Chebyshev distance 1, `ObjectTable.contacts`),
       ON when A's centroid row is above B's by more than 5% of the grid
       height, UNDER when below by more than that, else BESIDE; NONE for
       objects that do not touch.
@@ -300,9 +277,9 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
     n = len(objects)
     if n < 2:
         return _NO_PAIRS
-    centroid = np.array([o.centroid for o in objects], dtype=np.float64)
-    bbox = np.array([o.bbox for o in objects], dtype=np.int64)
-    log_size = np.array([math.log(o.pixel_count) for o in objects], dtype=np.float64)
+    centroid, bbox = objects.centroid, objects.bbox
+    # One `math.log` per object: `np.log` may differ from it in the last bit.
+    log_size = np.array([math.log(c) for c in objects.pixel_count.tolist()])
     a, b = np.nonzero(~np.eye(n, dtype=bool))
 
     dr = centroid[b, 0] - centroid[a, 0]
@@ -328,7 +305,7 @@ def relations_for_objects(grid: LabelGrid, objects: list[SceneObject]) -> PairTa
         label("ON"),
         np.where(row[:, None] > row + eps, label("UNDER"), label("BESIDE")),
     )
-    prox = np.where(_contact_matrix(objects, bbox), prox, label("NONE"))
+    prox = np.where(objects.contacts(), prox, label("NONE"))
     prox = np.where(nested.T, label("BACK"), prox)
     prox = np.where(nested, label("FRONT"), prox)
 

@@ -33,7 +33,7 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields
 import numpy as np
 
 from .errors import ConsistencyError, EmptyCorpusError, SchemaError, UnknownClassError
-from .labelgrid import SceneObject
+from .labelgrid import ObjectTable
 from .relations import K_DIST, OCTANTS, PROXIMITY_LABELS, PairTable
 
 ALPHA_DEFAULT = 1.0
@@ -75,7 +75,7 @@ class StatsBuilder(_Counts):
 
 def accumulate(
     builder: StatsBuilder,
-    objects: list[SceneObject],
+    objects: ObjectTable,
     relations: PairTable,
 ) -> StatsBuilder:
     """Fold one image into the builder (mutates and returns it).
@@ -86,7 +86,8 @@ def accumulate(
     those of the objects it indexes.
     """
     row = {c: i for i, c in enumerate(builder.classes)}
-    class_counts = Counter(o.class_id for o in objects)
+    class_ids = objects.class_id.tolist()
+    class_counts = Counter(class_ids)
     unknown = class_counts.keys() - row.keys()
     if unknown:
         raise ConsistencyError(f"objects carry classes outside the universe: {sorted(unknown)}")
@@ -100,8 +101,8 @@ def accumulate(
             if a != b or n > 1:
                 builder.presence[row[a], row[b]] += 1
 
-    rows = [row[o.class_id] for o in objects]
-    sizes = [o.pixel_count for o in objects]
+    rows = [row[c] for c in class_ids]
+    sizes = objects.pixel_count.tolist()
     position, proximity, distance = builder.position, builder.proximity, builder.distance
     columns = (
         relations.a_index, relations.b_index, relations.rpos, relations.rprox, relations.rdist_bin,

@@ -6,17 +6,19 @@ classifier (hinge loss plus L2, plain SGD, trained from scratch) scores
 all rows in one call, and per-image verdicts come from majority voting
 or a mean-margin threshold over the pair margins.
 
-A label map is labelled once into a Scene: its objects, their pair
+A label map is labelled once into a Scene: its ObjectTable, their pair
 table and their shape histograms, at the fixed resolutions of
 `relations`; `prepare_all`, `prepare` and `verify` build it with one
-helper.  `prepare_all` labels a stream of maps in batches, one stacked
-labelling pass and one histogram pass per batch; `prepare` is its batch
-of one.
+helper, and no SceneObject is built on the way: every layer reads the
+table's columns.  `prepare_all` labels a stream of maps in batches, one
+stacked labelling pass and one histogram pass per batch; `prepare` is
+its batch of one.
 `Scene.without(k)` derives the object-removal twin of a scene from it,
 with no re-labelling, and `derive_contradiction` picks the removed
-object by the seeded rule `corpus.generate_contradiction` shares;
-`train_registry` and the `evaluate` command score prepared scenes and
-their twins.
+object by the seeded rule `corpus.generate_contradiction` shares; the
+`evaluate` command scores prepared scenes and their twins.
+`train_registry` takes a twin's feature rows from its source's, the
+rows of the pairs without the removed object, and builds no twin.
 
 A VerifierRegistry holds one global Detector (linear model,
 statistics and shape prototypes) plus one per context value; `verify`
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .errors import (
 from .labelgrid import (
     DEFAULT_MIN_AREA,
     LabelGrid,
-    SceneObject,
+    ObjectTable,
     extract_objects,
     grid_batches,
     label_maps,
@@ -103,14 +105,14 @@ class Scene:
     """One label map, labelled once: its objects, their ordered pairs and
     their shape histograms, with the min_area it was labelled with.
 
-    An object is known by its position in `objects`: the pair table
-    indexes `objects`, and `hists` is the read-only
+    An object is known by its position in the `objects` table: the pair
+    table indexes `objects`, and `hists` is the read-only
     `(len(objects), SHAPE_BINS)` array of `shape_histogram`, whose row i
-    belongs to `objects[i]`.
+    belongs to object i.
     """
 
     image_id: str
-    objects: tuple[SceneObject, ...]
+    objects: ObjectTable
     pairs: PairTable
     hists: np.ndarray
     min_area: int
@@ -122,11 +124,9 @@ class Scene:
         clearing an object cannot merge or split another component, every
         pair column and histogram depends only on its own objects and the
         grid size, and the survivors keep their raster order, so each
-        takes its new list index.
+        takes its new index.
         """
-        if not 0 <= k < len(self.objects):
-            raise IndexError(f"object {k} is not in a scene of {len(self.objects)}")
-        objects = self.objects[:k] + self.objects[k + 1 :]
+        objects = self.objects.without(k)
         p = self.pairs
         keep = (p.a_index != k) & (p.b_index != k)
         a, b = p.a_index[keep], p.b_index[keep]
@@ -159,17 +159,15 @@ def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
     with the scene's min_area, with no re-labelling.
     """
     k = _removed_index(len(scene.objects), seed)
-    return scene.without(k), scene.objects[k].class_id
+    return scene.without(k), int(scene.objects.class_id[k])
 
 
-def _scene(
-    grid: LabelGrid, objects: Sequence[SceneObject], hists: np.ndarray, min_area: int
-) -> Scene:
+def _scene(grid: LabelGrid, objects: ObjectTable, hists: np.ndarray, min_area: int) -> Scene:
     """The Scene of `grid`, given the objects extracted from it with
     `min_area` and their shape histograms; their pair table is made here."""
     return Scene(
         image_id=grid.image_id,
-        objects=tuple(objects),
+        objects=objects,
         pairs=relations_for_objects(grid, objects),
         hists=hists,
         min_area=min_area,
@@ -265,7 +263,7 @@ class Verdict:
 
 def featurize(
     pairs: PairTable,
-    objects: Sequence[SceneObject],
+    objects: ObjectTable,
     hists: np.ndarray,
     stats: CooccurrenceModel,
     prototypes: np.ndarray,
@@ -281,7 +279,7 @@ def featurize(
     """
     if not len(pairs):
         return np.empty((0, N_FEATURES))
-    rows = stats.class_rows([o.class_id for o in objects])
+    rows = stats.class_rows(objects.class_id)
     a, b = rows[pairs.a_index], rows[pairs.b_index]
     shape = np.abs(hists - prototypes[rows]).sum(axis=1)
     return np.column_stack(
@@ -303,26 +301,32 @@ def _sgd_epoch(width: int):
 
     The generated `epoch(w, b, order, rows, lr, lam, decay)` takes the
     weights as a tuple of floats, the bias, the visiting order and the
-    rows `[z_0, ..., z_{width-1}, y]` as Python floats, and returns the
-    new weights and bias.  Every coordinate's update is spelt out, so a
-    step makes no NumPy call and runs no loop over the coordinates.  It
-    is generated once per width; the cache key is the width alone.
+    rows signed by their label, `[y*z_0, ..., y*z_{width-1}, y, lr*y]`
+    as Python floats, and returns the new weights and bias.  Every
+    coordinate's update is spelt out, so a step makes no NumPy call and
+    runs no loop over the coordinates.  It is generated once per width;
+    the cache key is the width alone.
+
+    The margin test `sum_j w_j*(y*z_j) + y*b < 1`, summed left to right,
+    is `y*(sum_j w_j*z_j + b) < 1` bit for bit: y is +1 or -1, every
+    product and sum of negated operands is the negated result, since
+    IEEE rounding is symmetric about 0, and so is the final product by y.
     """
     ws = [f"w{j}" for j in range(width)]
     zs = [f"z{j}" for j in range(width)]
     weights = "(" + "".join(f"{w}, " for w in ws) + ")"
-    row = "".join(f"{z}, " for z in zs) + "yi,"
+    row = "".join(f"{z}, " for z in zs) + "yi, lyi,"
     dot = "".join(f"{w}*{z} + " for w, z in zip(ws, zs))
-    hinge = [f"{w} = {w} - ({w}*lam - yi*{z})*lr" for w, z in zip(ws, zs)]
+    hinge = [f"{w} = {w} - ({w}*lam - {z})*lr" for w, z in zip(ws, zs)]
     shrink = [f"{w} = {w} - {w}*decay" for w in ws] or ["pass"]
     lines = [
         "def epoch(w, b, order, rows, lr, lam, decay):",
         f"    {weights} = w",
         "    for i in order:",
         f"        {row} = rows[i]",
-        f"        if yi * ({dot}b) < 1.0:",
+        f"        if {dot}yi*b < 1.0:",
         *(f"            {line}" for line in hinge),
-        "            b += lr * yi",
+        "            b += lyi",
         "        else:",
         *(f"            {line}" for line in shrink),
         f"    return {weights}, b",
@@ -350,13 +354,15 @@ def train_linear(
     `w_j - (w_j*lam - y_i*z_ij)*lr` and the bias to `b + lr*y_i`; any
     other step sets it to `w_j - w_j*(lr*lam)`.  The steps run on
     Python floats, one straight-line function per feature width
-    (`_sgd_epoch`).  Each weight comes only from these element-wise
-    IEEE operations, in the order the array form `w -= lr*(lam*w -
-    y_i*z_i)` evaluates them, and CPython rounds them as NumPy does, so
-    the weights are those of the array form bit for bit.  The dot
-    product, summed left to right, only picks the branch; a different
-    summation order could pick the other one only on a margin within
-    rounding error of 1.
+    (`_sgd_epoch`), over rows stored signed by their label: `y_i*z_ij`
+    and `lr*y_i` are computed once per row, and are exact negations or
+    copies since y_i is +1 or -1.  Each weight comes only from these
+    element-wise IEEE operations, in the order the array form `w -=
+    lr*(lam*w - y_i*z_i)` evaluates them, and CPython rounds them as
+    NumPy does, so the weights are those of the array form bit for bit.
+    The dot product, summed left to right, only picks the branch; a
+    different summation order could pick the other one only on a margin
+    within rounding error of 1.
     """
     hp = hyperparams or Hyperparams()
     X = np.asarray(features, dtype=np.float64)
@@ -370,7 +376,7 @@ def train_linear(
     Z = (X - means) / stds
     rng = np.random.default_rng(seed)
     epoch_fn = _sgd_epoch(X.shape[1])
-    rows = np.column_stack((Z, y)).tolist()
+    rows = np.column_stack((Z * y[:, None], y, hp.learning_rate * y)).tolist()
     w: tuple[float, ...] = (0.0,) * X.shape[1]
     b = 0.0
     lr, lam = hp.learning_rate, hp.l2_lambda
@@ -541,7 +547,7 @@ def verify(
 
 
 def build_stats(
-    scenes: Iterable[tuple[str | None, Sequence[SceneObject], PairTable]], classes: Iterable[int]
+    scenes: Iterable[tuple[str | None, ObjectTable, PairTable]], classes: Iterable[int]
 ) -> tuple[StatsBuilder, dict[str | None, StatsBuilder]]:
     """Co-occurrence counts of scenes, given as (context value, objects, pairs
     of the objects), over the class universe `classes`.
@@ -562,7 +568,7 @@ def build_stats(
 def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray:
     """The prototype table of `scenes` on the rows of `stats`: each class's
     histograms summed in scene and object order, divided by their count."""
-    rows = stats.class_rows([o.class_id for scene in scenes for o in scene.objects])
+    rows = stats.class_rows(np.concatenate([scene.objects.class_id for scene in scenes]))
     sums = np.zeros((len(stats.classes), SHAPE_BINS))
     np.add.at(sums, rows, np.concatenate([scene.hists for scene in scenes]))
     counts = np.bincount(rows, minlength=len(stats.classes))[:, None]
@@ -611,17 +617,22 @@ def train_registry(
             )
     value_of = {image_id: value for value, ids in groups.items() for image_id in ids}
 
+    # Each train scene and the objects its twins remove, by the rule of
+    # `derive_contradiction`.  A twin's feature rows are its source's rows
+    # of the pairs without the removed object, bit for bit, so no twin
+    # Scene is built.
     scenes: dict[str, Scene] = {}
-    twins: dict[str, list[Scene]] = {}
+    removed: dict[str, list[int]] = {}
     grids = map(corpus.grid, train_ids)
     for idx, (image_id, scene) in enumerate(zip(train_ids, prepare_all(grids, min_area))):
+        n = len(scene.objects)
         scenes[image_id] = scene
-        twins[image_id] = (
+        removed[image_id] = (
             [
-                derive_contradiction(scene, derive_seed(seed, _TRAIN_TAG, idx, j))[0]
+                _removed_index(n, derive_seed(seed, _TRAIN_TAG, idx, j))
                 for j in range(contradictions_per_image)
             ]
-            if len(scene.objects) >= 2
+            if n >= 2
             else []
         )
 
@@ -641,12 +652,15 @@ def train_registry(
         features: list[np.ndarray] = []
         labels: list[int] = []
         for image_id in ids:
-            for scene, y in [(scenes[image_id], -1)] + [
-                (t, +1) for t in twins[image_id]
-            ]:
-                X = featurize(scene.pairs, scene.objects, scene.hists, scope_stats, protos)
-                features.append(X)
-                labels.extend([y] * len(X))
+            scene = scenes[image_id]
+            X = featurize(scene.pairs, scene.objects, scene.hists, scope_stats, protos)
+            features.append(X)
+            labels.extend([-1] * len(X))
+            a, b = scene.pairs.a_index, scene.pairs.b_index
+            for k in removed[image_id]:
+                twin = X[(a != k) & (b != k)]
+                features.append(twin)
+                labels.extend([+1] * len(twin))
         model = train_linear(
             np.concatenate(features),
             labels,

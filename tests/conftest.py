@@ -48,9 +48,10 @@ def pixels(obj):
     return tuple([(r, c) for r, c0, c1 in obj.runs for c in range(c0, c1)])
 
 
-def boundary(grid, obj):
-    """The (row, col) points of an object's contour, traced on its own."""
-    points, _ = trace_boundaries(grid, [obj])
+def boundary(grid, objects, k=0):
+    """The (row, col) points of the contour of object k of a table, traced
+    on its own."""
+    points, _ = trace_boundaries(grid, objects[k : k + 1])
     return tuple(map(tuple, points.tolist()))
 
 

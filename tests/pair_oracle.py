@@ -3,10 +3,11 @@
 The library computes a scene's pairs as the columns of one PairTable,
 reads its statistics from dense tables and computes features and
 margins as matrices.  This module keeps the per-pair form they
-replaced: the scalar channel functions, the statistics lookups `query`
-and `size_zscore`, which smooth the model's raw counts themselves, and
-per-pair features and scores built from them, so that tests can require
-the batched results to equal it bit for bit.  `keyed` reads the
+replaced: the scalar channel functions, `contact` on the runs of one
+pair of objects, the statistics lookups `query` and `size_zscore`,
+which smooth the model's raw counts themselves, and per-pair features
+and scores built from them, so that tests can require the batched
+results to equal it bit for bit.  `keyed` reads the
 statistics' count arrays back as the per-class-pair dicts that hand
 tallies are written in.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scenecheck import DegeneratePairError, UnknownClassError, contact
+from scenecheck import DegeneratePairError, UnknownClassError
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
 from scenecheck.stats import SIGMA_FLOOR
 
@@ -40,6 +41,32 @@ def octant(a_centroid, b_centroid) -> str:
 
 def opposite_octant(label: str) -> str:
     return OCTANTS[(OCTANTS.index(label) + 4) % 8]
+
+
+def contact(a, b) -> bool:
+    """True iff some pixel of A and some pixel of B are within Chebyshev
+    distance 1, for two SceneObject views.
+
+    Runs [c0, c1) and [s, e) in rows at most 1 apart hold such a pixel
+    pair iff c0 <= e and s <= c1.
+    """
+    # Quick reject: bounding boxes further than 1 apart cannot touch.
+    if (
+        a.bbox[0] > b.bbox[2] + 1
+        or b.bbox[0] > a.bbox[2] + 1
+        or a.bbox[1] > b.bbox[3] + 1
+        or b.bbox[1] > a.bbox[3] + 1
+    ):
+        return False
+    b_rows: dict[int, list[tuple[int, int]]] = {}
+    for r, s, e in b.runs:
+        b_rows.setdefault(r, []).append((s, e))
+    for r, c0, c1 in a.runs:
+        for row in (r - 1, r, r + 1):
+            for s, e in b_rows.get(row, ()):
+                if c0 <= e and s <= c1:
+                    return True
+    return False
 
 
 def _strictly_inside(inner, outer) -> bool:

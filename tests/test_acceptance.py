@@ -15,7 +15,6 @@ import pytest
 from scenecheck import (
     StatsBuilder,
     accumulate,
-    contact,
     default_synthetic_config,
     extract_objects,
     finalize,
@@ -116,7 +115,7 @@ def test_criterion_1_exact_oracles(rng):
                 mismatches += 1
     assert mismatches == 0
 
-    # contact vs exhaustive pixel-pair oracle, 200 random blob pairs
+    # the contact matrix vs exhaustive pixel-pair oracle, 200 random blob pairs
     contact_mismatches = 0
     for _ in range(200):
         arr = random_blob_array(rng, size=14, steps=30, class_id=1)
@@ -124,10 +123,12 @@ def test_criterion_1_exact_oracles(rng):
         arr[arr == 0] = other[arr == 0]
         grid = grid_from_array(arr, {1: "a", 2: "b"})
         objects = extract_objects(grid, min_area=1)
-        a = next(o for o in objects if o.class_id == 1)
-        b = next(o for o in objects if o.class_id == 2)
-        if contact(a, b) != _touch_oracle(a, b):
-            contact_mismatches += 1
+        touching = objects.contacts()
+        views = list(objects)
+        for i, a in enumerate(views):
+            for j, b in enumerate(views):
+                if i != j and touching[i, j] != _touch_oracle(a, b):
+                    contact_mismatches += 1
     assert contact_mismatches == 0
 
     # connected components vs flood-fill oracle, 100 random 64x64 grids
@@ -291,15 +292,15 @@ def test_criterion_8_shape_histograms(rng):
         b = np.zeros((44, 44), dtype=int)
         b[21 : 21 + 14, 26 : 26 + 14] = blob
         ga, gb = grid_from_array(a, {1: "x"}), grid_from_array(b, {1: "x"})
-        (oa,) = extract_objects(ga, min_area=1)
-        (ob,) = extract_objects(gb, min_area=1)
-        assert shape_histogram(ga, [oa])[0].tolist() == shape_histogram(gb, [ob])[0].tolist()
+        (ha,) = shape_histogram(ga, extract_objects(ga, min_area=1))
+        (hb,) = shape_histogram(gb, extract_objects(gb, min_area=1))
+        assert ha.tolist() == hb.tolist()
     for arr in _resolved_shapes():
         doubled = np.kron(arr, np.ones((2, 2), dtype=int))
         g1, g2 = grid_from_array(arr, {1: "x"}), grid_from_array(doubled, {1: "x"})
-        (o1,) = extract_objects(g1, min_area=1)
-        (o2,) = extract_objects(g2, min_area=1)
-        l1 = float(np.abs(shape_histogram(g1, [o1])[0] - shape_histogram(g2, [o2])[0]).sum())
+        (h1,) = shape_histogram(g1, extract_objects(g1, min_area=1))
+        (h2,) = shape_histogram(g2, extract_objects(g2, min_area=1))
+        l1 = float(np.abs(h1 - h2).sum())
         assert l1 <= 0.15
     print("PASS criterion 8: translation invariance exact on 50 blobs, 2x scale L1 <= 0.15")
 

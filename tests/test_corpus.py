@@ -109,10 +109,11 @@ class TestSynthCorpus:
         on = total = 0
         for image_id in corpus.image_ids():
             grid = corpus.grid(image_id)
-            objects = {o.class_id: o for o in extract_objects(grid)}
-            if 7 in objects and 8 in objects:
+            objects = extract_objects(grid)
+            index = {c: k for k, c in enumerate(objects.class_id.tolist())}
+            if 7 in index and 8 in index:
                 total += 1
-                pairs = relations_for_objects(grid, [objects[7], objects[8]])
+                pairs = relations_for_objects(grid, objects[[index[7], index[8]]])
                 if PROXIMITY_LABELS[pairs.rprox[0]] == "ON":
                     on += 1
         assert total >= 10

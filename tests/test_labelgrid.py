@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from scenecheck import (
     FormatError,
     LabelGrid,
     UnknownClassError,
-    contact,
     default_synthetic_config,
     extract_objects,
     grid_from_array,
@@ -26,9 +26,11 @@ from scenecheck import (
     parse_label_grid,
     synth_corpus,
 )
+from scenecheck import labelgrid
 from scenecheck.labelgrid import _BATCH_CELLS, _plain_cells, grid_batches
 
 from conftest import blob_grid, boundary, pixels
+from pair_oracle import contact
 
 
 class TestParse:
@@ -40,7 +42,7 @@ class TestParse:
     def test_all_background_single_cell(self):
         grid = parse_label_grid("1 1\n0", {})
         assert grid.cells == (0,)
-        assert extract_objects(grid, min_area=1) == []
+        assert len(extract_objects(grid, min_area=1)) == 0
 
     def test_unknown_class_id(self):
         with pytest.raises(UnknownClassError):
@@ -183,7 +185,10 @@ def test_plain_text_decodes_as_the_general_path_reads_it(arr, final_newline):
 @example(np.array([[-(2**31)]]))
 def test_to_text_is_the_joined_decimal_text(arr):
     class_map = {int(v): "c" for v in np.unique(arr) if v}
-    assert grid_from_array(arr, class_map).to_text() == _canonical_text(arr)
+    grid = grid_from_array(arr, class_map)
+    # The cells are sorted once, for the class check; rendering sorts none.
+    with mock.patch.object(labelgrid, "_distinct", side_effect=AssertionError("sorted again")):
+        assert grid.to_text() == _canonical_text(arr)
 
 
 def _with_token(arr, position, token):
@@ -346,7 +351,7 @@ class TestExtract:
 
     def test_background_never_extracted(self):
         arr = np.zeros((3, 3), dtype=int)
-        assert extract_objects(grid_from_array(arr, {}), min_area=1) == []
+        assert len(extract_objects(grid_from_array(arr, {}), min_area=1)) == 0
 
     def test_matches_flood_fill_oracle(self, rng):
         # Independent BFS flood fill over all pixels, 4+diagonal adjacency.
@@ -450,6 +455,13 @@ def _touch_oracle(a, b):
 @example(np.array([[1, 2, 0, 3]], dtype=np.int32), 1)  # single pixels in one row
 @example(np.array([[1, 1, 0, 0], [0, 0, 2, 2], [2, 0, 0, 1]], dtype=np.int32), 1)
 @example(np.array([[1, 1, 2, 2, 2, 0, 3, 3]], dtype=np.int32), 1)  # same-row runs
+# A run ending at the right edge above a run starting at column 0, of
+# another class and of the same class: flat neighbours, but no contact.
+@example(np.array([[0, 0, 1], [2, 0, 0]], dtype=np.int32), 1)
+@example(np.array([[0, 0, 1], [1, 0, 0]], dtype=np.int32), 1)
+@example(np.array([[0, 1], [2, 0]], dtype=np.int32), 1)  # the same, one column apart
+# A component below min_area between two objects, which do not touch.
+@example(np.array([[1, 1, 2, 3, 3], [1, 1, 0, 3, 3]], dtype=np.int32), 3)
 def test_runs_expand_to_components_and_decide_contact(arr, min_area):
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
     assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
@@ -462,10 +474,14 @@ def test_runs_expand_to_components_and_decide_contact(arr, min_area):
             # Maximal: the cells either side of the run hold another class.
             assert c0 == 0 or arr[r, c0 - 1] != o.class_id
             assert c1 == arr.shape[1] or arr[r, c1] != o.class_id
-    for a in objects:
-        for b in objects:
-            if a is not b:
-                assert contact(a, b) == _touch_oracle(a, b)
+    touching = objects.contacts()
+    assert touching.shape == (len(objects),) * 2
+    views = list(objects)
+    for i, a in enumerate(views):
+        for j, b in enumerate(views):
+            if i != j:
+                assert touching[i, j] == _touch_oracle(a, b) == contact(a, b)
+    assert not touching.diagonal().any()
 
 
 def _component_oracle(arr, min_area):
@@ -499,6 +515,43 @@ def _component_oracle(arr, min_area):
     return out
 
 
+def _oracle_columns(arr, min_area):
+    """The columns of the flood-fill oracle's objects of `arr`, in raster
+    order of their first pixels, centroids as `float.hex` strings."""
+    comps = sorted(_component_oracle(arr, min_area), key=lambda comp: comp[1][0])
+    columns = {"class_id": [], "pixel_count": [], "centroid": [], "bbox": [], "runs": []}
+    offsets = [0]
+    for cls, pix in comps:
+        rows, cols = np.array(pix).T
+        columns["class_id"].append(cls)
+        columns["pixel_count"].append(len(pix))
+        columns["centroid"].append(
+            [float(rows.astype(float).mean()).hex(), float(cols.astype(float).mean()).hex()]
+        )
+        columns["bbox"].append([int(rows.min()), int(cols.min()), int(rows.max()), int(cols.max())])
+        for r, c in pix:
+            last = columns["runs"][-1] if len(columns["runs"]) > offsets[-1] else None
+            if last is not None and last[0] == r and last[2] == c:
+                last[2] += 1
+            else:
+                columns["runs"].append([r, c, c + 1])
+        offsets.append(len(columns["runs"]))
+    columns["offsets"] = offsets
+    return columns
+
+
+def _assert_columns(table, arr, min_area):
+    """Each column of `table` equals the oracle's, with its dtype, read-only."""
+    want = _oracle_columns(arr, min_area)
+    got = {name: getattr(table, name).tolist() for name in want}
+    got["centroid"] = [[x.hex() for x in c] for c in got["centroid"]]
+    assert got == want
+    for name in want:
+        column = getattr(table, name)
+        assert column.dtype == (np.float64 if name == "centroid" else np.int64)
+        assert not column.flags.writeable
+
+
 def _stack_cells(batch):
     """Cells of the `label_maps` stack of `batch`: one background row after
     each map, all as wide as the widest."""
@@ -518,10 +571,25 @@ def test_label_maps_equal_each_map_labelled_alone(arrays, min_area):
     assert len(batched) == len(grids)
     for arr, grid, objects in zip(arrays, grids, batched):
         alone = extract_objects(grid, min_area)
-        assert objects == alone  # class, pixel count, centroid, bbox and runs
-        bits = [(o.centroid[0].hex(), o.centroid[1].hex()) for o in objects]
-        assert bits == [(o.centroid[0].hex(), o.centroid[1].hex()) for o in alone]
+        assert objects == alone  # every column
+        _assert_columns(objects, arr, min_area)
+        _assert_columns(alone, arr, min_area)
         assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_label_arrays(), st.sampled_from((1, 3)))
+def test_without_equals_labelling_the_cleared_map(arr, min_area):
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
+    for k, obj in enumerate(objects):
+        cleared = arr.copy()
+        for r, c0, c1 in obj.runs:
+            cleared[r, c0:c1] = 0
+        want = extract_objects(grid_from_array(cleared, {1: "a", 2: "b", 3: "c"}), min_area)
+        assert objects.without(k) == want
+        _assert_columns(objects.without(k), cleared, min_area)
+    with pytest.raises(IndexError):
+        objects.without(len(objects))
 
 
 def test_grid_batches_read_lazily_and_fill_each_stack_up_to_the_budget():
@@ -552,8 +620,7 @@ def test_grid_batches_read_lazily_and_fill_each_stack_up_to_the_budget():
 class TestBoundary:
     def test_solid_square_boundary(self):
         grid = grid_from_array(np.ones((3, 3), dtype=int), {1: "x"})
-        (obj,) = extract_objects(grid, min_area=1)
-        contour = boundary(grid, obj)
+        contour = boundary(grid, extract_objects(grid, min_area=1))
         assert len(contour) == 8
         assert (1, 1) not in contour
         assert contour[0] == (0, 0)
@@ -562,13 +629,13 @@ class TestBoundary:
         arr = np.zeros((3, 3), dtype=int)
         arr[1, 1] = 1
         grid = grid_from_array(arr, {1: "x"})
-        (obj,) = extract_objects(grid, min_area=1)
-        assert boundary(grid, obj) == ((1, 1),)
+        assert boundary(grid, extract_objects(grid, min_area=1)) == ((1, 1),)
 
     def test_boundary_set_matches_4_neighbour_oracle(self, rng):
         for _ in range(50):
             grid = blob_grid(rng)
-            (obj,) = extract_objects(grid, min_area=1)
+            objects = extract_objects(grid, min_area=1)
+            (obj,) = objects
             inside = set(pixels(obj))
             expected = {
                 (r, c)
@@ -578,13 +645,12 @@ class TestBoundary:
                     for dr, dc in ((1, 0), (-1, 0), (0, 1), (0, -1))
                 )
             }
-            assert set(boundary(grid, obj)) == expected
+            assert set(boundary(grid, objects)) == expected
 
     def test_boundary_is_closed_8_connected_cycle(self, rng):
         for _ in range(25):
             grid = blob_grid(rng)
-            (obj,) = extract_objects(grid, min_area=1)
-            cycle = list(boundary(grid, obj))
+            cycle = list(boundary(grid, extract_objects(grid, min_area=1)))
             for p, q in zip(cycle, cycle[1:] + cycle[:1]):
                 if len(cycle) == 1:
                     break
@@ -596,19 +662,20 @@ class TestBoundary:
         # blob's traced boundary as it was.
         for _ in range(10):
             grid = blob_grid(rng)
-            (obj,) = extract_objects(grid, min_area=1)
-            contour = boundary(grid, obj)
+            objects = extract_objects(grid, min_area=1)
+            contour = boundary(grid, objects)
             filled = grid_from_array(np.where(grid.to_array() == 0, 2, 1), {1: "a", 2: "b"})
             filled_objects = extract_objects(filled, 1)
-            (same,) = [o for o in filled_objects if o.class_id == 1]
-            assert same.runs == obj.runs and boundary(filled, same) == contour
+            same = filled_objects[filled_objects.class_id == 1]
+            assert same[0].runs == objects[0].runs and boundary(filled, same) == contour
             wide = np.zeros((16, 34), dtype=np.int32)
             wide[:, :16] = grid.to_array()
             wide[:, 18:] = grid.to_array()
             wide = grid_from_array(wide, {1: "a"})
-            first, second = extract_objects(wide, 1)
-            assert boundary(wide, first) == contour
-            assert boundary(wide, second) == tuple((r, c + 18) for r, c in contour)
+            both = extract_objects(wide, 1)
+            assert len(both) == 2
+            assert boundary(wide, both, 0) == contour
+            assert boundary(wide, both, 1) == tuple((r, c + 18) for r, c in contour)
 
     def test_contour_through_the_origin_twice_starts_at_the_start_state(self):
         # The top-left pixel joins two arms, so the contour passes it twice;
@@ -618,15 +685,17 @@ class TestBoundary:
         arr[0, 1:3] = 1
         arr[1:3, 0] = 1
         grid = grid_from_array(arr, {1: "x"})
-        (obj,) = extract_objects(grid, min_area=1)
+        objects = extract_objects(grid, min_area=1)
+        (obj,) = objects
         expected = ((0, 1), (0, 2), (0, 1), (1, 0), (2, 0), (1, 0))
-        assert boundary(grid, obj) == expected == _mask_trace(pixels(obj), obj.bbox)
+        assert boundary(grid, objects) == expected == _mask_trace(pixels(obj), obj.bbox)
 
     def test_starts_at_top_left_most_pixel(self, rng):
         for _ in range(10):
             grid = blob_grid(rng)
-            (obj,) = extract_objects(grid, min_area=1)
-            assert boundary(grid, obj)[0] == min(pixels(obj))
+            objects = extract_objects(grid, min_area=1)
+            (obj,) = objects
+            assert boundary(grid, objects)[0] == min(pixels(obj))
 
 
 @settings(max_examples=40, deadline=None)
@@ -634,9 +703,10 @@ class TestBoundary:
 def test_every_boundary_pixel_touches_outside(seed):
     rng = np.random.default_rng(seed)
     grid = blob_grid(rng, size=12, steps=30)
-    for obj in extract_objects(grid, min_area=1):
+    objects = extract_objects(grid, min_area=1)
+    for k, obj in enumerate(objects):
         inside = set(pixels(obj))
-        for r, c in boundary(grid, obj):
+        for r, c in boundary(grid, objects, k):
             assert (r, c) in inside
             assert any(
                 not (0 <= r + dr < grid.height and 0 <= c + dc < grid.width)
@@ -725,8 +795,9 @@ def _shape_maps(draw):
 @given(_shape_maps(), st.sampled_from((1, 3)))
 def test_boundaries_equal_the_mask_trace(arr, min_area):
     grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
-    for o in extract_objects(grid, min_area):
-        assert boundary(grid, o) == _mask_trace(pixels(o), o.bbox)
+    objects = extract_objects(grid, min_area)
+    for k, o in enumerate(objects):
+        assert boundary(grid, objects, k) == _mask_trace(pixels(o), o.bbox)
 
 
 def _named_shapes_array():
@@ -746,5 +817,5 @@ def test_boundaries_equal_the_mask_trace_on_named_shapes():
     grid = grid_from_array(_named_shapes_array(), {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, 1)
     assert {len(pixels(o)) for o in objects} >= {1, 3, 7, 9}
-    for o in objects:
-        assert boundary(grid, o) == _mask_trace(pixels(o), o.bbox)
+    for k, o in enumerate(objects):
+        assert boundary(grid, objects, k) == _mask_trace(pixels(o), o.bbox)

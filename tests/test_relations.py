@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from scenecheck import (
     DegeneratePairError,
-    SceneObject,
-    contact,
+    ObjectTable,
     extract_objects,
     grid_from_array,
     relations_for_objects,
@@ -62,19 +61,24 @@ def perturbed(ufunc, delta):
     return scaled
 
 
-def standin(centroid=(0.0, 0.0), pixel_count=1, row=0):
-    """Minimal stand-in object with a chosen centroid and pixel count.
+def standins(centroids, pixel_counts=None):
+    """A table of stand-in objects with chosen centroids and pixel counts,
+    built from its columns.
 
-    Its one pixel, at (row, 0), is read only by the proximity channel
-    (bbox nesting and contact); the other channels read the centroid and
-    the pixel count.
+    Object i's one pixel, at (2i, 0), is read only by the proximity
+    channel (bbox nesting and contact): no two touch, and their runs are
+    disjoint, as labelling gives them.  The other channels read the
+    centroid and the pixel count.
     """
-    return SceneObject(
-        class_id=1,
-        pixel_count=pixel_count,
-        centroid=centroid,
-        bbox=(row, 0, row, 0),
-        runs=((row, 0, 1),),
+    n = len(centroids)
+    rows, zeros = 2 * np.arange(n), np.zeros(n, np.int64)
+    return ObjectTable(
+        class_id=np.ones(n, np.int64),
+        pixel_count=np.array(pixel_counts or [1] * n, np.int64),
+        centroid=np.array(centroids, np.float64).reshape(n, 2),
+        bbox=np.column_stack((rows, zeros, rows, zeros)),
+        runs=np.column_stack((rows, zeros, zeros + 1)),
+        offsets=np.arange(n + 1),
     )
 
 
@@ -84,9 +88,7 @@ STANDIN_GRID = grid_from_array(np.zeros((200, 200), dtype=np.int32), {1: "a"})
 
 def pair_columns(a_centroid, b_centroid, a_count=1, b_count=1, grid=STANDIN_GRID):
     """The PairTable of stand-ins A and B: row 0 is (A, B), row 1 is (B, A)."""
-    a = standin(a_centroid, a_count)
-    b = standin(b_centroid, b_count)
-    return relations_for_objects(grid, [a, b])
+    return relations_for_objects(grid, standins([a_centroid, b_centroid], [a_count, b_count]))
 
 
 def rpos(a_centroid, b_centroid):
@@ -98,11 +100,9 @@ def rpos_of_pairs(pairs):
     """`rpos` of each (A centroid, B centroid) pair, read from one table.
 
     Each pair becomes stand-ins 2k and 2k + 1, and the rows (2k, 2k + 1)
-    are read.  The stand-ins' pixels lie 2 rows apart, so no two touch.
+    are read.
     """
-    centroids = [c for pair in pairs for c in pair]
-    objects = [standin(c, row=2 * i) for i, c in enumerate(centroids)]
-    table = relations_for_objects(STANDIN_GRID, objects)
+    table = relations_for_objects(STANDIN_GRID, standins([c for pair in pairs for c in pair]))
     wanted = (table.a_index % 2 == 0) & (table.b_index == table.a_index + 1)
     return [OCTANTS[p] for p in table.rpos[wanted].tolist()]
 
@@ -169,6 +169,9 @@ def test_octants_on_sector_edges_match_the_oracle(monkeypatch, delta):
         assert [OCTANTS[p] for p in table.rpos.tolist()] == expected
 
 
+TOUCHING_PAIR = [[False, True], [True, False]]
+
+
 class TestContact:
     def _two_rect_grid(self, gap):
         arr = np.zeros((8, 12), dtype=int)
@@ -178,21 +181,18 @@ class TestContact:
 
     def test_shared_edge_touches(self):
         grid = self._two_rect_grid(gap=0)
-        a, b = extract_objects(grid, min_area=1)
-        assert contact(a, b) is True
+        assert extract_objects(grid, min_area=1).contacts().tolist() == TOUCHING_PAIR
 
     def test_two_pixel_gap_does_not_touch(self):
         grid = self._two_rect_grid(gap=2)
-        a, b = extract_objects(grid, min_area=1)
-        assert contact(a, b) is False
+        assert not extract_objects(grid, min_area=1).contacts().any()
 
     def test_diagonal_corner_touches(self):
         arr = np.zeros((6, 6), dtype=int)
         arr[1:3, 1:3] = 1
         arr[3:5, 3:5] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
-        a, b = extract_objects(grid, min_area=1)
-        assert contact(a, b) is True
+        assert extract_objects(grid, min_area=1).contacts().tolist() == TOUCHING_PAIR
 
     def test_matches_exhaustive_pixel_pair_oracle(self, rng):
         for _ in range(60):
@@ -201,11 +201,12 @@ class TestContact:
             arr[arr == 0] = other[arr == 0]
             grid = grid_from_array(arr, {1: "a", 2: "b"})
             objects = extract_objects(grid, min_area=1)
-            for i, a in enumerate(objects):
-                for b in objects[i + 1 :]:
-                    expected = _touch_oracle(a, b)
-                    assert contact(a, b) == expected
-                    assert contact(b, a) == expected
+            touching = objects.contacts()
+            assert (touching == touching.T).all()
+            views = list(objects)
+            for i, a in enumerate(views):
+                for j, b in enumerate(views[i + 1 :], i + 1):
+                    assert touching[i, j] == _touch_oracle(a, b) == pair_oracle.contact(a, b)
 
 
 class TestProximity:
@@ -236,8 +237,8 @@ class TestProximity:
         arr = np.zeros((20, 8), dtype=int)
         arr[4:8, 2:6] = 1
         arr[8:16, 2:6] = 2
-        (top, bottom), labels = self._labels(arr, {1: "top", 2: "bottom"})
-        assert contact(top, bottom)
+        objects, labels = self._labels(arr, {1: "top", 2: "bottom"})
+        assert objects.contacts()[0, 1]
         assert labels[(1, 2)] == "ON"
         assert labels[(2, 1)] == "UNDER"
 
@@ -252,8 +253,8 @@ class TestProximity:
         arr = np.zeros((10, 10), dtype=int)
         arr[4:7, 2:5] = 1
         arr[4:7, 5:8] = 2
-        (a, b), labels = self._labels(arr, {1: "a", 2: "b"})
-        assert contact(a, b)
+        objects, labels = self._labels(arr, {1: "a", 2: "b"})
+        assert objects.contacts()[0, 1]
         assert labels[(1, 2)] == "BESIDE"
         assert labels[(2, 1)] == "BESIDE"
 
@@ -278,11 +279,12 @@ class TestSizeAndDistance:
         arr[2:5, 2:5] = 1
         arr[20:25, 30:36] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
-        a, b = extract_objects(grid, min_area=1)
+        objects = extract_objects(grid, min_area=1)
+        a, b = objects
         expected = math.hypot(
             a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1]
         ) / math.hypot(30, 40)
-        rdist = relations_for_objects(grid, [a, b]).rdist
+        rdist = relations_for_objects(grid, objects).rdist
         assert rdist[0] == pytest.approx(expected, abs=1e-15)
         assert rdist[0] == rdist[1]
         assert 0.0 <= rdist[0] <= 1.0
@@ -307,8 +309,7 @@ class TestShapeHistogram:
                 if (r - 12) ** 2 + (c - 12) ** 2 <= 100:
                     arr[r, c] = 1
         grid = grid_from_array(arr, {1: "disk"})
-        (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram(grid, [obj])[0]
+        (hist,) = shape_histogram(grid, extract_objects(grid, min_area=1))
         assert sum(hist.tolist()[-3:]) >= 0.9
 
     def test_translation_invariance_exact(self, rng):
@@ -320,9 +321,9 @@ class TestShapeHistogram:
             shifted[17 : 17 + 14, 21 : 21 + 14] = blob
             g1 = grid_from_array(big, {1: "blob"})
             g2 = grid_from_array(shifted, {1: "blob"})
-            (o1,) = extract_objects(g1, min_area=1)
-            (o2,) = extract_objects(g2, min_area=1)
-            assert shape_histogram(g1, [o1])[0].tolist() == shape_histogram(g2, [o2])[0].tolist()
+            (h1,) = shape_histogram(g1, extract_objects(g1, min_area=1))
+            (h2,) = shape_histogram(g2, extract_objects(g2, min_area=1))
+            assert h1.tolist() == h2.tolist()
 
     def test_upscale_robustness(self):
         # Resolved objects: at these sizes the half-pixel rasterization
@@ -331,42 +332,39 @@ class TestShapeHistogram:
             doubled = np.kron(arr, np.ones((2, 2), dtype=int))
             g1 = grid_from_array(arr, {1: "blob"})
             g2 = grid_from_array(doubled, {1: "blob"})
-            (o1,) = extract_objects(g1, min_area=1)
-            (o2,) = extract_objects(g2, min_area=1)
-            h1 = shape_histogram(g1, [o1])[0]
-            h2 = shape_histogram(g2, [o2])[0]
+            (h1,) = shape_histogram(g1, extract_objects(g1, min_area=1))
+            (h2,) = shape_histogram(g2, extract_objects(g2, min_area=1))
             assert np.abs(h1 - h2).sum() <= 0.15
 
     def test_single_pixel_degenerates_to_last_bin(self):
         arr = np.zeros((3, 3), dtype=int)
         arr[1, 1] = 1
         grid = grid_from_array(arr, {1: "dot"})
-        (obj,) = extract_objects(grid, min_area=1)
-        hist = shape_histogram(grid, [obj])[0].tolist()
+        (hist,) = shape_histogram(grid, extract_objects(grid, min_area=1)).tolist()
         assert hist[-1] == 1.0
         assert sum(hist) == pytest.approx(1.0, abs=1e-12)
 
     def test_bins_sum_to_one(self, rng):
         for _ in range(20):
             grid = blob_grid(rng)
-            (obj,) = extract_objects(grid, min_area=1)
-            hist = shape_histogram(grid, [obj])[0].tolist()
+            (hist,) = shape_histogram(grid, extract_objects(grid, min_area=1)).tolist()
             assert sum(hist) == pytest.approx(1.0, abs=1e-9)
             assert all(b >= 0 for b in hist)
 
 
-def _shape_histogram_reference(grid, obj):
-    """Per-sample loop form of `shape_histogram`, kept as its exactness oracle."""
+def _shape_histogram_reference(grid, objects, k):
+    """Per-sample loop form of `shape_histogram` of object k of a table,
+    kept as its exactness oracle."""
     counts = np.zeros(SHAPE_BINS, dtype=np.int64)
-    for v in _normalized_samples_reference(grid, obj):
+    for v in _normalized_samples_reference(grid, objects, k):
         counts[min(int(v * SHAPE_BINS), SHAPE_BINS - 1)] += 1
     return [float(f) for f in counts / float(SHAPE_SAMPLES)]
 
 
-def _normalized_samples_reference(grid, obj):
+def _normalized_samples_reference(grid, objects, k):
     """The sample distances that `_shape_histogram_reference` bins,
     computed with `math.hypot` and divided by their maximum."""
-    offsets = _sample_offsets_reference(grid, obj)
+    offsets = _sample_offsets_reference(grid, objects, k)
     if offsets is None:
         samples = np.zeros(SHAPE_SAMPLES)
     else:
@@ -375,13 +373,14 @@ def _normalized_samples_reference(grid, obj):
     return np.ones(SHAPE_SAMPLES) if max_d <= 0.0 else samples / max_d
 
 
-def _sample_offsets_reference(grid, obj):
+def _sample_offsets_reference(grid, objects, k):
     """The (row, col) offsets from the centroid of the points at which
-    `_normalized_samples_reference` samples an object's contour, all in
-    bbox-relative coordinates; None for a single pixel."""
+    `_normalized_samples_reference` samples the contour of object k of a
+    table, all in bbox-relative coordinates; None for a single pixel."""
     n_samples = SHAPE_SAMPLES
+    obj = objects[k]
     r0, c0 = obj.bbox[0], obj.bbox[1]
-    pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, obj)]
+    pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, objects, k)]
     cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
     cx = float(np.mean([c - c0 for _, c in pixels(obj)]))
     if len(pts) == 1:
@@ -422,9 +421,10 @@ def test_shape_histogram_matches_loop_reference_exactly(rng):
         else:
             arr = _random_ellipse_array(rng)
         grid = grid_from_array(arr, {1: "x"})
-        for obj in extract_objects(grid, min_area=1):
-            got = shape_histogram(grid, [obj])[0].tolist()
-            assert got == _shape_histogram_reference(grid, obj)
+        objects = extract_objects(grid, min_area=1)
+        for k in range(len(objects)):
+            got = shape_histogram(grid, objects[k : k + 1])[0].tolist()
+            assert got == _shape_histogram_reference(grid, objects, k)
 
 
 def _lattice_map(rng, cells=7, size=8):
@@ -464,7 +464,7 @@ def test_scene_histograms_equal_the_per_object_reference(seed, min_area):
     arr = _lattice_map(np.random.default_rng(seed))
     grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, min_area)
-    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    expected = [_shape_histogram_reference(grid, objects, k) for k in range(len(objects))]
     for n in (0, 1, 2, 3, len(objects)):
         got = shape_histogram(grid, objects[:n])
         assert got.shape == (n, SHAPE_BINS) and not got.flags.writeable
@@ -476,10 +476,10 @@ def test_scene_histograms_equal_the_per_object_reference(seed, min_area):
 def _assert_traced_the_same_in_any_company(grid, objects, orders):
     """Each object's contour and histogram row, traced within each of
     `orders` (lists of indices into `objects`), equal those it gets alone."""
-    alone = [boundary(grid, o) for o in objects]
-    alone_hists = [shape_histogram(grid, [o])[0].tolist() for o in objects]
+    alone = [boundary(grid, objects, k) for k in range(len(objects))]
+    alone_hists = [shape_histogram(grid, objects[k : k + 1])[0].tolist() for k in range(len(alone))]
     for order in orders:
-        chosen = [objects[i] for i in order]
+        chosen = objects[np.array(order, dtype=np.int64)]
         points, lengths = trace_boundaries(grid, chosen)
         assert points.shape == (int(lengths.sum()), 2)
         ends = np.cumsum(lengths).tolist()
@@ -521,8 +521,8 @@ def test_single_pixels_in_a_batch_put_all_mass_in_the_last_bin():
     objects = extract_objects(grid, 1)
     assert [o.pixel_count for o in objects] == [1, 3, 1, 1]
     hists = shape_histogram(grid, objects)
-    for o, h in zip(objects, hists):
-        assert h.tolist() == _shape_histogram_reference(grid, o)
+    for k, h in enumerate(hists):
+        assert h.tolist() == _shape_histogram_reference(grid, objects, k)
     last_bin = [0.0] * (SHAPE_BINS - 1) + [1.0]
     assert [h.tolist() for i, h in enumerate(hists) if i != 1] == [last_bin] * 3
 
@@ -541,10 +541,20 @@ def _edge_shapes_grid():
     return grid_from_array(arr, {1: "a", 2: "b"})
 
 
-def _on_inner_edges(grid, obj):
-    scaled = _normalized_samples_reference(grid, obj) * SHAPE_BINS
+def _on_inner_edges(grid, objects, k):
+    scaled = _normalized_samples_reference(grid, objects, k) * SHAPE_BINS
     edge = np.rint(scaled)
     return scaled[(np.abs(scaled - edge) < 1e-12) & (edge >= 1) & (edge < SHAPE_BINS)]
+
+
+def _recomputed(grid, objects, k):
+    """How many samples of object k the `_hypot` fallback recomputes: none
+    unless a sample lies within 1e-9 of an inner bin edge, and then those
+    samples and the candidates for the maximum, within 1e-9 of SHAPE_BINS."""
+    scaled = _normalized_samples_reference(grid, objects, k) * SHAPE_BINS
+    edge = np.rint(scaled)
+    near = (np.abs(scaled - edge) < 1e-9) & (edge >= 1)
+    return int(np.count_nonzero(near)) if (near & (edge < SHAPE_BINS)).any() else 0
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12])
@@ -563,16 +573,19 @@ def test_shape_bins_on_bin_edges_match_the_reference(monkeypatch, delta):
     monkeypatch.setattr(relations, "_hypot", counted)
     grid = _edge_shapes_grid()
     objects = extract_objects(grid, 1)
-    assert len(objects) == 11
-    assert all(len(_on_inner_edges(grid, o)) for o in objects[:-1])
-    assert any(8.0 in _on_inner_edges(grid, o) for o in objects)
-    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    n = len(objects)
+    assert n == 11
+    assert all(len(_on_inner_edges(grid, objects, k)) for k in range(n - 1))
+    assert any(8.0 in _on_inner_edges(grid, objects, k) for k in range(n))
+    expected = [_shape_histogram_reference(grid, objects, k) for k in range(n)]
     assert shape_histogram(grid, objects).tolist() == expected
-    assert [shape_histogram(grid, [o])[0].tolist() for o in objects] == expected
-    # Once for the batch and once for each object alone; every call but
-    # the single pixel's has samples on an edge to recompute.
-    assert len(fallback) == 1 + len(objects)
-    assert all(fallback[:-1]) and fallback[-1] == 0
+    assert [shape_histogram(grid, objects[k : k + 1])[0].tolist() for k in range(n)] == expected
+    # Once for the batch and once for each object alone but the single
+    # pixel, which has no sample on an edge.  Only the samples on an edge
+    # and the candidates for the maximum are recomputed, not whole rows.
+    recomputed = [_recomputed(grid, objects, k) for k in range(n)]
+    assert fallback == [sum(recomputed)] + recomputed[:-1]
+    assert all(0 < r < SHAPE_SAMPLES for r in recomputed[:-1]) and recomputed[-1] == 0
 
 
 def _mixed_contours_array(rng):
@@ -613,10 +626,10 @@ def test_one_batch_of_mixed_contour_lengths_bins_as_the_reference(seed, data):
     lengths = trace_boundaries(grid, objects)[1]
     assert lengths.min() == 1 and lengths.max() > SHAPE_SAMPLES
     assert any(1 < n < SHAPE_SAMPLES for n in lengths.tolist())
-    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    expected = [_shape_histogram_reference(grid, objects, k) for k in range(len(objects))]
     assert shape_histogram(grid, objects).tolist() == expected
     order = data.draw(st.permutations(range(len(objects))))
-    drawn = shape_histogram(grid, [objects[i] for i in order])
+    drawn = shape_histogram(grid, objects[np.array(order, dtype=np.int64)])
     assert drawn.tolist() == [expected[i] for i in order]
 
 
@@ -661,8 +674,8 @@ def test_sample_segments_are_counted_exactly_where_the_quotient_rounds_across_a_
     objects = extract_objects(grid, 1)
     assert len(objects) == 2
     miscounts = []
-    for obj in objects:
-        pts = np.array(boundary(grid, obj) + boundary(grid, obj)[:1])
+    for k in range(len(objects)):
+        pts = np.array(boundary(grid, objects, k) + boundary(grid, objects, k)[:1])
         step = np.abs(np.diff(pts, axis=0)).sum(axis=1)
         cum = np.cumsum(np.where(step == 2, math.hypot(1.0, 1.0), 1.0))
         arc, h = np.concatenate([[0.0], cum[:-1]]), cum[-1] / SHAPE_SAMPLES
@@ -680,10 +693,12 @@ def test_sample_segments_are_counted_exactly_where_the_quotient_rounds_across_a_
 
     hypot = np.hypot
     monkeypatch.setattr(np, "hypot", recorded)
-    expected = [_shape_histogram_reference(grid, o) for o in objects]
+    expected = [_shape_histogram_reference(grid, objects, k) for k in range(2)]
     assert shape_histogram(grid, objects).tolist() == expected
-    assert offsets == [[[list(rc) for rc in _sample_offsets_reference(grid, o)] for o in objects]]
-    assert [shape_histogram(grid, [o])[0].tolist() for o in objects] == expected
+    assert offsets == [
+        [[list(rc) for rc in _sample_offsets_reference(grid, objects, k)] for k in range(2)]
+    ]
+    assert [shape_histogram(grid, objects[k : k + 1])[0].tolist() for k in range(2)] == expected
 
 
 def _resolved_shapes():
@@ -716,8 +731,7 @@ class TestPairRelation:
         arr[4:8, 2:6] = 1
         arr[8:16, 2:6] = 2
         grid = grid_from_array(arr, {1: "top", 2: "bottom"})
-        top, bottom = extract_objects(grid, min_area=1)
-        table = relations_for_objects(grid, [top, bottom])
+        table = relations_for_objects(grid, extract_objects(grid, min_area=1))
         assert len(table) == 2
         assert table.a_index.tolist() == [0, 1] and table.b_index.tolist() == [1, 0]
         assert OCTANTS[table.rpos[0]] == "S"
@@ -743,7 +757,7 @@ class TestPairRelation:
             for rel in rows:
                 a, b = objects[rel.a_id], objects[rel.b_id]
                 assert rel.rpos == pair_oracle.octant(a.centroid, b.centroid)
-                touching = contact(a, b)
+                touching = pair_oracle.contact(a, b)
                 assert rel.rprox == pair_oracle.proximity_relation(a, b, touching, grid.height)
                 assert rel.rsize == pair_oracle.size_log_ratio(a, b)
                 assert rel.rdist == pair_oracle.norm_distance(a, b, grid)
@@ -825,7 +839,7 @@ def test_pair_table_of_objects_in_any_subset_and_order_equals_the_oracle(seed, d
     grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, 1)
     order = data.draw(st.permutations(range(len(objects))))
-    chosen = [objects[i] for i in order[: data.draw(st.integers(0, len(objects)))]]
+    chosen = objects[np.array(order[: data.draw(st.integers(0, len(objects)))], dtype=np.int64)]
     table = relations_for_objects(grid, chosen)
     assert len(table) == len(chosen) * (len(chosen) - 1)
     assert pair_oracle.table_rows(table, chosen) == pair_oracle.relations(grid, chosen)

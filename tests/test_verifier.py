@@ -18,6 +18,7 @@ from scenecheck import (
     Hyperparams,
     LinearModel,
     PLACEHOLDER,
+    SceneObject,
     SchemaError,
     StatsBuilder,
     UnknownClassError,
@@ -33,6 +34,7 @@ from scenecheck import (
     generate_contradiction,
     grid_from_array,
     prepare,
+    prepare_all,
     relations_for_objects,
     score,
     shape_histogram,
@@ -49,6 +51,7 @@ from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 import pair_oracle
 from conftest import pixels
 from test_relations import CLASS_MAP, LABELLED_SCENES, _lattice_map, paint, scenes
+from test_scene import assert_same_scene
 
 
 def _identity_model(weights, bias=0.0):
@@ -452,8 +455,7 @@ class TestVerify:
         stats, protos, model = detector.stats, detector.prototypes, detector.model
         for perm_seed in range(3):
             rng = np.random.default_rng(perm_seed)
-            shuffled = list(objects)
-            rng.shuffle(shuffled)
+            shuffled = objects[rng.permutation(len(objects))]
             hists = shape_histogram(grid, shuffled)
             pairs = relations_for_objects(grid, shuffled)
             margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
@@ -535,6 +537,47 @@ class TestVerdictArrays:
             assert verdict.pair_scores == ()
             assert verdict.to_dict()["pair_scores"] == []
         assert verify(grid, registry) == verify(prepare(grid, registry.min_area), registry)
+
+    def test_verify_and_prepare_all_build_no_scene_object(self, small_experiment, monkeypatch):
+        # Objects stay columns of one table from labelling to the margins:
+        # with SceneObject refused, grids, scenes and twins give the
+        # results they gave before.
+        corpus, table, registry = small_experiment
+        triple, record = _find_triple(corpus, table, registry)
+        grids = [triple] + [_crowded_grid(seed, corpus.class_map) for seed in range(3)]
+        verdicts = [verify(grid, registry, record) for grid in grids]
+        scenes = list(prepare_all(grids, registry.min_area))
+        twins = [derive_contradiction(scene, 7) for scene in scenes]
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a SceneObject was built")
+
+        monkeypatch.setattr(SceneObject, "__init__", refuse)
+        with pytest.raises(AssertionError, match="SceneObject"):
+            extract_objects(triple, registry.min_area)[0]
+        assert [verify(grid, registry, record) for grid in grids] == verdicts
+        for scene, want, (twin, removed) in zip(
+            prepare_all(grids, registry.min_area), scenes, twins
+        ):
+            assert_same_scene(scene, want)
+            got_twin, got_removed = derive_contradiction(scene, 7)
+            assert got_removed == removed
+            assert_same_scene(got_twin, twin)
+            assert verify(scene, registry, record) == verify(want, registry, record)
+
+    def test_twin_features_are_the_source_rows_without_its_object(self, small_experiment):
+        # Training reads a twin's feature rows from its source scene's.
+        corpus, table, registry = small_experiment
+        detector = registry.global_detector
+        stats, protos = detector.stats, detector.prototypes
+        for seed in range(3):
+            scene = prepare(_crowded_grid(seed, corpus.class_map), registry.min_area)
+            X = featurize(scene.pairs, scene.objects, scene.hists, stats, protos)
+            a, b = scene.pairs.a_index, scene.pairs.b_index
+            for k in range(len(scene.objects)):
+                twin = scene.without(k)
+                got = featurize(twin.pairs, twin.objects, twin.hists, stats, protos)
+                assert got.tobytes() == X[(a != k) & (b != k)].tobytes()
 
     def test_verdicts_differing_in_one_margin_are_unequal(self, small_experiment):
         corpus, table, registry = small_experiment
@@ -636,6 +679,35 @@ class TestTrainRegistry:
                 accumulate(builder, scenes[i].objects, scenes[i].pairs)
             detector = registry.models.get(label, registry.global_detector)
             assert detector.stats == finalize(builder)
+
+    def test_twin_rows_are_those_of_derived_twins(self, tmp_path, monkeypatch):
+        # Training takes each twin's rows from its source scene; they must be
+        # the rows of the twin derive_contradiction makes under the same seed.
+        config = default_synthetic_config(n_images=40, seed=8)
+        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        seen = []
+
+        def spy(features, labels, *args, **kwargs):
+            seen.append((features, list(labels)))
+            return train_linear(features, labels, *args, **kwargs)
+
+        monkeypatch.setattr(verifier_module, "train_linear", spy)
+        registry = train_registry(corpus, table, None, seed=8)
+        (features, labels), detector = seen[0], registry.global_detector
+        tag, per_image = verifier_module._TRAIN_TAG, verifier_module.CONTRADICTIONS_PER_IMAGE
+        rows, want = [], []
+        for idx, image_id in enumerate(sorted(corpus.image_ids("train"))):
+            scene = prepare(corpus.grid(image_id))
+            variants = [(scene, -1)]
+            if len(scene.objects) >= 2:
+                seeds = [derive_seed(8, tag, idx, j) for j in range(per_image)]
+                variants += [(derive_contradiction(scene, seed)[0], 1) for seed in seeds]
+            for s, y in variants:
+                X = featurize(s.pairs, s.objects, s.hists, detector.stats, detector.prototypes)
+                rows.append(X)
+                want += [y] * len(X)
+        assert labels == want
+        assert features.tobytes() == np.concatenate(rows).tobytes()
 
     def test_training_is_deterministic(self, tmp_path):
         config = default_synthetic_config(n_images=60, seed=21)
