@@ -12,6 +12,7 @@ Everything is read-only after load; scoring functions are pure.
 
 from __future__ import annotations
 
+import reprlib
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -60,8 +61,9 @@ def load_attributes(annotations: list, schema: dict[str, list[str]]) -> Attribut
     """Validate parsed {image_id, attributes} records against `schema`.
 
     Missing attributes are filled with the placeholder; records that are
-    not a list, an image id that is not a string, or an attribute's
-    allowed values that are not a list of strings, raise FormatError,
+    not a list, an image id that is not a string, an annotation's
+    `attributes` that are not an object, or an attribute's allowed
+    values that are not a list of strings, raise FormatError,
     values outside an attribute's allowed set raise SchemaError, repeated
     image ids raise DuplicateError.
     """
@@ -80,6 +82,10 @@ def load_attributes(annotations: list, schema: dict[str, list[str]]) -> Attribut
         if image_id in records:
             raise DuplicateError(f"duplicate image id {image_id!r}")
         attrs = entry.get("attributes", {})
+        if not isinstance(attrs, dict):
+            raise FormatError(
+                f"attributes of image {image_id!r} are {reprlib.repr(attrs)}, not a JSON object"
+            )
         rec: dict[str, str] = {}
         for name, allowed in schema.items():
             value = attrs.get(name, PLACEHOLDER)

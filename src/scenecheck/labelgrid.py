@@ -15,13 +15,14 @@ Components are labelled run by run, in the run-based two-scan family
 (He, Chao & Suzuki, IEEE TIP 2008): maximal same-class horizontal runs
 are found with numpy, runs of one class that are 8-adjacent across two
 consecutive rows are merged in a small union-find, and each component is
-rebuilt from its runs.  Extraction stops there: an object carries no
+rebuilt from its runs.  The same search for 8-adjacent runs finds which
+objects touch: its pairs of runs of different classes, and runs that
+meet in a row, give each table its `contacts` matrix, so no later layer
+searches the runs again.  Extraction stops there: an object carries no
 boundary.  `label_maps` labels many maps in one such pass, over one
-array that stacks them with a background row after each, and computes
-every column once over the batch; `grid_batches` cuts a stream of maps
-into stacks of bounded size.  `ObjectTable.contacts` finds which objects
-touch in one pass over a table's runs, with the search for 8-adjacent
-runs in consecutive rows that the labelling merges with.
+array that stacks them with a background column on the right and a
+background row after each, and computes every column once over the
+batch; `grid_batches` cuts a stream of maps into stacks of bounded size.
 
 `trace_boundaries` Moore-traces the outer boundaries of given objects
 of a grid, for the shape histograms, with one table lookup per step, in
@@ -44,8 +45,9 @@ rightward, so "above" always means a smaller row index.
 from __future__ import annotations
 
 import functools
+import itertools
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -202,9 +204,12 @@ class ObjectTable:
     `centroid[k]` (the mean pixel row and column, float64) and bounding
     box `bbox[k]` (r0, c0, r1, c1, inclusive).  Its pixels are its maximal
     horizontal runs `runs[offsets[k]:offsets[k + 1]]`, (row, c0, c1) rows
-    covering columns c0..c1-1 of `row`, in raster order.  Its outer
-    boundary is not stored: `trace_boundaries` traces it from the grid
-    when a shape histogram needs it.
+    covering columns c0..c1-1 of `row`, in raster order.  `contacts` is
+    the symmetric (n, n) bool matrix, False on the diagonal, that is True
+    where some pixel of one object and some pixel of the other lie within
+    Chebyshev distance 1; `label_maps` finds it while labelling.  Its
+    outer boundary is not stored: `trace_boundaries` traces it from the
+    grid when a shape histogram needs it.
 
     `table[k]` is the SceneObject view of object k; a slice, an index
     array or a mask gives the table of those objects, in that order.
@@ -217,10 +222,11 @@ class ObjectTable:
     bbox: np.ndarray  # (n, 4) int64
     runs: np.ndarray  # (m, 3) int64
     offsets: np.ndarray  # (n + 1,) int64, from 0 to m
+    contacts: np.ndarray  # (n, n) bool
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            getattr(self, f.name).flags.writeable = False
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.class_id)
@@ -228,9 +234,7 @@ class ObjectTable:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ObjectTable):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
     __hash__ = None
 
@@ -255,6 +259,7 @@ class ObjectTable:
             self.bbox[index],
             self.runs[runs],
             offsets,
+            self.contacts[index][:, index],
         )
 
     def without(self, k: int) -> "ObjectTable":
@@ -262,42 +267,6 @@ class ObjectTable:
         if not 0 <= k < len(self):
             raise IndexError(f"object {k} is not in a table of {len(self)}")
         return self[np.arange(len(self)) != k]
-
-    def contacts(self) -> np.ndarray:
-        """Symmetric (n, n) bool matrix: True where some pixel of one object
-        and some pixel of the other lie within Chebyshev distance 1.
-
-        Objects whose bounding boxes lie more than 1 apart cannot touch,
-        so a table with no two boxes that close is answered from the boxes
-        alone.  Otherwise the runs are searched in one pass, in raster
-        order, on a grid one column wider than the widest run stop, so no
-        run wraps into the next row.  Two runs of different objects touch
-        when they are 8-adjacent in consecutive rows (`_adjacent_runs`) or
-        when one stops where the next in the same row starts.
-        """
-        r0, c0, r1, c1 = self.bbox.T
-        near = (
-            (r0[:, None] <= r1 + 1)
-            & (r0 <= r1[:, None] + 1)
-            & (c0[:, None] <= c1 + 1)
-            & (c0 <= c1[:, None] + 1)
-        )
-        np.fill_diagonal(near, False)
-        touching = np.zeros_like(near)
-        if not near.any():
-            return touching
-        rows, c0, c1 = self.runs.T
-        width = int(c1.max()) + 1
-        starts = rows * width + c0
-        order = np.argsort(starts)
-        starts, stops = starts[order], (rows * width + c1)[order]
-        owner = np.searchsorted(self.offsets, order, side="right") - 1
-        above, below = _adjacent_runs(starts, stops, width)
-        beside = np.flatnonzero(stops[:-1] == starts[1:])
-        a, b = owner[np.concatenate((above, beside, below, beside + 1)).reshape(2, -1)]
-        touching[a, b] = touching[b, a] = True
-        np.fill_diagonal(touching, False)  # runs of one object
-        return touching
 
 
 _NO_OBJECTS = ObjectTable(
@@ -307,6 +276,7 @@ _NO_OBJECTS = ObjectTable(
     np.zeros((0, 4), np.int64),
     np.zeros((0, 3), np.int64),
     np.zeros(1, np.int64),
+    np.zeros((0, 0), bool),
 )
 
 
@@ -447,8 +417,9 @@ def grid_from_array(
     return LabelGrid(image_id, int(arr.shape[0]), int(arr.shape[1]), arr, dict(class_map))
 
 
-def _runs(cells: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Maximal same-class horizontal runs of non-background cells.
+def _runs(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal same-class runs of non-background cells in the flat `cells`
+    of a grid whose last column is background, so that no run crosses a row.
 
     Returns flat start indices, flat stop indices (exclusive) and class
     ids, in raster order of the runs' first cells.
@@ -457,9 +428,10 @@ def _runs(cells: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.nda
     breaks = np.empty(n, dtype=bool)
     breaks[0] = True
     np.not_equal(cells[1:], cells[:-1], out=breaks[1:])
-    breaks[::width] = True
-    starts = np.flatnonzero(breaks)
-    stops = np.append(starts[1:], n)
+    starts = breaks.nonzero()[0]
+    stops = np.empty_like(starts)
+    stops[:-1] = starts[1:]
+    stops[-1] = n
     classes = cells[starts]
     keep = classes != 0
     return starts[keep], stops[keep], classes[keep]
@@ -472,37 +444,32 @@ def _adjacent_runs(
     index arrays, whatever their classes.
 
     `starts` and `stops` are flat start and stop (exclusive) indices of
-    disjoint runs, each within one row of a grid `width` wide, in raster
-    order.  A run touches a run in the row above when their column spans
-    overlap after widening by one column on each side (within the grid),
-    which is 8-adjacency.  The candidate runs above form one contiguous
-    index range, found by binary search over the run bounds: those that
-    stop after `lo` and start by `hi`.  A run that stops by `lo` starts
-    before it, and `lo <= hi`, so no count is negative.
+    disjoint runs, in raster order, of a grid `width` wide whose last
+    column is background.  A run touches a run in the row above when
+    that one stops after the cell above-left of its first cell, `start -
+    width - 1`, and starts by the cell above-right of its last cell,
+    `stop - width`.  For a run at column 0 the first of these cells is
+    the background column two rows up, and the second is at most the
+    background column of the row above, so only runs of the row above
+    qualify.  They form one contiguous index range, found by binary
+    search over the run bounds.  A run that stops by the first cell
+    starts before it, so no count is negative.
     """
-    cols = starts % width
-    last = stops - 1
-    lo = starts - width - (cols > 0)
-    hi = last - width + (last % width < width - 1)
-    first = np.searchsorted(stops, lo, side="right")
-    count = np.searchsorted(starts, hi, side="right") - first
-    below = np.repeat(np.arange(len(starts)), count)
-    above = np.repeat(first - np.cumsum(count) + count, count) + np.arange(len(below))
+    first = stops.searchsorted(starts - (width + 1), side="right")
+    count = starts.searchsorted(stops - width, side="right") - first
+    ends = count.cumsum()
+    below = np.arange(len(starts)).repeat(count)
+    above = (first - ends + count).repeat(count) + np.arange(len(below))
     return above, below
 
 
-def _run_roots(
-    starts: np.ndarray, stops: np.ndarray, classes: np.ndarray, width: int
-) -> list[int]:
-    """Index of each run's component root: the component's first run.
+def _run_roots(above: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
+    """Index of each of `n` runs' component root: the component's first run.
 
-    Runs of one class that are 8-adjacent across two consecutive rows
-    (`_adjacent_runs`) are merged in a union-find.
+    The runs of each `(above, below)` pair are merged in a union-find.
     """
-    above, below = _adjacent_runs(starts, stops, width)
-    same = classes[above] == classes[below]
-    parent = list(range(len(starts)))
-    for a, b in zip(above[same].tolist(), below[same].tolist()):
+    parent = list(range(n))
+    for a, b in zip(above.tolist(), below.tolist()):
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -514,7 +481,7 @@ def _run_roots(
             parent[a] = b
     for i, p in enumerate(parent):
         parent[i] = parent[p]  # p < i is already final
-    return parent
+    return np.array(parent)
 
 
 def _neighbour_codes(grid: LabelGrid, first: int, last: int) -> bytes:
@@ -536,10 +503,11 @@ def _neighbour_codes(grid: LabelGrid, first: int, last: int) -> bytes:
     codes = np.zeros(len(padded), dtype=np.uint8)
     inner = codes[lo:hi]
     same = np.empty(hi - lo, dtype=bool)
+    bits = same.view(np.uint8)
     for d, (dr, dc) in enumerate(_MOORE):
         o = dr * stride + dc
         np.equal(padded[lo + o : hi + o], centre, out=same)
-        inner |= same.view(np.uint8) << d
+        inner |= bits << d
     return codes.tobytes()
 
 
@@ -556,9 +524,9 @@ def extract_objects(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Object
 
 def grid_batches(grids: Iterable[LabelGrid]) -> Iterator[list[LabelGrid]]:
     """Consecutive runs of `grids`, read lazily, each small enough for one
-    `label_maps` pass: its stack holds at most _BATCH_CELLS cells, padding
-    and separator rows included.  A map whose own stack exceeds the
-    budget is a batch alone."""
+    `label_maps` pass: its maps, padded to the widest and each followed by
+    its separator row, hold at most _BATCH_CELLS cells.  A map that alone
+    exceeds the budget is a batch alone."""
     batch: list[LabelGrid] = []
     rows = width = 0
     for grid in grids:
@@ -577,72 +545,117 @@ def label_maps(
 ) -> list[ObjectTable]:
     """`extract_objects` of each of `grids`, from one labelling pass.
 
-    The maps are stacked into one array as wide as the widest map: each
-    map is padded on the right with background and followed by one
-    background row, so no run and no 8-adjacency joins two maps, and
-    every component lies in one map.  A single map is labelled in its
-    own cells, without a copy.  An object's rows are taken relative to
-    its map's first stack row before any sum is formed, so its runs,
-    bbox and centroid equal those of its map labelled alone, bit for bit.
-    Every column of the batch is computed once over all its objects, and
-    each map's table holds read-only slices of them.
+    The maps are stacked into one array one column wider than the widest
+    map: each map is padded on the right with background and followed by
+    one background row, so no run crosses a row, no run and no
+    8-adjacency joins two maps, and every component lies in one map.  An
+    object's rows are taken relative to its map's first stack row before
+    any sum is formed, so its runs, bbox and centroid equal those of its
+    map labelled alone, bit for bit.  Every column of the batch is
+    computed once over all its objects, and each map's table holds
+    read-only slices of them.
+
+    Contact comes from the same run pairs as the labelling: two runs of
+    different classes touch when `_adjacent_runs` pairs them, or when one
+    stops where the next starts, which the background column keeps within
+    a row.  Pairs with a run of a component below `min_area` are dropped.
+    The contact matrices of a stack are blocks of one flat array, map m's
+    `(n_m, n_m)` block after those of the maps before it.
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
-    if len(grids) == 1:
-        cells, w = grids[0].cells, grids[0].width
-    else:
-        tops = np.cumsum([0] + [g.height + 1 for g in grids])  # each map's first stack row
-        w = max(g.width for g in grids)
-        stack = np.zeros((int(tops[-1]), w), dtype=np.int32)
-        for g, top in zip(grids, tops.tolist()):
-            stack[top : top + g.height, : g.width] = g.to_array()
-        cells = stack.reshape(-1)
-    starts, stops, classes = _runs(cells, w)
+    tops = [0, *itertools.accumulate(g.height + 1 for g in grids)]  # each map's first stack row
+    w = max(g.width for g in grids) + 1
+    stack = np.zeros((tops[-1], w), dtype=np.int32)
+    for g, top in zip(grids, tops):
+        stack[top : top + g.height, : g.width] = g.to_array()
+    starts, stops, classes = _runs(stack.reshape(-1))
     if not len(starts):
         return [_NO_OBJECTS] * len(grids)
-    roots = np.array(_run_roots(starts, stops, classes, w))
+    above, below = _adjacent_runs(starts, stops, w)
+    same = classes[above] == classes[below]
+    roots = _run_roots(above[same], below[same], len(starts))
     lengths = stops - starts
     area = np.bincount(roots, weights=lengths, minlength=len(starts))
     # Kept runs grouped by component, components in raster order of their
     # first run, runs in raster order within each component.
-    order = np.argsort(roots, kind="stable")
+    order = roots.argsort(kind="stable")
     order = order[area[roots[order]] >= min_area]
-    if not len(order):
+    n_runs = len(order)
+    if not n_runs:
         return [_NO_OBJECTS] * len(grids)
     sorted_roots = roots[order]
-    is_first = np.append(True, sorted_roots[1:] != sorted_roots[:-1])
-    first_run = np.flatnonzero(is_first)
-    comp_roots = sorted_roots[first_run]
+    is_first = np.empty(n_runs, dtype=bool)
+    is_first[0] = True
+    np.not_equal(sorted_roots[1:], sorted_roots[:-1], out=is_first[1:])
+    first_run = is_first.nonzero()[0]
+    n_objects = len(first_run)
+    offsets = np.empty(n_objects + 1, dtype=np.int64)
+    offsets[:-1] = first_run
+    offsets[-1] = n_runs
+    run_ends = offsets[1:]
     run_starts, run_lengths = starts[order], lengths[order]
     run_rows, run_cols = np.divmod(run_starts, w)
-    offsets = np.append(first_run, len(order))
-    run_ends = offsets[1:]
-    bounds = [0, len(first_run)]  # map m holds components bounds[m]..bounds[m + 1] - 1
+    # The touching runs of different components, as object indices; -1
+    # for a component below min_area.
+    obj_of_run = np.full(len(starts), -1)
+    obj_of_run[order] = is_first.cumsum() - 1
+    beside = (stops[:-1] == starts[1:]).nonzero()[0]
+    differ = ~same
+    touch_a = obj_of_run[np.concatenate((above[differ], beside))]
+    touch_b = obj_of_run[np.concatenate((below[differ], beside + 1))]
     if len(grids) > 1:
-        comp_map = np.searchsorted(tops, run_rows[first_run], side="right") - 1
-        run_rows -= np.repeat(tops[comp_map], run_ends - first_run)
-        bounds = np.searchsorted(comp_map, np.arange(len(grids) + 1)).tolist()
-    run_c1 = run_cols + run_lengths
-    counts = np.add.reduceat(run_lengths, first_run)
-    # A run's column sum, (2 * c0 + length - 1) * length / 2, is an integer.
-    # Integer sums are exact in float64, so sum / n equals the mean numpy
-    # computes over the sorted pixel coordinates, bit for bit.
-    row_sums = np.add.reduceat(run_rows * run_lengths, first_run)
-    col_sums = np.add.reduceat((2 * run_cols + run_lengths - 1) * run_lengths, first_run) // 2
-    class_id = classes[comp_roots].astype(np.int64)
-    centroid = np.array((row_sums, col_sums)).T / counts[:, None]
-    bbox = np.array(
-        (
-            run_rows[first_run],
-            np.minimum.reduceat(run_cols, first_run),
-            run_rows[run_ends - 1],
-            np.maximum.reduceat(run_c1, first_run) - 1,
-        )
-    ).T
-    runs = np.array((run_rows, run_cols, run_c1)).T
+        tops = np.array(tops)
+        obj_map = tops.searchsorted(run_rows[first_run], side="right") - 1
+        run_rows -= tops[obj_map].repeat(run_ends - first_run)
+        # Map m holds objects bounds[m]..bounds[m + 1] - 1.
+        bounds = obj_map.searchsorted(np.arange(len(grids) + 1))
+        sizes = bounds[1:] - bounds[:-1]
+        blocks = np.zeros(len(grids) + 1, dtype=np.int64)
+        np.cumsum(sizes * sizes, out=blocks[1:])
+        kept = (touch_a >= 0) & (touch_b >= 0)
+        touch_a, touch_b = touch_a[kept], touch_b[kept]
+        # Object i of map m is row i - bounds[m] of map m's block.
+        pair_map = obj_map[touch_a]
+        touch_a -= bounds[pair_map]
+        touch_b -= bounds[pair_map]
+        side, base = sizes[pair_map], blocks[pair_map]
+        flat = np.zeros(int(blocks[-1]), dtype=bool)
+        flat[base + touch_a * side + touch_b] = flat[base + touch_b * side + touch_a] = True
+        bounds, blocks, sizes = bounds.tolist(), blocks.tolist(), sizes.tolist()
+        contacts = [flat[blocks[m] : blocks[m + 1]].reshape(k, k) for m, k in enumerate(sizes)]
+    else:
+        bounds = [0, n_objects]
+        # Index -1 writes the last row and column, which are cut off.
+        touching = np.zeros((n_objects + 1, n_objects + 1), dtype=bool)
+        touching[touch_a, touch_b] = touching[touch_b, touch_a] = True
+        contacts = [touching[:-1, :-1]]
+    # Each object's pixel count, row sum and column sum, summed over its
+    # runs: a run's column sum, (2 * c0 + length - 1) * length / 2, is an
+    # integer, summed doubled and halved once.  Integer sums are exact in
+    # float64, so sum / n equals the mean numpy computes over the sorted
+    # pixel coordinates, bit for bit.
+    weights = np.empty((n_runs, 3), dtype=np.int64)
+    weights[:, 0] = run_lengths
+    np.multiply(run_rows, run_lengths, out=weights[:, 1])
+    weights[:, 2] = (2 * run_cols + run_lengths - 1) * run_lengths
+    sums = np.add.reduceat(weights, first_run)
+    sums[:, 2] //= 2
+    counts = sums[:, 0]
+    centroid = sums[:, 1:] / sums[:, :1]
+    class_id = classes[order[first_run]].astype(np.int64)
+    runs = np.empty((n_runs, 3), dtype=np.int64)
+    runs[:, 0] = run_rows
+    runs[:, 1] = run_cols
+    np.add(run_cols, run_lengths, out=runs[:, 2])
+    bbox = np.empty((n_objects, 4), dtype=np.int64)
+    bbox[:, 0] = run_rows[first_run]
+    np.minimum.reduceat(run_cols, first_run, out=bbox[:, 1])
+    bbox[:, 2] = run_rows[run_ends - 1]
+    np.maximum.reduceat(runs[:, 2], first_run, out=bbox[:, 3])
+    bbox[:, 3] -= 1
     tables = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
+    for lo, hi, touching in zip(bounds[:-1], bounds[1:], contacts):
         first, last = offsets[lo], offsets[hi]
         tables.append(
             ObjectTable(
@@ -652,6 +665,7 @@ def label_maps(
                 bbox[lo:hi],
                 runs[first:last],
                 offsets[lo : hi + 1] - first,
+                touching,
             )
         )
     return tables
@@ -740,5 +754,8 @@ def trace_boundaries(grid: LabelGrid, objects: ObjectTable) -> tuple[np.ndarray,
                 raise RuntimeError(f"boundary walk from position {origin} did not close")
             states.pop()  # sn, at the origin, which s0 already holds
         lengths.append(len(states) - before)
-    rows, cols = np.divmod((np.array(states, dtype=np.int64) >> 3) - (stride + 1), stride)
-    return np.stack((rows, cols), axis=1), np.array(lengths, dtype=np.int64)
+    positions = np.array(states, dtype=np.int64) >> 3
+    positions -= stride + 1
+    points = np.empty((len(states), 2), dtype=np.int64)
+    np.divmod(positions, stride, out=(points[:, 0], points[:, 1]))
+    return points, np.array(lengths, dtype=np.int64)

@@ -5,8 +5,9 @@ octant (direction of the A -> B centroid vector), proximity label,
 size log-ratio, and normalized centroid distance.  A scene's pairs
 come out together as the columns of one PairTable, and
 `relations_for_objects` is where each channel is defined; it reads the
-columns of the scene's ObjectTable, and which objects touch from its
-`contacts`, found in one pass over their runs.  Per-object shape is
+columns of the scene's ObjectTable, which objects touch from its
+`contacts` matrix, found while labelling, and the pair index columns
+of its object count, built once per count.  Per-object shape is
 summarized as a histogram of normalized boundary-to-centroid
 distances (the centroid-distance signature); a scene's histograms are
 the rows of one array, and its boundaries are traced only there.
@@ -22,11 +23,13 @@ shape samples only the near samples and the candidates for the row's
 maximum are recomputed, not the whole row.  Distances are float
 features and stay on `math.hypot`, once per unordered pair.
 
-All operations are pure functions and hold no shared state.
+All operations are pure functions; the only state they share is the
+cache of read-only pair index arrays, one entry per object count.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, fields
@@ -42,12 +45,14 @@ from .labelgrid import LabelGrid, ObjectTable, trace_boundaries
 OCTANTS = ("E", "NE", "N", "NW", "W", "SW", "S", "SE")
 
 PROXIMITY_LABELS = ("ON", "UNDER", "FRONT", "BACK", "BESIDE", "NONE")
+_ON, _UNDER, _FRONT, _BACK, _BESIDE, _NONE = range(len(PROXIMITY_LABELS))
 
 K_DIST = 5
 ROW_EPS_FRACTION = 0.05
 SHAPE_SAMPLES = 64
 SHAPE_BINS = 16
 _DIAGONAL = math.hypot(1.0, 1.0)
+_SAMPLE_INDEX = np.arange(SHAPE_SAMPLES)  # j, of sample t_j = j * h
 # numpy's arctan2 and hypot may differ from math's by a few units in the
 # last place, about 1e-15 on the octant sector and bin scales; a value
 # this close to an edge is recomputed with math.
@@ -73,8 +78,8 @@ class PairTable:
     rdist_bin: np.ndarray
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            getattr(self, f.name).flags.writeable = False
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.a_index)
@@ -114,14 +119,11 @@ def shape_histograms(
     bit-identical whatever else is in the batch.  The arrays returned are
     read-only views of one array.
     """
-    traced = [trace_boundaries(g, objs) for g, objs in zip(grids, objects)]
-    hists = _histograms(
-        np.concatenate([objs.bbox[:, :2] for objs in objects]),
-        np.concatenate([objs.centroid for objs in objects]),
-        np.concatenate([objs.pixel_count for objs in objects]),
-        np.concatenate([p for p, _ in traced]),
-        np.concatenate([n for _, n in traced]),
-    )
+    columns = [
+        (objs.bbox[:, :2], objs.centroid, objs.pixel_count, *trace_boundaries(g, objs))
+        for g, objs in zip(grids, objects)
+    ]
+    hists = _histograms(*(columns[0] if len(columns) == 1 else map(np.concatenate, zip(*columns))))
     hists.flags.writeable = False
     ends = itertools.accumulate(len(objs) for objs in objects)
     return [hists[e - len(objs) : e] for objs, e in zip(objects, ends)]
@@ -166,37 +168,37 @@ def _histograms(
     if not k:
         return np.zeros((0, SHAPE_BINS))
     corners, n = corners.astype(np.float64), pixel_count[:, None].astype(np.float64)
-    ends = np.cumsum(lengths)
+    ends = lengths.cumsum()
     starts = ends - lengths
     # The rows and columns of every point, and each point's step.
     points = points.T
     after = np.arange(1, len(points[0]) + 1)
     after[ends - 1] = starts
-    step = np.take(points, after, axis=1) - points
+    step = points.take(after, axis=1) - points
     seg = np.where(step[0] * step[1], _DIAGONAL, 1.0)
-    inside = np.arange(lengths.max()) < lengths[:, None]
+    inside = np.arange(np.maximum.reduce(lengths)) < lengths[:, None]
     rows = np.zeros((k, len(inside[0]) + 1))
     rows[:, 1:][inside] = seg
-    cum = np.cumsum(rows, axis=1)
+    cum = rows.cumsum(axis=1)
     h = cum[:, -1] / SHAPE_SAMPLES
-    arc, h_of = cum[:, :-1][inside], np.repeat(h, lengths)
+    arc, h_of = cum[:, :-1][inside], h.repeat(lengths)
     m = np.ceil(arc / h_of)
     m -= (m - 1.0) * h_of >= arc
     m += m * h_of < arc
     n_counts = SHAPE_SAMPLES + 1
-    m += np.repeat(np.arange(0, k * n_counts, n_counts), lengths)
+    m += np.arange(0, k * n_counts, n_counts).repeat(lengths)
     counts = np.bincount(m.astype(np.int64), minlength=k * n_counts).reshape(k, n_counts)
-    at = np.cumsum(counts[:, :SHAPE_SAMPLES], axis=1)
+    at = counts[:, :SHAPE_SAMPLES].cumsum(axis=1)
     at += (starts - 1)[:, None]  # idx_j, as a position in `points`
-    frac = (np.arange(SHAPE_SAMPLES) * h[:, None] - arc.take(at)) / seg.take(at)
-    rc = np.take(points, at, axis=1) - corners.T[:, :, None] + frac * np.take(step, at, axis=1)
+    frac = (_SAMPLE_INDEX * h[:, None] - arc.take(at)) / seg.take(at)
+    rc = points.take(at, axis=1) - corners.T[:, :, None] + frac * step.take(at, axis=1)
     # The centroids relative to the bbox corners, exactly: a centroid is an
     # integer coordinate sum over n, so rounding it times n (np.rint rounds
     # half to even) recovers that sum for sums below 2**51, and the exact
     # relative sum over n is the float64 mean of the relative coordinates.
     rc -= ((np.rint(centroid * n) - n * corners) / n).T[:, :, None]
     samples = np.hypot(rc[0], rc[1])
-    max_d = samples.max(axis=1, keepdims=True)
+    max_d = np.maximum.reduce(samples, axis=1, keepdims=True)
     scaled = np.ones((k, SHAPE_SAMPLES))
     np.divide(samples, max_d, out=scaled, where=max_d > 0.0)
     scaled *= SHAPE_BINS
@@ -208,10 +210,10 @@ def _histograms(
     # sample lies too far from an edge for its bin to change.
     # Clipping keeps out 0 and SHAPE_BINS: no sample lies below 0, and a
     # single pixel, whose samples all scale to SHAPE_BINS, has no near one.
-    inner = np.clip(scaled, 0.5, SHAPE_BINS - 0.5)
+    inner = np.minimum(np.maximum(scaled, 0.5), SHAPE_BINS - 0.5)
     near = np.abs(inner - np.rint(inner)) < _EDGE_EPS
-    flagged = near.any(axis=1, keepdims=True)
-    if flagged.any():
+    if near.any():
+        flagged = near.any(axis=1, keepdims=True)
         row, col = np.nonzero((near | (scaled > SHAPE_BINS - _EDGE_EPS)) & flagged)
         exact = _hypot(rc[0, row, col], rc[1, row, col])
         row_max = np.zeros(k)
@@ -240,10 +242,23 @@ def _octants(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
     """
     sector = np.arctan2(-dr, dc) * (4.0 / math.pi) + 0.5
     codes = np.floor(sector)
-    for k in np.flatnonzero(np.abs(sector - np.rint(sector)) < _EDGE_EPS).tolist():
+    for k in (np.abs(sector - np.rint(sector)) < _EDGE_EPS).nonzero()[0].tolist():
         theta = math.degrees(math.atan2(-float(dr[k]), float(dc[k])))
         codes[k] = math.floor((theta + 22.5) / 45.0)
     return codes.astype(np.int64) % 8
+
+
+@functools.lru_cache(maxsize=16)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ordered pairs of n distinct objects in nested-loop order, as
+    read-only arrays: the A and B index columns, the rows where A < B, and
+    the row of the mirror (B, A) of each of those."""
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    lower = (a < b).nonzero()[0]
+    mirror = b[lower] * (n - 1) + a[lower]
+    for column in (a, b, lower, mirror):
+        column.flags.writeable = False
+    return a, b, lower, mirror
 
 
 def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
@@ -257,7 +272,7 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
       B's, angles measured with "up" = decreasing row.
     - `rprox`: FRONT when A's bbox lies strictly inside B's, BACK when
       B's lies strictly inside A's; otherwise, for objects that touch
-      (some pixels within Chebyshev distance 1, `ObjectTable.contacts`),
+      (some pixels within Chebyshev distance 1: the table's `contacts`),
       ON when A's centroid row is above B's by more than 5% of the grid
       height, UNDER when below by more than that, else BESIDE; NONE for
       objects that do not touch.
@@ -280,40 +295,35 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
     centroid, bbox = objects.centroid, objects.bbox
     # One `math.log` per object: `np.log` may differ from it in the last bit.
     log_size = np.array([math.log(c) for c in objects.pixel_count.tolist()])
-    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    a, b, lower, mirror = _pair_index(n)
 
-    dr = centroid[b, 0] - centroid[a, 0]
-    dc = centroid[b, 1] - centroid[a, 1]
-    if np.any((dr == 0.0) & (dc == 0.0)):
+    dr, dc = (centroid[b] - centroid[a]).T
+    if ((dr == 0.0) & (dc == 0.0)).any():
         raise DegeneratePairError("identical centroids have no direction")
-    lower = np.flatnonzero(a < b)
     half = _hypot(dr[lower], dc[lower])
     rdist = np.empty(len(a))
     rdist[lower] = half
-    rdist[b[lower] * (n - 1) + a[lower]] = half  # the row of (b, a)
+    rdist[mirror] = half
     rdist /= grid.diagonal()
 
     # Proximity over (A, B) matrices, in reverse order of precedence, so
     # containment overrides contact and its vertical dead-band.
-    label = PROXIMITY_LABELS.index
     r0, c0, r1, c1 = bbox.T
     nested = (r0[:, None] > r0) & (c0[:, None] > c0) & (r1[:, None] < r1) & (c1[:, None] < c1)
     row = centroid[:, 0]
     eps = ROW_EPS_FRACTION * grid.height
     prox = np.where(
-        row[:, None] < row - eps,
-        label("ON"),
-        np.where(row[:, None] > row + eps, label("UNDER"), label("BESIDE")),
+        row[:, None] < row - eps, _ON, np.where(row[:, None] > row + eps, _UNDER, _BESIDE)
     )
-    prox = np.where(objects.contacts(), prox, label("NONE"))
-    prox = np.where(nested.T, label("BACK"), prox)
-    prox = np.where(nested, label("FRONT"), prox)
+    prox[~objects.contacts] = _NONE
+    prox[nested.T] = _BACK
+    prox[nested] = _FRONT
 
     return PairTable(
         a_index=a,
         b_index=b,
         rpos=_octants(dr, dc),
-        rprox=prox[a, b].astype(np.int64),
+        rprox=prox[a, b],
         rsize=log_size[a] - log_size[b],
         rdist=rdist,
         rdist_bin=np.minimum((rdist * K_DIST).astype(np.int64), K_DIST - 1),

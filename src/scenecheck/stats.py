@@ -148,7 +148,8 @@ class CooccurrenceModel(_Counts):
     The counts are the model: they make serialization lossless and take
     part in equality.  The dense tables, indexed by `class_rows`, are how
     the model is read; `__post_init__` derives them from the counts, so
-    they take no part in equality.  For classes a and b at rows i and j:
+    they take no part in equality, and `class_array` holds `classes` as
+    an int64 array for `class_rows`.  For classes a and b at rows i and j:
 
     - `presence_table[i, j]`: (presence[i, j] + alpha) / (images +
       2 alpha).
@@ -164,6 +165,7 @@ class CooccurrenceModel(_Counts):
     """
 
     alpha: float
+    class_array: np.ndarray = field(init=False, compare=False, repr=False)
     presence_table: np.ndarray = field(init=False, compare=False, repr=False)
     position_table: np.ndarray = field(init=False, compare=False, repr=False)
     proximity_table: np.ndarray = field(init=False, compare=False, repr=False)
@@ -173,6 +175,7 @@ class CooccurrenceModel(_Counts):
 
     def __post_init__(self) -> None:
         """Smooth the counts into the dense tables; make every array read-only."""
+        self.class_array = np.array(self.classes, dtype=np.int64)
         self.presence_table = (self.presence + self.alpha) / (self.images + 2 * self.alpha)
         for name in ("position", "proximity", "distance"):
             counts = getattr(self, name)
@@ -201,8 +204,8 @@ class CooccurrenceModel(_Counts):
         outside the model's universe.
         """
         ids = np.asarray(class_ids, dtype=np.int64)
-        universe = np.asarray(self.classes, dtype=np.int64)
-        rows = np.searchsorted(universe, ids)
+        universe = self.class_array
+        rows = universe.searchsorted(ids)
         known = rows < len(universe)
         known[known] = universe[rows[known]] == ids[known]
         if not known.all():

@@ -209,7 +209,12 @@ class Hyperparams:
 
 @dataclass(frozen=True)
 class LinearModel:
-    """Linear margin classifier with the standardization fitted at training."""
+    """Linear margin classifier with the standardization fitted at training.
+
+    The weights, feature means and feature stds are also kept as
+    read-only float64 arrays, made once here for `score`; they are not
+    fields, so they take no part in equality or the saved document.
+    """
 
     weights: tuple[float, ...]
     bias: float
@@ -220,6 +225,12 @@ class LinearModel:
     n_pos: int
     n_neg: int
     context_label: str
+
+    def __post_init__(self) -> None:
+        for name in ("weights", "feature_means", "feature_stds"):
+            column = np.array(getattr(self, name), dtype=np.float64)
+            column.flags.writeable = False
+            object.__setattr__(self, f"_{name}", column)
 
 
 @dataclass(frozen=True, eq=False)
@@ -281,18 +292,16 @@ def featurize(
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows(objects.class_id)
     a, b = rows[pairs.a_index], rows[pairs.b_index]
-    shape = np.abs(hists - prototypes[rows]).sum(axis=1)
-    return np.column_stack(
-        [
-            stats.presence_table[a, b],
-            stats.position_table[a, b, pairs.rpos],
-            stats.proximity_table[a, b, pairs.rprox],
-            stats.distance_table[a, b, pairs.rdist_bin],
-            np.abs((pairs.rsize - stats.size_mean[a, b]) / stats.size_std[a, b]),
-            pairs.rdist,
-            shape[pairs.a_index],
-        ]
-    )
+    shape = np.add.reduce(np.abs(hists - prototypes[rows]), axis=1)
+    X = np.empty((len(pairs), N_FEATURES))
+    X[:, 0] = stats.presence_table[a, b]
+    X[:, 1] = stats.position_table[a, b, pairs.rpos]
+    X[:, 2] = stats.proximity_table[a, b, pairs.rprox]
+    X[:, 3] = stats.distance_table[a, b, pairs.rdist_bin]
+    np.abs((pairs.rsize - stats.size_mean[a, b]) / stats.size_std[a, b], out=X[:, 4])
+    X[:, 5] = pairs.rdist
+    X[:, 6] = shape[pairs.a_index]
+    return X
 
 
 @cache
@@ -409,8 +418,10 @@ def train_linear(
 def score(model: LinearModel, features) -> np.ndarray:
     """Margins w . standardized(x) + b of every row; positive means a contradiction vote.
 
-    `np.vecdot` sums each row in the order a one-row `w @ z` does, so
-    each margin does not depend on the other rows (`Z @ w` can differ
+    The standardized matrix is built in C order whatever the layout of
+    `features`, and `np.vecdot` sums each of its rows in the order a
+    one-row `w @ z` does, so each margin depends only on the values of
+    its own row (`Z @ w`, or `np.vecdot` over another layout, can differ
     from it in the last bit).
     """
     X = np.asarray(features, dtype=np.float64)
@@ -419,8 +430,9 @@ def score(model: LinearModel, features) -> np.ndarray:
             f"feature matrix of shape {X.shape} does not match model "
             f"dimension {len(model.weights)}"
         )
-    Z = (X - np.asarray(model.feature_means)) / np.asarray(model.feature_stds)
-    return np.vecdot(Z, np.asarray(model.weights, dtype=np.float64)) + model.bias
+    Z = np.subtract(X, model._feature_means, order="C")
+    Z /= model._feature_stds
+    return np.vecdot(Z, model._weights) + model.bias
 
 
 def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:

@@ -123,7 +123,7 @@ def test_criterion_1_exact_oracles(rng):
         arr[arr == 0] = other[arr == 0]
         grid = grid_from_array(arr, {1: "a", 2: "b"})
         objects = extract_objects(grid, min_area=1)
-        touching = objects.contacts()
+        touching = objects.contacts
         views = list(objects)
         for i, a in enumerate(views):
             for j, b in enumerate(views):

@@ -280,6 +280,24 @@ def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
     assert err.startswith(f"error: {ATTRIBUTE_FAULTS[fault]}: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "attributes", [None, ["inside"], "inside", 3], ids=["null", "list", "string", "number"]
+)
+@pytest.mark.parametrize("reader", ["build-stats attributes.json", "verify --attributes"])
+def test_annotation_attributes_that_are_not_an_object_name_the_image(
+    readers, capsys, reader, attributes
+):
+    path, argv = readers[reader]
+    doc = json.loads(path.read_text())
+    doc["annotations"][0]["attributes"] = attributes
+    image_id = doc["annotations"][0]["image_id"]
+    path.write_text(json.dumps(doc))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: FormatError: {path}: attributes of image {image_id!r} are ")
+    assert err.count("\n") == 1
+
+
 class TestGenContradictions:
     def test_manifest_pairs_and_skips(self, pipeline, tmp_path):
         _, corpus_dir, _ = pipeline

@@ -65,6 +65,16 @@ class TestLoadAttributes:
             load_attributes(annotations, SCHEMA)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "attributes", [None, ["inside"], "inside", 3], ids=["null", "list", "string", "number"]
+    )
+    def test_attributes_that_are_not_an_object_rejected(self, attributes):
+        records = [{"image_id": "b", "attributes": {}}, {"image_id": "a", "attributes": attributes}]
+        message = "^attributes of image 'a' are .*, not a JSON object$"
+        with pytest.raises(FormatError, match=message) as exc:
+            _table(records)
+        assert "\n" not in str(exc.value)
+
     def test_unknown_image_reads_as_placeholder(self):
         table = _table([{"image_id": "a", "attributes": {}}])
         assert table.value("zzz", "location") == PLACEHOLDER

@@ -474,7 +474,7 @@ def test_runs_expand_to_components_and_decide_contact(arr, min_area):
             # Maximal: the cells either side of the run hold another class.
             assert c0 == 0 or arr[r, c0 - 1] != o.class_id
             assert c1 == arr.shape[1] or arr[r, c1] != o.class_id
-    touching = objects.contacts()
+    touching = objects.contacts
     assert touching.shape == (len(objects),) * 2
     views = list(objects)
     for i, a in enumerate(views):
@@ -575,6 +575,48 @@ def test_label_maps_equal_each_map_labelled_alone(arrays, min_area):
         _assert_columns(objects, arr, min_area)
         _assert_columns(alone, arr, min_area)
         assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
+
+
+def _assert_contacts(table):
+    """`table.contacts` is the read-only pixel-pair oracle of its objects."""
+    touching = table.contacts
+    assert touching.shape == (len(table),) * 2 and touching.dtype == bool
+    assert not touching.flags.writeable
+    views = list(table)
+    for i, a in enumerate(views):
+        for j, b in enumerate(views):
+            want = i != j and _touch_oracle(a, b)
+            assert touching[i, j] == want == (i != j and contact(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_label_arrays(max_side=10), min_size=1, max_size=4), st.sampled_from((1, 3)))
+# A run ending at the right edge above a run starting at column 0, of
+# another class and of the same class, alone and in a stack of wider maps.
+@example([np.array([[0, 0, 1], [2, 0, 0]], np.int32)], 1)
+@example([np.array([[0, 1], [1, 0]], np.int32), np.zeros((2, 5), np.int32)], 1)
+@example([np.array([[0, 0, 1], [2, 0, 0]], np.int32), np.array([[3, 3, 3, 3, 3]], np.int32)], 1)
+# A component below min_area between two objects, which do not touch,
+# then a map narrower than the stack whose objects do.
+@example(
+    [np.array([[1, 1, 2, 3, 3], [1, 1, 0, 3, 3]], np.int32), np.array([[1, 2], [1, 2]], np.int32)],
+    2,
+)
+def test_label_maps_contacts_match_the_pixel_oracle(arrays, min_area):
+    grids = [grid_from_array(a, {1: "a", 2: "b", 3: "c"}) for a in arrays]
+    for table in label_maps(grids, min_area):
+        _assert_contacts(table)
+        _assert_contacts(table[::-1])
+        _assert_contacts(table[1:])
+        for k in range(len(table)):
+            _assert_contacts(table.without(k))
+
+
+def test_a_map_without_objects_has_an_empty_contact_matrix():
+    grid = grid_from_array(np.zeros((3, 4), np.int32), {})
+    (table,) = label_maps([grid], 1)
+    assert table.contacts.shape == (0, 0)
+    assert extract_objects(grid_from_array(np.ones((2, 2), np.int32), {1: "a"}), 5) == table
 
 
 @settings(max_examples=100, deadline=None)

@@ -16,7 +16,7 @@ from scenecheck import (
     shape_histogram,
     trace_boundaries,
 )
-from scenecheck import relations
+from scenecheck import labelgrid, relations
 from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, SHAPE_BINS, SHAPE_SAMPLES
 
 import pair_oracle
@@ -66,9 +66,9 @@ def standins(centroids, pixel_counts=None):
     built from its columns.
 
     Object i's one pixel, at (2i, 0), is read only by the proximity
-    channel (bbox nesting and contact): no two touch, and their runs are
-    disjoint, as labelling gives them.  The other channels read the
-    centroid and the pixel count.
+    channel (bbox nesting and contact): no two touch, so the contact
+    matrix is all False, and their runs are disjoint, as labelling gives
+    them.  The other channels read the centroid and the pixel count.
     """
     n = len(centroids)
     rows, zeros = 2 * np.arange(n), np.zeros(n, np.int64)
@@ -79,6 +79,7 @@ def standins(centroids, pixel_counts=None):
         bbox=np.column_stack((rows, zeros, rows, zeros)),
         runs=np.column_stack((rows, zeros, zeros + 1)),
         offsets=np.arange(n + 1),
+        contacts=np.zeros((n, n), bool),
     )
 
 
@@ -181,18 +182,42 @@ class TestContact:
 
     def test_shared_edge_touches(self):
         grid = self._two_rect_grid(gap=0)
-        assert extract_objects(grid, min_area=1).contacts().tolist() == TOUCHING_PAIR
+        assert extract_objects(grid, min_area=1).contacts.tolist() == TOUCHING_PAIR
 
     def test_two_pixel_gap_does_not_touch(self):
         grid = self._two_rect_grid(gap=2)
-        assert not extract_objects(grid, min_area=1).contacts().any()
+        assert not extract_objects(grid, min_area=1).contacts.any()
 
     def test_diagonal_corner_touches(self):
         arr = np.zeros((6, 6), dtype=int)
         arr[1:3, 1:3] = 1
         arr[3:5, 3:5] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
-        assert extract_objects(grid, min_area=1).contacts().tolist() == TOUCHING_PAIR
+        assert extract_objects(grid, min_area=1).contacts.tolist() == TOUCHING_PAIR
+
+    def test_relations_read_the_contacts_found_while_labelling(self, monkeypatch):
+        arr = np.zeros((8, 12), dtype=int)
+        arr[2:5, 1:4] = 1
+        arr[2:5, 4:7] = 2
+        arr[6:8, 9:12] = 3
+        grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+        objects = extract_objects(grid, min_area=1)
+
+        def search(*args):
+            raise AssertionError("the runs were searched after labelling")
+
+        monkeypatch.setattr(labelgrid, "_adjacent_runs", search)
+        table = relations_for_objects(grid, objects)
+        labels = {
+            (a, b): PROXIMITY_LABELS[p]
+            for a, b, p in zip(table.a_index.tolist(), table.b_index.tolist(), table.rprox.tolist())
+        }
+        assert labels == {
+            (0, 1): "BESIDE", (0, 2): "NONE", (1, 0): "BESIDE",
+            (1, 2): "NONE", (2, 0): "NONE", (2, 1): "NONE",
+        }
+        twin = relations_for_objects(grid, objects.without(2))
+        assert [PROXIMITY_LABELS[p] for p in twin.rprox.tolist()] == ["BESIDE", "BESIDE"]
 
     def test_matches_exhaustive_pixel_pair_oracle(self, rng):
         for _ in range(60):
@@ -201,7 +226,7 @@ class TestContact:
             arr[arr == 0] = other[arr == 0]
             grid = grid_from_array(arr, {1: "a", 2: "b"})
             objects = extract_objects(grid, min_area=1)
-            touching = objects.contacts()
+            touching = objects.contacts
             assert (touching == touching.T).all()
             views = list(objects)
             for i, a in enumerate(views):
@@ -238,7 +263,7 @@ class TestProximity:
         arr[4:8, 2:6] = 1
         arr[8:16, 2:6] = 2
         objects, labels = self._labels(arr, {1: "top", 2: "bottom"})
-        assert objects.contacts()[0, 1]
+        assert objects.contacts[0, 1]
         assert labels[(1, 2)] == "ON"
         assert labels[(2, 1)] == "UNDER"
 
@@ -254,7 +279,7 @@ class TestProximity:
         arr[4:7, 2:5] = 1
         arr[4:7, 5:8] = 2
         objects, labels = self._labels(arr, {1: "a", 2: "b"})
-        assert objects.contacts()[0, 1]
+        assert objects.contacts[0, 1]
         assert labels[(1, 2)] == "BESIDE"
         assert labels[(2, 1)] == "BESIDE"
 

@@ -259,7 +259,7 @@ class TestFinalize:
         assert builder.images == 6 and model.images == 5
         assert model == finalize(_hand_builder(), alpha=1.0)
         arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
-        assert len(arrays) == 11  # five count arrays, six tables
+        assert len(arrays) == 12  # five count arrays, the class ids, six tables
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0

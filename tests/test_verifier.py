@@ -326,6 +326,28 @@ class TestScore:
         assert agreement >= 0.99
 
 
+    def test_margins_do_not_depend_on_the_matrix_layout(self, rng):
+        # Fortran-ordered, reversed-stride and strided copies of a C-ordered
+        # matrix, and its one-row slices, hold the same values, so they give
+        # the same margins bit for bit.
+        X, y = _separable_set(rng, n=400)
+        X[:, 1:] *= rng.uniform(0.1, 50.0, size=N_FEATURES - 1)
+        model = train_linear(X, y, seed=3)
+        want = score(model, X)
+        padded = np.zeros((2 * len(X), N_FEATURES + 3))
+        padded[::2, :N_FEATURES] = X
+        copies = {
+            "fortran": np.asfortranarray(X),
+            "reversed": X[::-1, ::-1].copy()[::-1, ::-1],
+            "strided": padded[::2, :N_FEATURES],
+        }
+        for name, copy in copies.items():
+            assert np.array_equal(copy, X)
+            assert score(model, copy).tobytes() == want.tobytes(), name
+        rows = np.concatenate([score(model, X[i : i + 1]) for i in range(len(X))])
+        assert rows.tobytes() == want.tobytes()
+
+
 class TestAggregate:
     def test_majority_vote(self):
         contradiction, confidence = aggregate([1.0, 1.0, -1.0], "majority")
