@@ -53,7 +53,7 @@ from .relations import relations_for_objects
 from .seeds import derive_seed
 from .stats import ALPHA_DEFAULT, finalize
 from .verifier import (
-    AGGREGATION_MODES,
+    AGGREGATION_MODE,
     CONTRADICTIONS_PER_IMAGE,
     GLOBAL_LABEL,
     N_MIN_CONTEXT,
@@ -203,7 +203,6 @@ def cmd_train(args) -> int:
         contradictions_per_image=args.contradictions_per_image,
         min_area=args.min_area,
         n_min=args.n_min,
-        aggregation_mode=args.aggregation,
         alpha=args.alpha,
     )
     save_model(args.out, registry)
@@ -311,7 +310,7 @@ def cmd_evaluate(args) -> int:
             "registry": os.path.relpath(args.registry, out.parent),
             "corpus": os.path.relpath(args.corpus, out.parent),
             "context_attribute": context_attribute,
-            "aggregation_mode": registry.aggregation_mode,
+            "aggregation_mode": AGGREGATION_MODE,
         },
         "seed": args.seed,
         "wall_time_s": round(time.monotonic() - started, 3),
@@ -384,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--contradictions-per-image", type=_positive(int), default=CONTRADICTIONS_PER_IMAGE
     )
-    p.add_argument("--aggregation", default="majority", choices=AGGREGATION_MODES)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 

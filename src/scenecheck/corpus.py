@@ -58,6 +58,7 @@ from .relations import K_DIST, SHAPE_BINS, SHAPE_SAMPLES
 from .seeds import derive_seed
 from .stats import CooccurrenceModel, StatsBuilder, finalize
 from .verifier import (
+    AGGREGATION_MODE,
     N_FEATURES,
     Detector,
     LinearModel,
@@ -635,10 +636,10 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _expect(what: str, got, fixed: int) -> None:
+def _expect(what: str, got, fixed: int | str) -> None:
     """Reject a document whose `what` reads `got` where this version fixes `fixed`."""
     if got != fixed:
-        raise ValueError(f"{what} is {got!r}, expected {fixed}")
+        raise ValueError(f"{what} is {got!r}, expected {fixed!r}")
 
 
 def _count(what: str, value) -> int:
@@ -766,7 +767,7 @@ def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> N
         doc = {
             "kind": "verifier_registry",
             "context_attribute": obj.context_attribute,
-            "aggregation_mode": obj.aggregation_mode,
+            "aggregation_mode": AGGREGATION_MODE,
             "min_area": obj.min_area,
             "shape_samples": SHAPE_SAMPLES,
             "shape_bins": SHAPE_BINS,
@@ -785,13 +786,14 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
 
     Every leaf is read by the rule of `_read`: a linear model through its
     dataclass, and `alpha`, `classes`, the class ids of count entries,
-    `min_area`, `context_attribute`, `aggregation_mode` and the shape
-    prototypes by their types.  A leaf that breaks that rule, a missing
-    key, a resolution or vector length other than this version's fixed
-    one (shape samples and bins, distance bins, feature width), feature
-    stds that are not above 0, `classes` that are not strictly increasing,
-    `min_area` below 1, or prototypes for other classes than those with
-    images, is a one-line FormatError naming `path`.
+    `min_area`, `context_attribute` and the shape prototypes by their
+    types.  A leaf that breaks that rule, a missing key, a verdict rule,
+    resolution or vector length other than this version's fixed one
+    (`aggregation_mode`, always "majority"; shape samples and bins,
+    distance bins, feature width), feature stds that are not above 0,
+    `classes` that are not strictly increasing, `min_area` below 1, or
+    prototypes for other classes than those with images, is a one-line
+    FormatError naming `path`.
     """
     doc = _read_document(path, "model document")
     with _malformed(path):
@@ -801,10 +803,10 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
         if kind == "verifier_registry":
             _expect("shape_samples", doc["shape_samples"], SHAPE_SAMPLES)
             _expect("shape_bins", doc["shape_bins"], SHAPE_BINS)
+            _expect("aggregation_mode", doc["aggregation_mode"], AGGREGATION_MODE)
             contexts = _read(dict[str, object], doc["contexts"], "contexts")
             return VerifierRegistry(
                 context_attribute=_read(str | None, doc["context_attribute"], "context_attribute"),
-                aggregation_mode=_read(str, doc["aggregation_mode"], "aggregation_mode"),
                 min_area=_read(int, doc["min_area"], "min_area"),
                 global_detector=_detector_from_doc(doc["global"]),
                 models={v: _detector_from_doc(c) for v, c in contexts.items()},

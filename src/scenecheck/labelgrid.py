@@ -361,6 +361,7 @@ def parse_label_grid(
     tabs, repeated spaces, blank lines, signs, tokens of 10 or more
     digits, non-ASCII) takes the general path, which reads it line by
     line and raises every parse error; the two paths give equal grids.
+    Bytes that are not UTF-8 are a FormatError naming the first bad byte.
     """
     if isinstance(text, str) and text.isascii():
         text = text.encode()
@@ -371,7 +372,11 @@ def parse_label_grid(
         if cells is not None:
             return LabelGrid(image_id, height, width, cells, dict(class_map))
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            byte, at = exc.object[exc.start], exc.start
+            raise FormatError(f"not UTF-8 text: byte {byte:#04x} at offset {at}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty label grid text")
@@ -392,10 +397,10 @@ def parse_label_grid(
 def load_label_grid(path: str | Path, class_map: Mapping[int, str]) -> LabelGrid:
     """Read and parse the `.lgrid` file at `path`; the grid's image id is
     the file's stem.  The parser gets the file's bytes, so a plain file
-    is never decoded.  A file that cannot be read or is not UTF-8 text
-    is a one-line FormatError naming `path`, and a parse error
-    (FormatError or UnknownClassError) is re-raised with `path` in
-    front."""
+    is never decoded.  A file that cannot be read is a one-line
+    FormatError naming `path`, and a parse error (FormatError or
+    UnknownClassError, bytes that are not UTF-8 among them) is re-raised
+    with `path` in front."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -403,9 +408,6 @@ def load_label_grid(path: str | Path, class_map: Mapping[int, str]) -> LabelGrid
         raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
     try:
         return parse_label_grid(data, class_map, image_id=path.stem)
-    except UnicodeDecodeError as exc:
-        byte, at = exc.object[exc.start], exc.start
-        raise FormatError(f"{path}: not UTF-8 text: byte {byte:#04x} at offset {at}") from None
     except (FormatError, UnknownClassError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -558,12 +560,14 @@ def label_maps(
     Contact comes from the same run pairs as the labelling: two runs of
     different classes touch when `_adjacent_runs` pairs them, or when one
     stops where the next starts, which the background column keeps within
-    a row.  Pairs with a run of a component below `min_area` are dropped.
-    The contact matrices of a stack are blocks of one flat array, map m's
-    `(n_m, n_m)` block after those of the maps before it.
+    a row.  They fill one bool matrix with a row per object of the stack
+    and a column per object index within a map; each map's table holds a
+    copy of its own `(n_m, n_m)` block.
     """
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
+    if not grids:
+        return []
     tops = [0, *itertools.accumulate(g.height + 1 for g in grids)]  # each map's first stack row
     w = max(g.width for g in grids) + 1
     stack = np.zeros((tops[-1], w), dtype=np.int32)
@@ -604,32 +608,22 @@ def label_maps(
     differ = ~same
     touch_a = obj_of_run[np.concatenate((above[differ], beside))]
     touch_b = obj_of_run[np.concatenate((below[differ], beside + 1))]
+    # Object i's contact column is its index within its map, so the matrix
+    # is only as wide as the largest map.  Index -1, a component below
+    # min_area, writes the spare last row and column, which no map reaches.
+    column = np.arange(n_objects + 1)
+    column[-1] = -1
+    bounds = [0, n_objects]
     if len(grids) > 1:
         tops = np.array(tops)
         obj_map = tops.searchsorted(run_rows[first_run], side="right") - 1
         run_rows -= tops[obj_map].repeat(run_ends - first_run)
         # Map m holds objects bounds[m]..bounds[m + 1] - 1.
         bounds = obj_map.searchsorted(np.arange(len(grids) + 1))
-        sizes = bounds[1:] - bounds[:-1]
-        blocks = np.zeros(len(grids) + 1, dtype=np.int64)
-        np.cumsum(sizes * sizes, out=blocks[1:])
-        kept = (touch_a >= 0) & (touch_b >= 0)
-        touch_a, touch_b = touch_a[kept], touch_b[kept]
-        # Object i of map m is row i - bounds[m] of map m's block.
-        pair_map = obj_map[touch_a]
-        touch_a -= bounds[pair_map]
-        touch_b -= bounds[pair_map]
-        side, base = sizes[pair_map], blocks[pair_map]
-        flat = np.zeros(int(blocks[-1]), dtype=bool)
-        flat[base + touch_a * side + touch_b] = flat[base + touch_b * side + touch_a] = True
-        bounds, blocks, sizes = bounds.tolist(), blocks.tolist(), sizes.tolist()
-        contacts = [flat[blocks[m] : blocks[m + 1]].reshape(k, k) for m, k in enumerate(sizes)]
-    else:
-        bounds = [0, n_objects]
-        # Index -1 writes the last row and column, which are cut off.
-        touching = np.zeros((n_objects + 1, n_objects + 1), dtype=bool)
-        touching[touch_a, touch_b] = touching[touch_b, touch_a] = True
-        contacts = [touching[:-1, :-1]]
+        column[:-1] -= bounds[obj_map]
+        bounds = bounds.tolist()
+    touching = np.zeros((n_objects + 1, column.max() + 2), dtype=bool)
+    touching[touch_a, column[touch_b]] = touching[touch_b, column[touch_a]] = True
     # Each object's pixel count, row sum and column sum, summed over its
     # runs: a run's column sum, (2 * c0 + length - 1) * length / 2, is an
     # integer, summed doubled and halved once.  Integer sums are exact in
@@ -655,7 +649,7 @@ def label_maps(
     np.maximum.reduceat(runs[:, 2], first_run, out=bbox[:, 3])
     bbox[:, 3] -= 1
     tables = []
-    for lo, hi, touching in zip(bounds[:-1], bounds[1:], contacts):
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         first, last = offsets[lo], offsets[hi]
         tables.append(
             ObjectTable(
@@ -665,7 +659,7 @@ def label_maps(
                 bbox[lo:hi],
                 runs[first:last],
                 offsets[lo : hi + 1] - first,
-                touching,
+                touching[lo:hi, : hi - lo].copy(),
             )
         )
     return tables

@@ -123,6 +123,8 @@ def shape_histograms(
         (objs.bbox[:, :2], objs.centroid, objs.pixel_count, *trace_boundaries(g, objs))
         for g, objs in zip(grids, objects)
     ]
+    if not columns:
+        return []
     hists = _histograms(*(columns[0] if len(columns) == 1 else map(np.concatenate, zip(*columns))))
     hists.flags.writeable = False
     ends = itertools.accumulate(len(objs) for objs in objects)

@@ -3,8 +3,8 @@
 A scene's ordered object pairs become the rows of one (n_pairs, 7)
 feature matrix, read from the co-occurrence tables; a linear max-margin
 classifier (hinge loss plus L2, plain SGD, trained from scratch) scores
-all rows in one call, and per-image verdicts come from majority voting
-or a mean-margin threshold over the pair margins.
+all rows in one call, and a per-image verdict is the majority vote of
+the pair margins.
 
 A label map is labelled once into a Scene: its ObjectTable, their pair
 table and their shape histograms, at the fixed resolutions of
@@ -94,7 +94,8 @@ N_FEATURES = len(FEATURE_NAMES)
 GLOBAL_LABEL = "global"
 N_MIN_CONTEXT = 30
 CONTRADICTIONS_PER_IMAGE = 4
-AGGREGATION_MODES = ("majority", "mean_threshold")
+# The verdict rule, written to every registry and report.
+AGGREGATION_MODE = "majority"
 
 _TRAIN_TAG = 101
 _MODEL_TAG = 102
@@ -435,29 +436,20 @@ def score(model: LinearModel, features) -> np.ndarray:
     return np.vecdot(Z, model._weights) + model.bias
 
 
-def aggregate(pair_scores, mode: str = "majority") -> tuple[bool, float]:
-    """Combine pair margins, a sequence or 1-D array, into an image verdict.
+def aggregate(pair_scores) -> tuple[bool, float]:
+    """The majority vote of pair margins, a sequence or 1-D array.
 
-    majority: contradiction iff strictly more than half the margins are
-    positive; confidence is the fraction of pairs agreeing with the
-    verdict.  mean_threshold: contradiction iff the mean margin is
-    positive; confidence is logistic(mean margin).  No pairs at all
-    (a 0- or 1-object scene) abstains with (False, 0.5).
+    Contradiction iff strictly more than half the margins are positive;
+    confidence is the fraction of pairs agreeing with the verdict.  No
+    pairs at all (a 0- or 1-object scene) abstains with (False, 0.5).
     """
     margins = np.asarray(pair_scores, dtype=np.float64)
     if not len(margins):
         return False, 0.5
-    if mode == "majority":
-        pos = int(np.count_nonzero(margins > 0))
-        contradiction = 2 * pos > len(margins)
-        agreeing = pos if contradiction else len(margins) - pos
-        return contradiction, agreeing / len(margins)
-    if mode == "mean_threshold":
-        # Python's left-to-right sum, not numpy's pairwise one, keeps the
-        # confidence's last bit.
-        mean = sum(margins.tolist()) / len(margins)
-        return mean > 0, float(1.0 / (1.0 + np.exp(-mean)))
-    raise ValueError(f"unknown aggregation mode {mode!r}")
+    pos = int(np.count_nonzero(margins > 0))
+    contradiction = 2 * pos > len(margins)
+    agreeing = pos if contradiction else len(margins) - pos
+    return contradiction, agreeing / len(margins)
 
 
 @dataclass(frozen=True, eq=False)
@@ -490,7 +482,6 @@ class VerifierRegistry:
     """
 
     context_attribute: str | None
-    aggregation_mode: str
     min_area: int
     global_detector: Detector
     models: dict[str, Detector] = field(default_factory=dict)
@@ -498,8 +489,6 @@ class VerifierRegistry:
     def __post_init__(self) -> None:
         if self.min_area < 1:
             raise ValueError(f"min_area is {self.min_area}, expected at least 1")
-        if self.aggregation_mode not in AGGREGATION_MODES:
-            raise ValueError(f"unknown aggregation mode {self.aggregation_mode!r}")
         if GLOBAL_LABEL in self.models:
             raise ValueError(f"context value {GLOBAL_LABEL!r} names the global detector")
 
@@ -546,7 +535,7 @@ def verify(
         pairs = scene.pairs
         X = featurize(pairs, scene.objects, scene.hists, detector.stats, detector.prototypes)
         margins = score(detector.model, X)
-    contradiction, confidence = aggregate(margins, registry.aggregation_mode)
+    contradiction, confidence = aggregate(margins)
     return Verdict(
         image_id=image_id,
         a_index=pairs.a_index,
@@ -597,7 +586,6 @@ def train_registry(
     contradictions_per_image: int = CONTRADICTIONS_PER_IMAGE,
     min_area: int = DEFAULT_MIN_AREA,
     n_min: int = N_MIN_CONTEXT,
-    aggregation_mode: str = "majority",
     alpha: float = ALPHA_DEFAULT,
 ) -> VerifierRegistry:
     """Train the global detector and one detector per context value.
@@ -611,7 +599,8 @@ def train_registry(
     value (placeholder and values below `n_min` included), and the
     global statistics are the merge of those.  Raises SchemaError when
     the context attribute takes the value GLOBAL_LABEL, which would name
-    the global detector.
+    the global detector.  The registry holds no verdict rule: every
+    verdict is the majority vote of `aggregate`.
     """
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
@@ -684,7 +673,6 @@ def train_registry(
 
     return VerifierRegistry(
         context_attribute=context_attribute,
-        aggregation_mode=aggregation_mode,
         min_area=min_area,
         global_detector=trained.pop(GLOBAL_LABEL),
         models=trained,

@@ -399,6 +399,19 @@ class TestTrain:
         }
         for counts in printed["scopes"].values():
             assert counts["n_pos"] > 0 and counts["n_neg"] > 0
+        assert json.loads(out.read_text())["aggregation_mode"] == "majority"
+
+    def test_aggregation_option_is_usage_error(self, pipeline, tmp_path, capsys):
+        # The majority vote is the only verdict rule: there is nothing to choose.
+        _, corpus_dir, _ = pipeline
+        out = tmp_path / "registry.json"
+        argv = ["train", str(corpus_dir), "--seed", "1", "-o", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--aggregation", "majority"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: scenecheck") and "--aggregation" in err
+        assert not out.exists()
 
 
 def test_train_rejects_a_context_value_named_global(tmp_path, capsys):
@@ -649,6 +662,7 @@ class TestEvaluate:
         )
         assert code == 0
         report = json.loads(out.read_text())
+        assert report["config"]["aggregation_mode"] == "majority"
         assert report["global"]["valid"] + report["global"]["invalid"] == (
             report["global"]["total"]
         )

@@ -305,7 +305,7 @@ def _hand_registry():
         hyperparams=Hyperparams(), seed=0, n_pos=1, n_neg=1, context_label=GLOBAL_LABEL,
     )
     return VerifierRegistry(
-        context_attribute=None, aggregation_mode="majority", min_area=1,
+        context_attribute=None, min_area=1,
         global_detector=Detector(
             model=model,
             stats=finalize(builder),
@@ -368,13 +368,16 @@ class TestPersistence:
             load_model(path)
         assert "\n" not in str(exc.value)
 
-    def test_unknown_aggregation_mode_is_format_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("mode", ["mean_threshold", "bogus"])
+    def test_unknown_aggregation_mode_is_format_error(self, tmp_path, capsys, mode):
         path = tmp_path / "registry.json"
         save_model(path, _hand_registry())
         doc = json.loads(path.read_text())
-        doc["aggregation_mode"] = "bogus"
+        assert doc["aggregation_mode"] == "majority"
+        doc["aggregation_mode"] = mode
         path.write_text(json.dumps(doc))
-        with pytest.raises(FormatError, match="unknown aggregation mode 'bogus'") as exc:
+        message = f"aggregation_mode is '{mode}', expected 'majority'"
+        with pytest.raises(FormatError, match=re.escape(message)) as exc:
             load_model(path)
         assert "\n" not in str(exc.value)
         image = tmp_path / "image.lgrid"

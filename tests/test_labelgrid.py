@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -259,6 +260,8 @@ def test_label_map_with_one_byte_changed_loads_whole_or_fails_in_one_line(
 ):
     # Either the map loads and its text parses back to equal cells, or
     # load_label_grid refuses it with a one-line error naming the file.
+    # parse_label_grid, given the same bytes, gives the grid that was
+    # loaded or the same one-line error without the file name.
     text, class_map, root = synth_map
     at = position % len(text)
     mutant = {
@@ -269,10 +272,16 @@ def test_label_map_with_one_byte_changed_loads_whole_or_fails_in_one_line(
     path = root / "mutant.lgrid"
     path.write_bytes(mutant)
     try:
+        parsed = parse_label_grid(mutant, class_map, image_id=path.stem)
+    except (FormatError, UnknownClassError) as exc:
+        parsed = exc
+    try:
         grid = load_label_grid(path, class_map)
     except (FormatError, UnknownClassError) as exc:
         assert str(exc).startswith(f"{path}: ") and "\n" not in str(exc)
+        assert type(parsed) is type(exc) and str(exc) == f"{path}: {parsed}"
         return
+    assert parsed == grid
     again = parse_label_grid(grid.to_text(), class_map, grid.image_id)
     assert again == grid
 
@@ -565,6 +574,7 @@ def _stack_cells(batch):
 # below it: only the background row keeps the two apart.
 @example([np.ones((2, 2), np.int32), np.ones((1, 3), np.int32), np.ones((2, 1), np.int32)], 1)
 @example([np.array([[0, 3]], np.int32), np.array([[3, 0, 0]], np.int32)], 1)
+@example([], 1)
 def test_label_maps_equal_each_map_labelled_alone(arrays, min_area):
     grids = [grid_from_array(a, {1: "a", 2: "b", 3: "c"}) for a in arrays]
     batched = label_maps(grids, min_area)
@@ -605,6 +615,8 @@ def _assert_contacts(table):
 def test_label_maps_contacts_match_the_pixel_oracle(arrays, min_area):
     grids = [grid_from_array(a, {1: "a", 2: "b", 3: "c"}) for a in arrays]
     for table in label_maps(grids, min_area):
+        # Each table owns its matrix, not a view of the stack's.
+        assert table.contacts.base is None
         _assert_contacts(table)
         _assert_contacts(table[::-1])
         _assert_contacts(table[1:])
@@ -617,6 +629,23 @@ def test_a_map_without_objects_has_an_empty_contact_matrix():
     (table,) = label_maps([grid], 1)
     assert table.contacts.shape == (0, 0)
     assert extract_objects(grid_from_array(np.ones((2, 2), np.int32), {1: "a"}), 5) == table
+
+
+def test_contact_memory_grows_with_the_largest_map_not_the_stack():
+    # 60 maps of 64 one-pixel objects: a square matrix over the stack's
+    # 3,840 objects would take 14.7 MB on its own.
+    tile = np.tile(np.array([[1, 2], [3, 4]], np.int32), (4, 4))
+    grids = [grid_from_array(tile, {1: "a", 2: "b", 3: "c", 4: "d"})] * 60
+    assert len(next(grid_batches(grids))) == 60
+    tracemalloc.start()
+    try:
+        tables = label_maps(grids, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(t) for t in tables] == [64] * 60
+    assert all(t.contacts.sum() == 2 * 210 for t in tables)  # 8-adjacent pixel pairs
+    assert peak < 8e6
 
 
 @settings(max_examples=100, deadline=None)

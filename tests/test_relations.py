@@ -656,6 +656,8 @@ def test_one_batch_of_mixed_contour_lengths_bins_as_the_reference(seed, data):
     order = data.draw(st.permutations(range(len(objects))))
     drawn = shape_histogram(grid, objects[np.array(order, dtype=np.int64)])
     assert drawn.tolist() == [expected[i] for i in order]
+    # The empty batch bins to no arrays.
+    assert relations.shape_histograms([], []) == []
 
 
 # Two shapes on whose contours the quotient cum_i / h rounds across a

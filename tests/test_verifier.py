@@ -350,24 +350,17 @@ class TestScore:
 
 class TestAggregate:
     def test_majority_vote(self):
-        contradiction, confidence = aggregate([1.0, 1.0, -1.0], "majority")
+        contradiction, confidence = aggregate([1.0, 1.0, -1.0])
         assert contradiction is True
         assert confidence == pytest.approx(2 / 3)
 
     def test_majority_tie_is_not_contradiction(self):
-        contradiction, confidence = aggregate([1.0, -1.0], "majority")
+        contradiction, confidence = aggregate([1.0, -1.0])
         assert contradiction is False
         assert confidence == 0.5
 
     def test_empty_abstains(self):
-        assert aggregate([], "majority") == (False, 0.5)
-        assert aggregate([], "mean_threshold") == (False, 0.5)
-
-    def test_mean_threshold(self):
-        contradiction, confidence = aggregate([0.5, 0.7, -0.3], "mean_threshold")
-        mean = (0.5 + 0.7 - 0.3) / 3
-        assert contradiction is True
-        assert confidence == pytest.approx(1 / (1 + math.exp(-mean)))
+        assert aggregate([]) == (False, 0.5)
 
     def test_random_margins_match_hand_oracle(self, rng):
         for _ in range(100):
@@ -375,15 +368,7 @@ class TestAggregate:
             pos = sum(1 for m in margins if m > 0)
             expect_c = pos > len(margins) / 2
             expect_conf = (pos if expect_c else len(margins) - pos) / len(margins)
-            assert aggregate(margins, "majority") == (expect_c, expect_conf)
-            mean = sum(margins) / len(margins)
-            got_c, got_conf = aggregate(margins, "mean_threshold")
-            assert got_c == (mean > 0)
-            assert got_conf == pytest.approx(1 / (1 + math.exp(-mean)))
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            aggregate([1.0], "quorum")
+            assert aggregate(margins) == (expect_c, expect_conf)
 
 
 @pytest.fixture(scope="module")
@@ -454,9 +439,9 @@ class TestVerify:
             monkeypatch.setattr(verifier_module, name, refuse)
         margins_seen = []
 
-        def spy(margins, mode="majority"):
+        def spy(margins):
             margins_seen.append(np.asarray(margins))
-            return aggregate(margins, mode)
+            return aggregate(margins)
 
         monkeypatch.setattr(verifier_module, "aggregate", spy)
         grid = grid_from_array(paint([(class_id, 4, 4, 6, 6)]), {class_id: "thing"})
@@ -481,7 +466,7 @@ class TestVerify:
             hists = shape_histogram(grid, shuffled)
             pairs = relations_for_objects(grid, shuffled)
             margins = score(model, featurize(pairs, shuffled, hists, stats, protos))
-            contradiction, _ = aggregate(margins.tolist(), registry.aggregation_mode)
+            contradiction, _ = aggregate(margins.tolist())
             assert contradiction == verdict.contradiction
 
 
@@ -778,7 +763,6 @@ def _oracle_registry(model=None, stats=None):
     (prototypes[1],) = shape_histogram(grid, extract_objects(grid, min_area=1))
     return VerifierRegistry(
         context_attribute=None,
-        aggregation_mode="majority",
         min_area=1,
         global_detector=Detector(model or _oracle_model(), stats, prototypes),
     )
