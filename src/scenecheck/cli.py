@@ -5,6 +5,10 @@ explicit --seed so runs are reproducible.  Reports are JSON documents
 (tests and tooling assert on fields); evaluate additionally prints a
 human-readable table of the same data.
 
+An experiment chooses only `--context`: every tuning value is a library
+constant (README lists them), so every command counts the objects that
+the registry verifies.
+
 Exit codes: 0 success, 1 validation error, 2 usage error.
 """
 
@@ -20,13 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .context import (
-    MIN_BALANCE_DEFAULT,
-    MIN_COVERAGE_DEFAULT,
-    PLACEHOLDER,
-    partition_corpus,
-    score_attributes,
-)
+from .context import PLACEHOLDER, partition_corpus, score_attributes
 from .corpus import (
     EVAL_TAG,
     Corpus,
@@ -42,22 +40,13 @@ from .errors import SceneCheckError
 # `extract_objects` stays bound here, though no command calls it by this
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
-from .labelgrid import (  # noqa: F401
-    DEFAULT_MIN_AREA,
-    extract_objects,
-    grid_batches,
-    label_maps,
-    load_label_grid,
-)
+from .labelgrid import extract_objects, grid_batches, label_maps, load_label_grid  # noqa: F401
 from .relations import relations_for_objects
 from .seeds import derive_seed
-from .stats import ALPHA_DEFAULT, finalize
+from .stats import finalize
 from .verifier import (
     AGGREGATION_MODE,
-    CONTRADICTIONS_PER_IMAGE,
     GLOBAL_LABEL,
-    N_MIN_CONTEXT,
-    Hyperparams,
     VerifierRegistry,
     build_stats,
     derive_contradiction,
@@ -73,21 +62,6 @@ def _print_json(payload) -> None:
 
 def _context_arg(value: str) -> str | None:
     return None if value == "none" else value
-
-
-def _positive(cast):
-    """argparse type: `cast(value)`, which must be > 0 (a usage error otherwise)."""
-
-    def parse(value: str):
-        try:
-            number = cast(value)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {value!r}") from None
-        if not number > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-        return number
-
-    return parse
 
 
 def cmd_synth(args) -> int:
@@ -121,18 +95,18 @@ def cmd_build_stats(args) -> int:
         """(context value, objects, pairs) of each train map: labelled and
         related, with no boundary traced, since statistics read no shape."""
         for batch in grid_batches(map(corpus.grid, train_ids)):
-            for grid, objects in zip(batch, label_maps(batch, args.min_area)):
+            for grid, objects in zip(batch, label_maps(batch)):
                 yield value_of.get(grid.image_id), objects, relations_for_objects(grid, objects)
 
     all_counts, counts = build_stats(observed(), corpus.class_map)
     out = Path(args.out)
-    save_model(out, finalize(all_counts, args.alpha))
+    save_model(out, finalize(all_counts))
     written = [str(out)]
     for value in sorted(groups):
         if value == PLACEHOLDER:
             continue
         path = out.parent / f"{out.stem}.{value}{out.suffix}"
-        save_model(path, finalize(counts[value], args.alpha))
+        save_model(path, finalize(counts[value]))
         written.append(str(path))
     _print_json({"command": "build-stats", "written": written})
     return 0
@@ -143,11 +117,9 @@ def cmd_select_contexts(args) -> int:
     table = corpus.attributes()
     labels: dict[str, Counter] = {}
     for batch in grid_batches(map(corpus.grid, corpus.image_ids("train"))):
-        for grid, objects in zip(batch, label_maps(batch, args.min_area)):
+        for grid, objects in zip(batch, label_maps(batch)):
             labels[grid.image_id] = Counter(objects.class_id.tolist())
-    report = score_attributes(
-        table, labels, min_coverage=args.min_coverage, min_balance=args.min_balance
-    )
+    report = score_attributes(table, labels)
     doc = corpus_mod._versioned(report.to_dict())
     corpus_mod._write_json(args.out, doc)
     _print_json(doc)
@@ -163,9 +135,7 @@ def cmd_gen_contradictions(args) -> int:
     for idx, image_id in enumerate(corpus.image_ids(args.split)):
         grid = corpus.grid(image_id)
         try:
-            modified, removed = generate_contradiction(
-                grid, derive_seed(args.seed, EVAL_TAG, idx), min_area=args.min_area
-            )
+            modified, removed = generate_contradiction(grid, derive_seed(args.seed, EVAL_TAG, idx))
         except SceneCheckError:
             skipped.append(image_id)
             continue
@@ -194,17 +164,7 @@ def cmd_train(args) -> int:
     corpus = Corpus.load(args.corpus)
     context = _context_arg(args.context)
     table = corpus.attributes() if context is not None else None
-    registry = train_registry(
-        corpus,
-        table,
-        context,
-        Hyperparams(learning_rate=args.lr, epochs=args.epochs, l2_lambda=args.l2),
-        seed=args.seed,
-        contradictions_per_image=args.contradictions_per_image,
-        min_area=args.min_area,
-        n_min=args.n_min,
-        alpha=args.alpha,
-    )
+    registry = train_registry(corpus, table, context, seed=args.seed)
     save_model(args.out, registry)
     scopes = {GLOBAL_LABEL: registry.global_detector, **registry.models}
     _print_json(
@@ -349,16 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-stats", help="Build co-occurrence statistics from the train split")
     p.add_argument("corpus")
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
-    p.add_argument("--alpha", type=_positive(float), default=ALPHA_DEFAULT)
-    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_build_stats)
 
     p = sub.add_parser("select-contexts", help="Rank candidate context attributes")
     p.add_argument("corpus")
-    p.add_argument("--min-coverage", type=float, default=MIN_COVERAGE_DEFAULT)
-    p.add_argument("--min-balance", type=float, default=MIN_BALANCE_DEFAULT)
-    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_select_contexts)
 
@@ -366,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--split", default="val", choices=["train", "val"])
-    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen_contradictions)
 
@@ -374,15 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--lr", type=_positive(float), default=Hyperparams.learning_rate)
-    p.add_argument("--epochs", type=_positive(int), default=Hyperparams.epochs)
-    p.add_argument("--l2", type=_positive(float), default=Hyperparams.l2_lambda)
-    p.add_argument("--alpha", type=_positive(float), default=ALPHA_DEFAULT)
-    p.add_argument("--min-area", type=_positive(int), default=DEFAULT_MIN_AREA)
-    p.add_argument("--n-min", type=_positive(int), default=N_MIN_CONTEXT)
-    p.add_argument(
-        "--contradictions-per-image", type=_positive(int), default=CONTRADICTIONS_PER_IMAGE
-    )
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 

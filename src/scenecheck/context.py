@@ -161,18 +161,15 @@ class ContextSelectionReport:
         }
 
 
-def score_attributes(
-    table: AttributeTable,
-    labels: dict[str, Counter],
-    min_coverage: float = MIN_COVERAGE_DEFAULT,
-    min_balance: float = MIN_BALANCE_DEFAULT,
-) -> ContextSelectionReport:
+def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> ContextSelectionReport:
     """Score every schema attribute against per-image object-class multisets.
 
     The joint gets one (class, attribute value) count per object
     instance; placeholders join the table as their own column but count
-    against coverage.  An attribute is eligible when coverage and
-    balance clear their thresholds and at least two real values occur.
+    against coverage.  An attribute is eligible when its coverage is at
+    least MIN_COVERAGE_DEFAULT, its balance (the share of images of its
+    rarest observed value) at least MIN_BALANCE_DEFAULT, and at least
+    two real values occur.
     Ranking is by MI descending, ties broken by name.
     """
     if not labels:
@@ -203,7 +200,9 @@ def score_attributes(
             min(value_images[v] for v in observed) / n_images if observed else 0.0
         )
         eligible = (
-            coverage >= min_coverage and balance >= min_balance and len(observed) >= 2
+            coverage >= MIN_COVERAGE_DEFAULT
+            and balance >= MIN_BALANCE_DEFAULT
+            and len(observed) >= 2
         )
         scores[name] = AttributeScore(
             name=name,

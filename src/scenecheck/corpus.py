@@ -213,8 +213,15 @@ class SyntheticConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
-        """Every class id is at least 1, since 0 is the background, and
-        names one class; every class a context places is one of them."""
+        """At least one image per context, and a train fraction and a
+        placeholder rate in [0, 1].  Every class id is at least 1, since 0
+        is the background, and names one class; every class a context
+        places is one of them."""
+        if self.n_images < 1:
+            raise ValueError(f"n_images is {self.n_images}, expected at least 1")
+        for name in ("train_fraction", "placeholder_rate"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} is {getattr(self, name)}, expected a value in [0, 1]")
         names: dict[int, str] = {}
         for c in self.classes:
             if c.class_id < 1:

@@ -216,9 +216,13 @@ class CooccurrenceModel(_Counts):
 
 
 def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:
-    """Laplace-smooth a copy of the builder's counts into a CooccurrenceModel."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    """Laplace-smooth a copy of the builder's counts into a CooccurrenceModel.
+
+    Raises ValueError unless `alpha` is finite and above 0, the values a
+    saved model may hold.
+    """
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and above 0, got {alpha}")
     if builder.images < 1:
         raise EmptyCorpusError("cannot finalize statistics over zero images")
     counts = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(builder).items()}

@@ -39,6 +39,7 @@ fully determined by its inputs and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cache, reduce
 from typing import Iterable, Iterator, Mapping
@@ -71,7 +72,6 @@ from .relations import (
 )
 from .seeds import derive_seed
 from .stats import (
-    ALPHA_DEFAULT,
     CooccurrenceModel,
     StatsBuilder,
     _Counts,
@@ -199,6 +199,9 @@ def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
 
 @dataclass(frozen=True)
 class Hyperparams:
+    """The SGD settings of `train_linear`: a learning rate and an L2 weight,
+    each finite and above 0, and at least one epoch."""
+
     learning_rate: float = 0.01
     epochs: int = 50
     l2_lambda: float = 1e-3
@@ -206,6 +209,9 @@ class Hyperparams:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("learning_rate", "l2_lambda"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and above 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -373,6 +379,9 @@ def train_linear(
     The dot product, summed left to right, only picks the branch; a
     different summation order could pick the other one only on a margin
     within rounding error of 1.
+
+    Raises DegenerateTrainingError when the averaged weights or bias are
+    not finite, as on a learning rate so large that the fit diverges.
     """
     hp = hyperparams or Hyperparams()
     X = np.asarray(features, dtype=np.float64)
@@ -403,9 +412,13 @@ def train_linear(
             w_avg += w
             b_avg += b
             averaged += 1
+    w_avg /= averaged
+    b_avg /= averaged
+    if not (np.isfinite(w_avg).all() and math.isfinite(b_avg)):
+        raise DegenerateTrainingError("SGD diverged: the averaged weights or bias are not finite")
     return LinearModel(
-        weights=tuple(float(v) for v in w_avg / averaged),
-        bias=float(b_avg / averaged),
+        weights=tuple(float(v) for v in w_avg),
+        bias=float(b_avg),
         feature_means=tuple(float(v) for v in means),
         feature_stds=tuple(float(v) for v in stds),
         hyperparams=hp,
@@ -580,21 +593,20 @@ def train_registry(
     corpus,
     attribute_table: AttributeTable | None,
     context_attribute: str | None,
-    hyperparams: Hyperparams | None = None,
     seed: int = 0,
     *,
-    contradictions_per_image: int = CONTRADICTIONS_PER_IMAGE,
-    min_area: int = DEFAULT_MIN_AREA,
     n_min: int = N_MIN_CONTEXT,
-    alpha: float = ALPHA_DEFAULT,
 ) -> VerifierRegistry:
     """Train the global detector and one detector per context value.
 
-    Every train image contributes its pairs as valid examples and, when
-    it has at least two objects, `contradictions_per_image` seeded
+    Every train map is labelled with DEFAULT_MIN_AREA, the registry's
+    min_area.  Each contributes its pairs as valid examples and, when it
+    has at least two objects, CONTRADICTIONS_PER_IMAGE seeded
     object-removal twins as contradiction examples (one image-level
-    label shared by all pairs of a scene).  Context values with fewer
-    than `n_min` train images get no model and fall back to global.
+    label shared by all pairs of a scene).  Every detector's statistics
+    are smoothed with `stats.ALPHA_DEFAULT` and its model fitted with the
+    default Hyperparams.  Context values with fewer than `n_min` train
+    images get no model and fall back to global.
     Each train scene is counted once, into the statistics of its context
     value (placeholder and values below `n_min` included), and the
     global statistics are the merge of those.  Raises SchemaError when
@@ -625,13 +637,13 @@ def train_registry(
     scenes: dict[str, Scene] = {}
     removed: dict[str, list[int]] = {}
     grids = map(corpus.grid, train_ids)
-    for idx, (image_id, scene) in enumerate(zip(train_ids, prepare_all(grids, min_area))):
+    for idx, (image_id, scene) in enumerate(zip(train_ids, prepare_all(grids))):
         n = len(scene.objects)
         scenes[image_id] = scene
         removed[image_id] = (
             [
                 _removed_index(n, derive_seed(seed, _TRAIN_TAG, idx, j))
-                for j in range(contradictions_per_image)
+                for j in range(CONTRADICTIONS_PER_IMAGE)
             ]
             if n >= 2
             else []
@@ -648,7 +660,7 @@ def train_registry(
     trained: dict[str, Detector] = {}
     for scope_idx, (label, ids, scope_counts) in enumerate(scopes):
         scope_scenes = [scenes[i] for i in ids]
-        scope_stats = finalize(scope_counts, alpha)
+        scope_stats = finalize(scope_counts)
         protos = _prototypes_for(scope_scenes, scope_stats)
         features: list[np.ndarray] = []
         labels: list[int] = []
@@ -665,7 +677,6 @@ def train_registry(
         model = train_linear(
             np.concatenate(features),
             labels,
-            hyperparams,
             seed=derive_seed(seed, _MODEL_TAG, scope_idx),
             context_label=label,
         )
@@ -673,7 +684,7 @@ def train_registry(
 
     return VerifierRegistry(
         context_attribute=context_attribute,
-        min_area=min_area,
+        min_area=DEFAULT_MIN_AREA,
         global_detector=trained.pop(GLOBAL_LABEL),
         models=trained,
     )

@@ -23,9 +23,8 @@ from scenecheck import (
     verify,
 )
 from scenecheck import relations
-from scenecheck.cli import build_parser, main
-from scenecheck.context import MIN_BALANCE_DEFAULT, MIN_COVERAGE_DEFAULT
-from scenecheck.verifier import N_MIN_CONTEXT, Hyperparams, Verdict
+from scenecheck.cli import main
+from scenecheck.verifier import Verdict
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +374,7 @@ def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command)
     argv = {
         "build-stats": ["build-stats", str(corpus_dir)],
         "select-contexts": ["select-contexts", str(corpus_dir)],
-        "train": ["train", str(corpus_dir), "--seed", "1", "--epochs", "1"],
+        "train": ["train", str(corpus_dir), "--seed", "1"],
         "evaluate": ["evaluate", str(registry_path), str(corpus_dir), "--seed", "1"],
     }[command]
     assert main(argv + ["-o", str(out)]) == 0
@@ -791,56 +790,40 @@ class TestPipelineDeterminism:
             assert fa.read_bytes() == fb.read_bytes()
 
 
-class TestNumericOptions:
-    def test_parsed_defaults_equal_the_library_defaults(self):
-        parser = build_parser()
-        train = parser.parse_args(["train", "c", "--seed", "1", "-o", "r.json"])
-        hp = Hyperparams()
-        assert (train.lr, train.epochs, train.l2, train.n_min) == (
-            hp.learning_rate, hp.epochs, hp.l2_lambda, N_MIN_CONTEXT
-        )
-        select = parser.parse_args(["select-contexts", "c", "-o", "x.json"])
-        assert (select.min_coverage, select.min_balance) == (
-            MIN_COVERAGE_DEFAULT, MIN_BALANCE_DEFAULT
-        )
+REMOVED_TUNING_OPTIONS = [
+    *(
+        ("train", option, value)
+        for option, value in [
+            ("--lr", "0.01"), ("--epochs", "50"), ("--l2", "0.001"), ("--alpha", "1.0"),
+            ("--min-area", "25"), ("--n-min", "30"), ("--contradictions-per-image", "4"),
+        ]
+    ),
+    ("build-stats", "--alpha", "1.0"),
+    ("build-stats", "--min-area", "25"),
+    ("select-contexts", "--min-coverage", "0.95"),
+    ("select-contexts", "--min-balance", "0.1"),
+    ("select-contexts", "--min-area", "25"),
+    ("gen-contradictions", "--min-area", "25"),
+]
 
-    @pytest.mark.parametrize(
-        "argv, option",
-        [
-            (["select-contexts", "{corpus}", "-o", "{out}", "--min-area", "0"], "--min-area"),
-            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--min-area", "0"], "--min-area"),
-            (["build-stats", "{corpus}", "-o", "{out}", "--min-area", "0"], "--min-area"),
-            (
-                ["gen-contradictions", "{corpus}", "--seed", "1", "-o", "{out}", "--min-area", "0"],
-                "--min-area",
-            ),
-            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--epochs", "0"], "--epochs"),
-            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--alpha", "0"], "--alpha"),
-            (["build-stats", "{corpus}", "-o", "{out}", "--alpha", "0"], "--alpha"),
-            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--lr", "0"], "--lr"),
-            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--l2", "0"], "--l2"),
-            (["train", "{corpus}", "--seed", "1", "-o", "{out}", "--n-min", "0"], "--n-min"),
-            (
-                [
-                    "train", "{corpus}", "--seed", "1", "-o", "{out}",
-                    "--contradictions-per-image", "0",
-                ],
-                "--contradictions-per-image",
-            ),
-        ],
-    )
-    def test_value_below_the_minimum_is_usage_error(
-        self, pipeline, tmp_path, capsys, argv, option
-    ):
-        _, corpus_dir, _ = pipeline
-        out = tmp_path / "out"
-        argv = [a.format(corpus=corpus_dir, out=out) for a in argv]
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: scenecheck")
-        assert "Traceback" not in err
-        errors = [ln for ln in err.splitlines() if "error:" in ln]
-        assert errors == [f"scenecheck {argv[0]}: error: argument {option}: must be > 0, got 0"]
-        assert not out.exists()
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    REMOVED_TUNING_OPTIONS,
+    ids=[f"{command}{option}" for command, option, _ in REMOVED_TUNING_OPTIONS],
+)
+def test_removed_tuning_options_are_usage_errors(
+    pipeline, tmp_path, capsys, command, option, value
+):
+    # Every tuning value is a library constant: even its own value is refused.
+    _, corpus_dir, _ = pipeline
+    out = tmp_path / "out"
+    seed = ["--seed", "1"] if command in ("train", "gen-contradictions") else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(corpus_dir), *seed, "-o", str(out), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: scenecheck") and "Traceback" not in err
+    errors = [ln for ln in err.splitlines() if "error:" in ln]
+    assert errors == [f"scenecheck: error: unrecognized arguments: {option} {value}"]
+    assert not out.exists()

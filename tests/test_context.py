@@ -166,7 +166,7 @@ class TestScoreAttributes:
             )
             labels[f"im{i}"] = Counter({10: 1, 11: 1} if inside else {20: 1, 21: 1})
         table = _table(records)
-        report = score_attributes(table, labels, min_coverage=0.0, min_balance=0.0)
+        report = score_attributes(table, labels)
         # joint over (class, value incl. placeholder column)
         joint = np.array([[4, 0, 0], [4, 0, 0], [0, 4, 0], [0, 4, 0]], dtype=float)
         assert report.scores["location"].mutual_information == pytest.approx(
@@ -236,6 +236,27 @@ class TestScoreAttributes:
         report = score_attributes(table, labels)
         assert report.scores["location"].coverage == 0.5
         assert not report.scores["location"].eligible
+
+    @pytest.mark.parametrize(
+        "n_outside, n_unannotated, eligible",
+        [(2, 1, True), (2, 2, False), (1, 1, False)],
+        ids=["at-both-thresholds", "coverage-below", "balance-below"],
+    )
+    def test_coverage_and_balance_thresholds_are_095_and_010(
+        self, n_outside, n_unannotated, eligible
+    ):
+        # 20 images: coverage 19/20 and balance 2/20 are the least that qualify.
+        values = ["outside"] * n_outside + [None] * n_unannotated
+        values += ["inside"] * (20 - len(values))
+        records = [
+            {"image_id": f"im{i}", "attributes": {"location": v} if v else {}}
+            for i, v in enumerate(values)
+        ]
+        labels = {f"im{i}": Counter({1: 1}) for i in range(20)}
+        score = score_attributes(_table(records), labels).scores["location"]
+        assert score.coverage == (20 - n_unannotated) / 20
+        assert score.balance == n_outside / 20
+        assert score.eligible is eligible
 
     def test_no_labels_rejected(self):
         with pytest.raises(EmptyCorpusError):

@@ -211,6 +211,13 @@ class TestSynthCorpus:
         [
             ("class", "height", "9", "height holds '9', expected an array"),
             ("config", "n_images", 6.9, "n_images holds 6.9, expected integers"),
+            ("config", "n_images", -3, "n_images is -3, expected at least 1"),
+            ("config", "n_images", 0, "n_images is 0, expected at least 1"),
+            ("config", "train_fraction", 1.7, "train_fraction is 1.7, expected a value in [0, 1]"),
+            (
+                "config", "placeholder_rate", -1.0,
+                "placeholder_rate is -1.0, expected a value in [0, 1]",
+            ),
             (
                 "class", "shape", "elipse",
                 "shape holds 'elipse', expected one of ('rect', 'ellipse')",
@@ -252,7 +259,8 @@ class TestSynthCorpus:
             ),
         ],
         ids=[
-            "height-a-string", "n_images-fractional", "shape-misspelt", "unknown-key",
+            "height-a-string", "n_images-fractional", "n_images-negative", "n_images-zero",
+            "train-fraction-above-1", "placeholder-rate-negative", "shape-misspelt", "unknown-key",
             "kind-weights-unknown-key", "kind-weights-all-zero", "kind-weights-negative",
             "class-id-negative", "class-id-background", "class-id-duplicate",
             "anchor-unknown", "satellite-unknown", "stack-unknown", "lone-extra-unknown",

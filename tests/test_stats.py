@@ -266,6 +266,11 @@ class TestFinalize:
         with pytest.raises(FrozenInstanceError):
             model.alpha = 2.0
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_alpha_not_finite_and_above_zero_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite and above 0"):
+            finalize(_hand_builder(), alpha)
+
     def test_empty_builder_rejected(self):
         with pytest.raises(EmptyCorpusError):
             finalize(StatsBuilder.for_classes([1, 2]))

@@ -168,6 +168,11 @@ class TestTrainLinear:
         with pytest.raises(DegenerateTrainingError):
             train_linear(list(X), [1] * 10, seed=0)
 
+    def test_diverging_fit_rejected(self, rng):
+        X, y = _separable_set(rng)
+        with pytest.raises(DegenerateTrainingError, match="SGD diverged"):
+            train_linear(X, y, Hyperparams(learning_rate=1e300, epochs=2), seed=0)
+
     def test_identical_features_mixed_labels_hits_prior(self, rng):
         X = np.tile(rng.uniform(size=N_FEATURES), (100, 1))
         y = np.array([1] * 70 + [-1] * 30)
@@ -288,10 +293,21 @@ class TestTrainLinearMatchesLoopReference:
             assert train_linear(X, y, seed=2) == expected
 
 
-def test_hyperparams_reject_fewer_than_one_epoch():
-    for epochs in (0, -1):
-        with pytest.raises(ValueError, match="epochs must be >= 1"):
-            Hyperparams(epochs=epochs)
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("epochs", 0, "epochs must be >= 1"),
+        ("epochs", -1, "epochs must be >= 1"),
+        *(
+            (name, value, f"{name} must be finite and above 0")
+            for name in ("learning_rate", "l2_lambda")
+            for value in (0.0, -1.0, math.inf, math.nan)
+        ),
+    ],
+)
+def test_hyperparams_reject_a_bad_field(name, value, message):
+    with pytest.raises(ValueError, match=message):
+        Hyperparams(**{name: value})
 
 
 class TestScore:
