@@ -10,7 +10,6 @@ from .context import (
     DEFAULT_SCHEMA,
     PLACEHOLDER,
     AttributeTable,
-    ContextSelectionReport,
     load_attributes,
     mutual_information,
     partition_corpus,
@@ -71,7 +70,6 @@ from .stats import (
     StatsBuilder,
     accumulate,
     finalize,
-    merge,
 )
 from .verifier import (
     FEATURE_NAMES,

@@ -98,9 +98,9 @@ def cmd_build_stats(args) -> int:
             for grid, objects in zip(batch, label_maps(batch)):
                 yield value_of.get(grid.image_id), objects, relations_for_objects(grid, objects)
 
-    all_counts, counts = build_stats(observed(), corpus.class_map)
+    counts = build_stats(observed(), corpus.class_map)
     out = Path(args.out)
-    save_model(out, finalize(all_counts))
+    save_model(out, finalize(*counts.values()))
     written = [str(out)]
     for value in sorted(groups):
         if value == PLACEHOLDER:
@@ -119,8 +119,7 @@ def cmd_select_contexts(args) -> int:
     for batch in grid_batches(map(corpus.grid, corpus.image_ids("train"))):
         for grid, objects in zip(batch, label_maps(batch)):
             labels[grid.image_id] = Counter(objects.class_id.tolist())
-    report = score_attributes(table, labels)
-    doc = corpus_mod._versioned(report.to_dict())
+    doc = corpus_mod._versioned(score_attributes(table, labels))
     corpus_mod._write_json(args.out, doc)
     _print_json(doc)
     return 0

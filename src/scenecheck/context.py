@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import reprlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,45 +123,7 @@ def mutual_information(joint_counts) -> float:
     return float(np.sum(p[mask] * np.log(ratio[mask])))
 
 
-@dataclass(frozen=True)
-class AttributeScore:
-    name: str
-    mutual_information: float
-    coverage: float
-    balance: float
-    observed_values: int
-    eligible: bool
-
-
-@dataclass(frozen=True)
-class ContextSelectionReport:
-    """Per-attribute scores plus the eligible attributes ranked by MI."""
-
-    scores: dict[str, AttributeScore]
-    ranking: list[str] = field(default_factory=list)
-
-    @property
-    def selected(self) -> str | None:
-        return self.ranking[0] if self.ranking else None
-
-    def to_dict(self) -> dict:
-        return {
-            "attributes": {
-                name: {
-                    "mutual_information": s.mutual_information,
-                    "coverage": s.coverage,
-                    "balance": s.balance,
-                    "observed_values": s.observed_values,
-                    "eligible": s.eligible,
-                }
-                for name, s in sorted(self.scores.items())
-            },
-            "ranking": list(self.ranking),
-            "selected": self.selected,
-        }
-
-
-def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> ContextSelectionReport:
+def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> dict:
     """Score every schema attribute against per-image object-class multisets.
 
     The joint gets one (class, attribute value) count per object
@@ -170,15 +132,19 @@ def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> Conte
     least MIN_COVERAGE_DEFAULT, its balance (the share of images of its
     rarest observed value) at least MIN_BALANCE_DEFAULT, and at least
     two real values occur.
-    Ranking is by MI descending, ties broken by name.
+    Returns the document that `select-contexts` writes: `attributes` maps
+    each attribute, by name, to its `mutual_information`, `coverage`,
+    `balance`, `observed_values` and `eligible`; `ranking` lists the
+    eligible attributes by MI descending, ties broken by name; `selected`
+    is the first of them, or None.
     """
     if not labels:
         raise EmptyCorpusError("no labeled images to score against")
     image_ids = sorted(labels)
     n_images = len(image_ids)
     all_classes = sorted({c for counts in labels.values() for c in counts})
-    scores: dict[str, AttributeScore] = {}
-    for name, allowed in table.schema.items():
+    scores: dict[str, dict] = {}
+    for name, allowed in sorted(table.schema.items()):
         columns = list(allowed) + [PLACEHOLDER]
         col_index = {v: i for i, v in enumerate(columns)}
         row_index = {c: i for i, c in enumerate(all_classes)}
@@ -199,24 +165,22 @@ def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> Conte
         balance = (
             min(value_images[v] for v in observed) / n_images if observed else 0.0
         )
-        eligible = (
-            coverage >= MIN_COVERAGE_DEFAULT
-            and balance >= MIN_BALANCE_DEFAULT
-            and len(observed) >= 2
-        )
-        scores[name] = AttributeScore(
-            name=name,
-            mutual_information=mi,
-            coverage=coverage,
-            balance=balance,
-            observed_values=len(observed),
-            eligible=eligible,
-        )
+        scores[name] = {
+            "mutual_information": mi,
+            "coverage": coverage,
+            "balance": balance,
+            "observed_values": len(observed),
+            "eligible": (
+                coverage >= MIN_COVERAGE_DEFAULT
+                and balance >= MIN_BALANCE_DEFAULT
+                and len(observed) >= 2
+            ),
+        }
     ranking = sorted(
-        (s.name for s in scores.values() if s.eligible),
-        key=lambda n: (-scores[n].mutual_information, n),
+        (n for n, s in scores.items() if s["eligible"]),
+        key=lambda n: (-scores[n]["mutual_information"], n),
     )
-    return ContextSelectionReport(scores=scores, ranking=ranking)
+    return {"attributes": scores, "ranking": ranking, "selected": ranking[0] if ranking else None}
 
 
 def partition_corpus(

@@ -30,7 +30,7 @@ import re
 import reprlib
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from types import UnionType
@@ -168,6 +168,16 @@ class ClassSpec:
     height: tuple[int, int]
     width: tuple[int, int]
 
+    def __post_init__(self) -> None:
+        """Each size range is [low, high] with 1 <= low <= high."""
+        for name in ("height", "width"):
+            low, high = getattr(self, name)
+            if not 1 <= low <= high:
+                raise ValueError(
+                    f"{name} of {self.name!r} is [{low}, {high}],"
+                    " expected [low, high] with 1 <= low <= high"
+                )
+
 
 @dataclass(frozen=True)
 class ContextSpec:
@@ -177,7 +187,9 @@ class ContextSpec:
     ever appear alone; the rider of `stack` appears alone or on its
     base, never directly on the anchor.  `kind_weights` are relative
     draw weights of the scene kinds, none negative, with a finite sum
-    above 0; a kind they leave out is never drawn.
+    above 0; a kind they leave out is never drawn, and each kind they
+    weigh above 0 must have the classes it draws.  A triple scene is the
+    stack with probability `stack_bias`, in [0, 1].
     """
 
     value: str
@@ -195,6 +207,29 @@ class ContextSpec:
                 f"kind_weights of {self.value!r} are {self.kind_weights},"
                 " expected weights of at least 0 with a finite sum above 0"
             )
+        if not 0 <= self.stack_bias <= 1:
+            raise ValueError(
+                f"stack_bias of {self.value!r} is {self.stack_bias}, expected a value in [0, 1]"
+            )
+        rider = self.stack[1] if self.stack else None
+        free = [s for s in self.satellites if s != rider]
+        needs = {
+            "lone": (
+                "a satellite, a stack or a lone_extra class", free or self.stack or self.lone_extra
+            ),
+            "pair": ("a satellite other than the stack's rider", free),
+            "stack_pair": ("a stack or two satellites", self.stack or len(self.satellites) >= 2),
+            "triple": (
+                "two satellites other than the stack's rider, or a stack and stack_bias 1",
+                len(free) >= 2 or self.stack and self.stack_bias == 1,
+            ),
+        }
+        for kind, weight in self.kind_weights.items():
+            need, met = needs[kind]
+            if weight > 0 and not met:
+                raise ValueError(
+                    f"kind_weights of {self.value!r} draw {kind!r} scenes, which need {need}"
+                )
 
 
 @dataclass(frozen=True)
@@ -213,12 +248,24 @@ class SyntheticConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
-        """At least one image per context, and a train fraction and a
-        placeholder rate in [0, 1].  Every class id is at least 1, since 0
-        is the background, and names one class; every class a context
-        places is one of them."""
-        if self.n_images < 1:
-            raise ValueError(f"n_images is {self.n_images}, expected at least 1")
+        """At least one context, one image per context and one row and
+        column per map, a train fraction and a placeholder rate in [0, 1],
+        and at least one value per noise attribute, which must not be the
+        context attribute.  Every class id is at least 1, since 0 is the
+        background, and names one class; every class a context places is
+        one of them."""
+        for name in ("n_images", "grid_height", "grid_width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} is {getattr(self, name)}, expected at least 1")
+        if not self.contexts:
+            raise ValueError("contexts is empty, expected at least one context")
+        for name, values in self.noise_attributes.items():
+            if not values:
+                raise ValueError(f"noise attribute {name!r} has no values")
+        if self.context_attribute in self.noise_attributes:
+            raise ValueError(
+                f"context attribute {self.context_attribute!r} is a noise attribute too"
+            )
         for name in ("train_fraction", "placeholder_rate"):
             if not 0 <= getattr(self, name) <= 1:
                 raise ValueError(f"{name} is {getattr(self, name)}, expected a value in [0, 1]")
@@ -453,11 +500,12 @@ def _pick_kind(rng, weights: dict[str, float]) -> str:
     return SCENE_KINDS[-1]
 
 
-def _column_slot(rng, lo: int, hi: int, width: int) -> int:
-    """Random left edge so the object spans [lo, hi); raises when impossible."""
-    if hi - lo < width:
-        raise PlacementError(f"object of width {width} cannot fit in [{lo}, {hi})")
-    return int(rng.integers(lo, hi - width + 1))
+def _slot(rng, lo: int, hi: int, size: int) -> int:
+    """Random first row or column so the object spans [lo, hi) with `size`
+    of them; raises when impossible."""
+    if hi - lo < size:
+        raise PlacementError(f"object of size {size} cannot fit in [{lo}, {hi})")
+    return int(rng.integers(lo, hi - size + 1))
 
 
 def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
@@ -473,7 +521,7 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
 
     def place_on(support_top: int, spec: ClassSpec, lo: int, hi: int) -> tuple[int, int, int, int]:
         h, w = _sample_size(rng, spec)
-        c0 = _column_slot(rng, lo, hi, w)
+        c0 = _slot(rng, lo, hi, w)
         r0 = support_top - h
         if r0 < 0:
             raise PlacementError(f"{spec.name} of height {h} does not fit above row {support_top}")
@@ -483,8 +531,8 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
     if kind == "lone":
         spec = by_id[int(rng.choice(lone_pool))]
         h, w = _sample_size(rng, spec)
-        r0 = int(rng.integers(4, H - h - 10))
-        c0 = _column_slot(rng, 2, W - 2, w)
+        r0 = _slot(rng, 4, H - 11, h)
+        c0 = _slot(rng, 2, W - 2, w)
         _paint(arr, spec, r0, c0, h, w)
         return arr
 
@@ -493,7 +541,7 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
         base = by_id[base_id]
         bh, bw = _sample_size(rng, base)
         b_r0 = H - 8 - bh + int(rng.integers(0, 3))
-        b_c0 = _column_slot(rng, 8, W - 8, bw)
+        b_c0 = _slot(rng, 8, W - 8, bw)
         _paint(arr, base, b_r0, b_c0, bh, bw)
         _place_rider(rng, arr, by_id[rider_id], b_r0, b_c0, bw)
         return arr
@@ -520,7 +568,7 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
         base_id, rider_id = ctx.stack
         base = by_id[base_id]
         bh, bw = _sample_size(rng, base)
-        b_c0 = _column_slot(rng, 8, W - 8, bw)
+        b_c0 = _slot(rng, 8, W - 8, bw)
         b_r0 = anchor_top - bh
         _paint(arr, base, b_r0, b_c0, bh, bw)
         _place_rider(rng, arr, by_id[rider_id], b_r0, b_c0, bw)
@@ -548,8 +596,31 @@ def _place_rider(rng, arr, rider: ClassSpec, base_r0: int, base_c0: int, base_w:
 
 
 def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, AttributeTable]:
-    """Generate a corpus under `root` and return it with its attribute table."""
+    """Generate a corpus under `root` and return it with its attribute table.
+
+    On any failure, the files this call wrote and the directories it made
+    are removed before the error propagates: a directory that existed
+    before keeps every file that this call did not write.
+    """
     root = Path(root)
+    made = [d for d in (root / "images", root, *root.parents) if not d.exists()]
+    written: list[Path] = []
+    try:
+        return _write_corpus(config, root, written)
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        for directory in made:
+            with suppress(OSError):
+                directory.rmdir()
+        raise
+
+
+def _write_corpus(
+    config: SyntheticConfig, root: Path, written: list[Path]
+) -> tuple[Corpus, AttributeTable]:
+    """The body of `synth_corpus`, which adds each path to `written` before
+    it writes there."""
     (root / "images").mkdir(parents=True, exist_ok=True)
     class_map = config.class_map()
     annotations: list[dict] = []
@@ -563,7 +634,9 @@ def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, Att
             arr = _synth_scene(rng, config, ctx)
             image_id = f"{ctx.value}_{i:05d}"
             grid = grid_from_array(arr, class_map, image_id=image_id)
-            (root / "images" / f"{image_id}.lgrid").write_text(grid.to_text())
+            path = root / "images" / f"{image_id}.lgrid"
+            written.append(path)
+            path.write_text(grid.to_text())
             attrs = {config.context_attribute: ctx.value}
             for name in noise_names:
                 values = config.noise_attributes[name]
@@ -576,17 +649,14 @@ def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, Att
 
     schema = {config.context_attribute: [ctx.value for ctx in config.contexts]}
     schema.update({k: list(v) for k, v in sorted(config.noise_attributes.items())})
-    _write_json(root / "classes.json", _versioned({
-        "classes": {str(k): v for k, v in sorted(class_map.items())},
-    }))
-    _write_json(root / "attributes.json", _versioned({
-        "schema": schema,
-        "annotations": annotations,
-    }))
-    _write_json(root / "splits.json", _versioned({
-        "train": train_ids,
-        "val": val_ids,
-    }))
+    documents = {
+        "classes.json": {"classes": {str(k): v for k, v in sorted(class_map.items())}},
+        "attributes.json": {"schema": schema, "annotations": annotations},
+        "splits.json": {"train": train_ids, "val": val_ids},
+    }
+    for name, doc in documents.items():
+        written.append(root / name)
+        _write_json(root / name, _versioned(doc))
     corpus = Corpus(root=root, class_map=class_map, splits={"train": train_ids, "val": val_ids})
     table = load_attributes(annotations, schema)
     return corpus, table

@@ -12,16 +12,16 @@ the sorted class universe `classes`:
 
 Size observations are kept per ordered row pair as an exact multiset of
 (pixels_a, pixels_b) integer pairs rather than running float sums, so
-that shard-merged and sequential builders are bit-identical; the
-log-ratio moments are derived once, in sorted order, at finalize time.
+that the sum of sharded builders and one sequential builder finalize
+bit-identically; the log-ratio moments are derived once, in sorted
+order, at finalize time.
 
-A StatsBuilder accumulates the counts from scenes; builders merge
-associatively (map-reduce style, one builder per image or shard) by
-summing their arrays, and `finalize` turns them into an immutable
-CooccurrenceModel: read-only copies of the counts plus the smoothed
-tables derived from them, one array expression each.  The tables are
-the model's only lookup, so that all of a scene's pairs are looked up
-at once.
+A StatsBuilder accumulates the counts of one scope from scenes (one
+builder per context value, image or shard); `finalize` sums any number
+of builders into an immutable CooccurrenceModel: read-only sums of the
+counts plus the smoothed tables derived from them, one array expression
+each.  The tables are the model's only lookup, so that all of a scene's
+pairs are looked up at once.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class _Counts:
 
 @dataclass(eq=False)
 class StatsBuilder(_Counts):
-    """Mutable accumulator of co-occurrence counts; merge is associative."""
+    """Mutable accumulator of co-occurrence counts of one scope."""
 
     @classmethod
     def for_classes(cls, classes) -> "StatsBuilder":
@@ -114,17 +114,6 @@ def accumulate(
         distance[ra, rb, dist] += 1
         builder.size_obs.setdefault((ra, rb), Counter())[sizes[i], sizes[j]] += 1
     return builder
-
-
-def merge(x: StatsBuilder, y: StatsBuilder) -> StatsBuilder:
-    """Element-wise sum of two builders over the same class universe."""
-    if x.classes != y.classes:
-        raise SchemaError("builders disagree on class universe")
-    size_obs = {k: Counter(v) for k, v in x.size_obs.items()}
-    for k, v in y.size_obs.items():
-        size_obs.setdefault(k, Counter()).update(v)
-    sums = {k: v + getattr(y, k) for k, v in vars(x).items() if k not in ("classes", "size_obs")}
-    return StatsBuilder(classes=x.classes, size_obs=size_obs, **sums)
 
 
 def _size_moments(obs: Counter) -> tuple[float, float]:
@@ -215,16 +204,27 @@ class CooccurrenceModel(_Counts):
         return rows
 
 
-def finalize(builder: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:
-    """Laplace-smooth a copy of the builder's counts into a CooccurrenceModel.
+def finalize(*builders: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:
+    """Laplace-smooth the summed counts of the builders into a CooccurrenceModel.
 
-    Raises ValueError unless `alpha` is finite and above 0, the values a
-    saved model may hold.
+    The counts are summed into new arrays and multisets, so the model
+    shares none with a builder.  Raises ValueError unless `alpha` is
+    finite and above 0, the values a saved model may hold; SchemaError
+    when two builders disagree on the class universe; EmptyCorpusError
+    when no builder is given or they hold no image.
     """
     if not 0 < alpha < math.inf:
         raise ValueError(f"alpha must be finite and above 0, got {alpha}")
-    if builder.images < 1:
+    if any(b.classes != builders[0].classes for b in builders):
+        raise SchemaError("builders disagree on class universe")
+    counts = {
+        k: sum(getattr(b, k) for b in builders)
+        for k in ("images", "class_images", "presence", "position", "proximity", "distance")
+    }
+    if counts["images"] < 1:
         raise EmptyCorpusError("cannot finalize statistics over zero images")
-    counts = {k: v.copy() if isinstance(v, np.ndarray) else v for k, v in vars(builder).items()}
-    counts["size_obs"] = {k: Counter(v) for k, v in builder.size_obs.items()}
-    return CooccurrenceModel(alpha=alpha, **counts)
+    size_obs: dict[tuple[int, int], Counter] = {}
+    for b in builders:
+        for k, v in b.size_obs.items():
+            size_obs.setdefault(k, Counter()).update(v)
+    return CooccurrenceModel(classes=builders[0].classes, size_obs=size_obs, alpha=alpha, **counts)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, reduce
+from functools import cache
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
@@ -77,7 +77,6 @@ from .stats import (
     _Counts,
     accumulate,
     finalize,
-    merge,
 )
 
 FEATURE_NAMES = (
@@ -562,13 +561,11 @@ def verify(
 
 def build_stats(
     scenes: Iterable[tuple[str | None, ObjectTable, PairTable]], classes: Iterable[int]
-) -> tuple[StatsBuilder, dict[str | None, StatsBuilder]]:
+) -> dict[str | None, StatsBuilder]:
     """Co-occurrence counts of scenes, given as (context value, objects, pairs
-    of the objects), over the class universe `classes`.
-
-    Each scene is folded once, into the builder of its context value.
-    Returns the counts of all scenes, the `merge` of those builders, and
-    the builders by value.
+    of the objects), over the class universe `classes`: the builders by
+    context value, each scene folded once, into the builder of its value.
+    `finalize` of all of them gives the statistics of every scene.
     """
     classes = tuple(classes)
     builders: dict[str | None, StatsBuilder] = {}
@@ -576,7 +573,7 @@ def build_stats(
         if value not in builders:
             builders[value] = StatsBuilder.for_classes(classes)
         accumulate(builders[value], objects, pairs)
-    return reduce(merge, builders.values(), StatsBuilder.for_classes(classes)), builders
+    return builders
 
 
 def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray:
@@ -607,12 +604,12 @@ def train_registry(
     are smoothed with `stats.ALPHA_DEFAULT` and its model fitted with the
     default Hyperparams.  Context values with fewer than `n_min` train
     images get no model and fall back to global.
-    Each train scene is counted once, into the statistics of its context
-    value (placeholder and values below `n_min` included), and the
-    global statistics are the merge of those.  Raises SchemaError when
-    the context attribute takes the value GLOBAL_LABEL, which would name
-    the global detector.  The registry holds no verdict rule: every
-    verdict is the majority vote of `aggregate`.
+    Each train scene is counted once, into the builder of its context
+    value (placeholder and values below `n_min` included); `finalize`
+    sums all those builders into the global statistics.  Raises
+    SchemaError when the context attribute takes the value GLOBAL_LABEL,
+    which would name the global detector.  The registry holds no verdict
+    rule: every verdict is the majority vote of `aggregate`.
     """
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
@@ -649,18 +646,17 @@ def train_registry(
             else []
         )
 
-    all_counts, counts = build_stats(
+    counts = build_stats(
         ((value_of.get(i), s.objects, s.pairs) for i, s in scenes.items()), corpus.class_map
     )
-    scopes: list[tuple[str, list[str], StatsBuilder]] = [(GLOBAL_LABEL, train_ids, all_counts)]
+    scopes = [(GLOBAL_LABEL, train_ids, finalize(*counts.values()))]
     for value in sorted(groups):
         if value != PLACEHOLDER and len(groups[value]) >= n_min:
-            scopes.append((value, sorted(groups[value]), counts[value]))
+            scopes.append((value, sorted(groups[value]), finalize(counts[value])))
 
     trained: dict[str, Detector] = {}
-    for scope_idx, (label, ids, scope_counts) in enumerate(scopes):
+    for scope_idx, (label, ids, scope_stats) in enumerate(scopes):
         scope_scenes = [scenes[i] for i in ids]
-        scope_stats = finalize(scope_counts)
         protos = _prototypes_for(scope_scenes, scope_stats)
         features: list[np.ndarray] = []
         labels: list[int] = []

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import shutil
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,16 @@ from scenecheck import (
     grid_from_array,
     load_model,
     save_model,
+    score_attributes,
     synth_corpus,
     verify,
 )
 from scenecheck import relations
 from scenecheck.cli import main
+from scenecheck.corpus import _versioned
 from scenecheck.verifier import Verdict
+
+SHIPPED_CONFIG = Path(__file__).parents[1] / "scripts" / "configs" / "synth_default.json"
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +109,101 @@ class TestSynth:
             main(["synth", "conf.json", str(tmp_path / "c")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+    @pytest.mark.parametrize(
+        "path, value, error",
+        [
+            (("contexts", 1, "stack"), [7, 8], "error: FormatError: "),
+            (
+                ("contexts", 1, "stack"), [8, 12],
+                "error: PlacementError: rider bicycle wider than its base\n",
+            ),
+            (
+                ("grid_height",), 24,
+                "error: PlacementError: object of size 11 cannot fit in [4, 13)\n",
+            ),
+        ],
+        ids=["config-refused", "rider-too-wide", "lone-object-too-tall"],
+    )
+    def test_failed_run_leaves_only_what_was_there(
+        self, tmp_path, capsys, path, value, error, existing
+    ):
+        # With the outside stack [8, 12] (a bicycle riding a horse), the 20
+        # inside maps are written before an outside rider is drawn wider
+        # than its base; 24 rows are too few for an 11-row lone object.
+        doc = json.loads(SHIPPED_CONFIG.read_text())
+        doc["n_images"] = 20
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(doc))
+        if existing:
+            (out / "images").mkdir(parents=True)
+            (out / "images" / "inside_00000.txt").write_text("kept")
+            (out / "notes.txt").write_text("kept")
+        before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        assert main(["synth", str(config), str(out), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(error) and err.count("\n") == 1
+        after = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        assert after == before
+
+
+def _synth_config_mutants(doc):
+    """(name, copy of `doc` with one leaf mutated) for each mutation of the
+    synth config `doc`: each number set to 0 and to -1, each pair of
+    integers swapped and each list emptied; no value exceeds `doc`'s."""
+    nodes = [((), doc)]
+    for path, node in nodes:
+        if isinstance(node, (dict, list)):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            nodes.extend((path + (key,), child) for key, child in items)
+        if type(node) in (int, float):
+            news = {"zero": 0, "minus-one": -1}
+        elif isinstance(node, list):
+            news = {"empty": []}
+            if len(node) == 2 and all(type(v) is int for v in node):
+                news["swapped"] = node[::-1]
+        else:
+            continue
+        for how, new in news.items():
+            mutant = json.loads(json.dumps(doc))
+            parent = mutant
+            for step in path[:-1]:
+                parent = parent[step]
+            parent[path[-1]] = new
+            yield f"{'.'.join(map(str, path))}={how}", mutant
+
+
+def test_synth_config_with_one_leaf_mutated_runs_or_fails_in_one_line(tmp_path, capsys):
+    # Each mutant of the shipped config at 2 images per context either
+    # synthesizes, or exits 1 with one error line and leaves no directory.
+    shipped = json.loads(SHIPPED_CONFIG.read_text())
+    shipped["n_images"] = 2
+    mutants = dict(_synth_config_mutants(shipped))
+    assert len(mutants) == 260
+    config, out = tmp_path / "config.json", tmp_path / "out"
+    faults, codes = [], Counter()
+    for name, doc in mutants.items():
+        config.write_text(json.dumps(doc))
+        try:
+            code = main(["synth", str(config), str(out), "--seed", "1"])
+        except Exception as exc:
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        codes[code if code in (0, 1) else "traceback"] += 1
+        if code not in (0, 1):
+            faults.append(f"{name}: {code}")
+        elif code == 1 and not (err.startswith("error: ") and err.count("\n") == 1):
+            faults.append(f"{name}: error output {err!r}")
+        elif code == 1 and out.exists():
+            faults.append(f"{name}: left {out}")
+        shutil.rmtree(out, ignore_errors=True)
+    assert not faults, f"{len(faults)} of {len(mutants)} mutants: {faults}"
+    assert codes[0] > 0 and codes[1] > 0
+
 
 class TestSelectContexts:
     def test_report_ranks_generating_attribute_first(self, pipeline):
@@ -113,6 +214,16 @@ class TestSelectContexts:
         assert set(report["attributes"]) == {
             "location", "instances", "lighting", "coverage",
         }
+
+    def test_document_is_the_score_of_the_train_labels(self, pipeline):
+        root, corpus_dir, _ = pipeline
+        corpus = Corpus.load(corpus_dir)
+        labels = {
+            image_id: Counter(extract_objects(corpus.grid(image_id)).class_id.tolist())
+            for image_id in corpus.image_ids("train")
+        }
+        expected = _versioned(score_attributes(corpus.attributes(), labels))
+        assert json.loads((root / "contexts.json").read_text()) == expected
 
 
 class TestBuildStats:
@@ -147,6 +258,16 @@ class TestBuildStats:
             save_model(tmp_path / "resaved.json", stats)
             assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
 
+    def test_empty_train_split_is_one_line_empty_corpus_error(self, tmp_path, capsys):
+        config = default_synthetic_config(n_images=4, seed=6)
+        config = dataclasses.replace(config, train_fraction=0.0)
+        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        assert corpus.image_ids("train") == []
+        out = tmp_path / "stats" / "stats.json"
+        assert main(["build-stats", str(tmp_path / "corpus"), "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: EmptyCorpusError: cannot finalize statistics over zero images\n"
+        assert not out.parent.exists()
 
     @pytest.mark.parametrize("name", ["classes.json", "splits.json"])
     def test_corpus_document_that_is_a_list_is_format_error(self, tmp_path, capsys, name):

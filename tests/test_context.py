@@ -147,10 +147,11 @@ class TestScoreAttributes:
         table = _table(records)
         labels = {f"im{i}": Counter({1: 1, 2: i % 2}) for i in range(10)}
         report = score_attributes(table, labels)
-        score = report.scores["location"]
-        assert score.mutual_information == pytest.approx(0.0, abs=1e-12)
-        assert not score.eligible
-        assert score.observed_values == 1
+        score = report["attributes"]["location"]
+        assert score["mutual_information"] == pytest.approx(0.0, abs=1e-12)
+        assert not score["eligible"]
+        assert score["observed_values"] == 1
+        assert report["ranking"] == [] and report["selected"] is None
 
     def test_separating_attribute_matches_oracle(self):
         # location exactly separates {tv, sofa} images from {horse, car}.
@@ -169,10 +170,10 @@ class TestScoreAttributes:
         report = score_attributes(table, labels)
         # joint over (class, value incl. placeholder column)
         joint = np.array([[4, 0, 0], [4, 0, 0], [0, 4, 0], [0, 4, 0]], dtype=float)
-        assert report.scores["location"].mutual_information == pytest.approx(
+        assert report["attributes"]["location"]["mutual_information"] == pytest.approx(
             mi_oracle(joint), abs=1e-10
         )
-        assert report.ranking[0] == "location"
+        assert report["ranking"][0] == report["selected"] == "location"
 
     def test_generating_attribute_ranked_first(self, rng):
         records = []
@@ -193,8 +194,8 @@ class TestScoreAttributes:
                 {int(rng.choice(pool)): 1, int(rng.choice(pool)): 1}
             )
         report = score_attributes(_table(records), labels)
-        assert report.ranking[0] == "location"
-        assert report.scores["location"].eligible
+        assert report["ranking"][0] == "location"
+        assert report["attributes"]["location"]["eligible"]
 
     def test_ranking_invariant_under_image_duplication(self):
         records = []
@@ -220,10 +221,10 @@ class TestScoreAttributes:
                 doubled_records.append({"image_id": rid, "attributes": rec["attributes"]})
                 doubled_labels[rid] = labels[rec["image_id"]]
         doubled = score_attributes(_table(doubled_records), doubled_labels)
-        assert doubled.ranking == base.ranking
-        for name in base.scores:
-            assert doubled.scores[name].mutual_information == pytest.approx(
-                base.scores[name].mutual_information, abs=1e-12
+        assert doubled["ranking"] == base["ranking"]
+        for name in base["attributes"]:
+            assert doubled["attributes"][name]["mutual_information"] == pytest.approx(
+                base["attributes"][name]["mutual_information"], abs=1e-12
             )
 
     def test_placeholder_counts_hit_coverage(self):
@@ -234,8 +235,8 @@ class TestScoreAttributes:
         table = _table(records)
         labels = {"a": Counter({1: 1}), "b": Counter({2: 1})}
         report = score_attributes(table, labels)
-        assert report.scores["location"].coverage == 0.5
-        assert not report.scores["location"].eligible
+        assert report["attributes"]["location"]["coverage"] == 0.5
+        assert not report["attributes"]["location"]["eligible"]
 
     @pytest.mark.parametrize(
         "n_outside, n_unannotated, eligible",
@@ -253,10 +254,10 @@ class TestScoreAttributes:
             for i, v in enumerate(values)
         ]
         labels = {f"im{i}": Counter({1: 1}) for i in range(20)}
-        score = score_attributes(_table(records), labels).scores["location"]
-        assert score.coverage == (20 - n_unannotated) / 20
-        assert score.balance == n_outside / 20
-        assert score.eligible is eligible
+        score = score_attributes(_table(records), labels)["attributes"]["location"]
+        assert score["coverage"] == (20 - n_unannotated) / 20
+        assert score["balance"] == n_outside / 20
+        assert score["eligible"] is eligible
 
     def test_no_labels_rejected(self):
         with pytest.raises(EmptyCorpusError):

@@ -190,6 +190,18 @@ class TestSynthCorpus:
         bad = dataclasses.replace(config, classes=giant, contexts=contexts)
         with pytest.raises(PlacementError):
             synth_corpus(bad, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
+    def test_triples_of_the_stack_alone_need_no_second_free_satellite(self, tmp_path):
+        # With stack_bias 1 every triple is the stack, so one satellite
+        # besides the rider is enough; below 1 a triple may need two.
+        config = default_synthetic_config(n_images=20, seed=1)
+        inside = dataclasses.replace(config.contexts[0], satellites=(3, 4), stack_bias=1.0)
+        config = dataclasses.replace(config, contexts=(inside, config.contexts[1]))
+        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        assert len(corpus.image_ids()) == 40
+        with pytest.raises(ValueError, match="draw 'triple' scenes"):
+            dataclasses.replace(inside, stack_bias=0.99)
 
     def test_config_json_roundtrip(self):
         config = default_synthetic_config(n_images=12, seed=44)
@@ -257,6 +269,57 @@ class TestSynthCorpus:
                 "context", "lone_extra", [13, 0],
                 "lone_extra of context 'inside' names class 0, which no class has",
             ),
+            ("config", "grid_width", -5, "grid_width is -5, expected at least 1"),
+            ("config", "grid_height", 0, "grid_height is 0, expected at least 1"),
+            ("config", "contexts", [], "contexts is empty, expected at least one context"),
+            (
+                "class", "height", [13, 9],
+                "height of 'sofa' is [13, 9], expected [low, high] with 1 <= low <= high",
+            ),
+            (
+                "class", "width", [0, 22],
+                "width of 'sofa' is [0, 22], expected [low, high] with 1 <= low <= high",
+            ),
+            (
+                "config", "noise_attributes", {"lighting": []},
+                "noise attribute 'lighting' has no values",
+            ),
+            (
+                "config", "noise_attributes", {"location": ["a", "b"]},
+                "context attribute 'location' is a noise attribute too",
+            ),
+            (
+                "context", "satellites", [],
+                "kind_weights of 'inside' draw 'pair' scenes, which need a satellite other than"
+                " the stack's rider",
+            ),
+            (
+                "context", "satellites", [3, 4],
+                "kind_weights of 'inside' draw 'triple' scenes, which need two satellites other"
+                " than the stack's rider, or a stack and stack_bias 1",
+            ),
+            (
+                "config", "contexts",
+                [{"value": "inside", "anchor": 1, "satellites": [3], "stack": None,
+                  "kind_weights": {"stack_pair": 1.0}}],
+                "kind_weights of 'inside' draw 'stack_pair' scenes, which need a stack or two"
+                " satellites",
+            ),
+            (
+                "config", "contexts",
+                [{"value": "inside", "anchor": 1, "satellites": [], "stack": None,
+                  "kind_weights": {"lone": 1.0}}],
+                "kind_weights of 'inside' draw 'lone' scenes, which need a satellite, a stack or"
+                " a lone_extra class",
+            ),
+            (
+                "context", "stack_bias", 7.0,
+                "stack_bias of 'inside' is 7.0, expected a value in [0, 1]",
+            ),
+            (
+                "context", "stack_bias", -1,
+                "stack_bias of 'inside' is -1.0, expected a value in [0, 1]",
+            ),
         ],
         ids=[
             "height-a-string", "n_images-fractional", "n_images-negative", "n_images-zero",
@@ -264,6 +327,12 @@ class TestSynthCorpus:
             "kind-weights-unknown-key", "kind-weights-all-zero", "kind-weights-negative",
             "class-id-negative", "class-id-background", "class-id-duplicate",
             "anchor-unknown", "satellite-unknown", "stack-unknown", "lone-extra-unknown",
+            "grid-width-negative", "grid-height-zero", "no-context", "height-swapped",
+            "width-from-zero",
+            "noise-attribute-without-values", "noise-attribute-is-context",
+            "pair-without-satellite",
+            "triple-with-one-free-satellite", "stack-pair-without-stack-or-two-satellites",
+            "lone-without-classes", "stack-bias-above-1", "stack-bias-negative",
         ],
     )
     def test_config_leaf_of_the_wrong_type_or_value_is_format_error(

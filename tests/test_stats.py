@@ -1,4 +1,4 @@
-"""Co-occurrence accumulation, merging, smoothing, and the dense tables."""
+"""Co-occurrence accumulation, summing builders, smoothing, and the dense tables."""
 
 import json
 import math
@@ -22,7 +22,6 @@ from scenecheck import (
     finalize,
     grid_from_array,
     load_model,
-    merge,
     relations_for_objects,
     save_model,
     synth_corpus,
@@ -171,13 +170,17 @@ class TestAccumulate:
 
 
 class TestMerge:
-    def test_merge_with_empty_is_identity(self):
+    """`finalize` of several builders: the sum of their counts."""
+
+    def test_adding_an_empty_builder_changes_nothing(self):
         builder = _hand_builder()
         empty = StatsBuilder.for_classes([1, 2, 3])
-        assert merge(builder, empty) == builder
-        assert merge(empty, builder) == builder
+        model = finalize(builder)
+        assert finalize(builder, empty) == model
+        assert finalize(empty, builder) == model
+        assert finalize(empty, builder, empty) == model
 
-    def test_merge_commutes(self):
+    def test_builder_order_does_not_matter(self):
         imgs = _hand_corpus()
         x = StatsBuilder.for_classes([1, 2, 3])
         y = StatsBuilder.for_classes([1, 2, 3])
@@ -185,11 +188,20 @@ class TestMerge:
             accumulate(x, *_scene(arr, CLASS_MAP))
         for arr in imgs[2:]:
             accumulate(y, *_scene(arr, CLASS_MAP))
-        assert merge(x, y) == merge(y, x)
+        model = finalize(x, y)
+        assert model == finalize(y, x) == finalize(_hand_builder())
+        # The model shares no array or multiset with either builder.
+        accumulate(x, *_scene(imgs[0], CLASS_MAP))
+        accumulate(y, *_scene(imgs[0], CLASS_MAP))
+        assert model == finalize(_hand_builder())
 
     def test_schema_mismatch_rejected(self):
-        with pytest.raises(SchemaError):
-            merge(StatsBuilder.for_classes([1, 2]), StatsBuilder.for_classes([1, 3]))
+        with pytest.raises(SchemaError, match="builders disagree on class universe"):
+            finalize(StatsBuilder.for_classes([1, 2]), StatsBuilder.for_classes([1, 3]))
+
+    def test_no_builder_rejected(self):
+        with pytest.raises(EmptyCorpusError, match="cannot finalize statistics over zero images"):
+            finalize()
 
     def test_shard_merge_equals_sequential(self, tmp_path):
         config = default_synthetic_config(n_images=25, seed=77)
@@ -205,6 +217,8 @@ class TestMerge:
         sequential = StatsBuilder.for_classes(classes)
         for objects, relations in scenes:
             accumulate(sequential, objects, relations)
+        model = finalize(sequential)
+        sequential_doc = json.dumps(_stats_to_doc(model), sort_keys=True)
         for sizes in ([50], [25, 25], [10] * 5, [1] * 50, [7, 13, 30]):
             shards = []
             start = 0
@@ -214,14 +228,10 @@ class TestMerge:
                     accumulate(shard, objects, relations)
                 shards.append(shard)
                 start += n
-            merged = shards[0]
-            for shard in shards[1:]:
-                merged = merge(merged, shard)
-            assert merged == sequential
+            merged = finalize(*shards)
+            assert merged == model
             # Bit-for-bit equality of the derived documents too.
-            assert json.dumps(_stats_to_doc(finalize(merged)), sort_keys=True) == (
-                json.dumps(_stats_to_doc(finalize(sequential)), sort_keys=True)
-            )
+            assert json.dumps(_stats_to_doc(merged), sort_keys=True) == sequential_doc
 
     def test_image_order_does_not_matter(self, rng):
         imgs = _hand_corpus()
@@ -269,7 +279,7 @@ class TestFinalize:
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
     def test_alpha_not_finite_and_above_zero_rejected(self, alpha):
         with pytest.raises(ValueError, match="alpha must be finite and above 0"):
-            finalize(_hand_builder(), alpha)
+            finalize(_hand_builder(), alpha=alpha)
 
     def test_empty_builder_rejected(self):
         with pytest.raises(EmptyCorpusError):
