@@ -36,7 +36,7 @@ from .corpus import (
     save_model,
     synth_corpus,
 )
-from .errors import SceneCheckError
+from .errors import PlacementError, SceneCheckError
 # `extract_objects` stays bound here, though no command calls it by this
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
@@ -68,7 +68,10 @@ def cmd_synth(args) -> int:
     doc = corpus_mod._read_document(args.config, "synthetic config")
     config = SyntheticConfig.from_dict(doc, args.config)
     config = dataclasses.replace(config, seed=args.seed)
-    corpus, _ = synth_corpus(config, args.out)
+    try:
+        corpus, _ = synth_corpus(config, args.out)
+    except PlacementError as exc:  # the config asks for what its grid cannot hold
+        raise PlacementError(f"{args.config}: {exc}") from None
     _print_json(
         {
             "command": "synth",

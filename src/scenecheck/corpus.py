@@ -248,17 +248,23 @@ class SyntheticConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self) -> None:
-        """At least one context, one image per context and one row and
-        column per map, a train fraction and a placeholder rate in [0, 1],
-        and at least one value per noise attribute, which must not be the
-        context attribute.  Every class id is at least 1, since 0 is the
-        background, and names one class; every class a context places is
-        one of them."""
+        """At least one context, no two with one value, one image per
+        context and one row and column per map, a train fraction and a
+        placeholder rate in [0, 1], and at least one value per noise
+        attribute, which must not be the context attribute.  Every class
+        id is at least 1, since 0 is the background, and names one class;
+        every class a context places is one of them."""
         for name in ("n_images", "grid_height", "grid_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} is {getattr(self, name)}, expected at least 1")
         if not self.contexts:
             raise ValueError("contexts is empty, expected at least one context")
+        context_values = [ctx.value for ctx in self.contexts]
+        for value in context_values:
+            if context_values.count(value) > 1:
+                raise ValueError(
+                    f"two contexts have the value {value!r}, which names their images"
+                )
         for name, values in self.noise_attributes.items():
             if not values:
                 raise ValueError(f"noise attribute {name!r} has no values")
@@ -540,7 +546,14 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
         base_id, rider_id = ctx.stack if ctx.stack else (ctx.satellites[0], ctx.satellites[1])
         base = by_id[base_id]
         bh, bw = _sample_size(rng, base)
-        b_r0 = H - 8 - bh + int(rng.integers(0, 3))
+        # The base stands 6 to 8 rows above the bottom edge.
+        clear = 8 - int(rng.integers(0, 3))
+        b_r0 = H - clear - bh
+        if b_r0 < 0:
+            raise PlacementError(
+                f"stack base {base.name} of height {bh} needs {bh + clear} rows,"
+                f" grid_height is {H}"
+            )
         b_c0 = _slot(rng, 8, W - 8, bw)
         _paint(arr, base, b_r0, b_c0, bh, bw)
         _place_rider(rng, arr, by_id[rider_id], b_r0, b_c0, bw)
@@ -550,6 +563,10 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
     anchor = by_id[ctx.anchor]
     ah = int(rng.integers(anchor.height[0], anchor.height[1] + 1))
     anchor_top = H - ah
+    if anchor_top < 0:
+        raise PlacementError(
+            f"anchor {anchor.name} of height {ah} needs {ah} rows, grid_height is {H}"
+        )
     _paint_rect(arr, anchor_top, 0, ah, W, anchor.class_id)
 
     if kind == "pair":
@@ -566,11 +583,7 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
         draw = (free[int(pick[0])], free[int(pick[1])])
     if ctx.stack is not None and set(draw) == set(ctx.stack):
         base_id, rider_id = ctx.stack
-        base = by_id[base_id]
-        bh, bw = _sample_size(rng, base)
-        b_c0 = _slot(rng, 8, W - 8, bw)
-        b_r0 = anchor_top - bh
-        _paint(arr, base, b_r0, b_c0, bh, bw)
+        b_r0, b_c0, _, bw = place_on(anchor_top, by_id[base_id], 8, W - 8)
         _place_rider(rng, arr, by_id[rider_id], b_r0, b_c0, bw)
     else:
         left, right = by_id[draw[0]], by_id[draw[1]]

@@ -23,6 +23,11 @@ boundary.  `label_maps` labels many maps in one such pass, over one
 array that stacks them with a background column on the right and a
 background row after each, and computes every column once over the
 batch; `grid_batches` cuts a stream of maps into stacks of bounded size.
+The pass has two halves: a component pass (runs, adjacent run pairs,
+union-find roots and component areas) and a table pass that builds the
+ObjectTables.  The areas already say how many objects a map has, so
+`verifier.verify` stops after the component pass on a map of fewer than
+two, which it abstains on, and builds no table for it.
 
 `trace_boundaries` Moore-traces the outer boundaries of given objects
 of a grid, for the shape histograms, with one table lookup per step, in
@@ -49,7 +54,7 @@ import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -483,7 +488,7 @@ def _run_roots(above: np.ndarray, below: np.ndarray, n: int) -> np.ndarray:
             parent[a] = b
     for i, p in enumerate(parent):
         parent[i] = parent[p]  # p < i is already final
-    return np.array(parent)
+    return np.array(parent, dtype=np.int64)
 
 
 def _neighbour_codes(grid: LabelGrid, first: int, last: int) -> bytes:
@@ -545,7 +550,8 @@ def grid_batches(grids: Iterable[LabelGrid]) -> Iterator[list[LabelGrid]]:
 def label_maps(
     grids: Sequence[LabelGrid], min_area: int = DEFAULT_MIN_AREA
 ) -> list[ObjectTable]:
-    """`extract_objects` of each of `grids`, from one labelling pass.
+    """`extract_objects` of each of `grids`, from one labelling pass: the
+    component pass `_components` followed by the table pass `_tables`.
 
     The maps are stacked into one array one column wider than the widest
     map: each map is padded on the right with background and followed by
@@ -568,26 +574,69 @@ def label_maps(
         raise ValueError("min_area must be >= 1")
     if not grids:
         return []
+    return _tables(_components(grids), min_area)
+
+
+class _Components(NamedTuple):
+    """The component pass over a stack of maps: its runs, their 8-adjacent
+    pairs and each run's component, with every component's area.
+
+    `tops[m]` is map m's first stack row and `tops[-1]` the stack's
+    height; `width` is the stack's.  Runs are given by flat stack index
+    (`starts`, `stops`, exclusive) and `classes`, in raster order;
+    `above[k]` and `below[k]` are the k-th adjacent pair, of one class
+    where `same[k]`.  `roots[i]` is run i's component root, its first run,
+    and `area[r]` the pixel count of the component rooted at run r (0 at
+    a run that is no root).
+    """
+
+    tops: list[int]
+    width: int
+    starts: np.ndarray
+    stops: np.ndarray
+    classes: np.ndarray
+    above: np.ndarray
+    below: np.ndarray
+    same: np.ndarray
+    roots: np.ndarray
+    area: np.ndarray
+
+    def count(self, min_area: int) -> int:
+        """How many components have at least `min_area` pixels: the objects
+        that the table pass would build."""
+        return int(np.count_nonzero(self.area >= min_area))
+
+
+def _components(grids: Sequence[LabelGrid]) -> _Components:
+    """The component pass of `label_maps` over a non-empty `grids`: runs,
+    adjacent run pairs, union-find roots and component areas."""
     tops = [0, *itertools.accumulate(g.height + 1 for g in grids)]  # each map's first stack row
     w = max(g.width for g in grids) + 1
     stack = np.zeros((tops[-1], w), dtype=np.int32)
     for g, top in zip(grids, tops):
         stack[top : top + g.height, : g.width] = g.to_array()
     starts, stops, classes = _runs(stack.reshape(-1))
-    if not len(starts):
-        return [_NO_OBJECTS] * len(grids)
     above, below = _adjacent_runs(starts, stops, w)
     same = classes[above] == classes[below]
     roots = _run_roots(above[same], below[same], len(starts))
+    area = np.bincount(roots, weights=stops - starts, minlength=len(starts))
+    return _Components(tops, w, starts, stops, classes, above, below, same, roots, area)
+
+
+def _tables(c: _Components, min_area: int) -> list[ObjectTable]:
+    """The table pass of `label_maps`: the ObjectTable of each map of the
+    component pass `c`, from its components of at least `min_area` pixels."""
+    tops, w, starts, stops, classes = c.tops, c.width, c.starts, c.stops, c.classes
+    above, below, same, roots, area = c.above, c.below, c.same, c.roots, c.area
+    n_maps = len(tops) - 1
     lengths = stops - starts
-    area = np.bincount(roots, weights=lengths, minlength=len(starts))
     # Kept runs grouped by component, components in raster order of their
     # first run, runs in raster order within each component.
     order = roots.argsort(kind="stable")
     order = order[area[roots[order]] >= min_area]
     n_runs = len(order)
     if not n_runs:
-        return [_NO_OBJECTS] * len(grids)
+        return [_NO_OBJECTS] * n_maps
     sorted_roots = roots[order]
     is_first = np.empty(n_runs, dtype=bool)
     is_first[0] = True
@@ -614,12 +663,12 @@ def label_maps(
     column = np.arange(n_objects + 1)
     column[-1] = -1
     bounds = [0, n_objects]
-    if len(grids) > 1:
+    if n_maps > 1:
         tops = np.array(tops)
         obj_map = tops.searchsorted(run_rows[first_run], side="right") - 1
         run_rows -= tops[obj_map].repeat(run_ends - first_run)
         # Map m holds objects bounds[m]..bounds[m + 1] - 1.
-        bounds = obj_map.searchsorted(np.arange(len(grids) + 1))
+        bounds = obj_map.searchsorted(np.arange(n_maps + 1))
         column[:-1] -= bounds[obj_map]
         bounds = bounds.tolist()
     touching = np.zeros((n_objects + 1, column.max() + 2), dtype=bool)

@@ -1,11 +1,12 @@
-"""Shared helpers: random hole-free blobs, tiny scene builders, object pixels
-and traced contours."""
+"""Shared helpers: random hole-free blobs, tiny scene builders, object pixels,
+traced contours and a guard on synthetic painting."""
 
 from collections import deque
 
 import numpy as np
 import pytest
 
+import scenecheck.corpus as corpus_mod
 from scenecheck import grid_from_array, trace_boundaries
 
 
@@ -63,3 +64,16 @@ def blob_grid(rng, size=16, steps=60, class_id=1, class_map=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def paint_from_row_0(monkeypatch):
+    """Make `synth` painting raise AssertionError on a negative first row,
+    which numpy would count from the bottom of the map."""
+    for name, row in (("_paint", 2), ("_paint_rect", 1)):
+
+        def checked(*args, _paint_in=getattr(corpus_mod, name), _row=row):
+            assert args[_row] >= 0, f"painted from row {args[_row]}"
+            return _paint_in(*args)
+
+        monkeypatch.setattr(corpus_mod, name, checked)

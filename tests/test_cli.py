@@ -113,14 +113,14 @@ class TestSynth:
     @pytest.mark.parametrize(
         "path, value, error",
         [
-            (("contexts", 1, "stack"), [7, 8], "error: FormatError: "),
+            (("contexts", 1, "stack"), [7, 8], "error: FormatError: {config}: "),
             (
                 ("contexts", 1, "stack"), [8, 12],
-                "error: PlacementError: rider bicycle wider than its base\n",
+                "error: PlacementError: {config}: rider bicycle wider than its base\n",
             ),
             (
                 ("grid_height",), 24,
-                "error: PlacementError: object of size 11 cannot fit in [4, 13)\n",
+                "error: PlacementError: {config}: object of size 11 cannot fit in [4, 13)\n",
             ),
         ],
         ids=["config-refused", "rider-too-wide", "lone-object-too-tall"],
@@ -146,9 +146,23 @@ class TestSynth:
         before = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
         assert main(["synth", str(config), str(out), "--seed", "1"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(error) and err.count("\n") == 1
+        assert err.startswith(error.format(config=config)) and err.count("\n") == 1
         after = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
         assert after == before
+
+    @pytest.mark.parametrize("height", [8, *range(20, 34)])
+    def test_short_grid_fails_in_one_line_before_painting_outside_it(
+        self, tmp_path, capsys, paint_from_row_0, height
+    ):
+        doc = json.loads(SHIPPED_CONFIG.read_text())
+        doc["grid_height"] = height
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(doc))
+        assert main(["synth", str(config), str(out), "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: PlacementError: {config}: ") and err.count("\n") == 1
+        assert "row -" not in err
+        assert sorted(tmp_path.rglob("*")) == [config]
 
 
 def _synth_config_mutants(doc):

@@ -192,6 +192,32 @@ class TestSynthCorpus:
             synth_corpus(bad, tmp_path / "corpus")
         assert not (tmp_path / "corpus").exists()
 
+    @pytest.mark.parametrize(
+        "kind, height, message",
+        [
+            ("pair", 5, r"anchor floor of height [6-9] needs [6-9] rows, grid_height is 5"),
+            (
+                "stack_pair", 14,
+                r"stack base sofa of height \d+ needs \d+ rows, grid_height is 14",
+            ),
+            ("triple", 15, r"sofa of height \d+ does not fit above row [6-9]"),
+        ],
+        ids=["anchor", "stack-pair-base", "stack-base-on-anchor"],
+    )
+    def test_object_taller_than_the_grid_allows_is_refused_before_it_is_painted(
+        self, tmp_path, paint_from_row_0, kind, height, message
+    ):
+        config = default_synthetic_config(n_images=5, seed=1)
+        weights = dict.fromkeys(("lone", "pair", "stack_pair", "triple"), 0.0)
+        weights[kind] = 1.0
+        inside = dataclasses.replace(config.contexts[0], kind_weights=weights, stack_bias=1.0)
+        config = dataclasses.replace(
+            config, grid_height=height, contexts=(inside, config.contexts[1])
+        )
+        with pytest.raises(PlacementError, match=f"^{message}$"):
+            synth_corpus(config, tmp_path / "corpus")
+        assert not (tmp_path / "corpus").exists()
+
     def test_triples_of_the_stack_alone_need_no_second_free_satellite(self, tmp_path):
         # With stack_bias 1 every triple is the stack, so one satellite
         # besides the rider is enough; below 1 a triple may need two.
@@ -320,6 +346,10 @@ class TestSynthCorpus:
                 "context", "stack_bias", -1,
                 "stack_bias of 'inside' is -1.0, expected a value in [0, 1]",
             ),
+            (
+                "context", "value", "outside",
+                "two contexts have the value 'outside', which names their images",
+            ),
         ],
         ids=[
             "height-a-string", "n_images-fractional", "n_images-negative", "n_images-zero",
@@ -333,6 +363,7 @@ class TestSynthCorpus:
             "pair-without-satellite",
             "triple-with-one-free-satellite", "stack-pair-without-stack-or-two-satellites",
             "lone-without-classes", "stack-bias-above-1", "stack-bias-negative",
+            "context-value-duplicate",
         ],
     )
     def test_config_leaf_of_the_wrong_type_or_value_is_format_error(

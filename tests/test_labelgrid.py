@@ -624,6 +624,29 @@ def test_label_maps_contacts_match_the_pixel_oracle(arrays, min_area):
             _assert_contacts(table.without(k))
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_label_arrays(), min_size=1, max_size=6), st.sampled_from((1, 3, 25)))
+# A batch of maps of 0, 1 and many objects.
+@example(
+    [
+        np.zeros((4, 5), np.int32),
+        np.array([[0, 2, 2], [0, 2, 0]], np.int32),
+        np.array([[1, 0, 2, 0], [0, 0, 0, 3], [3, 3, 0, 1]], np.int32),
+    ],
+    1,
+)
+def test_label_maps_is_the_component_pass_then_the_table_pass(arrays, min_area):
+    grids = [grid_from_array(a, {1: "a", 2: "b", 3: "c"}) for a in arrays]
+    components = labelgrid._components(grids)
+    tables = label_maps(grids, min_area)
+    assert labelgrid._tables(components, min_area) == tables
+    # The component pass alone counts the objects that the table pass builds,
+    # over the batch and over each map alone.
+    assert components.count(min_area) == sum(map(len, tables))
+    for grid, table in zip(grids, tables):
+        assert labelgrid._components([grid]).count(min_area) == len(table)
+
+
 def test_a_map_without_objects_has_an_empty_contact_matrix():
     grid = grid_from_array(np.zeros((3, 4), np.int32), {})
     (table,) = label_maps([grid], 1)

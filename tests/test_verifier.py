@@ -441,16 +441,29 @@ class TestVerify:
         assert verdict.confidence == 0.5
         assert verdict.pair_scores == ()
 
-    @pytest.mark.parametrize("class_id", [2, 99], ids=["known-class", "class-the-stats-lack"])
+    @pytest.mark.parametrize(
+        "rects",
+        [
+            [],
+            [(2, 4, 4, 6, 6)],
+            [(99, 4, 4, 6, 6)],
+            # A second component of 4 pixels, below the min_area of 25.
+            [(2, 4, 4, 6, 6), (3, 16, 16, 2, 2)],
+        ],
+        ids=["no-object", "known-class", "class-the-stats-lack", "second-below-min-area"],
+    )
     def test_one_object_map_abstains_right_after_labelling(
-        self, small_experiment, monkeypatch, class_id
+        self, small_experiment, monkeypatch, rects
     ):
-        # Nothing past labelling may run: each of these raises if called.
+        # Nothing past the component pass may run: each of these raises if
+        # called, the table pass of labelling among them.
         _, _, registry = small_experiment
-        for name in ("relations_for_objects", "shape_histogram", "featurize", "score"):
+        grid = grid_from_array(paint(rects), {2: "thing", 3: "speck", 99: "stranger"})
+        assert len(extract_objects(grid, registry.min_area)) == min(len(rects), 1)
+        for name in ("_tables", "relations_for_objects", "shape_histogram", "featurize", "score"):
 
             def refuse(*args, _name=name, **kwargs):
-                raise AssertionError(f"{_name} called for a one-object map")
+                raise AssertionError(f"{_name} called for a map of fewer than two objects")
 
             monkeypatch.setattr(verifier_module, name, refuse)
         margins_seen = []
@@ -460,14 +473,16 @@ class TestVerify:
             return aggregate(margins)
 
         monkeypatch.setattr(verifier_module, "aggregate", spy)
-        grid = grid_from_array(paint([(class_id, 4, 4, 6, 6)]), {class_id: "thing"})
-        assert len(extract_objects(grid, registry.min_area)) == 1
         verdict = verify(grid, registry, {"location": "inside"})
         assert verdict.contradiction is False
         assert verdict.confidence == 0.5
         assert verdict.pair_scores == ()
         assert verdict.model_used == "inside"
         assert len(margins_seen) == 1 and margins_seen[0].shape == (0,)
+        # The refusals are in the path: a map of two objects reaches the table pass.
+        pair = grid_from_array(paint([(2, 4, 4, 6, 6), (3, 14, 14, 6, 6)]), grid.class_map)
+        with pytest.raises(AssertionError, match="_tables called"):
+            verify(pair, registry)
 
     def test_verdict_invariant_under_object_permutation(self, small_experiment):
         corpus, table, registry = small_experiment
