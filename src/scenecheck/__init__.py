@@ -46,7 +46,6 @@ from .labelgrid import (
     DEFAULT_MIN_AREA,
     LabelGrid,
     ObjectTable,
-    SceneObject,
     extract_objects,
     grid_from_array,
     label_maps,
@@ -83,7 +82,6 @@ from .verifier import (
     aggregate,
     derive_contradiction,
     featurize,
-    prepare,
     prepare_all,
     score,
     train_linear,

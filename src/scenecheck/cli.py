@@ -36,7 +36,7 @@ from .corpus import (
     save_model,
     synth_corpus,
 )
-from .errors import PlacementError, SceneCheckError
+from .errors import EmptyCorpusError, PlacementError, SceneCheckError
 # `extract_objects` stays bound here, though no command calls it by this
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
@@ -207,10 +207,11 @@ def cmd_verify(args) -> int:
 
 
 def _tally(rows, correct_key: str) -> dict:
-    """Accuracy by `correct_key`, valid, invalid and total counts of verdict log rows."""
+    """Accuracy by `correct_key`, valid, invalid and total counts of a non-empty
+    list of verdict log rows."""
     n_valid = sum(1 for r in rows if not r["expected"])
     return {
-        "accuracy": sum(1 for r in rows if r[correct_key]) / len(rows) if rows else 0.0,
+        "accuracy": sum(1 for r in rows if r[correct_key]) / len(rows),
         "valid": n_valid,
         "invalid": len(rows) - n_valid,
         "total": len(rows),
@@ -224,8 +225,10 @@ def cmd_evaluate(args) -> int:
     table = corpus.attributes()
     context_attribute = registry.context_attribute
 
-    log_rows = []
     val_ids = corpus.image_ids("val")
+    if not val_ids:
+        raise EmptyCorpusError("val split is empty")
+    log_rows = []
     scenes = prepare_all(map(corpus.grid, val_ids), registry.min_area)
     for idx, (image_id, scene) in enumerate(zip(val_ids, scenes)):
         record = table.record(image_id)

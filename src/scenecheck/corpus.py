@@ -13,7 +13,8 @@ base, never on the anchor).
 
 Contradiction examples are produced by removing one object, chosen
 uniformly at random under a seed, and painting its runs background:
-`generate_contradiction` writes the modified label map, and
+`generate_contradiction` reads the object's class and runs from the
+columns of the map's ObjectTable and writes the modified label map, and
 `verifier.derive_contradiction` derives the same twin from a prepared
 Scene without labelling it again.  Both choose the object through one
 rule.
@@ -506,11 +507,15 @@ def _pick_kind(rng, weights: dict[str, float]) -> str:
     return SCENE_KINDS[-1]
 
 
-def _slot(rng, lo: int, hi: int, size: int) -> int:
-    """Random first row or column so the object spans [lo, hi) with `size`
-    of them; raises when impossible."""
+def _slot(rng, lo: int, hi: int, size: int, what: str, axis: str, extent: int) -> int:
+    """Random first row or column so that `what`, `size` cells long along
+    `axis` ("height" or "width"), spans [lo, hi) of the grid's `extent`
+    rows or columns; a PlacementError naming all of them when impossible."""
     if hi - lo < size:
-        raise PlacementError(f"object of size {size} cannot fit in [{lo}, {hi})")
+        band = "rows" if axis == "height" else "columns"
+        raise PlacementError(
+            f"{what} of {axis} {size} needs {size} of {band} [{lo}, {hi}), grid_{axis} is {extent}"
+        )
     return int(rng.integers(lo, hi - size + 1))
 
 
@@ -527,7 +532,7 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
 
     def place_on(support_top: int, spec: ClassSpec, lo: int, hi: int) -> tuple[int, int, int, int]:
         h, w = _sample_size(rng, spec)
-        c0 = _slot(rng, lo, hi, w)
+        c0 = _slot(rng, lo, hi, w, spec.name, "width", W)
         r0 = support_top - h
         if r0 < 0:
             raise PlacementError(f"{spec.name} of height {h} does not fit above row {support_top}")
@@ -537,8 +542,8 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
     if kind == "lone":
         spec = by_id[int(rng.choice(lone_pool))]
         h, w = _sample_size(rng, spec)
-        r0 = _slot(rng, 4, H - 11, h)
-        c0 = _slot(rng, 2, W - 2, w)
+        r0 = _slot(rng, 4, H - 11, h, f"lone {spec.name}", "height", H)
+        c0 = _slot(rng, 2, W - 2, w, f"lone {spec.name}", "width", W)
         _paint(arr, spec, r0, c0, h, w)
         return arr
 
@@ -554,7 +559,7 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
                 f"stack base {base.name} of height {bh} needs {bh + clear} rows,"
                 f" grid_height is {H}"
             )
-        b_c0 = _slot(rng, 8, W - 8, bw)
+        b_c0 = _slot(rng, 8, W - 8, bw, f"stack base {base.name}", "width", W)
         _paint(arr, base, b_r0, b_c0, bh, bw)
         _place_rider(rng, arr, by_id[rider_id], b_r0, b_c0, bw)
         return arr
@@ -688,12 +693,12 @@ def generate_contradiction(
     other pixels are conserved exactly.
     """
     objects = extract_objects(grid, min_area)
-    removed = objects[_removed_index(len(objects), seed)]
+    k = _removed_index(len(objects), seed)
     cells = grid.to_array().copy()
-    for r, c0, c1 in removed.runs:
+    for r, c0, c1 in objects.runs[objects.offsets[k] : objects.offsets[k + 1]].tolist():
         cells[r, c0:c1] = 0
     modified = grid_from_array(cells, grid.class_map, image_id=grid.image_id)
-    return modified, removed.class_id
+    return modified, int(objects.class_id[k])
 
 
 # ---------------------------------------------------------------------------

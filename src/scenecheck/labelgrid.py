@@ -9,7 +9,8 @@ found.  Scene objects are 8-connected same-class components with
 geometric summaries: pixel count, centroid, bounding box and the
 component's horizontal runs.  The objects of one map are one
 ObjectTable, a read-only column per summary, from labelling to the
-pair features; indexing it gives an object's SceneObject view.
+pair features: an object is a row index into its columns, and no
+per-object form exists.
 
 Components are labelled run by run, in the run-based two-scan family
 (He, Chao & Suzuki, IEEE TIP 2008): maximal same-class horizontal runs
@@ -40,8 +41,8 @@ component, so at a pixel of a component the same-class bits are exactly
 its neighbours in that component, and the codes of one grid serve every
 object traced on it.
 
-All functions here are pure; LabelGrid, ObjectTable and SceneObject are
-immutable after construction and safe to share across threads.
+All functions here are pure; LabelGrid and ObjectTable are immutable
+after construction and safe to share across threads.
 
 Coordinate convention: row increases downward, column increases
 rightward, so "above" always means a smaller row index.
@@ -184,23 +185,6 @@ class LabelGrid:
         return f"{self.height} {self.width}\n" + body
 
 
-@dataclass(frozen=True)
-class SceneObject:
-    """One extracted connected component, as plain Python values: the view
-    that indexing an ObjectTable gives.
-
-    `runs` holds the component's pixels as its maximal horizontal runs:
-    (row, c0, c1) triples covering columns c0..c1-1 of `row`, in raster
-    order.
-    """
-
-    class_id: int
-    pixel_count: int
-    centroid: tuple[float, float]
-    bbox: tuple[int, int, int, int]
-    runs: tuple[tuple[int, int, int], ...] = field(repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class ObjectTable:
     """The objects of one label map, one read-only column per field.
@@ -216,8 +200,8 @@ class ObjectTable:
     outer boundary is not stored: `trace_boundaries` traces it from the
     grid when a shape histogram needs it.
 
-    `table[k]` is the SceneObject view of object k; a slice, an index
-    array or a mask gives the table of those objects, in that order.
+    A slice, an index array or a mask gives the table of those objects,
+    in that order; an integer key, and so iteration, is a TypeError.
     Tables are equal when every column is.
     """
 
@@ -243,16 +227,9 @@ class ObjectTable:
 
     __hash__ = None
 
-    def __getitem__(self, key):
+    def __getitem__(self, key) -> "ObjectTable":
         if isinstance(key, (int, np.integer)):
-            k = range(len(self))[key]
-            return SceneObject(
-                class_id=int(self.class_id[k]),
-                pixel_count=int(self.pixel_count[k]),
-                centroid=tuple(self.centroid[k].tolist()),
-                bbox=tuple(self.bbox[k].tolist()),
-                runs=tuple(map(tuple, self.runs[self.offsets[k] : self.offsets[k + 1]].tolist())),
-            )
+            raise TypeError("an ObjectTable takes a slice, an index array or a mask, not an int")
         index = np.arange(len(self))[key]
         first, lengths = self.offsets[index], np.diff(self.offsets)[index]
         offsets = np.concatenate(([0], np.cumsum(lengths)))

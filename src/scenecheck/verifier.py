@@ -8,11 +8,11 @@ the pair margins.
 
 A label map is labelled once into a Scene: its ObjectTable, their pair
 table and their shape histograms, at the fixed resolutions of
-`relations`; `prepare_all`, `prepare` and `verify` build it with one
-helper, and no SceneObject is built on the way: every layer reads the
-table's columns.  `prepare_all` labels a stream of maps in batches, one
-stacked labelling pass and one histogram pass per batch; `prepare` is
-its batch of one.
+`relations`; `prepare_all` and `verify` build it with one helper, and
+every layer reads an object as a row of the table's columns.
+`prepare_all` labels a stream of maps in batches, one stacked labelling
+pass and one histogram pass per batch; `prepare_all([grid])` prepares
+one map.
 `Scene.without(k)` derives the object-removal twin of a scene from it,
 with no re-labelling, and `derive_contradiction` picks the removed
 object by the seeded rule `corpus.generate_contradiction` shares; the
@@ -182,25 +182,20 @@ def _scene(grid: LabelGrid, objects: ObjectTable, hists: np.ndarray, min_area: i
 
 
 def prepare_all(grids: Iterable[LabelGrid], min_area: int = DEFAULT_MIN_AREA) -> Iterator[Scene]:
-    """`prepare` of each of `grids`, read lazily, in batches.
+    """Label each of `grids`, read lazily, once into a Scene: objects, their
+    pair table and their shape histograms at the fixed SHAPE_SAMPLES and
+    SHAPE_BINS of `relations`, whatever its object count, since the
+    training prototypes read the histograms of one-object scenes too.
 
     Each batch of `grid_batches` is labelled in one `label_maps` pass and
     its shape histograms binned in one `shape_histograms` pass; each map
-    is then related alone.  Every Scene equals the one `prepare` gives.
+    is then related alone, so a map's Scene does not depend on the maps
+    batched with it.
     """
     for batch in grid_batches(grids):
         objects = label_maps(batch, min_area)
         for grid, objs, hists in zip(batch, objects, shape_histograms(batch, objects)):
             yield _scene(grid, objs, hists, min_area)
-
-
-def prepare(grid: LabelGrid, min_area: int = DEFAULT_MIN_AREA) -> Scene:
-    """Label the grid once into a Scene: objects, their pair table and their
-    shape histograms at the fixed SHAPE_SAMPLES and SHAPE_BINS of
-    `relations`, whatever its object count, since the training prototypes
-    read the histograms of one-object scenes too.  The batch of one of
-    `prepare_all`."""
-    return next(prepare_all([grid], min_area))
 
 
 @dataclass(frozen=True)
@@ -599,8 +594,6 @@ def train_registry(
     attribute_table: AttributeTable | None,
     context_attribute: str | None,
     seed: int = 0,
-    *,
-    n_min: int = N_MIN_CONTEXT,
 ) -> VerifierRegistry:
     """Train the global detector and one detector per context value.
 
@@ -610,10 +603,10 @@ def train_registry(
     object-removal twins as contradiction examples (one image-level
     label shared by all pairs of a scene).  Every detector's statistics
     are smoothed with `stats.ALPHA_DEFAULT` and its model fitted with the
-    default Hyperparams.  Context values with fewer than `n_min` train
-    images get no model and fall back to global.
+    default Hyperparams.  Context values with fewer than N_MIN_CONTEXT
+    train images get no model and fall back to global.
     Each train scene is counted once, into the builder of its context
-    value (placeholder and values below `n_min` included); `finalize`
+    value (placeholder and values below N_MIN_CONTEXT included); `finalize`
     sums all those builders into the global statistics.  Raises
     SchemaError when the context attribute takes the value GLOBAL_LABEL,
     which would name the global detector.  The registry holds no verdict
@@ -659,7 +652,7 @@ def train_registry(
     )
     scopes = [(GLOBAL_LABEL, train_ids, finalize(*counts.values()))]
     for value in sorted(groups):
-        if value != PLACEHOLDER and len(groups[value]) >= n_min:
+        if value != PLACEHOLDER and len(groups[value]) >= N_MIN_CONTEXT:
             scopes.append((value, sorted(groups[value]), finalize(counts[value])))
 
     trained: dict[str, Detector] = {}

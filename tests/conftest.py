@@ -1,5 +1,6 @@
-"""Shared helpers: random hole-free blobs, tiny scene builders, object pixels,
-traced contours and a guard on synthetic painting."""
+"""Shared helpers: random hole-free blobs, tiny scene builders, object runs
+and pixels read from the columns of a table, traced contours and a guard
+on synthetic painting."""
 
 from collections import deque
 
@@ -44,9 +45,20 @@ def random_blob_array(rng, size=16, steps=60, class_id=1):
     return arr
 
 
-def pixels(obj):
-    """The (row, col) positions of an object's runs, in raster order."""
-    return tuple([(r, c) for r, c0, c1 in obj.runs for c in range(c0, c1)])
+def runs(objects, k):
+    """Object k's (row, c0, c1) runs, read from the columns of its table."""
+    lo, hi = objects.offsets[k], objects.offsets[k + 1]
+    return [tuple(run) for run in objects.runs[lo:hi].tolist()]
+
+
+def pixels(objects, k):
+    """The (row, col) positions of object k's runs, in raster order."""
+    return tuple([(r, c) for r, c0, c1 in runs(objects, k) for c in range(c0, c1)])
+
+
+def components(objects):
+    """The (class, pixels) of each object of a table, as a set."""
+    return {(c, pixels(objects, k)) for k, c in enumerate(objects.class_id.tolist())}
 
 
 def boundary(grid, objects, k=0):

@@ -3,7 +3,8 @@
 The library computes a scene's pairs as the columns of one PairTable,
 reads its statistics from dense tables and computes features and
 margins as matrices.  This module keeps the per-pair form they
-replaced: the scalar channel functions, `contact` on the runs of one
+replaced: the scalar channel functions, each reading objects i and j of
+a table as Python values from its columns, `contact` on the runs of one
 pair of objects, the statistics lookups `query` and `size_zscore`,
 which smooth the model's raw counts themselves, and per-pair features
 and scores built from them, so that tests can require the batched
@@ -20,6 +21,8 @@ import numpy as np
 from scenecheck import DegeneratePairError, UnknownClassError
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
 from scenecheck.stats import SIGMA_FLOOR
+
+from conftest import runs
 
 QUERY_KINDS = ("presence", "position", "proximity", "distance")
 
@@ -43,25 +46,21 @@ def opposite_octant(label: str) -> str:
     return OCTANTS[(OCTANTS.index(label) + 4) % 8]
 
 
-def contact(a, b) -> bool:
-    """True iff some pixel of A and some pixel of B are within Chebyshev
-    distance 1, for two SceneObject views.
+def contact(objects, i, j) -> bool:
+    """True iff some pixel of object i and some pixel of object j are
+    within Chebyshev distance 1.
 
     Runs [c0, c1) and [s, e) in rows at most 1 apart hold such a pixel
     pair iff c0 <= e and s <= c1.
     """
+    a, b = objects.bbox[i].tolist(), objects.bbox[j].tolist()
     # Quick reject: bounding boxes further than 1 apart cannot touch.
-    if (
-        a.bbox[0] > b.bbox[2] + 1
-        or b.bbox[0] > a.bbox[2] + 1
-        or a.bbox[1] > b.bbox[3] + 1
-        or b.bbox[1] > a.bbox[3] + 1
-    ):
+    if a[0] > b[2] + 1 or b[0] > a[2] + 1 or a[1] > b[3] + 1 or b[1] > a[3] + 1:
         return False
     b_rows: dict[int, list[tuple[int, int]]] = {}
-    for r, s, e in b.runs:
+    for r, s, e in runs(objects, j):
         b_rows.setdefault(r, []).append((s, e))
-    for r, c0, c1 in a.runs:
+    for r, c0, c1 in runs(objects, i):
         for row in (r - 1, r, r + 1):
             for s, e in b_rows.get(row, ()):
                 if c0 <= e and s <= c1:
@@ -78,36 +77,38 @@ def _strictly_inside(inner, outer) -> bool:
     )
 
 
-def proximity_relation(a, b, in_contact: bool, image_height: int) -> str:
-    """Assign one of ON/UNDER/FRONT/BACK/BESIDE/NONE to the ordered pair (A, B).
+def proximity_relation(objects, i, j, in_contact: bool, image_height: int) -> str:
+    """Assign one of ON/UNDER/FRONT/BACK/BESIDE/NONE to the ordered pair (i, j).
 
     Containment (FRONT/BACK, via strict bounding-box nesting) takes
     precedence over the contact-based vertical labels; the vertical
     dead-band is 5% of the image height.
     """
-    if _strictly_inside(a.bbox, b.bbox):
+    a, b = objects.bbox[i].tolist(), objects.bbox[j].tolist()
+    if _strictly_inside(a, b):
         return "FRONT"
-    if _strictly_inside(b.bbox, a.bbox):
+    if _strictly_inside(b, a):
         return "BACK"
     if in_contact:
         eps = ROW_EPS_FRACTION * image_height
-        if a.centroid[0] < b.centroid[0] - eps:
+        a_row, b_row = objects.centroid[i, 0].item(), objects.centroid[j, 0].item()
+        if a_row < b_row - eps:
             return "ON"
-        if a.centroid[0] > b.centroid[0] + eps:
+        if a_row > b_row + eps:
             return "UNDER"
         return "BESIDE"
     return "NONE"
 
 
-def size_log_ratio(a, b) -> float:
-    """ln(pixel_count(A) / pixel_count(B)), exactly antisymmetric in (A, B)."""
-    return math.log(a.pixel_count) - math.log(b.pixel_count)
+def size_log_ratio(objects, i, j) -> float:
+    """ln(pixel_count(i) / pixel_count(j)), exactly antisymmetric in (i, j)."""
+    return math.log(objects.pixel_count[i].item()) - math.log(objects.pixel_count[j].item())
 
 
-def norm_distance(a, b, grid) -> float:
+def norm_distance(objects, i, j, grid) -> float:
     """Euclidean centroid distance divided by the image diagonal; lies in [0, 1]."""
-    d = math.hypot(a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1])
-    return d / grid.diagonal()
+    (ar, ac), (br, bc) = objects.centroid[i].tolist(), objects.centroid[j].tolist()
+    return math.hypot(ar - br, ac - bc) / grid.diagonal()
 
 
 def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
@@ -200,17 +201,16 @@ class PairRelation:
 
 
 def pair_relation(grid, objects, i, j) -> PairRelation:
-    """The relation of the ordered pair (objects[i], objects[j])."""
-    a, b = objects[i], objects[j]
-    rdist = norm_distance(a, b, grid)
+    """The relation of the ordered pair (i, j) of the table `objects`."""
+    rdist = norm_distance(objects, i, j, grid)
     return PairRelation(
         a_id=i,
         b_id=j,
-        a_class=a.class_id,
-        b_class=b.class_id,
-        rpos=octant(a.centroid, b.centroid),
-        rprox=proximity_relation(a, b, contact(a, b), grid.height),
-        rsize=size_log_ratio(a, b),
+        a_class=objects.class_id[i].item(),
+        b_class=objects.class_id[j].item(),
+        rpos=octant(objects.centroid[i].tolist(), objects.centroid[j].tolist()),
+        rprox=proximity_relation(objects, i, j, contact(objects, i, j), grid.height),
+        rsize=size_log_ratio(objects, i, j),
         rdist=rdist,
         rdist_bin=distance_bin(rdist),
     )
@@ -224,7 +224,7 @@ def relations(grid, objects) -> list[PairRelation]:
 
 def table_rows(table, objects) -> list[PairRelation]:
     """The rows of a PairTable in the per-pair form, labels as strings."""
-    classes = [o.class_id for o in objects]
+    classes = objects.class_id.tolist()
     return [
         PairRelation(
             a, b, classes[a], classes[b], OCTANTS[pos], PROXIMITY_LABELS[prox], rs, rd, db

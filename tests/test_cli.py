@@ -120,7 +120,8 @@ class TestSynth:
             ),
             (
                 ("grid_height",), 24,
-                "error: PlacementError: {config}: object of size 11 cannot fit in [4, 13)\n",
+                "error: PlacementError: {config}: lone sofa of height 11 needs 11 of rows"
+                " [4, 13), grid_height is 24\n",
             ),
         ],
         ids=["config-refused", "rider-too-wide", "lone-object-too-tall"],
@@ -161,7 +162,9 @@ class TestSynth:
         assert main(["synth", str(config), str(out), "--seed", "1"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: PlacementError: {config}: ") and err.count("\n") == 1
-        assert "row -" not in err
+        assert "row -" not in err and "cannot fit in [" not in err
+        message = err.removeprefix(f"error: PlacementError: {config}: ")
+        assert any(c["name"] in message.split() for c in doc["classes"])
         assert sorted(tmp_path.rglob("*")) == [config]
 
 
@@ -821,6 +824,18 @@ class TestEvaluate:
             assert metrics["accuracy"] == pytest.approx(
                 sum(1 for r in rows if r["correct"]) / len(rows), abs=1e-12
             )
+
+    def test_empty_val_split_is_one_line_empty_corpus_error(self, pipeline, tmp_path, capsys):
+        _, corpus_dir, registry_path = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        splits = json.loads((corpus / "splits.json").read_text())
+        (corpus / "splits.json").write_text(json.dumps({**splits, "val": []}))
+        out = tmp_path / "report" / "report.json"
+        argv = ["evaluate", str(registry_path), str(corpus), "--seed", "5", "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: EmptyCorpusError: val split is empty\n"
+        assert not out.parent.exists()
 
     def test_context_free_registry_reports_no_contexts(self, pipeline, tmp_path):
         root, corpus_dir, registry_path = pipeline

@@ -90,7 +90,7 @@ class TestSynthCorpus:
         }
         for image_id in corpus.image_ids():
             value = table.value(image_id, "location")
-            classes = {o.class_id for o in extract_objects(corpus.grid(image_id))}
+            classes = set(extract_objects(corpus.grid(image_id)).class_id.tolist())
             assert classes <= pools[value]
 
     def test_same_seed_same_bytes(self, tmp_path):

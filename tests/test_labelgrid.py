@@ -18,6 +18,7 @@ from scenecheck import (
     Corpus,
     FormatError,
     LabelGrid,
+    ObjectTable,
     UnknownClassError,
     default_synthetic_config,
     extract_objects,
@@ -30,7 +31,7 @@ from scenecheck import (
 from scenecheck import labelgrid
 from scenecheck.labelgrid import _BATCH_CELLS, _plain_cells, grid_batches
 
-from conftest import blob_grid, boundary, pixels
+from conftest import blob_grid, boundary, components, pixels, runs
 from pair_oracle import contact
 
 
@@ -339,24 +340,22 @@ class TestExtract:
         arr = np.zeros((4, 4), dtype=int)
         arr[1, 1] = arr[2, 2] = 1
         objects = extract_objects(grid_from_array(arr, {1: "x"}), min_area=1)
-        assert len(objects) == 1
-        assert objects[0].pixel_count == 2
+        assert objects.pixel_count.tolist() == [2]
 
     def test_separated_blobs_stay_apart(self):
         arr = np.zeros((4, 5), dtype=int)
         arr[:, 0:2] = 3
         arr[:, 3:5] = 3
         objects = extract_objects(grid_from_array(arr, {3: "y"}), min_area=1)
-        assert [o.class_id for o in objects] == [3, 3]
-        assert all(o.pixel_count == 8 for o in objects)
+        assert objects.class_id.tolist() == [3, 3]
+        assert objects.pixel_count.tolist() == [8, 8]
 
     def test_min_area_filters(self):
         arr = np.zeros((4, 4), dtype=int)
         arr[0, 0] = 1
         arr[2:4, 2:4] = 1
         objects = extract_objects(grid_from_array(arr, {1: "x"}), min_area=2)
-        assert len(objects) == 1
-        assert objects[0].pixel_count == 4
+        assert objects.pixel_count.tolist() == [4]
 
     def test_background_never_extracted(self):
         arr = np.zeros((3, 3), dtype=int)
@@ -367,15 +366,12 @@ class TestExtract:
         for _ in range(20):
             arr = rng.integers(0, 4, size=(64, 64)).astype(np.int32)
             grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
-            assert _component_oracle(arr, 1) == {
-                (o.class_id, pixels(o))
-                for o in extract_objects(grid, min_area=1)
-            }
+            assert _component_oracle(arr, 1) == components(extract_objects(grid, min_area=1))
 
     def test_object_ids_follow_raster_order(self, rng):
         arr = rng.integers(0, 3, size=(32, 32)).astype(np.int32)
         objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b"}), min_area=1)
-        firsts = [pixels(o)[0] for o in objects]
+        firsts = [pixels(objects, k)[0] for k in range(len(objects))]
         assert firsts == sorted(firsts)
 
     @pytest.mark.parametrize(
@@ -395,7 +391,7 @@ class TestExtract:
     def test_diagonal_contacts_match_oracle(self, rows):
         text = f"{len(rows)} {len(rows[0].split())}\n" + "\n".join(rows)
         grid = parse_label_grid(text, {1: "a", 2: "b"})
-        got = {(o.class_id, pixels(o)) for o in extract_objects(grid, min_area=1)}
+        got = components(extract_objects(grid, min_area=1))
         assert got == _component_oracle(grid.to_array(), 1)
 
     def test_reparse_is_byte_stable(self, rng):
@@ -409,19 +405,18 @@ class TestExtract:
     def test_centroid_lies_within_bbox(self, rng):
         for _ in range(10):
             arr = rng.integers(0, 3, size=(24, 24)).astype(np.int32)
-            for obj in extract_objects(grid_from_array(arr, {1: "a", 2: "b"}), min_area=1):
-                r0, c0, r1, c1 = obj.bbox
-                assert r0 <= obj.centroid[0] <= r1
-                assert c0 <= obj.centroid[1] <= c1
+            objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b"}), min_area=1)
+            for (r0, c0, r1, c1), (row, col) in zip(objects.bbox, objects.centroid):
+                assert r0 <= row <= r1
+                assert c0 <= col <= c1
 
     def test_pixel_accounting_sums_to_grid(self, rng):
         for _ in range(10):
             arr = rng.integers(0, 4, size=(24, 24)).astype(np.int32)
             grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
-            obj_px = sum(o.pixel_count for o in extract_objects(grid, min_area=3))
-            ignored = sum(
-                o.pixel_count for o in extract_objects(grid, min_area=1) if o.pixel_count < 3
-            )
+            obj_px = extract_objects(grid, min_area=3).pixel_count.sum()
+            counts = extract_objects(grid, min_area=1).pixel_count
+            ignored = counts[counts < 3].sum()
             background = 24 * 24 - int(np.count_nonzero(grid.cells))
             assert obj_px + ignored + background == 24 * 24
 
@@ -440,21 +435,25 @@ def _label_arrays(draw, max_side=12):
 @given(_label_arrays(), st.sampled_from((1, 3)))
 def test_extraction_matches_flood_fill_oracle(arr, min_area):
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
-    assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
-    firsts = [pixels(o)[0] for o in objects]
+    assert components(objects) == _component_oracle(arr, min_area)
+    firsts = [pixels(objects, k)[0] for k in range(len(objects))]
     assert firsts == sorted(firsts)
-    for o in objects:
-        rows, cols = np.array(pixels(o)).T
-        assert o.pixel_count == len(pixels(o))
-        assert o.centroid == (float(rows.astype(float).mean()), float(cols.astype(float).mean()))
-        assert o.bbox == (rows.min(), cols.min(), rows.max(), cols.max())
+    for k in range(len(objects)):
+        rows, cols = np.array(pixels(objects, k)).T
+        assert objects.pixel_count[k] == len(rows)
+        centroid = objects.centroid[k].tolist()
+        assert centroid == [float(rows.astype(float).mean()), float(cols.astype(float).mean())]
+        assert objects.bbox[k].tolist() == [rows.min(), cols.min(), rows.max(), cols.max()]
 
 
-def _touch_oracle(a, b):
-    """Exhaustive pixel-pair test: some pixels within Chebyshev distance 1."""
-    b_pixels = pixels(b)
+def _touch_oracle(objects, i, j):
+    """Exhaustive pixel-pair test: some pixels of objects i and j of a table
+    within Chebyshev distance 1."""
+    b_pixels = pixels(objects, j)
     return any(
-        max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) <= 1 for pa in pixels(a) for pb in b_pixels
+        max(abs(pa[0] - pb[0]), abs(pa[1] - pb[1])) <= 1
+        for pa in pixels(objects, i)
+        for pb in b_pixels
     )
 
 
@@ -473,23 +472,23 @@ def _touch_oracle(a, b):
 @example(np.array([[1, 1, 2, 3, 3], [1, 1, 0, 3, 3]], dtype=np.int32), 3)
 def test_runs_expand_to_components_and_decide_contact(arr, min_area):
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
-    assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
-    for o in objects:
-        assert list(o.runs) == sorted(o.runs)
-        assert sum(c1 - c0 for _, c0, c1 in o.runs) == o.pixel_count
-        for r, c0, c1 in o.runs:
+    assert components(objects) == _component_oracle(arr, min_area)
+    for k, class_id in enumerate(objects.class_id.tolist()):
+        own = runs(objects, k)
+        assert own == sorted(own)
+        assert sum(c1 - c0 for _, c0, c1 in own) == objects.pixel_count[k]
+        for r, c0, c1 in own:
             assert 0 <= c0 < c1 <= arr.shape[1]
-            assert (arr[r, c0:c1] == o.class_id).all()
+            assert (arr[r, c0:c1] == class_id).all()
             # Maximal: the cells either side of the run hold another class.
-            assert c0 == 0 or arr[r, c0 - 1] != o.class_id
-            assert c1 == arr.shape[1] or arr[r, c1] != o.class_id
+            assert c0 == 0 or arr[r, c0 - 1] != class_id
+            assert c1 == arr.shape[1] or arr[r, c1] != class_id
     touching = objects.contacts
     assert touching.shape == (len(objects),) * 2
-    views = list(objects)
-    for i, a in enumerate(views):
-        for j, b in enumerate(views):
+    for i in range(len(objects)):
+        for j in range(len(objects)):
             if i != j:
-                assert touching[i, j] == _touch_oracle(a, b) == contact(a, b)
+                assert touching[i, j] == _touch_oracle(objects, i, j) == contact(objects, i, j)
     assert not touching.diagonal().any()
 
 
@@ -584,7 +583,7 @@ def test_label_maps_equal_each_map_labelled_alone(arrays, min_area):
         assert objects == alone  # every column
         _assert_columns(objects, arr, min_area)
         _assert_columns(alone, arr, min_area)
-        assert {(o.class_id, pixels(o)) for o in objects} == _component_oracle(arr, min_area)
+        assert components(objects) == _component_oracle(arr, min_area)
 
 
 def _assert_contacts(table):
@@ -592,11 +591,10 @@ def _assert_contacts(table):
     touching = table.contacts
     assert touching.shape == (len(table),) * 2 and touching.dtype == bool
     assert not touching.flags.writeable
-    views = list(table)
-    for i, a in enumerate(views):
-        for j, b in enumerate(views):
-            want = i != j and _touch_oracle(a, b)
-            assert touching[i, j] == want == (i != j and contact(a, b))
+    for i in range(len(table)):
+        for j in range(len(table)):
+            want = i != j and _touch_oracle(table, i, j)
+            assert touching[i, j] == want == (i != j and contact(table, i, j))
 
 
 @settings(max_examples=150, deadline=None)
@@ -675,15 +673,59 @@ def test_contact_memory_grows_with_the_largest_map_not_the_stack():
 @given(_label_arrays(), st.sampled_from((1, 3)))
 def test_without_equals_labelling_the_cleared_map(arr, min_area):
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
-    for k, obj in enumerate(objects):
+    for k in range(len(objects)):
         cleared = arr.copy()
-        for r, c0, c1 in obj.runs:
+        for r, c0, c1 in runs(objects, k):
             cleared[r, c0:c1] = 0
         want = extract_objects(grid_from_array(cleared, {1: "a", 2: "b", 3: "c"}), min_area)
         assert objects.without(k) == want
         _assert_columns(objects.without(k), cleared, min_area)
     with pytest.raises(IndexError):
         objects.without(len(objects))
+
+
+def _table(rows, contacts):
+    """The ObjectTable of (class, pixel count, centroid, bbox, runs) rows."""
+    runs = [run for row in rows for run in row[4]]
+    return ObjectTable(
+        np.array([row[0] for row in rows], np.int64),
+        np.array([row[1] for row in rows], np.int64),
+        np.array([row[2] for row in rows], np.float64).reshape(-1, 2),
+        np.array([row[3] for row in rows], np.int64).reshape(-1, 4),
+        np.array(runs, np.int64).reshape(-1, 3),
+        np.cumsum([0] + [len(row[4]) for row in rows]),
+        np.array(contacts, bool).reshape(len(rows), len(rows)),
+    )
+
+
+def test_object_table_refuses_an_integer_key_and_iteration():
+    arr = np.zeros((5, 9), np.int32)
+    arr[0:2, 0:2] = 1
+    arr[0:3, 4:6] = 2
+    arr[3:5, 6:8] = 3  # touches the class-2 object diagonally
+    objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), 1)
+    empty = extract_objects(grid_from_array(np.zeros((2, 2), np.int32), {}), 1)
+    for table in (objects, empty):
+        for key in (0, -1, 3, np.int64(1), True):
+            with pytest.raises(TypeError):
+                table[key]
+        with pytest.raises(TypeError):
+            list(table)
+        with pytest.raises(TypeError):
+            for _ in table:
+                pass
+    # A slice, an index array and a mask give the tables of those objects.
+    a = (1, 4, (0.5, 0.5), (0, 0, 1, 1), [(0, 0, 2), (1, 0, 2)])
+    b = (2, 6, (1.0, 4.5), (0, 4, 2, 5), [(0, 4, 6), (1, 4, 6), (2, 4, 6)])
+    c = (3, 4, (3.5, 6.5), (3, 6, 4, 7), [(3, 6, 8), (4, 6, 8)])
+    assert objects == _table([a, b, c], [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+    assert objects[1:] == _table([b, c], [[0, 1], [1, 0]])
+    assert objects[::-2] == _table([c, a], [[0, 0], [0, 0]])
+    assert objects[np.array([2, 1, 2])] == _table([c, b, c], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+    assert objects[[0]] == _table([a], [[0]])
+    assert objects[objects.class_id != 1] == _table([b, c], [[0, 1], [1, 0]])
+    assert objects[:0] == empty == _table([], [])
+    assert objects.without(1) == _table([a, c], [[0, 0], [0, 0]])
 
 
 def test_grid_batches_read_lazily_and_fill_each_stack_up_to_the_budget():
@@ -729,8 +771,8 @@ class TestBoundary:
         for _ in range(50):
             grid = blob_grid(rng)
             objects = extract_objects(grid, min_area=1)
-            (obj,) = objects
-            inside = set(pixels(obj))
+            assert len(objects) == 1
+            inside = set(pixels(objects, 0))
             expected = {
                 (r, c)
                 for r, c in inside
@@ -761,7 +803,7 @@ class TestBoundary:
             filled = grid_from_array(np.where(grid.to_array() == 0, 2, 1), {1: "a", 2: "b"})
             filled_objects = extract_objects(filled, 1)
             same = filled_objects[filled_objects.class_id == 1]
-            assert same[0].runs == objects[0].runs and boundary(filled, same) == contour
+            assert runs(same, 0) == runs(objects, 0) and boundary(filled, same) == contour
             wide = np.zeros((16, 34), dtype=np.int32)
             wide[:, :16] = grid.to_array()
             wide[:, 18:] = grid.to_array()
@@ -780,16 +822,17 @@ class TestBoundary:
         arr[1:3, 0] = 1
         grid = grid_from_array(arr, {1: "x"})
         objects = extract_objects(grid, min_area=1)
-        (obj,) = objects
+        assert len(objects) == 1
         expected = ((0, 1), (0, 2), (0, 1), (1, 0), (2, 0), (1, 0))
-        assert boundary(grid, objects) == expected == _mask_trace(pixels(obj), obj.bbox)
+        traced = _mask_trace(pixels(objects, 0), objects.bbox[0].tolist())
+        assert boundary(grid, objects) == expected == traced
 
     def test_starts_at_top_left_most_pixel(self, rng):
         for _ in range(10):
             grid = blob_grid(rng)
             objects = extract_objects(grid, min_area=1)
-            (obj,) = objects
-            assert boundary(grid, objects)[0] == min(pixels(obj))
+            assert len(objects) == 1
+            assert boundary(grid, objects)[0] == min(pixels(objects, 0))
 
 
 @settings(max_examples=40, deadline=None)
@@ -798,8 +841,8 @@ def test_every_boundary_pixel_touches_outside(seed):
     rng = np.random.default_rng(seed)
     grid = blob_grid(rng, size=12, steps=30)
     objects = extract_objects(grid, min_area=1)
-    for k, obj in enumerate(objects):
-        inside = set(pixels(obj))
+    for k in range(len(objects)):
+        inside = set(pixels(objects, k))
         for r, c in boundary(grid, objects, k):
             assert (r, c) in inside
             assert any(
@@ -890,8 +933,9 @@ def _shape_maps(draw):
 def test_boundaries_equal_the_mask_trace(arr, min_area):
     grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, min_area)
-    for k, o in enumerate(objects):
-        assert boundary(grid, objects, k) == _mask_trace(pixels(o), o.bbox)
+    for k in range(len(objects)):
+        traced = _mask_trace(pixels(objects, k), objects.bbox[k].tolist())
+        assert boundary(grid, objects, k) == traced
 
 
 def _named_shapes_array():
@@ -910,6 +954,7 @@ def _named_shapes_array():
 def test_boundaries_equal_the_mask_trace_on_named_shapes():
     grid = grid_from_array(_named_shapes_array(), {1: "a", 2: "b", 3: "c"})
     objects = extract_objects(grid, 1)
-    assert {len(pixels(o)) for o in objects} >= {1, 3, 7, 9}
-    for k, o in enumerate(objects):
-        assert boundary(grid, objects, k) == _mask_trace(pixels(o), o.bbox)
+    assert set(objects.pixel_count.tolist()) >= {1, 3, 7, 9}
+    for k in range(len(objects)):
+        traced = _mask_trace(pixels(objects, k), objects.bbox[k].tolist())
+        assert boundary(grid, objects, k) == traced

@@ -228,10 +228,10 @@ class TestContact:
             objects = extract_objects(grid, min_area=1)
             touching = objects.contacts
             assert (touching == touching.T).all()
-            views = list(objects)
-            for i, a in enumerate(views):
-                for j, b in enumerate(views[i + 1 :], i + 1):
-                    assert touching[i, j] == _touch_oracle(a, b) == pair_oracle.contact(a, b)
+            for i in range(len(objects)):
+                for j in range(i + 1, len(objects)):
+                    want = _touch_oracle(objects, i, j)
+                    assert touching[i, j] == want == pair_oracle.contact(objects, i, j)
 
 
 class TestProximity:
@@ -241,8 +241,9 @@ class TestProximity:
         grid = grid_from_array(arr, class_map)
         objects = extract_objects(grid, min_area=1)
         table = relations_for_objects(grid, objects)
+        classes = objects.class_id.tolist()
         labels = {
-            (objects[a].class_id, objects[b].class_id): PROXIMITY_LABELS[p]
+            (classes[a], classes[b]): PROXIMITY_LABELS[p]
             for a, b, p in zip(
                 table.a_index.tolist(), table.b_index.tolist(), table.rprox.tolist()
             )
@@ -305,10 +306,9 @@ class TestSizeAndDistance:
         arr[20:25, 30:36] = 2
         grid = grid_from_array(arr, {1: "a", 2: "b"})
         objects = extract_objects(grid, min_area=1)
-        a, b = objects
-        expected = math.hypot(
-            a.centroid[0] - b.centroid[0], a.centroid[1] - b.centroid[1]
-        ) / math.hypot(30, 40)
+        assert len(objects) == 2
+        (ar, ac), (br, bc) = objects.centroid.tolist()
+        expected = math.hypot(ar - br, ac - bc) / math.hypot(30, 40)
         rdist = relations_for_objects(grid, objects).rdist
         assert rdist[0] == pytest.approx(expected, abs=1e-15)
         assert rdist[0] == rdist[1]
@@ -403,11 +403,10 @@ def _sample_offsets_reference(grid, objects, k):
     `_normalized_samples_reference` samples the contour of object k of a
     table, all in bbox-relative coordinates; None for a single pixel."""
     n_samples = SHAPE_SAMPLES
-    obj = objects[k]
-    r0, c0 = obj.bbox[0], obj.bbox[1]
+    r0, c0 = objects.bbox[k, :2].tolist()
     pts = [(float(r - r0), float(c - c0)) for r, c in boundary(grid, objects, k)]
-    cy = float(np.mean([r - r0 for r, _ in pixels(obj)]))
-    cx = float(np.mean([c - c0 for _, c in pixels(obj)]))
+    cy = float(np.mean([r - r0 for r, _ in pixels(objects, k)]))
+    cx = float(np.mean([c - c0 for _, c in pixels(objects, k)]))
     if len(pts) == 1:
         return None
     closed = pts + [pts[0]]
@@ -544,7 +543,7 @@ def test_single_pixels_in_a_batch_put_all_mass_in_the_last_bin():
     arr[0:3, 7] = 2
     grid = grid_from_array(arr, {1: "a", 2: "b"})
     objects = extract_objects(grid, 1)
-    assert [o.pixel_count for o in objects] == [1, 3, 1, 1]
+    assert objects.pixel_count.tolist() == [1, 3, 1, 1]
     hists = shape_histogram(grid, objects)
     for k, h in enumerate(hists):
         assert h.tolist() == _shape_histogram_reference(grid, objects, k)
@@ -774,7 +773,7 @@ class TestPairRelation:
             arr[arr == 0] = other[arr == 0]
             grid = grid_from_array(arr, {1: "a", 2: "b"})
             objects = extract_objects(grid, min_area=1)
-            if len({o.centroid for o in objects}) < len(objects):
+            if len(set(map(tuple, objects.centroid.tolist()))) < len(objects):
                 with pytest.raises(DegeneratePairError):
                     relations_for_objects(grid, objects)
                 continue
@@ -782,12 +781,15 @@ class TestPairRelation:
             rows = pair_oracle.table_rows(table, objects)
             assert rows == pair_oracle.relations(grid, objects)
             for rel in rows:
-                a, b = objects[rel.a_id], objects[rel.b_id]
-                assert rel.rpos == pair_oracle.octant(a.centroid, b.centroid)
-                touching = pair_oracle.contact(a, b)
-                assert rel.rprox == pair_oracle.proximity_relation(a, b, touching, grid.height)
-                assert rel.rsize == pair_oracle.size_log_ratio(a, b)
-                assert rel.rdist == pair_oracle.norm_distance(a, b, grid)
+                i, j = rel.a_id, rel.b_id
+                centroids = objects.centroid[i].tolist(), objects.centroid[j].tolist()
+                assert rel.rpos == pair_oracle.octant(*centroids)
+                touching = pair_oracle.contact(objects, i, j)
+                assert rel.rprox == pair_oracle.proximity_relation(
+                    objects, i, j, touching, grid.height
+                )
+                assert rel.rsize == pair_oracle.size_log_ratio(objects, i, j)
+                assert rel.rdist == pair_oracle.norm_distance(objects, i, j, grid)
                 assert rel.rdist_bin == pair_oracle.distance_bin(rel.rdist)
 
     def test_reversed_pair_antisymmetry(self, rng):

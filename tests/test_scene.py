@@ -14,7 +14,6 @@ from scenecheck import (
     derive_contradiction,
     generate_contradiction,
     grid_from_array,
-    prepare,
     prepare_all,
 )
 from scenecheck.labelgrid import _BATCH_CELLS, grid_batches
@@ -36,9 +35,10 @@ def assert_same_scene(got, want):
         assert g.shape == w.shape and (g == w).all(), f.name
 
 
-def without_pixels(grid, obj):
+def without_pixels(grid, objects, k):
+    """The grid with the pixels of object k of the table `objects` cleared."""
     cells = grid.to_array().copy()
-    rows, cols = np.array(pixels(obj)).T
+    rows, cols = np.array(pixels(objects, k)).T
     cells[rows, cols] = 0
     return grid_from_array(cells, grid.class_map, image_id=grid.image_id)
 
@@ -67,7 +67,7 @@ maps = st.one_of(scenes.map(paint), blob_scenes.map(paint_blobs))
 def _prepared(arr, min_area):
     grid = grid_from_array(arr, CLASS_MAP, image_id="scene")
     try:
-        return grid, prepare(grid, min_area)
+        return grid, next(prepare_all([grid], min_area))
     except DegeneratePairError:  # no scene to derive from
         return grid, None
 
@@ -79,8 +79,8 @@ def test_without_equals_preparing_the_cleared_map(arr, min_area):
     grid, scene = _prepared(arr, min_area)
     if scene is None:
         return
-    for k, obj in enumerate(scene.objects):
-        cleared = prepare(without_pixels(grid, obj), min_area)
+    for k in range(len(scene.objects)):
+        cleared = next(prepare_all([without_pixels(grid, scene.objects, k)], min_area))
         assert_same_scene(scene.without(k), cleared)
 
 
@@ -100,25 +100,25 @@ def test_derived_twin_equals_generated_twin(arr, min_area, seed):
     twin, removed_class = derive_contradiction(scene, seed)
     twin_grid, generated_class = generate_contradiction(grid, seed, min_area)
     assert removed_class == generated_class
-    assert_same_scene(twin, prepare(twin_grid, min_area))
+    assert_same_scene(twin, next(prepare_all([twin_grid], min_area)))
 
 
 def test_two_object_twin_has_one_object_and_no_pairs():
     grid = grid_from_array(paint(TWO_RECTS), CLASS_MAP)
-    scene = prepare(grid, min_area=1)
+    scene = next(prepare_all([grid], min_area=1))
     assert len(scene.pairs) == 2
     for k in (0, 1):
         twin = scene.without(k)
-        assert list(twin.objects) == [scene.objects[1 - k]]
+        assert twin.objects == scene.objects[[1 - k]]
         assert len(twin.pairs) == 0 and len(twin.hists) == 1
-        assert_same_scene(twin, prepare(without_pixels(grid, scene.objects[k]), 1))
+        assert_same_scene(twin, next(prepare_all([without_pixels(grid, scene.objects, k)], 1)))
 
 
 def test_survivors_are_renumbered_and_pairs_reindexed():
     rects = [(1, 1, 1, 3, 3), (2, 1, 10, 3, 3), (3, 10, 1, 3, 3), (4, 10, 10, 3, 3)]
-    scene = prepare(grid_from_array(paint(rects), CLASS_MAP), min_area=1)
+    scene = next(prepare_all([grid_from_array(paint(rects), CLASS_MAP)], min_area=1))
     twin = scene.without(1)
-    assert list(twin.objects) == [scene.objects[0]] + list(scene.objects[2:])
+    assert twin.objects == scene.objects[[0, 2, 3]]
     assert twin.objects.class_id.tolist() == [1, 3, 4]
     assert list(zip(twin.pairs.a_index.tolist(), twin.pairs.b_index.tolist())) == [
         (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
@@ -127,7 +127,7 @@ def test_survivors_are_renumbered_and_pairs_reindexed():
 
 
 def test_without_rejects_an_index_outside_the_scene():
-    scene = prepare(grid_from_array(paint(TWO_RECTS), CLASS_MAP), min_area=1)
+    scene = next(prepare_all([grid_from_array(paint(TWO_RECTS), CLASS_MAP)], min_area=1))
     for k in (-1, 2):
         with pytest.raises(IndexError):
             scene.without(k)
@@ -135,7 +135,7 @@ def test_without_rejects_an_index_outside_the_scene():
 
 def test_prepare_records_its_parameters():
     grid = grid_from_array(paint(TWO_RECTS), CLASS_MAP, image_id="two")
-    scene = prepare(grid, 3)
+    scene = next(prepare_all([grid], 3))
     assert scene.image_id == "two"
     assert scene.min_area == 3
     assert scene.hists.shape == (2, SHAPE_BINS)
@@ -144,7 +144,7 @@ def test_prepare_records_its_parameters():
 @pytest.mark.parametrize("rects", [[], TWO_RECTS], ids=["empty", "two-objects"])
 def test_hists_are_one_read_only_row_per_object(rects):
     grid = grid_from_array(paint(rects), CLASS_MAP)
-    scene = prepare(grid, min_area=1)
+    scene = next(prepare_all([grid], min_area=1))
     scenes = [scene] + [scene.without(k) for k in range(len(scene.objects))]
     for s in scenes:
         assert s.hists.shape == (len(s.objects), SHAPE_BINS)
@@ -154,11 +154,11 @@ def test_hists_are_one_read_only_row_per_object(rects):
             s.hists[...] = 0.0
 
 
-def assert_prepare_all_equals_prepare(grids, min_area):
-    """`prepare_all` yields `prepare` of each map, read-only histograms and all,
-    or raises where `prepare` of some map does."""
+def assert_prepare_all_equals_each_map_alone(grids, min_area):
+    """`prepare_all` of `grids` yields `prepare_all` of each map alone,
+    read-only histograms and all, or raises where that of some map does."""
     try:
-        want = [prepare(grid, min_area) for grid in grids]
+        want = [next(prepare_all([grid], min_area)) for grid in grids]
     except DegeneratePairError:
         with pytest.raises(DegeneratePairError):
             list(prepare_all(iter(grids), min_area))
@@ -173,13 +173,13 @@ def assert_prepare_all_equals_prepare(grids, min_area):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(maps, st.integers(1, 20), st.integers(1, 24)), min_size=1, max_size=6),
        st.sampled_from([1, 3]))
-def test_prepare_all_equals_prepare_of_each_map(crops, min_area):
+def test_prepare_all_equals_each_map_prepared_alone(crops, min_area):
     arrays = [arr[:h, :w] for arr, h, w in crops]
     grids = [grid_from_array(a, CLASS_MAP, image_id=f"m{i}") for i, a in enumerate(arrays)]
-    assert_prepare_all_equals_prepare(grids, min_area)
+    assert_prepare_all_equals_each_map_alone(grids, min_area)
 
 
-def test_prepare_all_equals_prepare_across_the_cell_budget():
+def test_prepare_all_equals_each_map_prepared_alone_across_the_cell_budget():
     rng = np.random.default_rng(11)
     side = int(_BATCH_CELLS**0.5) + 1  # a map whose own stack exceeds the budget
     arrays = []
@@ -199,5 +199,5 @@ def test_prepare_all_equals_prepare_across_the_cell_budget():
     batches = list(grid_batches(grids))
     assert 1 < len(batches[0]) < 12  # the 48 x 64 maps fill more than one stack
     assert [grids[12]] in batches  # the large map, alone
-    assert sum(len(prepare(g, 3).objects) for g in grids) > 50
-    assert_prepare_all_equals_prepare(grids, 3)
+    assert sum(len(s.objects) for s in prepare_all(grids, 3)) > 50
+    assert_prepare_all_equals_each_map_alone(grids, 3)

@@ -18,7 +18,6 @@ from scenecheck import (
     Hyperparams,
     LinearModel,
     PLACEHOLDER,
-    SceneObject,
     SchemaError,
     StatsBuilder,
     UnknownClassError,
@@ -33,7 +32,6 @@ from scenecheck import (
     finalize,
     generate_contradiction,
     grid_from_array,
-    prepare,
     prepare_all,
     relations_for_objects,
     score,
@@ -51,7 +49,6 @@ from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 import pair_oracle
 from conftest import pixels
 from test_relations import CLASS_MAP, LABELLED_SCENES, _lattice_map, paint, scenes
-from test_scene import assert_same_scene
 
 
 def _identity_model(weights, bias=0.0):
@@ -408,9 +405,9 @@ class TestVerify:
         grid, record = _find_triple(corpus, table, registry)
         anchor_ids = {1, 6}
         objects = extract_objects(grid, registry.min_area)
-        anchor = next(o for o in objects if o.class_id in anchor_ids)
+        anchor = next(k for k, c in enumerate(objects.class_id.tolist()) if c in anchor_ids)
         cells = list(grid.cells)
-        for r, c in pixels(anchor):
+        for r, c in pixels(objects, anchor):
             cells[r * grid.width + c] = 0
         broken = grid_from_array(
             np.array(cells).reshape(grid.height, grid.width), grid.class_map, grid.image_id
@@ -507,7 +504,7 @@ class TestVerifyPreparedScene:
         models_used = set()
         for idx, image_id in enumerate(corpus.image_ids("val")[:60]):
             grid = corpus.grid(image_id)
-            scene = prepare(grid, registry.min_area)
+            scene = next(prepare_all([grid], registry.min_area))
             variants = [(scene, grid)]
             if len(scene.objects) >= 2:
                 seed = derive_seed(5, EVAL_TAG, idx)
@@ -524,7 +521,7 @@ class TestVerifyPreparedScene:
         corpus, table, registry = small_experiment
         grid, record = _find_triple(corpus, table, registry)
         with pytest.raises(ValueError):
-            verify(prepare(grid, registry.min_area + 1), registry, record)
+            verify(next(prepare_all([grid], registry.min_area + 1)), registry, record)
 
 
 def _crowded_grid(seed, class_map):
@@ -560,48 +557,22 @@ class TestVerdictArrays:
                 (a, b) for a in range(n) for b in range(n) if a != b
             ]
             assert json.dumps(verdict.to_dict()) == json.dumps(_dict_from_tuples(verdict))
-            assert verdict == verify(prepare(grid, registry.min_area), registry, record)
+            assert verdict == verify(next(prepare_all([grid], registry.min_area)), registry, record)
             assert n > 20 or grid is triple
 
     @pytest.mark.parametrize("rects", [[], [(2, 4, 4, 6, 6)]], ids=["no-object", "one-object"])
     def test_abstention_has_empty_arrays(self, small_experiment, rects):
         _, _, registry = small_experiment
         grid = grid_from_array(paint(rects), {2: "thing"})
-        for scene in (grid, prepare(grid, registry.min_area)):
-            verdict = verify(scene, registry)
+        scene = next(prepare_all([grid], registry.min_area))
+        for labelled in (grid, scene):
+            verdict = verify(labelled, registry)
             columns = (verdict.a_index, verdict.b_index, verdict.margins)
             assert [len(column) for column in columns] == [0, 0, 0]
             assert not any(column.flags.writeable for column in columns)
             assert verdict.pair_scores == ()
             assert verdict.to_dict()["pair_scores"] == []
-        assert verify(grid, registry) == verify(prepare(grid, registry.min_area), registry)
-
-    def test_verify_and_prepare_all_build_no_scene_object(self, small_experiment, monkeypatch):
-        # Objects stay columns of one table from labelling to the margins:
-        # with SceneObject refused, grids, scenes and twins give the
-        # results they gave before.
-        corpus, table, registry = small_experiment
-        triple, record = _find_triple(corpus, table, registry)
-        grids = [triple] + [_crowded_grid(seed, corpus.class_map) for seed in range(3)]
-        verdicts = [verify(grid, registry, record) for grid in grids]
-        scenes = list(prepare_all(grids, registry.min_area))
-        twins = [derive_contradiction(scene, 7) for scene in scenes]
-
-        def refuse(self, *args, **kwargs):
-            raise AssertionError("a SceneObject was built")
-
-        monkeypatch.setattr(SceneObject, "__init__", refuse)
-        with pytest.raises(AssertionError, match="SceneObject"):
-            extract_objects(triple, registry.min_area)[0]
-        assert [verify(grid, registry, record) for grid in grids] == verdicts
-        for scene, want, (twin, removed) in zip(
-            prepare_all(grids, registry.min_area), scenes, twins
-        ):
-            assert_same_scene(scene, want)
-            got_twin, got_removed = derive_contradiction(scene, 7)
-            assert got_removed == removed
-            assert_same_scene(got_twin, twin)
-            assert verify(scene, registry, record) == verify(want, registry, record)
+        assert verify(grid, registry) == verify(scene, registry)
 
     def test_twin_features_are_the_source_rows_without_its_object(self, small_experiment):
         # Training reads a twin's feature rows from its source scene's.
@@ -609,7 +580,7 @@ class TestVerdictArrays:
         detector = registry.global_detector
         stats, protos = detector.stats, detector.prototypes
         for seed in range(3):
-            scene = prepare(_crowded_grid(seed, corpus.class_map), registry.min_area)
+            scene = next(prepare_all([_crowded_grid(seed, corpus.class_map)], registry.min_area))
             X = featurize(scene.pairs, scene.objects, scene.hists, stats, protos)
             a, b = scene.pairs.a_index, scene.pairs.b_index
             for k in range(len(scene.objects)):
@@ -637,7 +608,7 @@ def _find_triple(corpus, table, registry):
     for image_id in corpus.image_ids("val"):
         grid = corpus.grid(image_id)
         objects = extract_objects(grid, registry.min_area)
-        classes = {o.class_id for o in objects}
+        classes = set(objects.class_id.tolist())
         if len(objects) == 3 and classes & {1, 6} and not classes & riders:
             record = table.record(image_id)
             if verify(grid, registry, record).contradiction is False:
@@ -664,10 +635,11 @@ class TestTrainRegistry:
             assert (d.prototypes[unseen] == 1.0 / SHAPE_BINS).all()
             assert unseen.any() or d is registry.global_detector
 
-    def test_small_contexts_fall_back_to_global(self, tmp_path):
+    def test_small_contexts_fall_back_to_global(self, tmp_path, monkeypatch):
         config = default_synthetic_config(n_images=40, seed=8)
         corpus, table = synth_corpus(config, tmp_path / "corpus")
-        registry = train_registry(corpus, table, "location", seed=8, n_min=1000)
+        monkeypatch.setattr(verifier_module, "N_MIN_CONTEXT", 1000)
+        registry = train_registry(corpus, table, "location", seed=8)
         assert registry.models == {}
         grid = corpus.grid(corpus.image_ids("val")[0])
         assert verify(grid, registry, table.record(grid.image_id)).model_used == GLOBAL_LABEL
@@ -702,12 +674,13 @@ class TestTrainRegistry:
             return accumulate(builder, objects, pairs)
 
         monkeypatch.setattr(verifier_module, "accumulate", spy)
-        registry = train_registry(corpus, table, "location", seed=8, n_min=n_min)
+        monkeypatch.setattr(verifier_module, "N_MIN_CONTEXT", n_min)
+        registry = train_registry(corpus, table, "location", seed=8)
         assert len(folded) == len(train_ids)
         assert len({id(b) for b in folded}) == 3  # inside, outside and the placeholder
         assert len(registry.models) == (2 if n_min == 20 else 0)
         # Each scope's statistics equal its scenes folded one by one into one builder.
-        scenes = {i: prepare(corpus.grid(i)) for i in train_ids}
+        scenes = {i: next(prepare_all([corpus.grid(i)])) for i in train_ids}
         scopes = [(GLOBAL_LABEL, train_ids)] + [
             (v, [i for i in train_ids if table.value(i, "location") == v]) for v in registry.models
         ]
@@ -735,7 +708,7 @@ class TestTrainRegistry:
         tag, per_image = verifier_module._TRAIN_TAG, verifier_module.CONTRADICTIONS_PER_IMAGE
         rows, want = [], []
         for idx, image_id in enumerate(sorted(corpus.image_ids("train"))):
-            scene = prepare(corpus.grid(image_id))
+            scene = next(prepare_all([corpus.grid(image_id)]))
             variants = [(scene, -1)]
             if len(scene.objects) >= 2:
                 seeds = [derive_seed(8, tag, idx, j) for j in range(per_image)]
