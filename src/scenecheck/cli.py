@@ -1,9 +1,9 @@
 """Command-line front end.
 
 One binary, subcommand style; every randomized command requires an
-explicit --seed so runs are reproducible.  Reports are JSON documents
-(tests and tooling assert on fields); evaluate additionally prints a
-human-readable table of the same data.
+explicit --seed, an integer in [0, 2**32), so runs are reproducible.
+Reports are JSON documents (tests and tooling assert on fields);
+evaluate additionally prints a human-readable table of the same data.
 
 An experiment chooses only `--context`: every tuning value is a library
 constant (README lists them), so every command counts the objects that
@@ -62,6 +62,16 @@ def _print_json(payload) -> None:
 
 def _context_arg(value: str) -> str | None:
     return None if value == "none" else value
+
+
+def _seed_arg(text: str) -> int:
+    """A --seed value: an integer in [0, 2**32), a part `derive_seed` takes."""
+    try:
+        seed = int(text)
+        derive_seed(seed)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer in [0, 2**32), got {text!r}") from None
+    return seed
 
 
 def cmd_synth(args) -> int:
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="Generate a synthetic corpus from a config file")
     p.add_argument("config", help="SyntheticConfig JSON document")
     p.add_argument("out", help="Corpus output directory")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("build-stats", help="Build co-occurrence statistics from the train split")
@@ -324,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-contradictions", help="Write paired valid/invalid examples")
     p.add_argument("corpus")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.add_argument("--split", default="val", choices=["train", "val"])
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen_contradictions)
@@ -332,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="Train the verifier registry")
     p.add_argument("corpus")
     p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -346,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="Evaluate a registry on the val split")
     p.add_argument("registry")
     p.add_argument("corpus")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed_arg, required=True)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 

@@ -251,10 +251,13 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         """At least one context, no two with one value, one image per
         context and one row and column per map, a train fraction and a
-        placeholder rate in [0, 1], and at least one value per noise
-        attribute, which must not be the context attribute.  Every class
-        id is at least 1, since 0 is the background, and names one class;
-        every class a context places is one of them."""
+        placeholder rate in [0, 1], a seed in [0, 2**32) as `derive_seed`
+        takes it, and at least one value per noise attribute, which must
+        not be the context attribute.  Every class id is at least 1, since
+        0 is the background, and names one class; every class a context
+        places is one of them."""
+        if not 0 <= self.seed < 2**32:
+            raise ValueError(f"seed is {self.seed}, expected an integer in [0, 2**32)")
         for name in ("n_images", "grid_height", "grid_width"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} is {getattr(self, name)}, expected at least 1")
@@ -598,9 +601,15 @@ def _synth_scene(rng, config: SyntheticConfig, ctx: ContextSpec) -> np.ndarray:
 
 
 def _place_rider(rng, arr, rider: ClassSpec, base_r0: int, base_c0: int, base_w: int) -> None:
+    """Paint `rider` on the base whose top row is `base_r0`, centred over
+    it; a PlacementError naming the rider's size, the base's and the
+    grid's when it is wider than the base or taller than the rows above."""
     rh, rw = _sample_size(rng, rider)
     if rw > base_w:
-        raise PlacementError(f"rider {rider.name} wider than its base")
+        raise PlacementError(
+            f"rider {rider.name} of width {rw} needs {rw} columns of its base,"
+            f" which is {base_w} wide, grid_width is {arr.shape[1]}"
+        )
     jitter_max = base_w - rw
     c0 = base_c0 + int(rng.integers(0, jitter_max + 1)) if jitter_max else base_c0
     # Keep the rider over the base's center column so elliptical bases
@@ -609,7 +618,10 @@ def _place_rider(rng, arr, rider: ClassSpec, base_r0: int, base_c0: int, base_w:
     c0 = min(max(c0, center - rw + 1), center)
     r0 = base_r0 - rh
     if r0 < 0:
-        raise PlacementError(f"rider {rider.name} does not fit above its base")
+        raise PlacementError(
+            f"rider {rider.name} of height {rh} needs {rh} rows above its base's top row"
+            f" {base_r0}, grid_height is {arr.shape[0]}"
+        )
     _paint(arr, rider, r0, c0, rh, rw)
 
 

@@ -39,7 +39,12 @@ set when the Moore neighbour in direction d holds the cell's own class.
 Two 8-adjacent pixels of one class always lie in one 8-connected
 component, so at a pixel of a component the same-class bits are exactly
 its neighbours in that component, and the codes of one grid serve every
-object traced on it.
+object traced on it.  An object whose every row is one run has its
+contour in closed form: `_run_contours` gives the walk's points from the
+runs alone, for many such objects in one numpy pass, with no grid and
+no neighbour codes.  The shape histograms take that path for a batch
+with enough of them, and the walk stays for every other object and as
+the reference.
 
 All functions here are pure; LabelGrid and ObjectTable are immutable
 after construction and safe to share across threads.
@@ -198,7 +203,8 @@ class ObjectTable:
     where some pixel of one object and some pixel of the other lie within
     Chebyshev distance 1; `label_maps` finds it while labelling.  Its
     outer boundary is not stored: `trace_boundaries` traces it from the
-    grid when a shape histogram needs it.
+    grid, or `_run_contours` reads it from the runs of an object with one
+    run per row, when a shape histogram needs it.
 
     A slice, an index array or a mask gives the table of those objects,
     in that order; an integer key, and so iteration, is a TypeError.
@@ -703,6 +709,70 @@ def _jump_table(stride: int) -> tuple[int, ...]:
     """
     offsets = [dr * stride + dc for dr, dc in _MOORE]
     return tuple(8 * offsets[d] + _BACK[d] - (i & 7) for i, d in enumerate(_NEXT))
+
+
+def _run_contours(runs: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`trace_boundaries` of objects whose every row is one run, from their
+    runs alone: object k's runs are `runs[offsets[k]:offsets[k + 1]]`, one
+    per row from its top row down, and at least one object is given.
+
+    With run i of an object covering columns A_i..B_i, its clockwise
+    contour from (top row, A_0) runs right along the top row and down
+    the right side: at each row change, on to columns B_i+1..B_{i+1} of
+    the new row when B_{i+1} > B_i, and otherwise back along row i to
+    column B_{i+1}+1 and then to (i+1, B_{i+1}).  It runs left along the
+    bottom row from B-1 to A and up the left side by the mirror rule: on
+    to columns A_i-1..A_{i-1} of the row above when A_{i-1} < A_i, and
+    otherwise along row i to column A_{i-1}-1 and then to (i-1,
+    A_{i-1}).  Its last point, the start again, is dropped unless it is
+    the only one.
+
+    So each run holds two pieces of the contour, each within its row: on
+    the right side it arrives towards B_i and departs back from it, on
+    the left side it arrives towards A_i and departs back from it.  A
+    piece is a V of columns, `apex + sign * |p - at|` at contour
+    position p, whose apex, B_i or A_i, lies at position `at`; an
+    arrival or departure may be empty.  An object's contour is the right
+    pieces of its runs from the top down, then the left pieces from the
+    bottom up, and one `np.repeat` over the piece table expands all of
+    them.  At an object's top and bottom run the missing neighbour's
+    column is replaced by one that gives the top row, the bottom row or
+    no point.
+    """
+    m = len(runs)
+    tops, bottoms = offsets[:-1], offsets[1:] - 1
+    apex = runs[:, 2:0:-1] - (1, 0)  # (B_i, A_i)
+    # The neighbour each piece arrives from and departs to: the run above
+    # and below on the right, below and above on the left.
+    came, goes = np.empty((m, 2), dtype=np.int64), np.empty((m, 2), dtype=np.int64)
+    came[1:, 0], came[:-1, 1] = apex[:-1, 0], apex[1:, 1]
+    goes[:-1, 0], goes[1:, 1] = apex[1:, 0], apex[:-1, 1]
+    came[tops, 0] = apex[tops, 1] - 1
+    goes[tops, 1] = apex[tops, 1]
+    goes[bottoms, 0] = came[bottoms, 1] = apex[bottoms, 0]
+    sign = np.array((-1, 1))
+    arrive = np.maximum(sign * (came - apex), 1)
+    arrive[bottoms, 1] = apex[bottoms, 0] - apex[bottoms, 1]
+    count = arrive + np.maximum(sign * (goes - apex) - 1, 0)
+    # The top run's left piece ends at the start: drop that point.
+    count[tops, 1] = np.maximum(arrive[tops, 1] - 1, 0)
+    # Contour order: the runs f..l of an object take piece slots 2f to
+    # 2l + 1, run j's right piece at f + j and its left piece at
+    # f + 2l + 1 - j.
+    h = np.diff(offsets)
+    j = np.arange(m)
+    walk = np.empty(2 * m, dtype=np.int64)
+    walk[tops.repeat(h) + j] = 2 * j
+    walk[(tops + 2 * bottoms + 1).repeat(h) - j] = 2 * j + 1
+    count = count.ravel().take(walk)
+    at = count.cumsum() - count + arrive.ravel().take(walk) - 1
+    piece = np.arange(2 * m).repeat(count)
+    points = np.empty((len(piece), 2), dtype=np.int64)
+    runs[:, 0].take(walk >> 1).take(piece, out=points[:, 0])
+    offset = np.abs(np.arange(len(piece)) - at.take(piece))
+    offset *= sign.take(walk & 1).take(piece)
+    np.add(apex.ravel().take(walk).take(piece), offset, out=points[:, 1])
+    return points, np.add.reduceat(count, 2 * tops)
 
 
 def trace_boundaries(grid: LabelGrid, objects: ObjectTable) -> tuple[np.ndarray, np.ndarray]:

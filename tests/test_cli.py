@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -109,6 +110,19 @@ class TestSynth:
             main(["synth", "conf.json", str(tmp_path / "c")])
         assert exc.value.code == 2
 
+    def test_largest_seed_runs_and_differs_from_seed_0(self, tmp_path):
+        # 2**32 - 1 is the last seed `derive_seed` takes; -1 used to be cut
+        # to it, and 2**32 + 1 to 1.
+        doc = json.loads(SHIPPED_CONFIG.read_text())
+        doc["n_images"] = 2
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(doc))
+        for seed in ("0", "4294967295"):
+            assert main(["synth", str(config), str(tmp_path / seed), "--seed", seed]) == 0
+        first, last = (sorted((tmp_path / s / "images").iterdir()) for s in ("0", "4294967295"))
+        assert [p.name for p in first] == [p.name for p in last]
+        assert [p.read_bytes() for p in first] != [p.read_bytes() for p in last]
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
     @pytest.mark.parametrize(
         "path, value, error",
@@ -116,7 +130,8 @@ class TestSynth:
             (("contexts", 1, "stack"), [7, 8], "error: FormatError: {config}: "),
             (
                 ("contexts", 1, "stack"), [8, 12],
-                "error: PlacementError: {config}: rider bicycle wider than its base\n",
+                "error: PlacementError: {config}: rider bicycle of width 13 needs 13 columns"
+                " of its base, which is 11 wide, grid_width is 64\n",
             ),
             (
                 ("grid_height",), 24,
@@ -165,7 +180,39 @@ class TestSynth:
         assert "row -" not in err and "cannot fit in [" not in err
         message = err.removeprefix(f"error: PlacementError: {config}: ")
         assert any(c["name"] in message.split() for c in doc["classes"])
+        if message.startswith("rider "):
+            # Heights 27 to 31: the rider's height, the base's top row and
+            # the grid's height, with the rider taller than the rows above.
+            rider = re.fullmatch(
+                rf"rider \w+ of height (\d+) needs \1 rows above its base's top row (\d+),"
+                rf" grid_height is {height}\n",
+                message,
+            )
+            assert rider and int(rider[2]) < int(rider[1])
         assert sorted(tmp_path.rglob("*")) == [config]
+
+
+@pytest.mark.parametrize("seed", ["4294967296", "4294967297", "-1", "-4294967295", "1.5"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "{dir}/config.json", "{dir}/corpus"],
+        ["gen-contradictions", "{dir}/corpus", "-o", "{dir}/pairs"],
+        ["train", "{dir}/corpus", "-o", "{dir}/registry.json"],
+        ["evaluate", "{dir}/registry.json", "{dir}/corpus", "-o", "{dir}/report"],
+    ],
+    ids=["synth", "gen-contradictions", "train", "evaluate"],
+)
+def test_seed_outside_32_bits_is_usage_error(tmp_path, capsys, argv, seed):
+    # Each part of a derived seed is one 32-bit word, so a --seed outside
+    # [0, 2**32) would give the draws of another seed.
+    argv = [a.format(dir=tmp_path) for a in argv] + ["--seed", seed]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be an integer in [0, 2**32), got '{seed}'" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def _synth_config_mutants(doc):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenecheck import (
     GLOBAL_LABEL,
@@ -350,6 +352,8 @@ class TestSynthCorpus:
                 "context", "value", "outside",
                 "two contexts have the value 'outside', which names their images",
             ),
+            ("config", "seed", 4294967297, "seed is 4294967297, expected an integer in [0, 2**32)"),
+            ("config", "seed", -1, "seed is -1, expected an integer in [0, 2**32)"),
         ],
         ids=[
             "height-a-string", "n_images-fractional", "n_images-negative", "n_images-zero",
@@ -363,7 +367,7 @@ class TestSynthCorpus:
             "pair-without-satellite",
             "triple-with-one-free-satellite", "stack-pair-without-stack-or-two-satellites",
             "lone-without-classes", "stack-bias-above-1", "stack-bias-negative",
-            "context-value-duplicate",
+            "context-value-duplicate", "seed-above-32-bits", "seed-negative",
         ],
     )
     def test_config_leaf_of_the_wrong_type_or_value_is_format_error(
@@ -696,3 +700,19 @@ class TestDerivedSeeds:
         assert derive_seed(1, 2, 3) == derive_seed(1, 2, 3)
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert derive_seed(0) != derive_seed(1)
+
+    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_parts_in_32_bits_keep_their_derived_seed(self, parts):
+        # The seed sequence of the parts themselves, which every earlier
+        # derivation used for parts in range.
+        state = np.random.SeedSequence(parts).generate_state(2)
+        assert derive_seed(*parts) == int(state[0]) << 32 | int(state[1])
+
+    @pytest.mark.parametrize("bad", [-1, 2**32, 2**32 + 1, -(2**32) + 1, 2**64])
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_part_outside_32_bits_is_value_error(self, bad, at):
+        # Cut to 32 bits, 2**32 + 1 would draw as 1 and -1 as 2**32 - 1.
+        parts = [1, 202, 7]
+        parts[at] = bad
+        with pytest.raises(ValueError, match=rf"seed part {bad} is outside \[0, 2\*\*32\)"):
+            derive_seed(*parts)

@@ -27,6 +27,7 @@ from scenecheck import (
     load_label_grid,
     parse_label_grid,
     synth_corpus,
+    trace_boundaries,
 )
 from scenecheck import labelgrid
 from scenecheck.labelgrid import _BATCH_CELLS, _plain_cells, grid_batches
@@ -958,3 +959,56 @@ def test_boundaries_equal_the_mask_trace_on_named_shapes():
     for k in range(len(objects)):
         traced = _mask_trace(pixels(objects, k), objects.bbox[k].tolist())
         assert boundary(grid, objects, k) == traced
+
+
+@st.composite
+def _one_run_per_row_maps(draw):
+    """Maps of objects whose every row is one run: one object of a random
+    class per 7-square lattice cell, drawn in the cell's top-left 6-square
+    so that no two objects touch, with the last row and column of cells
+    on the grid edge.  Each run reaches the run above by an overlap or by
+    a corner only."""
+    cells = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    arr = np.zeros((cells[0] * 7 - 1, cells[1] * 7 - 1), dtype=np.int32)
+    for i in range(cells[0]):
+        for j in range(cells[1]):
+            cls = draw(st.integers(1, 3))
+            a = draw(st.integers(0, 5))
+            b = draw(st.integers(a, 5))
+            for r in range(draw(st.integers(0, 6))):
+                if r:
+                    above = a
+                    a = draw(st.integers(0, min(5, b + 1)))
+                    b = draw(st.integers(max(a, above - 1), 5))
+                arr[i * 7 + r, j * 7 + a : j * 7 + b + 1] = cls
+    return arr
+
+
+def _one_run_per_row_named_array():
+    arr = np.zeros((8, 13), dtype=np.int32)
+    arr[0, 0] = 1  # single pixel in the corner
+    arr[0, 2:6] = 2  # one row
+    arr[2:8, 0] = 3  # one column down the left edge
+    arr[2, 2:4] = arr[3, 4:6] = arr[4, 1:2] = arr[5, 2:3] = 1  # links by a corner only
+    arr[4:8, 9:13] = 2  # a rectangle in the bottom right corner
+    arr[0, 8] = arr[1, 7:10] = arr[2, 6:11] = arr[3, 8] = 3  # a diamond, one pixel at each end
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@example(_one_run_per_row_named_array(), 1)
+@given(_one_run_per_row_maps(), st.sampled_from((1, 3)))
+def test_run_contours_equal_the_walk_and_the_mask_trace(arr, min_area):
+    grid = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(grid, min_area)
+    assert (np.diff(objects.offsets) == objects.bbox[:, 2] - objects.bbox[:, 0] + 1).all()
+    if not len(objects):
+        return
+    points, lengths = labelgrid._run_contours(objects.runs, objects.offsets)
+    walked, walked_lengths = trace_boundaries(grid, objects)
+    assert points.dtype == lengths.dtype == np.int64
+    assert np.array_equal(points, walked) and np.array_equal(lengths, walked_lengths)
+    ends = lengths.cumsum().tolist()
+    for k, (n, end) in enumerate(zip(lengths.tolist(), ends)):
+        contour = tuple(map(tuple, points[end - n : end].tolist()))
+        assert contour == _mask_trace(pixels(objects, k), objects.bbox[k].tolist())

@@ -888,3 +888,92 @@ def test_fewer_than_two_objects_make_an_empty_table(rects):
     table = relations_for_objects(grid, objects)
     assert len(table) == 0
     assert table.rdist.dtype == np.float64 and table.rpos.dtype == np.int64
+
+
+def _rectangles_map(n_rects, walked_shapes):
+    """A map of `n_rects` rectangles of class 1, one run per row each, and,
+    when `walked_shapes`, a U-shape and a ring of class 2, whose rows hold
+    two runs.  Rectangles run 1 to 3 rows by 2 to 5 columns; a 3-row one
+    has its bottom row cut to one pixel."""
+    arr = np.zeros((8, 7 * n_rects + 15), dtype=np.int32)
+    for i in range(n_rects):
+        arr[1 : 2 + i % 3, 7 * i + 1 : 7 * i + 3 + i % 4] = 1
+        if i % 3 == 2:
+            arr[3, 7 * i + 2 : 7 * i + 3 + i % 4] = 0
+    if walked_shapes:
+        u, ring = arr[1:6, -14:-9], arr[1:7, -7:-1]
+        u[:, :] = ring[:, :] = 2
+        u[:-1, 1:-1] = ring[1:-1, 1:-1] = 0
+    return grid_from_array(arr, {1: "box", 2: "bend"})
+
+
+def test_mixed_batches_at_and_below_the_run_minimum_equal_each_map_alone(monkeypatch):
+    # Batches of N - 1 and N objects with one run per row, N the minimum
+    # at which their contours come from their runs, with and without a
+    # U-shape and a ring, which are walked whichever path the rest take.
+    n = relations._RUN_CONTOURS_MIN
+    batches = [
+        ([(n - 1, True)], False),
+        ([(n, True)], True),
+        ([(n, False)], True),
+        ([(1, False), (n - 2, True)], False),
+        ([(2, True), (n - 2, False), (0, True)], True),
+        ([(n + 3, True), (n - 1, True)], True),
+    ]
+    calls = []
+
+    def counted(runs, offsets):
+        calls.append(len(offsets) - 1)
+        return labelgrid._run_contours(runs, offsets)
+
+    for spec, by_runs in batches:
+        grids = [_rectangles_map(k, shapes) for k, shapes in spec]
+        tables = [extract_objects(g, 1) for g in grids]
+        expected = [
+            [_shape_histogram_reference(g, objs, k) for k in range(len(objs))]
+            for g, objs in zip(grids, tables)
+        ]
+        alone = [shape_histogram(g, objs).tolist() for g, objs in zip(grids, tables)]
+        monkeypatch.setattr(relations, "_run_contours", counted)
+        calls.clear()
+        got = [h.tolist() for h in relations.shape_histograms(grids, tables)]
+        monkeypatch.undo()
+        assert calls == ([sum(k for k, _ in spec)] if by_runs else [])
+        assert got == alone == expected
+
+
+def _crowded_map(rng):
+    """A 96 x 128 map of 40 rectangles and ellipses, one per 12 x 16 cell,
+    of three classes; every row of each is one run."""
+    arr = np.zeros((96, 128), dtype=np.int32)
+    for i in range(8):
+        for j in range(5):
+            h, w = (int(v) for v in rng.integers(2, 11, size=2))
+            cell = arr[12 * i : 12 * i + h, 16 * j + 3 : 16 * j + 3 + w]
+            rows, cols = np.ogrid[:h, :w]
+            inside = ((rows - (h - 1) / 2) / (h / 2)) ** 2 + ((cols - (w - 1) / 2) / (w / 2)) ** 2
+            cell[inside <= 1 if (i + j) % 2 else slice(None)] = int(rng.integers(1, 4))
+    return grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+
+
+def test_a_crowded_map_traces_no_boundary_and_a_pair_map_does(rng, monkeypatch):
+    grid = _crowded_map(rng)
+    objects = extract_objects(grid, 1)
+    assert len(objects) == 40
+    expected = [_shape_histogram_reference(grid, objects, k) for k in range(40)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("traced a boundary of an object with one run per row")
+
+    monkeypatch.setattr(relations, "trace_boundaries", refuse)
+    assert shape_histogram(grid, objects).tolist() == expected
+    traced = []
+
+    def counted(grid, objects):
+        traced.append(len(objects))
+        return trace_boundaries(grid, objects)
+
+    monkeypatch.setattr(relations, "trace_boundaries", counted)
+    pair = objects[:2]
+    assert shape_histogram(grid, pair).tolist() == expected[:2]
+    assert traced == [2]
