@@ -9,7 +9,8 @@ An experiment chooses only `--context`: every tuning value is a library
 constant (README lists them), so every command counts the objects that
 the registry verifies.
 
-Exit codes: 0 success, 1 validation error, 2 usage error.
+Exit codes: 0 success, 1 validation error or an output that cannot be
+written, 2 usage error.  Either error of exit 1 is one `error:` line.
 """
 
 from __future__ import annotations
@@ -368,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SceneCheckError as exc:
+    except (SceneCheckError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -749,11 +749,11 @@ def _expect(what: str, got, fixed: int | str) -> None:
         raise ValueError(f"{what} is {got!r}, expected {fixed!r}")
 
 
-def _count(what: str, value) -> int:
+def _count(what: str, value, least: int = 0) -> int:
     """`value`, which must be an integer that an int64 count array holds,
-    at least 0; anything else is a ValueError naming `what`."""
-    if type(value) is not int or not 0 <= value < 2**63:
-        raise ValueError(f"{what} holds {value!r}, expected an integer count in [0, 2**63)")
+    at least `least`; anything else is a ValueError naming `what`."""
+    if type(value) is not int or not least <= value < 2**63:
+        raise ValueError(f"{what} holds {value!r}, expected an integer count in [{least}, 2**63)")
     return value
 
 
@@ -797,7 +797,10 @@ class _ClassRows(dict):
 
 def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     """The statistics of a document whose `classes` are strictly increasing
-    class ids and whose counts `_count` accepts."""
+    class ids and whose counts `_count` accepts.  A class or pair entry
+    holds some count above 0, and every size observation a count and
+    pixel counts of at least 1, as `_stats_to_doc` writes them; a
+    document that loads saves back to itself."""
     _expect("k_dist", doc["k_dist"], K_DIST)
     classes = _read(list[int], doc["classes"], "classes")
     if classes != sorted(set(classes)):
@@ -812,17 +815,21 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
 
     builder.images = _count("images", doc["images"])
     for c, n in _read(dict[int, object], doc["class_image_counts"], "class_image_counts").items():
-        builder.class_images[row[c]] = _count(f"class_image_counts of {c}", n)
+        builder.class_images[row[c]] = _count(f"class_image_counts of {c}", n, 1)
     for i, j, what, n in entries("presence_counts"):
-        builder.presence[i, j] = builder.presence[j, i] = _count(what, n)
+        builder.presence[i, j] = builder.presence[j, i] = _count(what, n, 1)
     for name in ("position", "proximity", "distance"):
         counts = getattr(builder, name)
         for i, j, what, v in entries(f"{name}_counts"):
             _expect(f"length of {what}", len(v), counts.shape[2])
             counts[i, j] = [_count(what, n) for n in v]
+            if not counts[i, j].any():
+                raise ValueError(f"{what} holds only zeros")
     for i, j, what, obs in entries("size_obs"):
+        if obs == []:
+            raise ValueError(f"{what} is empty")
         builder.size_obs[i, j] = Counter(
-            {(_count(what, pa), _count(what, pb)): _count(what, n) for pa, pb, n in obs}
+            {(_count(what, pa, 1), _count(what, pb, 1)): _count(what, n, 1) for pa, pb, n in obs}
         )
     return finalize(builder, alpha=_read(float, doc["alpha"], "alpha"))
 

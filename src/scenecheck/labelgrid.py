@@ -42,9 +42,9 @@ its neighbours in that component, and the codes of one grid serve every
 object traced on it.  An object whose every row is one run has its
 contour in closed form: `_run_contours` gives the walk's points from the
 runs alone, for many such objects in one numpy pass, with no grid and
-no neighbour codes.  The shape histograms take that path for a batch
-with enough of them, and the walk stays for every other object and as
-the reference.
+no neighbour codes.  The shape histograms take that path for every
+such object, whatever the batch; the walk stays for an object with two
+runs in some row, and as the reference.
 
 All functions here are pure; LabelGrid and ObjectTable are immutable
 after construction and safe to share across threads.

@@ -12,11 +12,10 @@ summarized as a histogram of normalized boundary-to-centroid
 distances (the centroid-distance signature); a scene's histograms are
 the rows of one array, and its boundaries are found only there.
 `shape_histograms` bins the objects of many maps, whatever their
-number, in one pass over their concatenated contours.  When a batch
-holds at least _RUN_CONTOURS_MIN objects whose every row is one run,
-their contours come from their runs in one `labelgrid._run_contours`
-pass; the other objects, and every object of a smaller batch, are
-Moore-traced by `trace_boundaries`, one call per map.
+number, in one pass over their concatenated contours.  An object whose
+every row is one run takes its contour from its runs, all such objects
+of a batch in one `labelgrid._run_contours` pass; an object with two
+runs in some row is Moore-traced by `trace_boundaries`, one call per map.
 
 Octants and shape samples are computed with numpy over whole arrays.
 Both are then cut into discrete codes and bins, where a last-bit
@@ -61,13 +60,6 @@ _SAMPLE_INDEX = np.arange(SHAPE_SAMPLES)  # j, of sample t_j = j * h
 # last place, about 1e-15 on the octant sector and bin scales; a value
 # this close to an edge is recomputed with math.
 _EDGE_EPS = 1e-9
-# A batch takes contours from runs when at least this many of its objects
-# have one run per row.  On a 2-vCPU VM (Python 3.11, numpy 2.4) both ways
-# cost about the same at 6 to 8 such objects of one 96 x 128 map, and at
-# 3 in a batch of two 48 x 64 maps, since the walk builds neighbour codes
-# per map; on one 48 x 64 map of 1 to 3 objects the walk was 20 to 45 us
-# faster.
-_RUN_CONTOURS_MIN = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,73 +115,51 @@ def shape_histograms(
 ) -> list[np.ndarray]:
     """`shape_histogram(grids[i], objects[i])` of each map, binned together.
 
-    A batch of at least _RUN_CONTOURS_MIN objects goes to
-    `_histograms_by_runs`, which takes the contours of its objects with
-    one run per row from their runs when there are that many.  Otherwise
-    each map's boundaries are traced in one `trace_boundaries` call.
-    Every object of the batch, whatever their number, is binned in one
+    An object whose run count equals its bbox height, so that every row
+    is one run, takes its contour from its runs: all such objects of the
+    batch in one `_run_contours` pass.  Every other object is walked by
+    `trace_boundaries`, one call per map that holds one.  Both give the
+    same contours, so each object's histogram is bit-identical whatever
+    else is in the batch.  Every object of the batch is binned in one
     `_histograms` pass over all the contours, with `np.hypot` samples and
-    the `_hypot` fallback near bin edges.  Both ways give the same
-    contours, so each object's histogram is bit-identical whatever else
-    is in the batch.  The arrays returned are read-only views of one
-    array.
+    the `_hypot` fallback near bin edges.  The arrays returned are
+    read-only views of one array.
     """
     if not objects:
         return []
     ends = list(itertools.accumulate(len(objs) for objs in objects))
-    hists = _histograms_by_runs(grids, objects, ends) if ends[-1] >= _RUN_CONTOURS_MIN else None
-    if hists is None:
-        hists = _histograms(*_concat([_traced(g, objs) for g, objs in zip(grids, objects)]))
+    bbox, centroid, pixel_count, run_counts, runs = _concat(
+        [(o.bbox, o.centroid, o.pixel_count, np.diff(o.offsets), o.runs) for o in objects]
+    )
+    walk = run_counts != bbox[:, 2] - bbox[:, 0] + 1
+    contours = []
+    if walk.any():
+        # The objects with one run per row are binned first, then each
+        # map's walked ones; no row depends on another, so the rows are
+        # put back in object order afterwards.
+        order = np.argsort(walk, kind="stable")
+        bbox, centroid, pixel_count = bbox[order], centroid[order], pixel_count[order]
+        runs, run_counts = runs[~walk.repeat(run_counts)], run_counts[~walk]
+        contours = [
+            trace_boundaries(grid, objs[w])
+            for grid, objs, w in zip(grids, objects, np.split(walk, ends[:-1]))
+            if w.any()
+        ]
+    if len(run_counts):
+        contours.insert(0, _run_contours(runs, np.concatenate(([0], run_counts.cumsum()))))
+    if not contours:
+        hists = np.zeros((0, SHAPE_BINS))
+    else:
+        hists = _histograms(bbox[:, :2], centroid, pixel_count, *_concat(contours))
+    if walk.any():
+        hists = hists[np.argsort(order)]
     hists.flags.writeable = False
     return [hists[e - len(objs) : e] for objs, e in zip(objects, ends)]
-
-
-def _traced(grid: LabelGrid, objects: ObjectTable) -> tuple[np.ndarray, ...]:
-    """The `_histograms` arguments of `objects`, components of `grid`, with
-    their contours traced by `trace_boundaries`."""
-    bbox = objects.bbox
-    return (bbox[:, :2], objects.centroid, objects.pixel_count, *trace_boundaries(grid, objects))
 
 
 def _concat(columns: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
     """Tuples of arrays concatenated field by field."""
     return columns[0] if len(columns) == 1 else tuple(map(np.concatenate, zip(*columns)))
-
-
-def _histograms_by_runs(
-    grids: Sequence[LabelGrid], objects: Sequence[ObjectTable], ends: list[int]
-) -> np.ndarray | None:
-    """The `_histograms` rows of a batch, in object order, with the contours
-    of its objects that have one run per row taken from their runs by
-    `_run_contours`, in one pass; None when fewer than _RUN_CONTOURS_MIN
-    objects have one run per row.
-
-    Those objects are binned first and the rest, each map's traced by
-    `trace_boundaries`, after them.  No row depends on another, so the
-    rows put back in object order are those of the batch binned in order.
-    """
-    bbox, centroid, pixel_count, run_counts, runs = _concat(
-        [(o.bbox, o.centroid, o.pixel_count, np.diff(o.offsets), o.runs) for o in objects]
-    )
-    by_runs = run_counts == bbox[:, 2] - bbox[:, 0] + 1
-    if np.count_nonzero(by_runs) < _RUN_CONTOURS_MIN:
-        return None
-    offsets = np.concatenate(([0], run_counts[by_runs].cumsum()))
-    columns = [
-        (
-            bbox[by_runs, :2],
-            centroid[by_runs],
-            pixel_count[by_runs],
-            *_run_contours(runs[by_runs.repeat(run_counts)], offsets),
-        )
-    ]
-    for grid, objs, walk in zip(grids, objects, np.split(~by_runs, ends[:-1])):
-        if walk.any():
-            columns.append(_traced(grid, objs[walk]))
-    order = np.concatenate((by_runs.nonzero()[0], (~by_runs).nonzero()[0]))
-    hists = np.empty((len(order), SHAPE_BINS))
-    hists[order] = _histograms(*_concat(columns))
-    return hists
 
 
 def _hypot(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
@@ -205,9 +175,9 @@ def _histograms(
     points: np.ndarray,
     lengths: np.ndarray,
 ) -> np.ndarray:
-    """`shape_histogram` rows of objects with these bbox corners (r0, c0),
-    centroids and pixel counts, binned in one pass over the concatenated
-    contours in the form `trace_boundaries` returns.
+    """`shape_histogram` rows of one or more objects with these bbox corners
+    (r0, c0), centroids and pixel counts, binned in one pass over the
+    concatenated contours in the form `trace_boundaries` returns.
 
     Point i of a contour of L points steps to point (i + 1) mod L, a
     segment of 1 or the diagonal, since the points are 8-adjacent; a
@@ -228,8 +198,6 @@ def _histograms(
     its own bbox-relative centroid, so all its samples are 0.
     """
     k = len(corners)
-    if not k:
-        return np.zeros((0, SHAPE_BINS))
     corners, n = corners.astype(np.float64), pixel_count[:, None].astype(np.float64)
     ends = lengths.cumsum()
     starts = ends - lengths

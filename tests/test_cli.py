@@ -566,6 +566,37 @@ def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command)
     assert json.loads(out.read_text())
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["synth", "build-stats", "select-contexts", "gen-contradictions", "train", "evaluate"],
+)
+def test_output_that_cannot_be_created_is_one_error_line(pipeline, tmp_path, capsys, command):
+    # A regular file where the output's directory should be, or, for train,
+    # a directory where its file should be.
+    root, corpus_dir, registry_path = pipeline
+    afile, adir = tmp_path / "afile", tmp_path / "adir"
+    afile.write_text("")
+    adir.mkdir()
+    blocked = adir if command == "train" else afile
+    out = {"synth": afile, "gen-contradictions": afile / "g", "train": adir}.get(
+        command, afile / "x.json"
+    )
+    argv = {
+        "synth": ["synth", str(root / "config.json"), str(out), "--seed", "1"],
+        "build-stats": ["build-stats", str(corpus_dir), "-o", str(out)],
+        "select-contexts": ["select-contexts", str(corpus_dir), "-o", str(out)],
+        "gen-contradictions": ["gen-contradictions", str(corpus_dir), "--seed", "1", "-o", str(out)],
+        "train": ["train", str(corpus_dir), "--seed", "1", "-o", str(out)],
+        "evaluate": ["evaluate", str(registry_path), str(corpus_dir), "--seed", "1", "-o", str(out)],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"'{blocked}" in err and "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestTrain:
     def test_printed_scopes_equal_the_saved_registry(self, pipeline, tmp_path, capsys):
         _, corpus_dir, _ = pipeline
@@ -645,6 +676,21 @@ class TestVerifyCommand:
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["contradiction"] is False
         assert verdict["confidence"] == 0.5
+
+    def test_registry_with_an_emptied_size_observation_list_is_one_line(
+        self, pipeline, tmp_path, capsys
+    ):
+        _, corpus_dir, registry_path = pipeline
+        doc = json.loads(registry_path.read_text())
+        a, b, observations = doc["global"]["stats"]["size_obs"][0]
+        observations.clear()
+        mutant = tmp_path / "registry.json"
+        mutant.write_text(json.dumps(doc))
+        image = next((corpus_dir / "images").glob("inside_*.lgrid"))
+        assert main(["verify", str(mutant), str(image)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: FormatError: {mutant}: malformed document: size_obs of ({a}, {b}) is empty\n"
+        )
 
     @pytest.mark.parametrize(
         "flag, doc",
@@ -777,6 +823,7 @@ def _mutations(parent, key):
         "inf": put(math.inf),
         "minus-one": put(-1),
         "empty-list": put([]),
+        "zero": put(0),
     }
     if type(value) in (int, float):
         mutations["plus-half"] = put(value + 0.5)

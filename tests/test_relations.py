@@ -907,38 +907,64 @@ def _rectangles_map(n_rects, walked_shapes):
     return grid_from_array(arr, {1: "box", 2: "bend"})
 
 
-def test_mixed_batches_at_and_below_the_run_minimum_equal_each_map_alone(monkeypatch):
-    # Batches of N - 1 and N objects with one run per row, N the minimum
-    # at which their contours come from their runs, with and without a
-    # U-shape and a ring, which are walked whichever path the rest take.
-    n = relations._RUN_CONTOURS_MIN
+def test_each_object_takes_its_contour_from_its_runs_or_the_walk_whatever_the_batch(
+    monkeypatch,
+):
+    # Batches of one to three maps of 0 to 8 rectangles, with and without
+    # a U-shape and a ring, blank maps, and the two walked shapes alone.
+    # A walked map ahead of a map of rectangles puts their rows out of
+    # object order, so the rows must be put back.
     batches = [
-        ([(n - 1, True)], False),
-        ([(n, True)], True),
-        ([(n, False)], True),
-        ([(1, False), (n - 2, True)], False),
-        ([(2, True), (n - 2, False), (0, True)], True),
-        ([(n + 3, True), (n - 1, True)], True),
+        [(0, False)],
+        [(0, False), (0, False)],
+        [(0, True)],
+        [(0, True), (0, False), (0, True)],
+        [(1, False)],
+        [(2, True)],
+        [(8, False)],
+        [(1, False), (3, True)],
+        [(2, True), (3, False), (0, True)],
+        [(8, True), (4, True)],
+        [(0, False), (5, True), (2, False)],
     ]
-    calls = []
+    by_runs, walked = [], []
 
-    def counted(runs, offsets):
-        calls.append(len(offsets) - 1)
+    def from_runs(runs, offsets):
+        by_runs.append((runs, offsets))
         return labelgrid._run_contours(runs, offsets)
 
-    for spec, by_runs in batches:
+    def traced(grid, objects):
+        walked.append((grid, objects))
+        return trace_boundaries(grid, objects)
+
+    for spec in batches:
         grids = [_rectangles_map(k, shapes) for k, shapes in spec]
         tables = [extract_objects(g, 1) for g in grids]
+        boxes = [objs[objs.class_id == 1] for objs in tables]
+        bends = [(g, objs[objs.class_id == 2]) for g, objs in zip(grids, tables)]
         expected = [
             [_shape_histogram_reference(g, objs, k) for k in range(len(objs))]
             for g, objs in zip(grids, tables)
         ]
         alone = [shape_histogram(g, objs).tolist() for g, objs in zip(grids, tables)]
-        monkeypatch.setattr(relations, "_run_contours", counted)
-        calls.clear()
+        monkeypatch.setattr(relations, "_run_contours", from_runs)
+        monkeypatch.setattr(relations, "trace_boundaries", traced)
+        by_runs.clear()
+        walked.clear()
         got = [h.tolist() for h in relations.shape_histograms(grids, tables)]
         monkeypatch.undo()
-        assert calls == ([sum(k for k, _ in spec)] if by_runs else [])
+        assert [len(b) for b in boxes] == [k for k, _ in spec]
+        if any(len(b) for b in boxes):
+            (runs, offsets), = by_runs
+            assert runs.tolist() == np.concatenate([b.runs for b in boxes]).tolist()
+            assert np.diff(offsets).tolist() == np.concatenate(
+                [np.diff(b.offsets) for b in boxes]
+            ).tolist()
+        else:
+            assert by_runs == []
+        want = [(g, b) for g, b in bends if len(b)]
+        assert len(want) == len(walked) == sum(shapes for _, shapes in spec)
+        assert all(g is h and o == b for (g, o), (h, b) in zip(walked, want))
         assert got == alone == expected
 
 
@@ -956,7 +982,9 @@ def _crowded_map(rng):
     return grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
 
 
-def test_a_crowded_map_traces_no_boundary_and_a_pair_map_does(rng, monkeypatch):
+def test_a_crowded_map_and_a_pair_of_it_trace_nothing_and_a_ring_is_traced_alone(
+    rng, monkeypatch
+):
     grid = _crowded_map(rng)
     objects = extract_objects(grid, 1)
     assert len(objects) == 40
@@ -967,13 +995,23 @@ def test_a_crowded_map_traces_no_boundary_and_a_pair_map_does(rng, monkeypatch):
 
     monkeypatch.setattr(relations, "trace_boundaries", refuse)
     assert shape_histogram(grid, objects).tolist() == expected
+    assert shape_histogram(grid, objects[:2]).tolist() == expected[:2]
+    # A ring beside the 40 shapes, which fill columns 3 to 76.
+    arr = grid.to_array().copy()
+    arr[40:46, 100:106] = 2
+    arr[41:45, 101:105] = 0
+    ringed = grid_from_array(arr, {1: "a", 2: "b", 3: "c"})
+    objects = extract_objects(ringed, 1)
+    ring = objects.bbox[:, 1] == 100
+    assert len(objects) == 41 and ring.sum() == 1
     traced = []
 
     def counted(grid, objects):
-        traced.append(len(objects))
+        traced.append(objects)
         return trace_boundaries(grid, objects)
 
     monkeypatch.setattr(relations, "trace_boundaries", counted)
-    pair = objects[:2]
-    assert shape_histogram(grid, pair).tolist() == expected[:2]
-    assert traced == [2]
+    assert shape_histogram(ringed, objects).tolist() == [
+        _shape_histogram_reference(ringed, objects, k) for k in range(41)
+    ]
+    assert traced == [objects[ring]]

@@ -406,6 +406,44 @@ class TestQuery:
             load_model(path)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize("how", ["emptied", "counts", "pixels-a", "pixels-b"])
+    def test_size_obs_without_an_observation_rejected_on_load(self, tmp_path, how):
+        # Values accumulate never writes, which left no observation to
+        # take the size moments of, or the log of a pixel count of 0.
+        path = tmp_path / "stats.json"
+        save_model(path, finalize(_hand_builder()))
+        doc = json.loads(path.read_text())
+        a, b, observations = doc["size_obs"][0]
+        if how == "emptied":
+            observations.clear()
+        for observation in observations:
+            observation[{"pixels-a": 0, "pixels-b": 1, "counts": 2}[how]] = 0
+        message = "is empty" if how == "emptied" else "holds 0, expected an integer count in [1,"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"size_obs of ({a}, {b}) {message}")) as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "key", ["class_image_counts", "presence_counts", "position_counts", "distance_counts"]
+    )
+    def test_count_entry_of_zeros_rejected_on_load(self, tmp_path, key):
+        # Saving writes no such entry, so one that loaded would not save back.
+        path = tmp_path / "stats.json"
+        save_model(path, finalize(_hand_builder()))
+        doc = json.loads(path.read_text())
+        if key == "class_image_counts":
+            c = next(iter(doc[key]))
+            doc[key][c], where = 0, f"{key} of {c}"
+        else:
+            entry = doc[key][0]
+            entry[2] = 0 if key == "presence_counts" else [0] * len(entry[2])
+            where = f"{key} of ({entry[0]}, {entry[1]}) holds"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(where)) as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+
     def test_zscore_unseen_pair_standard_normal_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
         assert (lookup(model, "size_mean", 2, 2), lookup(model, "size_std", 2, 2)) == (0.0, 1.0)
