@@ -80,7 +80,6 @@ from .verifier import (
     Verdict,
     VerifierRegistry,
     aggregate,
-    derive_contradiction,
     featurize,
     prepare_all,
     score,

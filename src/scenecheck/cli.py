@@ -32,6 +32,7 @@ from .corpus import (
     SyntheticConfig,
     generate_contradiction,
     load_model,
+    paint_removal,
     read_attributes,
     read_classes,
     save_model,
@@ -50,7 +51,6 @@ from .verifier import (
     GLOBAL_LABEL,
     VerifierRegistry,
     build_stats,
-    derive_contradiction,
     prepare_all,
     train_registry,
     verify,
@@ -229,6 +229,25 @@ def _tally(rows, correct_key: str) -> dict:
     }
 
 
+def _scenes_and_twins(grids, min_area: int, seed: int):
+    """(scene, twin) of each of `grids`: its Scene and the Scene of the twin
+    `gen-contradictions` writes for it under `seed`, None below two objects.
+    Each batch's twins are painted from its scenes' objects and prepared in
+    one `prepare_all` call."""
+    idx = 0
+    for batch in grid_batches(grids):
+        scenes = list(prepare_all(batch, min_area))
+        painted = [
+            paint_removal(grid, scene.objects, derive_seed(seed, EVAL_TAG, idx + i))[0]
+            for i, (grid, scene) in enumerate(zip(batch, scenes))
+            if len(scene.objects) >= 2
+        ]
+        twins = prepare_all(painted, min_area)
+        idx += len(batch)
+        for scene in scenes:
+            yield scene, next(twins) if len(scene.objects) >= 2 else None
+
+
 def cmd_evaluate(args) -> int:
     started = time.monotonic()
     registry = _load_registry(args.registry)
@@ -240,13 +259,12 @@ def cmd_evaluate(args) -> int:
     if not val_ids:
         raise EmptyCorpusError("val split is empty")
     log_rows = []
-    scenes = prepare_all(map(corpus.grid, val_ids), registry.min_area)
-    for idx, (image_id, scene) in enumerate(zip(val_ids, scenes)):
+    scenes = _scenes_and_twins(map(corpus.grid, val_ids), registry.min_area, args.seed)
+    for image_id, (scene, twin) in zip(val_ids, scenes):
         record = table.record(image_id)
         context = record.get(context_attribute, PLACEHOLDER) if context_attribute else None
         variants = [(scene, False)]
-        if len(scene.objects) >= 2:
-            twin, _ = derive_contradiction(scene, derive_seed(args.seed, EVAL_TAG, idx))
+        if twin is not None:
             variants.append((twin, True))
         for variant, expected in variants:
             dispatched = verify(variant, registry, record)

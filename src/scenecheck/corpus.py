@@ -13,11 +13,10 @@ base, never on the anchor).
 
 Contradiction examples are produced by removing one object, chosen
 uniformly at random under a seed, and painting its runs background:
-`generate_contradiction` reads the object's class and runs from the
-columns of the map's ObjectTable and writes the modified label map, and
-`verifier.derive_contradiction` derives the same twin from a prepared
-Scene without labelling it again.  Both choose the object through one
-rule.
+`paint_removal` reads the object's class and runs from the columns of
+the map's ObjectTable and returns the modified label map.
+`generate_contradiction` labels a map and paints it; `evaluate` paints
+the objects of the scenes it has prepared, so it labels no map twice.
 
 All randomized operations are pure functions of (inputs, seed); image
 level seeds are derived from the global seed and the image index, so
@@ -51,6 +50,7 @@ from .errors import (
 from .labelgrid import (
     DEFAULT_MIN_AREA,
     LabelGrid,
+    ObjectTable,
     extract_objects,
     grid_from_array,
     load_label_grid,
@@ -699,12 +699,22 @@ def _write_corpus(
 def generate_contradiction(
     grid: LabelGrid, seed: int, min_area: int = DEFAULT_MIN_AREA
 ) -> tuple[LabelGrid, int]:
-    """Remove one object (uniformly chosen under `seed`) from the grid.
+    """Remove one object (uniformly chosen under `seed`) from the grid:
+    `paint_removal` of its objects labelled with `min_area`.
 
     Returns the modified grid and the removed object's class id; all
     other pixels are conserved exactly.
     """
-    objects = extract_objects(grid, min_area)
+    return paint_removal(grid, extract_objects(grid, min_area), seed)
+
+
+def paint_removal(grid: LabelGrid, objects: ObjectTable, seed: int) -> tuple[LabelGrid, int]:
+    """`grid` with one of `objects`, its ObjectTable, painted background:
+    the object `_removed_index` chooses under `seed`.
+
+    Returns the painted grid and the removed object's class id; fewer
+    than two objects is a NotEnoughObjectsError.
+    """
     k = _removed_index(len(objects), seed)
     cells = grid.to_array().copy()
     for r, c0, c1 in objects.runs[objects.offsets[k] : objects.offsets[k + 1]].tolist():
@@ -799,8 +809,10 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     """The statistics of a document whose `classes` are strictly increasing
     class ids and whose counts `_count` accepts.  A class or pair entry
     holds some count above 0, and every size observation a count and
-    pixel counts of at least 1, as `_stats_to_doc` writes them; a
-    document that loads saves back to itself."""
+    pixel counts of at least 1, as `_stats_to_doc` writes them.  A class
+    pair has one entry per key, a presence entry's first class is not
+    above its second, and a size_obs entry gives each pair of pixel
+    counts once; a document that loads saves back to itself."""
     _expect("k_dist", doc["k_dist"], K_DIST)
     classes = _read(list[int], doc["classes"], "classes")
     if classes != sorted(set(classes)):
@@ -809,14 +821,22 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     row = _ClassRows((c, i) for i, c in enumerate(classes))
 
     def entries(key: str):
-        """(row of a, row of b, what, counts) of each [a, b, counts] entry of doc[key]."""
+        """(row of a, row of b, what, counts) of each [a, b, counts] entry of
+        doc[key]; a second entry for one pair is a ValueError."""
+        seen = set()
         for a, b, counts in _read(list[tuple[int, int, object]], doc[key], key):
-            yield row[a], row[b], f"{key} of ({a}, {b})", counts
+            what = f"{key} of ({a}, {b})"
+            if (a, b) in seen:
+                raise ValueError(f"{what} is given twice")
+            seen.add((a, b))
+            yield row[a], row[b], what, counts
 
     builder.images = _count("images", doc["images"])
     for c, n in _read(dict[int, object], doc["class_image_counts"], "class_image_counts").items():
         builder.class_images[row[c]] = _count(f"class_image_counts of {c}", n, 1)
     for i, j, what, n in entries("presence_counts"):
+        if i > j:
+            raise ValueError(f"{what} has its first class above its second")
         builder.presence[i, j] = builder.presence[j, i] = _count(what, n, 1)
     for name in ("position", "proximity", "distance"):
         counts = getattr(builder, name)
@@ -831,6 +851,8 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
         builder.size_obs[i, j] = Counter(
             {(_count(what, pa, 1), _count(what, pb, 1)): _count(what, n, 1) for pa, pb, n in obs}
         )
+        if len(builder.size_obs[i, j]) < len(obs):
+            raise ValueError(f"{what} gives one pair of pixel counts twice")
     return finalize(builder, alpha=_read(float, doc["alpha"], "alpha"))
 
 

@@ -250,12 +250,6 @@ class ObjectTable:
             self.contacts[index][:, index],
         )
 
-    def without(self, k: int) -> "ObjectTable":
-        """The table with object k left out; the others keep their order."""
-        if not 0 <= k < len(self):
-            raise IndexError(f"object {k} is not in a table of {len(self)}")
-        return self[np.arange(len(self)) != k]
-
 
 _NO_OBJECTS = ObjectTable(
     np.zeros(0, np.int64),

@@ -13,12 +13,11 @@ every layer reads an object as a row of the table's columns.
 `prepare_all` labels a stream of maps in batches, one stacked labelling
 pass and one histogram pass per batch; `prepare_all([grid])` prepares
 one map.
-`Scene.without(k)` derives the object-removal twin of a scene from it,
-with no re-labelling, and `derive_contradiction` picks the removed
-object by the seeded rule `corpus.generate_contradiction` shares; the
-`evaluate` command scores prepared scenes and their twins.
-`train_registry` takes a twin's feature rows from its source's, the
-rows of the pairs without the removed object, and builds no twin.
+`_removed_index` is the seeded rule that picks the object an
+object-removal twin leaves out.  The twins `evaluate` scores are the maps
+`corpus.paint_removal` paints, prepared like any map; `train_registry`
+takes a twin's feature rows from its source's, the rows of the pairs
+without the removed object, and builds no twin.
 
 A VerifierRegistry holds one global Detector (linear model,
 statistics and shape prototypes) plus one per context value; `verify`
@@ -42,7 +41,7 @@ fully determined by its inputs and seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterable, Iterator, Mapping
 
@@ -124,49 +123,12 @@ class Scene:
     hists: np.ndarray
     min_area: int
 
-    def without(self, k: int) -> "Scene":
-        """This scene with object `k` painted background, derived without re-labelling.
-
-        Equal to preparing the map with object k's pixels cleared:
-        clearing an object cannot merge or split another component, every
-        pair column and histogram depends only on its own objects and the
-        grid size, and the survivors keep their raster order, so each
-        takes its new index.
-        """
-        objects = self.objects.without(k)
-        p = self.pairs
-        keep = (p.a_index != k) & (p.b_index != k)
-        a, b = p.a_index[keep], p.b_index[keep]
-        pairs = PairTable(
-            a_index=a - (a > k),
-            b_index=b - (b > k),
-            rpos=p.rpos[keep],
-            rprox=p.rprox[keep],
-            rsize=p.rsize[keep],
-            rdist=p.rdist[keep],
-            rdist_bin=p.rdist_bin[keep],
-        )
-        hists = np.concatenate((self.hists[:k], self.hists[k + 1 :]))
-        hists.flags.writeable = False
-        return replace(self, objects=objects, pairs=pairs, hists=hists)
-
 
 def _removed_index(n_objects: int, seed: int) -> int:
     """Index of the object a seeded contradiction removes, uniform over the objects."""
     if n_objects < 2:
         raise NotEnoughObjectsError(f"need at least 2 objects to remove one, found {n_objects}")
     return int(np.random.default_rng(seed).integers(n_objects))
-
-
-def derive_contradiction(scene: Scene, seed: int) -> tuple[Scene, int]:
-    """The twin `corpus.generate_contradiction` makes under `seed`, from a prepared scene.
-
-    Returns the scene without the removed object and that object's class
-    id.  It equals preparing the grid `generate_contradiction` returns
-    with the scene's min_area, with no re-labelling.
-    """
-    k = _removed_index(len(scene.objects), seed)
-    return scene.without(k), int(scene.objects.class_id[k])
 
 
 def _scene(grid: LabelGrid, objects: ObjectTable, hists: np.ndarray, min_area: int) -> Scene:
@@ -629,9 +591,9 @@ def train_registry(
     value_of = {image_id: value for value, ids in groups.items() for image_id in ids}
 
     # Each train scene and the objects its twins remove, by the rule of
-    # `derive_contradiction`.  A twin's feature rows are its source's rows
+    # `corpus.paint_removal`.  A twin's feature rows are its source's rows
     # of the pairs without the removed object, bit for bit, so no twin
-    # Scene is built.
+    # map is painted or prepared.
     scenes: dict[str, Scene] = {}
     removed: dict[str, list[int]] = {}
     grids = map(corpus.grid, train_ids)

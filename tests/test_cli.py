@@ -20,6 +20,7 @@ from scenecheck import (
     default_synthetic_config,
     extract_objects,
     grid_from_array,
+    load_label_grid,
     load_model,
     save_model,
     score_attributes,
@@ -832,6 +833,12 @@ def _mutations(parent, key):
     return mutations
 
 
+# The lists of [a, b, counts] entries of a statistics document.
+_COUNT_ENTRIES = (
+    "presence_counts", "position_counts", "proximity_counts", "distance_counts", "size_obs"
+)
+
+
 @pytest.fixture(scope="module")
 def mutable_registry(pipeline, tmp_path_factory):
     """The pipeline's registry text, the path of each leaf of its document,
@@ -855,10 +862,15 @@ def test_registry_with_one_leaf_mutated_is_refused_in_one_line_or_loads_whole(
     text, leaves, grid, work = mutable_registry
     original, doc = json.loads(text), json.loads(text)
     *steps, key = data.draw(st.sampled_from(leaves))
-    parent = doc
-    for step in steps:
+    parent, holder = doc, None
+    for step, index in zip(steps, [*steps[1:], key]):
+        if step in _COUNT_ENTRIES:
+            holder = parent[step], index  # the count entry that holds the leaf
         parent = parent[step]
     mutations = _mutations(parent, key)
+    if holder is not None:
+        entries, index = holder
+        mutations["duplicate-entry"] = lambda: entries.insert(index, entries[index])
     how = data.draw(st.sampled_from(sorted(mutations)))
     mutations[how]()
     mutant, saved = work / "mutant.json", work / "saved.json"
@@ -917,6 +929,40 @@ class TestEvaluate:
             rows = [r for r in log_rows if r["context"] == value]
             assert metrics["accuracy"] == pytest.approx(
                 sum(1 for r in rows if r["correct"]) / len(rows), abs=1e-12
+            )
+
+    def test_rows_are_the_verdicts_of_the_maps_gen_contradictions_writes(self, pipeline, tmp_path):
+        # Each val map is scored, and then the twin gen-contradictions
+        # writes for it under the same seed, read back from its file.
+        _, corpus_dir, registry_path = pipeline
+        out, twins_dir = tmp_path / "report.json", tmp_path / "twins"
+        argv = ["evaluate", str(registry_path), str(corpus_dir), "--seed", "5", "-o", str(out)]
+        assert main(argv) == 0
+        argv = ["gen-contradictions", str(corpus_dir), "--split", "val", "--seed", "5"]
+        assert main([*argv, "-o", str(twins_dir)]) == 0
+        corpus, registry = Corpus.load(corpus_dir), load_model(registry_path)
+        table = corpus.attributes()
+        manifest = json.loads((twins_dir / "manifest.json").read_text())
+        twins = {pair["image_id"]: twins_dir / pair["invalid"] for pair in manifest["pairs"]}
+        log = (tmp_path / "report.verdicts.jsonl").read_text()
+        rows = [json.loads(line) for line in log.splitlines()]
+        assert [(r["image_id"], r["variant"]) for r in rows] == [
+            (image_id, variant)
+            for image_id in corpus.image_ids("val")
+            for variant in ("valid", "contradiction")[: 1 + (image_id in twins)]
+        ]
+        assert len(twins) > 20  # over more than one batch of `grid_batches`
+        for r in rows:
+            image_id = r["image_id"]
+            path = twins[image_id] if r["expected"] else corpus.grid_path(image_id)
+            grid = load_label_grid(path, corpus.class_map)
+            dispatched = verify(grid, registry, table.record(image_id))
+            forced_global = verify(grid, registry, None)
+            assert (r["model_used"], r["dispatched_contradiction"], r["dispatched_confidence"]) == (
+                dispatched.model_used, dispatched.contradiction, dispatched.confidence
+            )
+            assert (r["global_contradiction"], r["global_confidence"]) == (
+                forced_global.contradiction, forced_global.confidence
             )
 
     def test_empty_val_split_is_one_line_empty_corpus_error(self, pipeline, tmp_path, capsys):

@@ -620,7 +620,7 @@ def test_label_maps_contacts_match_the_pixel_oracle(arrays, min_area):
         _assert_contacts(table[::-1])
         _assert_contacts(table[1:])
         for k in range(len(table)):
-            _assert_contacts(table.without(k))
+            _assert_contacts(table[np.arange(len(table)) != k])
 
 
 @settings(max_examples=150, deadline=None)
@@ -672,17 +672,18 @@ def test_contact_memory_grows_with_the_largest_map_not_the_stack():
 
 @settings(max_examples=100, deadline=None)
 @given(_label_arrays(), st.sampled_from((1, 3)))
-def test_without_equals_labelling_the_cleared_map(arr, min_area):
+def test_leaving_an_object_out_equals_labelling_the_cleared_map(arr, min_area):
+    # The premise of training's twin rows: clearing an object's runs
+    # leaves the other objects as they were, in their order.
     objects = extract_objects(grid_from_array(arr, {1: "a", 2: "b", 3: "c"}), min_area)
     for k in range(len(objects)):
         cleared = arr.copy()
         for r, c0, c1 in runs(objects, k):
             cleared[r, c0:c1] = 0
         want = extract_objects(grid_from_array(cleared, {1: "a", 2: "b", 3: "c"}), min_area)
-        assert objects.without(k) == want
-        _assert_columns(objects.without(k), cleared, min_area)
-    with pytest.raises(IndexError):
-        objects.without(len(objects))
+        left = objects[np.arange(len(objects)) != k]
+        assert left == want
+        _assert_columns(left, cleared, min_area)
 
 
 def _table(rows, contacts):
@@ -725,8 +726,8 @@ def test_object_table_refuses_an_integer_key_and_iteration():
     assert objects[np.array([2, 1, 2])] == _table([c, b, c], [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
     assert objects[[0]] == _table([a], [[0]])
     assert objects[objects.class_id != 1] == _table([b, c], [[0, 1], [1, 0]])
+    assert objects[np.arange(3) != 1] == _table([a, c], [[0, 0], [0, 0]])
     assert objects[:0] == empty == _table([], [])
-    assert objects.without(1) == _table([a, c], [[0, 0], [0, 0]])
 
 
 def test_grid_batches_read_lazily_and_fill_each_stack_up_to_the_budget():

@@ -216,7 +216,7 @@ class TestContact:
             (0, 1): "BESIDE", (0, 2): "NONE", (1, 0): "BESIDE",
             (1, 2): "NONE", (2, 0): "NONE", (2, 1): "NONE",
         }
-        twin = relations_for_objects(grid, objects.without(2))
+        twin = relations_for_objects(grid, objects[np.arange(3) != 2])
         assert [PROXIMITY_LABELS[p] for p in twin.rprox.tolist()] == ["BESIDE", "BESIDE"]
 
     def test_matches_exhaustive_pixel_pair_oracle(self, rng):

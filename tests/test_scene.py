@@ -1,17 +1,15 @@
-"""Prepared scenes and the contradiction twins derived from them."""
+"""Prepared scenes and the prepared maps of their contradiction twins."""
 
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenecheck import (
     DegeneratePairError,
-    NotEnoughObjectsError,
     PairTable,
-    derive_contradiction,
     generate_contradiction,
     grid_from_array,
     prepare_all,
@@ -64,73 +62,18 @@ TWO_RECTS = [(1, 2, 2, 4, 4), (2, 10, 10, 5, 6)]
 maps = st.one_of(scenes.map(paint), blob_scenes.map(paint_blobs))
 
 
-def _prepared(arr, min_area):
-    grid = grid_from_array(arr, CLASS_MAP, image_id="scene")
-    try:
-        return grid, next(prepare_all([grid], min_area))
-    except DegeneratePairError:  # no scene to derive from
-        return grid, None
-
-
-@settings(max_examples=200, deadline=None)
-@given(maps, st.sampled_from([1, 3]))
-@example(paint(TWO_RECTS), 1)
-def test_without_equals_preparing_the_cleared_map(arr, min_area):
-    grid, scene = _prepared(arr, min_area)
-    if scene is None:
-        return
-    for k in range(len(scene.objects)):
-        cleared = next(prepare_all([without_pixels(grid, scene.objects, k)], min_area))
-        assert_same_scene(scene.without(k), cleared)
-
-
-@settings(max_examples=200, deadline=None)
-@given(maps, st.sampled_from([1, 3]), st.integers(0, 2**63 - 1))
-@example(paint(TWO_RECTS), 1, 0)
-def test_derived_twin_equals_generated_twin(arr, min_area, seed):
-    grid, scene = _prepared(arr, min_area)
-    if scene is None:
-        return
-    if len(scene.objects) < 2:
-        with pytest.raises(NotEnoughObjectsError):
-            derive_contradiction(scene, seed)
-        with pytest.raises(NotEnoughObjectsError):
-            generate_contradiction(grid, seed, min_area)
-        return
-    twin, removed_class = derive_contradiction(scene, seed)
-    twin_grid, generated_class = generate_contradiction(grid, seed, min_area)
-    assert removed_class == generated_class
-    assert_same_scene(twin, next(prepare_all([twin_grid], min_area)))
-
-
 def test_two_object_twin_has_one_object_and_no_pairs():
     grid = grid_from_array(paint(TWO_RECTS), CLASS_MAP)
     scene = next(prepare_all([grid], min_area=1))
     assert len(scene.pairs) == 2
-    for k in (0, 1):
-        twin = scene.without(k)
-        assert twin.objects == scene.objects[[1 - k]]
+    removed = set()
+    for seed in range(4):
+        twin_grid, removed_class = generate_contradiction(grid, seed, 1)
+        twin = next(prepare_all([twin_grid], 1))
+        removed.add(removed_class)
+        assert twin.objects == scene.objects[scene.objects.class_id != removed_class]
         assert len(twin.pairs) == 0 and len(twin.hists) == 1
-        assert_same_scene(twin, next(prepare_all([without_pixels(grid, scene.objects, k)], 1)))
-
-
-def test_survivors_are_renumbered_and_pairs_reindexed():
-    rects = [(1, 1, 1, 3, 3), (2, 1, 10, 3, 3), (3, 10, 1, 3, 3), (4, 10, 10, 3, 3)]
-    scene = next(prepare_all([grid_from_array(paint(rects), CLASS_MAP)], min_area=1))
-    twin = scene.without(1)
-    assert twin.objects == scene.objects[[0, 2, 3]]
-    assert twin.objects.class_id.tolist() == [1, 3, 4]
-    assert list(zip(twin.pairs.a_index.tolist(), twin.pairs.b_index.tolist())) == [
-        (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)
-    ]
-    assert len(twin.without(0).without(0).without(0).objects) == 0
-
-
-def test_without_rejects_an_index_outside_the_scene():
-    scene = next(prepare_all([grid_from_array(paint(TWO_RECTS), CLASS_MAP)], min_area=1))
-    for k in (-1, 2):
-        with pytest.raises(IndexError):
-            scene.without(k)
+    assert removed == {1, 2}
 
 
 def test_prepare_records_its_parameters():
@@ -145,7 +88,8 @@ def test_prepare_records_its_parameters():
 def test_hists_are_one_read_only_row_per_object(rects):
     grid = grid_from_array(paint(rects), CLASS_MAP)
     scene = next(prepare_all([grid], min_area=1))
-    scenes = [scene] + [scene.without(k) for k in range(len(scene.objects))]
+    twins = [without_pixels(grid, scene.objects, k) for k in range(len(scene.objects))]
+    scenes = [scene, *prepare_all(twins, 1)]
     for s in scenes:
         assert s.hists.shape == (len(s.objects), SHAPE_BINS)
         assert s.hists.dtype == np.float64

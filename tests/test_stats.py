@@ -444,6 +444,42 @@ class TestQuery:
             load_model(path)
         assert "\n" not in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "key, how",
+        [
+            ("presence_counts", "entry"),
+            ("position_counts", "entry"),
+            ("proximity_counts", "entry"),
+            ("distance_counts", "entry"),
+            ("size_obs", "entry"),
+            ("size_obs", "observation"),
+            ("presence_counts", "reversed"),
+        ],
+    )
+    def test_entry_that_would_not_save_back_rejected_on_load(self, tmp_path, key, how):
+        # A second entry for one pair, or a second observation of one pair of
+        # pixel counts, replaced the first; a presence entry below the
+        # diagonal loaded, but saving writes only the upper triangle.
+        path = tmp_path / "stats.json"
+        save_model(path, finalize(_hand_builder()))
+        doc = json.loads(path.read_text())
+        a, b, counts = entries = doc[key][0]
+        if how == "entry":
+            doc[key].append(json.loads(json.dumps(entries)))
+            message = f"{key} of ({a}, {b}) is given twice"
+        elif how == "observation":
+            pa, pb, _ = counts[0]
+            counts.append([pa, pb, 1])
+            message = f"{key} of ({a}, {b}) gives one pair of pixel counts twice"
+        else:
+            entry = next(e for e in doc[key] if e[0] < e[1])
+            entry[:2] = entry[1], entry[0]
+            message = f"{key} of ({entry[0]}, {entry[1]}) has its first class above its second"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(message)) as exc:
+            load_model(path)
+        assert "\n" not in str(exc.value)
+
     def test_zscore_unseen_pair_standard_normal_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
         assert (lookup(model, "size_mean", 2, 2), lookup(model, "size_std", 2, 2)) == (0.0, 1.0)

@@ -25,7 +25,6 @@ from scenecheck import (
     accumulate,
     aggregate,
     default_synthetic_config,
-    derive_contradiction,
     derive_seed,
     extract_objects,
     featurize,
@@ -42,7 +41,7 @@ from scenecheck import (
     verify,
 )
 import scenecheck.verifier as verifier_module
-from scenecheck.corpus import EVAL_TAG, save_model
+from scenecheck.corpus import EVAL_TAG, paint_removal, save_model
 from scenecheck.relations import SHAPE_BINS
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
@@ -499,7 +498,7 @@ class TestVerify:
 
 
 class TestVerifyPreparedScene:
-    def test_scene_and_derived_twin_give_the_grid_verdicts(self, small_experiment):
+    def test_scene_and_twin_give_the_grid_verdicts(self, small_experiment):
         corpus, table, registry = small_experiment
         models_used = set()
         for idx, image_id in enumerate(corpus.image_ids("val")[:60]):
@@ -508,8 +507,8 @@ class TestVerifyPreparedScene:
             variants = [(scene, grid)]
             if len(scene.objects) >= 2:
                 seed = derive_seed(5, EVAL_TAG, idx)
-                twin, _ = derive_contradiction(scene, seed)
-                variants.append((twin, generate_contradiction(grid, seed, registry.min_area)[0]))
+                twin, _ = generate_contradiction(grid, seed, registry.min_area)
+                variants.append((next(prepare_all([twin], registry.min_area)), twin))
             for attributes in (table.record(image_id), None):
                 for prepared, unprepared in variants:
                     verdict = verify(prepared, registry, attributes)
@@ -575,16 +574,20 @@ class TestVerdictArrays:
         assert verify(grid, registry) == verify(scene, registry)
 
     def test_twin_features_are_the_source_rows_without_its_object(self, small_experiment):
-        # Training reads a twin's feature rows from its source scene's.
+        # Training reads a twin's feature rows from its source scene's: the
+        # rows of the painted and prepared twin, bit for bit.
         corpus, table, registry = small_experiment
         detector = registry.global_detector
         stats, protos = detector.stats, detector.prototypes
         for seed in range(3):
-            scene = next(prepare_all([_crowded_grid(seed, corpus.class_map)], registry.min_area))
+            grid = _crowded_grid(seed, corpus.class_map)
+            scene = next(prepare_all([grid], registry.min_area))
             X = featurize(scene.pairs, scene.objects, scene.hists, stats, protos)
             a, b = scene.pairs.a_index, scene.pairs.b_index
-            for k in range(len(scene.objects)):
-                twin = scene.without(k)
+            twin_seeds = range(10)
+            twins = [paint_removal(grid, scene.objects, s)[0] for s in twin_seeds]
+            for twin_seed, twin in zip(twin_seeds, prepare_all(twins, registry.min_area)):
+                k = verifier_module._removed_index(len(scene.objects), twin_seed)
                 got = featurize(twin.pairs, twin.objects, twin.hists, stats, protos)
                 assert got.tobytes() == X[(a != k) & (b != k)].tobytes()
 
@@ -691,9 +694,10 @@ class TestTrainRegistry:
             detector = registry.models.get(label, registry.global_detector)
             assert detector.stats == finalize(builder)
 
-    def test_twin_rows_are_those_of_derived_twins(self, tmp_path, monkeypatch):
+    def test_twin_rows_are_those_of_painted_twins(self, tmp_path, monkeypatch):
         # Training takes each twin's rows from its source scene; they must be
-        # the rows of the twin derive_contradiction makes under the same seed.
+        # the rows of the map generate_contradiction paints under the same
+        # seed, prepared.
         config = default_synthetic_config(n_images=40, seed=8)
         corpus, table = synth_corpus(config, tmp_path / "corpus")
         seen = []
@@ -708,11 +712,13 @@ class TestTrainRegistry:
         tag, per_image = verifier_module._TRAIN_TAG, verifier_module.CONTRADICTIONS_PER_IMAGE
         rows, want = [], []
         for idx, image_id in enumerate(sorted(corpus.image_ids("train"))):
-            scene = next(prepare_all([corpus.grid(image_id)]))
+            grid = corpus.grid(image_id)
+            scene = next(prepare_all([grid]))
             variants = [(scene, -1)]
             if len(scene.objects) >= 2:
                 seeds = [derive_seed(8, tag, idx, j) for j in range(per_image)]
-                variants += [(derive_contradiction(scene, seed)[0], 1) for seed in seeds]
+                twins = [generate_contradiction(grid, seed)[0] for seed in seeds]
+                variants += [(twin, 1) for twin in prepare_all(twins)]
             for s, y in variants:
                 X = featurize(s.pairs, s.objects, s.hists, detector.stats, detector.prototypes)
                 rows.append(X)
