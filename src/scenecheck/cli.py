@@ -237,15 +237,15 @@ def _scenes_and_twins(grids, min_area: int, seed: int):
     idx = 0
     for batch in grid_batches(grids):
         scenes = list(prepare_all(batch, min_area))
+        paired = [i for i, scene in enumerate(scenes) if len(scene.objects) >= 2]
         painted = [
-            paint_removal(grid, scene.objects, derive_seed(seed, EVAL_TAG, idx + i))[0]
-            for i, (grid, scene) in enumerate(zip(batch, scenes))
-            if len(scene.objects) >= 2
+            paint_removal(batch[i], scenes[i].objects, derive_seed(seed, EVAL_TAG, idx + i))[0]
+            for i in paired
         ]
-        twins = prepare_all(painted, min_area)
+        twins = dict(zip(paired, prepare_all(painted, min_area)))
         idx += len(batch)
-        for scene in scenes:
-            yield scene, next(twins) if len(scene.objects) >= 2 else None
+        for i, scene in enumerate(scenes):
+            yield scene, twins.get(i)
 
 
 def cmd_evaluate(args) -> int:

@@ -4,12 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenecheck import (
     DegeneratePairError,
     PairTable,
+    Scene,
     generate_contradiction,
     grid_from_array,
     prepare_all,
@@ -60,6 +61,40 @@ def paint_blobs(blobs):
 TWO_RECTS = [(1, 2, 2, 4, 4), (2, 10, 10, 5, 6)]
 
 maps = st.one_of(scenes.map(paint), blob_scenes.map(paint_blobs))
+
+
+def left_out(scene, k):
+    """The Scene training's row mask takes for `scene` without object k: the
+    other objects, histograms and pairs in their order, indices renumbered."""
+    kept = np.arange(len(scene.objects)) != k
+    a, b = scene.pairs.a_index, scene.pairs.b_index
+    keep = (a != k) & (b != k)
+    columns = {f.name: getattr(scene.pairs, f.name)[keep] for f in fields(PairTable)}
+    columns["a_index"] = a[keep] - (a[keep] > k)
+    columns["b_index"] = b[keep] - (b[keep] > k)
+    return Scene(scene.image_id, scene.objects[kept], PairTable(**columns), scene.hists[kept],
+                 scene.min_area)
+
+
+@settings(max_examples=200, deadline=None)
+@given(maps, st.sampled_from([1, 3]))
+@example(paint(TWO_RECTS), 1)
+def test_leaving_an_object_out_equals_preparing_the_cleared_map(arr, min_area):
+    # The premise of training's twin rows: clearing an object's pixels
+    # leaves the other objects' histograms and pair columns as they were,
+    # bit for bit and in their order.
+    grid = grid_from_array(arr, CLASS_MAP, image_id="scene")
+    try:
+        scene = next(prepare_all([grid], min_area))
+    except DegeneratePairError:
+        return
+    cleared = [without_pixels(grid, scene.objects, k) for k in range(len(scene.objects))]
+    for k, twin in enumerate(prepare_all(cleared, min_area)):
+        want = left_out(scene, k)
+        assert_same_scene(twin, want)
+        assert twin.hists.tobytes() == want.hists.tobytes()
+        for f in fields(PairTable):
+            assert getattr(twin.pairs, f.name).tobytes() == getattr(want.pairs, f.name).tobytes()
 
 
 def test_two_object_twin_has_one_object_and_no_pairs():
