@@ -810,9 +810,10 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     class ids and whose counts `_count` accepts.  A class or pair entry
     holds some count above 0, and every size observation a count and
     pixel counts of at least 1, as `_stats_to_doc` writes them.  A class
-    pair has one entry per key, a presence entry's first class is not
-    above its second, and a size_obs entry gives each pair of pixel
-    counts once; a document that loads saves back to itself."""
+    pair has one entry per key, the entries of a key come in class order,
+    a presence entry's first class is not above its second, and a size_obs
+    entry gives each pair of pixel counts once, in increasing order; a
+    document that loads saves back to itself."""
     _expect("k_dist", doc["k_dist"], K_DIST)
     classes = _read(list[int], doc["classes"], "classes")
     if classes != sorted(set(classes)):
@@ -822,13 +823,17 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
 
     def entries(key: str):
         """(row of a, row of b, what, counts) of each [a, b, counts] entry of
-        doc[key]; a second entry for one pair is a ValueError."""
-        seen = set()
+        doc[key]; a second entry for one pair, or an entry that comes before
+        the one above it in class order, is a ValueError."""
+        seen, last = set(), (-1, -1)
         for a, b, counts in _read(list[tuple[int, int, object]], doc[key], key):
             what = f"{key} of ({a}, {b})"
             if (a, b) in seen:
                 raise ValueError(f"{what} is given twice")
+            if (row[a], row[b]) < last:
+                raise ValueError(f"{what} is out of class order")
             seen.add((a, b))
+            last = row[a], row[b]
             yield row[a], row[b], what, counts
 
     builder.images = _count("images", doc["images"])
@@ -853,6 +858,8 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
         )
         if len(builder.size_obs[i, j]) < len(obs):
             raise ValueError(f"{what} gives one pair of pixel counts twice")
+        if list(builder.size_obs[i, j]) != sorted(builder.size_obs[i, j]):
+            raise ValueError(f"{what} gives its pairs of pixel counts out of order")
     return finalize(builder, alpha=_read(float, doc["alpha"], "alpha"))
 
 

@@ -280,16 +280,18 @@ def _octants(dr: np.ndarray, dc: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_index(n: int) -> tuple[np.ndarray, ...]:
     """The ordered pairs of n distinct objects in nested-loop order, as
-    read-only arrays: the A and B index columns, the rows where A < B, and
-    the row of the mirror (B, A) of each of those."""
+    read-only arrays: the A and B index columns, the rows where A < B, the
+    row of the mirror (B, A) of each of those, and the flat index a * n + b
+    of each pair into an (n, n) matrix."""
     a, b = np.nonzero(~np.eye(n, dtype=bool))
     lower = (a < b).nonzero()[0]
     mirror = b[lower] * (n - 1) + a[lower]
-    for column in (a, b, lower, mirror):
+    flat = a * n + b
+    for column in (a, b, lower, mirror, flat):
         column.flags.writeable = False
-    return a, b, lower, mirror
+    return a, b, lower, mirror, flat
 
 
 def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
@@ -313,12 +315,15 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
       [0, 1]; `rdist_bin` is `floor(rdist * K_DIST)`, clamped to
       K_DIST - 1.
 
-    Octants come from one `np.arctan2` over all pairs, with the scalar
-    fallback of `_octants` at sector edges.  Distances are one
-    `math.hypot` per unordered pair, copied to its mirror: the mirror's
-    offsets are the exact negatives, and hypot ignores signs.  Raises
-    DegeneratePairError when two objects share a centroid, whose
-    direction is undefined.
+    Every read of a per-object column is a 1-D `take`: the centroid rows
+    of A and B with `take(axis=0)`, the log sizes by object index and the
+    (A, B) proximity matrix by the flat index a * n + b that the pair
+    index cache holds.  Octants come from one `np.arctan2` over all pairs,
+    with the scalar fallback of `_octants` at sector edges.  Distances are
+    one `math.hypot` per unordered pair, copied to its mirror: the
+    mirror's offsets are the exact negatives, and hypot ignores signs.
+    Raises DegeneratePairError when two objects share a centroid, whose
+    direction is undefined: a distance of 0.
     """
     n = len(objects)
     if n < 2:
@@ -326,12 +331,14 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
     centroid, bbox = objects.centroid, objects.bbox
     # One `math.log` per object: `np.log` may differ from it in the last bit.
     log_size = np.array([math.log(c) for c in objects.pixel_count.tolist()])
-    a, b, lower, mirror = _pair_index(n)
+    a, b, lower, mirror, flat = _pair_index(n)
 
-    dr, dc = (centroid[b] - centroid[a]).T
-    if ((dr == 0.0) & (dc == 0.0)).any():
+    dr, dc = (centroid.take(b, axis=0) - centroid.take(a, axis=0)).T
+    half = _hypot(dr.take(lower), dc.take(lower))
+    # hypot is 0 only where both offsets are, and a pair's mirror has the
+    # distance of the unordered pair.
+    if not half.all():
         raise DegeneratePairError("identical centroids have no direction")
-    half = _hypot(dr[lower], dc[lower])
     rdist = np.empty(len(a))
     rdist[lower] = half
     rdist[mirror] = half
@@ -354,8 +361,8 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
         a_index=a,
         b_index=b,
         rpos=_octants(dr, dc),
-        rprox=prox[a, b],
-        rsize=log_size[a] - log_size[b],
+        rprox=prox.ravel().take(flat),
+        rsize=log_size.take(a) - log_size.take(b),
         rdist=rdist,
         rdist_bin=np.minimum((rdist * K_DIST).astype(np.int64), K_DIST - 1),
     )

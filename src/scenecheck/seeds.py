@@ -21,5 +21,5 @@ def derive_seed(*parts: int) -> int:
     for word in words:
         if not 0 <= word < 2**32:
             raise ValueError(f"seed part {word} is outside [0, 2**32)")
-    state = np.random.SeedSequence(words).generate_state(2)
+    state = np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])

@@ -189,18 +189,22 @@ class CooccurrenceModel(_Counts):
     def class_rows(self, class_ids) -> np.ndarray:
         """Index of each class id into the dense tables.
 
-        Raises UnknownClassError, naming the first such id, when an id is
-        outside the model's universe.
+        One `searchsorted` finds each id's row, and one `take` of the
+        universe at those rows checks that it holds the id.  Raises
+        UnknownClassError, naming the first such id, when an id is outside
+        the model's universe.
         """
         ids = np.asarray(class_ids, dtype=np.int64)
         universe = self.class_array
         rows = universe.searchsorted(ids)
-        known = rows < len(universe)
-        known[known] = universe[rows[known]] == ids[known]
-        if not known.all():
-            raise UnknownClassError(
-                f"class id {int(ids[np.argmin(known)])} unknown to this model"
-            )
+        # A row past the end clips to the largest class, which is below the
+        # id; an empty universe has no class to take, and knows no id.
+        if len(universe):
+            unknown = universe.take(rows, mode="clip") != ids
+        else:
+            unknown = np.ones(len(ids), dtype=bool)
+        if unknown.any():
+            raise UnknownClassError(f"class id {int(ids[unknown.argmax()])} unknown to this model")
         return rows
 
 

@@ -70,6 +70,9 @@ from .labelgrid import (  # noqa: F401
 )
 from .relations import (
     _NO_PAIRS,
+    K_DIST,
+    OCTANTS,
+    PROXIMITY_LABELS,
     SHAPE_BINS,
     PairTable,
     relations_for_objects,
@@ -254,23 +257,27 @@ def featurize(
     `hists` holds one histogram row per object, in the order of `objects`.
     The shape term is the L1 distance between object A's histogram and its
     class's row of a Detector's `prototypes`, gathered once per object by
-    the class rows that the co-occurrence tables are read with.
-    Raises UnknownClassError when a paired object's class is outside
-    the statistics.
+    the class rows that the co-occurrence tables are read with.  Every
+    table is read with one 1-D `take` of its flattened array: a pair's
+    class rows (i, j) give the flat index ab = i * n_classes + j of the
+    presence and size tables, and ab * arity + code that of the position,
+    proximity and distance tables.  Raises UnknownClassError when a paired
+    object's class is outside the statistics.
     """
     if not len(pairs):
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows(objects.class_id)
-    a, b = rows[pairs.a_index], rows[pairs.b_index]
-    shape = np.add.reduce(np.abs(hists - prototypes[rows]), axis=1)
+    ab = rows.take(pairs.a_index) * len(stats.classes) + rows.take(pairs.b_index)
+    shape = np.add.reduce(np.abs(hists - prototypes.take(rows, axis=0)), axis=1)
     X = np.empty((len(pairs), N_FEATURES))
-    X[:, 0] = stats.presence_table[a, b]
-    X[:, 1] = stats.position_table[a, b, pairs.rpos]
-    X[:, 2] = stats.proximity_table[a, b, pairs.rprox]
-    X[:, 3] = stats.distance_table[a, b, pairs.rdist_bin]
-    np.abs((pairs.rsize - stats.size_mean[a, b]) / stats.size_std[a, b], out=X[:, 4])
+    X[:, 0] = stats.presence_table.ravel().take(ab)
+    X[:, 1] = stats.position_table.ravel().take(ab * len(OCTANTS) + pairs.rpos)
+    X[:, 2] = stats.proximity_table.ravel().take(ab * len(PROXIMITY_LABELS) + pairs.rprox)
+    X[:, 3] = stats.distance_table.ravel().take(ab * K_DIST + pairs.rdist_bin)
+    mean, std = stats.size_mean.ravel().take(ab), stats.size_std.ravel().take(ab)
+    np.abs((pairs.rsize - mean) / std, out=X[:, 4])
     X[:, 5] = pairs.rdist
-    X[:, 6] = shape[pairs.a_index]
+    X[:, 6] = shape.take(pairs.a_index)
     return X
 
 

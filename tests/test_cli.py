@@ -871,6 +871,10 @@ def test_registry_with_one_leaf_mutated_is_refused_in_one_line_or_loads_whole(
     if holder is not None:
         entries, index = holder
         mutations["duplicate-entry"] = lambda: entries.insert(index, entries[index])
+        # Count entries come in class order, and the observations of a
+        # size_obs entry in pixel-count order: reverse those holding the leaf.
+        trail = steps[steps.index("size_obs") + 1 :] if "size_obs" in steps else []
+        mutations["reorder"] = (entries[index][2] if len(trail) == 3 else entries).reverse
     how = data.draw(st.sampled_from(sorted(mutations)))
     mutations[how]()
     mutant, saved = work / "mutant.json", work / "saved.json"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scenecheck import (
@@ -701,11 +701,14 @@ class TestDerivedSeeds:
         assert derive_seed(1, 2, 3) != derive_seed(1, 2, 4)
         assert derive_seed(0) != derive_seed(1)
 
-    @given(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=6))
+    @example([])
+    @example([0, 2**32 - 1, 0, 2**32 - 1, 1, 2**31])
     def test_parts_in_32_bits_keep_their_derived_seed(self, parts):
-        # The seed sequence of the parts themselves, which every earlier
-        # derivation used for parts in range.
-        state = np.random.SeedSequence(parts).generate_state(2)
+        # The seed sequence of the parts themselves, as a list, which every
+        # earlier derivation used for parts in range: the uint32 array that
+        # `derive_seed` passes holds the same entropy words.
+        state = np.random.SeedSequence(list(parts)).generate_state(2)
         assert derive_seed(*parts) == int(state[0]) << 32 | int(state[1])
 
     @pytest.mark.parametrize("bad", [-1, 2**32, 2**32 + 1, -(2**32) + 1, 2**64])

@@ -17,7 +17,14 @@ from scenecheck import (
     trace_boundaries,
 )
 from scenecheck import labelgrid, relations
-from scenecheck.relations import OCTANTS, PROXIMITY_LABELS, SHAPE_BINS, SHAPE_SAMPLES
+from scenecheck.relations import (
+    K_DIST,
+    OCTANTS,
+    PROXIMITY_LABELS,
+    ROW_EPS_FRACTION,
+    SHAPE_BINS,
+    SHAPE_SAMPLES,
+)
 
 import pair_oracle
 from conftest import blob_grid, boundary, pixels, random_blob_array
@@ -888,6 +895,100 @@ def test_fewer_than_two_objects_make_an_empty_table(rects):
     table = relations_for_objects(grid, objects)
     assert len(table) == 0
     assert table.rdist.dtype == np.float64 and table.rpos.dtype == np.int64
+
+
+def _rectangle_lattice(rng, n_rects, concentric=False):
+    """A map of `n_rects` rectangles of classes 1 to 4, one shape per 12 x 12
+    cell of a lattice 8 cells wide; no shape reaches its cell's last row or
+    column, so shapes in different cells never touch.
+
+    Cell 0 holds a class-4 rectangle at the map's top-left corner and the
+    lattice's last cell one at its bottom-right corner, so that distance
+    bin K_DIST - 1 is reached.  Cell 1 holds a rectangle nested in another
+    (FRONT and BACK), cell 2 two stacked ones that touch (ON and UNDER:
+    their centroid rows are 5.5 apart, above 5% of the map's height of at
+    most 96), cell 3 two side by side (BESIDE); every other cell holds one
+    random rectangle.  With `concentric`, a random one of those is a
+    square ring around a square of another class, with the same centroid.
+    """
+    cells = n_rects - 3
+    rows = -(-cells // 8)
+    arr = np.zeros((12 * rows, 96), dtype=np.int32)
+
+    def put(cell, class_id, r, c, h, w):
+        r0, c0 = 12 * (cell // 8) + r, 12 * (cell % 8) + c
+        arr[r0 : r0 + h, c0 : c0 + w] = class_id
+
+    h, w = (int(v) for v in rng.integers(1, 5, size=2))
+    put(0, 4, 0, 0, h, w)
+    put(1, 1, 0, 0, 10, 10)
+    put(1, 2, 3, 3, 2, 3)
+    put(2, 2, 0, 0, 2, 6)
+    put(2, 3, 2, 0, 9, 6)
+    put(3, 3, 2, 0, 4, 4)
+    put(3, 1, 2, 4, 4, 4)
+    for cell in range(4, cells - 1):
+        h, w = (int(v) for v in rng.integers(1, 11, size=2))
+        r, c = (int(v) for v in rng.integers(0, 12 - np.array([h, w])))
+        put(cell, int(rng.integers(1, 5)), r, c, h, w)
+    h, w = (int(v) for v in rng.integers(1, 5, size=2))
+    put(8 * rows - 1, 4, 12 - h, 12 - w, h, w)
+    if concentric:
+        cell = int(rng.integers(4, cells - 1))
+        put(cell, 0, 0, 0, 11, 11)
+        put(cell, 1, 0, 0, 9, 9)
+        put(cell, 0, 1, 1, 7, 7)
+        put(cell, 2, 3, 3, 3, 3)
+    return arr
+
+
+def _relations_reference(grid, objects):
+    """The PairTable columns of `relations_for_objects` as fancy-indexed
+    formulas: per-pair rows of the centroid, log size and (A, B) proximity
+    arrays, and one `math.hypot` per ordered pair."""
+    n = len(objects)
+    a, b = np.nonzero(~np.eye(n, dtype=bool))
+    centroid, (r0, c0, r1, c1) = objects.centroid, objects.bbox.T
+    dr, dc = (centroid[b] - centroid[a]).T
+    log_size = np.array([math.log(c) for c in objects.pixel_count.tolist()])
+    row, eps = centroid[:, 0], ROW_EPS_FRACTION * grid.height
+    nested = (r0[:, None] > r0) & (c0[:, None] > c0) & (r1[:, None] < r1) & (c1[:, None] < c1)
+    labels = [PROXIMITY_LABELS.index(p) for p in ("FRONT", "BACK", "NONE", "ON", "UNDER")]
+    above, below = row[:, None] < row - eps, row[:, None] > row + eps
+    prox = np.select([nested, nested.T, ~objects.contacts, above, below], labels, 4)
+    rdist = relations._hypot(dr, dc) / grid.diagonal()
+    return {
+        "a_index": a,
+        "b_index": b,
+        "rpos": relations._octants(dr, dc),
+        "rprox": prox[a, b],
+        "rsize": log_size[a] - log_size[b],
+        "rdist": rdist,
+        "rdist_bin": np.minimum((rdist * K_DIST).astype(np.int64), K_DIST - 1),
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 60), st.booleans())
+def test_crowded_pair_table_equals_the_fancy_indexed_formulas(seed, n_rects, concentric):
+    # Every octant, proximity label and distance bin occurs on each map,
+    # so each read of the flat gathers is compared with the reference.
+    arr = _rectangle_lattice(np.random.default_rng(seed), n_rects, concentric)
+    grid = grid_from_array(arr, CLASS_MAP)
+    objects = extract_objects(grid, 1)
+    assert len(objects) == n_rects + concentric
+    if concentric:
+        with pytest.raises(DegeneratePairError):
+            relations_for_objects(grid, objects)
+        return
+    table = relations_for_objects(grid, objects)
+    expected = _relations_reference(grid, objects)
+    for name, column in expected.items():
+        got = getattr(table, name)
+        assert got.dtype == column.dtype and got.tobytes() == column.tobytes(), name
+    assert set(table.rpos.tolist()) == set(range(len(OCTANTS)))
+    assert set(table.rprox.tolist()) == set(range(len(PROXIMITY_LABELS)))
+    assert set(table.rdist_bin.tolist()) == set(range(K_DIST))
 
 
 def _rectangles_map(n_rects, walked_shapes):

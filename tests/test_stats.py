@@ -7,6 +7,8 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from scenecheck import (
     ConsistencyError,
@@ -454,12 +456,20 @@ class TestQuery:
             ("size_obs", "entry"),
             ("size_obs", "observation"),
             ("presence_counts", "reversed"),
+            ("presence_counts", "order"),
+            ("position_counts", "order"),
+            ("proximity_counts", "order"),
+            ("distance_counts", "order"),
+            ("size_obs", "order"),
+            ("size_obs", "observation-order"),
         ],
     )
     def test_entry_that_would_not_save_back_rejected_on_load(self, tmp_path, key, how):
         # A second entry for one pair, or a second observation of one pair of
         # pixel counts, replaced the first; a presence entry below the
-        # diagonal loaded, but saving writes only the upper triangle.
+        # diagonal loaded, but saving writes only the upper triangle; entries
+        # out of class order, or observations out of pixel-count order,
+        # loaded, but saving writes them in order.
         path = tmp_path / "stats.json"
         save_model(path, finalize(_hand_builder()))
         doc = json.loads(path.read_text())
@@ -471,10 +481,20 @@ class TestQuery:
             pa, pb, _ = counts[0]
             counts.append([pa, pb, 1])
             message = f"{key} of ({a}, {b}) gives one pair of pixel counts twice"
-        else:
+        elif how == "reversed":
             entry = next(e for e in doc[key] if e[0] < e[1])
             entry[:2] = entry[1], entry[0]
             message = f"{key} of ({entry[0]}, {entry[1]}) has its first class above its second"
+        elif how == "order":
+            doc[key].reverse()
+            a, b, _ = doc[key][1]
+            message = f"{key} of ({a}, {b}) is out of class order"
+        else:
+            entry = next(e for e in doc[key] if len(e[2]) > 1)
+            entry[2].reverse()
+            message = (
+                f"{key} of ({entry[0]}, {entry[1]}) gives its pairs of pixel counts out of order"
+            )
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError, match=re.escape(message)) as exc:
             load_model(path)
@@ -490,6 +510,23 @@ class TestQuery:
             lookup(model, "presence_table", 1, 9)
         with pytest.raises(UnknownClassError):
             lookup(model, "size_mean", 9, 1)
+
+    @given(
+        st.lists(st.integers(0, 9), max_size=5, unique=True),
+        st.lists(st.integers(0, 9), max_size=12),
+    )
+    def test_class_rows_are_the_rows_or_name_the_first_unknown_id(self, universe, ids):
+        # Ids below, between and above the classes of any universe, the
+        # empty one included, which has no class to take.
+        builder = StatsBuilder.for_classes(universe)
+        builder.images = 1
+        model, classes = finalize(builder), sorted(universe)
+        unknown = [c for c in ids if c not in classes]
+        if unknown:
+            with pytest.raises(UnknownClassError, match=rf"^class id {unknown[0]} unknown"):
+                model.class_rows(ids)
+        else:
+            assert model.class_rows(ids).tolist() == [classes.index(c) for c in ids]
 
     def test_unseen_pair_uniform_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)

@@ -2,11 +2,13 @@
 
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scenecheck import (
     AttributeTable,
@@ -47,7 +49,14 @@ from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
 import pair_oracle
 from conftest import pixels
-from test_relations import CLASS_MAP, LABELLED_SCENES, _lattice_map, paint, scenes
+from test_relations import (
+    CLASS_MAP,
+    LABELLED_SCENES,
+    _lattice_map,
+    _rectangle_lattice,
+    paint,
+    scenes,
+)
 
 
 def _identity_model(weights, bias=0.0):
@@ -861,3 +870,67 @@ class TestBatchedPairLayerMatchesOracle:
         grid = grid_from_array(paint([(1, 2, 2, 4, 4), (2, 10, 10, 4, 4)]), CLASS_MAP)
         with pytest.raises(DimensionError):
             verify(grid, registry)
+
+
+def _random_stats(rng, universe, unseen):
+    """Statistics over `universe` whose counts are random, so that the
+    table cells differ, but all zero for the ordered class pair `unseen`."""
+    builder = StatsBuilder.for_classes(universe)
+    n = len(universe)
+    builder.images = int(rng.integers(5, 50))
+    builder.class_images[:] = rng.integers(1, builder.images + 1, size=n)
+    presence = np.triu(rng.integers(0, builder.images + 1, size=(n, n)))
+    builder.presence[:] = presence + np.triu(presence, 1).T
+    for counts in (builder.position, builder.proximity, builder.distance):
+        counts[:] = rng.integers(0, 6, size=counts.shape)
+    i, j = (universe.index(c) for c in unseen)
+    for counts in (builder.presence, builder.position, builder.proximity, builder.distance):
+        counts[i, j] = counts[j, i] = 0
+    for i, j in np.argwhere(rng.random((n, n)) < 0.7).tolist():
+        if (universe[i], universe[j]) != unseen:
+            sizes = rng.integers(1, 200, size=(int(rng.integers(1, 5)), 2)).tolist()
+            builder.size_obs[i, j] = Counter({(pa, pb): 1 + pa % 3 for pa, pb in sizes})
+    return finalize(builder, alpha=float(rng.choice([0.5, 1.0, 2.0])))
+
+
+def _featurize_reference(pairs, objects, hists, stats, prototypes):
+    """`featurize` as fancy indexing of the 2-D and 3-D tables by the class
+    rows of each pair, with the class rows found by a list search."""
+    rows = np.array([stats.classes.index(c) for c in objects.class_id.tolist()])
+    a, b = rows[pairs.a_index], rows[pairs.b_index]
+    shape = np.add.reduce(np.abs(hists - prototypes[rows]), axis=1)
+    X = np.empty((len(pairs), N_FEATURES))
+    X[:, 0] = stats.presence_table[a, b]
+    X[:, 1] = stats.position_table[a, b, pairs.rpos]
+    X[:, 2] = stats.proximity_table[a, b, pairs.rprox]
+    X[:, 3] = stats.distance_table[a, b, pairs.rdist_bin]
+    np.abs((pairs.rsize - stats.size_mean[a, b]) / stats.size_std[a, b], out=X[:, 4])
+    X[:, 5] = pairs.rdist
+    X[:, 6] = shape[pairs.a_index]
+    return X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(20, 60))
+def test_crowded_features_equal_the_fancy_indexed_formulas(seed, n_rects):
+    # Classes 1 to 4 fill the model's rows; class 4, its last, is at both
+    # corners, and the pair (4, 4) was never seen, so its features are the
+    # priors.  Each map holds every octant, proximity label and distance bin.
+    rng = np.random.default_rng(seed)
+    grid = grid_from_array(_rectangle_lattice(rng, n_rects), CLASS_MAP)
+    objects = extract_objects(grid, 1)
+    pairs, hists = relations_for_objects(grid, objects), shape_histogram(grid, objects)
+    stats = _random_stats(rng, (1, 2, 3, 4), unseen=(4, 4))
+    prototypes = rng.dirichlet(np.ones(SHAPE_BINS), size=4)
+    X = featurize(pairs, objects, hists, stats, prototypes)
+    expected = _featurize_reference(pairs, objects, hists, stats, prototypes)
+    assert X.shape == (len(pairs), N_FEATURES) and X.flags.c_contiguous
+    assert X.tobytes() == expected.tobytes()
+    classes = objects.class_id
+    unseen = (classes[pairs.a_index] == 4) & (classes[pairs.b_index] == 4)
+    assert unseen.any() and (X[unseen, 1] == 1.0 / 8).all()
+    # The first object whose class is outside the statistics is named.
+    known = (2, 3)
+    first = next(c for c in classes.tolist() if c not in known)
+    with pytest.raises(UnknownClassError, match=rf"^class id {first} unknown"):
+        featurize(pairs, objects, hists, _random_stats(rng, known, (2, 2)), prototypes[:2])
