@@ -28,12 +28,10 @@ from .corpus import (
 )
 from .errors import (
     ConsistencyError,
-    DegeneratePairError,
     DegenerateTrainingError,
     DimensionError,
     DuplicateError,
     EmptyCorpusError,
-    EmptyDistributionError,
     FormatError,
     NotEnoughObjectsError,
     PlacementError,

@@ -38,7 +38,7 @@ from .corpus import (
     save_model,
     synth_corpus,
 )
-from .errors import EmptyCorpusError, PlacementError, SceneCheckError
+from .errors import EmptyCorpusError, NotEnoughObjectsError, PlacementError, SceneCheckError
 # `extract_objects` stays bound here, though no command calls it by this
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
@@ -149,7 +149,7 @@ def cmd_gen_contradictions(args) -> int:
         grid = corpus.grid(image_id)
         try:
             modified, removed = generate_contradiction(grid, derive_seed(args.seed, EVAL_TAG, idx))
-        except SceneCheckError:
+        except NotEnoughObjectsError:
             skipped.append(image_id)
             continue
         invalid_path = out / "contradictions" / f"{image_id}.lgrid"

@@ -18,13 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateError,
-    EmptyCorpusError,
-    EmptyDistributionError,
-    FormatError,
-    SchemaError,
-)
+from .errors import DuplicateError, EmptyCorpusError, FormatError, SchemaError
 
 PLACEHOLDER = "∅"
 
@@ -105,15 +99,15 @@ def load_attributes(annotations: list, schema: dict[str, list[str]]) -> Attribut
 def mutual_information(joint_counts) -> float:
     """Plug-in mutual information (nats) of an L x A count matrix.
 
-    Zero joint cells contribute nothing; an all-zero matrix raises
-    EmptyDistributionError.
+    Zero joint cells contribute nothing; an all-zero matrix, which
+    holds no observation, has MI 0.
     """
     counts = np.asarray(joint_counts, dtype=np.float64)
     if counts.min() < 0:
         raise ValueError("counts must be non-negative")
     total = counts.sum()
     if total == 0:
-        raise EmptyDistributionError("all-zero joint count matrix")
+        return 0.0
     p = counts / total
     pl = p.sum(axis=1, keepdims=True)
     pa = p.sum(axis=0, keepdims=True)
@@ -155,10 +149,7 @@ def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> dict:
             value_images[value] += 1
             for cls, n in labels[image_id].items():
                 joint[row_index[cls], col_index[value]] += n
-        try:
-            mi = mutual_information(joint)
-        except EmptyDistributionError:
-            mi = 0.0
+        mi = mutual_information(joint)
         covered = n_images - value_images.get(PLACEHOLDER, 0)
         coverage = covered / n_images
         observed = [v for v in allowed if value_images.get(v, 0) > 0]

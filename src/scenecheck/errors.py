@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all scenecheck modules.
 
-Every error raised on bad input derives from SceneCheckError so callers
-(and the CLI) can distinguish validation failures from genuine bugs.
+Every SceneCheckError means bad input (a malformed or inconsistent
+document, map, config or request), never a legal one the code cannot
+handle: a map whose classes the model knows always gets a verdict.  So
+callers (and the CLI) can tell validation failures from genuine bugs.
 """
 
 
@@ -15,10 +17,6 @@ class FormatError(SceneCheckError):
 
 class UnknownClassError(SceneCheckError):
     """A class id is not present in the class map / model universe."""
-
-
-class DegeneratePairError(SceneCheckError):
-    """An object pair has no defined direction (identical centroids)."""
 
 
 class ConsistencyError(SceneCheckError):
@@ -37,12 +35,9 @@ class EmptyCorpusError(SceneCheckError):
     """An operation requiring at least one image got none."""
 
 
-class EmptyDistributionError(SceneCheckError):
-    """A count table is all zero where a distribution is required."""
-
-
 class DegenerateTrainingError(SceneCheckError):
-    """Training data contains only one label class."""
+    """Training data contains only one label class, or SGD diverged to
+    non-finite weights or bias."""
 
 
 class DimensionError(SceneCheckError):
@@ -54,7 +49,8 @@ class NotEnoughObjectsError(SceneCheckError):
 
 
 class PlacementError(SceneCheckError):
-    """Synthetic object placement failed after bounded retries."""
+    """A synthetic config asks for an object that its grid cannot hold;
+    raised at the first placement that does not fit, with no retry."""
 
 
 class VersionError(SceneCheckError):

@@ -40,7 +40,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DegeneratePairError
 from .labelgrid import LabelGrid, ObjectTable, _run_contours, trace_boundaries
 
 # Octant labels indexed so that label k spans the half-open 45-degree
@@ -322,8 +321,9 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
     with the scalar fallback of `_octants` at sector edges.  Distances are
     one `math.hypot` per unordered pair, copied to its mirror: the
     mirror's offsets are the exact negatives, and hypot ignores signs.
-    Raises DegeneratePairError when two objects share a centroid, whose
-    direction is undefined: a distance of 0.
+    Two objects that share a centroid (a ring around a centred square)
+    are at distance 0, bin 0, and their offset (0, 0) reads octant E,
+    as atan2(0, 0) = 0 does.
     """
     n = len(objects)
     if n < 2:
@@ -335,10 +335,6 @@ def relations_for_objects(grid: LabelGrid, objects: ObjectTable) -> PairTable:
 
     dr, dc = (centroid.take(b, axis=0) - centroid.take(a, axis=0)).T
     half = _hypot(dr.take(lower), dc.take(lower))
-    # hypot is 0 only where both offsets are, and a pair's mirror has the
-    # distance of the unordered pair.
-    if not half.all():
-        raise DegeneratePairError("identical centroids have no direction")
     rdist = np.empty(len(a))
     rdist[lower] = half
     rdist[mirror] = half

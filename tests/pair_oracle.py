@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scenecheck import DegeneratePairError, UnknownClassError
+from scenecheck import UnknownClassError
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
 from scenecheck.stats import SIGMA_FLOOR
 
@@ -31,13 +31,11 @@ def octant(a_centroid, b_centroid) -> str:
     """Classify the direction from A's centroid to B's into a compass octant.
 
     Label k spans the half-open sector [k*45 - 22.5, k*45 + 22.5) with
-    "up" = decreasing row.  Raises DegeneratePairError when the
-    centroids coincide.
+    "up" = decreasing row.  Coinciding centroids read E, as
+    atan2(0, 0) = 0 does.
     """
     dr = b_centroid[0] - a_centroid[0]
     dc = b_centroid[1] - a_centroid[1]
-    if dr == 0.0 and dc == 0.0:
-        raise DegeneratePairError("identical centroids have no direction")
     theta = math.degrees(math.atan2(-dr, dc))
     return OCTANTS[math.floor((theta + 22.5) / 45.0) % 8]
 

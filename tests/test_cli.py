@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from scenecheck import (
     Corpus,
+    FormatError,
     SceneCheckError,
     default_synthetic_config,
     extract_objects,
@@ -27,7 +28,7 @@ from scenecheck import (
     synth_corpus,
     verify,
 )
-from scenecheck import relations
+from scenecheck import cli, relations
 from scenecheck.cli import main
 from scenecheck.corpus import _versioned
 from scenecheck.verifier import Verdict
@@ -515,6 +516,24 @@ class TestGenContradictions:
                 corpus_dir / "images" / f"{pair['image_id']}.lgrid"
             ).resolve()
 
+    def test_only_maps_of_fewer_than_two_objects_are_skipped(
+        self, pipeline, tmp_path, capsys, monkeypatch
+    ):
+        # Any other refusal while making a twin stops the command.
+        _, corpus_dir, _ = pipeline
+        refused = Corpus.load(corpus_dir).image_ids("val")[1]
+
+        def generate(grid, seed, _generate=cli.generate_contradiction):
+            if grid.image_id == refused:
+                raise FormatError(f"{refused}: refused")
+            return _generate(grid, seed)
+
+        monkeypatch.setattr(cli, "generate_contradiction", generate)
+        argv = ["gen-contradictions", str(corpus_dir), "--seed", "3", "-o", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: FormatError: {refused}: refused\n"
+
     def test_image_id_escaping_the_corpus_is_format_error(self, tmp_path, capsys):
         # The twin of val id "../../escaped" would be written over the very
         # file it was read from, outside both the corpus and the output.
@@ -968,6 +987,24 @@ class TestEvaluate:
             assert (r["global_contradiction"], r["global_confidence"]) == (
                 forced_global.contradiction, forced_global.confidence
             )
+
+    def test_objects_that_share_a_centroid_are_evaluated(self, pipeline, tmp_path):
+        # The first val map becomes a 20 x 20 ring of class 1 around a
+        # centred 6 x 6 square of class 2: a pair at distance 0.
+        _, corpus_dir, registry_path = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        copy = Corpus.load(corpus)
+        first = copy.image_ids("val")[0]
+        arr = np.zeros((48, 64), dtype=np.int32)
+        arr[10:30, 20:40] = 1
+        arr[17:23, 27:33] = 2
+        copy.grid_path(first).write_text(grid_from_array(arr, copy.class_map).to_text())
+        out = tmp_path / "report.json"
+        argv = ["evaluate", str(registry_path), str(corpus), "--seed", "5", "-o", str(out)]
+        assert main(argv) == 0
+        rows = (tmp_path / "report.verdicts.jsonl").read_text().splitlines()
+        assert [json.loads(r)["image_id"] for r in rows[:2]] == [first, first]
 
     def test_empty_val_split_is_one_line_empty_corpus_error(self, pipeline, tmp_path, capsys):
         _, corpus_dir, registry_path = pipeline

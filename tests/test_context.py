@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scenecheck import (
     DuplicateError,
     EmptyCorpusError,
-    EmptyDistributionError,
     FormatError,
     PLACEHOLDER,
     SchemaError,
@@ -108,9 +107,9 @@ class TestMutualInformation:
             math.log(2), abs=1e-12
         )
 
-    def test_all_zero_rejected(self):
-        with pytest.raises(EmptyDistributionError):
-            mutual_information(np.zeros((3, 3)))
+    def test_all_zero_table_has_zero_mi(self):
+        # No observation, so no dependence.
+        assert mutual_information(np.zeros((3, 3))) == 0.0
 
     def test_matches_double_sum_oracle(self, rng):
         for _ in range(100):
@@ -258,6 +257,12 @@ class TestScoreAttributes:
         assert score["coverage"] == (20 - n_unannotated) / 20
         assert score["balance"] == n_outside / 20
         assert score["eligible"] is eligible
+
+    def test_images_without_objects_score_zero_mi(self):
+        # Each joint table is all zero.
+        records = [{"image_id": "a", "attributes": {"location": "inside", "lighting": "soft"}}]
+        report = score_attributes(_table(records), {"a": Counter()})
+        assert [s["mutual_information"] for s in report["attributes"].values()] == [0.0, 0.0]
 
     def test_no_labels_rejected(self):
         with pytest.raises(EmptyCorpusError):

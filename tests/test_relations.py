@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenecheck import (
-    DegeneratePairError,
     ObjectTable,
     extract_objects,
     grid_from_array,
@@ -126,9 +125,11 @@ class TestOctant:
         assert rpos((10, 10), (5, 15)) == "NE"
         assert rpos((10, 10), (15, 5)) == "SW"
 
-    def test_identical_centroids_degenerate(self):
-        with pytest.raises(DegeneratePairError):
-            rpos((3.0, 4.0), (3.0, 4.0))
+    def test_identical_centroids_read_east(self):
+        # A zero offset reads octant E, as atan2(0, 0) = 0 does.
+        assert rpos((3.0, 4.0), (3.0, 4.0)) == "E"
+        assert pair_oracle.octant((3.0, 4.0), (3.0, 4.0)) == "E"
+        assert relations._octants(np.array([0.0]), np.array([0.0])).tolist() == [0]
 
     def test_matches_angle_oracle_on_random_pairs(self, rng):
         for _ in range(2000):
@@ -780,10 +781,6 @@ class TestPairRelation:
             arr[arr == 0] = other[arr == 0]
             grid = grid_from_array(arr, {1: "a", 2: "b"})
             objects = extract_objects(grid, min_area=1)
-            if len(set(map(tuple, objects.centroid.tolist()))) < len(objects):
-                with pytest.raises(DegeneratePairError):
-                    relations_for_objects(grid, objects)
-                continue
             table = relations_for_objects(grid, objects)
             rows = pair_oracle.table_rows(table, objects)
             assert rows == pair_oracle.relations(grid, objects)
@@ -829,6 +826,12 @@ def paint(rects, shape=(24, 24)):
 
 CLASS_MAP = {1: "a", 2: "b", 3: "c", 4: "d"}
 
+# Objects that share a centroid.  A 20 x 20 ring of class 1 around a
+# centred 6 x 6 square of class 2, both centred at (11.5, 11.5); and two
+# concentric rectangles, 8 x 12 and 4 x 6, both centred at (5.5, 7.5).
+RING_AND_SQUARE = [(1, 2, 2, 20, 20), (2, 9, 9, 6, 6)]
+CONCENTRIC_RECTS = [(1, 2, 2, 8, 12), (2, 4, 5, 4, 6)]
+
 # One scene per proximity label: (rectangles, (A class, B class)).
 LABELLED_SCENES = {
     "ON": ([(1, 2, 4, 3, 4), (2, 5, 2, 6, 8)], (1, 2)),
@@ -852,18 +855,14 @@ def test_every_proximity_label_matches_oracle():
 
 
 @given(scenes)
+@example(RING_AND_SQUARE)
+@example(CONCENTRIC_RECTS)
 def test_pair_table_equals_per_pair_oracle(rects):
     grid = grid_from_array(paint(rects), CLASS_MAP)
     objects = extract_objects(grid, min_area=1)
-    try:
-        expected = pair_oracle.relations(grid, objects)
-    except DegeneratePairError:
-        with pytest.raises(DegeneratePairError):
-            relations_for_objects(grid, objects)
-        return
     table = relations_for_objects(grid, objects)
     assert len(table) == len(objects) * (len(objects) - 1)
-    assert pair_oracle.table_rows(table, objects) == expected
+    assert pair_oracle.table_rows(table, objects) == pair_oracle.relations(grid, objects)
 
 
 @settings(max_examples=20, deadline=None)
@@ -977,15 +976,18 @@ def test_crowded_pair_table_equals_the_fancy_indexed_formulas(seed, n_rects, con
     grid = grid_from_array(arr, CLASS_MAP)
     objects = extract_objects(grid, 1)
     assert len(objects) == n_rects + concentric
-    if concentric:
-        with pytest.raises(DegeneratePairError):
-            relations_for_objects(grid, objects)
-        return
     table = relations_for_objects(grid, objects)
     expected = _relations_reference(grid, objects)
     for name, column in expected.items():
         got = getattr(table, name)
         assert got.dtype == column.dtype and got.tobytes() == column.tobytes(), name
+    # Only the concentric ring and square share a centroid: both of their
+    # rows read distance 0, bin 0, octant E, and BACK (ring first), FRONT.
+    shared = (table.rdist == 0.0).nonzero()[0]
+    assert len(shared) == 2 * concentric
+    if concentric:
+        assert table.rdist_bin[shared].tolist() == table.rpos[shared].tolist() == [0, 0]
+        assert [PROXIMITY_LABELS[p] for p in table.rprox[shared]] == ["BACK", "FRONT"]
     assert set(table.rpos.tolist()) == set(range(len(OCTANTS)))
     assert set(table.rprox.tolist()) == set(range(len(PROXIMITY_LABELS)))
     assert set(table.rdist_bin.tolist()) == set(range(K_DIST))

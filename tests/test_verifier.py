@@ -7,12 +7,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenecheck import (
     AttributeTable,
-    DegeneratePairError,
     DegenerateTrainingError,
     Detector,
     DimensionError,
@@ -23,6 +22,7 @@ from scenecheck import (
     SchemaError,
     StatsBuilder,
     UnknownClassError,
+    Verdict,
     VerifierRegistry,
     accumulate,
     aggregate,
@@ -44,19 +44,22 @@ from scenecheck import (
 )
 import scenecheck.verifier as verifier_module
 from scenecheck.corpus import EVAL_TAG, paint_removal, save_model
-from scenecheck.relations import SHAPE_BINS
+from scenecheck.relations import PROXIMITY_LABELS, SHAPE_BINS
 from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
 
 import pair_oracle
 from conftest import pixels
 from test_relations import (
     CLASS_MAP,
+    CONCENTRIC_RECTS,
     LABELLED_SCENES,
+    RING_AND_SQUARE,
     _lattice_map,
     _rectangle_lattice,
     paint,
     scenes,
 )
+from test_scene import maps
 
 
 def _identity_model(weights, bias=0.0):
@@ -793,6 +796,8 @@ ORACLE_REGISTRY = _oracle_registry()
 class TestBatchedPairLayerMatchesOracle:
     @settings(max_examples=150, deadline=None)
     @given(scenes)
+    @example(RING_AND_SQUARE)
+    @example(CONCENTRIC_RECTS)
     def test_features_and_margins_equal_per_pair_oracle(self, rects):
         registry = ORACLE_REGISTRY
         detector = registry.global_detector
@@ -800,12 +805,7 @@ class TestBatchedPairLayerMatchesOracle:
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
         hists = shape_histogram(grid, objects)
-        try:
-            rels = pair_oracle.relations(grid, objects)
-        except DegeneratePairError:
-            with pytest.raises(DegeneratePairError):
-                verify(grid, registry)
-            return
+        rels = pair_oracle.relations(grid, objects)
         rows = _prototype_rows(stats, protos)
         expected = np.array(
             [pair_oracle.featurize(r, hists[r.a_id], stats, rows) for r in rels]
@@ -852,10 +852,19 @@ class TestBatchedPairLayerMatchesOracle:
             ]
             assert X[:, 6].tolist() == expected
 
-    def test_coincident_centroids_raise(self):
-        grid = grid_from_array(paint([(2, 2, 2, 9, 9), (1, 5, 5, 3, 3)]), CLASS_MAP)
-        with pytest.raises(DegeneratePairError):
-            verify(grid, ORACLE_REGISTRY)
+    def test_coincident_centroids_get_a_verdict(self):
+        # The ring (object 0) and the square it surrounds share a centroid:
+        # their pair is at distance 0, bin 0, octant E, and the square is
+        # nested in the ring's bbox.
+        grid = grid_from_array(paint(RING_AND_SQUARE), CLASS_MAP)
+        objects = extract_objects(grid, min_area=1)
+        pairs = relations_for_objects(grid, objects)
+        assert pairs.rpos.tolist() == pairs.rdist_bin.tolist() == [0, 0]
+        assert pairs.rdist.tolist() == [0.0, 0.0]
+        assert [PROXIMITY_LABELS[p] for p in pairs.rprox.tolist()] == ["BACK", "FRONT"]
+        verdict = verify(grid, ORACLE_REGISTRY)
+        assert [(a, b) for a, b, _ in verdict.pair_scores] == [(0, 1), (1, 0)]
+        assert all(math.isfinite(m) for _, _, m in verdict.pair_scores)
 
     def test_class_outside_the_model_raises(self):
         registry = _oracle_registry(stats=_oracle_stats(universe=(1, 2, 3)))
@@ -870,6 +879,23 @@ class TestBatchedPairLayerMatchesOracle:
         grid = grid_from_array(paint([(1, 2, 2, 4, 4), (2, 10, 10, 4, 4)]), CLASS_MAP)
         with pytest.raises(DimensionError):
             verify(grid, registry)
+
+
+@settings(max_examples=150, deadline=None)
+@given(maps, st.sampled_from([1, 3]))
+@example(paint(RING_AND_SQUARE), 1)
+@example(paint(CONCENTRIC_RECTS), 1)
+def test_verify_gives_every_map_a_verdict(arr, min_area):
+    # Every map of known classes gets a verdict, objects that share a
+    # centroid included: one margin per ordered pair of the objects of at
+    # least `min_area` pixels, the verdict of the map's prepared Scene.
+    registry = replace(ORACLE_REGISTRY, min_area=min_area)
+    grid = grid_from_array(arr, CLASS_MAP)
+    n = len(extract_objects(grid, min_area))
+    verdict = verify(grid, registry)
+    assert isinstance(verdict, Verdict)
+    assert len(verdict.pair_scores) == n * (n - 1)
+    assert verdict == verify(next(prepare_all([grid], min_area)), registry)
 
 
 def _random_stats(rng, universe, unseen):
