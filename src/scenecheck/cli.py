@@ -20,7 +20,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -249,7 +248,6 @@ def _scenes_and_twins(grids, min_area: int, seed: int):
 
 
 def cmd_evaluate(args) -> int:
-    started = time.monotonic()
     registry = _load_registry(args.registry)
     corpus = Corpus.load(args.corpus)
     table = corpus.attributes()
@@ -307,7 +305,6 @@ def cmd_evaluate(args) -> int:
             "aggregation_mode": AGGREGATION_MODE,
         },
         "seed": args.seed,
-        "wall_time_s": round(time.monotonic() - started, 3),
         "global": overall,
         "contexts": contexts,
         "per_context_average_accuracy": per_context_avg,

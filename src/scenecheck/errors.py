@@ -2,8 +2,8 @@
 
 Every SceneCheckError means bad input (a malformed or inconsistent
 document, map, config or request), never a legal one the code cannot
-handle: a map whose classes the model knows always gets a verdict.  So
-callers (and the CLI) can tell validation failures from genuine bugs.
+handle: every map the parser accepts gets a verdict.  So callers (and
+the CLI) can tell validation failures from genuine bugs.
 """
 
 
@@ -16,7 +16,7 @@ class FormatError(SceneCheckError):
 
 
 class UnknownClassError(SceneCheckError):
-    """A class id is not present in the class map / model universe."""
+    """A label map holds a class id that its class map lacks."""
 
 
 class ConsistencyError(SceneCheckError):

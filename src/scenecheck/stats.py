@@ -32,7 +32,7 @@ from dataclasses import FrozenInstanceError, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConsistencyError, EmptyCorpusError, SchemaError, UnknownClassError
+from .errors import ConsistencyError, EmptyCorpusError, SchemaError
 from .labelgrid import ObjectTable
 from .relations import K_DIST, OCTANTS, PROXIMITY_LABELS, PairTable
 
@@ -137,8 +137,10 @@ class CooccurrenceModel(_Counts):
     The counts are the model: they make serialization lossless and take
     part in equality.  The dense tables, indexed by `class_rows`, are how
     the model is read; `__post_init__` derives them from the counts, so
-    they take no part in equality, and `class_array` holds `classes` as
-    an int64 array for `class_rows`.  For classes a and b at rows i and j:
+    they take no part in equality.  Row and column n of every table, past
+    the n classes, hold the prior of a class never observed, the row that
+    `class_rows` gives an id outside `classes`.  For classes a and b at
+    rows i and j:
 
     - `presence_table[i, j]`: (presence[i, j] + alpha) / (images +
       2 alpha).
@@ -163,16 +165,18 @@ class CooccurrenceModel(_Counts):
     size_std: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        """Smooth the counts into the dense tables; make every array read-only."""
-        self.class_array = np.array(self.classes, dtype=np.int64)
-        self.presence_table = (self.presence + self.alpha) / (self.images + 2 * self.alpha)
+        """Smooth the zero-padded counts into the dense tables; make every array read-only."""
+        self.class_array = np.array([*self.classes, np.iinfo(np.int64).max], dtype=np.int64)
+        pad = ((0, 1), (0, 1))
+        presence = np.pad(self.presence, pad)
+        self.presence_table = (presence + self.alpha) / (self.images + 2 * self.alpha)
         for name in ("position", "proximity", "distance"):
-            counts = getattr(self, name)
+            counts = np.pad(getattr(self, name), (*pad, (0, 0)))
             total = counts.sum(axis=2, keepdims=True)
             arity = counts.shape[2]
             smoothed = (counts + self.alpha) / (total + self.alpha * arity)
             setattr(self, f"{name}_table", np.where(total > 0, smoothed, 1.0 / arity))
-        n = len(self.classes)
+        n = len(self.class_array)
         self.size_mean, self.size_std = np.zeros((n, n)), np.ones((n, n))
         for (i, j), obs in self.size_obs.items():
             self.size_mean[i, j], self.size_std[i, j] = _size_moments(obs)
@@ -187,25 +191,13 @@ class CooccurrenceModel(_Counts):
         super().__setattr__(name, value)
 
     def class_rows(self, class_ids) -> np.ndarray:
-        """Index of each class id into the dense tables.
-
-        One `searchsorted` finds each id's row, and one `take` of the
-        universe at those rows checks that it holds the id.  Raises
-        UnknownClassError, naming the first such id, when an id is outside
-        the model's universe.
-        """
+        """Row of each class id in the dense tables: n, the prior's row,
+        for an id outside `classes`.  One `searchsorted` finds each id's
+        row, and one `take` of `class_array`, whose last value no int32 id
+        equals, checks that the row holds the id."""
         ids = np.asarray(class_ids, dtype=np.int64)
-        universe = self.class_array
-        rows = universe.searchsorted(ids)
-        # A row past the end clips to the largest class, which is below the
-        # id; an empty universe has no class to take, and knows no id.
-        if len(universe):
-            unknown = universe.take(rows, mode="clip") != ids
-        else:
-            unknown = np.ones(len(ids), dtype=bool)
-        if unknown.any():
-            raise UnknownClassError(f"class id {int(ids[unknown.argmax()])} unknown to this model")
-        return rows
+        rows = self.class_array.searchsorted(ids)
+        return np.where(self.class_array.take(rows) == ids, rows, len(self.classes))
 
 
 def finalize(*builders: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:

@@ -259,15 +259,15 @@ def featurize(
     class's row of a Detector's `prototypes`, gathered once per object by
     the class rows that the co-occurrence tables are read with.  Every
     table is read with one 1-D `take` of its flattened array: a pair's
-    class rows (i, j) give the flat index ab = i * n_classes + j of the
-    presence and size tables, and ab * arity + code that of the position,
-    proximity and distance tables.  Raises UnknownClassError when a paired
-    object's class is outside the statistics.
+    class rows (i, j) give the flat index ab = i * (n_classes + 1) + j of
+    the presence and size tables, and ab * arity + code that of the
+    position, proximity and distance tables.  An object of a class outside
+    the statistics reads their prior row n, and its Detector's prototype n.
     """
     if not len(pairs):
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows(objects.class_id)
-    ab = rows.take(pairs.a_index) * len(stats.classes) + rows.take(pairs.b_index)
+    ab = rows.take(pairs.a_index) * len(stats.class_array) + rows.take(pairs.b_index)
     shape = np.add.reduce(np.abs(hists - prototypes.take(rows, axis=0)), axis=1)
     X = np.empty((len(pairs), N_FEATURES))
     X[:, 0] = stats.presence_table.ravel().take(ab)
@@ -440,7 +440,8 @@ class Detector:
     """One scope's detector: its classifier, the co-occurrence statistics it
     featurizes against and its shape prototypes, a read-only table whose row
     i is the mean histogram of class `stats.classes[i]` over the scope's
-    objects, or the uniform one for a class none of them has."""
+    objects, or the uniform one for a class none of them has; `__post_init__`
+    appends the uniform row n, read for a class outside the statistics."""
 
     model: LinearModel
     stats: CooccurrenceModel
@@ -449,6 +450,8 @@ class Detector:
     def __post_init__(self) -> None:
         if self.prototypes.shape != (len(self.stats.classes), SHAPE_BINS):
             raise ValueError(f"prototype table of shape {self.prototypes.shape}, not (classes, bins)")
+        uniform = np.full(SHAPE_BINS, 1.0 / SHAPE_BINS)
+        object.__setattr__(self, "prototypes", np.vstack((self.prototypes, uniform)))
         self.prototypes.flags.writeable = False
 
     __eq__ = _Counts.__eq__

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scenecheck import UnknownClassError
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
 from scenecheck.stats import SIGMA_FLOOR
 
@@ -113,30 +112,29 @@ def distance_bin(rdist: float, k_dist: int = K_DIST) -> int:
     return min(int(rdist * k_dist), k_dist - 1)
 
 
-def _rows(model, *ids) -> list[int]:
-    """The row of each class id in the model's counts."""
-    for c in ids:
-        if c not in model.classes:
-            raise UnknownClassError(f"class id {c} unknown to this model")
-    return [model.classes.index(c) for c in ids]
+def _rows(model, *ids) -> list[int | None]:
+    """The row of each class id in the model's counts; None for an id
+    outside them, a class never observed."""
+    return [model.classes.index(c) if c in model.classes else None for c in ids]
 
 
 def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
     """Smoothed probability of `observed` under the model's named counts:
     (count + alpha) / (total + alpha * arity).
 
-    Unknown class ids raise UnknownClassError; a known pair with no
-    data falls back to the uniform smoothed prior and never errors.
+    A pair with no data, an unknown class id's among them, falls back to
+    the smoothed prior and never errors.
     """
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
     i, j = _rows(model, a_class, b_class)
+    known = i is not None and j is not None
     if kind == "presence":
-        count = int(model.presence[i, j])
+        count = int(model.presence[i, j]) if known else 0
         return (count + model.alpha) / (model.images + 2 * model.alpha)
     labels = {"position": OCTANTS, "proximity": PROXIMITY_LABELS}.get(kind, tuple(range(K_DIST)))
     idx = labels.index(observed)
-    counts = getattr(model, kind)[i, j].tolist()
+    counts = getattr(model, kind)[i, j].tolist() if known else []
     if not any(counts):
         return 1.0 / len(labels)
     return (counts[idx] + model.alpha) / (sum(counts) + model.alpha * len(labels))

@@ -1006,6 +1006,32 @@ class TestEvaluate:
         rows = (tmp_path / "report.verdicts.jsonl").read_text().splitlines()
         assert [json.loads(r)["image_id"] for r in rows[:2]] == [first, first]
 
+    def test_a_class_the_registry_never_saw_is_evaluated(self, pipeline, tmp_path):
+        # The copy's classes.json adds class 14, which no train map holds,
+        # and its first val map becomes a ground, a person and a class-14 box.
+        _, corpus_dir, registry_path = pipeline
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_dir, corpus)
+        classes = json.loads((corpus / "classes.json").read_text())
+        classes["classes"]["14"] = "kite"
+        (corpus / "classes.json").write_text(json.dumps(classes))
+        copy = Corpus.load(corpus)
+        first = copy.image_ids("val")[0]
+        arr = np.zeros((48, 64), dtype=np.int32)
+        arr[40:48, :] = 6
+        arr[22:40, 10:18] = 7
+        arr[4:10, 40:50] = 14
+        copy.grid_path(first).write_text(grid_from_array(arr, copy.class_map).to_text())
+        assert len(verify(copy.grid(first), load_model(registry_path)).pair_scores) == 6
+        out = tmp_path / "report.json"
+        argv = ["evaluate", str(registry_path), str(corpus), "--seed", "5", "-o", str(out)]
+        assert main(argv) == 0
+        rows = (tmp_path / "report.verdicts.jsonl").read_text().splitlines()
+        rows = [json.loads(r) for r in rows[:2]]
+        assert [(r["image_id"], r["variant"]) for r in rows] == [
+            (first, "valid"), (first, "contradiction")
+        ]
+
     def test_empty_val_split_is_one_line_empty_corpus_error(self, pipeline, tmp_path, capsys):
         _, corpus_dir, registry_path = pipeline
         corpus = tmp_path / "corpus"
@@ -1056,9 +1082,7 @@ class TestEvaluate:
                     "--seed", "5", "-o", str(out),
                 ]
             )
-            doc = json.loads(out.read_text())
-            doc.pop("wall_time_s")  # the one timing field differs run to run
-            outs.append(json.dumps(doc, sort_keys=True))
+            outs.append(out.read_bytes())
             outs.append((tmp_path / f"report_{run}.verdicts.jsonl").read_bytes())
         assert outs[0] == outs[2]
         assert outs[1] == outs[3]
@@ -1079,9 +1103,7 @@ class TestEvaluate:
             out = tmp_path / run / "report.json"
             argv = ["evaluate", str(registry_path), str(corpus_dir), "--seed", "5", "-o", str(out)]
             assert main(argv) == 0
-            report = json.loads(out.read_text())
-            report.pop("wall_time_s")
-            outputs.append((report, (out.parent / "report.verdicts.jsonl").read_bytes()))
+            outputs.append((out.read_bytes(), (out.parent / "report.verdicts.jsonl").read_bytes()))
         assert outputs[0] == outputs[1]
 
     def test_input_paths_are_relative_to_the_report(self, pipeline, tmp_path, monkeypatch):
@@ -1100,10 +1122,7 @@ class TestEvaluate:
             assert not os.path.isabs(config["registry"])
             assert (out.parent / config["registry"]).resolve() == registry_path.resolve()
             assert (out.parent / config["corpus"]).resolve() == corpus_dir.resolve()
-            # Everything but the one timing line must match byte for byte.
-            texts[name] = [
-                line for line in out.read_text().splitlines() if '"wall_time_s"' not in line
-            ]
+            texts[name] = out.read_bytes()
         assert texts["relative"] == texts["absolute"]
 
 

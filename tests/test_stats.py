@@ -17,7 +17,6 @@ from scenecheck import (
     SceneCheckError,
     SchemaError,
     StatsBuilder,
-    UnknownClassError,
     accumulate,
     default_synthetic_config,
     extract_objects,
@@ -340,12 +339,12 @@ class TestQuery:
                     z = (x - model.size_mean[i, j]) / model.size_std[i, j]
                     assert z == pair_oracle.size_zscore(model, a, b, x)
 
-    def test_class_rows_reject_unknown_ids(self):
+    def test_class_rows_give_unknown_ids_the_prior_row(self):
         model = finalize(_hand_builder(), alpha=1.0)
         assert model.class_rows([3, 1, 1]).tolist() == [2, 0, 0]
-        for ids, unknown in (([1, 9], 9), ([0], 0), ([4, 2, 7], 4)):
-            with pytest.raises(UnknownClassError, match=f"class id {unknown} "):
-                model.class_rows(ids)
+        extremes = [np.iinfo(np.int32).min, np.iinfo(np.int32).max]
+        for ids, rows in (([1, 9], [0, 3]), ([0], [3]), ([4, 2, 7], [3, 1, 3]), (extremes, [3, 3])):
+            assert model.class_rows(ids).tolist() == rows
 
     @pytest.mark.parametrize(
         "key, entry",
@@ -504,29 +503,32 @@ class TestQuery:
         model = finalize(_hand_builder(), alpha=1.0)
         assert (lookup(model, "size_mean", 2, 2), lookup(model, "size_std", 2, 2)) == (0.0, 1.0)
 
-    def test_unknown_class_rejected(self):
+    def test_unknown_class_reads_the_never_observed_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
-        with pytest.raises(UnknownClassError):
-            lookup(model, "presence_table", 1, 9)
-        with pytest.raises(UnknownClassError):
-            lookup(model, "size_mean", 9, 1)
+        prior = model.alpha / (model.images + 2 * model.alpha)
+        for a, b in ((1, 9), (9, 1), (9, 0), (9, 9)):
+            assert lookup(model, "presence_table", a, b) == prior
+            assert lookup(model, "presence_table", a, b) == pair_oracle.query(
+                model, "presence", a, b, None
+            )
+            assert (lookup(model, "position_table", a, b) == 1 / 8).all()
+            assert (lookup(model, "proximity_table", a, b) == 1 / 6).all()
+            assert (lookup(model, "distance_table", a, b) == 1 / K_DIST).all()
+            assert (lookup(model, "size_mean", a, b), lookup(model, "size_std", a, b)) == (0, 1)
+            assert pair_oracle.size_zscore(model, a, b, 0.3) == 0.3
 
     @given(
         st.lists(st.integers(0, 9), max_size=5, unique=True),
         st.lists(st.integers(0, 9), max_size=12),
     )
-    def test_class_rows_are_the_rows_or_name_the_first_unknown_id(self, universe, ids):
+    def test_class_rows_are_the_rows_or_the_prior_row(self, universe, ids):
         # Ids below, between and above the classes of any universe, the
-        # empty one included, which has no class to take.
+        # empty one included, whose only row is the prior's.
         builder = StatsBuilder.for_classes(universe)
         builder.images = 1
         model, classes = finalize(builder), sorted(universe)
-        unknown = [c for c in ids if c not in classes]
-        if unknown:
-            with pytest.raises(UnknownClassError, match=rf"^class id {unknown[0]} unknown"):
-                model.class_rows(ids)
-        else:
-            assert model.class_rows(ids).tolist() == [classes.index(c) for c in ids]
+        expected = [classes.index(c) if c in classes else len(classes) for c in ids]
+        assert model.class_rows(ids).tolist() == expected
 
     def test_unseen_pair_uniform_prior(self):
         model = finalize(_hand_builder(), alpha=1.0)
@@ -576,12 +578,15 @@ class TestModelInvariants:
 
 def assert_rows_are_distributions(model):
     """Every pair's row of every dense distribution table, seen or unseen,
-    is positive and sums to 1."""
+    is positive and sums to 1; row and column n, those of a class never
+    observed, are uniform."""
     n = len(model.classes)
     for table in (model.position_table, model.proximity_table, model.distance_table):
-        assert table.shape[:2] == (n, n)
+        assert table.shape[:2] == (n + 1, n + 1)
         assert (table > 0).all()
         assert np.abs(table.sum(axis=2) - 1.0).max() <= 1e-9
+        assert (table[n] == 1.0 / table.shape[2]).all()
+        assert (table[:, n] == 1.0 / table.shape[2]).all()
 
 
 def assert_positional_duality(model):

@@ -21,7 +21,6 @@ from scenecheck import (
     PLACEHOLDER,
     SchemaError,
     StatsBuilder,
-    UnknownClassError,
     Verdict,
     VerifierRegistry,
     accumulate,
@@ -642,12 +641,15 @@ class TestTrainRegistry:
         context_images = [d.stats.images for d in registry.models.values()]
         assert all(0 < n < registry.global_detector.stats.images for n in context_images)
         assert sum(context_images) <= registry.global_detector.stats.images
-        # One read-only prototype row per class, uniform for a class the scope never shows.
+        # One read-only prototype row per class, uniform for a class the scope
+        # never shows, and the uniform row of a class outside the statistics.
         for d in [registry.global_detector, *registry.models.values()]:
-            assert d.prototypes.shape == (len(d.stats.classes), SHAPE_BINS)
+            n = len(d.stats.classes)
+            assert d.prototypes.shape == (n + 1, SHAPE_BINS)
             assert not d.prototypes.flags.writeable
             unseen = d.stats.class_images == 0
-            assert (d.prototypes[unseen] == 1.0 / SHAPE_BINS).all()
+            assert (d.prototypes[:n][unseen] == 1.0 / SHAPE_BINS).all()
+            assert (d.prototypes[n] == 1.0 / SHAPE_BINS).all()
             assert unseen.any() or d is registry.global_detector
 
     def test_small_contexts_fall_back_to_global(self, tmp_path, monkeypatch):
@@ -791,6 +793,8 @@ def _oracle_registry(model=None, stats=None):
 
 
 ORACLE_REGISTRY = _oracle_registry()
+# The oracle detector over statistics whose universe lacks class 4.
+UNSEEN_REGISTRY = _oracle_registry(stats=_oracle_stats(universe=(1, 2, 3)))
 
 
 class TestBatchedPairLayerMatchesOracle:
@@ -866,13 +870,16 @@ class TestBatchedPairLayerMatchesOracle:
         assert [(a, b) for a, b, _ in verdict.pair_scores] == [(0, 1), (1, 0)]
         assert all(math.isfinite(m) for _, _, m in verdict.pair_scores)
 
-    def test_class_outside_the_model_raises(self):
-        registry = _oracle_registry(stats=_oracle_stats(universe=(1, 2, 3)))
+    def test_class_outside_the_model_reads_the_prior(self):
+        # Class 4 is outside UNSEEN_REGISTRY's statistics, and in
+        # ORACLE_REGISTRY's with no counts: the margins are the same bit for bit.
+        assert not ORACLE_REGISTRY.global_detector.stats.class_images[3]
         pair = grid_from_array(paint([(1, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
-        with pytest.raises(UnknownClassError):
-            verify(pair, registry)
+        margins = verify(pair, UNSEEN_REGISTRY).margins
+        assert len(margins) == 2
+        assert margins.tobytes() == verify(pair, ORACLE_REGISTRY).margins.tobytes()
         lone = grid_from_array(paint([(4, 10, 10, 4, 4)]), CLASS_MAP)
-        assert verify(lone, registry).pair_scores == ()
+        assert verify(lone, UNSEEN_REGISTRY).pair_scores == ()
 
     def test_model_of_the_wrong_width_raises(self):
         registry = _oracle_registry(model=_oracle_model(width=N_FEATURES - 2))
@@ -885,17 +892,20 @@ class TestBatchedPairLayerMatchesOracle:
 @given(maps, st.sampled_from([1, 3]))
 @example(paint(RING_AND_SQUARE), 1)
 @example(paint(CONCENTRIC_RECTS), 1)
+@example(paint([(2, 2, 2, 6, 6), (4, 12, 12, 5, 5)]), 1)
 def test_verify_gives_every_map_a_verdict(arr, min_area):
-    # Every map of known classes gets a verdict, objects that share a
-    # centroid included: one margin per ordered pair of the objects of at
-    # least `min_area` pixels, the verdict of the map's prepared Scene.
-    registry = replace(ORACLE_REGISTRY, min_area=min_area)
+    # Every map gets a verdict, objects that share a centroid included, and
+    # objects of class 4 under statistics that never saw it: one margin per
+    # ordered pair of the objects of at least `min_area` pixels, the
+    # verdict of the map's prepared Scene.
     grid = grid_from_array(arr, CLASS_MAP)
     n = len(extract_objects(grid, min_area))
-    verdict = verify(grid, registry)
-    assert isinstance(verdict, Verdict)
-    assert len(verdict.pair_scores) == n * (n - 1)
-    assert verdict == verify(next(prepare_all([grid], min_area)), registry)
+    for registry in (ORACLE_REGISTRY, UNSEEN_REGISTRY):
+        registry = replace(registry, min_area=min_area)
+        verdict = verify(grid, registry)
+        assert isinstance(verdict, Verdict)
+        assert len(verdict.pair_scores) == n * (n - 1)
+        assert verdict == verify(next(prepare_all([grid], min_area)), registry)
 
 
 def _random_stats(rng, universe, unseen):
@@ -921,8 +931,11 @@ def _random_stats(rng, universe, unseen):
 
 def _featurize_reference(pairs, objects, hists, stats, prototypes):
     """`featurize` as fancy indexing of the 2-D and 3-D tables by the class
-    rows of each pair, with the class rows found by a list search."""
-    rows = np.array([stats.classes.index(c) for c in objects.class_id.tolist()])
+    rows of each pair, with the class rows found by a list search, and row
+    n for a class outside the statistics."""
+    n = len(stats.classes)
+    classes = objects.class_id.tolist()
+    rows = np.array([stats.classes.index(c) if c in stats.classes else n for c in classes])
     a, b = rows[pairs.a_index], rows[pairs.b_index]
     shape = np.add.reduce(np.abs(hists - prototypes[rows]), axis=1)
     X = np.empty((len(pairs), N_FEATURES))
@@ -955,8 +968,14 @@ def test_crowded_features_equal_the_fancy_indexed_formulas(seed, n_rects):
     classes = objects.class_id
     unseen = (classes[pairs.a_index] == 4) & (classes[pairs.b_index] == 4)
     assert unseen.any() and (X[unseen, 1] == 1.0 / 8).all()
-    # The first object whose class is outside the statistics is named.
-    known = (2, 3)
-    first = next(c for c in classes.tolist() if c not in known)
-    with pytest.raises(UnknownClassError, match=rf"^class id {first} unknown"):
-        featurize(pairs, objects, hists, _random_stats(rng, known, (2, 2)), prototypes[:2])
+    # An object whose class is outside the statistics reads their prior
+    # row and the uniform prototype row a Detector appends.
+    known = _random_stats(rng, (2, 3), unseen=(2, 2))
+    protos = Detector(_oracle_model(), known, prototypes[:2]).prototypes
+    X = featurize(pairs, objects, hists, known, protos)
+    expected = _featurize_reference(pairs, objects, hists, known, protos)
+    assert X.tobytes() == expected.tobytes()
+    outside = ~np.isin(classes, (2, 3))
+    prior = outside[pairs.a_index] & outside[pairs.b_index]
+    assert prior.any() and (X[prior, 1] == 1.0 / 8).all()
+    assert (X[prior, 0] == known.alpha / (known.images + 2 * known.alpha)).all()
