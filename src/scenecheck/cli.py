@@ -24,7 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .context import PLACEHOLDER, partition_corpus, score_attributes
+from .context import PLACEHOLDER, score_attributes
 from .corpus import (
     EVAL_TAG,
     Corpus,
@@ -42,18 +42,8 @@ from .errors import EmptyCorpusError, NotEnoughObjectsError, PlacementError, Sce
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
 from .labelgrid import extract_objects, grid_batches, label_maps, load_label_grid  # noqa: F401
-from .relations import relations_for_objects
 from .seeds import derive_seed
-from .stats import finalize
-from .verifier import (
-    AGGREGATION_MODE,
-    GLOBAL_LABEL,
-    VerifierRegistry,
-    build_stats,
-    prepare_all,
-    train_registry,
-    verify,
-)
+from .verifier import AGGREGATION_MODE, GLOBAL_LABEL, prepare_all, train_registry, verify
 
 
 def _print_json(payload) -> None:
@@ -93,35 +83,6 @@ def cmd_synth(args) -> int:
             },
         }
     )
-    return 0
-
-
-def cmd_build_stats(args) -> int:
-    corpus = Corpus.load(args.corpus)
-    train_ids = corpus.image_ids("train")
-    # Every document is read before the first file is written.
-    context = _context_arg(args.context)
-    groups = {} if context is None else partition_corpus(train_ids, corpus.attributes(), context)
-    value_of = {image_id: value for value, ids in groups.items() for image_id in ids}
-
-    def observed():
-        """(context value, objects, pairs) of each train map: labelled and
-        related, with no boundary traced, since statistics read no shape."""
-        for batch in grid_batches(map(corpus.grid, train_ids)):
-            for grid, objects in zip(batch, label_maps(batch)):
-                yield value_of.get(grid.image_id), objects, relations_for_objects(grid, objects)
-
-    counts = build_stats(observed(), corpus.class_map)
-    out = Path(args.out)
-    save_model(out, finalize(*counts.values()))
-    written = [str(out)]
-    for value in sorted(groups):
-        if value == PLACEHOLDER:
-            continue
-        path = out.parent / f"{out.stem}.{value}{out.suffix}"
-        save_model(path, finalize(counts[value]))
-        written.append(str(path))
-    _print_json({"command": "build-stats", "written": written})
     return 0
 
 
@@ -195,16 +156,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_registry(path) -> VerifierRegistry:
-    """The verifier registry saved at `path`; any other document is a SceneCheckError."""
-    registry = load_model(path)
-    if not isinstance(registry, VerifierRegistry):
-        raise SceneCheckError(f"{path} does not hold a verifier registry")
-    return registry
-
-
 def cmd_verify(args) -> int:
-    registry = _load_registry(args.registry)
+    registry = load_model(args.registry)
     if args.classes:
         class_map = read_classes(args.classes)
     else:
@@ -248,7 +201,7 @@ def _scenes_and_twins(grids, min_area: int, seed: int):
 
 
 def cmd_evaluate(args) -> int:
-    registry = _load_registry(args.registry)
+    registry = load_model(args.registry)
     corpus = Corpus.load(args.corpus)
     table = corpus.attributes()
     context_attribute = registry.context_attribute
@@ -336,12 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="Corpus output directory")
     p.add_argument("--seed", type=_seed_arg, required=True)
     p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("build-stats", help="Build co-occurrence statistics from the train split")
-    p.add_argument("corpus")
-    p.add_argument("--context", default="none", help="Context attribute name, or 'none'")
-    p.add_argument("-o", "--out", required=True)
-    p.set_defaults(func=cmd_build_stats)
 
     p = sub.add_parser("select-contexts", help="Rank candidate context attributes")
     p.add_argument("corpus")

@@ -412,8 +412,9 @@ def read_attributes(path: str | Path) -> AttributeTable:
 
 def _check_plain_name(name: str, what: str, where: str | Path) -> None:
     """Reject an image id or context value, a string, that could name a file
-    outside a corpus or an output directory: commands build
-    `<dir>/<id>.lgrid` and `<stem>.<value>.json` paths from them."""
+    outside a corpus or an output directory: commands build `<dir>/<id>.lgrid`
+    paths from image ids, and `synth` starts each image id with its context
+    value."""
     if not name or name[0] == "." or "/" in name or "\\" in name:
         raise FormatError(
             f"{where}: {what} {name!r} is not a plain file name"
@@ -897,35 +898,35 @@ def _detector_from_doc(doc: dict) -> Detector:
     imaged = [str(c) for c, n in zip(stats.classes, stats.class_images) if n]
     if sorted(protos) != sorted(imaged):
         raise ValueError(f"prototypes name {sorted(protos)}, not the classes with images {imaged}")
-    table = np.full((len(stats.classes), SHAPE_BINS), 1.0 / SHAPE_BINS)
-    table[stats.class_images > 0] = np.reshape([protos[c] for c in imaged], (-1, SHAPE_BINS))
+    table = np.full((len(stats.class_array), SHAPE_BINS), 1.0 / SHAPE_BINS)
+    table[np.flatnonzero(stats.class_images)] = np.reshape(
+        [protos[c] for c in imaged], (-1, SHAPE_BINS)
+    )
     return Detector(model, stats, table)
 
 
-def save_model(path: str | Path, obj: CooccurrenceModel | VerifierRegistry) -> None:
-    """Serialize a statistics model or a verifier registry to versioned JSON."""
-    if isinstance(obj, CooccurrenceModel):
-        doc = {"kind": "cooccurrence_model", **_stats_to_doc(obj)}
-    elif isinstance(obj, VerifierRegistry):
-        doc = {
-            "kind": "verifier_registry",
-            "context_attribute": obj.context_attribute,
-            "aggregation_mode": AGGREGATION_MODE,
-            "min_area": obj.min_area,
-            "shape_samples": SHAPE_SAMPLES,
-            "shape_bins": SHAPE_BINS,
-            "global": _detector_to_doc(obj.global_detector),
-            "contexts": {
-                value: _detector_to_doc(detector) for value, detector in obj.models.items()
-            },
-        }
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def save_model(path: str | Path, registry: VerifierRegistry) -> None:
+    """Serialize a verifier registry to versioned JSON: for each detector,
+    its linear model, its co-occurrence statistics as counts and the
+    prototype of each class with images.  No other document holds
+    statistics."""
+    doc = {
+        "kind": "verifier_registry",
+        "context_attribute": registry.context_attribute,
+        "aggregation_mode": AGGREGATION_MODE,
+        "min_area": registry.min_area,
+        "shape_samples": SHAPE_SAMPLES,
+        "shape_bins": SHAPE_BINS,
+        "global": _detector_to_doc(registry.global_detector),
+        "contexts": {
+            value: _detector_to_doc(detector) for value, detector in registry.models.items()
+        },
+    }
     _write_json(Path(path), _versioned(doc))
 
 
-def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
-    """Load a document written by `save_model`; inverse for counts and weights.
+def load_model(path: str | Path) -> VerifierRegistry:
+    """Load the registry that `save_model` wrote; inverse for counts and weights.
 
     Every leaf is read by the rule of `_read`: a linear model through its
     dataclass, and `alpha`, `classes`, the class ids of count entries,
@@ -936,22 +937,19 @@ def load_model(path: str | Path) -> CooccurrenceModel | VerifierRegistry:
     distance bins, feature width), feature stds that are not above 0,
     `classes` that are not strictly increasing, `min_area` below 1, or
     prototypes for other classes than those with images, is a one-line
-    FormatError naming `path`.
+    FormatError naming `path`; so is a document of any other `kind`.
     """
-    doc = _read_document(path, "model document")
+    doc = _read_document(path, "verifier registry")
+    if doc.get("kind") != "verifier_registry":
+        raise FormatError(f"{path}: unknown document kind {doc.get('kind')!r}")
     with _malformed(path):
-        kind = doc.get("kind")
-        if kind == "cooccurrence_model":
-            return _stats_from_doc(doc)
-        if kind == "verifier_registry":
-            _expect("shape_samples", doc["shape_samples"], SHAPE_SAMPLES)
-            _expect("shape_bins", doc["shape_bins"], SHAPE_BINS)
-            _expect("aggregation_mode", doc["aggregation_mode"], AGGREGATION_MODE)
-            contexts = _read(dict[str, object], doc["contexts"], "contexts")
-            return VerifierRegistry(
-                context_attribute=_read(str | None, doc["context_attribute"], "context_attribute"),
-                min_area=_read(int, doc["min_area"], "min_area"),
-                global_detector=_detector_from_doc(doc["global"]),
-                models={v: _detector_from_doc(c) for v, c in contexts.items()},
-            )
-        raise FormatError(f"unknown document kind {kind!r}")
+        _expect("shape_samples", doc["shape_samples"], SHAPE_SAMPLES)
+        _expect("shape_bins", doc["shape_bins"], SHAPE_BINS)
+        _expect("aggregation_mode", doc["aggregation_mode"], AGGREGATION_MODE)
+        contexts = _read(dict[str, object], doc["contexts"], "contexts")
+        return VerifierRegistry(
+            context_attribute=_read(str | None, doc["context_attribute"], "context_attribute"),
+            min_area=_read(int, doc["min_area"], "min_area"),
+            global_detector=_detector_from_doc(doc["global"]),
+            models={v: _detector_from_doc(c) for v, c in contexts.items()},
+        )

@@ -17,7 +17,10 @@ one map.
 object-removal twin leaves out.  The twins `evaluate` scores are the maps
 `corpus.paint_removal` paints, prepared like any map; `train_registry`
 takes a twin's feature rows from its source's, the rows of the pairs
-without the removed object, and builds no twin.
+without the removed object, and builds no twin.  It is the one writer of
+co-occurrence statistics: it counts each train scene once, into the
+builder of its context value, and `finalize` makes each detector's
+statistics from those builders, which a registry document saves.
 
 A VerifierRegistry holds one global Detector (linear model,
 statistics and shape prototypes) plus one per context value; `verify`
@@ -262,8 +265,15 @@ def featurize(
     class rows (i, j) give the flat index ab = i * (n_classes + 1) + j of
     the presence and size tables, and ab * arity + code that of the
     position, proximity and distance tables.  An object of a class outside
-    the statistics reads their prior row n, and its Detector's prototype n.
+    the statistics reads their prior row n and prototype row n, so the
+    prototype table has one row per row of `stats.class_array`, or
+    DimensionError is raised.
     """
+    if len(prototypes) != len(stats.class_array):
+        raise DimensionError(
+            f"prototype table of {len(prototypes)} rows, expected one per class"
+            f" of the statistics plus the prior's: {len(stats.class_array)}"
+        )
     if not len(pairs):
         return np.empty((0, N_FEATURES))
     rows = stats.class_rows(objects.class_id)
@@ -438,20 +448,24 @@ def aggregate(pair_scores) -> tuple[bool, float]:
 @dataclass(frozen=True, eq=False)
 class Detector:
     """One scope's detector: its classifier, the co-occurrence statistics it
-    featurizes against and its shape prototypes, a read-only table whose row
-    i is the mean histogram of class `stats.classes[i]` over the scope's
-    objects, or the uniform one for a class none of them has; `__post_init__`
-    appends the uniform row n, read for a class outside the statistics."""
+    featurizes against and its shape prototypes, a read-only copy of a
+    table on the rows of `stats.class_array`: row i is the mean histogram
+    of class `stats.classes[i]` over the scope's objects, or the uniform
+    one for a class none of them has, and row n, read for a class outside
+    the statistics, is the uniform one."""
 
     model: LinearModel
     stats: CooccurrenceModel
     prototypes: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.prototypes.shape != (len(self.stats.classes), SHAPE_BINS):
-            raise ValueError(f"prototype table of shape {self.prototypes.shape}, not (classes, bins)")
-        uniform = np.full(SHAPE_BINS, 1.0 / SHAPE_BINS)
-        object.__setattr__(self, "prototypes", np.vstack((self.prototypes, uniform)))
+        shape = self.prototypes.shape
+        if shape != (len(self.stats.class_array), SHAPE_BINS):
+            raise ValueError(f"prototype table of shape {shape}, not (classes + 1, bins)")
+        # A saved registry holds no row n: loading makes it uniform again.
+        if (self.prototypes[-1] != 1.0 / SHAPE_BINS).any():
+            raise ValueError("prototype row n, of classes outside the statistics, is not uniform")
+        object.__setattr__(self, "prototypes", np.array(self.prototypes, dtype=np.float64))
         self.prototypes.flags.writeable = False
 
     __eq__ = _Counts.__eq__
@@ -534,30 +548,14 @@ def verify(
     )
 
 
-def build_stats(
-    scenes: Iterable[tuple[str | None, ObjectTable, PairTable]], classes: Iterable[int]
-) -> dict[str | None, StatsBuilder]:
-    """Co-occurrence counts of scenes, given as (context value, objects, pairs
-    of the objects), over the class universe `classes`: the builders by
-    context value, each scene folded once, into the builder of its value.
-    `finalize` of all of them gives the statistics of every scene.
-    """
-    classes = tuple(classes)
-    builders: dict[str | None, StatsBuilder] = {}
-    for value, objects, pairs in scenes:
-        if value not in builders:
-            builders[value] = StatsBuilder.for_classes(classes)
-        accumulate(builders[value], objects, pairs)
-    return builders
-
-
 def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray:
-    """The prototype table of `scenes` on the rows of `stats`: each class's
-    histograms summed in scene and object order, divided by their count."""
+    """The prototype table of `scenes` on the rows of `stats`, the prior's
+    row n included: each class's histograms summed in scene and object
+    order, divided by their count; uniform for a row no object has."""
     rows = stats.class_rows(np.concatenate([scene.objects.class_id for scene in scenes]))
-    sums = np.zeros((len(stats.classes), SHAPE_BINS))
+    sums = np.zeros((len(stats.class_array), SHAPE_BINS))
     np.add.at(sums, rows, np.concatenate([scene.hists for scene in scenes]))
-    counts = np.bincount(rows, minlength=len(stats.classes))[:, None]
+    counts = np.bincount(rows, minlength=len(stats.class_array))[:, None]
     return np.where(counts > 0, sums / np.maximum(counts, 1), 1.0 / SHAPE_BINS)
 
 
@@ -603,13 +601,19 @@ def train_registry(
     # Each train scene and the objects its twins remove, by the rule of
     # `corpus.paint_removal`.  A twin's feature rows are its source's rows
     # of the pairs without the removed object, bit for bit, so no twin
-    # map is painted or prepared.
+    # map is painted or prepared.  Each scene is counted once, into the
+    # builder of its context value, made on that value's first scene.
     scenes: dict[str, Scene] = {}
     removed: dict[str, list[int]] = {}
+    builders: dict[str | None, StatsBuilder] = {}
     grids = map(corpus.grid, train_ids)
     for idx, (image_id, scene) in enumerate(zip(train_ids, prepare_all(grids))):
         n = len(scene.objects)
         scenes[image_id] = scene
+        value = value_of.get(image_id)
+        if value not in builders:
+            builders[value] = StatsBuilder.for_classes(corpus.class_map)
+        accumulate(builders[value], scene.objects, scene.pairs)
         removed[image_id] = (
             [
                 _removed_index(n, derive_seed(seed, _TRAIN_TAG, idx, j))
@@ -619,13 +623,10 @@ def train_registry(
             else []
         )
 
-    counts = build_stats(
-        ((value_of.get(i), s.objects, s.pairs) for i, s in scenes.items()), corpus.class_map
-    )
-    scopes = [(GLOBAL_LABEL, train_ids, finalize(*counts.values()))]
+    scopes = [(GLOBAL_LABEL, train_ids, finalize(*builders.values()))]
     for value in sorted(groups):
         if value != PLACEHOLDER and len(groups[value]) >= N_MIN_CONTEXT:
-            scopes.append((value, sorted(groups[value]), finalize(counts[value])))
+            scopes.append((value, sorted(groups[value]), finalize(builders[value])))
 
     trained: dict[str, Detector] = {}
     for scope_idx, (label, ids, scope_stats) in enumerate(scopes):

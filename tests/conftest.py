@@ -1,6 +1,6 @@
 """Shared helpers: random hole-free blobs, tiny scene builders, object runs
-and pixels read from the columns of a table, traced contours and a guard
-on synthetic painting."""
+and pixels read from the columns of a table, traced contours, a registry
+around given statistics and a guard on synthetic painting."""
 
 from collections import deque
 
@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 import scenecheck.corpus as corpus_mod
-from scenecheck import grid_from_array, trace_boundaries
+from scenecheck import (
+    GLOBAL_LABEL,
+    Detector,
+    Hyperparams,
+    LinearModel,
+    VerifierRegistry,
+    grid_from_array,
+    trace_boundaries,
+)
+from scenecheck.relations import SHAPE_BINS
+from scenecheck.verifier import N_FEATURES
 
 
 def random_blob_array(rng, size=16, steps=60, class_id=1):
@@ -71,6 +81,28 @@ def boundary(grid, objects, k=0):
 def blob_grid(rng, size=16, steps=60, class_id=1, class_map=None):
     class_map = class_map or {class_id: "blob"}
     return grid_from_array(random_blob_array(rng, size, steps, class_id), class_map)
+
+
+def registry_of(stats, *contexts):
+    """A registry whose global detector, and whose detector of each value
+    of `contexts`, holds `stats`, uniform prototypes and a fixed linear
+    model: statistics are saved only inside a registry."""
+
+    def detector(label):
+        model = LinearModel(
+            weights=(0.5,) * N_FEATURES, bias=0.1,
+            feature_means=(0.0,) * N_FEATURES, feature_stds=(1.0,) * N_FEATURES,
+            hyperparams=Hyperparams(), seed=0, n_pos=1, n_neg=1, context_label=label,
+        )
+        prototypes = np.full((len(stats.class_array), SHAPE_BINS), 1 / SHAPE_BINS)
+        return Detector(model, stats, prototypes)
+
+    return VerifierRegistry(
+        context_attribute="location" if contexts else None,
+        min_area=1,
+        global_detector=detector(GLOBAL_LABEL),
+        models={value: detector(value) for value in contexts},
+    )
 
 
 @pytest.fixture

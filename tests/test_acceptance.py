@@ -33,7 +33,7 @@ from scenecheck import (
 from scenecheck.cli import main
 from scenecheck.corpus import Corpus, _stats_to_doc
 
-from conftest import components, random_blob_array
+from conftest import components, random_blob_array, registry_of
 from pair_oracle import keyed
 from test_labelgrid import _component_oracle, _touch_oracle
 from test_relations import _resolved_shapes, octant_oracle, rpos_of_pairs
@@ -321,8 +321,8 @@ def test_criterion_9_persistence(experiment, tmp_path, rng):
     builder = _hand_builder()
     model = finalize(builder, alpha=1.0)
     stats_path = tmp_path / "stats_roundtrip.json"
-    save_model(stats_path, model)
-    loaded = load_model(stats_path)
+    save_model(stats_path, registry_of(model))
+    loaded = load_model(stats_path).global_detector.stats
     assert loaded == model
     assert keyed(loaded, "presence") == keyed(builder, "presence")
     print("PASS criterion 9: round-trips count-exact, verdicts identical on 100 scenes")

@@ -28,9 +28,9 @@ from scenecheck import (
     synth_corpus,
     verify,
 )
-from scenecheck import cli, relations
+from scenecheck import cli
 from scenecheck.cli import main
-from scenecheck.corpus import _versioned
+from scenecheck.corpus import _stats_to_doc, _versioned
 from scenecheck.verifier import Verdict
 
 SHIPPED_CONFIG = Path(__file__).parents[1] / "scripts" / "configs" / "synth_default.json"
@@ -292,83 +292,6 @@ class TestSelectContexts:
         assert json.loads((root / "contexts.json").read_text()) == expected
 
 
-class TestBuildStats:
-    def test_writes_global_and_per_context_files(self, pipeline, tmp_path):
-        _, corpus_dir, _ = pipeline
-        out = tmp_path / "stats.json"
-        code = main(
-            ["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]
-        )
-        assert code == 0
-        assert out.exists()
-        assert (tmp_path / "stats.inside.json").exists()
-        assert (tmp_path / "stats.outside.json").exists()
-        doc = json.loads(out.read_text())
-        assert doc["kind"] == "cooccurrence_model"
-
-    def test_statistics_equal_the_trained_registry(self, pipeline, tmp_path, monkeypatch):
-        _, corpus_dir, registry_path = pipeline
-        out = tmp_path / "stats.json"
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("build-stats traced a boundary, but statistics read no shape")
-
-        monkeypatch.setattr(relations, "trace_boundaries", refuse)
-        assert main(["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]) == 0
-        registry = load_model(registry_path)
-        for path, stats in [
-            (out, registry.global_detector.stats),
-            *((tmp_path / f"stats.{v}.json", registry.models[v].stats) for v in registry.models),
-        ]:
-            assert load_model(path) == stats
-            save_model(tmp_path / "resaved.json", stats)
-            assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
-
-    def test_empty_train_split_is_one_line_empty_corpus_error(self, tmp_path, capsys):
-        config = default_synthetic_config(n_images=4, seed=6)
-        config = dataclasses.replace(config, train_fraction=0.0)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
-        assert corpus.image_ids("train") == []
-        out = tmp_path / "stats" / "stats.json"
-        assert main(["build-stats", str(tmp_path / "corpus"), "-o", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: EmptyCorpusError: cannot finalize statistics over zero images\n"
-        assert not out.parent.exists()
-
-    @pytest.mark.parametrize("name", ["classes.json", "splits.json"])
-    def test_corpus_document_that_is_a_list_is_format_error(self, tmp_path, capsys, name):
-        corpus_dir = tmp_path / "corpus"
-        synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus_dir)
-        (corpus_dir / name).write_text("[]")
-        assert main(["build-stats", str(corpus_dir), "-o", str(tmp_path / "stats.json")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: FormatError:") and err.count("\n") == 1
-        assert name in err
-
-    def test_context_value_that_is_not_a_plain_name_is_format_error(self, tmp_path, capsys):
-        # Per-context statistics are written to `<stem>.<value>.json`, so this
-        # value would make a directory `stats.x` next to the output and write
-        # `escaped.json` two directories above it.
-        corpus_dir = tmp_path / "corpus"
-        synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus_dir)
-        value = "x/../../../escaped"
-        path = corpus_dir / "attributes.json"
-        doc = json.loads(path.read_text())
-        doc["schema"]["location"] = ["inside", value]
-        for entry in doc["annotations"]:
-            if entry["attributes"]["location"] == "outside":
-                entry["attributes"]["location"] = value
-        path.write_text(json.dumps(doc))
-        before = sorted(tmp_path.rglob("*"))
-        out = tmp_path / "a" / "b" / "c" / "stats.json"
-        argv = ["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)]
-        assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: FormatError:") and err.count("\n") == 1
-        assert repr(value) in err
-        assert sorted(tmp_path.rglob("*")) == before
-
-
 def _spoil(path, how):
     """Spoil the JSON document at `path` in one of the ways every reader refuses."""
     if how == "missing":
@@ -391,9 +314,9 @@ SPOILS = {
 }
 READERS = [
     "synth config",
-    "build-stats classes.json",
-    "build-stats splits.json",
-    "build-stats attributes.json",
+    "train classes.json",
+    "train splits.json",
+    "train attributes.json",
     "verify registry",
     "verify --classes",
     "verify --attributes",
@@ -414,13 +337,13 @@ def readers(pipeline, tmp_path):
     shutil.copy(registry_path, registry)
     classes, attributes = corpus / "classes.json", corpus / "attributes.json"
     out = str(tmp_path / "out" / "x.json")
-    build_stats = ["build-stats", str(corpus), "--context", "location", "-o", out]
+    train = ["train", str(corpus), "--context", "location", "--seed", "1", "-o", out]
     verify = ["verify", str(registry), str(next((corpus_dir / "images").glob("inside_*.lgrid")))]
     return {
         "synth config": (config, ["synth", str(config), str(tmp_path / "c"), "--seed", "1"]),
-        "build-stats classes.json": (classes, build_stats),
-        "build-stats splits.json": (corpus / "splits.json", build_stats),
-        "build-stats attributes.json": (attributes, build_stats),
+        "train classes.json": (classes, train),
+        "train splits.json": (corpus / "splits.json", train),
+        "train attributes.json": (attributes, train),
         "verify registry": (registry, verify),
         "verify --classes": (classes, verify + ["--classes", str(classes)]),
         "verify --attributes": (attributes, verify + ["--attributes", str(attributes)]),
@@ -441,6 +364,26 @@ def test_every_document_reader_refuses_a_spoilt_document(readers, capsys, reader
     assert err.startswith(f"error: {SPOILS[how]}: {path}:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "evaluate"])
+def test_a_document_of_statistics_alone_is_not_a_registry(pipeline, tmp_path, capsys, command):
+    # Statistics are read only as parts of a registry's detectors.
+    _, corpus_dir, registry_path = pipeline
+    stats = load_model(registry_path).global_detector.stats
+    path = tmp_path / "stats.json"
+    path.write_text(json.dumps(_versioned({"kind": "cooccurrence_model", **_stats_to_doc(stats)})))
+    out = tmp_path / "report.json"
+    argv = {
+        "verify": ["verify", str(path), str(next((corpus_dir / "images").glob("*.lgrid")))],
+        "evaluate": ["evaluate", str(path), str(corpus_dir), "--seed", "1", "-o", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    message = f"{path}: unknown document kind 'cooccurrence_model'"
+    assert captured.err == f"error: FormatError: {message}\n"
+    assert captured.out == "" and not out.exists()
+
+
 ATTRIBUTE_FAULTS = {
     "schema-value-a-string": "FormatError",
     "value-outside-the-schema": "SchemaError",
@@ -449,7 +392,7 @@ ATTRIBUTE_FAULTS = {
 
 
 @pytest.mark.parametrize("fault", sorted(ATTRIBUTE_FAULTS))
-@pytest.mark.parametrize("reader", ["build-stats attributes.json", "verify --attributes"])
+@pytest.mark.parametrize("reader", ["train attributes.json", "verify --attributes"])
 def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
     path, argv = readers[reader]
     doc = json.loads(path.read_text())
@@ -469,7 +412,7 @@ def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
 @pytest.mark.parametrize(
     "attributes", [None, ["inside"], "inside", 3], ids=["null", "list", "string", "number"]
 )
-@pytest.mark.parametrize("reader", ["build-stats attributes.json", "verify --attributes"])
+@pytest.mark.parametrize("reader", ["train attributes.json", "verify --attributes"])
 def test_annotation_attributes_that_are_not_an_object_name_the_image(
     readers, capsys, reader, attributes
 ):
@@ -572,12 +515,11 @@ class TestGenContradictions:
         assert not (out / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["build-stats", "select-contexts", "train", "evaluate"])
+@pytest.mark.parametrize("command", ["select-contexts", "train", "evaluate"])
 def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command):
     _, corpus_dir, registry_path = pipeline
     out = tmp_path / "missing" / "sub" / "x.json"
     argv = {
-        "build-stats": ["build-stats", str(corpus_dir)],
         "select-contexts": ["select-contexts", str(corpus_dir)],
         "train": ["train", str(corpus_dir), "--seed", "1"],
         "evaluate": ["evaluate", str(registry_path), str(corpus_dir), "--seed", "1"],
@@ -588,7 +530,7 @@ def test_output_into_a_missing_directory_is_created(pipeline, tmp_path, command)
 
 @pytest.mark.parametrize(
     "command",
-    ["synth", "build-stats", "select-contexts", "gen-contradictions", "train", "evaluate"],
+    ["synth", "select-contexts", "gen-contradictions", "train", "evaluate"],
 )
 def test_output_that_cannot_be_created_is_one_error_line(pipeline, tmp_path, capsys, command):
     # A regular file where the output's directory should be, or, for train,
@@ -603,7 +545,6 @@ def test_output_that_cannot_be_created_is_one_error_line(pipeline, tmp_path, cap
     )
     argv = {
         "synth": ["synth", str(root / "config.json"), str(out), "--seed", "1"],
-        "build-stats": ["build-stats", str(corpus_dir), "-o", str(out)],
         "select-contexts": ["select-contexts", str(corpus_dir), "-o", str(out)],
         "gen-contradictions": ["gen-contradictions", str(corpus_dir), "--seed", "1", "-o", str(out)],
         "train": ["train", str(corpus_dir), "--seed", "1", "-o", str(out)],
@@ -646,6 +587,51 @@ class TestTrain:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith("usage: scenecheck") and "--aggregation" in err
+        assert not out.exists()
+
+
+    def test_empty_train_split_is_one_line_empty_corpus_error(self, tmp_path, capsys):
+        config = default_synthetic_config(n_images=4, seed=6)
+        config = dataclasses.replace(config, train_fraction=0.0)
+        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        assert corpus.image_ids("train") == []
+        out = tmp_path / "out" / "registry.json"
+        assert main(["train", str(tmp_path / "corpus"), "--seed", "1", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: EmptyCorpusError: train split is empty\n"
+        assert not out.parent.exists()
+
+    def test_context_value_that_is_not_a_plain_name_is_format_error(self, tmp_path, capsys):
+        # `synth` starts image ids with context values, so `attributes.json`
+        # holds them to the rule of image ids.
+        corpus_dir = tmp_path / "corpus"
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), corpus_dir)
+        value = "x/../../../escaped"
+        path = corpus_dir / "attributes.json"
+        doc = json.loads(path.read_text())
+        doc["schema"]["location"] = ["inside", value]
+        for entry in doc["annotations"]:
+            if entry["attributes"]["location"] == "outside":
+                entry["attributes"]["location"] = value
+        path.write_text(json.dumps(doc))
+        before = sorted(tmp_path.rglob("*"))
+        out = tmp_path / "a" / "b" / "c" / "registry.json"
+        argv = ["train", str(corpus_dir), "--context", "location", "--seed", "1", "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+        assert repr(value) in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_build_stats_is_not_a_command(self, pipeline, tmp_path, capsys):
+        # Statistics are written only inside the registry that train saves.
+        _, corpus_dir, _ = pipeline
+        out = tmp_path / "stats.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["build-stats", str(corpus_dir), "--context", "location", "-o", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: scenecheck") and "invalid choice: 'build-stats'" in err
         assert not out.exists()
 
 
@@ -1148,8 +1134,6 @@ REMOVED_TUNING_OPTIONS = [
             ("--min-area", "25"), ("--n-min", "30"), ("--contradictions-per-image", "4"),
         ]
     ),
-    ("build-stats", "--alpha", "1.0"),
-    ("build-stats", "--min-area", "25"),
     ("select-contexts", "--min-coverage", "0.95"),
     ("select-contexts", "--min-balance", "0.1"),
     ("select-contexts", "--min-area", "25"),

@@ -14,10 +14,7 @@ from hypothesis import strategies as st
 from scenecheck import (
     GLOBAL_LABEL,
     Corpus,
-    Detector,
     FormatError,
-    Hyperparams,
-    LinearModel,
     NotEnoughObjectsError,
     PlacementError,
     StatsBuilder,
@@ -38,10 +35,11 @@ from scenecheck import (
     verify,
 )
 from scenecheck.cli import main
-from scenecheck.corpus import _write_json
-from scenecheck.relations import PROXIMITY_LABELS, SHAPE_BINS
+from scenecheck.corpus import _stats_to_doc, _versioned, _write_json
+from scenecheck.relations import PROXIMITY_LABELS
 from scenecheck.seeds import derive_seed
-from scenecheck.verifier import FEATURE_NAMES
+
+from conftest import registry_of
 
 
 class TestGenerateContradiction:
@@ -411,19 +409,7 @@ def _corpus_stats(tmp_path):
 def _hand_registry():
     builder = StatsBuilder.for_classes([1, 2])
     builder.images = 1
-    n = len(FEATURE_NAMES)
-    model = LinearModel(
-        weights=(0.5,) * n, bias=0.1, feature_means=(0.0,) * n, feature_stds=(1.0,) * n,
-        hyperparams=Hyperparams(), seed=0, n_pos=1, n_neg=1, context_label=GLOBAL_LABEL,
-    )
-    return VerifierRegistry(
-        context_attribute=None, min_area=1,
-        global_detector=Detector(
-            model=model,
-            stats=finalize(builder),
-            prototypes=np.full((2, SHAPE_BINS), 1 / SHAPE_BINS),
-        ),
-    )
+    return registry_of(finalize(builder), "inside")
 
 
 DENSE_TABLES = (
@@ -435,9 +421,9 @@ DENSE_TABLES = (
 class TestPersistence:
     def test_stats_model_roundtrip_exact(self, tmp_path):
         model = _corpus_stats(tmp_path)
-        path = tmp_path / "stats.json"
-        save_model(path, model)
-        loaded = load_model(path)
+        path = tmp_path / "registry.json"
+        save_model(path, registry_of(model))
+        loaded = load_model(path).global_detector.stats
         assert loaded == model
 
     def test_saving_what_was_loaded_reproduces_the_document(self, tmp_path):
@@ -445,8 +431,8 @@ class TestPersistence:
         corpus, table = synth_corpus(config, tmp_path / "corpus")
         registry = train_registry(corpus, table, "location", seed=14)
         assert registry.models, "the registry should hold context detectors too"
-        stats = registry.models["inside"].stats
-        for name, obj in (("registry.json", registry), ("stats.json", stats)):
+        inside = registry_of(registry.models["inside"].stats)
+        for name, obj in (("registry.json", registry), ("inside.json", inside)):
             path, again = tmp_path / name, tmp_path / f"again.{name}"
             save_model(path, obj)
             save_model(again, load_model(path))
@@ -454,9 +440,9 @@ class TestPersistence:
 
     def test_loaded_dense_tables_equal_saved(self, tmp_path):
         model = _corpus_stats(tmp_path)
-        path = tmp_path / "stats.json"
-        save_model(path, model)
-        loaded = load_model(path)
+        path = tmp_path / "registry.json"
+        save_model(path, registry_of(model))
+        loaded = load_model(path).global_detector.stats
         for name in DENSE_TABLES:
             saved, reread = getattr(model, name), getattr(loaded, name)
             assert reread.shape == saved.shape
@@ -514,113 +500,113 @@ class TestPersistence:
         assert err.startswith("error: FormatError:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        "kind, where, key, value, message",
+        "where, key, value, message",
         [
-            ("registry", (), "shape_samples", 32, "shape_samples is 32, expected 64"),
-            ("registry", (), "shape_bins", 8, "shape_bins is 8, expected 16"),
-            ("registry", ("global", "stats"), "k_dist", 3, "k_dist is 3, expected 5"),
-            ("statistics", (), "k_dist", 3, "k_dist is 3, expected 5"),
+            ((), "shape_samples", 32, "shape_samples is 32, expected 64"),
+            ((), "shape_bins", 8, "shape_bins is 8, expected 16"),
+            (("global", "stats"), "k_dist", 3, "k_dist is 3, expected 5"),
+            (("contexts", "inside", "stats"), "k_dist", 3, "k_dist is 3, expected 5"),
             (
-                "registry", ("global", "model"), "weights", [0.5] * 6,
+                ("global", "model"), "weights", [0.5] * 6,
                 "length of weights is 6, expected 7",
             ),
             (
-                "registry", ("global", "model"), "feature_means", [0.0] * 6,
+                ("global", "model"), "feature_means", [0.0] * 6,
                 "length of feature_means is 6, expected 7",
             ),
             (
-                "registry", ("global", "model"), "feature_stds", [1.0] * 8,
+                ("global", "model"), "feature_stds", [1.0] * 8,
                 "length of feature_stds is 8, expected 7",
             ),
             (
-                "registry", ("global", "prototypes"), "1", [0.125] * 8,
+                ("global", "prototypes"), "1", [0.125] * 8,
                 "length of the class 1 prototype is 8, expected 16",
             ),
             (
-                "registry", ("global", "model"), "weights", ["x"] * 7,
+                ("global", "model"), "weights", ["x"] * 7,
                 "weights holds 'x', expected finite numbers",
             ),
             (
-                "registry", ("global", "prototypes"), "1", ["x"] * 16,
+                ("global", "prototypes"), "1", ["x"] * 16,
                 "the class 1 prototype holds 'x', expected finite numbers",
             ),
             (
-                "registry", ("global", "prototypes"), "1", [0.0] * 15 + [math.nan],
+                ("global", "prototypes"), "1", [0.0] * 15 + [math.nan],
                 "the class 1 prototype holds nan, expected finite numbers",
             ),
             (
-                "registry", ("global", "prototypes"), "1", [math.inf] + [0.0] * 15,
+                ("global", "prototypes"), "1", [math.inf] + [0.0] * 15,
                 "the class 1 prototype holds inf, expected finite numbers",
             ),
             (
-                "registry", ("global", "prototypes"), "9", [1 / 16] * 16,
+                ("global", "prototypes"), "9", [1 / 16] * 16,
                 re.escape("prototypes name ['9'], not the classes with images []"),
             ),
             (
-                "registry", ("global", "stats"), "class_image_counts", {"1": 1},
+                ("global", "stats"), "class_image_counts", {"1": 1},
                 re.escape("prototypes name [], not the classes with images ['1']"),
             ),
             (
-                "registry", ("global", "model"), "feature_stds", [1.0] * 6 + [0.0],
+                ("global", "model"), "feature_stds", [1.0] * 6 + [0.0],
                 "feature_stds holds 0.0, expected values above 0",
             ),
             (
-                "registry", ("global", "model"), "feature_stds", [-1.0] + [1.0] * 6,
+                ("global", "model"), "feature_stds", [-1.0] + [1.0] * 6,
                 "feature_stds holds -1.0, expected values above 0",
             ),
             (
-                "registry", ("global", "model"), "feature_stds", [1.0] * 6 + [math.nan],
+                ("global", "model"), "feature_stds", [1.0] * 6 + [math.nan],
                 "feature_stds holds nan, expected finite numbers",
             ),
             (
-                "registry", ("global", "model"), "feature_stds", [math.inf] * 7,
+                ("global", "model"), "feature_stds", [math.inf] * 7,
                 "feature_stds holds inf, expected finite numbers",
             ),
             (
-                "registry", ("global", "model"), "weights", [0.5] * 6 + [math.nan],
+                ("global", "model"), "weights", [0.5] * 6 + [math.nan],
                 "weights holds nan, expected finite numbers",
             ),
             (
-                "registry", ("global", "model"), "feature_means", [-math.inf] + [0.0] * 6,
+                ("global", "model"), "feature_means", [-math.inf] + [0.0] * 6,
                 "feature_means holds -inf, expected finite numbers",
             ),
             (
-                "registry", ("global", "model"), "bias", math.nan,
+                ("global", "model"), "bias", math.nan,
                 "bias holds nan, expected finite numbers",
             ),
             (
-                "registry", ("global", "model"), "bias", math.inf,
+                ("global", "model"), "bias", math.inf,
                 "bias holds inf, expected finite numbers",
             ),
-            ("registry", ("global", "stats"), "alpha", math.nan, "alpha holds nan, expected"),
-            ("registry", ("global", "stats"), "alpha", math.inf, "alpha holds inf, expected"),
-            ("registry", (), "min_area", 0, "min_area is 0, expected at least 1"),
-            ("registry", (), "min_area", 25.5, "min_area holds 25.5, expected integers"),
-            ("registry", ("global", "model"), "seed", "5", "seed holds '5', expected integers"),
-            ("registry", ("global", "model"), "n_pos", True, "n_pos holds True, expected integers"),
+            (("global", "stats"), "alpha", math.nan, "alpha holds nan, expected"),
+            (("global", "stats"), "alpha", math.inf, "alpha holds inf, expected"),
+            ((), "min_area", 0, "min_area is 0, expected at least 1"),
+            ((), "min_area", 25.5, "min_area holds 25.5, expected integers"),
+            (("global", "model"), "seed", "5", "seed holds '5', expected integers"),
+            (("global", "model"), "n_pos", True, "n_pos holds True, expected integers"),
             (
-                "registry", ("global", "model", "hyperparams"), "learning_rate", "0.01",
+                ("global", "model", "hyperparams"), "learning_rate", "0.01",
                 "learning_rate holds '0.01', expected finite numbers",
             ),
             (
-                "registry", ("global", "stats"), "classes", [1, 1, 2],
+                ("global", "stats"), "classes", [1, 1, 2],
                 re.escape("classes [1, 1, 2] are not strictly increasing"),
             ),
             (
-                "registry", ("global", "stats"), "classes", [2, 1],
+                ("global", "stats"), "classes", [2, 1],
                 re.escape("classes [2, 1] are not strictly increasing"),
             ),
             (
-                "registry", ("global", "stats"), "classes", [1, math.inf],
+                ("global", "stats"), "classes", [1, math.inf],
                 "classes holds inf, expected integers",
             ),
             (
-                "registry", ("global", "stats"), "presence_counts", [[True, 1, 1]],
+                ("global", "stats"), "presence_counts", [[True, 1, 1]],
                 "presence_counts holds True, expected integers",
             ),
         ],
         ids=[
-            "shape_samples", "shape_bins", "registry-k_dist", "statistics-k_dist",
+            "shape_samples", "shape_bins", "registry-k_dist", "context-k_dist",
             "weights", "feature_means", "feature_stds", "prototype",
             "weights-not-numbers", "prototype-not-numbers", "prototype-nan", "prototype-inf",
             "prototype-of-a-class-outside-classes", "class-with-images-but-no-prototype",
@@ -632,11 +618,10 @@ class TestPersistence:
         ],
     )
     def test_other_resolution_or_malformed_vector_is_format_error(
-        self, tmp_path, capsys, kind, where, key, value, message
+        self, tmp_path, capsys, where, key, value, message
     ):
-        registry = _hand_registry()
         path = tmp_path / "model.json"
-        save_model(path, registry if kind == "registry" else registry.global_detector.stats)
+        save_model(path, _hand_registry())
         doc = json.loads(path.read_text())
         part = doc
         for step in where:
@@ -653,10 +638,10 @@ class TestPersistence:
         assert err.startswith("error: FormatError:") and err.count("\n") == 1
 
     def test_stats_document_with_wrong_types_is_format_error(self, tmp_path):
-        path = tmp_path / "stats.json"
-        save_model(path, _hand_registry().global_detector.stats)
+        path = tmp_path / "registry.json"
+        save_model(path, _hand_registry())
         doc = json.loads(path.read_text())
-        doc["presence_counts"] = [[1, 2]]
+        doc["global"]["stats"]["presence_counts"] = [[1, 2]]
         path.write_text(json.dumps(doc))
         with pytest.raises(FormatError):
             load_model(path)
@@ -678,7 +663,7 @@ class TestPersistence:
 
     def test_unknown_schema_version_rejected(self, tmp_path):
         path = tmp_path / "doc.json"
-        path.write_text(json.dumps({"schema_version": 999, "kind": "cooccurrence_model"}))
+        path.write_text(json.dumps({"schema_version": 999, "kind": "verifier_registry"}))
         with pytest.raises(VersionError):
             load_model(path)
 
@@ -688,11 +673,21 @@ class TestPersistence:
         with pytest.raises(FormatError):
             load_model(path)
 
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps({"schema_version": 1, "kind": "mystery"}))
-        with pytest.raises(FormatError):
+    @pytest.mark.parametrize(
+        "kind", ["mystery", None, "cooccurrence_model"], ids=["mystery", "no-kind", "statistics"]
+    )
+    def test_unknown_kind_rejected(self, tmp_path, kind):
+        # Statistics are saved only inside a registry: a document that holds
+        # them alone is refused before any of its keys is read.
+        stats = _hand_registry().global_detector.stats
+        doc = _versioned({"kind": kind, **_stats_to_doc(stats)})
+        if kind is None:
+            del doc["kind"]
+        path = tmp_path / "stats.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError) as exc:
             load_model(path)
+        assert str(exc.value) == f"{path}: unknown document kind {kind!r}"
 
 
 class TestDerivedSeeds:

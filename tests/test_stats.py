@@ -31,6 +31,7 @@ from scenecheck.corpus import _stats_to_doc
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS
 
 import pair_oracle
+from conftest import registry_of
 from pair_oracle import keyed
 
 
@@ -89,6 +90,14 @@ def _hand_builder():
         objects, relations = _scene(arr, CLASS_MAP)
         accumulate(builder, objects, relations)
     return builder
+
+
+def _saved_stats(path):
+    """Save a registry whose global detector holds the hand statistics at
+    `path`: the saved document, and its part that holds the statistics."""
+    save_model(path, registry_of(finalize(_hand_builder())))
+    doc = json.loads(path.read_text())
+    return doc, doc["global"]["stats"]
 
 
 class TestAccumulate:
@@ -359,13 +368,12 @@ class TestQuery:
         ids=["class_image_counts", "presence", "position", "proximity", "distance", "size_obs"],
     )
     def test_count_entry_outside_classes_rejected_on_load(self, tmp_path, key, entry):
-        path = tmp_path / "stats.json"
-        save_model(path, finalize(_hand_builder()))
-        doc = json.loads(path.read_text())
+        path = tmp_path / "registry.json"
+        doc, stats = _saved_stats(path)
         if entry is None:
-            doc[key]["9"] = 1
+            stats[key]["9"] = 1
         else:
-            doc[key].append(entry)
+            stats[key].append(entry)
         path.write_text(json.dumps(doc))
         with pytest.raises(SceneCheckError, match="class 9,") as exc:
             load_model(path)
@@ -385,16 +393,15 @@ class TestQuery:
         ],
     )
     def test_negative_or_fractional_count_rejected_on_load(self, tmp_path, key, bad):
-        path = tmp_path / "stats.json"
-        save_model(path, finalize(_hand_builder()))
-        doc = json.loads(path.read_text())
+        path = tmp_path / "registry.json"
+        doc, stats = _saved_stats(path)
         if key == "images":
-            doc[key], where = bad, key
+            stats[key], where = bad, key
         elif key == "class_image_counts":
-            c = next(iter(doc[key]))
-            doc[key][c], where = bad, f"{key} of {c}"
+            c = next(iter(stats[key]))
+            stats[key][c], where = bad, f"{key} of {c}"
         else:
-            a, b, counts = entry = doc[key][0]
+            a, b, counts = entry = stats[key][0]
             where = f"{key} of ({a}, {b})"
             if key == "presence_counts":
                 entry[2] = bad
@@ -411,10 +418,9 @@ class TestQuery:
     def test_size_obs_without_an_observation_rejected_on_load(self, tmp_path, how):
         # Values accumulate never writes, which left no observation to
         # take the size moments of, or the log of a pixel count of 0.
-        path = tmp_path / "stats.json"
-        save_model(path, finalize(_hand_builder()))
-        doc = json.loads(path.read_text())
-        a, b, observations = doc["size_obs"][0]
+        path = tmp_path / "registry.json"
+        doc, stats = _saved_stats(path)
+        a, b, observations = stats["size_obs"][0]
         if how == "emptied":
             observations.clear()
         for observation in observations:
@@ -430,14 +436,13 @@ class TestQuery:
     )
     def test_count_entry_of_zeros_rejected_on_load(self, tmp_path, key):
         # Saving writes no such entry, so one that loaded would not save back.
-        path = tmp_path / "stats.json"
-        save_model(path, finalize(_hand_builder()))
-        doc = json.loads(path.read_text())
+        path = tmp_path / "registry.json"
+        doc, stats = _saved_stats(path)
         if key == "class_image_counts":
-            c = next(iter(doc[key]))
-            doc[key][c], where = 0, f"{key} of {c}"
+            c = next(iter(stats[key]))
+            stats[key][c], where = 0, f"{key} of {c}"
         else:
-            entry = doc[key][0]
+            entry = stats[key][0]
             entry[2] = 0 if key == "presence_counts" else [0] * len(entry[2])
             where = f"{key} of ({entry[0]}, {entry[1]}) holds"
         path.write_text(json.dumps(doc))
@@ -469,27 +474,26 @@ class TestQuery:
         # diagonal loaded, but saving writes only the upper triangle; entries
         # out of class order, or observations out of pixel-count order,
         # loaded, but saving writes them in order.
-        path = tmp_path / "stats.json"
-        save_model(path, finalize(_hand_builder()))
-        doc = json.loads(path.read_text())
-        a, b, counts = entries = doc[key][0]
+        path = tmp_path / "registry.json"
+        doc, stats = _saved_stats(path)
+        a, b, counts = entries = stats[key][0]
         if how == "entry":
-            doc[key].append(json.loads(json.dumps(entries)))
+            stats[key].append(json.loads(json.dumps(entries)))
             message = f"{key} of ({a}, {b}) is given twice"
         elif how == "observation":
             pa, pb, _ = counts[0]
             counts.append([pa, pb, 1])
             message = f"{key} of ({a}, {b}) gives one pair of pixel counts twice"
         elif how == "reversed":
-            entry = next(e for e in doc[key] if e[0] < e[1])
+            entry = next(e for e in stats[key] if e[0] < e[1])
             entry[:2] = entry[1], entry[0]
             message = f"{key} of ({entry[0]}, {entry[1]}) has its first class above its second"
         elif how == "order":
-            doc[key].reverse()
-            a, b, _ = doc[key][1]
+            stats[key].reverse()
+            a, b, _ = stats[key][1]
             message = f"{key} of ({a}, {b}) is out of class order"
         else:
-            entry = next(e for e in doc[key] if len(e[2]) > 1)
+            entry = next(e for e in stats[key] if len(e[2]) > 1)
             entry[2].reverse()
             message = (
                 f"{key} of ({entry[0]}, {entry[1]}) gives its pairs of pixel counts out of order"

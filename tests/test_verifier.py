@@ -76,8 +76,9 @@ def _identity_model(weights, bias=0.0):
 
 
 def _uniform_prototypes(stats):
-    """A prototype table that holds the uniform histogram for every class of `stats`."""
-    return np.full((len(stats.classes), SHAPE_BINS), 1.0 / SHAPE_BINS)
+    """A prototype table that holds the uniform histogram for every row of
+    `stats`, the prior's row n included."""
+    return np.full((len(stats.class_array), SHAPE_BINS), 1.0 / SHAPE_BINS)
 
 
 def _prototype_rows(stats, prototypes):
@@ -145,6 +146,43 @@ class TestFeaturize:
             relations_for_objects(grid, lone), lone, hists[:1], stats, _uniform_prototypes(stats)
         )
         assert X.shape == (0, N_FEATURES)
+
+    def test_detector_keeps_a_read_only_copy_of_its_prototypes(self):
+        builder = StatsBuilder.for_classes([1, 2])
+        builder.images = 1
+        stats = finalize(builder, alpha=1.0)
+        table = _uniform_prototypes(stats)
+        detector = Detector(_identity_model([0.0] * N_FEATURES), stats, table)
+        table[0] = 0.0
+        assert (detector.prototypes == 1.0 / SHAPE_BINS).all()
+        assert table.flags.writeable and not detector.prototypes.flags.writeable
+
+    def test_detector_refuses_a_prior_row_that_is_not_uniform(self):
+        # A registry saves no row n, so another one would not load back.
+        builder = StatsBuilder.for_classes([1, 2])
+        builder.images = 1
+        stats = finalize(builder, alpha=1.0)
+        table = _uniform_prototypes(stats)
+        table[2] = np.eye(SHAPE_BINS)[0]
+        with pytest.raises(ValueError, match="row n, of classes outside the .*, is not uniform"):
+            Detector(_identity_model([0.0] * N_FEATURES), stats, table)
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["without-the-prior-row", "one-row-too-many"])
+    def test_prototype_table_off_the_statistics_rows_is_dimension_error(self, rows):
+        # An object of class 2, outside the statistics of class 1 alone,
+        # reads prototype row 1, which a table of one row per class lacks.
+        grid, objects, pairs, hists = self._scene()
+        builder = StatsBuilder.for_classes([1])
+        builder.images = 1
+        stats = finalize(builder, alpha=1.0)
+        X = featurize(pairs, objects, hists, stats, _uniform_prototypes(stats))
+        assert X.shape == (2, N_FEATURES)
+        table = np.full((rows, SHAPE_BINS), 1.0 / SHAPE_BINS)
+        with pytest.raises(DimensionError, match=f"table of {rows} rows") as exc:
+            featurize(pairs, objects, hists, stats, table)
+        assert "\n" not in str(exc.value)
+        with pytest.raises(ValueError, match="not \\(classes \\+ 1, bins\\)"):
+            Detector(_identity_model([0.0] * N_FEATURES), stats, table)
 
 
 def _separable_set(rng, n=200):
@@ -960,7 +998,8 @@ def test_crowded_features_equal_the_fancy_indexed_formulas(seed, n_rects):
     objects = extract_objects(grid, 1)
     pairs, hists = relations_for_objects(grid, objects), shape_histogram(grid, objects)
     stats = _random_stats(rng, (1, 2, 3, 4), unseen=(4, 4))
-    prototypes = rng.dirichlet(np.ones(SHAPE_BINS), size=4)
+    uniform = np.full(SHAPE_BINS, 1.0 / SHAPE_BINS)
+    prototypes = np.vstack((rng.dirichlet(np.ones(SHAPE_BINS), size=4), uniform))
     X = featurize(pairs, objects, hists, stats, prototypes)
     expected = _featurize_reference(pairs, objects, hists, stats, prototypes)
     assert X.shape == (len(pairs), N_FEATURES) and X.flags.c_contiguous
@@ -969,9 +1008,9 @@ def test_crowded_features_equal_the_fancy_indexed_formulas(seed, n_rects):
     unseen = (classes[pairs.a_index] == 4) & (classes[pairs.b_index] == 4)
     assert unseen.any() and (X[unseen, 1] == 1.0 / 8).all()
     # An object whose class is outside the statistics reads their prior
-    # row and the uniform prototype row a Detector appends.
+    # row and the uniform prototype row n.
     known = _random_stats(rng, (2, 3), unseen=(2, 2))
-    protos = Detector(_oracle_model(), known, prototypes[:2]).prototypes
+    protos = np.vstack((prototypes[:2], uniform))
     X = featurize(pairs, objects, hists, known, protos)
     expected = _featurize_reference(pairs, objects, hists, known, protos)
     assert X.tobytes() == expected.tobytes()
