@@ -10,7 +10,6 @@ from .context import (
     DEFAULT_SCHEMA,
     PLACEHOLDER,
     AttributeTable,
-    load_attributes,
     mutual_information,
     partition_corpus,
     score_attributes,

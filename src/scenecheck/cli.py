@@ -24,7 +24,7 @@ from collections import Counter
 from pathlib import Path
 
 from . import corpus as corpus_mod
-from .context import PLACEHOLDER, score_attributes
+from .context import score_attributes
 from .corpus import (
     EVAL_TAG,
     Corpus,
@@ -69,7 +69,7 @@ def cmd_synth(args) -> int:
     config = SyntheticConfig.from_dict(doc, args.config)
     config = dataclasses.replace(config, seed=args.seed)
     try:
-        corpus, _ = synth_corpus(config, args.out)
+        corpus = synth_corpus(config, args.out)
     except PlacementError as exc:  # the config asks for what its grid cannot hold
         raise PlacementError(f"{args.config}: {exc}") from None
     _print_json(
@@ -136,8 +136,7 @@ def cmd_gen_contradictions(args) -> int:
 def cmd_train(args) -> int:
     corpus = Corpus.load(args.corpus)
     context = _context_arg(args.context)
-    table = corpus.attributes() if context is not None else None
-    registry = train_registry(corpus, table, context, seed=args.seed)
+    registry = train_registry(corpus, context, seed=args.seed)
     save_model(args.out, registry)
     scopes = {GLOBAL_LABEL: registry.global_detector, **registry.models}
     _print_json(
@@ -163,7 +162,12 @@ def cmd_verify(args) -> int:
     else:
         class_map = {c: str(c) for c in registry.global_detector.stats.classes}
     grid = load_label_grid(args.image, class_map)
-    attributes = read_attributes(args.attributes).record(grid.image_id) if args.attributes else None
+    attributes = None
+    if args.attributes:
+        table = read_attributes(args.attributes)
+        if registry.context_attribute:  # a schema without it is refused
+            table.value(grid.image_id, registry.context_attribute)
+        attributes = table.record(grid.image_id)
     verdict = verify(grid, registry, attributes)
     _print_json(verdict.to_dict())
     return 0
@@ -213,7 +217,7 @@ def cmd_evaluate(args) -> int:
     scenes = _scenes_and_twins(map(corpus.grid, val_ids), registry.min_area, args.seed)
     for image_id, (scene, twin) in zip(val_ids, scenes):
         record = table.record(image_id)
-        context = record.get(context_attribute, PLACEHOLDER) if context_attribute else None
+        context = table.value(image_id, context_attribute) if context_attribute else None
         variants = [(scene, False)]
         if twin is not None:
             variants.append((twin, True))

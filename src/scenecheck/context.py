@@ -2,23 +2,23 @@
 
 Attributes are global image properties (location, lighting, ...) with a
 small closed value set per attribute; missing values are stored as the
-placeholder token.  Candidate context attributes are scored by the
-mutual information between object-class occurrences and attribute
-values, plus coverage and balance criteria, to pick the attribute that
-best partitions a corpus into specialized verification contexts.
+placeholder token, and `corpus.read_attributes` reads them.  Candidate
+context attributes are scored by the mutual information between
+object-class occurrences and attribute values, plus coverage and balance
+criteria, to pick the attribute that best partitions a corpus into
+specialized verification contexts.
 
 Everything is read-only after load; scoring functions are pure.
 """
 
 from __future__ import annotations
 
-import reprlib
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateError, EmptyCorpusError, FormatError, SchemaError
+from .errors import EmptyCorpusError, SchemaError
 
 PLACEHOLDER = "∅"
 
@@ -36,7 +36,7 @@ DEFAULT_SCHEMA: dict[str, list[str]] = {
 
 @dataclass(frozen=True)
 class AttributeTable:
-    """Validated per-image attribute records over a fixed schema."""
+    """Per-image attribute records over a fixed schema, as `corpus.read_attributes` reads them."""
 
     schema: dict[str, list[str]]
     records: dict[str, dict[str, str]]
@@ -49,51 +49,6 @@ class AttributeTable:
 
     def record(self, image_id: str) -> dict[str, str]:
         return dict(self.records.get(image_id, {a: PLACEHOLDER for a in self.schema}))
-
-
-def load_attributes(annotations: list, schema: dict[str, list[str]]) -> AttributeTable:
-    """Validate parsed {image_id, attributes} records against `schema`.
-
-    Missing attributes are filled with the placeholder; records that are
-    not a list, an image id that is not a string, an annotation's
-    `attributes` that are not an object, or an attribute's allowed
-    values that are not a list of strings, raise FormatError,
-    values outside an attribute's allowed set raise SchemaError, repeated
-    image ids raise DuplicateError.
-    """
-    if not isinstance(annotations, list):
-        raise FormatError("attribute annotations must be a JSON array")
-    for name, allowed in schema.items():
-        if not isinstance(allowed, list) or not all(isinstance(v, str) for v in allowed):
-            raise FormatError(f"schema values of {name!r} are not a list of strings: {allowed!r}")
-    records: dict[str, dict[str, str]] = {}
-    for entry in annotations:
-        if not isinstance(entry, dict) or "image_id" not in entry:
-            raise FormatError(f"malformed annotation entry: {entry!r}")
-        image_id = entry["image_id"]
-        if not isinstance(image_id, str):
-            raise FormatError(f"annotation image id {image_id!r} is not a string")
-        if image_id in records:
-            raise DuplicateError(f"duplicate image id {image_id!r}")
-        attrs = entry.get("attributes", {})
-        if not isinstance(attrs, dict):
-            raise FormatError(
-                f"attributes of image {image_id!r} are {reprlib.repr(attrs)}, not a JSON object"
-            )
-        rec: dict[str, str] = {}
-        for name, allowed in schema.items():
-            value = attrs.get(name, PLACEHOLDER)
-            if value != PLACEHOLDER and value not in allowed:
-                raise SchemaError(
-                    f"value {value!r} not allowed for attribute {name!r} "
-                    f"(allowed: {allowed})"
-                )
-            rec[name] = value
-        for name in attrs:
-            if name not in schema:
-                raise SchemaError(f"attribute {name!r} not in schema")
-        records[image_id] = rec
-    return AttributeTable(schema={k: list(v) for k, v in schema.items()}, records=records)
 
 
 def mutual_information(joint_counts) -> float:

@@ -38,12 +38,11 @@ from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .context import DEFAULT_SCHEMA, PLACEHOLDER, AttributeTable, load_attributes
+from .context import DEFAULT_SCHEMA, PLACEHOLDER, AttributeTable
 from .errors import (
     DuplicateError,
     FormatError,
     PlacementError,
-    SceneCheckError,
     SchemaError,
     VersionError,
 )
@@ -393,10 +392,10 @@ def read_classes(path: str | Path) -> dict[int, str]:
 
 
 def read_attributes(path: str | Path) -> AttributeTable:
-    """Read an `attributes.json` document: its schema and its annotation
-    records, checked against that schema by `load_attributes`.  A schema
-    value that is not a plain file name is a FormatError.  Every error
-    names `path`."""
+    """Read an `attributes.json` document: its schema and its array of
+    `{image_id, attributes}` annotations, each attribute an annotation
+    leaves out read as the placeholder.  Every refusal is one line naming
+    `path`."""
     doc = _read_document(path, "attribute table")
     with _malformed(path):
         annotations = doc["annotations"]
@@ -404,10 +403,34 @@ def read_attributes(path: str | Path) -> AttributeTable:
     for values in schema.values():
         for value in values:
             _check_plain_name(value, "context value", path)
-    try:
-        return load_attributes(annotations, schema)
-    except SceneCheckError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
+    if not isinstance(annotations, list):
+        raise FormatError(f"{path}: attribute annotations must be a JSON array")
+    records: dict[str, dict[str, str]] = {}
+    for entry in annotations:
+        image_id = entry.get("image_id") if isinstance(entry, dict) else None
+        if not isinstance(image_id, str):
+            raise FormatError(f"{path}: annotation {reprlib.repr(entry)} has no string image id")
+        if image_id in records:
+            raise DuplicateError(f"{path}: duplicate image id {image_id!r}")
+        attrs = entry.get("attributes", {})
+        if not isinstance(attrs, dict):
+            raise FormatError(
+                f"{path}: attributes of image {image_id!r} are {reprlib.repr(attrs)},"
+                " not a JSON object"
+            )
+        if not attrs.keys() <= schema.keys():
+            name = next(name for name in attrs if name not in schema)
+            raise SchemaError(f"{path}: attribute {name!r} of image {image_id!r} not in schema")
+        record = {}
+        for name, allowed in schema.items():
+            value = attrs.get(name, PLACEHOLDER)
+            if value != PLACEHOLDER and value not in allowed:
+                raise SchemaError(
+                    f"{path}: image {image_id!r} has {name!r} {value!r}, not one of {allowed}"
+                )
+            record[name] = value
+        records[image_id] = record
+    return AttributeTable(schema=schema, records=records)
 
 
 def _check_plain_name(name: str, what: str, where: str | Path) -> None:
@@ -449,9 +472,10 @@ class Corpus:
                     raise DuplicateError(
                         f"{splits_path}: image id {image_id!r} listed {n} times in {split}"
                     )
-        overlap = set(splits["train"]) & set(splits["val"])
-        if overlap:
-            raise SchemaError(f"split tags overlap on {len(overlap)} ids")
+        val = set(splits["val"])
+        both = [image_id for image_id in splits["train"] if image_id in val]
+        if both:
+            raise SchemaError(f"{splits_path}: {len(both)} ids in both splits, first {both[0]!r}")
         return cls(root=root, class_map=class_map, splits=splits)
 
     def image_ids(self, split: str | None = None) -> list[str]:
@@ -626,8 +650,8 @@ def _place_rider(rng, arr, rider: ClassSpec, base_r0: int, base_c0: int, base_w:
     _paint(arr, rider, r0, c0, rh, rw)
 
 
-def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, AttributeTable]:
-    """Generate a corpus under `root` and return it with its attribute table.
+def synth_corpus(config: SyntheticConfig, root: str | Path) -> Corpus:
+    """Generate a corpus under `root` and return it.
 
     On any failure, the files this call wrote and the directories it made
     are removed before the error propagates: a directory that existed
@@ -647,9 +671,7 @@ def synth_corpus(config: SyntheticConfig, root: str | Path) -> tuple[Corpus, Att
         raise
 
 
-def _write_corpus(
-    config: SyntheticConfig, root: Path, written: list[Path]
-) -> tuple[Corpus, AttributeTable]:
+def _write_corpus(config: SyntheticConfig, root: Path, written: list[Path]) -> Corpus:
     """The body of `synth_corpus`, which adds each path to `written` before
     it writes there."""
     (root / "images").mkdir(parents=True, exist_ok=True)
@@ -688,9 +710,7 @@ def _write_corpus(
     for name, doc in documents.items():
         written.append(root / name)
         _write_json(root / name, _versioned(doc))
-    corpus = Corpus(root=root, class_map=class_map, splits={"train": train_ids, "val": val_ids})
-    table = load_attributes(annotations, schema)
-    return corpus, table
+    return Corpus(root=root, class_map=class_map, splits={"train": train_ids, "val": val_ids})
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .context import PLACEHOLDER, AttributeTable, partition_corpus
+from .context import PLACEHOLDER, partition_corpus
 from .errors import (
     DegenerateTrainingError,
     DimensionError,
@@ -559,13 +559,8 @@ def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray
     return np.where(counts > 0, sums / np.maximum(counts, 1), 1.0 / SHAPE_BINS)
 
 
-def train_registry(
-    corpus,
-    attribute_table: AttributeTable | None,
-    context_attribute: str | None,
-    seed: int = 0,
-) -> VerifierRegistry:
-    """Train the global detector and one detector per context value.
+def train_registry(corpus, context_attribute: str | None, seed: int = 0) -> VerifierRegistry:
+    """Train the global detector and one per `context_attribute` value in `corpus.attributes()`.
 
     Every train map is labelled with DEFAULT_MIN_AREA, the registry's
     min_area.  Each contributes its pairs as valid examples and, when it
@@ -588,9 +583,7 @@ def train_registry(
 
     groups: dict[str, list[str]] = {}
     if context_attribute is not None:
-        if attribute_table is None:
-            raise ValueError("context training requires an attribute table")
-        groups = partition_corpus(train_ids, attribute_table, context_attribute)
+        groups = partition_corpus(train_ids, corpus.attributes(), context_attribute)
         if GLOBAL_LABEL in groups:
             raise SchemaError(
                 f"context attribute {context_attribute!r} takes the value "

@@ -156,7 +156,7 @@ def test_criterion_2_statistics_correctness(tmp_path, rng):
     assert abs(lookup(model, "distance_table", 1, 2)[1] - 2 / 7) <= 1e-12
 
     config = default_synthetic_config(n_images=25, seed=52)
-    corpus, _ = synth_corpus(config, tmp_path / "c2")
+    corpus = synth_corpus(config, tmp_path / "c2")
     scenes = []
     for image_id in corpus.image_ids():
         grid = corpus.grid(image_id)
@@ -208,7 +208,7 @@ def test_criterion_3_mutual_information(rng):
 
 def test_criterion_4_normalization_and_duality(tmp_path):
     config = default_synthetic_config(n_images=60, seed=41)
-    corpus, _ = synth_corpus(config, tmp_path / "c4")
+    corpus = synth_corpus(config, tmp_path / "c4")
     builder = StatsBuilder.for_classes(corpus.class_map)
     for image_id in corpus.image_ids():
         grid = corpus.grid(image_id)
@@ -268,7 +268,8 @@ def test_criterion_7_context_selection(tmp_path):
     first = 0
     for seed in (1, 2, 3, 4, 5):
         config = default_synthetic_config(n_images=400, seed=seed)
-        corpus, table = synth_corpus(config, tmp_path / f"c7_{seed}")
+        corpus = synth_corpus(config, tmp_path / f"c7_{seed}")
+        table = corpus.attributes()
         labels = {}
         for image_id in corpus.image_ids("train"):
             grid = corpus.grid(image_id)

@@ -409,6 +409,34 @@ def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
     assert err.startswith(f"error: {ATTRIBUTE_FAULTS[fault]}: {path}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["evaluate", "verify"])
+def test_a_table_without_the_context_attribute_is_schema_error(
+    pipeline, tmp_path, capsys, command
+):
+    # The registry dispatches on `location`; a table whose schema lacks it
+    # would send every map to the global detector.
+    _, corpus_dir, registry_path = pipeline
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    path = corpus / "attributes.json"
+    doc = json.loads(path.read_text())
+    del doc["schema"]["location"]
+    for entry in doc["annotations"]:
+        del entry["attributes"]["location"]
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out" / "report.json"
+    image = next((corpus / "images").glob("inside_*.lgrid"))
+    argv = {
+        "evaluate": ["evaluate", str(registry_path), str(corpus), "--seed", "1", "-o", str(out)],
+        "verify": ["verify", str(registry_path), str(image), "--attributes", str(path)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: SchemaError: unknown attribute 'location'\n"
+    assert captured.out == "" and not out.parent.exists()
+
+
 @pytest.mark.parametrize(
     "attributes", [None, ["inside"], "inside", 3], ids=["null", "list", "string", "number"]
 )
@@ -593,7 +621,7 @@ class TestTrain:
     def test_empty_train_split_is_one_line_empty_corpus_error(self, tmp_path, capsys):
         config = default_synthetic_config(n_images=4, seed=6)
         config = dataclasses.replace(config, train_fraction=0.0)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         assert corpus.image_ids("train") == []
         out = tmp_path / "out" / "registry.json"
         assert main(["train", str(tmp_path / "corpus"), "--seed", "1", "-o", str(out)]) == 1

@@ -1,7 +1,11 @@
 """Attribute tables, mutual information, and context selection."""
 
+import json
 import math
+import re
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,20 +18,39 @@ from scenecheck import (
     FormatError,
     PLACEHOLDER,
     SchemaError,
-    load_attributes,
     mutual_information,
     partition_corpus,
     score_attributes,
 )
+from scenecheck.corpus import _versioned, read_attributes
 
 SCHEMA = {"location": ["inside", "outside"], "lighting": ["soft", "hard"]}
 
 
-def _table(records):
-    return load_attributes(records, SCHEMA)
+def _document(directory, annotations):
+    """An `attributes.json` of SCHEMA and `annotations` in `directory`."""
+    path = directory / "attributes.json"
+    path.write_text(json.dumps(_versioned({"schema": SCHEMA, "annotations": annotations})))
+    return path
 
 
-class TestLoadAttributes:
+def _table(annotations):
+    """The table `read_attributes` reads from a document of `annotations`."""
+    with tempfile.TemporaryDirectory() as directory:
+        return read_attributes(_document(Path(directory), annotations))
+
+
+def _refusal(tmp_path, annotations, error) -> str:
+    """The one-line message, naming the document, of `error` on reading it."""
+    path = _document(tmp_path, annotations)
+    with pytest.raises(error) as exc:
+        read_attributes(path)
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    return message.removeprefix(f"{path}: ")
+
+
+class TestReadAttributes:
     def test_missing_attribute_becomes_placeholder(self):
         table = _table([{"image_id": "a", "attributes": {"lighting": "soft"}}])
         assert table.value("a", "location") == PLACEHOLDER
@@ -37,42 +60,41 @@ class TestLoadAttributes:
         table = _table([{"image_id": "a", "attributes": {"location": "inside"}}])
         assert table.value("a", "location") == "inside"
 
-    def test_disallowed_value_rejected(self):
-        with pytest.raises(SchemaError):
-            _table([{"image_id": "a", "attributes": {"location": "underwater"}}])
+    def test_disallowed_value_rejected(self, tmp_path):
+        annotations = [{"image_id": "a", "attributes": {"location": "underwater"}}]
+        assert "'underwater'" in _refusal(tmp_path, annotations, SchemaError)
 
-    def test_unknown_attribute_rejected(self):
-        with pytest.raises(SchemaError):
-            _table([{"image_id": "a", "attributes": {"mood": "calm"}}])
+    def test_unknown_attribute_rejected(self, tmp_path):
+        annotations = [{"image_id": "a", "attributes": {"mood": "calm"}}]
+        assert "'mood'" in _refusal(tmp_path, annotations, SchemaError)
 
-    def test_duplicate_image_id_rejected(self):
-        with pytest.raises(DuplicateError):
-            _table(
-                [
-                    {"image_id": "a", "attributes": {}},
-                    {"image_id": "a", "attributes": {}},
-                ]
-            )
+    def test_duplicate_image_id_rejected(self, tmp_path):
+        annotations = [{"image_id": "a", "attributes": {}}, {"image_id": "a", "attributes": {}}]
+        assert _refusal(tmp_path, annotations, DuplicateError) == "duplicate image id 'a'"
 
     @pytest.mark.parametrize(
         "annotations",
         [{"image_id": "a", "attributes": {}}, '[{"image_id": "a"}]', None],
         ids=["dict", "json-text", "none"],
     )
-    def test_records_that_are_not_a_list_rejected(self, annotations):
-        with pytest.raises(FormatError, match="must be a JSON array") as exc:
-            load_attributes(annotations, SCHEMA)
-        assert "\n" not in str(exc.value)
+    def test_records_that_are_not_a_list_rejected(self, tmp_path, annotations):
+        message = _refusal(tmp_path, annotations, FormatError)
+        assert message == "attribute annotations must be a JSON array"
+
+    @pytest.mark.parametrize(
+        "entry", [{"attributes": {}}, {"image_id": 7}, "a"], ids=["no-id", "number-id", "string"]
+    )
+    def test_entry_without_a_string_image_id_rejected(self, tmp_path, entry):
+        annotations = [{"image_id": "b", "attributes": {}}, entry]
+        assert "has no string image id" in _refusal(tmp_path, annotations, FormatError)
 
     @pytest.mark.parametrize(
         "attributes", [None, ["inside"], "inside", 3], ids=["null", "list", "string", "number"]
     )
-    def test_attributes_that_are_not_an_object_rejected(self, attributes):
+    def test_attributes_that_are_not_an_object_rejected(self, tmp_path, attributes):
         records = [{"image_id": "b", "attributes": {}}, {"image_id": "a", "attributes": attributes}]
-        message = "^attributes of image 'a' are .*, not a JSON object$"
-        with pytest.raises(FormatError, match=message) as exc:
-            _table(records)
-        assert "\n" not in str(exc.value)
+        message = _refusal(tmp_path, records, FormatError)
+        assert re.fullmatch("attributes of image 'a' are .*, not a JSON object", message)
 
     def test_unknown_image_reads_as_placeholder(self):
         table = _table([{"image_id": "a", "attributes": {}}])

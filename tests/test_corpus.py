@@ -17,6 +17,7 @@ from scenecheck import (
     FormatError,
     NotEnoughObjectsError,
     PlacementError,
+    SchemaError,
     StatsBuilder,
     SyntheticConfig,
     VerifierRegistry,
@@ -82,7 +83,8 @@ class TestGenerateContradiction:
 class TestSynthCorpus:
     def test_context_pools_are_exclusive(self, tmp_path):
         config = default_synthetic_config(n_images=40, seed=13)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        table = corpus.attributes()
         pools = {
             ctx.value: set(ctx.satellites) | set(ctx.lone_extra) | {ctx.anchor}
             | (set(ctx.stack) if ctx.stack else set())
@@ -105,7 +107,7 @@ class TestSynthCorpus:
 
     def test_rider_always_on_its_mount(self, tmp_path):
         config = default_synthetic_config(n_images=200, seed=31)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         on = total = 0
         for image_id in corpus.image_ids():
             grid = corpus.grid(image_id)
@@ -121,14 +123,15 @@ class TestSynthCorpus:
 
     def test_attribute_records_carry_context(self, tmp_path):
         config = default_synthetic_config(n_images=20, seed=2)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        table = corpus.attributes()
         for image_id in corpus.image_ids():
             expected = image_id.split("_")[0]
             assert table.value(image_id, "location") == expected
 
     def test_splits_partition_ids(self, tmp_path):
         config = default_synthetic_config(n_images=30, seed=4)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         train, val = corpus.image_ids("train"), corpus.image_ids("val")
         assert not set(train) & set(val)
         assert len(train) + len(val) == 60
@@ -164,9 +167,20 @@ class TestSynthCorpus:
             Corpus.load(tmp_path / "corpus")
         assert "\n" not in str(exc.value)
 
+    def test_image_id_in_both_splits_is_schema_error_naming_the_file(self, tmp_path):
+        synth_corpus(default_synthetic_config(n_images=4, seed=6), tmp_path / "corpus")
+        path = tmp_path / "corpus" / "splits.json"
+        doc = json.loads(path.read_text())
+        doc["val"] += [doc["train"][2], doc["train"][1]]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as exc:
+            Corpus.load(tmp_path / "corpus")
+        first = doc["train"][1]
+        assert str(exc.value) == f"{path}: 2 ids in both splits, first {first!r}"
+
     def test_corpus_reload_matches(self, tmp_path):
         config = default_synthetic_config(n_images=10, seed=6)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         reloaded = Corpus.load(tmp_path / "corpus")
         assert reloaded.class_map == corpus.class_map
         assert reloaded.splits == corpus.splits
@@ -224,7 +238,7 @@ class TestSynthCorpus:
         config = default_synthetic_config(n_images=20, seed=1)
         inside = dataclasses.replace(config.contexts[0], satellites=(3, 4), stack_bias=1.0)
         config = dataclasses.replace(config, contexts=(inside, config.contexts[1]))
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         assert len(corpus.image_ids()) == 40
         with pytest.raises(ValueError, match="draw 'triple' scenes"):
             dataclasses.replace(inside, stack_bias=0.99)
@@ -397,7 +411,7 @@ class TestSynthCorpus:
 
 def _corpus_stats(tmp_path):
     config = default_synthetic_config(n_images=15, seed=10)
-    corpus, _ = synth_corpus(config, tmp_path / "corpus")
+    corpus = synth_corpus(config, tmp_path / "corpus")
     builder = StatsBuilder.for_classes(corpus.class_map)
     for image_id in corpus.image_ids():
         grid = corpus.grid(image_id)
@@ -428,8 +442,9 @@ class TestPersistence:
 
     def test_saving_what_was_loaded_reproduces_the_document(self, tmp_path):
         config = default_synthetic_config(n_images=60, seed=14)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
-        registry = train_registry(corpus, table, "location", seed=14)
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        table = corpus.attributes()
+        registry = train_registry(corpus, "location", seed=14)
         assert registry.models, "the registry should hold context detectors too"
         inside = registry_of(registry.models["inside"].stats)
         for name, obj in (("registry.json", registry), ("inside.json", inside)):
@@ -648,8 +663,9 @@ class TestPersistence:
 
     def test_registry_roundtrip_behavioural_equality(self, tmp_path, rng):
         config = default_synthetic_config(n_images=60, seed=14)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
-        registry = train_registry(corpus, table, "location", seed=14)
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        table = corpus.attributes()
+        registry = train_registry(corpus, "location", seed=14)
         path = tmp_path / "registry.json"
         save_model(path, registry)
         loaded = load_model(path)

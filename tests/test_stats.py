@@ -215,7 +215,7 @@ class TestMerge:
 
     def test_shard_merge_equals_sequential(self, tmp_path):
         config = default_synthetic_config(n_images=25, seed=77)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         ids = corpus.image_ids()
         assert len(ids) == 50
         scenes = []
@@ -557,7 +557,7 @@ class TestQuery:
 class TestModelInvariants:
     def test_distributions_sum_to_one(self, tmp_path):
         config = default_synthetic_config(n_images=15, seed=3)
-        corpus, _ = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         builder = StatsBuilder.for_classes(corpus.class_map)
         for image_id in corpus.image_ids():
             grid = corpus.grid(image_id)

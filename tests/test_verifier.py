@@ -11,7 +11,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenecheck import (
-    AttributeTable,
     DegenerateTrainingError,
     Detector,
     DimensionError,
@@ -435,8 +434,9 @@ class TestAggregate:
 @pytest.fixture(scope="module")
 def small_experiment(tmp_path_factory):
     config = default_synthetic_config(n_images=150, seed=5)
-    corpus, table = synth_corpus(config, tmp_path_factory.mktemp("corpus"))
-    registry = train_registry(corpus, table, "location", seed=5)
+    corpus = synth_corpus(config, tmp_path_factory.mktemp("corpus"))
+    table = corpus.attributes()
+    registry = train_registry(corpus, "location", seed=5)
     return corpus, table, registry
 
 
@@ -692,17 +692,18 @@ class TestTrainRegistry:
 
     def test_small_contexts_fall_back_to_global(self, tmp_path, monkeypatch):
         config = default_synthetic_config(n_images=40, seed=8)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        table = corpus.attributes()
         monkeypatch.setattr(verifier_module, "N_MIN_CONTEXT", 1000)
-        registry = train_registry(corpus, table, "location", seed=8)
+        registry = train_registry(corpus, "location", seed=8)
         assert registry.models == {}
         grid = corpus.grid(corpus.image_ids("val")[0])
         assert verify(grid, registry, table.record(grid.image_id)).model_used == GLOBAL_LABEL
 
     def test_no_context_attribute_trains_global_only(self, tmp_path):
         config = default_synthetic_config(n_images=40, seed=8)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
-        registry = train_registry(corpus, None, None, seed=8)
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        registry = train_registry(corpus, None, seed=8)
         assert registry.models == {}
         assert registry.context_attribute is None
 
@@ -710,18 +711,22 @@ class TestTrainRegistry:
         config = default_synthetic_config(n_images=40, seed=8)
         inside, outside = config.contexts
         config = replace(config, contexts=(replace(inside, value=GLOBAL_LABEL), outside))
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         with pytest.raises(SchemaError, match="'global'"):
-            train_registry(corpus, table, "location", seed=8)
+            train_registry(corpus, "location", seed=8)
 
     @pytest.mark.parametrize("n_min", [20, 1000], ids=["contexts", "all-below-n-min"])
     def test_each_train_scene_is_counted_once(self, tmp_path, monkeypatch, n_min):
         config = default_synthetic_config(n_images=60, seed=8)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         train_ids = corpus.image_ids("train")
         # Every fifth train image is unannotated, so its value is the placeholder.
-        records = {k: v for k, v in table.records.items() if k not in train_ids[::5]}
-        table = AttributeTable(table.schema, records)
+        path = corpus.root / "attributes.json"
+        doc = json.loads(path.read_text())
+        unannotated = set(train_ids[::5])
+        doc["annotations"] = [e for e in doc["annotations"] if e["image_id"] not in unannotated]
+        path.write_text(json.dumps(doc))
+        table = corpus.attributes()
         folded = []
 
         def spy(builder, objects, pairs):
@@ -730,7 +735,7 @@ class TestTrainRegistry:
 
         monkeypatch.setattr(verifier_module, "accumulate", spy)
         monkeypatch.setattr(verifier_module, "N_MIN_CONTEXT", n_min)
-        registry = train_registry(corpus, table, "location", seed=8)
+        registry = train_registry(corpus, "location", seed=8)
         assert len(folded) == len(train_ids)
         assert len({id(b) for b in folded}) == 3  # inside, outside and the placeholder
         assert len(registry.models) == (2 if n_min == 20 else 0)
@@ -751,7 +756,7 @@ class TestTrainRegistry:
         # the rows of the map generate_contradiction paints under the same
         # seed, prepared.
         config = default_synthetic_config(n_images=40, seed=8)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         seen = []
 
         def spy(features, labels, *args, **kwargs):
@@ -759,7 +764,7 @@ class TestTrainRegistry:
             return train_linear(features, labels, *args, **kwargs)
 
         monkeypatch.setattr(verifier_module, "train_linear", spy)
-        registry = train_registry(corpus, table, None, seed=8)
+        registry = train_registry(corpus, None, seed=8)
         (features, labels), detector = seen[0], registry.global_detector
         tag, per_image = verifier_module._TRAIN_TAG, verifier_module.CONTRADICTIONS_PER_IMAGE
         rows, want = [], []
@@ -780,10 +785,10 @@ class TestTrainRegistry:
 
     def test_training_is_deterministic(self, tmp_path):
         config = default_synthetic_config(n_images=60, seed=21)
-        corpus, table = synth_corpus(config, tmp_path / "corpus")
+        corpus = synth_corpus(config, tmp_path / "corpus")
         paths = []
         for run in ("a", "b"):
-            registry = train_registry(corpus, table, "location", seed=21)
+            registry = train_registry(corpus, "location", seed=21)
             path = tmp_path / f"registry_{run}.json"
             save_model(path, registry)
             paths.append(path.read_bytes())
