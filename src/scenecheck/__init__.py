@@ -11,7 +11,6 @@ from .context import (
     PLACEHOLDER,
     AttributeTable,
     mutual_information,
-    partition_corpus,
     score_attributes,
 )
 from .corpus import (

@@ -9,6 +9,9 @@ An experiment chooses only `--context`: every tuning value is a library
 constant (README lists them), so every command counts the objects that
 the registry verifies.
 
+Each val map's removal twin has one rule, `_twin`, so `evaluate` scores
+the twins that `gen-contradictions` writes.
+
 Exit codes: 0 success, 1 validation error or an output that cannot be
 written, 2 usage error.  Either error of exit 1 is one `error:` line.
 """
@@ -29,7 +32,6 @@ from .corpus import (
     EVAL_TAG,
     Corpus,
     SyntheticConfig,
-    generate_contradiction,
     load_model,
     paint_removal,
     read_attributes,
@@ -37,7 +39,7 @@ from .corpus import (
     save_model,
     synth_corpus,
 )
-from .errors import EmptyCorpusError, NotEnoughObjectsError, PlacementError, SceneCheckError
+from .errors import EmptyCorpusError, PlacementError, SceneCheckError
 # `extract_objects` stays bound here, though no command calls it by this
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
@@ -86,13 +88,26 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _labelled(corpus: Corpus, split: str):
+    """(grid, objects) of each map of `split`, read lazily and labelled with
+    DEFAULT_MIN_AREA in one `label_maps` pass per batch of `grid_batches`."""
+    for batch in grid_batches(map(corpus.grid, corpus.image_ids(split))):
+        yield from zip(batch, label_maps(batch))
+
+
+def _twin(grid, objects, seed: int, index: int):
+    """The removal twin of the `index`-th val map under `seed`, and the class
+    it removes; `objects`, the map's table, holds two objects or more."""
+    return paint_removal(grid, objects, derive_seed(seed, EVAL_TAG, index))
+
+
 def cmd_select_contexts(args) -> int:
     corpus = Corpus.load(args.corpus)
     table = corpus.attributes()
-    labels: dict[str, Counter] = {}
-    for batch in grid_batches(map(corpus.grid, corpus.image_ids("train"))):
-        for grid, objects in zip(batch, label_maps(batch)):
-            labels[grid.image_id] = Counter(objects.class_id.tolist())
+    labels = {
+        grid.image_id: Counter(objects.class_id.tolist())
+        for grid, objects in _labelled(corpus, "train")
+    }
     doc = corpus_mod._versioned(score_attributes(table, labels))
     corpus_mod._write_json(args.out, doc)
     _print_json(doc)
@@ -100,20 +115,22 @@ def cmd_select_contexts(args) -> int:
 
 
 def cmd_gen_contradictions(args) -> int:
+    # Every twin is painted before anything is written, so a refused map
+    # leaves no output.
     corpus = Corpus.load(args.corpus)
+    twins, skipped = [], []
+    for idx, (grid, objects) in enumerate(_labelled(corpus, "val")):
+        if len(objects) < 2:
+            skipped.append(grid.image_id)
+        else:
+            twins.append(_twin(grid, objects, args.seed, idx))
     out = Path(args.out)
     (out / "contradictions").mkdir(parents=True, exist_ok=True)
     pairs = []
-    skipped = []
-    for idx, image_id in enumerate(corpus.image_ids(args.split)):
-        grid = corpus.grid(image_id)
-        try:
-            modified, removed = generate_contradiction(grid, derive_seed(args.seed, EVAL_TAG, idx))
-        except NotEnoughObjectsError:
-            skipped.append(image_id)
-            continue
+    for twin, removed in twins:
+        image_id = twin.image_id
         invalid_path = out / "contradictions" / f"{image_id}.lgrid"
-        invalid_path.write_text(modified.to_text())
+        invalid_path.write_text(twin.to_text())
         pairs.append(
             {
                 "image_id": image_id,
@@ -122,12 +139,7 @@ def cmd_gen_contradictions(args) -> int:
                 "removed_class": removed,
             }
         )
-    manifest = {
-        "seed": args.seed,
-        "split": args.split,
-        "pairs": pairs,
-        "skipped": skipped,
-    }
+    manifest = {"seed": args.seed, "split": "val", "pairs": pairs, "skipped": skipped}
     corpus_mod._write_json(out / "manifest.json", corpus_mod._versioned(manifest))
     _print_json({"command": "gen-contradictions", "pairs": len(pairs), "skipped": len(skipped)})
     return 0
@@ -186,18 +198,15 @@ def _tally(rows, correct_key: str) -> dict:
 
 
 def _scenes_and_twins(grids, min_area: int, seed: int):
-    """(scene, twin) of each of `grids`: its Scene and the Scene of the twin
-    `gen-contradictions` writes for it under `seed`, None below two objects.
+    """(scene, twin) of each of `grids`: its Scene and the Scene of its
+    `_twin` under `seed`, None below two objects.
     Each batch's twins are painted from its scenes' objects and prepared in
     one `prepare_all` call."""
     idx = 0
     for batch in grid_batches(grids):
         scenes = list(prepare_all(batch, min_area))
         paired = [i for i, scene in enumerate(scenes) if len(scene.objects) >= 2]
-        painted = [
-            paint_removal(batch[i], scenes[i].objects, derive_seed(seed, EVAL_TAG, idx + i))[0]
-            for i in paired
-        ]
+        painted = [_twin(batch[i], scenes[i].objects, seed, idx + i)[0] for i in paired]
         twins = dict(zip(paired, prepare_all(painted, min_area)))
         idx += len(batch)
         for i, scene in enumerate(scenes):
@@ -213,11 +222,11 @@ def cmd_evaluate(args) -> int:
     val_ids = corpus.image_ids("val")
     if not val_ids:
         raise EmptyCorpusError("val split is empty")
+    values = [table.value(i, context_attribute) if context_attribute else None for i in val_ids]
     log_rows = []
     scenes = _scenes_and_twins(map(corpus.grid, val_ids), registry.min_area, args.seed)
-    for image_id, (scene, twin) in zip(val_ids, scenes):
+    for image_id, context, (scene, twin) in zip(val_ids, values, scenes):
         record = table.record(image_id)
-        context = table.value(image_id, context_attribute) if context_attribute else None
         variants = [(scene, False)]
         if twin is not None:
             variants.append((twin, True))
@@ -302,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-contradictions", help="Write paired valid/invalid examples")
     p.add_argument("corpus")
     p.add_argument("--seed", type=_seed_arg, required=True)
-    p.add_argument("--split", default="val", choices=["train", "val"])
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_gen_contradictions)
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -36,15 +37,18 @@ DEFAULT_SCHEMA: dict[str, list[str]] = {
 
 @dataclass(frozen=True)
 class AttributeTable:
-    """Per-image attribute records over a fixed schema, as `corpus.read_attributes` reads them."""
+    """Per-image attribute records over a fixed schema, as `corpus.read_attributes`
+    reads them from the file at `path`."""
 
     schema: dict[str, list[str]]
     records: dict[str, dict[str, str]]
+    path: str | Path
 
     def value(self, image_id: str, attribute: str) -> str:
-        """Attribute value for an image; unknown images read as placeholders."""
+        """Attribute value for an image; unknown images read as placeholders.
+        An attribute the schema lacks is a SchemaError naming `path`."""
         if attribute not in self.schema:
-            raise SchemaError(f"unknown attribute {attribute!r}")
+            raise SchemaError(f"{self.path}: unknown attribute {attribute!r}")
         return self.records.get(image_id, {}).get(attribute, PLACEHOLDER)
 
     def record(self, image_id: str) -> dict[str, str]:
@@ -127,20 +131,3 @@ def score_attributes(table: AttributeTable, labels: dict[str, Counter]) -> dict:
         key=lambda n: (-scores[n]["mutual_information"], n),
     )
     return {"attributes": scores, "ranking": ranking, "selected": ranking[0] if ranking else None}
-
-
-def partition_corpus(
-    corpus_ids: list[str], table: AttributeTable, attribute: str
-) -> dict[str, list[str]]:
-    """Group image ids by their value of `attribute`.
-
-    Placeholder-valued (or unannotated) images go to the reserved
-    placeholder group; the groups are disjoint and exhaustive.
-    """
-    if attribute not in table.schema:
-        raise SchemaError(f"unknown attribute {attribute!r}")
-    groups: dict[str, list[str]] = {}
-    for image_id in corpus_ids:
-        value = table.value(image_id, attribute)
-        groups.setdefault(value, []).append(image_id)
-    return groups

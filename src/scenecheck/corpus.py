@@ -430,7 +430,7 @@ def read_attributes(path: str | Path) -> AttributeTable:
                 )
             record[name] = value
         records[image_id] = record
-    return AttributeTable(schema=schema, records=records)
+    return AttributeTable(schema=schema, records=records, path=path)
 
 
 def _check_plain_name(name: str, what: str, where: str | Path) -> None:

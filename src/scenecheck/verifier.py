@@ -18,9 +18,10 @@ object-removal twin leaves out.  The twins `evaluate` scores are the maps
 `corpus.paint_removal` paints, prepared like any map; `train_registry`
 takes a twin's feature rows from its source's, the rows of the pairs
 without the removed object, and builds no twin.  It is the one writer of
-co-occurrence statistics: it counts each train scene once, into the
-builder of its context value, and `finalize` makes each detector's
-statistics from those builders, which a registry document saves.
+co-occurrence statistics: it reads each train image's context value once,
+with `AttributeTable.value`, counts each train scene once, into the
+builder of that value, and `finalize` makes each detector's statistics
+from those builders, which a registry document saves.
 
 A VerifierRegistry holds one global Detector (linear model,
 statistics and shape prototypes) plus one per context value; `verify`
@@ -50,7 +51,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .context import PLACEHOLDER, partition_corpus
+from .context import PLACEHOLDER
 from .errors import (
     DegenerateTrainingError,
     DimensionError,
@@ -573,41 +574,43 @@ def train_registry(corpus, context_attribute: str | None, seed: int = 0) -> Veri
     Each train scene is counted once, into the builder of its context
     value (placeholder and values below N_MIN_CONTEXT included); `finalize`
     sums all those builders into the global statistics.  Raises
-    SchemaError when the context attribute takes the value GLOBAL_LABEL,
-    which would name the global detector.  The registry holds no verdict
-    rule: every verdict is the majority vote of `aggregate`.
+    SchemaError when `attributes.json` lacks the context attribute (naming
+    the file) or gives it the value GLOBAL_LABEL, which names the global
+    detector.  The registry holds no verdict rule: every verdict is the
+    majority vote of `aggregate`.
     """
     train_ids = sorted(corpus.image_ids("train"))
     if not train_ids:
         raise EmptyCorpusError("train split is empty")
 
-    groups: dict[str, list[str]] = {}
+    # Each train image's context value, read once, aligned with train_ids.
+    values: list[str | None] = [None] * len(train_ids)
     if context_attribute is not None:
-        groups = partition_corpus(train_ids, corpus.attributes(), context_attribute)
-        if GLOBAL_LABEL in groups:
+        table = corpus.attributes()
+        values = [table.value(i, context_attribute) for i in train_ids]
+        del table  # it holds every annotation of the corpus: not kept through training
+        if GLOBAL_LABEL in values:
             raise SchemaError(
                 f"context attribute {context_attribute!r} takes the value "
                 f"{GLOBAL_LABEL!r}, which names the global detector"
             )
-    value_of = {image_id: value for value, ids in groups.items() for image_id in ids}
 
     # Each train scene and the objects its twins remove, by the rule of
     # `corpus.paint_removal`.  A twin's feature rows are its source's rows
     # of the pairs without the removed object, bit for bit, so no twin
     # map is painted or prepared.  Each scene is counted once, into the
     # builder of its context value, made on that value's first scene.
-    scenes: dict[str, Scene] = {}
-    removed: dict[str, list[int]] = {}
+    scenes: list[Scene] = []
+    removed: list[list[int]] = []
     builders: dict[str | None, StatsBuilder] = {}
     grids = map(corpus.grid, train_ids)
-    for idx, (image_id, scene) in enumerate(zip(train_ids, prepare_all(grids))):
+    for idx, (value, scene) in enumerate(zip(values, prepare_all(grids))):
         n = len(scene.objects)
-        scenes[image_id] = scene
-        value = value_of.get(image_id)
+        scenes.append(scene)
         if value not in builders:
             builders[value] = StatsBuilder.for_classes(corpus.class_map)
         accumulate(builders[value], scene.objects, scene.pairs)
-        removed[image_id] = (
+        removed.append(
             [
                 _removed_index(n, derive_seed(seed, _TRAIN_TAG, idx, j))
                 for j in range(CONTRADICTIONS_PER_IMAGE)
@@ -616,24 +619,25 @@ def train_registry(corpus, context_attribute: str | None, seed: int = 0) -> Veri
             else []
         )
 
-    scopes = [(GLOBAL_LABEL, train_ids, finalize(*builders.values()))]
-    for value in sorted(groups):
-        if value != PLACEHOLDER and len(groups[value]) >= N_MIN_CONTEXT:
-            scopes.append((value, sorted(groups[value]), finalize(builders[value])))
+    # A scope: its label, its scenes' indices in train order, its statistics.
+    scopes = [(GLOBAL_LABEL, range(len(train_ids)), finalize(*builders.values()))]
+    for value in sorted(v for v in builders if v not in (None, PLACEHOLDER)):
+        members = [i for i, v in enumerate(values) if v == value]
+        if len(members) >= N_MIN_CONTEXT:
+            scopes.append((value, members, finalize(builders[value])))
 
     trained: dict[str, Detector] = {}
-    for scope_idx, (label, ids, scope_stats) in enumerate(scopes):
-        scope_scenes = [scenes[i] for i in ids]
-        protos = _prototypes_for(scope_scenes, scope_stats)
+    for scope_idx, (label, members, scope_stats) in enumerate(scopes):
+        protos = _prototypes_for([scenes[i] for i in members], scope_stats)
         features: list[np.ndarray] = []
         labels: list[int] = []
-        for image_id in ids:
-            scene = scenes[image_id]
+        for i in members:
+            scene = scenes[i]
             X = featurize(scene.pairs, scene.objects, scene.hists, scope_stats, protos)
             features.append(X)
             labels.extend([-1] * len(X))
             a, b = scene.pairs.a_index, scene.pairs.b_index
-            for k in removed[image_id]:
+            for k in removed[i]:
                 twin = X[(a != k) & (b != k)]
                 features.append(twin)
                 labels.extend([+1] * len(twin))

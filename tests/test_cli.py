@@ -29,6 +29,7 @@ from scenecheck import (
     verify,
 )
 from scenecheck import cli
+from scenecheck import corpus as corpus_mod
 from scenecheck.cli import main
 from scenecheck.corpus import _stats_to_doc, _versioned
 from scenecheck.verifier import Verdict
@@ -411,10 +412,11 @@ def test_attribute_table_errors_name_the_file(readers, capsys, reader, fault):
 
 @pytest.mark.parametrize("command", ["evaluate", "verify"])
 def test_a_table_without_the_context_attribute_is_schema_error(
-    pipeline, tmp_path, capsys, command
+    pipeline, tmp_path, capsys, monkeypatch, command
 ):
     # The registry dispatches on `location`; a table whose schema lacks it
-    # would send every map to the global detector.
+    # would send every map to the global detector.  It is refused before
+    # any map is labelled.
     _, corpus_dir, registry_path = pipeline
     corpus = tmp_path / "corpus"
     shutil.copytree(corpus_dir, corpus)
@@ -430,10 +432,15 @@ def test_a_table_without_the_context_attribute_is_schema_error(
         "evaluate": ["evaluate", str(registry_path), str(corpus), "--seed", "1", "-o", str(out)],
         "verify": ["verify", str(registry_path), str(image), "--attributes", str(path)],
     }[command]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a map was labelled")
+
+    monkeypatch.setattr(cli, "prepare_all", refuse)
     capsys.readouterr()
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: SchemaError: unknown attribute 'location'\n"
+    assert captured.err == f"error: SchemaError: {path}: unknown attribute 'location'\n"
     assert captured.out == "" and not out.parent.exists()
 
 
@@ -490,20 +497,59 @@ class TestGenContradictions:
     def test_only_maps_of_fewer_than_two_objects_are_skipped(
         self, pipeline, tmp_path, capsys, monkeypatch
     ):
-        # Any other refusal while making a twin stops the command.
+        # Any other refusal while making a twin stops the command, and
+        # nothing is written.
         _, corpus_dir, _ = pipeline
-        refused = Corpus.load(corpus_dir).image_ids("val")[1]
+        corpus = Corpus.load(corpus_dir)
+        refused = next(
+            image_id
+            for image_id in corpus.image_ids("val")
+            if len(extract_objects(corpus.grid(image_id))) >= 2
+        )
 
-        def generate(grid, seed, _generate=cli.generate_contradiction):
+        def paint(grid, objects, seed, _paint=cli.paint_removal):
             if grid.image_id == refused:
                 raise FormatError(f"{refused}: refused")
-            return _generate(grid, seed)
+            return _paint(grid, objects, seed)
 
-        monkeypatch.setattr(cli, "generate_contradiction", generate)
-        argv = ["gen-contradictions", str(corpus_dir), "--seed", "3", "-o", str(tmp_path / "out")]
+        monkeypatch.setattr(cli, "paint_removal", paint)
+        out = tmp_path / "out"
+        argv = ["gen-contradictions", str(corpus_dir), "--seed", "3", "-o", str(out)]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: FormatError: {refused}: refused\n"
+        assert not out.exists()
+
+    def test_each_val_map_is_labelled_once_in_batches(self, pipeline, tmp_path, monkeypatch):
+        _, corpus_dir, _ = pipeline
+        batches = []
+
+        def spy(grids, *args, _label=cli.label_maps):
+            batches.append([grid.image_id for grid in grids])
+            return _label(grids, *args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map was labelled alone")
+
+        monkeypatch.setattr(cli, "label_maps", spy)
+        monkeypatch.setattr(corpus_mod, "extract_objects", refuse)
+        argv = ["gen-contradictions", str(corpus_dir), "--seed", "3", "-o", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(batches) > 1
+        assert [i for batch in batches for i in batch] == Corpus.load(corpus_dir).image_ids("val")
+
+    def test_a_refused_map_leaves_no_output(self, tmp_path, capsys):
+        # The last val map is read after every other twin is painted.
+        corpus_dir = tmp_path / "corpus"
+        corpus = synth_corpus(default_synthetic_config(n_images=30, seed=6), corpus_dir)
+        image = corpus.grid_path(corpus.image_ids("val")[-1])
+        image.write_text(_fault_text(image.read_text(), "bad-token"))
+        out = tmp_path / "out"
+        argv = ["gen-contradictions", str(corpus_dir), "--seed", "1", "-o", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: FormatError: {image}: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_image_id_escaping_the_corpus_is_format_error(self, tmp_path, capsys):
         # The twin of val id "../../escaped" would be written over the very
@@ -650,6 +696,19 @@ class TestTrain:
         assert err.startswith("error: FormatError:") and err.count("\n") == 1
         assert repr(value) in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    def test_unknown_context_attribute_is_schema_error_naming_the_table(
+        self, pipeline, tmp_path, capsys
+    ):
+        _, corpus_dir, _ = pipeline
+        out = tmp_path / "out" / "registry.json"
+        argv = ["train", str(corpus_dir), "--context", "nope", "--seed", "1", "-o", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        path = corpus_dir / "attributes.json"
+        assert captured.err == f"error: SchemaError: {path}: unknown attribute 'nope'\n"
+        assert captured.out == "" and not out.parent.exists()
 
     def test_build_stats_is_not_a_command(self, pipeline, tmp_path, capsys):
         # Statistics are written only inside the registry that train saves.
@@ -975,7 +1034,7 @@ class TestEvaluate:
         out, twins_dir = tmp_path / "report.json", tmp_path / "twins"
         argv = ["evaluate", str(registry_path), str(corpus_dir), "--seed", "5", "-o", str(out)]
         assert main(argv) == 0
-        argv = ["gen-contradictions", str(corpus_dir), "--split", "val", "--seed", "5"]
+        argv = ["gen-contradictions", str(corpus_dir), "--seed", "5"]
         assert main([*argv, "-o", str(twins_dir)]) == 0
         corpus, registry = Corpus.load(corpus_dir), load_model(registry_path)
         table = corpus.attributes()
@@ -1166,6 +1225,7 @@ REMOVED_TUNING_OPTIONS = [
     ("select-contexts", "--min-balance", "0.1"),
     ("select-contexts", "--min-area", "25"),
     ("gen-contradictions", "--min-area", "25"),
+    ("gen-contradictions", "--split", "val"),
 ]
 
 

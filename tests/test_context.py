@@ -9,8 +9,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from scenecheck import (
     DuplicateError,
@@ -19,7 +17,6 @@ from scenecheck import (
     PLACEHOLDER,
     SchemaError,
     mutual_information,
-    partition_corpus,
     score_attributes,
 )
 from scenecheck.corpus import _versioned, read_attributes
@@ -289,43 +286,3 @@ class TestScoreAttributes:
     def test_no_labels_rejected(self):
         with pytest.raises(EmptyCorpusError):
             score_attributes(_table([]), {})
-
-
-class TestPartition:
-    def test_single_value_single_group(self):
-        records = [
-            {"image_id": f"im{i}", "attributes": {"location": "inside"}} for i in range(4)
-        ]
-        table = _table(records)
-        groups = partition_corpus([f"im{i}" for i in range(4)], table, "location")
-        assert set(groups) == {"inside"}
-        assert groups["inside"] == [f"im{i}" for i in range(4)]
-
-    def test_mixed_values_and_placeholder(self):
-        records = [
-            {"image_id": "a", "attributes": {"location": "inside"}},
-            {"image_id": "b", "attributes": {"location": "outside"}},
-            {"image_id": "c", "attributes": {}},
-        ]
-        groups = partition_corpus(["a", "b", "c"], _table(records), "location")
-        assert groups == {"inside": ["a"], "outside": ["b"], PLACEHOLDER: ["c"]}
-
-    def test_unknown_attribute_rejected(self):
-        with pytest.raises(SchemaError):
-            partition_corpus(["a"], _table([{"image_id": "a", "attributes": {}}]), "nope")
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.sampled_from(["inside", "outside", None]), max_size=30))
-    def test_partition_is_disjoint_and_exhaustive(self, values):
-        records = [
-            {
-                "image_id": f"im{i}",
-                "attributes": {} if v is None else {"location": v},
-            }
-            for i, v in enumerate(values)
-        ]
-        ids = [r["image_id"] for r in records]
-        groups = partition_corpus(ids, _table(records), "location")
-        combined = [i for group in groups.values() for i in group]
-        assert sorted(combined) == sorted(ids)
-        assert len(combined) == len(set(combined))
