@@ -10,7 +10,9 @@ constant (README lists them), so every command counts the objects that
 the registry verifies.
 
 Each val map's removal twin has one rule, `_twin`, so `evaluate` scores
-the twins that `gen-contradictions` writes.
+the twins that `gen-contradictions` writes.  A command refuses an empty
+split it reads before it labels anything: `_split_ids`, or for `train`,
+`train_registry`.
 
 Exit codes: 0 success, 1 validation error or an output that cannot be
 written, 2 usage error.  Either error of exit 1 is one `error:` line.
@@ -88,11 +90,20 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _split_ids(corpus: Corpus, split: str) -> list[str]:
+    """The image ids of `split`; an empty split is an EmptyCorpusError."""
+    ids = corpus.image_ids(split)
+    if not ids:
+        raise EmptyCorpusError(f"{split} split is empty")
+    return ids
+
+
 def _labelled(corpus: Corpus, split: str):
     """(grid, objects) of each map of `split`, read lazily and labelled with
-    DEFAULT_MIN_AREA in one `label_maps` pass per batch of `grid_batches`."""
-    for batch in grid_batches(map(corpus.grid, corpus.image_ids(split))):
-        yield from zip(batch, label_maps(batch))
+    DEFAULT_MIN_AREA in one `label_maps` pass per batch of `grid_batches`.
+    An empty split is refused here, before the first map is read."""
+    batches = grid_batches(map(corpus.grid, _split_ids(corpus, split)))
+    return (pair for batch in batches for pair in zip(batch, label_maps(batch)))
 
 
 def _twin(grid, objects, seed: int, index: int):
@@ -197,17 +208,17 @@ def _tally(rows, correct_key: str) -> dict:
     }
 
 
-def _scenes_and_twins(grids, min_area: int, seed: int):
+def _scenes_and_twins(grids, seed: int):
     """(scene, twin) of each of `grids`: its Scene and the Scene of its
     `_twin` under `seed`, None below two objects.
     Each batch's twins are painted from its scenes' objects and prepared in
     one `prepare_all` call."""
     idx = 0
     for batch in grid_batches(grids):
-        scenes = list(prepare_all(batch, min_area))
+        scenes = list(prepare_all(batch))
         paired = [i for i, scene in enumerate(scenes) if len(scene.objects) >= 2]
         painted = [_twin(batch[i], scenes[i].objects, seed, idx + i)[0] for i in paired]
-        twins = dict(zip(paired, prepare_all(painted, min_area)))
+        twins = dict(zip(paired, prepare_all(painted)))
         idx += len(batch)
         for i, scene in enumerate(scenes):
             yield scene, twins.get(i)
@@ -219,12 +230,10 @@ def cmd_evaluate(args) -> int:
     table = corpus.attributes()
     context_attribute = registry.context_attribute
 
-    val_ids = corpus.image_ids("val")
-    if not val_ids:
-        raise EmptyCorpusError("val split is empty")
+    val_ids = _split_ids(corpus, "val")
     values = [table.value(i, context_attribute) if context_attribute else None for i in val_ids]
     log_rows = []
-    scenes = _scenes_and_twins(map(corpus.grid, val_ids), registry.min_area, args.seed)
+    scenes = _scenes_and_twins(map(corpus.grid, val_ids), args.seed)
     for image_id, context, (scene, twin) in zip(val_ids, values, scenes):
         record = table.record(image_id)
         variants = [(scene, False)]

@@ -56,9 +56,10 @@ from .labelgrid import (
 )
 from .relations import K_DIST, SHAPE_BINS, SHAPE_SAMPLES
 from .seeds import derive_seed
-from .stats import CooccurrenceModel, StatsBuilder, finalize
+from .stats import ALPHA_DEFAULT, CooccurrenceModel, StatsBuilder, finalize
 from .verifier import (
     AGGREGATION_MODE,
+    HYPERPARAMS,
     N_FEATURES,
     Detector,
     LinearModel,
@@ -253,8 +254,9 @@ class SyntheticConfig:
         placeholder rate in [0, 1], a seed in [0, 2**32) as `derive_seed`
         takes it, and at least one value per noise attribute, which must
         not be the context attribute.  Every class id is at least 1, since
-        0 is the background, and names one class; every class a context
-        places is one of them."""
+        0 is the background, at most 2**31 - 1, since label maps hold int32
+        ids, and names one class; every class a context places is one of
+        them."""
         if not 0 <= self.seed < 2**32:
             raise ValueError(f"seed is {self.seed}, expected an integer in [0, 2**32)")
         for name in ("n_images", "grid_height", "grid_width"):
@@ -283,6 +285,10 @@ class SyntheticConfig:
             if c.class_id < 1:
                 raise ValueError(
                     f"class_id {c.class_id} of {c.name!r} is below 1 (0 is background)"
+                )
+            if c.class_id >= 2**31:
+                raise ValueError(
+                    f"class_id {c.class_id} of {c.name!r} is above 2**31 - 1 (ids are int32)"
                 )
             if c.class_id in names:
                 raise ValueError(
@@ -800,7 +806,7 @@ def _stats_to_doc(model: CooccurrenceModel) -> dict:
         ]
 
     return {
-        "alpha": model.alpha,
+        "alpha": ALPHA_DEFAULT,
         "k_dist": K_DIST,
         "classes": list(classes),
         "images": model.images,
@@ -835,6 +841,7 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
     a presence entry's first class is not above its second, and a size_obs
     entry gives each pair of pixel counts once, in increasing order; a
     document that loads saves back to itself."""
+    _expect("alpha", _read(float, doc["alpha"], "alpha"), ALPHA_DEFAULT)
     _expect("k_dist", doc["k_dist"], K_DIST)
     classes = _read(list[int], doc["classes"], "classes")
     if classes != sorted(set(classes)):
@@ -881,13 +888,15 @@ def _stats_from_doc(doc: dict) -> CooccurrenceModel:
             raise ValueError(f"{what} gives one pair of pixel counts twice")
         if list(builder.size_obs[i, j]) != sorted(builder.size_obs[i, j]):
             raise ValueError(f"{what} gives its pairs of pixel counts out of order")
-    return finalize(builder, alpha=_read(float, doc["alpha"], "alpha"))
+    return finalize(builder)
 
 
 def _model_from_doc(doc: dict) -> LinearModel:
     """The LinearModel of a document whose vectors hold one number per
-    feature and whose feature stds are above 0."""
+    feature, whose feature stds are above 0 and whose SGD settings are
+    HYPERPARAMS."""
     model = _read(LinearModel, doc, "model")
+    _expect("hyperparams", model.hyperparams, HYPERPARAMS)
     for key in ("weights", "feature_means", "feature_stds"):
         _expect(f"length of {key}", len(getattr(model, key)), N_FEATURES)
     if min(model.feature_stds) <= 0.0:
@@ -934,7 +943,7 @@ def save_model(path: str | Path, registry: VerifierRegistry) -> None:
         "kind": "verifier_registry",
         "context_attribute": registry.context_attribute,
         "aggregation_mode": AGGREGATION_MODE,
-        "min_area": registry.min_area,
+        "min_area": DEFAULT_MIN_AREA,
         "shape_samples": SHAPE_SAMPLES,
         "shape_bins": SHAPE_BINS,
         "global": _detector_to_doc(registry.global_detector),
@@ -952,12 +961,14 @@ def load_model(path: str | Path) -> VerifierRegistry:
     dataclass, and `alpha`, `classes`, the class ids of count entries,
     `min_area`, `context_attribute` and the shape prototypes by their
     types.  A leaf that breaks that rule, a missing key, a verdict rule,
-    resolution or vector length other than this version's fixed one
-    (`aggregation_mode`, always "majority"; shape samples and bins,
-    distance bins, feature width), feature stds that are not above 0,
-    `classes` that are not strictly increasing, `min_area` below 1, or
-    prototypes for other classes than those with images, is a one-line
-    FormatError naming `path`; so is a document of any other `kind`.
+    resolution, tuning value or vector length other than this version's
+    fixed one (`aggregation_mode`, always "majority"; shape samples and
+    bins, distance bins, feature width; `min_area` DEFAULT_MIN_AREA, each
+    `alpha` ALPHA_DEFAULT and each `hyperparams` HYPERPARAMS), feature
+    stds that are not above 0, `classes` that are not strictly
+    increasing, or prototypes for other classes than those with images,
+    is a one-line FormatError naming `path`; so is a document of any
+    other `kind`.
     """
     doc = _read_document(path, "verifier registry")
     if doc.get("kind") != "verifier_registry":
@@ -966,10 +977,10 @@ def load_model(path: str | Path) -> VerifierRegistry:
         _expect("shape_samples", doc["shape_samples"], SHAPE_SAMPLES)
         _expect("shape_bins", doc["shape_bins"], SHAPE_BINS)
         _expect("aggregation_mode", doc["aggregation_mode"], AGGREGATION_MODE)
+        _expect("min_area", _read(int, doc["min_area"], "min_area"), DEFAULT_MIN_AREA)
         contexts = _read(dict[str, object], doc["contexts"], "contexts")
         return VerifierRegistry(
             context_attribute=_read(str | None, doc["context_attribute"], "context_attribute"),
-            min_area=_read(int, doc["min_area"], "min_area"),
             global_detector=_detector_from_doc(doc["global"]),
             models={v: _detector_from_doc(c) for v, c in contexts.items()},
         )

@@ -19,9 +19,9 @@ order, at finalize time.
 A StatsBuilder accumulates the counts of one scope from scenes (one
 builder per context value, image or shard); `finalize` sums any number
 of builders into an immutable CooccurrenceModel: read-only sums of the
-counts plus the smoothed tables derived from them, one array expression
-each.  The tables are the model's only lookup, so that all of a scene's
-pairs are looked up at once.
+counts plus the tables derived from them, one array expression each,
+smoothed with the constant ALPHA_DEFAULT.  The tables are the model's
+only lookup, so that all of a scene's pairs are looked up at once.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class CooccurrenceModel(_Counts):
     they take no part in equality.  Row and column n of every table, past
     the n classes, hold the prior of a class never observed, the row that
     `class_rows` gives an id outside `classes`.  For classes a and b at
-    rows i and j:
+    rows i and j, with alpha the constant ALPHA_DEFAULT:
 
     - `presence_table[i, j]`: (presence[i, j] + alpha) / (images +
       2 alpha).
@@ -155,7 +155,6 @@ class CooccurrenceModel(_Counts):
       never observed.
     """
 
-    alpha: float
     class_array: np.ndarray = field(init=False, compare=False, repr=False)
     presence_table: np.ndarray = field(init=False, compare=False, repr=False)
     position_table: np.ndarray = field(init=False, compare=False, repr=False)
@@ -167,14 +166,14 @@ class CooccurrenceModel(_Counts):
     def __post_init__(self) -> None:
         """Smooth the zero-padded counts into the dense tables; make every array read-only."""
         self.class_array = np.array([*self.classes, np.iinfo(np.int64).max], dtype=np.int64)
-        pad = ((0, 1), (0, 1))
+        pad, alpha = ((0, 1), (0, 1)), ALPHA_DEFAULT
         presence = np.pad(self.presence, pad)
-        self.presence_table = (presence + self.alpha) / (self.images + 2 * self.alpha)
+        self.presence_table = (presence + alpha) / (self.images + 2 * alpha)
         for name in ("position", "proximity", "distance"):
             counts = np.pad(getattr(self, name), (*pad, (0, 0)))
             total = counts.sum(axis=2, keepdims=True)
             arity = counts.shape[2]
-            smoothed = (counts + self.alpha) / (total + self.alpha * arity)
+            smoothed = (counts + alpha) / (total + alpha * arity)
             setattr(self, f"{name}_table", np.where(total > 0, smoothed, 1.0 / arity))
         n = len(self.class_array)
         self.size_mean, self.size_std = np.zeros((n, n)), np.ones((n, n))
@@ -200,17 +199,15 @@ class CooccurrenceModel(_Counts):
         return np.where(self.class_array.take(rows) == ids, rows, len(self.classes))
 
 
-def finalize(*builders: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> CooccurrenceModel:
-    """Laplace-smooth the summed counts of the builders into a CooccurrenceModel.
+def finalize(*builders: StatsBuilder) -> CooccurrenceModel:
+    """Laplace-smooth the summed counts of the builders, with ALPHA_DEFAULT,
+    into a CooccurrenceModel.
 
     The counts are summed into new arrays and multisets, so the model
-    shares none with a builder.  Raises ValueError unless `alpha` is
-    finite and above 0, the values a saved model may hold; SchemaError
-    when two builders disagree on the class universe; EmptyCorpusError
-    when no builder is given or they hold no image.
+    shares none with a builder.  Raises SchemaError when two builders
+    disagree on the class universe; EmptyCorpusError when no builder is
+    given or they hold no image.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and above 0, got {alpha}")
     if any(b.classes != builders[0].classes for b in builders):
         raise SchemaError("builders disagree on class universe")
     counts = {
@@ -223,4 +220,4 @@ def finalize(*builders: StatsBuilder, alpha: float = ALPHA_DEFAULT) -> Cooccurre
     for b in builders:
         for k, v in b.size_obs.items():
             size_obs.setdefault(k, Counter()).update(v)
-    return CooccurrenceModel(classes=builders[0].classes, size_obs=size_obs, alpha=alpha, **counts)
+    return CooccurrenceModel(classes=builders[0].classes, size_obs=size_obs, **counts)

@@ -9,7 +9,10 @@ the pair margins.
 A label map is labelled once into a Scene: its ObjectTable, their pair
 table and their shape histograms, at the fixed resolutions of
 `relations`; `prepare_all` and `verify` build it with one helper, and
-every layer reads an object as a row of the table's columns.
+every layer reads an object as a row of the table's columns.  Every
+scene is labelled with DEFAULT_MIN_AREA, and every detector is trained
+with the SGD settings HYPERPARAMS: the tuning values are constants, not
+parameters.
 `prepare_all` labels a stream of maps in batches, one stacked labelling
 pass and one histogram pass per batch; `prepare_all([grid])` prepares
 one map.
@@ -27,8 +30,7 @@ A VerifierRegistry holds one global Detector (linear model,
 statistics and shape prototypes) plus one per context value; `verify`
 dispatches on the image's context attribute and falls back to the
 global detector whenever the context is missing, placeholder-valued,
-or untrained.  It takes a label grid, which it labels with the
-registry's min_area, or a Scene prepared with it.  A grid is related and
+or untrained.  It takes a label grid or a Scene.  A grid is related and
 histogrammed only when it has a pair: with fewer than two objects its
 verdict is the abstention (not a contradiction, confidence 0.5) of
 `aggregate` on no margins, so nothing else is computed for it.  Its
@@ -47,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from typing import Iterable, Iterator, Mapping
+from typing import ClassVar, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -115,8 +117,8 @@ _MODEL_TAG = 102
 
 @dataclass(frozen=True, eq=False)
 class Scene:
-    """One label map, labelled once: its objects, their ordered pairs and
-    their shape histograms, with the min_area it was labelled with.
+    """One label map, labelled once with DEFAULT_MIN_AREA: its objects,
+    their ordered pairs and their shape histograms.
 
     An object is known by its position in the `objects` table: the pair
     table indexes `objects`, and `hists` is the read-only
@@ -128,7 +130,6 @@ class Scene:
     objects: ObjectTable
     pairs: PairTable
     hists: np.ndarray
-    min_area: int
 
 
 def _removed_index(n_objects: int, seed: int) -> int:
@@ -138,23 +139,18 @@ def _removed_index(n_objects: int, seed: int) -> int:
     return int(np.random.default_rng(seed).integers(n_objects))
 
 
-def _scene(grid: LabelGrid, objects: ObjectTable, hists: np.ndarray, min_area: int) -> Scene:
-    """The Scene of `grid`, given the objects extracted from it with
-    `min_area` and their shape histograms; their pair table is made here."""
-    return Scene(
-        image_id=grid.image_id,
-        objects=objects,
-        pairs=relations_for_objects(grid, objects),
-        hists=hists,
-        min_area=min_area,
-    )
+def _scene(grid: LabelGrid, objects: ObjectTable, hists: np.ndarray) -> Scene:
+    """The Scene of `grid`, given the objects extracted from it and their
+    shape histograms; their pair table is made here."""
+    return Scene(grid.image_id, objects, relations_for_objects(grid, objects), hists)
 
 
-def prepare_all(grids: Iterable[LabelGrid], min_area: int = DEFAULT_MIN_AREA) -> Iterator[Scene]:
-    """Label each of `grids`, read lazily, once into a Scene: objects, their
-    pair table and their shape histograms at the fixed SHAPE_SAMPLES and
-    SHAPE_BINS of `relations`, whatever its object count, since the
-    training prototypes read the histograms of one-object scenes too.
+def prepare_all(grids: Iterable[LabelGrid]) -> Iterator[Scene]:
+    """Label each of `grids`, read lazily, once into a Scene: its objects of
+    at least DEFAULT_MIN_AREA pixels, their pair table and their shape
+    histograms at the fixed SHAPE_SAMPLES and SHAPE_BINS of `relations`,
+    whatever its object count, since the training prototypes read the
+    histograms of one-object scenes too.
 
     Each batch of `grid_batches` is labelled in one `label_maps` pass and
     its shape histograms binned in one `shape_histograms` pass; each map
@@ -162,26 +158,22 @@ def prepare_all(grids: Iterable[LabelGrid], min_area: int = DEFAULT_MIN_AREA) ->
     batched with it.
     """
     for batch in grid_batches(grids):
-        objects = label_maps(batch, min_area)
+        objects = label_maps(batch)
         for grid, objs, hists in zip(batch, objects, shape_histograms(batch, objects)):
-            yield _scene(grid, objs, hists, min_area)
+            yield _scene(grid, objs, hists)
 
 
 @dataclass(frozen=True)
 class Hyperparams:
-    """The SGD settings of `train_linear`: a learning rate and an L2 weight,
-    each finite and above 0, and at least one epoch."""
+    """SGD settings, a learning rate, an epoch count and an L2 weight, as a
+    LinearModel records them; `train_linear` always uses HYPERPARAMS."""
 
     learning_rate: float = 0.01
     epochs: int = 50
     l2_lambda: float = 1e-3
 
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("learning_rate", "l2_lambda"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and above 0, got {getattr(self, name)}")
+
+HYPERPARAMS = Hyperparams()
 
 
 @dataclass(frozen=True)
@@ -336,11 +328,11 @@ def _sgd_epoch(width: int):
 def train_linear(
     features,
     labels,
-    hyperparams: Hyperparams | None = None,
     seed: int = 0,
     context_label: str = GLOBAL_LABEL,
 ) -> LinearModel:
-    """Fit the hinge-loss linear classifier with seeded SGD.
+    """Fit the hinge-loss linear classifier with seeded SGD at the settings
+    HYPERPARAMS, which the model records.
 
     Labels use +1 for contradiction and -1 for valid.  Standardization
     is fitted on the training features (stds floored at 1e-6); samples
@@ -364,7 +356,7 @@ def train_linear(
     Raises DegenerateTrainingError when the averaged weights or bias are
     not finite, as on a learning rate so large that the fit diverges.
     """
-    hp = hyperparams or Hyperparams()
+    hp = HYPERPARAMS
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or len(X) != len(y):
@@ -474,8 +466,8 @@ class Detector:
 
 @dataclass(frozen=True)
 class VerifierRegistry:
-    """The global Detector plus one Detector per trained context value,
-    and the min_area, at least 1, that every scene it verifies is labelled with.
+    """The global Detector plus one Detector per trained context value.
+    Every scene it verifies is labelled with `min_area`, DEFAULT_MIN_AREA.
 
     `models` is keyed by exactly the context values that were trained;
     every other value falls back to `global_detector`.  No key may be
@@ -483,13 +475,11 @@ class VerifierRegistry:
     """
 
     context_attribute: str | None
-    min_area: int
     global_detector: Detector
     models: dict[str, Detector] = field(default_factory=dict)
+    min_area: ClassVar[int] = DEFAULT_MIN_AREA
 
     def __post_init__(self) -> None:
-        if self.min_area < 1:
-            raise ValueError(f"min_area is {self.min_area}, expected at least 1")
         if GLOBAL_LABEL in self.models:
             raise ValueError(f"context value {GLOBAL_LABEL!r} names the global detector")
 
@@ -510,26 +500,20 @@ def verify(
 ) -> Verdict:
     """Verify one label map, dispatching to the context-specific detector.
 
-    A LabelGrid is labelled with the registry's min_area, and related and
-    histogrammed only when it has a pair: a map of fewer than two objects
-    goes from the component pass of labelling straight to `aggregate`
-    with no margins, which abstains, and gets no object table.  A Scene
-    must have been prepared with that same min_area, or ValueError is
-    raised.
+    A LabelGrid is labelled with DEFAULT_MIN_AREA, as `prepare_all`
+    labels it, and related and histogrammed only when it has a pair: a map
+    of fewer than two objects goes from the component pass of labelling
+    straight to `aggregate` with no margins, which abstains, and gets no
+    object table.
     """
     image_id = scene.image_id
     if isinstance(scene, LabelGrid):
         components = _components([scene])
-        if components.count(registry.min_area) < 2:
+        if components.count(DEFAULT_MIN_AREA) < 2:
             scene = None
         else:
-            (objects,) = _tables(components, registry.min_area)
-            scene = _scene(scene, objects, shape_histogram(scene, objects), registry.min_area)
-    elif scene.min_area != registry.min_area:
-        raise ValueError(
-            f"scene prepared with min_area {scene.min_area}, "
-            f"registry uses {registry.min_area}"
-        )
+            (objects,) = _tables(components, DEFAULT_MIN_AREA)
+            scene = _scene(scene, objects, shape_histogram(scene, objects))
     label = registry.resolve(attributes)
     pairs, margins = _NO_PAIRS, np.zeros(0)
     if scene is not None:
@@ -563,14 +547,13 @@ def _prototypes_for(scenes: list[Scene], stats: CooccurrenceModel) -> np.ndarray
 def train_registry(corpus, context_attribute: str | None, seed: int = 0) -> VerifierRegistry:
     """Train the global detector and one per `context_attribute` value in `corpus.attributes()`.
 
-    Every train map is labelled with DEFAULT_MIN_AREA, the registry's
-    min_area.  Each contributes its pairs as valid examples and, when it
-    has at least two objects, CONTRADICTIONS_PER_IMAGE seeded
-    object-removal twins as contradiction examples (one image-level
-    label shared by all pairs of a scene).  Every detector's statistics
-    are smoothed with `stats.ALPHA_DEFAULT` and its model fitted with the
-    default Hyperparams.  Context values with fewer than N_MIN_CONTEXT
-    train images get no model and fall back to global.
+    Every train map is labelled with DEFAULT_MIN_AREA.  Each contributes
+    its pairs as valid examples and, when it has at least two objects,
+    CONTRADICTIONS_PER_IMAGE seeded object-removal twins as contradiction
+    examples (one image-level label shared by all pairs of a scene).
+    Every detector's statistics are smoothed with `stats.ALPHA_DEFAULT`
+    and its model fitted with HYPERPARAMS.  Context values with fewer than
+    N_MIN_CONTEXT train images get no model and fall back to global.
     Each train scene is counted once, into the builder of its context
     value (placeholder and values below N_MIN_CONTEXT included); `finalize`
     sums all those builders into the global statistics.  Raises
@@ -651,7 +634,6 @@ def train_registry(corpus, context_attribute: str | None, seed: int = 0) -> Veri
 
     return VerifierRegistry(
         context_attribute=context_attribute,
-        min_area=DEFAULT_MIN_AREA,
         global_detector=trained.pop(GLOBAL_LABEL),
         models=trained,
     )

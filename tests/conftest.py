@@ -1,6 +1,7 @@
-"""Shared helpers: random hole-free blobs, tiny scene builders, object runs
-and pixels read from the columns of a table, traced contours, a registry
-around given statistics and a guard on synthetic painting."""
+"""Shared helpers: random hole-free blobs, tiny scene builders, upscaled
+maps, object runs and pixels read from the columns of a table, traced
+contours, a registry around given statistics and a guard on synthetic
+painting."""
 
 from collections import deque
 
@@ -78,6 +79,14 @@ def boundary(grid, objects, k=0):
     return tuple(map(tuple, points.tolist()))
 
 
+def upscaled(arr, scale=5):
+    """`arr` with each pixel made a `scale` x `scale` block: every
+    8-connected component and every contact is kept, and at the default
+    scale every object reaches DEFAULT_MIN_AREA, which `prepare_all` and
+    `verify` label with."""
+    return np.kron(arr, np.ones((scale, scale), dtype=arr.dtype))
+
+
 def blob_grid(rng, size=16, steps=60, class_id=1, class_map=None):
     class_map = class_map or {class_id: "blob"}
     return grid_from_array(random_blob_array(rng, size, steps, class_id), class_map)
@@ -99,7 +108,6 @@ def registry_of(stats, *contexts):
 
     return VerifierRegistry(
         context_attribute="location" if contexts else None,
-        min_area=1,
         global_detector=detector(GLOBAL_LABEL),
         models={value: detector(value) for value in contexts},
     )

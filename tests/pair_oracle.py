@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS, ROW_EPS_FRACTION
-from scenecheck.stats import SIGMA_FLOOR
+from scenecheck.stats import ALPHA_DEFAULT, SIGMA_FLOOR
 
 from conftest import runs
 
@@ -120,7 +120,7 @@ def _rows(model, *ids) -> list[int | None]:
 
 def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
     """Smoothed probability of `observed` under the model's named counts:
-    (count + alpha) / (total + alpha * arity).
+    (count + alpha) / (total + alpha * arity), alpha being ALPHA_DEFAULT.
 
     A pair with no data, an unknown class id's among them, falls back to
     the smoothed prior and never errors.
@@ -131,13 +131,13 @@ def query(model, kind: str, a_class: int, b_class: int, observed) -> float:
     known = i is not None and j is not None
     if kind == "presence":
         count = int(model.presence[i, j]) if known else 0
-        return (count + model.alpha) / (model.images + 2 * model.alpha)
+        return (count + ALPHA_DEFAULT) / (model.images + 2 * ALPHA_DEFAULT)
     labels = {"position": OCTANTS, "proximity": PROXIMITY_LABELS}.get(kind, tuple(range(K_DIST)))
     idx = labels.index(observed)
     counts = getattr(model, kind)[i, j].tolist() if known else []
     if not any(counts):
         return 1.0 / len(labels)
-    return (counts[idx] + model.alpha) / (sum(counts) + model.alpha * len(labels))
+    return (counts[idx] + ALPHA_DEFAULT) / (sum(counts) + ALPHA_DEFAULT * len(labels))
 
 
 def size_moments(observations) -> tuple[float, float]:

@@ -149,7 +149,7 @@ def test_criterion_2_statistics_correctness(tmp_path, rng):
     assert builder.images == 5
     assert keyed(builder, "presence") == {(1, 1): 1, (1, 2): 2, (1, 3): 1, (2, 3): 1}
     assert keyed(builder, "class_images") == {1: 4, 2: 3, 3: 2}
-    model = finalize(builder, alpha=1.0)
+    model = finalize(builder)
     assert abs(lookup(model, "presence_table", 1, 2) - 3 / 7) <= 1e-12
     assert abs(position(model, 1, 2, "S") - 2 / 10) <= 1e-12
     assert abs(proximity(model, 1, 2, "ON") - 2 / 8) <= 1e-12
@@ -214,7 +214,7 @@ def test_criterion_4_normalization_and_duality(tmp_path):
         grid = corpus.grid(image_id)
         objects = extract_objects(grid)
         accumulate(builder, objects, relations_for_objects(grid, objects))
-    for model in (finalize(builder, alpha=1.0), finalize(_hand_builder(), alpha=1.0)):
+    for model in (finalize(builder), finalize(_hand_builder())):
         assert_rows_are_distributions(model)
         assert_positional_duality(model)
     print("PASS criterion 4: every table row sums to 1, positional duality exact")
@@ -320,7 +320,7 @@ def test_criterion_9_persistence(experiment, tmp_path, rng):
         assert verify(grid, reloaded, record) == verify(grid, registry, record)
 
     builder = _hand_builder()
-    model = finalize(builder, alpha=1.0)
+    model = finalize(builder)
     stats_path = tmp_path / "stats_roundtrip.json"
     save_model(stats_path, registry_of(model))
     loaded = load_model(stats_path).global_detector.stats

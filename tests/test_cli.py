@@ -632,6 +632,38 @@ def test_output_that_cannot_be_created_is_one_error_line(pipeline, tmp_path, cap
     assert sorted(tmp_path.rglob("*")) == before
 
 
+@pytest.mark.parametrize(
+    "command, split",
+    [("select-contexts", "train"), ("gen-contradictions", "val"), ("train", "train"),
+     ("evaluate", "val")],
+)
+def test_an_empty_split_is_refused_before_any_map_is_read(
+    pipeline, tmp_path, capsys, monkeypatch, command, split
+):
+    # Every command that reads a split refuses it, if empty, in one line
+    # and writes nothing.
+    _, corpus_dir, registry_path = pipeline
+    corpus = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, corpus)
+    splits = json.loads((corpus / "splits.json").read_text())
+    (corpus / "splits.json").write_text(json.dumps({**splits, split: []}))
+
+    def refuse(self, image_id):
+        raise AssertionError(f"{command} read the map {image_id}")
+
+    monkeypatch.setattr(Corpus, "grid", refuse)
+    out = tmp_path / "out" / "x.json"
+    argv = {
+        "select-contexts": ["select-contexts", str(corpus), "-o", str(out)],
+        "gen-contradictions": ["gen-contradictions", str(corpus), "--seed", "5", "-o", str(out)],
+        "train": ["train", str(corpus), "--seed", "5", "-o", str(out)],
+        "evaluate": ["evaluate", str(registry_path), str(corpus), "--seed", "5", "-o", str(out)],
+    }[command]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: EmptyCorpusError: {split} split is empty\n"
+    assert not out.parent.exists()
+
+
 class TestTrain:
     def test_printed_scopes_equal_the_saved_registry(self, pipeline, tmp_path, capsys):
         _, corpus_dir, _ = pipeline
@@ -663,17 +695,6 @@ class TestTrain:
         assert err.startswith("usage: scenecheck") and "--aggregation" in err
         assert not out.exists()
 
-
-    def test_empty_train_split_is_one_line_empty_corpus_error(self, tmp_path, capsys):
-        config = default_synthetic_config(n_images=4, seed=6)
-        config = dataclasses.replace(config, train_fraction=0.0)
-        corpus = synth_corpus(config, tmp_path / "corpus")
-        assert corpus.image_ids("train") == []
-        out = tmp_path / "out" / "registry.json"
-        assert main(["train", str(tmp_path / "corpus"), "--seed", "1", "-o", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == "error: EmptyCorpusError: train split is empty\n"
-        assert not out.parent.exists()
 
     def test_context_value_that_is_not_a_plain_name_is_format_error(self, tmp_path, capsys):
         # `synth` starts image ids with context values, so `attributes.json`
@@ -1104,18 +1125,6 @@ class TestEvaluate:
         assert [(r["image_id"], r["variant"]) for r in rows] == [
             (first, "valid"), (first, "contradiction")
         ]
-
-    def test_empty_val_split_is_one_line_empty_corpus_error(self, pipeline, tmp_path, capsys):
-        _, corpus_dir, registry_path = pipeline
-        corpus = tmp_path / "corpus"
-        shutil.copytree(corpus_dir, corpus)
-        splits = json.loads((corpus / "splits.json").read_text())
-        (corpus / "splits.json").write_text(json.dumps({**splits, "val": []}))
-        out = tmp_path / "report" / "report.json"
-        argv = ["evaluate", str(registry_path), str(corpus), "--seed", "5", "-o", str(out)]
-        assert main(argv) == 1
-        assert capsys.readouterr().err == "error: EmptyCorpusError: val split is empty\n"
-        assert not out.parent.exists()
 
     def test_context_free_registry_reports_no_contexts(self, pipeline, tmp_path):
         root, corpus_dir, registry_path = pipeline

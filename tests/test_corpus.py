@@ -39,6 +39,9 @@ from scenecheck.cli import main
 from scenecheck.corpus import _stats_to_doc, _versioned, _write_json
 from scenecheck.relations import PROXIMITY_LABELS
 from scenecheck.seeds import derive_seed
+from scenecheck.labelgrid import DEFAULT_MIN_AREA
+from scenecheck.stats import ALPHA_DEFAULT
+from scenecheck.verifier import HYPERPARAMS
 
 from conftest import registry_of
 
@@ -81,6 +84,34 @@ class TestGenerateContradiction:
 
 
 class TestSynthCorpus:
+    def test_largest_int32_class_id_is_painted(self, tmp_path):
+        # Label maps hold int32 ids: 2**31 - 1, the largest, names the floor,
+        # the anchor of every inside scene but a lone object.
+        top = 2**31 - 1
+        config = default_synthetic_config(n_images=3, seed=13)
+
+        def ids(classes):
+            return tuple(top if c == 1 else c for c in classes)
+
+        config = dataclasses.replace(
+            config,
+            classes=tuple(
+                dataclasses.replace(c, class_id=top) if c.class_id == 1 else c
+                for c in config.classes
+            ),
+            contexts=tuple(
+                dataclasses.replace(
+                    ctx, anchor=ids([ctx.anchor])[0], satellites=ids(ctx.satellites),
+                    stack=ctx.stack and ids(ctx.stack), lone_extra=ids(ctx.lone_extra),
+                )
+                for ctx in config.contexts
+            ),
+        )
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        assert corpus.class_map[top] == "floor"
+        inside = [i for i in corpus.image_ids() if i.startswith("inside")]
+        assert any((corpus.grid(i).to_array() == top).any() for i in inside)
+
     def test_context_pools_are_exclusive(self, tmp_path):
         config = default_synthetic_config(n_images=40, seed=13)
         corpus = synth_corpus(config, tmp_path / "corpus")
@@ -293,6 +324,10 @@ class TestSynthCorpus:
             ("class", "class_id", -3, "class_id -3 of 'sofa' is below 1 (0 is background)"),
             ("class", "class_id", 0, "class_id 0 of 'sofa' is below 1 (0 is background)"),
             ("class", "class_id", 1, "class_id 1 is given to both 'floor' and 'sofa'"),
+            *(
+                ("class", "class_id", v, f"class_id {v} of 'sofa' is above 2**31 - 1 (ids are int32)")
+                for v in (2**31, 3_000_000_000)
+            ),
             (
                 "context", "anchor", 99,
                 "anchor of context 'inside' names class 99, which no class has",
@@ -372,6 +407,7 @@ class TestSynthCorpus:
             "train-fraction-above-1", "placeholder-rate-negative", "shape-misspelt", "unknown-key",
             "kind-weights-unknown-key", "kind-weights-all-zero", "kind-weights-negative",
             "class-id-negative", "class-id-background", "class-id-duplicate",
+            "class-id-2**31", "class-id-3e9",
             "anchor-unknown", "satellite-unknown", "stack-unknown", "lone-extra-unknown",
             "grid-width-negative", "grid-height-zero", "no-context", "height-swapped",
             "width-from-zero",
@@ -417,7 +453,7 @@ def _corpus_stats(tmp_path):
         grid = corpus.grid(image_id)
         objects = extract_objects(grid)
         accumulate(builder, objects, relations_for_objects(grid, objects))
-    return finalize(builder, alpha=1.0)
+    return finalize(builder)
 
 
 def _hand_registry():
@@ -595,13 +631,24 @@ class TestPersistence:
             ),
             (("global", "stats"), "alpha", math.nan, "alpha holds nan, expected"),
             (("global", "stats"), "alpha", math.inf, "alpha holds inf, expected"),
-            ((), "min_area", 0, "min_area is 0, expected at least 1"),
+            (("global", "stats"), "alpha", 0.5, "alpha is 0.5, expected 1.0"),
+            (("contexts", "inside", "stats"), "alpha", 2, "alpha is 2.0, expected 1.0"),
+            ((), "min_area", 0, "min_area is 0, expected 25"),
+            ((), "min_area", 24, "min_area is 24, expected 25"),
             ((), "min_area", 25.5, "min_area holds 25.5, expected integers"),
             (("global", "model"), "seed", "5", "seed holds '5', expected integers"),
             (("global", "model"), "n_pos", True, "n_pos holds True, expected integers"),
             (
                 ("global", "model", "hyperparams"), "learning_rate", "0.01",
                 "learning_rate holds '0.01', expected finite numbers",
+            ),
+            *(
+                (
+                    ("global", "model", "hyperparams"), name, value,
+                    re.escape(f"hyperparams is {dataclasses.replace(HYPERPARAMS, **{name: value})!r}, ")
+                    + re.escape(f"expected {HYPERPARAMS!r}"),
+                )
+                for name, value in (("learning_rate", 0.02), ("epochs", 49), ("l2_lambda", 0.002))
             ),
             (
                 ("global", "stats"), "classes", [1, 1, 2],
@@ -627,8 +674,10 @@ class TestPersistence:
             "prototype-of-a-class-outside-classes", "class-with-images-but-no-prototype",
             "feature_stds-zero", "feature_stds-negative", "feature_stds-nan",
             "feature_stds-inf", "weights-nan", "feature_means-inf", "bias-nan", "bias-inf",
-            "alpha-nan", "alpha-inf", "min_area-zero", "min_area-fractional", "seed-a-string",
-            "n_pos-true", "learning_rate-a-string", "classes-duplicated", "classes-unsorted",
+            "alpha-nan", "alpha-inf", "alpha-half", "context-alpha-two", "min_area-zero",
+            "min_area-24", "min_area-fractional", "seed-a-string", "n_pos-true",
+            "learning_rate-a-string", "learning_rate-off-default", "epochs-off-default",
+            "l2_lambda-off-default", "classes-duplicated", "classes-unsorted",
             "classes-inf", "class-id-true",
         ],
     )
@@ -650,7 +699,20 @@ class TestPersistence:
         image.write_text(grid_from_array(np.ones((4, 4), dtype=int), {1: "a"}).to_text())
         assert main(["verify", str(path), str(image)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: FormatError:") and err.count("\n") == 1
+        assert err.startswith(f"error: FormatError: {path}: ") and err.count("\n") == 1
+
+    def test_saved_tuning_values_are_the_constants(self, tmp_path):
+        # The document records the values load_model holds it to.
+        path = tmp_path / "registry.json"
+        save_model(path, _hand_registry())
+        doc = json.loads(path.read_text())
+        assert doc["min_area"] == DEFAULT_MIN_AREA == 25
+        for detector in (doc["global"], *doc["contexts"].values()):
+            assert detector["stats"]["alpha"] == ALPHA_DEFAULT == 1.0
+            assert detector["model"]["hyperparams"] == dataclasses.asdict(HYPERPARAMS) == {
+                "learning_rate": 0.01, "epochs": 50, "l2_lambda": 1e-3
+            }
+        assert load_model(path).min_area == VerifierRegistry.min_area == 25
 
     def test_stats_document_with_wrong_types_is_format_error(self, tmp_path):
         path = tmp_path / "registry.json"

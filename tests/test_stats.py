@@ -29,6 +29,7 @@ from scenecheck import (
 )
 from scenecheck.corpus import _stats_to_doc
 from scenecheck.relations import K_DIST, OCTANTS, PROXIMITY_LABELS
+from scenecheck.stats import ALPHA_DEFAULT
 
 import pair_oracle
 from conftest import registry_of
@@ -260,43 +261,38 @@ class TestFinalize:
     def test_unseen_pair_presence_prior(self):
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 10
-        model = finalize(builder, alpha=1.0)
+        model = finalize(builder)
         assert lookup(model, "presence_table", 1, 2) == pytest.approx(1 / 12, abs=1e-15)
 
     def test_octant_smoothing_example(self):
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 8
         builder.position[0, 1] = [8, 0, 0, 0, 0, 0, 0, 0]  # classes 1 and 2 are rows 0 and 1
-        model = finalize(builder, alpha=1.0)
+        model = finalize(builder)
         assert position(model, 1, 2, "E") == pytest.approx(9 / 16, abs=1e-15)
         for label in OCTANTS[1:]:
             assert position(model, 1, 2, label) == pytest.approx(1 / 16, abs=1e-15)
 
     def test_model_counts_are_read_only_copies(self):
         builder = _hand_builder()
-        model = finalize(builder, alpha=1.0)
+        model = finalize(builder)
         accumulate(builder, *_scene(_hand_corpus()[0], CLASS_MAP))
         assert builder.images == 6 and model.images == 5
-        assert model == finalize(_hand_builder(), alpha=1.0)
+        assert model == finalize(_hand_builder())
         arrays = [v for v in vars(model).values() if isinstance(v, np.ndarray)]
         assert len(arrays) == 12  # five count arrays, the class ids, six tables
         for array in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
         with pytest.raises(FrozenInstanceError):
-            model.alpha = 2.0
-
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
-    def test_alpha_not_finite_and_above_zero_rejected(self, alpha):
-        with pytest.raises(ValueError, match="alpha must be finite and above 0"):
-            finalize(_hand_builder(), alpha=alpha)
+            model.images = 6
 
     def test_empty_builder_rejected(self):
         with pytest.raises(EmptyCorpusError):
             finalize(StatsBuilder.for_classes([1, 2]))
 
     def test_hand_corpus_probabilities(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         assert lookup(model, "presence_table", 1, 2) == pytest.approx(3 / 7, abs=1e-12)
         assert lookup(model, "presence_table", 2, 1) == pytest.approx(3 / 7, abs=1e-12)
         assert lookup(model, "presence_table", 1, 1) == pytest.approx(2 / 7, abs=1e-12)
@@ -314,7 +310,7 @@ class TestFinalize:
         assert std == pytest.approx(abs(xs[0] - xs[1]) / 2, abs=1e-12)
 
     def test_sigma_floor_applies_to_degenerate_pairs(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         n = sum(keyed(model, "size_obs")[(1, 3)].values())
         mean, std = lookup(model, "size_mean", 1, 3), lookup(model, "size_std", 1, 3)
         assert (n, mean) == (2, 0.0)
@@ -323,13 +319,13 @@ class TestFinalize:
 
 class TestQuery:
     def test_zscore_centering(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         mean, _ = pair_oracle.size_moments(keyed(model, "size_obs")[(1, 2)].items())
         mu, sigma = lookup(model, "size_mean", 1, 2), lookup(model, "size_std", 1, 2)
         assert (mean - mu) / sigma == 0.0
 
     def test_dense_tables_equal_query(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         rows = model.class_rows(model.classes)
         assert rows.tolist() == list(range(len(model.classes)))
         for a, i in zip(model.classes, rows):
@@ -349,7 +345,7 @@ class TestQuery:
                     assert z == pair_oracle.size_zscore(model, a, b, x)
 
     def test_class_rows_give_unknown_ids_the_prior_row(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         assert model.class_rows([3, 1, 1]).tolist() == [2, 0, 0]
         extremes = [np.iinfo(np.int32).min, np.iinfo(np.int32).max]
         for ids, rows in (([1, 9], [0, 3]), ([0], [3]), ([4, 2, 7], [3, 1, 3]), (extremes, [3, 3])):
@@ -504,12 +500,12 @@ class TestQuery:
         assert "\n" not in str(exc.value)
 
     def test_zscore_unseen_pair_standard_normal_prior(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         assert (lookup(model, "size_mean", 2, 2), lookup(model, "size_std", 2, 2)) == (0.0, 1.0)
 
     def test_unknown_class_reads_the_never_observed_prior(self):
-        model = finalize(_hand_builder(), alpha=1.0)
-        prior = model.alpha / (model.images + 2 * model.alpha)
+        model = finalize(_hand_builder())
+        prior = ALPHA_DEFAULT / (model.images + 2 * ALPHA_DEFAULT)
         for a, b in ((1, 9), (9, 1), (9, 0), (9, 9)):
             assert lookup(model, "presence_table", a, b) == prior
             assert lookup(model, "presence_table", a, b) == pair_oracle.query(
@@ -535,14 +531,14 @@ class TestQuery:
         assert model.class_rows(ids).tolist() == expected
 
     def test_unseen_pair_uniform_prior(self):
-        model = finalize(_hand_builder(), alpha=1.0)
+        model = finalize(_hand_builder())
         assert position(model, 2, 2, "N") == pytest.approx(1 / 8, abs=1e-15)
         assert proximity(model, 2, 2, "ON") == pytest.approx(1 / 6, abs=1e-15)
         assert lookup(model, "distance_table", 2, 2)[0] == pytest.approx(1 / 5, abs=1e-15)
 
     def test_random_queries_match_recomputation(self, rng):
         builder = _hand_builder()
-        model = finalize(builder, alpha=1.0)
+        model = finalize(builder)
         tallies = keyed(builder, "position")
         for _ in range(200):
             a, b = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -563,21 +559,11 @@ class TestModelInvariants:
             grid = corpus.grid(image_id)
             objects = extract_objects(grid)
             accumulate(builder, objects, relations_for_objects(grid, objects))
-        model = finalize(builder, alpha=1.0)
+        model = finalize(builder)
         assert_rows_are_distributions(model)
 
     def test_positional_duality_exact(self):
-        assert_positional_duality(finalize(_hand_builder(), alpha=1.0))
-
-    def test_large_alpha_approaches_uniform(self):
-        model = finalize(_hand_builder(), alpha=1e6)
-        for table, arity in (
-            (model.position_table, 8),
-            (model.proximity_table, 6),
-            (model.distance_table, 5),
-        ):
-            assert table.shape[-1] == arity
-            assert np.abs(table - 1.0 / arity).max() <= 1e-3
+        assert_positional_duality(finalize(_hand_builder()))
 
 
 def assert_rows_are_distributions(model):

@@ -18,6 +18,7 @@ from scenecheck import (
     Hyperparams,
     LinearModel,
     PLACEHOLDER,
+    Scene,
     SchemaError,
     StatsBuilder,
     Verdict,
@@ -31,6 +32,7 @@ from scenecheck import (
     finalize,
     generate_contradiction,
     grid_from_array,
+    label_maps,
     prepare_all,
     relations_for_objects,
     score,
@@ -43,10 +45,11 @@ from scenecheck import (
 import scenecheck.verifier as verifier_module
 from scenecheck.corpus import EVAL_TAG, paint_removal, save_model
 from scenecheck.relations import PROXIMITY_LABELS, SHAPE_BINS
-from scenecheck.verifier import FEATURE_NAMES, N_FEATURES
+from scenecheck.stats import ALPHA_DEFAULT
+from scenecheck.verifier import FEATURE_NAMES, HYPERPARAMS, N_FEATURES
 
 import pair_oracle
-from conftest import pixels
+from conftest import pixels, upscaled
 from test_relations import (
     CLASS_MAP,
     CONCENTRIC_RECTS,
@@ -57,7 +60,7 @@ from test_relations import (
     paint,
     scenes,
 )
-from test_scene import maps
+from test_scene import maps, scales
 
 
 def _identity_model(weights, bias=0.0):
@@ -103,7 +106,7 @@ class TestFeaturize:
         counts = [0] * 8
         counts[octant_index] = 8
         builder.position[0, 1] = counts  # classes 1 and 2 are rows 0 and 1
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         X = featurize(pairs, objects, hists, stats, _uniform_prototypes(stats))
         assert X.shape == (2, N_FEATURES)
         assert X[0, 1] == pytest.approx(9 / 16, abs=1e-15)
@@ -112,7 +115,7 @@ class TestFeaturize:
         grid, objects, pairs, hists = self._scene()
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         prototypes = _uniform_prototypes(stats)
         prototypes[0] = hists[0]  # class 1
         X = featurize(pairs, objects, hists, stats, prototypes)
@@ -123,7 +126,7 @@ class TestFeaturize:
         rel = pair_oracle.table_rows(pairs, objects)[0]
         builder = StatsBuilder.for_classes([1, 2])
         accumulate(builder, objects, pairs)
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         fv = featurize(pairs, objects, hists, stats, _uniform_prototypes(stats))[0]
         assert fv[0] == pair_oracle.query(stats, "presence", 1, 2, None)
         assert fv[1] == pair_oracle.query(stats, "position", 1, 2, rel.rpos)
@@ -139,7 +142,7 @@ class TestFeaturize:
         grid, objects, _, hists = self._scene()
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         lone = objects[:1]
         X = featurize(
             relations_for_objects(grid, lone), lone, hists[:1], stats, _uniform_prototypes(stats)
@@ -149,7 +152,7 @@ class TestFeaturize:
     def test_detector_keeps_a_read_only_copy_of_its_prototypes(self):
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         table = _uniform_prototypes(stats)
         detector = Detector(_identity_model([0.0] * N_FEATURES), stats, table)
         table[0] = 0.0
@@ -160,7 +163,7 @@ class TestFeaturize:
         # A registry saves no row n, so another one would not load back.
         builder = StatsBuilder.for_classes([1, 2])
         builder.images = 1
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         table = _uniform_prototypes(stats)
         table[2] = np.eye(SHAPE_BINS)[0]
         with pytest.raises(ValueError, match="row n, of classes outside the .*, is not uniform"):
@@ -173,7 +176,7 @@ class TestFeaturize:
         grid, objects, pairs, hists = self._scene()
         builder = StatsBuilder.for_classes([1])
         builder.images = 1
-        stats = finalize(builder, alpha=1.0)
+        stats = finalize(builder)
         X = featurize(pairs, objects, hists, stats, _uniform_prototypes(stats))
         assert X.shape == (2, N_FEATURES)
         table = np.full((rows, SHAPE_BINS), 1.0 / SHAPE_BINS)
@@ -182,6 +185,24 @@ class TestFeaturize:
         assert "\n" not in str(exc.value)
         with pytest.raises(ValueError, match="not \\(classes \\+ 1, bins\\)"):
             Detector(_identity_model([0.0] * N_FEATURES), stats, table)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: prepare_all([], 1),
+        lambda: finalize(StatsBuilder.for_classes([1]), alpha=1.0),
+        lambda: train_linear([[0.0], [1.0]], [-1, 1], hyperparams=HYPERPARAMS),
+        lambda: VerifierRegistry(None, ORACLE_REGISTRY.global_detector, min_area=25),
+    ],
+    ids=["prepare_all-min_area", "finalize-alpha", "train_linear-hyperparams",
+         "VerifierRegistry-min_area"],
+)
+def test_a_tuning_value_is_not_a_parameter(call):
+    # min_area, alpha and the SGD settings are constants: DEFAULT_MIN_AREA,
+    # ALPHA_DEFAULT and HYPERPARAMS.
+    with pytest.raises(TypeError):
+        call()
 
 
 def _separable_set(rng, n=200):
@@ -212,10 +233,12 @@ class TestTrainLinear:
         with pytest.raises(DegenerateTrainingError):
             train_linear(list(X), [1] * 10, seed=0)
 
-    def test_diverging_fit_rejected(self, rng):
+    def test_diverging_fit_rejected(self, rng, monkeypatch):
+        # No caller sets the SGD settings, so a diverging rate is patched in.
         X, y = _separable_set(rng)
+        monkeypatch.setattr(verifier_module, "HYPERPARAMS", Hyperparams(1e300, 2))
         with pytest.raises(DegenerateTrainingError, match="SGD diverged"):
-            train_linear(X, y, Hyperparams(learning_rate=1e300, epochs=2), seed=0)
+            train_linear(X, y, seed=0)
 
     def test_identical_features_mixed_labels_hits_prior(self, rng):
         X = np.tile(rng.uniform(size=N_FEATURES), (100, 1))
@@ -226,11 +249,16 @@ class TestTrainLinear:
         assert abs(accuracy - 0.7) <= 0.05
 
 
-def _train_linear_reference(features, labels, hyperparams=None, seed=0):
-    """The per-sample SGD loop with array temporaries, kept as the exactness
-    oracle of `train_linear`'s in-place steps.  Also returns how many steps
-    took the hinge branch and how many only decayed the weights."""
-    hp = hyperparams or Hyperparams()
+# SGD settings other than HYPERPARAMS, at which `_sgd_epoch` is checked
+# against the reference loop.
+OTHER_SETTINGS = Hyperparams(learning_rate=0.3, epochs=7, l2_lambda=0.05)
+
+
+def _train_linear_reference(features, labels, seed=0, hp=HYPERPARAMS):
+    """The per-sample SGD loop with array temporaries at the settings `hp`,
+    kept as the exactness oracle of `train_linear`'s in-place steps.  Also
+    returns how many steps took the hinge branch and how many only decayed
+    the weights, and the (weights, bias) after each epoch."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     means = X.mean(axis=0)
@@ -244,6 +272,7 @@ def _train_linear_reference(features, labels, hyperparams=None, seed=0):
     b_avg = 0.0
     averaged = 0
     branches = [0, 0]
+    iterates = []
     tail_start = hp.epochs - max(1, hp.epochs // 2)
     for epoch in range(hp.epochs):
         for i in rng.permutation(len(Z)):
@@ -255,6 +284,7 @@ def _train_linear_reference(features, labels, hyperparams=None, seed=0):
             else:
                 w -= lr * lam * w
                 branches[1] += 1
+        iterates.append((tuple(w.tolist()), b))
         if epoch >= tail_start:
             w_avg += w
             b_avg += b
@@ -270,7 +300,24 @@ def _train_linear_reference(features, labels, hyperparams=None, seed=0):
         n_neg=int(np.sum(y < 0)),
         context_label=GLOBAL_LABEL,
     )
-    return model, branches
+    return model, branches, iterates
+
+
+def _epoch_iterates(features, labels, hp, seed):
+    """The (weights, bias) after each epoch of `_sgd_epoch` at the settings
+    `hp`, over the signed rows and visiting orders `train_linear` makes."""
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    Z = (X - X.mean(axis=0)) / np.maximum(X.std(axis=0), 1e-6)
+    rows = np.column_stack((Z * y[:, None], y, hp.learning_rate * y)).tolist()
+    epoch_fn = verifier_module._sgd_epoch(X.shape[1])
+    rng = np.random.default_rng(seed)
+    lr, lam = hp.learning_rate, hp.l2_lambda
+    w, b, iterates = (0.0,) * X.shape[1], 0.0, []
+    for _ in range(hp.epochs):
+        w, b = epoch_fn(w, b, rng.permutation(len(Z)).tolist(), rows, lr, lam, lr * lam)
+        iterates.append((w, b))
+    return iterates
 
 
 class TestTrainLinearMatchesLoopReference:
@@ -285,12 +332,15 @@ class TestTrainLinearMatchesLoopReference:
             X = rng.normal(size=(n, N_FEATURES)) * rng.uniform(0.1, 10.0, N_FEATURES)
             y = np.where(rng.random(n) < 0.5, 1, -1)
         y[:2] = (1, -1)
-        for hp in (Hyperparams(), Hyperparams(learning_rate=0.3, epochs=7, l2_lambda=0.05)):
-            expected, (hinge, decay) = _train_linear_reference(X, y, hp, seed)
-            assert train_linear(X, y, hp, seed=seed) == expected
-            assert hinge > 0
-            if separable and n > 2:
-                assert decay > 0
+        expected, (hinge, decay), _ = _train_linear_reference(X, y, seed)
+        assert train_linear(X, y, seed=seed) == expected
+        _, (other_hinge, other_decay), iterates = _train_linear_reference(
+            X, y, seed, OTHER_SETTINGS
+        )
+        assert _epoch_iterates(X, y, OTHER_SETTINGS, seed) == iterates
+        assert hinge > 0 and other_hinge > 0
+        if separable and n > 2:
+            assert decay > 0 and other_decay > 0
 
     @staticmethod
     def _noisy_set(seed, n, width):
@@ -305,17 +355,19 @@ class TestTrainLinearMatchesLoopReference:
     def test_models_equal_the_reference_at_every_width(self, width, seed):
         X, y = self._noisy_set(seed * 100 + width, 90, width)
         X[:, -1] += 2.0 * y  # one informative column, so both branches run
-        for hp in (Hyperparams(), Hyperparams(learning_rate=0.3, epochs=7, l2_lambda=0.05)):
-            expected, (hinge, decay) = _train_linear_reference(X, y, hp, seed)
-            model = train_linear(X, y, hp, seed=seed)
-            assert model == expected
-            assert len(model.weights) == width
-            assert hinge > 0 and decay > 0
+        expected, (hinge, decay), _ = _train_linear_reference(X, y, seed)
+        model = train_linear(X, y, seed=seed)
+        assert model == expected
+        assert len(model.weights) == width
+        assert hinge > 0 and decay > 0
+        _, (hinge, decay), iterates = _train_linear_reference(X, y, seed, OTHER_SETTINGS)
+        assert _epoch_iterates(X, y, OTHER_SETTINGS, seed) == iterates
+        assert hinge > 0 and decay > 0
 
     def test_constant_column_hits_the_std_floor(self):
         X, y = self._noisy_set(7, 60, N_FEATURES)
         X[:, 2] = 3.25
-        expected, _ = _train_linear_reference(X, y, seed=7)
+        expected, *_ = _train_linear_reference(X, y, seed=7)
         model = train_linear(X, y, seed=7)
         assert model.feature_stds[2] == 1e-6
         assert model == expected
@@ -326,32 +378,15 @@ class TestTrainLinearMatchesLoopReference:
         X = np.concatenate([X, X[:25]])
         y = np.array([-1] * 40 + [1] * 25)
         for seed in (0, 11):
-            expected, (hinge, _) = _train_linear_reference(X, y, seed=seed)
+            expected, (hinge, _), _ = _train_linear_reference(X, y, seed=seed)
             assert train_linear(X, y, seed=seed) == expected
             assert hinge > 0
 
     def test_widths_interleaved_in_one_process(self):
         sets = [self._noisy_set(width, 50, width) for width in (3, N_FEATURES, 3, 12)]
         for X, y in sets + sets[::-1]:
-            expected, _ = _train_linear_reference(X, y, seed=2)
+            expected, *_ = _train_linear_reference(X, y, seed=2)
             assert train_linear(X, y, seed=2) == expected
-
-
-@pytest.mark.parametrize(
-    "name, value, message",
-    [
-        ("epochs", 0, "epochs must be >= 1"),
-        ("epochs", -1, "epochs must be >= 1"),
-        *(
-            (name, value, f"{name} must be finite and above 0")
-            for name in ("learning_rate", "l2_lambda")
-            for value in (0.0, -1.0, math.inf, math.nan)
-        ),
-    ],
-)
-def test_hyperparams_reject_a_bad_field(name, value, message):
-    with pytest.raises(ValueError, match=message):
-        Hyperparams(**{name: value})
 
 
 class TestScore:
@@ -552,24 +587,18 @@ class TestVerifyPreparedScene:
         models_used = set()
         for idx, image_id in enumerate(corpus.image_ids("val")[:60]):
             grid = corpus.grid(image_id)
-            scene = next(prepare_all([grid], registry.min_area))
+            scene = next(prepare_all([grid]))
             variants = [(scene, grid)]
             if len(scene.objects) >= 2:
                 seed = derive_seed(5, EVAL_TAG, idx)
-                twin, _ = generate_contradiction(grid, seed, registry.min_area)
-                variants.append((next(prepare_all([twin], registry.min_area)), twin))
+                twin, _ = generate_contradiction(grid, seed)
+                variants.append((next(prepare_all([twin])), twin))
             for attributes in (table.record(image_id), None):
                 for prepared, unprepared in variants:
                     verdict = verify(prepared, registry, attributes)
                     assert verdict.to_dict() == verify(unprepared, registry, attributes).to_dict()
                     models_used.add(verdict.model_used)
         assert models_used == {GLOBAL_LABEL, "inside", "outside"}
-
-    def test_scene_prepared_with_other_parameters_rejected(self, small_experiment):
-        corpus, table, registry = small_experiment
-        grid, record = _find_triple(corpus, table, registry)
-        with pytest.raises(ValueError):
-            verify(next(prepare_all([grid], registry.min_area + 1)), registry, record)
 
 
 def _crowded_grid(seed, class_map):
@@ -605,14 +634,14 @@ class TestVerdictArrays:
                 (a, b) for a in range(n) for b in range(n) if a != b
             ]
             assert json.dumps(verdict.to_dict()) == json.dumps(_dict_from_tuples(verdict))
-            assert verdict == verify(next(prepare_all([grid], registry.min_area)), registry, record)
+            assert verdict == verify(next(prepare_all([grid])), registry, record)
             assert n > 20 or grid is triple
 
     @pytest.mark.parametrize("rects", [[], [(2, 4, 4, 6, 6)]], ids=["no-object", "one-object"])
     def test_abstention_has_empty_arrays(self, small_experiment, rects):
         _, _, registry = small_experiment
         grid = grid_from_array(paint(rects), {2: "thing"})
-        scene = next(prepare_all([grid], registry.min_area))
+        scene = next(prepare_all([grid]))
         for labelled in (grid, scene):
             verdict = verify(labelled, registry)
             columns = (verdict.a_index, verdict.b_index, verdict.margins)
@@ -630,12 +659,12 @@ class TestVerdictArrays:
         stats, protos = detector.stats, detector.prototypes
         for seed in range(3):
             grid = _crowded_grid(seed, corpus.class_map)
-            scene = next(prepare_all([grid], registry.min_area))
+            scene = next(prepare_all([grid]))
             X = featurize(scene.pairs, scene.objects, scene.hists, stats, protos)
             a, b = scene.pairs.a_index, scene.pairs.b_index
             twin_seeds = range(10)
             twins = [paint_removal(grid, scene.objects, s)[0] for s in twin_seeds]
-            for twin_seed, twin in zip(twin_seeds, prepare_all(twins, registry.min_area)):
+            for twin_seed, twin in zip(twin_seeds, prepare_all(twins)):
                 k = verifier_module._removed_index(len(scene.objects), twin_seed)
                 got = featurize(twin.pairs, twin.objects, twin.hists, stats, protos)
                 assert got.tobytes() == X[(a != k) & (b != k)].tobytes()
@@ -804,7 +833,7 @@ def _oracle_stats(universe=(1, 2, 3, 4)):
         grid = grid_from_array(paint(rects), CLASS_MAP)
         objects = extract_objects(grid, min_area=1)
         accumulate(builder, objects, relations_for_objects(grid, objects))
-    return finalize(builder, alpha=1.0)
+    return finalize(builder)
 
 
 def _oracle_model(width=N_FEATURES):
@@ -830,9 +859,17 @@ def _oracle_registry(model=None, stats=None):
     (prototypes[1],) = shape_histogram(grid, extract_objects(grid, min_area=1))
     return VerifierRegistry(
         context_attribute=None,
-        min_area=1,
         global_detector=Detector(model or _oracle_model(), stats, prototypes),
     )
+
+
+def _scene_of_every_component(grid):
+    """The Scene of `grid` with every component an object, however small,
+    as the oracles label it: `verify` and `prepare_all` leave out objects
+    below DEFAULT_MIN_AREA."""
+    (objects,) = label_maps([grid], 1)
+    pairs = relations_for_objects(grid, objects)
+    return Scene(grid.image_id, objects, pairs, shape_histogram(grid, objects))
 
 
 ORACLE_REGISTRY = _oracle_registry()
@@ -862,7 +899,7 @@ class TestBatchedPairLayerMatchesOracle:
         assert (X == expected).all()
         expected_margins = [pair_oracle.score(model, fv) for fv in expected]
         assert score(model, X).tolist() == expected_margins
-        verdict = verify(grid, registry)
+        verdict = verify(_scene_of_every_component(grid), registry)
         assert verdict.pair_scores == tuple(
             (r.a_id, r.b_id, m) for r, m in zip(rels, expected_margins)
         )
@@ -918,37 +955,37 @@ class TestBatchedPairLayerMatchesOracle:
         # ORACLE_REGISTRY's with no counts: the margins are the same bit for bit.
         assert not ORACLE_REGISTRY.global_detector.stats.class_images[3]
         pair = grid_from_array(paint([(1, 2, 2, 4, 4), (4, 10, 10, 4, 4)]), CLASS_MAP)
+        pair = _scene_of_every_component(pair)
         margins = verify(pair, UNSEEN_REGISTRY).margins
         assert len(margins) == 2
         assert margins.tobytes() == verify(pair, ORACLE_REGISTRY).margins.tobytes()
         lone = grid_from_array(paint([(4, 10, 10, 4, 4)]), CLASS_MAP)
-        assert verify(lone, UNSEEN_REGISTRY).pair_scores == ()
+        assert verify(_scene_of_every_component(lone), UNSEEN_REGISTRY).pair_scores == ()
 
     def test_model_of_the_wrong_width_raises(self):
         registry = _oracle_registry(model=_oracle_model(width=N_FEATURES - 2))
         grid = grid_from_array(paint([(1, 2, 2, 4, 4), (2, 10, 10, 4, 4)]), CLASS_MAP)
         with pytest.raises(DimensionError):
-            verify(grid, registry)
+            verify(_scene_of_every_component(grid), registry)
 
 
 @settings(max_examples=150, deadline=None)
-@given(maps, st.sampled_from([1, 3]))
-@example(paint(RING_AND_SQUARE), 1)
-@example(paint(CONCENTRIC_RECTS), 1)
-@example(paint([(2, 2, 2, 6, 6), (4, 12, 12, 5, 5)]), 1)
-def test_verify_gives_every_map_a_verdict(arr, min_area):
+@given(maps, scales)
+@example(paint(RING_AND_SQUARE), 5)
+@example(paint(CONCENTRIC_RECTS), 5)
+@example(paint([(2, 2, 2, 6, 6), (4, 12, 12, 5, 5)]), 5)
+def test_verify_gives_every_map_a_verdict(arr, scale):
     # Every map gets a verdict, objects that share a centroid included, and
     # objects of class 4 under statistics that never saw it: one margin per
-    # ordered pair of the objects of at least `min_area` pixels, the
+    # ordered pair of the objects of at least DEFAULT_MIN_AREA pixels, the
     # verdict of the map's prepared Scene.
-    grid = grid_from_array(arr, CLASS_MAP)
-    n = len(extract_objects(grid, min_area))
+    grid = grid_from_array(upscaled(arr, scale), CLASS_MAP)
+    n = len(extract_objects(grid))
     for registry in (ORACLE_REGISTRY, UNSEEN_REGISTRY):
-        registry = replace(registry, min_area=min_area)
         verdict = verify(grid, registry)
         assert isinstance(verdict, Verdict)
         assert len(verdict.pair_scores) == n * (n - 1)
-        assert verdict == verify(next(prepare_all([grid], min_area)), registry)
+        assert verdict == verify(next(prepare_all([grid])), registry)
 
 
 def _random_stats(rng, universe, unseen):
@@ -969,7 +1006,7 @@ def _random_stats(rng, universe, unseen):
         if (universe[i], universe[j]) != unseen:
             sizes = rng.integers(1, 200, size=(int(rng.integers(1, 5)), 2)).tolist()
             builder.size_obs[i, j] = Counter({(pa, pb): 1 + pa % 3 for pa, pb in sizes})
-    return finalize(builder, alpha=float(rng.choice([0.5, 1.0, 2.0])))
+    return finalize(builder)
 
 
 def _featurize_reference(pairs, objects, hists, stats, prototypes):
@@ -1022,4 +1059,4 @@ def test_crowded_features_equal_the_fancy_indexed_formulas(seed, n_rects):
     outside = ~np.isin(classes, (2, 3))
     prior = outside[pairs.a_index] & outside[pairs.b_index]
     assert prior.any() and (X[prior, 1] == 1.0 / 8).all()
-    assert (X[prior, 0] == known.alpha / (known.images + 2 * known.alpha)).all()
+    assert (X[prior, 0] == ALPHA_DEFAULT / (known.images + 2 * ALPHA_DEFAULT)).all()
