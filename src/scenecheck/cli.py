@@ -11,8 +11,7 @@ the registry verifies.
 
 Each val map's removal twin has one rule, `_twin`, so `evaluate` scores
 the twins that `gen-contradictions` writes.  A command refuses an empty
-split it reads before it labels anything: `_split_ids`, or for `train`,
-`train_registry`.
+split it reads before it labels anything: `Corpus.split_ids`.
 
 Exit codes: 0 success, 1 validation error or an output that cannot be
 written, 2 usage error.  Either error of exit 1 is one `error:` line.
@@ -41,7 +40,7 @@ from .corpus import (
     save_model,
     synth_corpus,
 )
-from .errors import EmptyCorpusError, PlacementError, SceneCheckError
+from .errors import PlacementError, SceneCheckError
 # `extract_objects` stays bound here, though no command calls it by this
 # name: the benchmark's tracer wraps it at every scenecheck binding, and
 # its test expects this one.
@@ -90,20 +89,12 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _split_ids(corpus: Corpus, split: str) -> list[str]:
-    """The image ids of `split`; an empty split is an EmptyCorpusError."""
-    ids = corpus.image_ids(split)
-    if not ids:
-        raise EmptyCorpusError(f"{split} split is empty")
-    return ids
-
-
 def _labelled(corpus: Corpus, split: str):
     """(grid, objects) of each map of `split`, read lazily and labelled with
     DEFAULT_MIN_AREA in one `label_maps` pass per batch of `grid_batches`.
-    An empty split is refused here, before the first map is read."""
-    batches = grid_batches(map(corpus.grid, _split_ids(corpus, split)))
-    return (pair for batch in batches for pair in zip(batch, label_maps(batch)))
+    An empty split is refused before the first map is read."""
+    for batch in grid_batches(map(corpus.grid, corpus.split_ids(split))):
+        yield from zip(batch, label_maps(batch))
 
 
 def _twin(grid, objects, seed: int, index: int):
@@ -230,7 +221,7 @@ def cmd_evaluate(args) -> int:
     table = corpus.attributes()
     context_attribute = registry.context_attribute
 
-    val_ids = _split_ids(corpus, "val")
+    val_ids = corpus.split_ids("val")
     values = [table.value(i, context_attribute) if context_attribute else None for i in val_ids]
     log_rows = []
     scenes = _scenes_and_twins(map(corpus.grid, val_ids), args.seed)

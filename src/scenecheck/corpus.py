@@ -41,6 +41,7 @@ import numpy as np
 from .context import DEFAULT_SCHEMA, PLACEHOLDER, AttributeTable
 from .errors import (
     DuplicateError,
+    EmptyCorpusError,
     FormatError,
     PlacementError,
     SchemaError,
@@ -491,6 +492,14 @@ class Corpus:
             raise SchemaError(f"unknown split {split!r}")
         return list(self.splits[split])
 
+    def split_ids(self, split: str) -> list[str]:
+        """The image ids of `split`; an empty split is an EmptyCorpusError,
+        the one rule of every command that reads a split."""
+        ids = self.image_ids(split)
+        if not ids:
+            raise EmptyCorpusError(f"{split} split is empty")
+        return ids
+
     def grid_path(self, image_id: str) -> Path:
         return self.root / "images" / f"{image_id}.lgrid"
 
@@ -780,7 +789,7 @@ def _write_json(path: Path, doc: dict) -> None:
     path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _expect(what: str, got, fixed: int | str) -> None:
+def _expect(what: str, got, fixed: object) -> None:
     """Reject a document whose `what` reads `got` where this version fixes `fixed`."""
     if got != fixed:
         raise ValueError(f"{what} is {got!r}, expected {fixed!r}")

@@ -57,7 +57,6 @@ from .context import PLACEHOLDER
 from .errors import (
     DegenerateTrainingError,
     DimensionError,
-    EmptyCorpusError,
     NotEnoughObjectsError,
     SchemaError,
 )
@@ -562,9 +561,7 @@ def train_registry(corpus, context_attribute: str | None, seed: int = 0) -> Veri
     detector.  The registry holds no verdict rule: every verdict is the
     majority vote of `aggregate`.
     """
-    train_ids = sorted(corpus.image_ids("train"))
-    if not train_ids:
-        raise EmptyCorpusError("train split is empty")
+    train_ids = sorted(corpus.split_ids("train"))
 
     # Each train image's context value, read once, aligned with train_ids.
     values: list[str | None] = [None] * len(train_ids)

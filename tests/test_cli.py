@@ -696,6 +696,17 @@ class TestTrain:
         assert not out.exists()
 
 
+    def test_empty_train_split_is_one_line_empty_corpus_error(self, tmp_path, capsys):
+        config = default_synthetic_config(n_images=4, seed=6)
+        config = dataclasses.replace(config, train_fraction=0.0)
+        corpus = synth_corpus(config, tmp_path / "corpus")
+        assert corpus.image_ids("train") == []
+        out = tmp_path / "out" / "registry.json"
+        assert main(["train", str(tmp_path / "corpus"), "--seed", "1", "-o", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: EmptyCorpusError: train split is empty\n"
+        assert not out.parent.exists()
+
     def test_context_value_that_is_not_a_plain_name_is_format_error(self, tmp_path, capsys):
         # `synth` starts image ids with context values, so `attributes.json`
         # holds them to the rule of image ids.
